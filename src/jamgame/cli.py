@@ -9,7 +9,9 @@ record; iterative solvers add a per-iteration `trace.csv` and sweeps add a
 `table.csv` with one row per grid point, rounded for reading (the record
 keeps full precision).  Non-convergence is reported through exit code 3 with
 the record still written, so sweeps can continue past hard instances and
-mark them.
+mark them.  A solver's failed accuracy check (`ConvergenceError`) also exits
+3 with the record written and its message in the `error` output; inside a
+sweep it still ends the whole sweep.
 
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
@@ -22,11 +24,12 @@ import argparse
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,9 @@ from . import __version__
 from .gaussian import DiagonalGaussian, ScalarGaussian, tail_prob
 from .largescale import classify_and_solve
 from .network import NetworkConfig, RoundPolicies, estimate_cost, jn_analytic
+from .proactive import MC_SAMPLES as PROACTIVE_MC_SAMPLES
 from .proactive import (
+    ConvergenceError,
     GameCosts,
     ReprSymbols,
     solve_saddle,
@@ -70,15 +75,12 @@ _SIMULATE_KEYS = frozenset(
 _SWEEP_KEYS = frozenset(("mode", "axes", "workers"))
 _AXIS_KEYS = frozenset(("parameter", "grid"))
 
+# SolverConfig's defaults (its seed is the top-level key); the vector
+# proactive saddle has its own default sample count
 _SOLVER_DEFAULTS = {
-    "epsilon": 1e-5,
-    "max_iters": 5000,
-    "pga_step": 0.1,
-    "pga_step_rule": "constant",
-    "gd_step": 0.01,
-    "mc_samples": 10_000,
-    "algorithm": "pga_ccp",
-}
+    f.name: f.default for f in fields(SolverConfig) if f.name != "seed"
+} | {"algorithm": _ALGORITHMS[0]}
+_PROACTIVE_DEFAULTS = _SOLVER_DEFAULTS | {"mc_samples": PROACTIVE_MC_SAMPLES}
 
 # fixed table column order; a table only shows the columns its records fill
 _TABLE_COLUMNS = (
@@ -260,12 +262,12 @@ def _parse_costs(raw: dict) -> GameCosts:
         raise ConfigError(f"costs: {exc}") from exc
 
 
-def _parse_solver(raw: dict, seed: int) -> tuple[SolverConfig, str, dict]:
+def _parse_solver(raw: dict, seed: int, mode: str) -> tuple[SolverConfig, str, dict]:
     section = raw.get("solver", {})
     if not isinstance(section, dict):
         raise ConfigError("solver: must be an object")
     _check_keys(section, _SOLVER_KEYS, "solver")
-    filled = dict(_SOLVER_DEFAULTS)
+    filled = dict(_PROACTIVE_DEFAULTS if mode == "proactive" else _SOLVER_DEFAULTS)
     filled.update(section)
     algorithm = filled["algorithm"]
     if algorithm not in _ALGORITHMS:
@@ -404,7 +406,7 @@ def _parse_sweep(raw: dict) -> tuple[SweepPlan, dict]:
     base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
     base["mode"] = mode
     points = []
-    for combo in _grid_product([grid for _, grid in axes]):
+    for combo in itertools.product(*(grid for _, grid in axes)):
         point_raw = copy.deepcopy(base)
         for (parameter, _), value in zip(axes, combo):
             _set_path(point_raw, parameter, value)
@@ -426,15 +428,6 @@ def _parse_sweep(raw: dict) -> tuple[SweepPlan, dict]:
     return plan, normalized
 
 
-def _grid_product(grids: list[tuple[float, ...]]):
-    if not grids:
-        yield ()
-        return
-    for head in grids[0]:
-        for tail in _grid_product(grids[1:]):
-            yield (head,) + tail
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict into a runnable experiment.
 
@@ -454,7 +447,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seed = _integer(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed: must be nonnegative, got {seed}")
-    solver, algorithm, solver_norm = _parse_solver(raw, seed)
+    solver, algorithm, solver_norm = _parse_solver(raw, seed, mode)
     dimension = source_norm["dimension"]
 
     normalized = {
@@ -671,9 +664,14 @@ def _provenance(seed: int) -> dict:
 
 def execute(config: ExperimentConfig) -> ExecutionResult:
     """Run a validated experiment and return its record(s)."""
-    if config.mode == "sweep":
-        return _execute_sweep(config)
-    outputs, report = _POINT_RUNNERS[config.mode](config)
+    try:
+        if config.mode == "sweep":
+            return _execute_sweep(config)
+        outputs, report = _POINT_RUNNERS[config.mode](config)
+    except ConvergenceError as exc:
+        # no answer to report: the record says why, and counts as not converged
+        error = f"{type(exc).__name__}: {exc}"
+        outputs, report = {"converged": False, "error": error}, None
     record = ResultRecord(
         config=config.normalized,
         outputs=outputs,
@@ -905,7 +903,8 @@ def run(argv) -> int:
     """Parse arguments, run the experiment, write outputs, return exit code.
 
     0 on success, 2 on any validation problem, 3 when a solver failed to
-    converge (the record is still written).
+    converge or to meet its accuracy check (the record is still written;
+    on a failed check its `error` output holds the message).
     """
     parser = _build_parser()
     try:
@@ -925,6 +924,8 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_outputs(Path(args.out), result)
+    if "error" in result.record.outputs:
+        print(f"error: {result.record.outputs['error']}", file=sys.stderr)
     return 3 if result.non_converged else 0
 
 

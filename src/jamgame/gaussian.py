@@ -236,7 +236,8 @@ def clipped_sq_loss(
             return 0.0
         raise ValueError("phi = 1 is degenerate; pass allow_degenerate=True to accept 0")
     phi_eff = min(phi, PHI_CEIL)
-    assert phi_eff < 1.0
+    if not phi_eff < 1.0:
+        raise ValueError(f"phi {phi} leaves no clipping threshold")
     half_width = math.sqrt(c / (1.0 - phi_eff))
     p_in, m1, m2 = interval_moments(source, x_hat0 - half_width, x_hat0 + half_width)
     inside = m2 - 2.0 * x_hat0 * m1 + x_hat0 * x_hat0 * p_in
@@ -264,14 +265,28 @@ def sample(source, seed: int, count: int) -> np.ndarray:
     rng = philox_rng(seed)
     if isinstance(source, ScalarGaussian):
         return source.mean + source.std * rng.standard_normal(count)
+    # vector draws are scaled and shifted in place: one (count, dim) array
+    # at a time, the same values as mean + scale * z
     if isinstance(source, DiagonalGaussian):
         z = rng.standard_normal((count, source.dim))
-        return source.mean + np.sqrt(source.variances) * z
+        z *= np.sqrt(source.variances)
+        z += source.mean
+        return z
     if isinstance(source, GeneralGaussian):
         z = rng.standard_normal((count, source.dim))
-        scaled = z * np.sqrt(source.eigenvalues)
-        return source.mean + scaled @ source.eigenvectors.T
+        z *= np.sqrt(source.eigenvalues)
+        x = z @ source.eigenvectors.T
+        x += source.mean
+        return x
     raise TypeError(f"unsupported source type {type(source).__name__}")
+
+
+def mean_std_err(total, total_sq, n: int):
+    """Monte Carlo mean and its standard error from a sum and a sum of
+    squares over n samples; works elementwise on arrays."""
+    mean = total / n
+    var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .gaussian import (
     tail_prob,
     tail_second_moment,
 )
-from .proactive import GameCosts, ReprSymbols
+from .proactive import ConvergenceError, GameCosts, ReprSymbols
 
 # ties on the case gates resolve toward the ">=" branch
 _GATE_TOL = 1e-10
@@ -128,7 +128,10 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
     root = 0.5 * (lo + hi)
-    assert abs(residual(root)) <= _ROOT_TOL
+    if not abs(residual(root)) <= _ROOT_TOL:
+        raise ConvergenceError(
+            f"l_phi bisection residual {residual(root):.3e} exceeds {_ROOT_TOL:.0e}"
+        )
     return root
 
 

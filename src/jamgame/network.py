@@ -246,8 +246,10 @@ def simulate_round(
             (s, float(x[0, s])) for s in range(config.n) if transmit[0, s]
         )
         outcome = ChannelOutcome("delivered", packets, False, False)
-    assert len(outcome.delivered) <= config.capacity
-    assert (outcome.kind == "collision") == (p > config.capacity or jammed)
+    if len(outcome.delivered) > config.capacity or (
+        (outcome.kind == "collision") != (p > config.capacity or jammed)
+    ):
+        raise RuntimeError(f"inconsistent channel outcome {outcome} for p = {p}")
     return float(cost[0]), outcome
 
 

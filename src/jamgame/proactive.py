@@ -29,6 +29,7 @@ from .gaussian import (
     ScalarGaussian,
     clipped_sq_loss,
     interval_moments,
+    mean_std_err,
     norm_sq_tail_moment,
     sample,
     tail_second_moment,
@@ -37,6 +38,9 @@ from .gaussian import (
 
 NO_JAM = "no_jam"
 INTERIOR_JAM = "interior_jam"
+
+# Default Monte Carlo sample count of the vector saddle.
+MC_SAMPLES = 400_000
 
 # Bisection targets: bracket width in phi, and residual |G(phi)|.
 _PHI_TOL = 1e-12
@@ -203,30 +207,63 @@ def solve_saddle(source: ScalarGaussian, costs: GameCosts) -> ProactiveSaddle:
     return ProactiveSaddle(case, phi_star, threshold, estimator, value)
 
 
+class _SortedNorms:
+    """Squared norms of a fixed sample, sorted once, with suffix sums of the
+    norms and of their squares, so every threshold query is a binary search.
+    """
+
+    def __init__(self, sq: np.ndarray):
+        self.sq = np.sort(sq)
+        self.n = n = sq.size
+        # tail[i] = sum of sq[i:] (and of its squares), with tail[n] = 0;
+        # the sums accumulate into reversed views, with no temporaries
+        self.tail1, self.tail2 = np.zeros(n + 1), np.zeros(n + 1)
+        np.cumsum(self.sq[::-1], out=self.tail1[n - 1::-1])
+        np.cumsum(np.square(self.sq)[::-1], out=self.tail2[n - 1::-1])
+
+    def above(self, r: float) -> tuple[int, float, float]:
+        """(index of the first norm > r, sum and sum of squares of those)."""
+        i = int(np.searchsorted(self.sq, r, side="right"))
+        return i, float(self.tail1[i]), float(self.tail2[i])
+
+    def condition(self, r: float, d: float) -> tuple[float, float]:
+        """E[S 1(S > r)] - d and its standard error."""
+        _, s1, s2 = self.above(r)
+        mean, se = mean_std_err(s1, s2, self.n)
+        return mean - d, float(se)
+
+    def clipped(self, r: float, scale: float, c: float) -> tuple[float, float]:
+        """E[c 1(S > r) + scale S 1(S <= r)] and its standard error."""
+        i, s1, s2 = self.above(r)
+        over = self.n - i
+        total = c * over + scale * (self.tail1[0] - s1)
+        total_sq = c * c * over + scale * scale * (self.tail2[0] - s2)
+        mean, se = mean_std_err(total, total_sq, self.n)
+        return float(mean), float(se)
+
+
 def _vector_value(
-    diag0: DiagonalGaussian, costs: GameCosts, phi: float, sq: np.ndarray | None
+    diag0: DiagonalGaussian, costs: GameCosts, phi: float, norms: _SortedNorms | None
 ) -> tuple[float, float]:
     """(E[min((1-phi)||X||^2, c)] + phi (tr - d), std err) for a centered model."""
     trace = float(diag0.variances.sum())
     phi_eff = min(phi, PHI_CEIL)
     r = costs.c / (1.0 - phi_eff)
-    if sq is None:
+    if norms is None:
         # isotropic: E[||X||^2 1(||X||^2 <= r)] through the chi-square identity
         tail = norm_sq_tail_moment(diag0, r).value
         v = float(diag0.variances[0])
         p_over = float(stats.chi2.sf(r / v, diag0.dim))
         clipped = (1.0 - phi_eff) * (trace - tail) + costs.c * p_over
         return clipped + phi * (trace - costs.d), 0.0
-    vals = np.where(sq > r, costs.c, (1.0 - phi_eff) * sq)
-    est = float(vals.mean()) + phi * (trace - costs.d)
-    se = float(vals.std(ddof=1) / math.sqrt(sq.size))
-    return est, se
+    clipped, se = norms.clipped(r, 1.0 - phi_eff, costs.c)
+    return clipped + phi * (trace - costs.d), se
 
 
 def solve_saddle_vector(
     source,
     costs: GameCosts,
-    samples: int = 400_000,
+    samples: int = MC_SAMPLES,
     seed: int = 0,
     method: str = "auto",
 ) -> ProactiveSaddle:
@@ -239,7 +276,8 @@ def solve_saddle_vector(
 
     is solved in eigencoordinates: exactly (chi-square) for isotropic models,
     by bisection over a fixed common-random-number sample otherwise.  The MC
-    root is accepted only when |condition| <= 3 standard errors.
+    root is accepted only when |condition| <= 3 standard errors, and only
+    when some sample lies above its threshold.
     """
     if isinstance(source, GeneralGaussian):
         diag, _ = whiten(source)
@@ -253,7 +291,7 @@ def solve_saddle_vector(
     diag0 = diag.centered()
     exact = diag0.is_isotropic and method == "auto"
     if exact:
-        sq = None
+        norms = None
 
         def condition(phi: float) -> tuple[float, float]:
             r = costs.c / (1.0 - min(phi, PHI_CEIL))
@@ -262,14 +300,11 @@ def solve_saddle_vector(
     else:
         draws = sample(diag0, seed, samples)
         sq = np.einsum("ij,ij->i", draws, draws)
+        del draws  # only the norms are needed from here on
+        norms = _SortedNorms(sq)
 
         def condition(phi: float) -> tuple[float, float]:
-            r = costs.c / (1.0 - min(phi, PHI_CEIL))
-            vals = np.where(sq > r, sq, 0.0)
-            return (
-                float(vals.mean()) - costs.d,
-                float(vals.std(ddof=1) / math.sqrt(sq.size)),
-            )
+            return norms.condition(costs.c / (1.0 - min(phi, PHI_CEIL)), costs.d)
 
     g0, _ = condition(0.0)
     if g0 < 0.0:
@@ -291,12 +326,20 @@ def solve_saddle_vector(
         if exact:
             if abs(resid) > _RESIDUAL_TOL:
                 raise ConvergenceError(f"equilibrium residual {resid:.3e}")
-        elif abs(resid) > 3.0 * cond_se:
-            raise ConvergenceError(
-                f"MC equilibrium residual {resid:.3e} exceeds 3 x {cond_se:.3e}; "
-                "increase samples"
-            )
-    value, value_se = _vector_value(diag0, costs, phi_star, sq)
+        else:
+            r = costs.c / (1.0 - min(phi_star, PHI_CEIL))
+            if norms.above(r)[0] == norms.n:
+                raise ConvergenceError(
+                    f"no sample of the {norms.n} exceeds the threshold {r:.6g} "
+                    f"at phi_star = {phi_star:.6g}: the root lies beyond the "
+                    "sampled norms; increase samples"
+                )
+            if abs(resid) > 3.0 * cond_se:
+                raise ConvergenceError(
+                    f"MC equilibrium residual {resid:.3e} exceeds "
+                    f"3 x {cond_se:.3e}; increase samples"
+                )
+    value, value_se = _vector_value(diag0, costs, phi_star, norms)
     estimator = ReprSymbols(mean, mean)
     threshold = costs.c / (1.0 - phi_star)
     return ProactiveSaddle(

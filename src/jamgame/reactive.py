@@ -36,6 +36,7 @@ from .gaussian import (
     GeneralGaussian,
     ScalarGaussian,
     interval_moments,
+    mean_std_err,
     philox_rng,
     sample,
 )
@@ -112,15 +113,8 @@ class TransmitRegion:
     def complement_intervals(self) -> tuple[tuple[float, float], ...]:
         if self.intervals is None:
             raise ValueError("interval form is only available for scalar symbols")
-        edges = [-math.inf]
-        for lo, hi in self.intervals:
-            edges.extend((lo, hi))
-        edges.append(math.inf)
-        out = []
-        for lo, hi in zip(edges[::2], edges[1::2]):
-            if lo < hi:
-                out.append((lo, hi))
-        return tuple(out)
+        edges = [-math.inf, *(v for piece in self.intervals for v in piece), math.inf]
+        return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
 
 
 def transmit_region(
@@ -154,39 +148,76 @@ def transmit_region(
     )
 
 
-def _quad_expectation(source: ScalarGaussian, coeffs, intervals) -> float:
-    """E[(a2 X^2 + a1 X + a0) 1(X in union of intervals)] exactly."""
+def box_lp_gap(grad: np.ndarray, point: np.ndarray) -> float:
+    """max over p in [0,1]^len of <grad, p - point>, solved per component."""
+    gap = 0.0
+    grad, point = np.asarray(grad, float).tolist(), np.asarray(point, float).tolist()
+    for g, p in zip(grad, point):
+        gap += max(g * (0.0 - p), g * (1.0 - p))
+    return gap
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """Everything the solvers read at one (symbols, policy) point.
+
+    `concave` is G = E[max{...}], the concave part of the convex-concave
+    split, and `ccp_g` its gradient in the symbol pair.  Each `*_se` is the
+    Monte Carlo standard error of its statistic (zero on exact paths).
+    """
+
+    objective: float
+    objective_se: float
+    concave: float
+    concave_se: float
+    grad_xhat: np.ndarray
+    grad_xhat_se: np.ndarray
+    grad_phi: np.ndarray
+    grad_phi_se: np.ndarray
+    ccp_g: np.ndarray
+    ccp_g_se: np.ndarray
+    fne_index: float
+    fne_index_se: float
+
+
+def _certificate(gx: np.ndarray, gp: np.ndarray, policy: ReactivePolicy) -> float:
+    """The first-order Nash index max{||gx||_2, box_lp_gap(gp, policy)}."""
+    return max(math.sqrt(gx.dot(gx)), box_lp_gap(gp, (policy.alpha, policy.beta)))
+
+
+def _quad(coeffs, moments) -> float:
+    """E[(a2 X^2 + a1 X + a0) 1(X in pieces)] from the pieces' (p, m1, m2)."""
     a2, a1, a0 = coeffs
     total = 0.0
-    for lo, hi in intervals:
-        p, m1, m2 = interval_moments(source, lo, hi)
+    for p, m1, m2 in moments:
         total += a2 * m2 + a1 * m1 + a0 * p
     return total
 
 
-def _region_moments(source, intervals):
-    p = m1 = 0.0
-    for lo, hi in intervals:
-        pi, m1i, _ = interval_moments(source, lo, hi)
-        p += pi
-        m1 += m1i
-    return p, m1
+def _view(name: str):
+    """A model method returning (value, std err) of one Evaluation field."""
+
+    def method(self, symbols, policy):
+        ev = self.evaluate(symbols, policy)
+        return getattr(ev, name), getattr(ev, name + "_se")
+
+    method.__name__ = name
+    return method
 
 
-def box_lp_gap(grad: np.ndarray, point: np.ndarray) -> float:
-    """max over p in [0,1]^len of <grad, p - point>, solved per component."""
-    grad = np.asarray(grad, dtype=float)
-    point = np.asarray(point, dtype=float)
-    return float(
-        np.sum(np.maximum(grad * (0.0 - point), grad * (1.0 - point)))
-    )
+def _ccp_g(self, symbols, policy) -> np.ndarray:
+    return self.evaluate(symbols, policy).ccp_g
+
+
+def _ccp_update(self, symbols, policy) -> ReprSymbols:
+    return _apply_ccp_inverse(self.evaluate(symbols, policy).ccp_g, policy, self.mean)
 
 
 class ExactScalarModel:
     """Closed-form objective, gradients and convex-concave pieces for scalars.
 
     All expectations are truncated Gaussian moments over the transmit region
-    and its complement, so every method is deterministic with zero standard
+    and its complement, so every quantity is deterministic with zero standard
     error (returned for interface parity with the Monte Carlo model).
     """
 
@@ -195,88 +226,54 @@ class ExactScalarModel:
         self.costs = costs
         self.mean = np.array([source.mean])
 
-    def _pieces(self, symbols, policy):
-        region = transmit_region(symbols, policy, self.costs)
-        t_ivals = region.intervals
-        n_ivals = region.complement_intervals()
-        return t_ivals, n_ivals
-
-    def _coeffs(self, symbols, policy):
+    def evaluate(self, symbols, policy) -> Evaluation:
+        """One region solve and one `interval_moments` call per piece."""
         a, b = policy.alpha, policy.beta
         x0, x1 = symbols.scalars()
         c, d = self.costs.c, self.costs.d
+        region = transmit_region(symbols, policy, self.costs)
+        t, n = (
+            [interval_moments(self.source, lo, hi) for lo, hi in pieces]
+            for pieces in (region.intervals, region.complement_intervals())
+        )
         f_t = (b, -2.0 * b * x1, b * x1 * x1 + c - d * b)
         f_nt = (
             1.0,
             -2.0 * (a * x1 + (1.0 - a) * x0),
             a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a,
         )
-        return f_t, f_nt
-
-    def objective(self, symbols, policy):
-        t_ivals, n_ivals = self._pieces(symbols, policy)
-        f_t, f_nt = self._coeffs(symbols, policy)
-        value = _quad_expectation(self.source, f_t, t_ivals) + _quad_expectation(
-            self.source, f_nt, n_ivals
+        # P(X in pieces) and E[X 1(X in pieces)], exactly as sums over pieces
+        p_t, m1_t = _quad((0.0, 0.0, 1.0), t), _quad((0.0, 1.0, 0.0), t)
+        p_n, m1_n = _quad((0.0, 0.0, 1.0), n), _quad((0.0, 1.0, 0.0), n)
+        grad_xhat = np.array([
+            -2.0 * (1.0 - a) * (m1_n - x0 * p_n),
+            -2.0 * b * (m1_t - x1 * p_t) - 2.0 * a * (m1_n - x1 * p_n),
+        ])
+        grad_phi = np.array([
+            _quad((0.0, 2.0 * (x0 - x1), x1 * x1 - x0 * x0 - d), n),
+            _quad((1.0, -2.0 * x1, x1 * x1 - d), t),
+        ])
+        # the concave part's gradient gates each block on the region where
+        # its quadratic is the larger branch
+        ccp_g = np.array([
+            -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
+            -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
+        ])
+        zero = np.zeros(2)
+        return Evaluation(
+            _quad(f_t, t) + _quad(f_nt, n), 0.0,
+            _quad(f_t, n) + _quad(f_nt, t), 0.0,
+            grad_xhat, zero, grad_phi, zero, ccp_g, zero,
+            _certificate(grad_xhat, grad_phi, policy), 0.0,
         )
-        return value, 0.0
 
-    def dc_concave_part(self, symbols, policy):
-        """G = E[max{...}]: the same two quadratics on swapped regions."""
-        t_ivals, n_ivals = self._pieces(symbols, policy)
-        f_t, f_nt = self._coeffs(symbols, policy)
-        value = _quad_expectation(self.source, f_t, n_ivals) + _quad_expectation(
-            self.source, f_nt, t_ivals
-        )
-        return value, 0.0
-
-    def grad_xhat(self, symbols, policy):
-        a, b = policy.alpha, policy.beta
-        x0, x1 = symbols.scalars()
-        t_ivals, n_ivals = self._pieces(symbols, policy)
-        p_t, m1_t = _region_moments(self.source, t_ivals)
-        p_n, m1_n = _region_moments(self.source, n_ivals)
-        g0 = -2.0 * (1.0 - a) * (m1_n - x0 * p_n)
-        g1 = -2.0 * b * (m1_t - x1 * p_t) - 2.0 * a * (m1_n - x1 * p_n)
-        return np.array([g0, g1]), np.zeros(2)
-
-    def grad_phi(self, symbols, policy):
-        x0, x1 = symbols.scalars()
-        d = self.costs.d
-        t_ivals, n_ivals = self._pieces(symbols, policy)
-        g_alpha = _quad_expectation(
-            self.source,
-            (0.0, 2.0 * (x0 - x1), x1 * x1 - x0 * x0 - d),
-            n_ivals,
-        )
-        g_beta = _quad_expectation(
-            self.source, (1.0, -2.0 * x1, x1 * x1 - d), t_ivals
-        )
-        return np.array([g_alpha, g_beta]), np.zeros(2)
-
-    def ccp_g(self, symbols, policy):
-        """Gradient of the concave part G, gating each block on the region
-        where its quadratic is the larger branch."""
-        a, b = policy.alpha, policy.beta
-        x0, x1 = symbols.scalars()
-        t_ivals, n_ivals = self._pieces(symbols, policy)
-        p_t, m1_t = _region_moments(self.source, t_ivals)
-        p_n, m1_n = _region_moments(self.source, n_ivals)
-        g0 = -2.0 * (1.0 - a) * (m1_t - x0 * p_t)
-        g1 = -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t)
-        return np.array([g0, g1])
-
-    def ccp_update(self, symbols, policy):
-        g = self.ccp_g(symbols, policy)
-        return _apply_ccp_inverse(g, policy, self.mean)
-
-    def fne_index(self, symbols, policy):
-        gx, _ = self.grad_xhat(symbols, policy)
-        gp, _ = self.grad_phi(symbols, policy)
-        idx = max(
-            float(np.linalg.norm(gx)), box_lp_gap(gp, policy.as_array())
-        )
-        return idx, 0.0
+    objective = _view("objective")
+    dc_concave_part = _view("concave")
+    grad_xhat = _view("grad_xhat")
+    grad_phi = _view("grad_phi")
+    ccp_g = _ccp_g
+    ccp_update = _ccp_update
+    fne_index = _view("fne_index")
 
 
 class McVectorModel:
@@ -286,6 +283,11 @@ class McVectorModel:
     (common random numbers), so solver trajectories are deterministic given
     (seed, samples) and the convex-concave descent argument applies to the
     sampled objective exactly.
+
+    The per-sample squared distances to the symbols are kept for the last
+    symbol pair, so a policy step at fixed symbols skips the (N, m) pass.
+    Symbol gradients come from masked sums of the centred draws and their
+    squares, one (2, N) @ (N, 2m) product per evaluation.
     """
 
     def __init__(self, source, costs: GameCosts, samples: int = 10_000, seed: int = 0):
@@ -297,74 +299,74 @@ class McVectorModel:
         self.mean = np.asarray(source.mean, dtype=float)
         self.draws = sample(source, seed, samples)
         self.n = samples
+        centred = self.draws - self.mean
+        self._powers = np.hstack([centred, centred * centred])
+        self._key = self._sq = None
 
-    def _parts(self, symbols, policy):
+    def _sq_dists(self, symbols):
+        """Squared distances of the draws to both symbols, kept per symbol pair."""
+        key = np.concatenate([symbols.x_hat0, symbols.x_hat1])
+        if not np.array_equal(key, self._key):
+            self._key = key
+            self._sq = tuple(
+                np.einsum("ij,ij->i", dev, dev)
+                for dev in (self.draws - symbols.x_hat0, self.draws - symbols.x_hat1)
+            )
+        return self._sq
+
+    def evaluate(self, symbols, policy) -> Evaluation:
         a, b = policy.alpha, policy.beta
         c, d = self.costs.c, self.costs.d
-        dev0 = self.draws - symbols.x_hat0
-        dev1 = self.draws - symbols.x_hat1
-        sq0 = np.einsum("ij,ij->i", dev0, dev0)
-        sq1 = np.einsum("ij,ij->i", dev1, dev1)
+        sq0, sq1 = self._sq_dists(symbols)
         f_t = b * sq1 + c - d * b
         f_nt = a * sq1 + (1.0 - a) * sq0 - d * a
         transmit = f_nt - f_t > 0.0
-        return dev0, dev1, sq0, sq1, f_t, f_nt, transmit
-
-    @staticmethod
-    def _mean_se(values: np.ndarray):
-        mean = values.mean(axis=0)
-        se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
-        return mean, se
-
-    def objective(self, symbols, policy):
-        *_, f_t, f_nt, transmit = self._parts(symbols, policy)
-        vals = np.where(transmit, f_t, f_nt)
-        mean, se = self._mean_se(vals)
-        return float(mean), float(se)
-
-    def dc_concave_part(self, symbols, policy):
-        *_, f_t, f_nt, transmit = self._parts(symbols, policy)
-        vals = np.where(transmit, f_nt, f_t)
-        mean, se = self._mean_se(vals)
-        return float(mean), float(se)
-
-    def grad_xhat(self, symbols, policy):
-        a, b = policy.alpha, policy.beta
-        dev0, dev1, *_, transmit = self._parts(symbols, policy)
         silent = ~transmit
-        block0 = -2.0 * (1.0 - a) * dev0 * silent[:, None]
-        block1 = -2.0 * b * dev1 * transmit[:, None] - 2.0 * a * dev1 * silent[:, None]
-        mean, se = self._mean_se(np.hstack([block0, block1]))
-        return mean, se
-
-    def grad_phi(self, symbols, policy):
-        d = self.costs.d
-        _, _, sq0, sq1, _, _, transmit = self._parts(symbols, policy)
-        silent = ~transmit
-        per = np.column_stack([(sq1 - sq0 - d) * silent, (sq1 - d) * transmit])
-        mean, se = self._mean_se(per)
-        return mean, se
-
-    def ccp_g(self, symbols, policy):
-        a, b = policy.alpha, policy.beta
-        dev0, dev1, *_, transmit = self._parts(symbols, policy)
-        silent = ~transmit
-        block0 = -2.0 * (1.0 - a) * dev0 * transmit[:, None]
-        block1 = -2.0 * b * dev1 * silent[:, None] - 2.0 * a * dev1 * transmit[:, None]
-        return np.hstack([block0, block1]).mean(axis=0)
-
-    def ccp_update(self, symbols, policy):
-        g = self.ccp_g(symbols, policy)
-        return _apply_ccp_inverse(g, policy, self.mean)
-
-    def fne_index(self, symbols, policy):
-        gx, gx_se = self.grad_xhat(symbols, policy)
-        gp, gp_se = self.grad_phi(symbols, policy)
-        idx = max(float(np.linalg.norm(gx)), box_lp_gap(gp, policy.as_array()))
+        per = np.stack([
+            np.where(transmit, f_t, f_nt),
+            np.where(transmit, f_nt, f_t),
+            (sq1 - sq0 - d) * silent,
+            (sq1 - d) * transmit,
+        ])
+        mean, se = mean_std_err(
+            per.sum(axis=1), np.einsum("ij,ij->i", per, per), self.n
+        )
+        # masked sums of y = x - mean and of y^2; rows: transmit, silent
+        sums = np.stack([transmit, silent]).astype(float) @ self._powers
+        n_t = np.count_nonzero(transmit)
+        counts = np.array([[n_t], [self.n - n_t]], dtype=float)
+        s1, s2 = np.split(sums, 2, axis=1)
+        # per symbol block and row: sums of (x - x_hat) and (x - x_hat)^2
+        delta = (np.stack([symbols.x_hat0, symbols.x_hat1]) - self.mean)[:, None]
+        dev = s1 - counts * delta
+        dev_sq = s2 - 2.0 * delta * s1 + counts * delta * delta
+        # per-sample gradient blocks are w (x - x_hat) with a weight per row;
+        # indices: gradient (grad_xhat, ccp_g), symbol block, row
+        w = np.array([
+            [[0.0, -2.0 * (1.0 - a)], [-2.0 * b, -2.0 * a]],
+            [[-2.0 * (1.0 - a), 0.0], [-2.0 * a, -2.0 * b]],
+        ])
+        g_mean, g_se = mean_std_err(
+            np.einsum("gbr,brm->gbm", w, dev).reshape(2, -1),
+            np.einsum("gbr,brm->gbm", w * w, dev_sq).reshape(2, -1),
+            self.n,
+        )
         # conservative: the index is a max of two statistics whose spreads are
         # bounded by the rms of their component standard errors
-        se = max(float(np.linalg.norm(gx_se)), float(np.linalg.norm(gp_se)))
-        return idx, se
+        idx_se = max(float(np.linalg.norm(g_se[0])), float(np.linalg.norm(se[2:])))
+        return Evaluation(
+            float(mean[0]), float(se[0]), float(mean[1]), float(se[1]),
+            g_mean[0], g_se[0], mean[2:], se[2:], g_mean[1], g_se[1],
+            _certificate(g_mean[0], mean[2:], policy), idx_se,
+        )
+
+    objective = _view("objective")
+    dc_concave_part = _view("concave")
+    grad_xhat = _view("grad_xhat")
+    grad_phi = _view("grad_phi")
+    ccp_g = _ccp_g
+    ccp_update = _ccp_update
+    fne_index = _view("fne_index")
 
 
 def _apply_ccp_inverse(g: np.ndarray, policy: ReactivePolicy, mean: np.ndarray):
@@ -535,26 +537,26 @@ def _step(config: SolverConfig, k: int) -> float:
 
 
 def _run(source, costs, config, init, update):
+    """Iterate `update` from the start point.  Each iterate's certificate
+    evaluation is handed to the next update, so no point is evaluated twice."""
     model = _build_model(source, costs, config)
     symbols, policy = _resolve_init(source, config, init)
+    ev = model.evaluate(symbols, policy)
     trace = []
     converged = False
     for k in range(1, config.max_iters + 1):
-        symbols, policy = update(model, symbols, policy, _step(config, k))
-        idx, idx_se = model.fne_index(symbols, policy)
-        obj, _ = model.objective(symbols, policy)
-        trace.append(
-            TraceRow(
-                k, idx, idx_se, obj,
-                policy.alpha, policy.beta,
-                symbols.x_hat0.copy(), symbols.x_hat1.copy(),
-            )
-        )
-        if idx <= config.epsilon + 3.0 * idx_se:
+        symbols, policy = update(model, symbols, policy, ev, _step(config, k))
+        ev = model.evaluate(symbols, policy)
+        trace.append(TraceRow(
+            k, ev.fne_index, ev.fne_index_se, ev.objective, policy.alpha,
+            policy.beta, symbols.x_hat0.copy(), symbols.x_hat1.copy(),
+        ))
+        if ev.fne_index <= config.epsilon + 3.0 * ev.fne_index_se:
             converged = True
             break
     return FneReport(
-        symbols, policy, idx, idx_se, len(trace), converged, tuple(trace)
+        symbols, policy, ev.fne_index, ev.fne_index_se, len(trace), converged,
+        tuple(trace),
     )
 
 
@@ -572,11 +574,10 @@ def solve_pga_ccp(source, costs, config: SolverConfig | None = None, init=None) 
     """
     config = config or SolverConfig()
 
-    def update(model, symbols, policy, step):
-        gp, _ = model.grad_phi(symbols, policy)
-        policy = project_box(policy.as_array() + step * gp)
-        symbols = model.ccp_update(symbols, policy)
-        return symbols, policy
+    def update(model, symbols, policy, ev, step):
+        policy = project_box(policy.as_array() + step * ev.grad_phi)
+        g = model.evaluate(symbols, policy).ccp_g
+        return _apply_ccp_inverse(g, policy, model.mean), policy
 
     return _run(source, costs, config, init, update)
 
@@ -586,13 +587,9 @@ def solve_gda(source, costs, config: SolverConfig | None = None, init=None) -> F
     (pga_step) and plain descent on the symbols (gd_step)."""
     config = config or SolverConfig()
 
-    def update(model, symbols, policy, step):
-        gp, _ = model.grad_phi(symbols, policy)
-        gx, _ = model.grad_xhat(symbols, policy)
-        new_policy = project_box(policy.as_array() + step * gp)
-        flat = np.concatenate([symbols.x_hat0, symbols.x_hat1])
-        flat = flat - config.gd_step * gx
-        m = symbols.dim
-        return ReprSymbols(flat[:m], flat[m:]), new_policy
+    def update(model, symbols, policy, ev, step):
+        new_policy = project_box(policy.as_array() + step * ev.grad_phi)
+        dx0, dx1 = np.split(config.gd_step * ev.grad_xhat, 2)
+        return ReprSymbols(symbols.x_hat0 - dx0, symbols.x_hat1 - dx1), new_policy
 
     return _run(source, costs, config, init, update)

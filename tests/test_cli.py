@@ -358,3 +358,46 @@ def test_result_record_rejects_non_finite():
             config={}, outputs={"value": math.inf},
             provenance={"seed": 0},
         )
+
+
+def _vector_proactive(**extra):
+    raw = {
+        "source": {"mean": [0.0, 0.0, 0.0], "variance": [1.0, 2.0, 0.5],
+                   "dimension": 3},
+        "costs": {"c": 1.0, "d": 0.05},
+    }
+    raw.update(extra)
+    return raw
+
+
+def test_solver_failure_exits_3_with_record(tmp_path, capsys):
+    # 50 samples cannot reach the root of d = 0.05: the saddle bisection
+    # raises ConvergenceError, which must not escape as a traceback
+    config = _write_config(tmp_path, "p.json", _vector_proactive(
+        solver={"mc_samples": 50}))
+    out = tmp_path / "out"
+    code = run(["solve", "proactive", "--config", config, "--out", str(out),
+                "--seed", "1"])
+    assert code == 3
+    record = json.loads((out / "result.json").read_text())
+    assert record["outputs"]["converged"] is False
+    assert record["outputs"]["error"].startswith("ConvergenceError: no sample of the 50")
+    assert record["config"]["solver"]["mc_samples"] == 50
+    assert "no sample of the 50" in capsys.readouterr().err
+
+
+def test_solver_defaults_per_mode():
+    proactive = parse_config(
+        _vector_proactive(mode="proactive", costs={"c": 1.0, "d": 1.0}))
+    assert proactive.solver.mc_samples == 400_000
+    assert proactive.normalized["solver"]["mc_samples"] == 400_000
+    reactive = parse_config(_base_reactive(mode="reactive"))
+    assert reactive.solver.mc_samples == 10_000
+    assert reactive.normalized["solver"]["mc_samples"] == 10_000
+    # the echo of the default replays the same run bit for bit
+    first = execute(proactive)
+    echo = json.loads(json.dumps(first.record.to_json()))["config"]
+    assert echo["solver"]["mc_samples"] == 400_000
+    second = execute(parse_config(echo))
+    assert first.record.outputs == second.record.outputs
+    assert first.record.outputs["value_std_err"] > 0.0

@@ -9,6 +9,7 @@ from jamgame.gaussian import DiagonalGaussian, GeneralGaussian, ScalarGaussian
 from jamgame.proactive import (
     INTERIOR_JAM,
     NO_JAM,
+    ConvergenceError,
     GameCosts,
     NoInteriorRoot,
     ProactiveSaddle,
@@ -19,6 +20,7 @@ from jamgame.proactive import (
     solve_phi_tilde,
     solve_saddle,
     solve_saddle_vector,
+    _SortedNorms,
 )
 
 STD = ScalarGaussian(0.0, 1.0)
@@ -244,3 +246,35 @@ def test_vector_mc_determinism_and_whitening():
     assert np.allclose(c.estimator.x_hat0, corr.mean)
     assert np.allclose(c.estimator.x_hat1, corr.mean)
     assert c.threshold == pytest.approx(costs.c / (1.0 - c.phi_star), rel=1e-12)
+
+
+def test_sorted_norms_match_direct_estimators():
+    rng = np.random.default_rng(61)
+    sq = rng.chisquare(3, size=20_000) * rng.uniform(0.5, 2.0)
+    norms = _SortedNorms(sq)
+    d, c = 0.7, 1.3
+    thresholds = list(rng.uniform(0.0, sq.max(), 25))
+    thresholds += [0.0, float(np.sort(sq)[-2]), float(sq.max()), sq.max() + 1.0]
+    n = sq.size
+    for r in thresholds:
+        vals = np.where(sq > r, sq, 0.0)
+        resid, se = norms.condition(r, d)
+        assert resid == pytest.approx(vals.mean() - d, rel=1e-12, abs=1e-15)
+        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-15)
+        scale = rng.uniform(0.1, 1.0)
+        vals = np.where(sq > r, c, scale * sq)
+        value, value_se = norms.clipped(r, scale, c)
+        assert value == pytest.approx(vals.mean(), rel=1e-12)
+        assert value_se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
+    # above the largest norm nothing is left: the condition is exactly -d
+    assert norms.above(sq.max())[0] == n
+    assert norms.condition(sq.max() + 1.0, d) == (-d, 0.0)
+
+
+def test_vector_mc_plateau_names_the_sample_size():
+    # d so small that the root's threshold lies beyond every one of the 50
+    # sampled norms: the bisection ends on the plateau where no sample is
+    # above the threshold
+    aniso = DiagonalGaussian(np.zeros(3), np.array([1.0, 2.0, 0.5]))
+    with pytest.raises(ConvergenceError, match="no sample of the 50 exceeds"):
+        solve_saddle_vector(aniso, GameCosts(1.0, 0.05), samples=50, seed=1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jamgame import reactive
 from jamgame.gaussian import DiagonalGaussian, ScalarGaussian, clipped_sq_loss
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
@@ -416,3 +417,107 @@ def test_scalar_ops_reject_vector_sources():
         objective(src, UNIT_COSTS, ReprSymbols(np.zeros(2), np.zeros(2)), ReactivePolicy(0.1, 0.1))
     with pytest.raises(TypeError):
         McVectorModel(STD, UNIT_COSTS)
+
+
+def _per_sample_reference(model, symbols, policy):
+    """Every MC statistic from stacked per-sample arrays, mean / std(ddof=1)."""
+    a, b = policy.alpha, policy.beta
+    c, d = model.costs.c, model.costs.d
+    dev0 = model.draws - symbols.x_hat0
+    dev1 = model.draws - symbols.x_hat1
+    sq0 = np.sum(dev0 * dev0, axis=1)
+    sq1 = np.sum(dev1 * dev1, axis=1)
+    f_t = b * sq1 + c - d * b
+    f_nt = a * sq1 + (1.0 - a) * sq0 - d * a
+    tx = (f_nt - f_t > 0.0)[:, None]
+    sil = ~tx
+    per = {
+        "objective": np.where(tx[:, 0], f_t, f_nt),
+        "concave": np.where(tx[:, 0], f_nt, f_t),
+        "grad_xhat": np.hstack([
+            -2.0 * (1.0 - a) * dev0 * sil,
+            -2.0 * b * dev1 * tx - 2.0 * a * dev1 * sil,
+        ]),
+        "grad_phi": np.column_stack([(sq1 - sq0 - d) * sil[:, 0], (sq1 - d) * tx[:, 0]]),
+        "ccp_g": np.hstack([
+            -2.0 * (1.0 - a) * dev0 * tx,
+            -2.0 * b * dev1 * sil - 2.0 * a * dev1 * tx,
+        ]),
+    }
+    n = model.n
+    return {
+        k: (v.mean(axis=0), v.std(axis=0, ddof=1) / math.sqrt(n))
+        for k, v in per.items()
+    }
+
+
+def test_mc_evaluate_matches_per_sample_reference():
+    src = DiagonalGaussian(np.array([0.4, -0.7, 0.1]), np.array([1.0, 2.0, 0.5]))
+    costs = GameCosts(1.2, 0.7)
+    model = McVectorModel(src, costs, samples=5_000, seed=9)
+    rng = np.random.default_rng(53)
+    cases = [
+        (ReprSymbols(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)),
+         ReactivePolicy(*rng.uniform(0.0, 1.0, 2)))
+        for _ in range(12)
+    ]
+    edge = ReprSymbols(np.array([0.3, -0.2, 0.5]), np.array([-0.6, 0.1, 0.0]))
+    cases += [(edge, ReactivePolicy(0.0, 0.0)), (edge, ReactivePolicy(1.0, 1.0))]
+    for symbols, policy in cases:
+        ev = model.evaluate(symbols, policy)
+        ref = _per_sample_reference(model, symbols, policy)
+        for name, (mean, se) in ref.items():
+            np.testing.assert_allclose(getattr(ev, name), mean, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(getattr(ev, name + "_se"), se, rtol=1e-9, atol=0)
+        gx, gp = ref["grad_xhat"], ref["grad_phi"]
+        idx = max(np.linalg.norm(gx[0]), box_lp_gap(gp[0], policy.as_array()))
+        assert ev.fne_index == pytest.approx(idx, rel=1e-12)
+        assert ev.fne_index_se == pytest.approx(
+            max(np.linalg.norm(gx[1]), np.linalg.norm(gp[1])), rel=1e-9
+        )
+        # the per-quantity methods are views of the same evaluation
+        assert model.objective(symbols, policy) == (ev.objective, ev.objective_se)
+        assert model.fne_index(symbols, policy) == (ev.fne_index, ev.fne_index_se)
+        assert np.array_equal(model.ccp_g(symbols, policy), ev.ccp_g)
+
+
+def test_exact_evaluate_bundles_the_model_methods():
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        source, costs, symbols, policy = _smooth_config(rng)
+        model = ExactScalarModel(source, costs)
+        ev = model.evaluate(symbols, policy)
+        assert model.objective(symbols, policy) == (ev.objective, 0.0)
+        assert model.dc_concave_part(symbols, policy) == (ev.concave, 0.0)
+        assert np.array_equal(model.grad_phi(symbols, policy)[0], ev.grad_phi)
+        assert np.array_equal(model.grad_xhat(symbols, policy)[0], ev.grad_xhat)
+        assert model.fne_index(symbols, policy) == (ev.fne_index, 0.0)
+        assert np.array_equal(model.ccp_g(symbols, policy), ev.ccp_g)
+
+
+def _counting(base):
+    class Counting(base):
+        calls = 0
+
+        def evaluate(self, symbols, policy):
+            type(self).calls += 1
+            return super().evaluate(symbols, policy)
+
+    return Counting
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_solvers_evaluate_once_per_point(monkeypatch, vector):
+    name = "McVectorModel" if vector else "ExactScalarModel"
+    counting = _counting(getattr(reactive, name))
+    monkeypatch.setattr(reactive, name, counting)
+    if vector:
+        src = DiagonalGaussian(np.zeros(3), np.array([1.0, 2.0, 0.5]))
+        config = SolverConfig(epsilon=0.1, max_iters=40, mc_samples=2_000, seed=3)
+    else:
+        src, config = STD, SolverConfig(epsilon=1e-5, max_iters=400)
+    report = solve_pga_ccp(src, UNIT_COSTS, config)
+    assert 0 < counting.calls <= 2 * report.iterations + 1
+    counting.calls = 0
+    report = solve_gda(src, UNIT_COSTS, config)
+    assert 0 < counting.calls <= report.iterations + 1
