@@ -11,7 +11,7 @@ keeps full precision).  Non-convergence is reported through exit code 3 with
 the record still written, so sweeps can continue past hard instances and
 mark them.  A solver's failed accuracy check (`ConvergenceError`) also exits
 3 with the record written and its message in the `error` output; inside a
-sweep it still ends the whole sweep.
+sweep it becomes that point's record and the sweep goes on.
 
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
@@ -662,16 +662,20 @@ def _provenance(seed: int) -> dict:
     return {"library": "jamgame", "version": __version__, "seed": seed}
 
 
-def execute(config: ExperimentConfig) -> ExecutionResult:
-    """Run a validated experiment and return its record(s)."""
+def _run_point(config: ExperimentConfig):
+    """(outputs, report) of one non-sweep experiment."""
     try:
-        if config.mode == "sweep":
-            return _execute_sweep(config)
-        outputs, report = _POINT_RUNNERS[config.mode](config)
+        return _POINT_RUNNERS[config.mode](config)
     except ConvergenceError as exc:
         # no answer to report: the record says why, and counts as not converged
-        error = f"{type(exc).__name__}: {exc}"
-        outputs, report = {"converged": False, "error": error}, None
+        return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
+
+
+def execute(config: ExperimentConfig) -> ExecutionResult:
+    """Run a validated experiment and return its record(s)."""
+    if config.mode == "sweep":
+        return _execute_sweep(config)
+    outputs, report = _run_point(config)
     record = ResultRecord(
         config=config.normalized,
         outputs=outputs,
@@ -682,10 +686,9 @@ def execute(config: ExperimentConfig) -> ExecutionResult:
 
 def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
     plan = config.sweep_plan
-    runner = _POINT_RUNNERS[plan.mode]
     workers = min(plan.workers, len(plan.points))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(runner, point) for point in plan.points]
+        futures = [pool.submit(_run_point, point) for point in plan.points]
         results = [future.result() for future in futures]
     point_records = tuple(
         ResultRecord(
@@ -924,8 +927,9 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_outputs(Path(args.out), result)
-    if "error" in result.record.outputs:
-        print(f"error: {result.record.outputs['error']}", file=sys.stderr)
+    for record in result.point_records or (result.record,):
+        if "error" in record.outputs:
+            print(f"error: {record.outputs['error']}", file=sys.stderr)
     return 3 if result.non_converged else 0
 
 

@@ -32,8 +32,11 @@ PHI_CEIL = 1.0 - 1e-9
 
 
 def _std_tail(z: float) -> float:
-    """P(Z > z) for standard normal Z, accurate into the far tail."""
-    return 0.5 * special.erfc(z / _SQRT2)
+    """P(Z > z) for standard normal Z, accurate into the far tail.
+
+    A Python float, so the closed forms built on it run on plain floats.
+    """
+    return 0.5 * float(special.erfc(z / _SQRT2))
 
 
 def _std_pdf(z: float) -> float:
@@ -189,22 +192,35 @@ def interval_moments(
     if not (lo < hi):
         return 0.0, 0.0, 0.0
     m, s = source.mean, source.std
-    za = (lo - m) / s
-    zb = (hi - m) / s
+    return _piece_moments(
+        _endpoint(lo, m, s), _endpoint(hi, m, s), m, s, m * m + source.var
+    )
+
+
+def _endpoint(x: float, m: float, s: float) -> tuple[float, float, float, float]:
+    """(z, P(Z > |z|), q(z), (x + m) q(z)) of an interval endpoint x, with
+    z = (x - m) / s and q the standard normal density."""
+    z = (x - m) / s
+    q = _std_pdf(z)
+    # q = 0 at infinite endpoints, where the product is 0
+    return z, _std_tail(abs(z)), q, (x + m) * q if q != 0.0 else 0.0
+
+
+def _piece_moments(left, right, m, s, mv) -> tuple[float, float, float]:
+    """`interval_moments` of a nonempty interval from its `_endpoint`s, the
+    mean m, the standard deviation s and mv = m^2 + var.  Intervals that
+    share an endpoint can share its tail and density."""
+    za, ta, qa, ea = left
+    zb, tb, qb, eb = right
+    # P(lo < X < hi) from the two small tails, each P(Z > |z|)
     if za >= 0.0:
-        p = _std_tail(za) - _std_tail(zb)
+        p = ta - tb
     elif zb <= 0.0:
-        p = _std_tail(-zb) - _std_tail(-za)
+        p = tb - ta
     else:
-        p = 1.0 - _std_tail(-za) - _std_tail(zb)
+        p = 1.0 - ta - tb
     p = max(p, 0.0)
-    qa, qb = _std_pdf(za), _std_pdf(zb)
-    m1 = m * p + s * (qa - qb)
-    # (a + m) q(za) with q = 0 at infinite endpoints, where the product is 0.
-    lo_term = (lo + m) * qa if qa != 0.0 else 0.0
-    hi_term = (hi + m) * qb if qb != 0.0 else 0.0
-    m2 = (m * m + source.var) * p + s * (lo_term - hi_term)
-    return p, m1, m2
+    return p, m * p + s * (qa - qb), mv * p + s * (ea - eb)
 
 
 def clipped_sq_loss(

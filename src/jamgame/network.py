@@ -55,10 +55,17 @@ class NetworkConfig:
 
     @classmethod
     def from_kappa(cls, n: int, kappa_bar: float) -> "NetworkConfig":
-        """Capacity ceil(kappa_bar * n): fixed rounding for reproducibility."""
-        if not (0.0 < kappa_bar < 1.0):
-            raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
-        return cls(n, max(1, math.ceil(kappa_bar * n)))
+        """Capacity ceil(kappa_bar * n), capped at n - 1 (see `_capacity`)."""
+        return cls(n, _capacity(n, kappa_bar))
+
+
+def _capacity(n: int, kappa_bar: float) -> int:
+    """Capacity ceil(kappa_bar * n), at least 1 and, for n > 1, at most
+    n - 1: fixed rounding for reproducibility."""
+    if not (0.0 < kappa_bar < 1.0):
+        raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
+    kappa = max(1, math.ceil(kappa_bar * n))
+    return min(kappa, n - 1) if n > 1 else kappa
 
 
 @dataclass(frozen=True)
@@ -313,8 +320,9 @@ def convergence_probe(
 
     p is the transmit probability of the centered threshold rule; each row
     holds (n, P(Bin(n-1, p) <= kappa(n)), P(Bin(n-1, p) <= kappa(n) - 1))
-    with kappa(n) = ceil(kappa_bar n).  As n grows both approach the
-    indicator of p <= kappa_bar; the boundary p = kappa_bar is excluded.
+    with kappa(n) the capacity `NetworkConfig.from_kappa` gives, ceil(kappa_bar
+    n) capped at n - 1.  As n grows both approach the indicator of
+    p <= kappa_bar; the boundary p = kappa_bar is excluded.
     """
     if not (0.0 < kappa_bar < 1.0):
         raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
@@ -330,11 +338,11 @@ def convergence_probe(
         )
     rows = []
     for n in n_grid:
-        kappa = math.ceil(kappa_bar * n)
+        kappa = _capacity(n, kappa_bar)
         rows.append(
             (
                 int(n),
-                binomial_cdf(n - 1, min(kappa, n - 1), p) if n > 1 else 1.0,
+                binomial_cdf(n - 1, kappa, p) if n > 1 else 1.0,
                 binomial_cdf(n - 1, kappa - 1, p) if n > 1 else 1.0,
             )
         )

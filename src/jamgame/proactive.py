@@ -77,11 +77,18 @@ class ReprSymbols:
     x_hat1: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.x_hat0, dtype=float))
-        b = np.atleast_1d(np.asarray(self.x_hat1, dtype=float))
-        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-            raise ValueError("x_hat0 and x_hat1 must be 1-D of equal length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        a, b = self.x_hat0, self.x_hat1
+        if type(a) is float and type(b) is float:
+            # scalar symbols, as the scalar solvers build them
+            finite = math.isfinite(a) and math.isfinite(b)
+            a, b = np.array(a, ndmin=1), np.array(b, ndmin=1)
+        else:
+            a = np.atleast_1d(np.asarray(a, dtype=float))
+            b = np.atleast_1d(np.asarray(b, dtype=float))
+            if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+                raise ValueError("x_hat0 and x_hat1 must be 1-D of equal length")
+            finite = np.isfinite(a).all() and np.isfinite(b).all()
+        if not finite:
             raise ValueError("symbols must be finite")
         object.__setattr__(self, "x_hat0", a)
         object.__setattr__(self, "x_hat1", b)
@@ -93,7 +100,7 @@ class ReprSymbols:
     def scalars(self) -> tuple[float, float]:
         if self.dim != 1:
             raise ValueError("symbols are not scalar")
-        return float(self.x_hat0[0]), float(self.x_hat1[0])
+        return self.x_hat0.item(), self.x_hat1.item()
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,14 +35,17 @@ from .gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
-    interval_moments,
+    _endpoint,
+    _piece_moments,
     mean_std_err,
     philox_rng,
     sample,
 )
 from .proactive import GameCosts, ReprSymbols
 
-_FULL_LINE = ((-math.inf, math.inf),)
+# the `_endpoint`s of -inf and +inf, the same for every source
+_LEFT_END = _endpoint(-math.inf, 0.0, 1.0)
+_RIGHT_END = _endpoint(math.inf, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,12 @@ def project_box(candidate) -> ReactivePolicy:
     """Clamp a real pair onto [0,1]^2, the jammer's feasible set."""
     a, b = float(candidate[0]), float(candidate[1])
     return ReactivePolicy(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
+
+
+def _ascend(policy: ReactivePolicy, step: float, grad_phi: np.ndarray) -> ReactivePolicy:
+    """Projected gradient ascent on the jam probabilities, in floats."""
+    ga, gb = grad_phi.tolist()
+    return project_box((policy.alpha + step * ga, policy.beta + step * gb))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,44 +126,51 @@ class TransmitRegion:
         return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
 
 
+def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:
+    """The scalar region {q > 0} as the points where q changes sign, and
+    whether q > 0 left of the first.  The region is every other segment of
+    the line cut at those points, the first segment included or not."""
+    # q(x) = qa x^2 + qb x + qc
+    qa = 1.0 - b
+    qb = -2.0 * ((a - b) * x1 + (1.0 - a) * x0)
+    qc = (a - b) * x1 * x1 + (1.0 - a) * x0 * x0 - c - d * (a - b)
+    if qa == 0.0:
+        if qb == 0.0:
+            return (), qc > 0.0
+        return (-qc / qb,), qb < 0.0
+    disc = qb * qb - 4.0 * qa * qc
+    if disc <= 0.0:
+        # qa > 0 here, so the parabola never dips below zero
+        return (), True
+    s = -0.5 * (qb + math.copysign(math.sqrt(disc), qb if qb != 0.0 else 1.0))
+    r1, r2 = s / qa, qc / s
+    return ((r2, r1) if r2 < r1 else (r1, r2)), True
+
+
 def transmit_region(
     symbols: ReprSymbols, policy: ReactivePolicy, costs: GameCosts
 ) -> TransmitRegion:
     """Solve the transmit/stay-silent comparison into an explicit region."""
     if symbols.dim != 1:
         return TransmitRegion(symbols, policy, costs, None)
-    a, b = policy.alpha, policy.beta
-    x0, x1 = symbols.scalars()
-    # q(x) = qa x^2 + qb x + qc
-    qa = 1.0 - b
-    qb = -2.0 * ((a - b) * x1 + (1.0 - a) * x0)
-    qc = (a - b) * x1 * x1 + (1.0 - a) * x0 * x0 - costs.c - costs.d * (a - b)
-    if qa == 0.0:
-        if qb == 0.0:
-            intervals = _FULL_LINE if qc > 0.0 else ()
-        elif qb > 0.0:
-            intervals = ((-qc / qb, math.inf),)
-        else:
-            intervals = ((-math.inf, -qc / qb),)
-        return TransmitRegion(symbols, policy, costs, intervals)
-    disc = qb * qb - 4.0 * qa * qc
-    if disc <= 0.0:
-        # qa > 0 here, so the parabola never dips below zero
-        return TransmitRegion(symbols, policy, costs, _FULL_LINE)
-    s = -0.5 * (qb + math.copysign(math.sqrt(disc), qb if qb != 0.0 else 1.0))
-    r1, r2 = sorted((s / qa, qc / s))
-    return TransmitRegion(
-        symbols, policy, costs, ((-math.inf, r1), (r2, math.inf))
+    edges, first = _region_edges(
+        policy.alpha, policy.beta, *symbols.scalars(), costs.c, costs.d
     )
+    bounds = (-math.inf, *edges, math.inf)
+    segments = tuple(zip(bounds[:-1], bounds[1:]))
+    return TransmitRegion(symbols, policy, costs, segments[0 if first else 1::2])
+
+
+def _box_gap(grad, point) -> float:
+    gap = 0.0
+    for g, p in zip(grad, point):
+        gap += max(g * (0.0 - p), g * (1.0 - p))
+    return gap
 
 
 def box_lp_gap(grad: np.ndarray, point: np.ndarray) -> float:
     """max over p in [0,1]^len of <grad, p - point>, solved per component."""
-    gap = 0.0
-    grad, point = np.asarray(grad, float).tolist(), np.asarray(point, float).tolist()
-    for g, p in zip(grad, point):
-        gap += max(g * (0.0 - p), g * (1.0 - p))
-    return gap
+    return _box_gap(np.asarray(grad, float).tolist(), np.asarray(point, float).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +196,10 @@ class Evaluation:
     fne_index_se: float
 
 
-def _certificate(gx: np.ndarray, gp: np.ndarray, policy: ReactivePolicy) -> float:
-    """The first-order Nash index max{||gx||_2, box_lp_gap(gp, policy)}."""
-    return max(math.sqrt(gx.dot(gx)), box_lp_gap(gp, (policy.alpha, policy.beta)))
+def _certificate(gx: np.ndarray, gp, policy: ReactivePolicy) -> float:
+    """The first-order Nash index max{||gx||_2, box_lp_gap(gp, policy)}, with
+    `gp` a pair of floats."""
+    return max(math.sqrt(gx.dot(gx)), _box_gap(gp, (policy.alpha, policy.beta)))
 
 
 def _quad(coeffs, moments) -> float:
@@ -192,6 +209,26 @@ def _quad(coeffs, moments) -> float:
     for p, m1, m2 in moments:
         total += a2 * m2 + a1 * m1 + a0 * p
     return total
+
+
+def _mass(moments) -> tuple[float, float]:
+    """P(X in pieces) and E[X 1(X in pieces)]: `_quad` with coefficients
+    (0, 0, 1) and (0, 1, 0), whose zero terms only ever add a signed zero."""
+    p_sum = m1_sum = 0.0
+    for p, m1, _ in moments:
+        p_sum += p
+        m1_sum += m1
+    return p_sum, m1_sum
+
+
+def _scalar_ccp_g(a, b, x0, x1, p_t, m1_t, p_n, m1_n) -> np.ndarray:
+    """The concave part's symbol gradient from the transmit (`_t`) and the
+    silent (`_n`) probability and first moment: each block is gated on the
+    region where its quadratic is the larger branch."""
+    return np.array([
+        -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
+        -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
+    ])
 
 
 def _view(name: str):
@@ -205,12 +242,8 @@ def _view(name: str):
     return method
 
 
-def _ccp_g(self, symbols, policy) -> np.ndarray:
-    return self.evaluate(symbols, policy).ccp_g
-
-
 def _ccp_update(self, symbols, policy) -> ReprSymbols:
-    return _apply_ccp_inverse(self.evaluate(symbols, policy).ccp_g, policy, self.mean)
+    return _apply_ccp_inverse(self.ccp_g(symbols, policy), policy, self.mean)
 
 
 class ExactScalarModel:
@@ -219,59 +252,84 @@ class ExactScalarModel:
     All expectations are truncated Gaussian moments over the transmit region
     and its complement, so every quantity is deterministic with zero standard
     error (returned for interface parity with the Monte Carlo model).
+
+    The work is plain float arithmetic.  The region's sign changes are
+    solved once; each one's tail probability and density are computed once
+    for the two pieces it bounds, and each piece's (p, m1, m2) comes from
+    the helper `interval_moments` runs on, so every value is bit for bit
+    the one built from `interval_moments` over the region's intervals and
+    over their complement.  Numpy arrays appear only in the returned
+    `Evaluation`.  `ccp_g`, the only quantity the convex-concave step
+    reads, is computed on its own from the pieces' probabilities and first
+    moments.
     """
 
     def __init__(self, source: ScalarGaussian, costs: GameCosts):
         self.source = source
         self.costs = costs
         self.mean = np.array([source.mean])
+        # the per-piece constants of `interval_moments`
+        self._std = source.std
+        self._mv = source.mean * source.mean + source.var
+
+    def _pieces(self, a, b, x0, x1):
+        """(p, m1, m2) of the transmit pieces and of the silent pieces, each
+        in order along the line."""
+        edges, first = _region_edges(a, b, x0, x1, self.costs.c, self.costs.d)
+        m, s, mv = self.source.mean, self._std, self._mv
+        pieces = []
+        lo, left = -math.inf, _LEFT_END
+        for hi in (*edges, math.inf):
+            right = _endpoint(hi, m, s) if hi < math.inf else _RIGHT_END
+            # interval_moments(self.source, lo, hi), sharing the endpoint lo
+            pieces.append(
+                _piece_moments(left, right, m, s, mv) if lo < hi else (0.0, 0.0, 0.0)
+            )
+            lo, left = hi, right
+        if first:
+            return pieces[0::2], pieces[1::2]
+        return pieces[1::2], pieces[0::2]
 
     def evaluate(self, symbols, policy) -> Evaluation:
-        """One region solve and one `interval_moments` call per piece."""
         a, b = policy.alpha, policy.beta
         x0, x1 = symbols.scalars()
         c, d = self.costs.c, self.costs.d
-        region = transmit_region(symbols, policy, self.costs)
-        t, n = (
-            [interval_moments(self.source, lo, hi) for lo, hi in pieces]
-            for pieces in (region.intervals, region.complement_intervals())
-        )
+        t, n = self._pieces(a, b, x0, x1)
         f_t = (b, -2.0 * b * x1, b * x1 * x1 + c - d * b)
         f_nt = (
             1.0,
             -2.0 * (a * x1 + (1.0 - a) * x0),
             a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a,
         )
-        # P(X in pieces) and E[X 1(X in pieces)], exactly as sums over pieces
-        p_t, m1_t = _quad((0.0, 0.0, 1.0), t), _quad((0.0, 1.0, 0.0), t)
-        p_n, m1_n = _quad((0.0, 0.0, 1.0), n), _quad((0.0, 1.0, 0.0), n)
+        (p_t, m1_t), (p_n, m1_n) = _mass(t), _mass(n)
         grad_xhat = np.array([
             -2.0 * (1.0 - a) * (m1_n - x0 * p_n),
             -2.0 * b * (m1_t - x1 * p_t) - 2.0 * a * (m1_n - x1 * p_n),
         ])
-        grad_phi = np.array([
+        grad_phi = (
             _quad((0.0, 2.0 * (x0 - x1), x1 * x1 - x0 * x0 - d), n),
             _quad((1.0, -2.0 * x1, x1 * x1 - d), t),
-        ])
-        # the concave part's gradient gates each block on the region where
-        # its quadratic is the larger branch
-        ccp_g = np.array([
-            -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
-            -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
-        ])
+        )
         zero = np.zeros(2)
         return Evaluation(
             _quad(f_t, t) + _quad(f_nt, n), 0.0,
             _quad(f_t, n) + _quad(f_nt, t), 0.0,
-            grad_xhat, zero, grad_phi, zero, ccp_g, zero,
+            grad_xhat, zero, np.array(grad_phi), zero,
+            _scalar_ccp_g(a, b, x0, x1, p_t, m1_t, p_n, m1_n), zero,
             _certificate(grad_xhat, grad_phi, policy), 0.0,
         )
+
+    def ccp_g(self, symbols, policy) -> np.ndarray:
+        """`evaluate(symbols, policy).ccp_g` without the other quantities."""
+        a, b = policy.alpha, policy.beta
+        x0, x1 = symbols.scalars()
+        t, n = self._pieces(a, b, x0, x1)
+        return _scalar_ccp_g(a, b, x0, x1, *_mass(t), *_mass(n))
 
     objective = _view("objective")
     dc_concave_part = _view("concave")
     grad_xhat = _view("grad_xhat")
     grad_phi = _view("grad_phi")
-    ccp_g = _ccp_g
     ccp_update = _ccp_update
     fne_index = _view("fne_index")
 
@@ -357,14 +415,16 @@ class McVectorModel:
         return Evaluation(
             float(mean[0]), float(se[0]), float(mean[1]), float(se[1]),
             g_mean[0], g_se[0], mean[2:], se[2:], g_mean[1], g_se[1],
-            _certificate(g_mean[0], mean[2:], policy), idx_se,
+            _certificate(g_mean[0], mean[2:].tolist(), policy), idx_se,
         )
+
+    def ccp_g(self, symbols, policy) -> np.ndarray:
+        return self.evaluate(symbols, policy).ccp_g
 
     objective = _view("objective")
     dc_concave_part = _view("concave")
     grad_xhat = _view("grad_xhat")
     grad_phi = _view("grad_phi")
-    ccp_g = _ccp_g
     ccp_update = _ccp_update
     fne_index = _view("fne_index")
 
@@ -377,11 +437,16 @@ def _apply_ccp_inverse(g: np.ndarray, policy: ReactivePolicy, mean: np.ndarray):
     component is flat there and the mean is its unconstrained minimizer.
     """
     m = mean.size
-    g0, g1 = g[:m], g[m:]
     a0 = 2.0 * (1.0 - policy.alpha)
     a1 = 2.0 * (policy.alpha + policy.beta)
-    x0 = mean + g0 / a0 if a0 != 0.0 else mean.copy()
-    x1 = mean + g1 / a1 if a1 != 0.0 else mean.copy()
+    if m == 1:
+        # scalar symbols: the same arithmetic on floats
+        (g0, g1), mu = g.tolist(), mean.item()
+        return ReprSymbols(
+            mu + g0 / a0 if a0 != 0.0 else mu, mu + g1 / a1 if a1 != 0.0 else mu
+        )
+    x0 = mean + g[:m] / a0 if a0 != 0.0 else mean.copy()
+    x1 = mean + g[m:] / a1 if a1 != 0.0 else mean.copy()
     return ReprSymbols(x0, x1)
 
 
@@ -575,9 +640,8 @@ def solve_pga_ccp(source, costs, config: SolverConfig | None = None, init=None) 
     config = config or SolverConfig()
 
     def update(model, symbols, policy, ev, step):
-        policy = project_box(policy.as_array() + step * ev.grad_phi)
-        g = model.evaluate(symbols, policy).ccp_g
-        return _apply_ccp_inverse(g, policy, model.mean), policy
+        policy = _ascend(policy, step, ev.grad_phi)
+        return _apply_ccp_inverse(model.ccp_g(symbols, policy), policy, model.mean), policy
 
     return _run(source, costs, config, init, update)
 
@@ -588,8 +652,8 @@ def solve_gda(source, costs, config: SolverConfig | None = None, init=None) -> F
     config = config or SolverConfig()
 
     def update(model, symbols, policy, ev, step):
-        new_policy = project_box(policy.as_array() + step * ev.grad_phi)
-        dx0, dx1 = np.split(config.gd_step * ev.grad_xhat, 2)
-        return ReprSymbols(symbols.x_hat0 - dx0, symbols.x_hat1 - dx1), new_policy
+        new_policy = _ascend(policy, step, ev.grad_phi)
+        dx, m = config.gd_step * ev.grad_xhat, symbols.dim
+        return ReprSymbols(symbols.x_hat0 - dx[:m], symbols.x_hat1 - dx[m:]), new_policy
 
     return _run(source, costs, config, init, update)

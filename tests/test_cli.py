@@ -386,6 +386,32 @@ def test_solver_failure_exits_3_with_record(tmp_path, capsys):
     assert "no sample of the 50" in capsys.readouterr().err
 
 
+def test_sweep_point_failure_becomes_its_record(tmp_path, capsys):
+    # the 50-sample reproducer above as one point of a vector sweep: that
+    # point records the error, the other point still runs
+    raw = _vector_proactive(mode="sweep", solver={"mc_samples": 50}, sweep={
+        "mode": "proactive", "workers": 2,
+        "axes": [{"parameter": "solver.mc_samples", "grid": [50, 20000]}],
+    })
+    config = _write_config(tmp_path, "s.json", raw)
+    out = tmp_path / "out"
+    code = run(["sweep", "--config", config, "--out", str(out), "--seed", "1"])
+    assert code == 3
+    record = json.loads((out / "result.json").read_text())
+    assert record["outputs"] == {"points": 2, "non_converged": 1}
+    failed, solved = (r["outputs"] for r in record["records"])
+    assert failed["converged"] is False
+    assert failed["error"].startswith("ConvergenceError: no sample of the 50")
+    assert solved["case"] == "interior_jam" and solved["value"] > 0.0
+    rows = list(csv.reader((out / "table.csv").open()))
+    assert [row[0] for row in rows] == ["solver.mc_samples", "50", "20000"]
+    header = rows[0]
+    assert rows[1][header.index("converged")] == "false"
+    assert rows[1][header.index("phi_star")] == ""
+    assert rows[2][header.index("phi_star")] != ""
+    assert "no sample of the 50" in capsys.readouterr().err
+
+
 def test_solver_defaults_per_mode():
     proactive = parse_config(
         _vector_proactive(mode="proactive", costs={"c": 1.0, "d": 1.0}))

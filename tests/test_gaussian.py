@@ -121,6 +121,17 @@ def test_interval_moments_empty_and_tail_accuracy():
     assert abs(p - want) <= 1e-10 * want
 
 
+def test_closed_forms_return_python_floats():
+    # the exact scalar solvers do all their arithmetic on these values, so
+    # they must be plain floats, not numpy scalars
+    g = ScalarGaussian(0.3, 1.7)
+    for lo, hi in ((-math.inf, -0.4), (-0.4, 1.1), (0.5, 2.0), (-2.0, -1.0),
+                   (1.1, math.inf), (-math.inf, math.inf), (1.0, 1.0)):
+        assert all(type(v) is float for v in interval_moments(g, lo, hi))
+    assert type(tail_prob(g, 0.8)) is float
+    assert type(tail_second_moment(g.centered(), 0.8)) is float
+
+
 def test_clipped_sq_loss_frozen_values():
     assert clipped_sq_loss(ScalarGaussian(0.0, 1.0), 0.0, 1.0, 0.0) == pytest.approx(E_MIN_X2_1, rel=1e-13)
     assert clipped_sq_loss(ScalarGaussian(0.3, 1.5), -0.2, 0.8, 0.3) == pytest.approx(CLIPPED_SHIFTED, rel=1e-13)

@@ -53,6 +53,9 @@ def test_config_from_kappa():
     assert NetworkConfig.from_kappa(10, 0.3) == NetworkConfig(10, 3)
     assert NetworkConfig.from_kappa(1, 0.5) == NetworkConfig(1, 1)
     assert NetworkConfig.from_kappa(20, 0.05) == NetworkConfig(20, 1)
+    # ceil(4.5) = 5 = n leaves no contention; capacity stops at n - 1
+    assert NetworkConfig.from_kappa(5, 0.9) == NetworkConfig(5, 4)
+    assert NetworkConfig.from_kappa(2, 0.6) == NetworkConfig(2, 1)
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             NetworkConfig.from_kappa(10, bad)
@@ -378,6 +381,18 @@ def test_convergence_probe_limits():
     assert single == [(1, 1.0, 1.0)]
     with pytest.raises(ValueError):
         convergence_probe(STD, 1.8, 1.5, (10,))
+
+
+def test_convergence_probe_uses_config_capacity():
+    # the probe's kappa(n) is the capacity of the network from_kappa builds
+    w = 1.2
+    p = 1.0 - interval_moments(STD, -w, w)[0]
+    for kappa_bar in (0.05, 0.3, 0.5, 0.9):
+        n_grid = (2, 3, 5, 10, 40)
+        for n, f_cap, f_cap_minus in convergence_probe(STD, w * w, kappa_bar, n_grid):
+            capacity = NetworkConfig.from_kappa(n, kappa_bar).capacity
+            assert f_cap == binomial_cdf(n - 1, capacity, p)
+            assert f_cap_minus == binomial_cdf(n - 1, capacity - 1, p)
 
 
 def test_convergence_probe_boundary_warning():

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jamgame import reactive
-from jamgame.gaussian import DiagonalGaussian, ScalarGaussian, clipped_sq_loss
+from jamgame.gaussian import (
+    DiagonalGaussian,
+    ScalarGaussian,
+    clipped_sq_loss,
+    interval_moments,
+)
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
     ExactScalarModel,
@@ -495,13 +502,128 @@ def test_exact_evaluate_bundles_the_model_methods():
         assert np.array_equal(model.ccp_g(symbols, policy), ev.ccp_g)
 
 
+def _per_piece_reference(source, costs, symbols, policy):
+    """Every exact statistic from one `interval_moments` call per interval
+    of the transmit region and of its complement, each quadratic summed
+    piece by piece as a2 m2 + a1 m1 + a0 p."""
+    a, b = policy.alpha, policy.beta
+    x0, x1 = symbols.scalars()
+    c, d = costs.c, costs.d
+    region = transmit_region(symbols, policy, costs)
+    t = [interval_moments(source, lo, hi) for lo, hi in region.intervals]
+    n = [interval_moments(source, lo, hi) for lo, hi in region.complement_intervals()]
+
+    def quad(a2, a1, a0, pieces):
+        total = 0.0
+        for p, m1, m2 in pieces:
+            total += a2 * m2 + a1 * m1 + a0 * p
+        return total
+
+    f_t = (b, -2.0 * b * x1, b * x1 * x1 + c - d * b)
+    f_nt = (1.0, -2.0 * (a * x1 + (1.0 - a) * x0),
+            a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a)
+    p_t, m1_t = quad(0.0, 0.0, 1.0, t), quad(0.0, 1.0, 0.0, t)
+    p_n, m1_n = quad(0.0, 0.0, 1.0, n), quad(0.0, 1.0, 0.0, n)
+    grad_xhat = np.array([
+        -2.0 * (1.0 - a) * (m1_n - x0 * p_n),
+        -2.0 * b * (m1_t - x1 * p_t) - 2.0 * a * (m1_n - x1 * p_n),
+    ])
+    grad_phi = np.array([
+        quad(0.0, 2.0 * (x0 - x1), x1 * x1 - x0 * x0 - d, n),
+        quad(1.0, -2.0 * x1, x1 * x1 - d, t),
+    ])
+    return {
+        "objective": quad(*f_t, t) + quad(*f_nt, n),
+        "concave": quad(*f_t, n) + quad(*f_nt, t),
+        "grad_xhat": grad_xhat,
+        "grad_phi": grad_phi,
+        "ccp_g": np.array([
+            -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
+            -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
+        ]),
+        "fne_index": max(math.sqrt(grad_xhat.dot(grad_xhat)),
+                         box_lp_gap(grad_phi, policy.as_array())),
+    }
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+# region shapes the property test below always meets: its arguments, and
+# the transmit intervals' endpoints as -1 / 0 / +1 for -inf / finite / +inf
+_SHAPES = {
+    "b = 1, transmit right": (
+        dict(mean=0.0, var=1.0, c=1.0, d=1.0, x0=0.0, x1=1.0, alpha=0.5, beta=1.0),
+        ((0, 1),)),
+    "b = 1, transmit left": (
+        dict(mean=0.2, var=2.0, c=1.0, d=1.0, x0=0.0, x1=-1.0, alpha=0.5, beta=1.0),
+        ((-1, 0),)),
+    "full line": (
+        dict(mean=0.0, var=1.0, c=1.0, d=2.0, x0=0.0, x1=0.0, alpha=0.0, beta=0.9),
+        ((-1, 1),)),
+    "empty": (
+        dict(mean=-0.4, var=0.7, c=1.0, d=1.0, x0=0.3, x1=0.3, alpha=1.0, beta=1.0),
+        ()),
+    "two tails": (
+        dict(mean=0.0, var=1.0, c=1.0, d=1.0, x0=0.2, x1=-0.1, alpha=0.3, beta=0.1),
+        ((-1, 0), (0, 1))),
+}
+
+
+def _instance(mean, var, c, d, x0, x1, alpha, beta):
+    return (ScalarGaussian(mean, var), GameCosts(c, d), ReprSymbols(x0, x1),
+            ReactivePolicy(alpha, beta))
+
+
+def test_region_shape_examples():
+    for name, (kwargs, shape) in _SHAPES.items():
+        _, costs, symbols, policy = _instance(**kwargs)
+        intervals = transmit_region(symbols, policy, costs).intervals
+        got = tuple(tuple(0 if math.isfinite(v) else int(math.copysign(1, v))
+                          for v in piece) for piece in intervals)
+        assert got == shape, name
+
+
+def _with_shape_examples(test):
+    for kwargs, _ in _SHAPES.values():
+        test = example(**kwargs)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    mean=st.floats(-3.0, 3.0), var=st.floats(0.05, 10.0),
+    c=st.floats(0.05, 5.0), d=st.floats(0.05, 5.0),
+    x0=st.floats(-5.0, 5.0), x1=st.floats(-5.0, 5.0), alpha=_unit, beta=_unit,
+)
+@_with_shape_examples
+def test_exact_evaluate_matches_per_piece_reference(mean, var, c, d, x0, x1, alpha, beta):
+    source, costs, symbols, policy = _instance(mean, var, c, d, x0, x1, alpha, beta)
+    ref = _per_piece_reference(source, costs, symbols, policy)
+    model = ExactScalarModel(source, costs)
+    ev = model.evaluate(symbols, policy)
+    for name, want in ref.items():
+        assert _bits(getattr(ev, name)) == _bits(want), (name, getattr(ev, name), want)
+        assert not np.any(getattr(ev, name + "_se"))
+    assert type(ev.objective) is float and type(ev.fne_index) is float
+    assert _bits(model.ccp_g(symbols, policy)) == _bits(ev.ccp_g)
+
+
 def _counting(base):
     class Counting(base):
         calls = 0
+        ccp_g_calls = 0
 
         def evaluate(self, symbols, policy):
             type(self).calls += 1
             return super().evaluate(symbols, policy)
+
+        def ccp_g(self, symbols, policy):
+            type(self).ccp_g_calls += 1
+            return super().ccp_g(symbols, policy)
 
     return Counting
 
@@ -517,7 +639,13 @@ def test_solvers_evaluate_once_per_point(monkeypatch, vector):
     else:
         src, config = STD, SolverConfig(epsilon=1e-5, max_iters=400)
     report = solve_pga_ccp(src, UNIT_COSTS, config)
-    assert 0 < counting.calls <= 2 * report.iterations + 1
+    assert counting.ccp_g_calls == report.iterations
+    if vector:
+        # the Monte Carlo ccp_g is a view of a full evaluation
+        assert 0 < counting.calls <= 2 * report.iterations + 1
+    else:
+        # the exact CCP step computes ccp_g alone
+        assert 0 < counting.calls <= report.iterations + 1
     counting.calls = 0
     report = solve_gda(src, UNIT_COSTS, config)
     assert 0 < counting.calls <= report.iterations + 1
