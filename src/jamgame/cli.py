@@ -127,14 +127,16 @@ def _integer(value, label: str) -> int:
 
 def _vector(value, dimension: int, label: str) -> np.ndarray:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.full(dimension, float(value))
+        return np.full(dimension, _number(value, label))
     if isinstance(value, list):
         if len(value) != dimension:
             raise ConfigError(
                 f"{label}: expected {dimension} entries, got {len(value)}"
             )
         return np.array([_number(v, label) for v in value])
-    raise ConfigError(f"{label}: must be a number or a list of numbers")
+    raise ConfigError(
+        f"{label}: must be a number or a list of numbers, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -223,20 +225,26 @@ def _parse_source(raw: dict):
         raise ConfigError("source.mean: required field is missing")
     if "variance" not in section:
         raise ConfigError("source.variance: required field is missing")
-    dimension = _integer(section.get("dimension", 1), "source.dimension")
-    if dimension < 1:
-        raise ConfigError(f"source.dimension: must be >= 1, got {dimension}")
+    if "dimension" in section:
+        dimension = _integer(section["dimension"], "source.dimension")
+        if dimension < 1:
+            raise ConfigError(f"source.dimension: must be >= 1, got {dimension}")
+    else:
+        # the first list value's length; `_vector` names a list of another
+        dimension = 1
+        for key in ("mean", "variance"):
+            if isinstance(section[key], list):
+                dimension = len(section[key])
+                if dimension < 1:
+                    raise ConfigError(f"source.{key}: must not be empty")
+                break
+    mean = _vector(section["mean"], dimension, "source.mean")
+    variance = _vector(section["variance"], dimension, "source.variance")
     try:
         if dimension == 1:
-            source = ScalarGaussian(
-                _number(section["mean"], "source.mean"),
-                _number(section["variance"], "source.variance"),
-            )
+            source = ScalarGaussian(float(mean[0]), float(variance[0]))
         else:
-            source = DiagonalGaussian(
-                _vector(section["mean"], dimension, "source.mean"),
-                _vector(section["variance"], dimension, "source.variance"),
-            )
+            source = DiagonalGaussian(mean, variance)
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from exc
     normalized = {
@@ -652,10 +660,11 @@ class ExecutionResult:
 
     @property
     def non_converged(self) -> int:
-        records = self.point_records or (self.record,)
-        return sum(
-            1 for r in records if r.outputs.get("converged") is False
-        )
+        return _non_converged(self.point_records or (self.record,))
+
+
+def _non_converged(records) -> int:
+    return sum(1 for r in records if r.outputs.get("converged") is False)
 
 
 def _provenance(seed: int) -> dict:
@@ -702,11 +711,7 @@ def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
         config=config.normalized,
         outputs={
             "points": len(point_records),
-            "non_converged": sum(
-                1
-                for r in point_records
-                if r.outputs.get("converged") is False
-            ),
+            "non_converged": _non_converged(point_records),
         },
         provenance=_provenance(config.seed),
     )

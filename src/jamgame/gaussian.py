@@ -9,8 +9,8 @@ of Gaussian integrals:
 * clipped square loss           E[min((1 - phi)(X - xhat)^2, c)]
 * norm-square tail moment       E[||X||^2 1(||X||^2 > r)]
 
-Scalar forms are erfc-based and exact.  The norm-square tail moment is exact
-(chi-square identity) for isotropic vector models and Monte Carlo otherwise.
+Scalar forms are erfc-based and exact.  The norm-square tail moment is the
+exact chi-square identity, for isotropic vector models.
 Sampling uses counter-based Philox streams keyed by integer ids, so consumers
 can split reproducible substreams without coordination.
 """
@@ -224,11 +224,7 @@ def _piece_moments(left, right, m, s, mv) -> tuple[float, float, float]:
 
 
 def clipped_sq_loss(
-    source: ScalarGaussian,
-    x_hat0: float,
-    c: float,
-    phi: float,
-    allow_degenerate: bool = False,
+    source: ScalarGaussian, x_hat0: float, c: float, phi: float
 ) -> float:
     """E[min((1 - phi)(X - x_hat0)^2, c)] in closed form.
 
@@ -237,10 +233,10 @@ def clipped_sq_loss(
     the channel survival probability when it is small, or the communication
     price `c` when deviating is worse.
 
-    phi = 1 makes the implied threshold infinite; the value degenerates to 0
-    and is returned only when `allow_degenerate` is set.  phi is clamped to
-    PHI_CEIL before the threshold is formed, which perturbs the result by at
-    most O(1e-9) for phi within 1e-9 of 1.
+    phi = 1 zeroes the quadratic branch, so the value is 0 and no threshold
+    is formed.  Below 1, phi is clamped to PHI_CEIL before the threshold is
+    formed, which perturbs the result by at most O(1e-9) for phi within 1e-9
+    of 1.
     """
     x_hat0 = float(np.squeeze(x_hat0))
     if c <= 0.0:
@@ -248,9 +244,7 @@ def clipped_sq_loss(
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
     if phi == 1.0:
-        if allow_degenerate:
-            return 0.0
-        raise ValueError("phi = 1 is degenerate; pass allow_degenerate=True to accept 0")
+        return 0.0
     phi_eff = min(phi, PHI_CEIL)
     if not phi_eff < 1.0:
         raise ValueError(f"phi {phi} leaves no clipping threshold")
@@ -305,49 +299,18 @@ def mean_std_err(total, total_sq, n: int):
     return mean, np.sqrt(var / n)
 
 
-@dataclass(frozen=True)
-class TailMomentEstimate:
-    """Value of E[||X||^2 1(||X||^2 > r)] with its standard error.
+def norm_sq_tail_moment(source: DiagonalGaussian, r: float) -> float:
+    """E[||X||^2 1(||X||^2 > r)] for a zero-mean isotropic diagonal source.
 
-    `std_err` is 0 for the exact chi-square path (`method` == "exact").
-    """
-
-    value: float
-    std_err: float
-    method: str
-
-
-def norm_sq_tail_moment(
-    source: DiagonalGaussian,
-    r: float,
-    samples: int = 200_000,
-    seed: int = 0,
-    method: str = "auto",
-) -> TailMomentEstimate:
-    """E[||X||^2 1(||X||^2 > r)] for a zero-mean diagonal source.
-
-    Isotropic models use the chi-square identity
-    E[S 1(S > q)] = m P(chi2_{m+2} > q) for S ~ chi2_m, exactly.  Anisotropic
-    models fall back to Monte Carlo with a reported standard error.
-    `method` is "auto", "exact" (error if anisotropic) or "mc".
+    Exact through the chi-square identity E[S 1(S > q)] = m P(chi2_{m+2} > q)
+    for S ~ chi2_m.  Anisotropic sources have no such closed form; the vector
+    saddle estimates their tail moment by Monte Carlo.
     """
     if np.any(source.mean != 0.0):
         raise ValueError("norm_sq_tail_moment requires a zero-mean source")
+    if not source.is_isotropic:
+        raise ValueError("norm_sq_tail_moment requires an isotropic source")
     if r < 0.0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "exact") and source.is_isotropic:
-        v = float(source.variances[0])
-        value = v * source.dim * float(stats.chi2.sf(r / v, source.dim + 2))
-        return TailMomentEstimate(value, 0.0, "exact")
-    if method == "exact":
-        raise ValueError("exact path requires an isotropic source")
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    draws = sample(source, seed, samples)
-    sq = np.einsum("ij,ij->i", draws, draws)
-    vals = np.where(sq > r, sq, 0.0)
-    value = float(vals.mean())
-    std_err = float(vals.std(ddof=1) / math.sqrt(samples))
-    return TailMomentEstimate(value, std_err, "mc")
+    v = float(source.variances[0])
+    return v * source.dim * float(stats.chi2.sf(r / v, source.dim + 2))

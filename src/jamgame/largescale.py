@@ -22,25 +22,22 @@ Lagrangian is constant along the curve (c + lam)/(1 - phi) = l.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 
-from .gaussian import (
-    ScalarGaussian,
-    clipped_sq_loss,
-    interval_moments,
-    tail_prob,
-    tail_second_moment,
+from .gaussian import ScalarGaussian, tail_prob, tail_second_moment
+from .proactive import (
+    GameCosts,
+    ReprSymbols,
+    _threshold_cost,
+    _window,
+    objective_tilde,
+    solve_l_phi,
 )
-from .proactive import ConvergenceError, GameCosts, ReprSymbols
 
 # ties on the case gates resolve toward the ">=" branch
 _GATE_TOL = 1e-10
-_ROOT_TOL = 1e-10
-_SLACK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,60 +90,20 @@ def solve_l_lambda(source: ScalarGaussian, kappa_bar) -> float:
     return source.var * z * z
 
 
-def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
-    """Squared trigger at which the jammer is indifferent.
-
-    Root of 2 E[Z^2 1(Z > sqrt(l))] = d.  For d >= var the tail second
-    moment cannot reach d/2 at any positive trigger; the boundary solution
-    l = 0 is returned with a warning.
-    """
-    centered = source.centered()
-    d = costs.d
-    if d >= source.var:
-        warnings.warn(
-            "jamming cost d >= source variance: the indifference threshold "
-            "degenerates to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-
-    def residual(l: float) -> float:
-        return 2.0 * tail_second_moment(centered, math.sqrt(l)) - d
-
-    lo, hi = 1e-12, 50.0 * source.var
-    while residual(hi) > 0.0:
-        hi *= 4.0
-    while residual(lo) < 0.0:
-        lo *= 0.25
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    root = 0.5 * (lo + hi)
-    if not abs(residual(root)) <= _ROOT_TOL:
-        raise ConvergenceError(
-            f"l_phi bisection residual {residual(root):.3e} exceeds {_ROOT_TOL:.0e}"
-        )
-    return root
-
-
 def lagrangian_value(
     source: ScalarGaussian, costs: GameCosts, kappa_bar, phi: float, lam: float
 ) -> float:
-    """phi (var - d) + E[min{(1 - phi) Z^2, c + lam}] - lam kappa_bar."""
+    """phi (var - d) + E[min{(1 - phi) Z^2, c + lam}] - lam kappa_bar: the
+    point-to-point reduced objective at price c + lam, less lam kappa_bar."""
     kb = _kappa(kappa_bar)
     if not (0.0 <= phi < 1.0):
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    centered = source.centered()
-    clipped = clipped_sq_loss(centered, 0.0, costs.c + lam, phi)
-    return phi * (source.var - costs.d) + clipped - lam * kb
+    shifted = GameCosts(costs.c + lam, costs.d)
+    return objective_tilde(
+        source.centered(), shifted, ReprSymbols(0.0, 0.0), phi
+    ) - lam * kb
 
 
 def classify_and_solve(
@@ -229,18 +186,8 @@ def asymptotic_objective(
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
     if transmit_threshold < 0.0:
         raise ValueError("transmit_threshold must be nonnegative")
-    x0, x1 = symbols.scalars()
-    half_width = math.sqrt(transmit_threshold)
-    p_in, m1, m2 = interval_moments(source, x0 - half_width, x0 + half_width)
-    p_tx = 1.0 - p_in
-    err_collision = source.var + (source.mean - x1) ** 2
+    window = _window(source, symbols, transmit_threshold)
     # the exactly-binding boundary is collision-free; the tolerance absorbs
     # round-trip error when the threshold was solved from kappa_bar itself
-    if p_tx <= kb + 1e-9:
-        inside = m2 - 2.0 * x0 * m1 + x0 * x0 * p_in
-        return (
-            (1.0 - phi) * inside
-            + costs.c * p_tx
-            + phi * (err_collision - costs.d)
-        )
-    return err_collision + costs.c * p_tx - costs.d * phi
+    free = 1.0 if window[0] <= kb + 1e-9 else 0.0
+    return _threshold_cost(costs, phi, window, free, free)

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
 
 from .gaussian import ScalarGaussian, interval_moments, philox_rng
-from .proactive import GameCosts, ReprSymbols
+from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
 from .reactive import ReactivePolicy, TransmitRegion
 
 _MIN_UNIFORM = 2.0**-54
@@ -141,29 +141,14 @@ def jn_analytic(
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    x0, x1 = symbols.scalars()
-    w = math.sqrt(threshold)
-    p_in, m1, m2 = interval_moments(source, x0 - w, x0 + w)
-    p = 1.0 - p_in
-    err0_silent = m2 - 2.0 * x0 * m1 + x0 * x0 * p_in
-    err1_silent = m2 - 2.0 * x1 * m1 + x1 * x1 * p_in
-    second = source.var + source.mean**2
-    err1_total = second - 2.0 * x1 * source.mean + x1 * x1
-    err1_transmit = err1_total - err1_silent
-    f_cap = binomial_cdf(config.n - 1, config.capacity, p) \
-        if config.n > 1 else 1.0
-    f_cap_minus = binomial_cdf(config.n - 1, config.capacity - 1, p) \
-        if config.n > 1 else 1.0
-    return (
-        phi * (err1_total - costs.d)
-        + costs.c * p
-        + (1.0 - phi)
-        * (
-            err0_silent * f_cap
-            + err1_silent * (1.0 - f_cap)
-            + err1_transmit * (1.0 - f_cap_minus)
-        )
-    )
+    window = _window(source, symbols, threshold)
+    if config.n > 1:
+        p = window[0]
+        f_cap = binomial_cdf(config.n - 1, config.capacity, p)
+        f_cap_minus = binomial_cdf(config.n - 1, config.capacity - 1, p)
+    else:
+        f_cap = f_cap_minus = 1.0
+    return _threshold_cost(costs, phi, window, f_cap, f_cap_minus)
 
 
 def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:

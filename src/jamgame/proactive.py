@@ -11,12 +11,16 @@ by the sign structure of the marginal value of jamming
 which is strictly decreasing with limit -d as phi -> 1.  If G(0) < 0 jamming
 never pays and the equilibrium is the classic no-jammer threshold solution;
 otherwise the equilibrium jam probability is the unique root of G, where the
-jammer is indifferent over all phi.
+jammer is indifferent over all phi.  The root puts the trigger at the
+indifference threshold l_phi, which the many-sensor game (`largescale`)
+shares, as it shares the cost of a threshold rule (`network`); both are
+computed here.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +46,8 @@ INTERIOR_JAM = "interior_jam"
 # Default Monte Carlo sample count of the vector saddle.
 MC_SAMPLES = 400_000
 
-# Bisection targets: bracket width in phi, and residual |G(phi)|.
+# Bisection targets: bracket width in phi, and the residual of the
+# indifference condition at an exact root.
 _PHI_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 
@@ -121,17 +126,71 @@ class ProactiveSaddle:
     condition_std_err: float = 0.0
 
 
+def _indifference_residual(centered: ScalarGaussian, d: float, l: float) -> float:
+    """2 E[Z^2 1(Z > sqrt(l))] - d for the centered deviation Z: the jammer's
+    marginal value of jamming when the coordinator transmits iff Z^2 > l."""
+    return 2.0 * tail_second_moment(centered, math.sqrt(l)) - d
+
+
 def jammer_marginal(source: ScalarGaussian, costs: GameCosts, phi: float) -> float:
     """G(phi), the jammer's marginal value of raising phi at the best response."""
     if not 0.0 <= phi < 1.0:
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
     phi_eff = min(phi, PHI_CEIL)
-    t = math.sqrt(costs.c / (1.0 - phi_eff))
-    return 2.0 * tail_second_moment(source.centered(), t) - costs.d
+    return _indifference_residual(
+        source.centered(), costs.d, costs.c / (1.0 - phi_eff)
+    )
+
+
+def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
+    """Squared trigger at which the jammer is indifferent.
+
+    Root of 2 E[Z^2 1(Z > sqrt(l))] = d.  For d >= var the tail second
+    moment cannot reach d/2 at any positive trigger; the boundary solution
+    l = 0 is returned with a warning.
+    """
+    centered = source.centered()
+    d = costs.d
+    if d >= source.var:
+        warnings.warn(
+            "jamming cost d >= source variance: the indifference threshold "
+            "degenerates to 0",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return 0.0
+
+    def residual(l: float) -> float:
+        return _indifference_residual(centered, d, l)
+
+    lo, hi = 1e-12, 50.0 * source.var
+    while residual(hi) > 0.0:
+        hi *= 4.0
+    while residual(lo) < 0.0:
+        lo *= 0.25
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    root = 0.5 * (lo + hi)
+    if not abs(residual(root)) <= _RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"l_phi bisection residual {residual(root):.3e} exceeds "
+            f"{_RESIDUAL_TOL:.0e}"
+        )
+    return root
 
 
 def solve_phi_tilde(source: ScalarGaussian, costs: GameCosts) -> float:
-    """Unique root of G on [0, 1); raises NoInteriorRoot when G(0) < 0."""
+    """Unique root of G on [0, 1); raises NoInteriorRoot when G(0) < 0.
+
+    G(phi) is the indifference residual at the trigger c / (1 - phi), so the
+    root puts that trigger at l_phi: phi = 1 - c / l_phi.
+    """
     g0 = jammer_marginal(source, costs, 0.0)
     if g0 < 0.0:
         raise NoInteriorRoot(
@@ -139,23 +198,7 @@ def solve_phi_tilde(source: ScalarGaussian, costs: GameCosts) -> float:
         )
     if g0 == 0.0:
         return 0.0
-    lo, hi = 0.0, PHI_CEIL
-    if jammer_marginal(source, costs, hi) >= 0.0:  # pragma: no cover - G(hi) ~ -d
-        raise ConvergenceError("no sign change on [0, 1 - 1e-9]")
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = jammer_marginal(source, costs, mid)
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _PHI_TOL and abs(g) <= _RESIDUAL_TOL:
-            return mid
-    raise ConvergenceError(
-        f"bisection stalled: width {hi - lo:.3e}, "
-        f"residual {jammer_marginal(source, costs, mid):.3e}"
-    )
+    return max(0.0, 1.0 - costs.c / solve_l_phi(source, costs))
 
 
 def objective_tilde(
@@ -168,7 +211,7 @@ def objective_tilde(
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
     x0, x1 = symbols.scalars()
-    clipped = clipped_sq_loss(source, x0, costs.c, phi, allow_degenerate=True)
+    clipped = clipped_sq_loss(source, x0, costs.c, phi)
     mse1 = source.var + (source.mean - x1) ** 2
     return clipped + phi * (mse1 - costs.d)
 
@@ -189,12 +232,52 @@ def objective_with_threshold(
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
+    return _threshold_cost(
+        costs, phi, _window(source, symbols, threshold), 1.0, 1.0
+    )
+
+
+def _window(
+    source: ScalarGaussian, symbols: ReprSymbols, threshold: float
+) -> tuple[float, float, float, float]:
+    """Terms of the rule that transmits iff (x - x_hat0)^2 > threshold:
+    (p, err0_silent, err1_silent, err1_total), the transmit probability,
+    E[(X - x_hat0)^2 1(silent)], E[(X - x_hat1)^2 1(silent)] and
+    E[(X - x_hat1)^2]."""
     x0, x1 = symbols.scalars()
-    half_width = math.sqrt(threshold)
-    p_in, m1, m2 = interval_moments(source, x0 - half_width, x0 + half_width)
-    inside = m2 - 2.0 * x0 * m1 + x0 * x0 * p_in
-    mse1 = source.var + (source.mean - x1) ** 2
-    return (1.0 - phi) * inside + costs.c * (1.0 - p_in) + phi * (mse1 - costs.d)
+    w = math.sqrt(threshold)
+    p_in, m1, m2 = interval_moments(source, x0 - w, x0 + w)
+    return (
+        1.0 - p_in,
+        m2 - 2.0 * x0 * m1 + x0 * x0 * p_in,
+        m2 - 2.0 * x1 * m1 + x1 * x1 * p_in,
+        source.var + (source.mean - x1) ** 2,
+    )
+
+
+def _threshold_cost(
+    costs: GameCosts, phi: float, window, f_cap: float, f_cap_minus: float
+) -> float:
+    """Per-sensor cost of a threshold rule from its `_window` terms.
+
+    f_cap is the probability that a silent sensor's channel is free of
+    intrinsic collisions and f_cap_minus that a transmitting sensor's packet
+    fits: a silent sensor is estimated by x_hat0 on a free channel and by
+    x_hat1 otherwise, a transmitting one exactly when its packet gets
+    through, and a jam, with probability phi, sends every estimate to x_hat1.
+    """
+    p, err0_silent, err1_silent, err1_total = window
+    err1_transmit = err1_total - err1_silent
+    return (
+        (1.0 - phi)
+        * (
+            err0_silent * f_cap
+            + err1_silent * (1.0 - f_cap)
+            + err1_transmit * (1.0 - f_cap_minus)
+        )
+        + costs.c * p
+        + phi * (err1_total - costs.d)
+    )
 
 
 def solve_saddle(source: ScalarGaussian, costs: GameCosts) -> ProactiveSaddle:
@@ -258,7 +341,7 @@ def _vector_value(
     r = costs.c / (1.0 - phi_eff)
     if norms is None:
         # isotropic: E[||X||^2 1(||X||^2 <= r)] through the chi-square identity
-        tail = norm_sq_tail_moment(diag0, r).value
+        tail = norm_sq_tail_moment(diag0, r)
         v = float(diag0.variances[0])
         p_over = float(stats.chi2.sf(r / v, diag0.dim))
         clipped = (1.0 - phi_eff) * (trace - tail) + costs.c * p_over
@@ -302,7 +385,7 @@ def solve_saddle_vector(
 
         def condition(phi: float) -> tuple[float, float]:
             r = costs.c / (1.0 - min(phi, PHI_CEIL))
-            return norm_sq_tail_moment(diag0, r).value - costs.d, 0.0
+            return norm_sq_tail_moment(diag0, r) - costs.d, 0.0
 
     else:
         draws = sample(diag0, seed, samples)

@@ -27,7 +27,7 @@ traces bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,8 +198,10 @@ class Evaluation:
 
 def _certificate(gx: np.ndarray, gp, policy: ReactivePolicy) -> float:
     """The first-order Nash index max{||gx||_2, box_lp_gap(gp, policy)}, with
-    `gp` a pair of floats."""
-    return max(math.sqrt(gx.dot(gx)), _box_gap(gp, (policy.alpha, policy.beta)))
+    `gp` a pair of floats.  The norm sums the squares exactly rounded, not
+    through BLAS, whose fused or reordered products change its last bit."""
+    norm = math.sqrt(math.fsum([g * g for g in gx.tolist()]))
+    return max(norm, _box_gap(gp, (policy.alpha, policy.beta)))
 
 
 def _quad(coeffs, moments) -> float:

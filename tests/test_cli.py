@@ -427,3 +427,29 @@ def test_solver_defaults_per_mode():
     second = execute(parse_config(echo))
     assert first.record.outputs == second.record.outputs
     assert first.record.outputs["value_std_err"] > 0.0
+
+
+def test_source_dimension_from_list_lengths():
+    def config(source, **extra):
+        raw = {"mode": "proactive", "source": source,
+               "costs": {"c": 1.0, "d": 1.0}, **extra}
+        return parse_config(raw)
+
+    parsed = config({"mean": [0, 0], "variance": [1, 2]},
+                    solver={"mc_samples": 20_000})
+    assert parsed.source.dim == 2
+    assert parsed.source.variances.tolist() == [1.0, 2.0]
+    assert parsed.normalized["source"]["dimension"] == 2
+    # the echo, with the inferred dimension, replays the run bit for bit
+    first = execute(parsed)
+    echo = json.loads(json.dumps(first.record.to_json()))["config"]
+    assert first.record.outputs == execute(parse_config(echo)).record.outputs
+    # a number beside a list takes the list's length
+    assert config({"mean": 0.5, "variance": [1, 2, 3]}).source.dim == 3
+    with pytest.raises(ConfigError, match=r"^source\.variance: expected 2 entries, got 3$"):
+        config({"mean": [0, 0], "variance": [1, 2, 3]})
+    with pytest.raises(ConfigError, match=r"^source\.mean: expected 3 entries, got 2$"):
+        config({"mean": [0, 0], "variance": 1, "dimension": 3})
+    # a field's own message is not wrapped in a second prefix
+    with pytest.raises(ConfigError, match=r"^source\.mean: must be a number, got 'a'$"):
+        config({"mean": [0, "a"], "variance": [1, 2]})

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from jamgame.gaussian import ScalarGaussian, interval_moments, tail_prob, tail_second_moment
@@ -15,7 +17,12 @@ from jamgame.largescale import (
     solve_l_lambda,
     solve_l_phi,
 )
-from jamgame.proactive import GameCosts, ReprSymbols, objective_with_threshold
+from jamgame.proactive import (
+    GameCosts,
+    ReprSymbols,
+    objective_with_threshold,
+    solve_saddle,
+)
 
 STD = ScalarGaussian(0.0, 1.0)
 
@@ -283,3 +290,23 @@ def test_asymptotic_objective_at_saddle_matches_value():
             STD, costs, kb, saddle.threshold, saddle.estimator, saddle.phi_star
         )
         assert value == pytest.approx(saddle.value, abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    mean=st.floats(-2.0, 2.0),
+    var=st.floats(0.25, 4.0),
+    c=st.floats(0.1, 4.0),
+    d_frac=st.floats(0.05, 0.999),
+)
+def test_c3_matches_the_point_to_point_saddle(mean, var, c, d_frac):
+    # below the jamming gate's d and far from capacity the network game is
+    # the point-to-point game: one indifference threshold l_phi serves both
+    source = ScalarGaussian(mean, var)
+    gate = 2.0 * tail_second_moment(source.centered(), math.sqrt(c))
+    costs = GameCosts(c, d_frac * gate)
+    large = classify_and_solve(source, costs, 0.999)
+    assert large.case_id == "C3"
+    p2p = solve_saddle(source, costs)
+    assert p2p.threshold == pytest.approx(large.threshold, rel=1e-13)
+    assert abs(p2p.phi_star - large.phi_star) <= 1e-13

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame.gaussian import DiagonalGaussian, GeneralGaussian, ScalarGaussian
 from jamgame.proactive import (
@@ -193,6 +195,30 @@ def test_saddle_inequalities_random_instances():
     assert seen == {NO_JAM, INTERIOR_JAM}
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    mean=st.floats(-2.0, 2.0),
+    var=st.floats(0.25, 4.0),
+    c=st.floats(0.1, 4.0),
+    d_frac=st.floats(0.02, 1.5),
+    phis=st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20),
+    scales=st.lists(st.floats(0.0, 4.0), min_size=20, max_size=20),
+)
+def test_saddle_inequalities_hold_to_rounding(mean, var, c, d_frac, phis, scales):
+    # at the exact saddle neither player gains by more than rounding: the
+    # jammer's payoff is flat in phi only when the trigger is l_phi itself
+    g = ScalarGaussian(mean, var)
+    costs = GameCosts(c, d_frac * var)
+    sad = solve_saddle(g, costs)
+    for phi in [0.0, 1.0] + phis:
+        fixed = objective_with_threshold(g, costs, sad.estimator, sad.threshold, phi)
+        assert fixed <= sad.value + 1e-12
+    for scale in [0.0] + scales:
+        tau = scale * sad.threshold
+        probe = objective_with_threshold(g, costs, sad.estimator, tau, sad.phi_star)
+        assert probe >= sad.value - 1e-12
+
+
 def test_vector_isotropic_matches_scalar():
     costs = GameCosts(1.0, 0.5)
     vec = solve_saddle_vector(DiagonalGaussian(np.zeros(1), np.ones(1)), costs)
@@ -211,7 +237,7 @@ def test_vector_isotropic_m5_and_no_jam():
     # condition residual is tiny on the exact path
     from jamgame.gaussian import norm_sq_tail_moment
 
-    resid = norm_sq_tail_moment(iso, sad.threshold).value - 1.0
+    resid = norm_sq_tail_moment(iso, sad.threshold) - 1.0
     assert abs(resid) <= 1e-9
 
     no_jam = solve_saddle_vector(

@@ -541,7 +541,7 @@ def _per_piece_reference(source, costs, symbols, policy):
             -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
             -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
         ]),
-        "fne_index": max(math.sqrt(grad_xhat.dot(grad_xhat)),
+        "fne_index": max(_norm_reference(grad_xhat),
                          box_lp_gap(grad_phi, policy.as_array())),
     }
 
@@ -649,3 +649,45 @@ def test_solvers_evaluate_once_per_point(monkeypatch, vector):
     counting.calls = 0
     report = solve_gda(src, UNIT_COSTS, config)
     assert 0 < counting.calls <= report.iterations + 1
+
+
+def _norm_reference(gx) -> float:
+    return math.sqrt(math.fsum([g * g for g in np.asarray(gx).tolist()]))
+
+
+def test_fne_index_norm_is_exactly_rounded():
+    # Gradient pairs whose BLAS dot product, on builds that fuse the
+    # multiply-add, rounds to a different norm than the exactly rounded sum
+    # of squares; the index must not depend on the build.
+    policy = ReactivePolicy(0.5, 0.5)
+    for pair in (
+        ("0x1.1875bf6652583p-12", "-0x1.d8e4e9dc0a3f2p-13"),
+        ("-0x1.dfae888bef3f3p-10", "0x1.26391cd94698ap-11"),
+        ("0x1.534a9379eee9dp+2", "0x1.0d5e4d9630810p+4"),
+        ("-0x1.00bf0bb807d7ap-20", "0x1.1f599db01f03bp-19"),
+    ):
+        gx = np.array([float.fromhex(h) for h in pair])
+        # zero policy gradient: the box gap is 0 and the norm is the index
+        index = reactive._certificate(gx, (0.0, 0.0), policy)
+        assert index.hex() == _norm_reference(gx).hex()
+    # the index of the exact scalar and the Monte Carlo model at random points
+    rng = np.random.default_rng(71)
+    models = [
+        ExactScalarModel(ScalarGaussian(0.3, 1.7), GameCosts(0.8, 1.2)),
+        McVectorModel(
+            DiagonalGaussian(np.zeros(3), np.array([1.0, 0.5, 2.0])),
+            GameCosts(1.0, 1.0), samples=2000, seed=3,
+        ),
+    ]
+    for model in models:
+        m = 1 if isinstance(model, ExactScalarModel) else 3
+        for _ in range(150):
+            x0, x1 = rng.normal(size=m), rng.normal(size=m)
+            symbols = ReprSymbols(x0, x1)
+            policy = ReactivePolicy(*rng.uniform(0.0, 1.0, size=2))
+            ev = model.evaluate(symbols, policy)
+            want = max(
+                _norm_reference(ev.grad_xhat),
+                box_lp_gap(ev.grad_phi, np.array([policy.alpha, policy.beta])),
+            )
+            assert ev.fne_index.hex() == want.hex()
