@@ -2,16 +2,21 @@
 
 An experiment is described by one JSON object (schema in the README) and
 launched with `jamgame solve proactive|reactive|large-scale`, `jamgame
-simulate`, or `jamgame sweep`.  Validation is strict: unknown keys, missing
-mode-required fields, and malformed grids are errors that name the offending
-field and exit with code 2.  Each run writes a full-precision `result.json`
-record; iterative solvers add a per-iteration `trace.csv` and sweeps add a
-`table.csv` with one row per grid point, rounded for reading (the record
-keeps full precision).  Non-convergence is reported through exit code 3 with
-the record still written, so sweeps can continue past hard instances and
-mark them.  A solver's failed accuracy check (`ConvergenceError`) also exits
-3 with the record written and its message in the `error` output; inside a
-sweep it becomes that point's record and the sweep goes on.
+simulate`, or `jamgame sweep`.  Every config key is one row of `_FIELDS`,
+which gives its section, its check and its default; `_MODE_KEYS` says which
+top-level keys each mode requires or forbids, and the library's own objects
+(`GameCosts`, `SolverConfig`, `NetworkConfig`, ...) check the ranges.
+Validation is strict: unknown keys, missing mode-required fields, malformed
+grids and a sweep axis that repeats another axis's parameter are errors that
+name the offending field and exit with code 2.  Each run writes a
+full-precision `result.json` record; iterative solvers add a per-iteration
+`trace.csv` and sweeps add a `table.csv` with one row per grid point,
+rounded for reading (the record keeps full precision).  Non-convergence is
+reported through exit code 3 with the record still written, so sweeps can
+continue past hard instances and mark them.  A solver's failed accuracy
+check (`ConvergenceError`) also exits 3 with the record written and its
+message in the `error` output; inside a sweep it becomes that point's
+record and the sweep goes on.
 
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import DiagonalGaussian, ScalarGaussian, tail_prob
-from .largescale import classify_and_solve
+from .largescale import CapacityFraction, classify_and_solve
 from .network import NetworkConfig, RoundPolicies, estimate_cost, jn_analytic
 from .proactive import MC_SAMPLES as PROACTIVE_MC_SAMPLES
 from .proactive import (
@@ -56,31 +61,7 @@ from .reactive import (
 )
 from .reactive import objective as reactive_objective
 
-_MODES = ("proactive", "reactive", "large_scale", "simulate", "sweep")
-_ALGORITHMS = ("pga_ccp", "gda")
-
-_TOP_KEYS = frozenset(
-    ("mode", "source", "costs", "seed", "solver", "kappa_bar", "n",
-     "capacity", "simulate", "sweep")
-)
-_SOURCE_KEYS = frozenset(("mean", "variance", "dimension"))
-_COSTS_KEYS = frozenset(("c", "d"))
-_SOLVER_KEYS = frozenset(
-    ("epsilon", "max_iters", "pga_step", "pga_step_rule", "gd_step",
-     "mc_samples", "algorithm")
-)
-_SIMULATE_KEYS = frozenset(
-    ("trials", "threshold", "phi", "alpha", "beta", "x_hat0", "x_hat1")
-)
-_SWEEP_KEYS = frozenset(("mode", "axes", "workers"))
-_AXIS_KEYS = frozenset(("parameter", "grid"))
-
-# SolverConfig's defaults (its seed is the top-level key); the vector
-# proactive saddle has its own default sample count
-_SOLVER_DEFAULTS = {
-    f.name: f.default for f in fields(SolverConfig) if f.name != "seed"
-} | {"algorithm": _ALGORITHMS[0]}
-_PROACTIVE_DEFAULTS = _SOLVER_DEFAULTS | {"mc_samples": PROACTIVE_MC_SAMPLES}
+_SOLVERS = {"pga_ccp": solve_pga_ccp, "gda": solve_gda}
 
 # fixed table column order; a table only shows the columns its records fill
 _TABLE_COLUMNS = (
@@ -90,39 +71,125 @@ _TABLE_COLUMNS = (
     "fne_std_err", "iterations", "converged",
 )
 
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-def _check_keys(obj: dict, allowed: frozenset, where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-
-
-def _require_dict(raw: dict, key: str, where: str = "") -> dict:
-    label = f"{where}.{key}" if where else key
-    value = raw.get(key)
-    if value is None:
-        raise ConfigError(f"{label}: required section is missing")
-    if not isinstance(value, dict):
-        raise ConfigError(f"{label}: must be an object")
+def _pass(value, label: str):
     return value
 
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label}: must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{label}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{label}: must be an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:  # numpy and scipy take 64-bit integers
+        raise ConfigError(f"{label}: must fit in 64 bits, got {value}")
     return value
+
+
+_REQUIRED = "required"
+_CHECKS = {float: _number, int: _integer, str: _pass}
+
+# One row per config key: section -> key -> (check, default).  A key with
+# default None may be absent and is then left out of the echo.  The top
+# level ("") passes each section's object through to that section's rows.
+_FIELDS = {
+    "": {
+        "mode": (_pass, _REQUIRED),
+        "source": (_pass, _REQUIRED),
+        "costs": (_pass, _REQUIRED),
+        "seed": (_pass, 0),
+        "solver": (_pass, {}),
+        "kappa_bar": (_number, None),
+        "n": (_integer, None),
+        "capacity": (_integer, None),
+        "simulate": (_pass, None),
+        "sweep": (_pass, None),
+    },
+    "source": {
+        "mean": (_pass, _REQUIRED),
+        "variance": (_pass, _REQUIRED),
+        "dimension": (_integer, None),
+    },
+    "costs": {"c": (_number, _REQUIRED), "d": (_number, _REQUIRED)},
+    # SolverConfig's fields and defaults; its seed is the top-level key
+    "solver": {
+        **{
+            f.name: (_CHECKS[type(f.default)], f.default)
+            for f in fields(SolverConfig)
+            if f.name != "seed"
+        },
+        "algorithm": (_pass, "pga_ccp"),
+    },
+    "simulate": {
+        "trials": (_integer, _REQUIRED),
+        **{
+            key: (_number, None)
+            for key in ("threshold", "phi", "alpha", "beta", "x_hat0", "x_hat1")
+        },
+    },
+    "sweep": {
+        "mode": (_pass, _REQUIRED),
+        "axes": (_pass, _REQUIRED),
+        "workers": (_integer, 4),
+    },
+    "sweep.axes": {"parameter": (_pass, _REQUIRED), "grid": (_pass, _REQUIRED)},
+}
+
+# mode -> (top-level keys it requires, top-level keys it forbids)
+_MODE_KEYS = {
+    "proactive": ((), ("kappa_bar", "n", "capacity", "simulate", "sweep")),
+    "reactive": ((), ("kappa_bar", "n", "capacity", "simulate", "sweep")),
+    "large_scale": (("kappa_bar",), ("n", "capacity", "simulate", "sweep")),
+    "simulate": (("n", "simulate"), ("sweep",)),
+    "sweep": (("sweep",), ()),
+}
+
+
+def _read(section: str, obj, label: str | None = None) -> dict:
+    """Check `obj` against the rows of `section` and return its echo.
+
+    Unknown keys and missing required keys are errors; every present key
+    passes its row's check (numbers become floats) and every absent one
+    takes its default.  `label` names the section in messages.
+    """
+    label = section if label is None else label
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{label or 'config'}: must be an object")
+    rows = _FIELDS[section]
+    for key in obj:
+        if key not in rows:
+            raise ConfigError(f"{label or 'config'}: unknown key {key!r}")
+    echo = {}
+    for key, (check, default) in rows.items():
+        where = f"{label}.{key}" if label else key
+        if key in obj:
+            echo[key] = check(obj[key], where)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}: required field is missing")
+        elif default is not None:
+            echo[key] = default
+    return echo
+
+
+def _build(cls, label: str, *args, **kwargs):
+    """`cls(*args, **kwargs)`, its range check's ValueError as a ConfigError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def _vector(value, dimension: int, label: str) -> np.ndarray:
@@ -139,19 +206,6 @@ def _vector(value, dimension: int, label: str) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class SimulatePlan:
-    """Resolved policy and trial budget for one simulation run."""
-
-    trials: int
-    threshold: float | None
-    phi: float | None
-    alpha: float | None
-    beta: float | None
-    x_hat0: float
-    x_hat1: float
-
-
 @dataclass(frozen=True, eq=False)
 class SweepPlan:
     """Grid axes over a base experiment, run point by point."""
@@ -164,19 +218,21 @@ class SweepPlan:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment with a normalized echo for exact re-execution."""
+    """Validated experiment, and its echo for exact re-execution; a sweep
+    holds only its plan, whose points hold their modes' objects."""
 
     mode: str
-    source: ScalarGaussian | DiagonalGaussian
-    costs: GameCosts
-    solver: SolverConfig
-    algorithm: str
     seed: int
-    kappa_bar: float | None
-    network: NetworkConfig | None
-    simulate_plan: SimulatePlan | None
-    sweep_plan: SweepPlan | None
     normalized: dict
+    source: ScalarGaussian | DiagonalGaussian | None = None
+    costs: GameCosts | None = None
+    solver: SolverConfig | None = None
+    algorithm: str | None = None
+    kappa_bar: CapacityFraction | None = None
+    network: NetworkConfig | None = None
+    trials: int | None = None
+    policies: RoundPolicies | None = None
+    sweep_plan: SweepPlan | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,138 +274,63 @@ def _check_finite(value, label: str) -> None:
     raise ValueError(f"{label} has unsupported type {type(value).__name__}")
 
 
-def _parse_source(raw: dict):
-    section = _require_dict(raw, "source")
-    _check_keys(section, _SOURCE_KEYS, "source")
-    if "mean" not in section:
-        raise ConfigError("source.mean: required field is missing")
-    if "variance" not in section:
-        raise ConfigError("source.variance: required field is missing")
-    if "dimension" in section:
-        dimension = _integer(section["dimension"], "source.dimension")
+def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
+    echo = _read("source", section)
+    if "dimension" in echo:
+        dimension = echo["dimension"]
         if dimension < 1:
             raise ConfigError(f"source.dimension: must be >= 1, got {dimension}")
     else:
         # the first list value's length; `_vector` names a list of another
-        dimension = 1
-        for key in ("mean", "variance"):
-            if isinstance(section[key], list):
-                dimension = len(section[key])
-                if dimension < 1:
-                    raise ConfigError(f"source.{key}: must not be empty")
-                break
-    mean = _vector(section["mean"], dimension, "source.mean")
-    variance = _vector(section["variance"], dimension, "source.variance")
-    try:
-        if dimension == 1:
-            source = ScalarGaussian(float(mean[0]), float(variance[0]))
-        else:
-            source = DiagonalGaussian(mean, variance)
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from exc
-    normalized = {
-        "mean": section["mean"],
-        "variance": section["variance"],
-        "dimension": dimension,
-    }
-    return source, normalized
+        lists = [v for v in (echo["mean"], echo["variance"]) if isinstance(v, list)]
+        dimension = len(lists[0]) if lists else 1
+    mean = _vector(echo["mean"], dimension, "source.mean")
+    variance = _vector(echo["variance"], dimension, "source.variance")
+    echo["dimension"] = dimension
+    if dimension == 1:
+        source = _build(ScalarGaussian, "source", float(mean[0]), float(variance[0]))
+    else:
+        source = _build(DiagonalGaussian, "source", mean, variance)
+    return source, echo
 
 
-def _parse_costs(raw: dict) -> GameCosts:
-    section = _require_dict(raw, "costs")
-    _check_keys(section, _COSTS_KEYS, "costs")
-    if "c" not in section:
-        raise ConfigError("costs.c: required field is missing")
-    if "d" not in section:
-        raise ConfigError("costs.d: required field is missing")
-    try:
-        return GameCosts(
-            _number(section["c"], "costs.c"), _number(section["d"], "costs.d")
-        )
-    except ValueError as exc:
-        raise ConfigError(f"costs: {exc}") from exc
-
-
-def _parse_solver(raw: dict, seed: int, mode: str) -> tuple[SolverConfig, str, dict]:
-    section = raw.get("solver", {})
-    if not isinstance(section, dict):
-        raise ConfigError("solver: must be an object")
-    _check_keys(section, _SOLVER_KEYS, "solver")
-    filled = dict(_PROACTIVE_DEFAULTS if mode == "proactive" else _SOLVER_DEFAULTS)
-    filled.update(section)
-    algorithm = filled["algorithm"]
-    if algorithm not in _ALGORITHMS:
-        raise ConfigError(
-            f"solver.algorithm: must be one of {list(_ALGORITHMS)}, "
-            f"got {algorithm!r}"
-        )
-    try:
-        solver = SolverConfig(
-            epsilon=_number(filled["epsilon"], "solver.epsilon"),
-            max_iters=_integer(filled["max_iters"], "solver.max_iters"),
-            pga_step=_number(filled["pga_step"], "solver.pga_step"),
-            pga_step_rule=filled["pga_step_rule"],
-            gd_step=_number(filled["gd_step"], "solver.gd_step"),
-            mc_samples=_integer(filled["mc_samples"], "solver.mc_samples"),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-    return solver, algorithm, filled
-
-
-def _forbid(raw: dict, keys: tuple[str, ...], mode: str) -> None:
-    for key in keys:
-        if key in raw:
-            raise ConfigError(f"{key}: not valid in {mode!r} mode")
-
-
-def _parse_simulate(raw: dict, source_mean: float) -> tuple[SimulatePlan, dict]:
-    section = _require_dict(raw, "simulate")
-    _check_keys(section, _SIMULATE_KEYS, "simulate")
-    if "trials" not in section:
-        raise ConfigError("simulate.trials: required field is missing")
-    trials = _integer(section["trials"], "simulate.trials")
-    if trials < 2:
-        raise ConfigError(f"simulate.trials: must be >= 2, got {trials}")
+def _parse_simulate(top: dict, source: ScalarGaussian, costs: GameCosts):
+    """(ExperimentConfig fields, echo) of simulate mode's network and policy."""
+    n = top["n"]
+    if ("capacity" in top) == ("kappa_bar" in top):
+        raise ConfigError("capacity: give exactly one of capacity or kappa_bar")
+    if "capacity" in top:
+        network = _build(NetworkConfig, "capacity", n, top["capacity"])
+    else:
+        network = _build(NetworkConfig.from_kappa, "capacity", n, top["kappa_bar"])
+    section = _read("simulate", top["simulate"])
+    if section["trials"] < 2:
+        raise ConfigError(f"simulate.trials: must be >= 2, got {section['trials']}")
     blind = "threshold" in section or "phi" in section
-    reactive = "alpha" in section or "beta" in section
-    if blind == reactive:
+    if blind == ("alpha" in section or "beta" in section):
         raise ConfigError(
             "simulate: choose one policy, either (threshold, phi) or "
             "(alpha, beta)"
         )
-    threshold = phi = alpha = beta = None
+    first, second = ("threshold", "phi") if blind else ("alpha", "beta")
+    if first not in section or second not in section:
+        raise ConfigError(f"simulate: {first} and {second} are required together")
+    for key in ("x_hat0", "x_hat1"):  # last, in this order, given or not
+        section[key] = section.pop(key, source.mean)
+    symbols = ReprSymbols(section["x_hat0"], section["x_hat1"])
     if blind:
-        if "threshold" not in section or "phi" not in section:
-            raise ConfigError(
-                "simulate: threshold and phi are required together"
-            )
-        threshold = _number(section["threshold"], "simulate.threshold")
-        phi = _number(section["phi"], "simulate.phi")
-        if threshold < 0.0:
-            raise ConfigError("simulate.threshold: must be nonnegative")
-        if not 0.0 <= phi <= 1.0:
-            raise ConfigError(f"simulate.phi: must lie in [0, 1], got {phi}")
+        policies = _build(
+            RoundPolicies, "simulate", symbols=symbols,
+            threshold=section["threshold"], jam_phi=section["phi"],
+        )
     else:
-        if "alpha" not in section or "beta" not in section:
-            raise ConfigError("simulate: alpha and beta are required together")
-        alpha = _number(section["alpha"], "simulate.alpha")
-        beta = _number(section["beta"], "simulate.beta")
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(
-                    f"simulate.{name}: must lie in [0, 1], got {value}"
-                )
-    x_hat0 = _number(section.get("x_hat0", source_mean), "simulate.x_hat0")
-    x_hat1 = _number(section.get("x_hat1", source_mean), "simulate.x_hat1")
-    plan = SimulatePlan(trials, threshold, phi, alpha, beta, x_hat0, x_hat1)
-    normalized = {"trials": trials, "x_hat0": x_hat0, "x_hat1": x_hat1}
-    if blind:
-        normalized.update(threshold=threshold, phi=phi)
-    else:
-        normalized.update(alpha=alpha, beta=beta)
-    return plan, normalized
+        policy = _build(ReactivePolicy, "simulate", section["alpha"], section["beta"])
+        if n != 1:
+            raise ConfigError("simulate: the (alpha, beta) jammer requires n = 1")
+        region = transmit_region(symbols, policy, costs)
+        policies = RoundPolicies(symbols=symbols, region=region, jam_reactive=policy)
+    parsed = {"network": network, "trials": section["trials"], "policies": policies}
+    return parsed, {"n": n, "capacity": network.capacity, "simulate": section}
 
 
 def _set_path(raw: dict, dotted: str, value) -> None:
@@ -376,64 +357,53 @@ def _get_path(config: dict, dotted: str):
     return node
 
 
-def _parse_sweep(raw: dict) -> tuple[SweepPlan, dict]:
-    section = _require_dict(raw, "sweep")
-    _check_keys(section, _SWEEP_KEYS, "sweep")
-    mode = section.get("mode")
-    if mode not in _MODES or mode == "sweep":
+def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
+    section = _read("sweep", top["sweep"])
+    mode = section["mode"]
+    if mode not in _POINT_RUNNERS:
         raise ConfigError(
-            "sweep.mode: must be one of ['proactive', 'reactive', "
-            f"'large_scale', 'simulate'], got {mode!r}"
+            f"sweep.mode: must be one of {list(_POINT_RUNNERS)}, got {mode!r}"
         )
-    axes_raw = section.get("axes")
-    if not isinstance(axes_raw, list) or not axes_raw:
+    if not isinstance(section["axes"], list) or not section["axes"]:
         raise ConfigError("sweep.axes: must be a nonempty list")
-    axes = []
-    for i, axis in enumerate(axes_raw):
+    axes = {}
+    for i, axis in enumerate(section["axes"]):
         label = f"sweep.axes[{i}]"
-        if not isinstance(axis, dict):
-            raise ConfigError(f"{label}: must be an object")
-        _check_keys(axis, _AXIS_KEYS, label)
-        parameter = axis.get("parameter")
+        axis = _read("sweep.axes", axis, label)
+        parameter, grid = axis["parameter"], axis["grid"]
         if not isinstance(parameter, str) or not parameter:
             raise ConfigError(f"{label}.parameter: must be a nonempty string")
-        grid_raw = axis.get("grid")
-        if not isinstance(grid_raw, list) or not grid_raw:
+        if parameter in axes:
+            raise ConfigError(
+                f"{label}.parameter: {parameter!r} repeats an earlier axis"
+            )
+        if not isinstance(grid, list) or not grid:
             raise ConfigError(f"{label}.grid: must be a nonempty list")
-        for j, value in enumerate(grid_raw):
+        for j, value in enumerate(grid):
             _number(value, f"{label}.grid[{j}]")
-        # keep the JSON types so integer fields can be swept too
-        grid = tuple(grid_raw)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{label}.grid: must be strictly increasing")
-        axes.append((parameter, grid))
-    workers = _integer(section.get("workers", 4), "sweep.workers")
-    if workers < 1:
-        raise ConfigError(f"sweep.workers: must be >= 1, got {workers}")
+        # keep the JSON types so integer fields can be swept too
+        axes[parameter] = tuple(grid)
+    if section["workers"] < 1:
+        raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
 
     base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
-    base["mode"] = mode
     points = []
-    for combo in itertools.product(*(grid for _, grid in axes)):
+    for combo in itertools.product(*axes.values()):
         point_raw = copy.deepcopy(base)
-        for (parameter, _), value in zip(axes, combo):
+        point_raw["mode"] = mode
+        for parameter, value in zip(axes, combo):
             _set_path(point_raw, parameter, value)
         try:
             points.append(parse_config(point_raw))
         except ConfigError as exc:
-            at = ", ".join(
-                f"{p}={v}" for (p, _), v in zip(axes, combo)
-            )
+            at = ", ".join(f"{p}={v}" for p, v in zip(axes, combo))
             raise ConfigError(f"sweep point ({at}): {exc}") from exc
-    plan = SweepPlan(mode, tuple(axes), workers, tuple(points))
-    normalized = {
-        "mode": mode,
-        "axes": [
-            {"parameter": p, "grid": list(g)} for p, g in axes
-        ],
-        "workers": workers,
-    }
-    return plan, normalized
+    section["axes"] = [{"parameter": p, "grid": list(g)} for p, g in axes.items()]
+    plan = SweepPlan(mode, tuple(axes.items()), section["workers"], tuple(points))
+    normalized = base | {"mode": "sweep", "sweep": section}
+    return ExperimentConfig("sweep", seed, normalized, sweep_plan=plan)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -443,96 +413,57 @@ def parse_config(raw: dict) -> ExperimentConfig:
     field.  The returned `normalized` echo has all defaults filled in, so
     re-parsing it reproduces the run exactly.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be an object")
-    _check_keys(raw, _TOP_KEYS, "config")
-    mode = raw.get("mode")
-    if mode not in _MODES:
-        raise ConfigError(f"mode: must be one of {list(_MODES)}, got {mode!r}")
+    top = _read("", raw)
+    mode = top["mode"]
+    if mode not in _MODE_KEYS:
+        raise ConfigError(f"mode: must be one of {list(_MODE_KEYS)}, got {mode!r}")
+    required, forbidden = _MODE_KEYS[mode]
+    for key in forbidden:
+        if key in raw:
+            raise ConfigError(f"{key}: not valid in {mode!r} mode")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{key}: required in {mode} mode")
+    seed = top["seed"]
+    # no 64-bit limit: SeedSequence takes integers of any size
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+    if mode == "sweep":
+        return _parse_sweep(raw, top, seed)
 
-    source, source_norm = _parse_source(raw)
-    costs = _parse_costs(raw)
-    seed = _integer(raw.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed: must be nonnegative, got {seed}")
-    solver, algorithm, solver_norm = _parse_solver(raw, seed, mode)
-    dimension = source_norm["dimension"]
-
+    source, source_echo = _parse_source(top["source"])
+    costs_echo = _read("costs", top["costs"])
+    costs = _build(GameCosts, "costs", **costs_echo)
+    solver_echo = _read("solver", top["solver"])
+    if mode == "proactive" and "mc_samples" not in top["solver"]:
+        # the vector saddle has its own default sample count
+        solver_echo["mc_samples"] = PROACTIVE_MC_SAMPLES
+    knobs = dict(solver_echo)
+    algorithm = knobs.pop("algorithm")
+    if algorithm not in _SOLVERS:
+        raise ConfigError(
+            f"solver.algorithm: must be one of {list(_SOLVERS)}, "
+            f"got {algorithm!r}"
+        )
+    solver = _build(SolverConfig, "solver", **knobs, seed=seed)
     normalized = {
         "mode": mode,
-        "source": source_norm,
-        "costs": {"c": costs.c, "d": costs.d},
+        "source": source_echo,
+        "costs": costs_echo,
         "seed": seed,
-        "solver": solver_norm,
+        "solver": solver_echo,
     }
-
-    kappa_bar = None
-    network = None
-    simulate_plan = None
-    sweep_plan = None
-
-    if mode in ("proactive", "reactive"):
-        _forbid(raw, ("kappa_bar", "n", "capacity", "simulate", "sweep"), mode)
-    elif mode == "large_scale":
-        _forbid(raw, ("n", "capacity", "simulate", "sweep"), mode)
-        if dimension != 1:
-            raise ConfigError("source.dimension: large_scale mode is scalar")
-        if "kappa_bar" not in raw:
-            raise ConfigError("kappa_bar: required in large_scale mode")
-        kappa_bar = _number(raw["kappa_bar"], "kappa_bar")
-        if not 0.0 < kappa_bar < 1.0:
-            raise ConfigError(
-                f"kappa_bar: must lie in (0, 1), got {kappa_bar}"
-            )
-        normalized["kappa_bar"] = kappa_bar
+    parsed = {}
+    if mode in ("large_scale", "simulate") and source_echo["dimension"] != 1:
+        raise ConfigError(f"source.dimension: {mode} mode is scalar")
+    if mode == "large_scale":
+        parsed["kappa_bar"] = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
+        normalized["kappa_bar"] = top["kappa_bar"]
     elif mode == "simulate":
-        _forbid(raw, ("sweep",), mode)
-        if dimension != 1:
-            raise ConfigError("source.dimension: simulate mode is scalar")
-        if "n" not in raw:
-            raise ConfigError("n: required in simulate mode")
-        n = _integer(raw["n"], "n")
-        if ("capacity" in raw) == ("kappa_bar" in raw):
-            raise ConfigError(
-                "capacity: give exactly one of capacity or kappa_bar"
-            )
-        try:
-            if "capacity" in raw:
-                capacity = _integer(raw["capacity"], "capacity")
-                network = NetworkConfig(n, capacity)
-            else:
-                kappa_bar = _number(raw["kappa_bar"], "kappa_bar")
-                network = NetworkConfig.from_kappa(n, kappa_bar)
-        except ValueError as exc:
-            raise ConfigError(f"capacity: {exc}") from exc
-        simulate_plan, simulate_norm = _parse_simulate(raw, source.mean)
-        if simulate_plan.alpha is not None and n != 1:
-            raise ConfigError(
-                "simulate: the (alpha, beta) jammer requires n = 1"
-            )
-        normalized["n"] = n
-        normalized["capacity"] = network.capacity
-        normalized["simulate"] = simulate_norm
-    else:  # sweep
-        sweep_plan, sweep_norm = _parse_sweep(raw)
-        normalized = {
-            k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"
-        }
-        normalized["mode"] = "sweep"
-        normalized["sweep"] = sweep_norm
-
+        parsed, echo = _parse_simulate(top, source, costs)
+        normalized |= echo
     return ExperimentConfig(
-        mode=mode,
-        source=source,
-        costs=costs,
-        solver=solver,
-        algorithm=algorithm,
-        seed=seed,
-        kappa_bar=kappa_bar,
-        network=network,
-        simulate_plan=simulate_plan,
-        sweep_plan=sweep_plan,
-        normalized=normalized,
+        mode, seed, normalized, source, costs, solver, algorithm, **parsed
     )
 
 
@@ -570,7 +501,7 @@ def _run_proactive(config: ExperimentConfig):
 
 
 def _run_reactive(config: ExperimentConfig):
-    solve = solve_pga_ccp if config.algorithm == "pga_ccp" else solve_gda
+    solve = _SOLVERS[config.algorithm]
     report = solve(config.source, config.costs, config.solver)
     last = report.trace[-1]
     outputs = {
@@ -607,36 +538,28 @@ def _run_large_scale(config: ExperimentConfig):
 
 
 def _run_simulate(config: ExperimentConfig):
-    plan = config.simulate_plan
-    symbols = ReprSymbols(plan.x_hat0, plan.x_hat1)
-    if plan.threshold is not None:
-        policies = RoundPolicies(
-            symbols=symbols, threshold=plan.threshold, jam_phi=plan.phi
-        )
+    policies = config.policies
+    if policies.jam_reactive is None:
         analytic = jn_analytic(
-            config.source, config.costs, config.network, plan.threshold,
-            symbols, plan.phi,
+            config.source, config.costs, config.network, policies.threshold,
+            policies.symbols, policies.jam_phi,
         )
     else:
-        policy = ReactivePolicy(plan.alpha, plan.beta)
-        region = transmit_region(symbols, policy, config.costs)
-        policies = RoundPolicies(
-            symbols=symbols, region=region, jam_reactive=policy
-        )
         analytic = reactive_objective(
-            config.source, config.costs, symbols, policy
+            config.source, config.costs, policies.symbols, policies.jam_reactive
         )
     estimate = estimate_cost(
         config.source, config.costs, config.network, policies,
-        trials=plan.trials, seed=config.seed,
+        trials=config.trials, seed=config.seed,
     )
+    x_hat0, x_hat1 = policies.symbols.scalars()
     outputs = {
         "value": float(estimate.mean),
         "std_err": float(estimate.std_err),
         "trials": estimate.trials,
         "analytic_value": float(analytic),
-        "x_hat0": plan.x_hat0,
-        "x_hat1": plan.x_hat1,
+        "x_hat0": x_hat0,
+        "x_hat1": x_hat1,
     }
     return outputs, None
 

@@ -56,7 +56,7 @@ class ScalarGaussian:
         if not (math.isfinite(self.mean) and math.isfinite(self.var)):
             raise ValueError("mean and var must be finite")
         if self.var <= 0.0:
-            raise ValueError(f"var must be positive, got {self.var}")
+            raise ValueError(f"variance must be positive, got {self.var}")
 
     @property
     def std(self) -> float:

@@ -113,8 +113,10 @@ class ProactiveSaddle:
     """Equilibrium summary of the proactive point-to-point game.
 
     `threshold` is the squared-deviation trigger: transmit iff
-    (x - x_hat0)^2 > threshold, equal to c / (1 - phi_star).  Standard errors
-    are zero on exact solve paths and populated by the Monte Carlo vector path.
+    (x - x_hat0)^2 > threshold, equal to c / (1 - phi_star); the scalar
+    interior path reports the indifference root l_phi itself, which that
+    ratio matches up to rounding.  Standard errors are zero on exact solve
+    paths and populated by the Monte Carlo vector path.
     """
 
     case: str
@@ -287,12 +289,14 @@ def solve_saddle(source: ScalarGaussian, costs: GameCosts) -> ProactiveSaddle:
     coincide in value there and differ only in how the tie is reported.
     """
     g0 = jammer_marginal(source, costs, 0.0)
-    if g0 < 0.0:
-        case, phi_star = NO_JAM, 0.0
-    else:
-        case, phi_star = INTERIOR_JAM, solve_phi_tilde(source, costs)
+    threshold = costs.c
+    if g0 > 0.0:
+        # the root l_phi itself: c / (1 - phi_star) would lose its digits
+        # as c / l_phi shrinks
+        threshold = max(costs.c, solve_l_phi(source, costs))
+    case = NO_JAM if g0 < 0.0 else INTERIOR_JAM
+    phi_star = 1.0 - costs.c / threshold
     estimator = ReprSymbols(source.mean, source.mean)
-    threshold = costs.c / (1.0 - phi_star)
     value = objective_tilde(source, costs, estimator, phi_star)
     return ProactiveSaddle(case, phi_star, threshold, estimator, value)
 

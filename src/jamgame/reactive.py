@@ -513,8 +513,9 @@ class SolverConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.pga_step <= 0.0 or self.gd_step <= 0.0:
-            raise ValueError("step sizes must be positive")
+        for name in ("pga_step", "gd_step"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.pga_step_rule not in ("constant", "inv_sqrt"):
             raise ValueError(f"unknown pga_step_rule {self.pga_step_rule!r}")
         if self.mc_samples < 2:

@@ -4,10 +4,15 @@ import copy
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame.cli import (
+    _FIELDS,
+    _REQUIRED,
     ConfigError,
     ResultRecord,
     emit_table,
@@ -15,6 +20,7 @@ from jamgame.cli import (
     parse_config,
     run,
 )
+from jamgame.proactive import MC_SAMPLES as PROACTIVE_MC_SAMPLES
 
 
 def _write_config(tmp_path, name, payload):
@@ -303,6 +309,15 @@ def test_validation_sweep_grids():
     raw["sweep"]["axes"][0]["parameter"] = "costs.missing"
     with pytest.raises(ConfigError, match="sweep point.*costs"):
         parse_config(raw)
+    # a second axis on the same parameter would overwrite the first's values
+    raw = copy.deepcopy(TABLE_I_SWEEP)
+    raw["mode"] = "sweep"
+    raw["sweep"]["axes"] = [
+        {"parameter": "costs.d", "grid": [0.25, 0.5]},
+        {"parameter": "costs.d", "grid": [0.75, 1.0]},
+    ]
+    with pytest.raises(ConfigError, match=r"^sweep\.axes\[1\]\.parameter: 'costs\.d' repeats"):
+        parse_config(raw)
 
 
 def test_cli_error_paths(tmp_path):
@@ -453,3 +468,239 @@ def test_source_dimension_from_list_lengths():
     # a field's own message is not wrapped in a second prefix
     with pytest.raises(ConfigError, match=r"^source\.mean: must be a number, got 'a'$"):
         config({"mean": [0, "a"], "variance": [1, 2]})
+
+
+def test_oversized_integers_exit_2(tmp_path, capsys):
+    huge_c = _write_config(tmp_path, "c.json", _base_reactive(
+        costs={"c": 10**400, "d": 1.0}))
+    assert run(["solve", "reactive", "--config", huge_c,
+                "--out", str(tmp_path / "o1")]) == 2
+    assert "costs.c: must be finite" in capsys.readouterr().err
+    sim = _write_config(tmp_path, "s.json", {
+        "source": {"mean": 0.0, "variance": 1.0},
+        "costs": {"c": 1.0, "d": 1.0},
+        "n": 5, "capacity": 2,
+        "simulate": {"trials": 100, "threshold": 1.0, "phi": 0.1},
+    })
+    assert run(["simulate", "--config", sim, "--out", str(tmp_path / "o2"),
+                "--set", "n=100000000000000000000000"]) == 2
+    assert "n: must fit in 64 bits" in capsys.readouterr().err
+    # a seed of any size is valid: SeedSequence takes it
+    assert parse_config(_base_reactive(mode="reactive", seed=10**30)).seed == 10**30
+
+
+_NUMBER = st.one_of(st.integers(1, 20), st.floats(0.01, 20.0))
+_UNIT = st.one_of(st.sampled_from([0, 1]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _valid_configs(draw):
+    """Random valid configs of every mode but sweep."""
+    mode = draw(st.sampled_from(["proactive", "reactive", "large_scale", "simulate"]))
+    dim = 1 if mode in ("large_scale", "simulate") else draw(st.integers(1, 3))
+    source = {"mean": draw(st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0))),
+              "variance": draw(_NUMBER)}
+    if dim > 1 or draw(st.booleans()):
+        source["dimension"] = dim
+    if dim > 1 and draw(st.booleans()):
+        source["variance"] = draw(st.lists(_NUMBER, min_size=dim, max_size=dim))
+        del source["dimension"]
+    raw = {"mode": mode, "source": source,
+           "costs": {"c": draw(_NUMBER), "d": draw(_NUMBER)}}
+    if draw(st.booleans()):
+        raw["seed"] = draw(st.integers(0, 2**64))
+    solver = {
+        "epsilon": st.one_of(st.just(0), st.floats(0.0, 1.0)),
+        "max_iters": st.integers(1, 10_000),
+        "pga_step": _NUMBER,
+        "pga_step_rule": st.sampled_from(["constant", "inv_sqrt"]),
+        "gd_step": _NUMBER,
+        "mc_samples": st.integers(2, 10**6),
+        "algorithm": st.sampled_from(["pga_ccp", "gda"]),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(solver)), unique=True))
+    if keys or draw(st.booleans()):
+        raw["solver"] = {key: draw(solver[key]) for key in keys}
+    if mode == "large_scale":
+        raw["kappa_bar"] = draw(st.floats(0.01, 0.99))
+    if mode == "simulate":
+        raw["n"] = n = draw(st.integers(1, 30))
+        if draw(st.booleans()):
+            raw["capacity"] = draw(st.integers(1, max(1, n - 1)))
+        else:
+            raw["kappa_bar"] = draw(st.floats(0.01, 0.99))
+        simulate = {"trials": draw(st.integers(2, 10**6))}
+        if n == 1 and draw(st.booleans()):
+            simulate.update(alpha=draw(_UNIT), beta=draw(_UNIT))
+        else:
+            simulate.update(threshold=draw(st.one_of(st.just(0), _NUMBER)),
+                            phi=draw(_UNIT))
+        for key in ("x_hat0", "x_hat1"):
+            if draw(st.booleans()):
+                simulate[key] = draw(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)))
+        raw["simulate"] = simulate
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_configs())
+def test_normalized_echo_is_a_fixed_point(raw):
+    first = parse_config(copy.deepcopy(raw)).normalized
+    again = parse_config(json.loads(json.dumps(first))).normalized
+    # compared as JSON text: key order and int/float spelling must hold too
+    assert json.dumps(again) == json.dumps(first)
+    assert first["mode"] == raw["mode"]
+
+
+def test_echo_spells_number_fields_as_floats():
+    echo = parse_config(_base_reactive(
+        mode="reactive", solver={"epsilon": 1, "max_iters": 7})).normalized
+    assert echo["solver"]["epsilon"] == 1.0
+    assert isinstance(echo["solver"]["epsilon"], float)
+    assert isinstance(echo["solver"]["max_iters"], int)
+
+
+_DELETE = object()
+_VALID = {
+    "proactive": _base_reactive(mode="proactive"),
+    "large_scale": _base_reactive(mode="large_scale", kappa_bar=0.5),
+    "blind": {**_base_reactive(mode="simulate"), "n": 5, "capacity": 2,
+              "simulate": {"trials": 10, "threshold": 1.0, "phi": 0.5}},
+    "sensing": {**_base_reactive(mode="simulate"), "n": 1, "capacity": 1,
+                "simulate": {"trials": 10, "alpha": 0.5, "beta": 0.5}},
+    "sweep": {**copy.deepcopy(TABLE_I_SWEEP), "mode": "sweep"},
+}
+
+# (base, dotted path, bad value or _DELETE, table section, table key)
+_BAD_INPUTS = [
+    ("proactive", "mode", _DELETE, "", "mode"),
+    ("proactive", "mode", "solve", "", "mode"),
+    ("proactive", "source", _DELETE, "", "source"),
+    ("proactive", "source", [0.0, 1.0], "", "source"),
+    ("proactive", "costs", _DELETE, "", "costs"),
+    ("proactive", "seed", -1, "", "seed"),
+    ("proactive", "seed", 1.5, "", "seed"),
+    ("proactive", "solver", "fast", "", "solver"),
+    ("proactive", "kappa_bar", 0.5, "", "kappa_bar"),
+    ("large_scale", "kappa_bar", _DELETE, "", "kappa_bar"),
+    ("large_scale", "kappa_bar", 1.5, "", "kappa_bar"),
+    ("large_scale", "kappa_bar", "half", "", "kappa_bar"),
+    ("large_scale", "n", 5, "", "n"),
+    ("blind", "n", _DELETE, "", "n"),
+    ("blind", "n", 0, "", "n"),
+    ("blind", "n", 2.0, "", "n"),
+    ("blind", "n", 10**23, "", "n"),
+    ("proactive", "capacity", 2, "", "capacity"),
+    ("blind", "capacity", 9, "", "capacity"),
+    ("blind", "capacity", "two", "", "capacity"),
+    ("proactive", "simulate", {"trials": 10}, "", "simulate"),
+    ("blind", "simulate", _DELETE, "", "simulate"),
+    ("proactive", "sweep", {}, "", "sweep"),
+    ("sweep", "sweep", _DELETE, "", "sweep"),
+    ("proactive", "source.mean", _DELETE, "source", "mean"),
+    ("proactive", "source.mean", "zero", "source", "mean"),
+    ("proactive", "source.variance", _DELETE, "source", "variance"),
+    ("proactive", "source.variance", -1.0, "source", "variance"),
+    ("proactive", "source.variance", [1.0, -1.0], "source", "variance"),
+    ("proactive", "source.dimension", 0, "source", "dimension"),
+    ("proactive", "source.dimension", 2.0, "source", "dimension"),
+    ("proactive", "costs.c", _DELETE, "costs", "c"),
+    ("proactive", "costs.c", -1.0, "costs", "c"),
+    ("proactive", "costs.c", 10**400, "costs", "c"),
+    ("proactive", "costs.d", 0.0, "costs", "d"),
+    ("proactive", "costs.d", None, "costs", "d"),
+    ("proactive", "solver.epsilon", -0.1, "solver", "epsilon"),
+    ("proactive", "solver.epsilon", "tiny", "solver", "epsilon"),
+    ("proactive", "solver.max_iters", 0, "solver", "max_iters"),
+    ("proactive", "solver.max_iters", 10.5, "solver", "max_iters"),
+    ("proactive", "solver.pga_step", 0.0, "solver", "pga_step"),
+    ("proactive", "solver.pga_step_rule", "linear", "solver", "pga_step_rule"),
+    ("proactive", "solver.gd_step", -0.01, "solver", "gd_step"),
+    ("proactive", "solver.mc_samples", 1, "solver", "mc_samples"),
+    ("proactive", "solver.mc_samples", 2**64, "solver", "mc_samples"),
+    ("proactive", "solver.algorithm", "newton", "solver", "algorithm"),
+    ("blind", "simulate.trials", _DELETE, "simulate", "trials"),
+    ("blind", "simulate.trials", 1, "simulate", "trials"),
+    ("blind", "simulate.trials", True, "simulate", "trials"),
+    ("blind", "simulate.threshold", -1.0, "simulate", "threshold"),
+    ("blind", "simulate.threshold", _DELETE, "simulate", "threshold"),
+    ("blind", "simulate.phi", 1.5, "simulate", "phi"),
+    ("sensing", "simulate.alpha", 1.5, "simulate", "alpha"),
+    ("sensing", "simulate.beta", -0.5, "simulate", "beta"),
+    ("blind", "simulate.x_hat0", "mean", "simulate", "x_hat0"),
+    ("blind", "simulate.x_hat1", [0.0], "simulate", "x_hat1"),
+    ("sweep", "sweep.mode", _DELETE, "sweep", "mode"),
+    ("sweep", "sweep.mode", "sweep", "sweep", "mode"),
+    ("sweep", "sweep.axes", _DELETE, "sweep", "axes"),
+    ("sweep", "sweep.axes", [], "sweep", "axes"),
+    ("sweep", "sweep.workers", 0, "sweep", "workers"),
+    ("sweep", "sweep.workers", "all", "sweep", "workers"),
+]
+_BAD_AXES = [
+    ({"grid": [0.5]}, "parameter"),
+    ({"parameter": "", "grid": [0.5]}, "parameter"),
+    ({"parameter": "kappa_bar", "grid": [0.5]}, "parameter"),
+    ({"parameter": "costs.c"}, "grid"),
+    ({"parameter": "costs.c", "grid": [1.0, "2"]}, "grid"),
+    ({"parameter": "costs.c", "grid": [2.0, 1.0]}, "grid"),
+]
+
+
+def _bad_config(base, path, value):
+    raw = copy.deepcopy(_VALID[base])
+    *parents, last = path.split(".")
+    node = raw
+    for part in parents:
+        node = node[part]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "base, path, value, section, key", _BAD_INPUTS,
+    ids=[f"{b}-{p}-{'missing' if v is _DELETE else repr(v)[:12]}"
+         for b, p, v, _, _ in _BAD_INPUTS],
+)
+def test_bad_input_names_its_field(base, path, value, section, key):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(_bad_config(base, path, value))
+    message = str(caught.value)
+    assert section in message and key in message, message
+
+
+@pytest.mark.parametrize("axis, key", _BAD_AXES)
+def test_bad_sweep_axis_names_its_field(axis, key):
+    raw = copy.deepcopy(_VALID["sweep"])
+    raw["sweep"]["axes"].append(axis)
+    with pytest.raises(ConfigError, match=rf"^sweep\.axes\[2\](\.{key}|: )") as caught:
+        parse_config(raw)
+    assert key in str(caught.value)
+
+
+def test_bad_inputs_cover_every_table_row():
+    rows = {(section, key) for section, keys in _FIELDS.items() for key in keys}
+    covered = {(section, key) for *_, section, key in _BAD_INPUTS}
+    covered |= {("sweep.axes", key) for _, key in _BAD_AXES}
+    assert covered == rows
+
+
+def _spelled(value) -> str:
+    return f"{value:g}".replace("e-0", "e-") if isinstance(value, float) else str(value)
+
+
+def test_readme_schema_states_every_key_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    defaults = {PROACTIVE_MC_SAMPLES}
+    for section, rows in _FIELDS.items():
+        for key, (_, default) in rows.items():
+            assert f"`{key}`" in schema or f"`{section}.{key}`" in schema, key
+            if default not in (None, _REQUIRED, {}):
+                defaults.add(default)
+    for default in defaults:
+        assert _spelled(default) in schema, default
+    for spelled in ("1e-5", "5000", "0.1", "0.01", "10000", "400000", "4"):
+        assert spelled in {_spelled(d) for d in defaults}

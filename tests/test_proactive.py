@@ -19,6 +19,7 @@ from jamgame.proactive import (
     jammer_marginal,
     objective_tilde,
     objective_with_threshold,
+    solve_l_phi,
     solve_phi_tilde,
     solve_saddle,
     solve_saddle_vector,
@@ -74,6 +75,11 @@ def test_threshold_depends_only_on_d():
         thresholds.append(c / (1.0 - phi))
     assert thresholds[0] == pytest.approx(thresholds[1], rel=1e-8)
     assert thresholds[1] == pytest.approx(thresholds[2], rel=1e-8)
+    # the saddle reports the indifference root itself, with no digits lost
+    # to c / (1 - phi_star) as c / l_phi shrinks
+    for c in (1e-2, 1e-4, 1e-6):
+        costs = GameCosts(c, 0.01)
+        assert solve_saddle(STD, costs).threshold == solve_l_phi(STD, costs)
 
 
 def test_solve_saddle_cases():
