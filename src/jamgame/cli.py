@@ -744,6 +744,8 @@ def _load_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's int-from-str digit limit
+        raise ConfigError(f"config: cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
     return raw
@@ -757,6 +759,8 @@ def _parse_override(item: str) -> tuple[str, object]:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
+    except ValueError as exc:  # an integer past Python's int-from-str digit limit
+        raise ConfigError(f"--set {key}: {exc}") from exc
     return key, value
 
 

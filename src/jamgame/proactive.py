@@ -1,20 +1,16 @@
 """Saddle points of the point-to-point estimation game against a proactive jammer.
 
 The jammer commits to a jam probability phi before seeing the channel.  For a
-fixed phi the coordinator's best transmission rule is a threshold test on the
-squared deviation from the no-transmission symbol, and both representation
-symbols sit at the source mean.  The jammer's side of the saddle is determined
-by the sign structure of the marginal value of jamming
-
-    G(phi) = 2 int_{sqrt(c/(1-phi))}^inf x^2 f(x) dx - d
-
-which is strictly decreasing with limit -d as phi -> 1.  If G(0) < 0 jamming
-never pays and the equilibrium is the classic no-jammer threshold solution;
-otherwise the equilibrium jam probability is the unique root of G, where the
-jammer is indifferent over all phi.  The root puts the trigger at the
-indifference threshold l_phi, which the many-sensor game (`largescale`)
-shares, as it shares the cost of a threshold rule (`network`); both are
-computed here.
+fixed phi the coordinator transmits iff the squared deviation S from the
+source mean exceeds r = c / (1 - phi), and both representation symbols sit at
+the mean.  The jammer's marginal value of jamming, G(r) = E[S 1(S > r)] - d,
+falls strictly in r toward -d.  If G(c) < 0 jamming never pays and r = c;
+otherwise the equilibrium trigger is the root of G, where the jammer is
+indifferent over all phi, and phi_star = 1 - c / r.  Exact saddles find that
+root with one bisection in r; on a Monte Carlo sample G is a step function
+whose root is an order statistic of the sampled norms.  The scalar root
+l_phi and the cost of a threshold rule are shared with the many-sensor game
+(`largescale`, `network`).
 """
 
 from __future__ import annotations
@@ -46,9 +42,7 @@ INTERIOR_JAM = "interior_jam"
 # Default Monte Carlo sample count of the vector saddle.
 MC_SAMPLES = 400_000
 
-# Bisection targets: bracket width in phi, and the residual of the
-# indifference condition at an exact root.
-_PHI_TOL = 1e-12
+# Largest residual of the indifference condition accepted at an exact root.
 _RESIDUAL_TOL = 1e-10
 
 
@@ -113,10 +107,11 @@ class ProactiveSaddle:
     """Equilibrium summary of the proactive point-to-point game.
 
     `threshold` is the squared-deviation trigger: transmit iff
-    (x - x_hat0)^2 > threshold, equal to c / (1 - phi_star); the scalar
-    interior path reports the indifference root l_phi itself, which that
-    ratio matches up to rounding.  Standard errors are zero on exact solve
-    paths and populated by the Monte Carlo vector path.
+    ||x - x_hat0||^2 > threshold.  It is c when jamming does not pay, and
+    otherwise the root r of the indifference condition itself, with
+    phi_star = 1 - c / r; c / (1 - phi_star) would lose its digits as c / r
+    shrinks.  Standard errors are zero on exact solve paths and populated by
+    the Monte Carlo vector path.
     """
 
     case: str
@@ -135,7 +130,8 @@ def _indifference_residual(centered: ScalarGaussian, d: float, l: float) -> floa
 
 
 def jammer_marginal(source: ScalarGaussian, costs: GameCosts, phi: float) -> float:
-    """G(phi), the jammer's marginal value of raising phi at the best response."""
+    """G(c / (1 - phi)), the jammer's marginal value of raising phi at the
+    best response."""
     if not 0.0 <= phi < 1.0:
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
     phi_eff = min(phi, PHI_CEIL)
@@ -161,11 +157,16 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
             stacklevel=2,
         )
         return 0.0
+    return _threshold_root(
+        lambda l: _indifference_residual(centered, d, l), source.var
+    )
 
-    def residual(l: float) -> float:
-        return _indifference_residual(centered, d, l)
 
-    lo, hi = 1e-12, 50.0 * source.var
+def _threshold_root(residual, scale: float) -> float:
+    """Root in r of a residual falling from positive to negative, for a source
+    of variance (or trace) `scale`: bracketed from [1e-12, 50 scale], then
+    bisected to a width of 1e-15 max(1, r); |residual| there is checked."""
+    lo, hi = 1e-12, 50.0 * scale
     while residual(hi) > 0.0:
         hi *= 4.0
     while residual(lo) < 0.0:
@@ -179,19 +180,19 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
     root = 0.5 * (lo + hi)
-    if not abs(residual(root)) <= _RESIDUAL_TOL:
+    resid = residual(root)
+    if not abs(resid) <= _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"l_phi bisection residual {residual(root):.3e} exceeds "
-            f"{_RESIDUAL_TOL:.0e}"
+            f"indifference root residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}"
         )
     return root
 
 
 def solve_phi_tilde(source: ScalarGaussian, costs: GameCosts) -> float:
-    """Unique root of G on [0, 1); raises NoInteriorRoot when G(0) < 0.
+    """Unique root in phi of `jammer_marginal` on [0, 1); raises
+    NoInteriorRoot when it is negative at phi = 0.
 
-    G(phi) is the indifference residual at the trigger c / (1 - phi), so the
-    root puts that trigger at l_phi: phi = 1 - c / l_phi.
+    The root puts the trigger c / (1 - phi) at l_phi: phi = 1 - c / l_phi.
     """
     g0 = jammer_marginal(source, costs, 0.0)
     if g0 < 0.0:
@@ -326,6 +327,12 @@ class _SortedNorms:
         mean, se = mean_std_err(s1, s2, self.n)
         return mean - d, float(se)
 
+    def root(self, d: float) -> float:
+        """Smallest sampled norm r with condition(r, d) <= 0: the order
+        statistic sq[j - 1] for the first j with sum(sq[j:]) / n <= d."""
+        j = int(np.searchsorted(-(self.tail1 / self.n), -d))
+        return float(self.sq[max(j - 1, 0)])
+
     def clipped(self, r: float, scale: float, c: float) -> tuple[float, float]:
         """E[c 1(S > r) + scale S 1(S <= r)] and its standard error."""
         i, s1, s2 = self.above(r)
@@ -334,24 +341,6 @@ class _SortedNorms:
         total_sq = c * c * over + scale * scale * (self.tail2[0] - s2)
         mean, se = mean_std_err(total, total_sq, self.n)
         return float(mean), float(se)
-
-
-def _vector_value(
-    diag0: DiagonalGaussian, costs: GameCosts, phi: float, norms: _SortedNorms | None
-) -> tuple[float, float]:
-    """(E[min((1-phi)||X||^2, c)] + phi (tr - d), std err) for a centered model."""
-    trace = float(diag0.variances.sum())
-    phi_eff = min(phi, PHI_CEIL)
-    r = costs.c / (1.0 - phi_eff)
-    if norms is None:
-        # isotropic: E[||X||^2 1(||X||^2 <= r)] through the chi-square identity
-        tail = norm_sq_tail_moment(diag0, r)
-        v = float(diag0.variances[0])
-        p_over = float(stats.chi2.sf(r / v, diag0.dim))
-        clipped = (1.0 - phi_eff) * (trace - tail) + costs.c * p_over
-        return clipped + phi * (trace - costs.d), 0.0
-    clipped, se = norms.clipped(r, 1.0 - phi_eff, costs.c)
-    return clipped + phi * (trace - costs.d), se
 
 
 def solve_saddle_vector(
@@ -364,14 +353,18 @@ def solve_saddle_vector(
     """Vector saddle point; transmit iff ||x - mean||^2 > threshold.
 
     The rotation to independent coordinates never changes the deviation norm,
-    so a correlated model is first whitened and the equilibrium condition
+    so a correlated model is first whitened and the equilibrium trigger r
+    solves
 
-        E[||X - mean||^2 1(||X - mean||^2 > c/(1-phi))] = d
+        E[||X - mean||^2 1(||X - mean||^2 > r)] = d
 
-    is solved in eigencoordinates: exactly (chi-square) for isotropic models,
-    by bisection over a fixed common-random-number sample otherwise.  The MC
-    root is accepted only when |condition| <= 3 standard errors, and only
-    when some sample lies above its threshold.
+    in eigencoordinates, with phi_star = 1 - c / r; when the left side falls
+    short of d already at r = c, jamming never pays and r = c.  Isotropic
+    models are solved exactly (chi-square) by the scalar saddle's root loop.
+    Otherwise the left side is estimated on a fixed common-random-number
+    sample, where it is a step function of r, and the root is the smallest
+    sampled norm at which the condition holds.  The MC root is accepted only
+    when some sample lies above it and |condition| <= 3 standard errors.
     """
     if isinstance(source, GeneralGaussian):
         diag, _ = whiten(source)
@@ -383,49 +376,32 @@ def solve_saddle_vector(
     if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
     diag0 = diag.centered()
-    exact = diag0.is_isotropic and method == "auto"
-    if exact:
-        norms = None
-
-        def condition(phi: float) -> tuple[float, float]:
-            r = costs.c / (1.0 - min(phi, PHI_CEIL))
-            return norm_sq_tail_moment(diag0, r) - costs.d, 0.0
-
+    c, d = costs.c, costs.d
+    trace = float(diag0.variances.sum())
+    r, value_se, cond_se = c, 0.0, 0.0
+    if diag0.is_isotropic and method == "auto":
+        g0 = norm_sq_tail_moment(diag0, c) - d
+        if g0 > 0.0:
+            r = max(
+                c, _threshold_root(lambda x: norm_sq_tail_moment(diag0, x) - d, trace)
+            )
+        # E[min(c/r ||X||^2, c)] through the chi-square identity
+        p_over = float(stats.chi2.sf(r / float(diag0.variances[0]), diag0.dim))
+        clipped = c / r * (trace - norm_sq_tail_moment(diag0, r)) + c * p_over
     else:
         draws = sample(diag0, seed, samples)
         sq = np.einsum("ij,ij->i", draws, draws)
         del draws  # only the norms are needed from here on
         norms = _SortedNorms(sq)
-
-        def condition(phi: float) -> tuple[float, float]:
-            return norms.condition(costs.c / (1.0 - min(phi, PHI_CEIL)), costs.d)
-
-    g0, _ = condition(0.0)
-    if g0 < 0.0:
-        case, phi_star, cond_se = NO_JAM, 0.0, 0.0
-    else:
-        case = INTERIOR_JAM
-        lo, hi = 0.0, PHI_CEIL
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            g, _ = condition(mid)
-            if g > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _PHI_TOL:
-                break
-        phi_star = 0.5 * (lo + hi)
-        resid, cond_se = condition(phi_star)
-        if exact:
-            if abs(resid) > _RESIDUAL_TOL:
-                raise ConvergenceError(f"equilibrium residual {resid:.3e}")
-        else:
-            r = costs.c / (1.0 - min(phi_star, PHI_CEIL))
+        g0, _ = norms.condition(c, d)
+        if g0 > 0.0:
+            # the condition is positive at c, so the root is a norm above c
+            r = norms.root(d)
+            resid, cond_se = norms.condition(r, d)
             if norms.above(r)[0] == norms.n:
                 raise ConvergenceError(
                     f"no sample of the {norms.n} exceeds the threshold {r:.6g} "
-                    f"at phi_star = {phi_star:.6g}: the root lies beyond the "
+                    f"at phi_star = {1.0 - c / r:.6g}: the root lies beyond the "
                     "sampled norms; increase samples"
                 )
             if abs(resid) > 3.0 * cond_se:
@@ -433,9 +409,11 @@ def solve_saddle_vector(
                     f"MC equilibrium residual {resid:.3e} exceeds "
                     f"3 x {cond_se:.3e}; increase samples"
                 )
-    value, value_se = _vector_value(diag0, costs, phi_star, norms)
+        clipped, value_se = norms.clipped(r, c / r, c)
+    case = NO_JAM if g0 < 0.0 else INTERIOR_JAM
+    phi_star = 1.0 - c / r
+    value = clipped + phi_star * (trace - d)
     estimator = ReprSymbols(mean, mean)
-    threshold = costs.c / (1.0 - phi_star)
     return ProactiveSaddle(
-        case, phi_star, threshold, estimator, value, value_se, cond_se
+        case, phi_star, r, estimator, value, value_se, cond_se
     )

@@ -485,6 +485,17 @@ def test_oversized_integers_exit_2(tmp_path, capsys):
     assert run(["simulate", "--config", sim, "--out", str(tmp_path / "o2"),
                 "--set", "n=100000000000000000000000"]) == 2
     assert "n: must fit in 64 bits" in capsys.readouterr().err
+    # past Python's 4300-digit limit json.loads itself refuses the integer;
+    # the message still names the file or the --set key
+    digits = "9" * 5000
+    huge_file = tmp_path / "huge.json"
+    huge_file.write_text('{"costs": {"c": %s, "d": 1.0}}' % digits)
+    assert run(["solve", "reactive", "--config", str(huge_file),
+                "--out", str(tmp_path / "o3")]) == 2
+    assert f"config: cannot parse {huge_file}: " in capsys.readouterr().err
+    assert run(["simulate", "--config", sim, "--out", str(tmp_path / "o4"),
+                "--set", f"n={digits}"]) == 2
+    assert "error: --set n: " in capsys.readouterr().err
     # a seed of any size is valid: SeedSequence takes it
     assert parse_config(_base_reactive(mode="reactive", seed=10**30)).seed == 10**30
 

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jamgame.gaussian import DiagonalGaussian, GeneralGaussian, ScalarGaussian
+from jamgame.gaussian import (
+    DiagonalGaussian,
+    GeneralGaussian,
+    ScalarGaussian,
+    norm_sq_tail_moment,
+)
 from jamgame.proactive import (
     INTERIOR_JAM,
     NO_JAM,
@@ -241,8 +246,6 @@ def test_vector_isotropic_m5_and_no_jam():
     assert sad.case == INTERIOR_JAM
     assert 0.0 < sad.phi_star < 1.0
     # condition residual is tiny on the exact path
-    from jamgame.gaussian import norm_sq_tail_moment
-
     resid = norm_sq_tail_moment(iso, sad.threshold) - 1.0
     assert abs(resid) <= 1e-9
 
@@ -251,6 +254,37 @@ def test_vector_isotropic_m5_and_no_jam():
     )
     assert no_jam.case == NO_JAM
     assert no_jam.phi_star == 0.0
+
+
+@st.composite
+def _isotropic_instances(draw):
+    """(m, var, c, d) with var, c and d log-uniform; d at most 0.9 trace."""
+    m = draw(st.integers(1, 64))
+    var = 10.0 ** draw(st.floats(-3.0, 3.0))
+    trace = m * var
+    c = trace * 10.0 ** draw(st.floats(-4.0, 1.0))
+    d = trace * 10.0 ** draw(st.floats(-6.0, math.log10(0.9)))
+    return m, var, c, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instance=_isotropic_instances())
+@example(instance=(7, 3.2541768737133654, 0.1744254987750131, 1.6028246347057813))
+def test_vector_isotropic_root_solves_the_condition(instance):
+    # the exact isotropic saddle shares the scalar root loop in the threshold:
+    # it always converges, and at m = 1 it lands on the scalar saddle's root
+    m, var, c, d = instance
+    iso = DiagonalGaussian(np.zeros(m), np.full(m, var))
+    costs = GameCosts(c, d)
+    sad = solve_saddle_vector(iso, costs)
+    assert sad.phi_star == 1.0 - c / sad.threshold
+    if sad.case == INTERIOR_JAM:
+        assert abs(norm_sq_tail_moment(iso, sad.threshold) - d) <= 1e-10
+    else:
+        assert sad.threshold == c
+    if m == 1:
+        scalar = solve_saddle(ScalarGaussian(0.0, var), costs).threshold
+        assert sad.threshold == pytest.approx(scalar, rel=1e-12, abs=0.0)
 
 
 def test_vector_mc_agrees_with_exact_on_isotropic():
@@ -301,12 +335,20 @@ def test_sorted_norms_match_direct_estimators():
     # above the largest norm nothing is left: the condition is exactly -d
     assert norms.above(sq.max())[0] == n
     assert norms.condition(sq.max() + 1.0, d) == (-d, 0.0)
+    # the root is the smallest sampled norm at which the condition holds: in
+    # the bulk, on the plateau where only the largest norm satisfies it, and
+    # at the smallest norm when d is above the mean norm
+    ordered = np.sort(sq)
+    for d in (0.7, 2.0, 0.5 * ordered[-1] / n, 2.0 * sq.mean()):
+        first = next(s for s in ordered if norms.condition(s, d)[0] <= 0.0)
+        assert norms.root(d) == first
+    assert norms.root(0.5 * ordered[-1] / n) == ordered[-1]
+    assert norms.root(2.0 * sq.mean()) == ordered[0]
 
 
 def test_vector_mc_plateau_names_the_sample_size():
-    # d so small that the root's threshold lies beyond every one of the 50
-    # sampled norms: the bisection ends on the plateau where no sample is
-    # above the threshold
+    # d so small that the root is the largest of the 50 sampled norms, the
+    # plateau where no sample lies above the threshold
     aniso = DiagonalGaussian(np.zeros(3), np.array([1.0, 2.0, 0.5]))
     with pytest.raises(ConvergenceError, match="no sample of the 50 exceeds"):
         solve_saddle_vector(aniso, GameCosts(1.0, 0.05), samples=50, seed=1)
