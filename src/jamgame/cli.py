@@ -57,7 +57,6 @@ from .reactive import (
     SolverConfig,
     solve_gda,
     solve_pga_ccp,
-    transmit_region,
 )
 from .reactive import objective as reactive_objective
 
@@ -294,7 +293,7 @@ def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
     return source, echo
 
 
-def _parse_simulate(top: dict, source: ScalarGaussian, costs: GameCosts):
+def _parse_simulate(top: dict, source: ScalarGaussian):
     """(ExperimentConfig fields, echo) of simulate mode's network and policy."""
     n = top["n"]
     if ("capacity" in top) == ("kappa_bar" in top):
@@ -319,16 +318,16 @@ def _parse_simulate(top: dict, source: ScalarGaussian, costs: GameCosts):
         section[key] = section.pop(key, source.mean)
     symbols = ReprSymbols(section["x_hat0"], section["x_hat1"])
     if blind:
-        policies = _build(
-            RoundPolicies, "simulate", symbols=symbols,
-            threshold=section["threshold"], jam_phi=section["phi"],
-        )
+        phi = section["phi"]
+        if not 0.0 <= phi <= 1.0:
+            raise ConfigError(f"simulate.phi: must lie in [0, 1], got {phi}")
+        jammer, threshold = ReactivePolicy(phi, phi), section["threshold"]
     else:
-        policy = _build(ReactivePolicy, "simulate", section["alpha"], section["beta"])
+        jammer = _build(ReactivePolicy, "simulate", section["alpha"], section["beta"])
         if n != 1:
             raise ConfigError("simulate: the (alpha, beta) jammer requires n = 1")
-        region = transmit_region(symbols, policy, costs)
-        policies = RoundPolicies(symbols=symbols, region=region, jam_reactive=policy)
+        threshold = None
+    policies = _build(RoundPolicies, "simulate", symbols, jammer, threshold)
     parsed = {"network": network, "trials": section["trials"], "policies": policies}
     return parsed, {"n": n, "capacity": network.capacity, "simulate": section}
 
@@ -410,8 +409,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict into a runnable experiment.
 
     Unknown keys anywhere are errors; every message names the offending
-    field.  The returned `normalized` echo has all defaults filled in, so
-    re-parsing it reproduces the run exactly.
+    field.  The returned `normalized` echo holds every field the run reads,
+    defaults filled in, so re-parsing it reproduces the run exactly.
     """
     top = _read("", raw)
     mode = top["mode"]
@@ -451,8 +450,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "source": source_echo,
         "costs": costs_echo,
         "seed": seed,
-        "solver": solver_echo,
     }
+    # only the solver fields the run reads; the others are accepted, so
+    # older records replay
+    if mode == "reactive":
+        normalized["solver"] = solver_echo
+    elif mode == "proactive":
+        normalized["solver"] = {"mc_samples": solver_echo["mc_samples"]}
     parsed = {}
     if mode in ("large_scale", "simulate") and source_echo["dimension"] != 1:
         raise ConfigError(f"source.dimension: {mode} mode is scalar")
@@ -460,7 +464,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         parsed["kappa_bar"] = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
         normalized["kappa_bar"] = top["kappa_bar"]
     elif mode == "simulate":
-        parsed, echo = _parse_simulate(top, source, costs)
+        parsed, echo = _parse_simulate(top, source)
         normalized |= echo
     return ExperimentConfig(
         mode, seed, normalized, source, costs, solver, algorithm, **parsed
@@ -539,14 +543,14 @@ def _run_large_scale(config: ExperimentConfig):
 
 def _run_simulate(config: ExperimentConfig):
     policies = config.policies
-    if policies.jam_reactive is None:
+    if policies.threshold is not None:
         analytic = jn_analytic(
             config.source, config.costs, config.network, policies.threshold,
-            policies.symbols, policies.jam_phi,
+            policies.symbols, policies.jammer.alpha,
         )
     else:
         analytic = reactive_objective(
-            config.source, config.costs, policies.symbols, policies.jam_reactive
+            config.source, config.costs, policies.symbols, policies.jammer
         )
     estimate = estimate_cost(
         config.source, config.costs, config.network, policies,

@@ -30,7 +30,7 @@ from scipy import special, stats
 
 from .gaussian import ScalarGaussian, interval_moments, philox_rng
 from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
-from .reactive import ReactivePolicy, TransmitRegion
+from .reactive import ReactivePolicy, transmit_region
 
 _MIN_UNIFORM = 2.0**-54
 _CHUNK = 100_000
@@ -91,25 +91,19 @@ class EmpiricalEstimate:
 
 @dataclass(frozen=True, eq=False)
 class RoundPolicies:
-    """Homogeneous per-round strategies: one transmission rule (threshold on
-    the squared deviation from x_hat0, or an explicit region) and one jammer
-    (channel-blind probability phi, or occupancy-dependent (alpha, beta))."""
+    """Homogeneous per-round strategies: one jammer, channel-blind with
+    probability phi when alpha == beta == phi, and one transmission rule, a
+    threshold on the squared deviation from x_hat0 or, when `threshold` is
+    None, the coordinator's best response to the jammer (`transmit_region`).
+    A jammer with alpha != beta senses the channel and needs n = 1."""
 
     symbols: ReprSymbols
+    jammer: ReactivePolicy
     threshold: float | None = None
-    region: TransmitRegion | None = None
-    jam_phi: float | None = None
-    jam_reactive: ReactivePolicy | None = None
 
     def __post_init__(self):
-        if (self.threshold is None) == (self.region is None):
-            raise ValueError("exactly one of threshold or region is required")
-        if (self.jam_phi is None) == (self.jam_reactive is None):
-            raise ValueError("exactly one of jam_phi or jam_reactive is required")
         if self.threshold is not None and self.threshold < 0.0:
             raise ValueError("threshold must be nonnegative")
-        if self.jam_phi is not None and not (0.0 <= self.jam_phi <= 1.0):
-            raise ValueError(f"jam_phi must lie in [0, 1], got {self.jam_phi}")
 
 
 def binomial_cdf(n: int, kappa: int, p: float) -> float:
@@ -167,13 +161,6 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return np.maximum(u, _MIN_UNIFORM)
 
 
-def _transmit_mask(x: np.ndarray, policies: RoundPolicies) -> np.ndarray:
-    if policies.threshold is not None:
-        dev = x - policies.symbols.x_hat0
-        return dev * dev > policies.threshold
-    return np.atleast_1d(policies.region.q(x)) > 0.0
-
-
 def _trial_costs(
     source: ScalarGaussian,
     costs: GameCosts,
@@ -185,27 +172,30 @@ def _trial_costs(
 ):
     """Per-trial costs and channel state for trials [start, start + count)."""
     n = config.n
+    jammer = policies.jammer
+    if jammer.alpha != jammer.beta and n != 1:
+        raise ValueError(
+            "a channel-sensing jammer (alpha != beta) is only supported for n = 1"
+        )
+    x0, x1 = policies.symbols.scalars()
+    if policies.threshold is None:
+        region = transmit_region(policies.symbols, jammer, costs)
     x = np.empty((count, n))
-    for s in range(n):
-        u = _uniforms(seed, s, start, count)
-        x[:, s] = source.mean + source.std * special.ndtri(u)
     transmit = np.empty((count, n), dtype=bool)
     for s in range(n):
-        transmit[:, s] = _transmit_mask(x[:, s], policies)
+        u = _uniforms(seed, s, start, count)
+        xs = x[:, s] = source.mean + source.std * special.ndtri(u)
+        if policies.threshold is None:
+            transmit[:, s] = region.contains(xs)
+        else:
+            dev = xs - x0
+            transmit[:, s] = dev * dev > policies.threshold
     p_count = transmit.sum(axis=1)
+    # an occupied channel is jammed with probability beta, an idle one alpha
     w = _uniforms(seed, n, start, count)
-    if policies.jam_phi is not None:
-        jam = w < policies.jam_phi
-    else:
-        if n != 1:
-            raise ValueError(
-                "a channel-sensing jammer is only supported for n = 1"
-            )
-        pol = policies.jam_reactive
-        jam = w < np.where(transmit[:, 0], pol.beta, pol.alpha)
+    jam = w < np.where(p_count > 0, jammer.beta, jammer.alpha)
     intrinsic = p_count > config.capacity
     collision = intrinsic | jam
-    x0, x1 = policies.symbols.scalars()
     sq0 = (x - x0) ** 2
     sq1 = (x - x1) ** 2
     err = np.where(

@@ -42,7 +42,8 @@ INTERIOR_JAM = "interior_jam"
 # Default Monte Carlo sample count of the vector saddle.
 MC_SAMPLES = 400_000
 
-# Largest residual of the indifference condition accepted at an exact root.
+# Largest residual of the indifference condition accepted at an exact root,
+# relative to the source's variance (or trace).
 _RESIDUAL_TOL = 1e-10
 
 
@@ -165,7 +166,9 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
 def _threshold_root(residual, scale: float) -> float:
     """Root in r of a residual falling from positive to negative, for a source
     of variance (or trace) `scale`: bracketed from [1e-12, 50 scale], then
-    bisected to a width of 1e-15 max(1, r); |residual| there is checked."""
+    bisected to a width of 1e-15 r; |residual| <= 1e-10 scale there is
+    checked.  Both tolerances are relative, so the root keeps its digits at
+    any source scale."""
     lo, hi = 1e-12, 50.0 * scale
     while residual(hi) > 0.0:
         hi *= 4.0
@@ -177,13 +180,14 @@ def _threshold_root(residual, scale: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
+        if hi - lo <= 1e-15 * hi:
             break
     root = 0.5 * (lo + hi)
     resid = residual(root)
-    if not abs(resid) <= _RESIDUAL_TOL:
+    bound = _RESIDUAL_TOL * scale
+    if not abs(resid) <= bound:
         raise ConvergenceError(
-            f"indifference root residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}"
+            f"indifference root residual {resid:.3e} exceeds {bound:.3e}"
         )
     return root
 

@@ -78,50 +78,27 @@ def _ascend(policy: ReactivePolicy, step: float, grad_phi: np.ndarray) -> Reacti
 
 @dataclass(frozen=True, eq=False)
 class TransmitRegion:
-    """The set {x : q(x) > 0} where the sensor prefers to transmit.
+    """The scalar set {x : q(x) > 0} where the sensor prefers to transmit.
 
-    q(x) = (alpha - beta) ||x - xhat1||^2 + (1 - alpha) ||x - xhat0||^2
+    q(x) = (alpha - beta) (x - xhat1)^2 + (1 - alpha) (x - xhat0)^2
            - c - d (alpha - beta).
 
-    For scalar symbols the region is a union of at most two open intervals,
-    stored sorted and disjoint in `intervals`.  For vector symbols only the
-    predicate `contains` is available.  A quadratic tangent to zero from
-    above is reported as the full line; the single non-transmitting point has
+    The region is a union of at most two open intervals, stored sorted and
+    disjoint in `intervals`.  A quadratic tangent to zero from above is
+    reported as the full line; the single non-transmitting point has
     measure zero.
     """
 
-    symbols: ReprSymbols
-    policy: ReactivePolicy
-    costs: GameCosts
-    intervals: tuple[tuple[float, float], ...] | None
+    intervals: tuple[tuple[float, float], ...]
 
-    @property
-    def dim(self) -> int:
-        return self.symbols.dim
-
-    def q(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x) if self.dim > 1 else np.atleast_1d(x)[..., None]
-        a, b = self.policy.alpha, self.policy.beta
-        d1 = pts - self.symbols.x_hat1
-        d0 = pts - self.symbols.x_hat0
-        val = (
-            (a - b) * np.einsum("ij,ij->i", d1, d1)
-            + (1.0 - a) * np.einsum("ij,ij->i", d0, d0)
-            - self.costs.c
-            - self.costs.d * (a - b)
-        )
-        return val if np.ndim(x) > (1 if self.dim > 1 else 0) else float(val[0])
-
-    def contains(self, x) -> bool:
-        if self.intervals is not None and self.dim == 1:
-            xf = float(x)
-            return any(lo < xf < hi for lo, hi in self.intervals)
-        return bool(self.q(x) > 0.0)
+    def contains(self, x):
+        """Whether x lies in the region; elementwise for an array of points."""
+        inside = np.zeros(np.shape(x), dtype=bool)
+        for lo, hi in self.intervals:
+            inside |= (lo < x) & (x < hi)
+        return inside if inside.ndim else bool(inside)
 
     def complement_intervals(self) -> tuple[tuple[float, float], ...]:
-        if self.intervals is None:
-            raise ValueError("interval form is only available for scalar symbols")
         edges = [-math.inf, *(v for piece in self.intervals for v in piece), math.inf]
         return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
 
@@ -150,15 +127,16 @@ def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:
 def transmit_region(
     symbols: ReprSymbols, policy: ReactivePolicy, costs: GameCosts
 ) -> TransmitRegion:
-    """Solve the transmit/stay-silent comparison into an explicit region."""
+    """Solve the transmit/stay-silent comparison into an explicit region;
+    scalar symbols only."""
     if symbols.dim != 1:
-        return TransmitRegion(symbols, policy, costs, None)
+        raise ValueError("the transmit region is only solved for scalar symbols")
     edges, first = _region_edges(
         policy.alpha, policy.beta, *symbols.scalars(), costs.c, costs.d
     )
     bounds = (-math.inf, *edges, math.inf)
     segments = tuple(zip(bounds[:-1], bounds[1:]))
-    return TransmitRegion(symbols, policy, costs, segments[0 if first else 1::2])
+    return TransmitRegion(segments[0 if first else 1::2])
 
 
 def _box_gap(grad, point) -> float:
@@ -303,11 +281,9 @@ class ExactScalarModel:
             -2.0 * (a * x1 + (1.0 - a) * x0),
             a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a,
         )
-        (p_t, m1_t), (p_n, m1_n) = _mass(t), _mass(n)
-        grad_xhat = np.array([
-            -2.0 * (1.0 - a) * (m1_n - x0 * p_n),
-            -2.0 * b * (m1_t - x1 * p_t) - 2.0 * a * (m1_n - x1 * p_n),
-        ])
+        mass_t, mass_n = _mass(t), _mass(n)
+        # the symbol gradient is the concave part's with the masses swapped
+        grad_xhat = _scalar_ccp_g(a, b, x0, x1, *mass_n, *mass_t)
         grad_phi = (
             _quad((0.0, 2.0 * (x0 - x1), x1 * x1 - x0 * x0 - d), n),
             _quad((1.0, -2.0 * x1, x1 * x1 - d), t),
@@ -317,7 +293,7 @@ class ExactScalarModel:
             _quad(f_t, t) + _quad(f_nt, n), 0.0,
             _quad(f_t, n) + _quad(f_nt, t), 0.0,
             grad_xhat, zero, np.array(grad_phi), zero,
-            _scalar_ccp_g(a, b, x0, x1, p_t, m1_t, p_n, m1_n), zero,
+            _scalar_ccp_g(a, b, x0, x1, *mass_t, *mass_n), zero,
             _certificate(grad_xhat, grad_phi, policy), 0.0,
         )
 
@@ -589,15 +565,6 @@ def random_init(source, seed: int) -> tuple[ReprSymbols, ReactivePolicy]:
     return symbols, ReactivePolicy(float(a), float(b))
 
 
-def _resolve_init(source, config, init):
-    if init is None:
-        return default_init(source)
-    if init == "random":
-        return random_init(source, config.seed)
-    symbols, policy = init
-    return symbols, policy
-
-
 def _step(config: SolverConfig, k: int) -> float:
     if config.pga_step_rule == "inv_sqrt":
         return config.pga_step / math.sqrt(k)
@@ -608,7 +575,7 @@ def _run(source, costs, config, init, update):
     """Iterate `update` from the start point.  Each iterate's certificate
     evaluation is handed to the next update, so no point is evaluated twice."""
     model = _build_model(source, costs, config)
-    symbols, policy = _resolve_init(source, config, init)
+    symbols, policy = default_init(source) if init is None else init
     ev = model.evaluate(symbols, policy)
     trace = []
     converged = False

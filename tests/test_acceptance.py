@@ -410,7 +410,7 @@ def test_criterion_7_simulator_analytic_agreement():
         phi = rng.uniform(0.0, 0.9)
         symbols = draw_symbols(source)
         threshold = costs.c / (1.0 - phi)
-        policies = RoundPolicies(symbols=symbols, threshold=threshold, jam_phi=phi)
+        policies = RoundPolicies(symbols, ReactivePolicy(phi, phi), threshold)
         est = estimate_cost(
             source, costs, NetworkConfig(1, 1), policies,
             trials=trials, seed=MASTER_SEED + i,
@@ -423,8 +423,7 @@ def test_criterion_7_simulator_analytic_agreement():
         source, costs = draw_source_costs()
         symbols = draw_symbols(source)
         policy = ReactivePolicy(rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9))
-        region = transmit_region(symbols, policy, costs)
-        policies = RoundPolicies(symbols=symbols, region=region, jam_reactive=policy)
+        policies = RoundPolicies(symbols, policy)
         est = estimate_cost(
             source, costs, NetworkConfig(1, 1), policies,
             trials=trials, seed=MASTER_SEED + 100 + i,
@@ -440,7 +439,7 @@ def test_criterion_7_simulator_analytic_agreement():
             symbols = draw_symbols(source)
             threshold = rng.uniform(0.2, 4.0) * source.var
             phi = rng.uniform(0.0, 0.9)
-            policies = RoundPolicies(symbols=symbols, threshold=threshold, jam_phi=phi)
+            policies = RoundPolicies(symbols, ReactivePolicy(phi, phi), threshold)
             est = estimate_cost(
                 source, costs, config, policies,
                 trials=trials, seed=MASTER_SEED + 200 + 50 * j + i,

@@ -574,6 +574,7 @@ def test_echo_spells_number_fields_as_floats():
 _DELETE = object()
 _VALID = {
     "proactive": _base_reactive(mode="proactive"),
+    "reactive": _base_reactive(mode="reactive"),
     "large_scale": _base_reactive(mode="large_scale", kappa_bar=0.5),
     "blind": {**_base_reactive(mode="simulate"), "n": 5, "capacity": 2,
               "simulate": {"trials": 10, "threshold": 1.0, "phi": 0.5}},
@@ -668,6 +669,31 @@ def _bad_config(base, path, value):
     else:
         node[last] = value
     return raw
+
+
+_EVERY_SOLVER_KEY = {
+    "epsilon": 0.002, "max_iters": 7, "pga_step": 0.2, "pga_step_rule": "inv_sqrt",
+    "gd_step": 0.02, "mc_samples": 3000, "algorithm": "gda",
+}
+
+
+@pytest.mark.parametrize("base, echoed", [
+    ("proactive", ["mc_samples"]),
+    ("reactive", list(_EVERY_SOLVER_KEY)),
+    ("large_scale", None),
+    ("blind", None),
+    ("sensing", None),
+])
+def test_echo_holds_only_the_solver_fields_the_run_reads(base, echoed):
+    raw = copy.deepcopy(_VALID[base])
+    # every solver key is accepted as input, read by the run or not
+    raw["solver"] = dict(_EVERY_SOLVER_KEY)
+    echo = parse_config(raw).normalized
+    assert parse_config(json.loads(json.dumps(echo))).normalized == echo
+    if echoed is None:
+        assert "solver" not in echo
+    else:
+        assert echo["solver"] == {key: _EVERY_SOLVER_KEY[key] for key in echoed}
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Tests for the finite-population channel analytics and simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import jamgame.network as network
@@ -28,7 +31,7 @@ from jamgame.proactive import (
     objective_with_threshold,
     solve_saddle,
 )
-from jamgame.reactive import ReactivePolicy, transmit_region
+from jamgame.reactive import ReactivePolicy
 from jamgame.reactive import objective as reactive_objective
 
 STD = ScalarGaussian(0.0, 1.0)
@@ -62,27 +65,18 @@ def test_config_from_kappa():
 
 
 def test_round_policies_validation():
+    # one jammer pair and one optional threshold; None is the best response
+    assert [f.name for f in dataclasses.fields(RoundPolicies)] == [
+        "symbols", "jammer", "threshold",
+    ]
     sym = ReprSymbols(0.0, 0.0)
-    RoundPolicies(symbols=sym, threshold=1.0, jam_phi=0.5)
+    assert RoundPolicies(sym, ReactivePolicy(0.5, 0.5), 1.0).threshold == 1.0
+    assert RoundPolicies(sym, ReactivePolicy(0.1, 0.2)).threshold is None
+    RoundPolicies(sym, ReactivePolicy(0.5, 0.5), 0.0)
     with pytest.raises(ValueError):
-        RoundPolicies(symbols=sym, jam_phi=0.5)
+        RoundPolicies(sym, ReactivePolicy(0.5, 0.5), -1.0)
     with pytest.raises(ValueError):
-        RoundPolicies(
-            symbols=sym,
-            threshold=1.0,
-            region=transmit_region(sym, ReactivePolicy(0.1, 0.2), GameCosts(1.0, 1.0)),
-            jam_phi=0.5,
-        )
-    with pytest.raises(ValueError):
-        RoundPolicies(symbols=sym, threshold=1.0)
-    with pytest.raises(ValueError):
-        RoundPolicies(
-            symbols=sym, threshold=1.0, jam_phi=0.5, jam_reactive=ReactivePolicy(0.1, 0.2)
-        )
-    with pytest.raises(ValueError):
-        RoundPolicies(symbols=sym, threshold=-1.0, jam_phi=0.5)
-    with pytest.raises(ValueError):
-        RoundPolicies(symbols=sym, threshold=1.0, jam_phi=1.5)
+        RoundPolicies(sym, ReactivePolicy(1.5, 1.5), 1.0)
 
 
 def test_empirical_estimate_validation():
@@ -186,7 +180,7 @@ def test_uniform_addressing_is_chunk_invariant():
 def test_simulate_round_matches_estimate():
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(5, 2)
-    policies = RoundPolicies(symbols=ReprSymbols(0.1, -0.2), threshold=1.3, jam_phi=0.4)
+    policies = RoundPolicies(ReprSymbols(0.1, -0.2), ReactivePolicy(0.4, 0.4), 1.3)
     est = estimate_cost(STD, costs, config, policies, trials=64, seed=11)
     replayed = np.array([
         simulate_round(STD, costs, config, policies, seed=11, trial=t)[0]
@@ -199,7 +193,7 @@ def test_simulate_round_matches_estimate():
 def test_estimate_chunking_invariant(monkeypatch):
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(3, 1)
-    policies = RoundPolicies(symbols=ReprSymbols(0.0, 0.0), threshold=0.8, jam_phi=0.2)
+    policies = RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.2, 0.2), 0.8)
     whole = estimate_cost(STD, costs, config, policies, trials=500, seed=4)
     monkeypatch.setattr(network, "_CHUNK", 7)
     chunked = estimate_cost(STD, costs, config, policies, trials=500, seed=4)
@@ -210,7 +204,7 @@ def test_estimate_chunking_invariant(monkeypatch):
 def test_estimate_determinism_and_error_scaling():
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(4, 2)
-    policies = RoundPolicies(symbols=ReprSymbols(0.2, -0.1), threshold=1.0, jam_phi=0.3)
+    policies = RoundPolicies(ReprSymbols(0.2, -0.1), ReactivePolicy(0.3, 0.3), 1.0)
     a = estimate_cost(STD, costs, config, policies, trials=20_000, seed=2)
     b = estimate_cost(STD, costs, config, policies, trials=20_000, seed=2)
     assert a.mean == b.mean and a.std_err == b.std_err
@@ -231,7 +225,7 @@ def test_estimate_agrees_with_analytic():
     ):
         config = NetworkConfig(n, cap)
         symbols = ReprSymbols(0.1, -0.2)
-        policies = RoundPolicies(symbols=symbols, threshold=threshold, jam_phi=phi)
+        policies = RoundPolicies(symbols, ReactivePolicy(phi, phi), threshold)
         exact = jn_analytic(STD, costs, config, threshold, symbols, phi)
         est = estimate_cost(STD, costs, config, policies, trials=200_000, seed=seed)
         assert abs(est.mean - exact) <= 3.0 * est.std_err
@@ -243,7 +237,7 @@ def test_silent_round_outcome_and_cost():
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(5, 2)
     symbols = ReprSymbols(0.3, -0.3)
-    policies = RoundPolicies(symbols=symbols, threshold=1e12, jam_phi=0.0)
+    policies = RoundPolicies(symbols, ReactivePolicy(0.0, 0.0), 1e12)
     for trial in range(5):
         cost, outcome = simulate_round(STD, costs, config, policies, seed=3, trial=trial)
         assert outcome == ChannelOutcome("idle", (), False, False)
@@ -259,7 +253,7 @@ def test_jammed_round_outcome():
     costs = GameCosts(1.0, 2.0)
     config = NetworkConfig(5, 2)
     symbols = ReprSymbols(0.3, -0.3)
-    policies = RoundPolicies(symbols=symbols, threshold=1e12, jam_phi=1.0)
+    policies = RoundPolicies(symbols, ReactivePolicy(1.0, 1.0), 1e12)
     cost, outcome = simulate_round(STD, costs, config, policies, seed=3, trial=0)
     assert outcome == ChannelOutcome("collision", (), False, True)
     x = np.array([
@@ -274,7 +268,7 @@ def test_delivered_round_carries_packets():
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(3, 2)
     symbols = ReprSymbols(0.0, 0.0)
-    policies = RoundPolicies(symbols=symbols, threshold=1.0, jam_phi=0.0)
+    policies = RoundPolicies(symbols, ReactivePolicy(0.0, 0.0), 1.0)
     kinds = set()
     for trial in range(200):
         cost, outcome = simulate_round(STD, costs, config, policies, seed=9, trial=trial)
@@ -293,11 +287,7 @@ def test_delivered_round_carries_packets():
 
 
 def test_reactive_jammer_single_sensor_only():
-    policies = RoundPolicies(
-        symbols=ReprSymbols(0.0, 0.0),
-        threshold=1.0,
-        jam_reactive=ReactivePolicy(0.2, 0.5),
-    )
+    policies = RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.2, 0.5), 1.0)
     with pytest.raises(ValueError):
         estimate_cost(STD, GameCosts(1.0, 1.0), NetworkConfig(2, 1), policies,
                       trials=10, seed=0)
@@ -308,8 +298,7 @@ def test_reactive_jammer_matches_exact_objective():
     config = NetworkConfig(1, 1)
     symbols = ReprSymbols(0.5, -0.5)
     policy = ReactivePolicy(0.1, 0.45)
-    region = transmit_region(symbols, policy, costs)
-    policies = RoundPolicies(symbols=symbols, region=region, jam_reactive=policy)
+    policies = RoundPolicies(symbols, policy)
     exact = reactive_objective(STD, costs, symbols, policy)
     est = estimate_cost(STD, costs, config, policies, trials=200_000, seed=9)
     assert abs(est.mean - exact) <= 3.0 * est.std_err
@@ -323,17 +312,63 @@ def test_reactive_collapses_to_blind_jammer():
     config = NetworkConfig(1, 1)
     symbols = ReprSymbols(0.4, -0.6)
     phi = 0.3
-    region = transmit_region(symbols, ReactivePolicy(phi, phi), costs)
-    reactive = RoundPolicies(
-        symbols=symbols, region=region, jam_reactive=ReactivePolicy(phi, phi)
-    )
-    blind = RoundPolicies(
-        symbols=symbols, threshold=costs.c / (1.0 - phi), jam_phi=phi
-    )
+    reactive = RoundPolicies(symbols, ReactivePolicy(phi, phi))
+    blind = RoundPolicies(symbols, ReactivePolicy(phi, phi), costs.c / (1.0 - phi))
     a = estimate_cost(STD, costs, config, reactive, trials=50_000, seed=21)
     b = estimate_cost(STD, costs, config, blind, trials=50_000, seed=21)
     assert a.mean == b.mean
     assert a.std_err == b.std_err
+
+
+@st.composite
+def _simulator_cases(draw):
+    """(source, costs, config, policies, trials, chunk, seed): n in 1-6, the
+    threshold rule or the best response, a blind jammer (alpha == beta) at
+    any n or a channel-sensing one at n = 1."""
+    n = draw(st.integers(1, 6))
+    config = NetworkConfig(n, draw(st.integers(1, max(1, n - 1))))
+    source = ScalarGaussian(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.3, 3.0)))
+    costs = GameCosts(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0)))
+    symbols = ReprSymbols(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 1.0)) if n == 1 and draw(st.booleans()) else alpha
+    threshold = draw(st.one_of(st.none(), st.floats(0.0, 4.0)))
+    policies = RoundPolicies(symbols, ReactivePolicy(alpha, beta), threshold)
+    trials = draw(st.integers(2, 300))
+    chunk = draw(st.integers(1, trials + 5))
+    return source, costs, config, policies, trials, chunk, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_simulator_cases())
+@example((
+    ScalarGaussian(0.2, 1.5), GameCosts(0.8, 1.1), NetworkConfig(5, 2),
+    RoundPolicies(ReprSymbols(0.1, -0.4), ReactivePolicy(0.3, 0.3)), 200, 7, 5,
+))
+def test_simulator_contracts(case):
+    source, costs, config, policies, trials, chunk, seed = case
+    per_trial = network._trial_costs(source, costs, config, policies, seed, 0, trials)[0]
+    whole = estimate_cost(source, costs, config, policies, trials, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_CHUNK", chunk)
+        chunked = estimate_cost(source, costs, config, policies, trials, seed)
+    # the same bits for every chunk size, and the mean is that of the trials
+    assert (chunked.mean, chunked.std_err) == (whole.mean, whole.std_err)
+    assert whole.mean == float(per_trial.mean())
+    for k in sorted({0, trials - 1, seed % trials}):
+        replayed, _ = simulate_round(source, costs, config, policies, seed, trial=k)
+        assert replayed == per_trial[k]
+    jammer = policies.jammer
+    if policies.threshold is None and jammer.alpha == jammer.beta < 1.0:
+        # against a blind jammer the best response is the threshold
+        # c / (1 - phi) on the squared deviation from x_hat0
+        rule = RoundPolicies(
+            policies.symbols, jammer, costs.c / (1.0 - jammer.alpha)
+        )
+        assert np.array_equal(
+            network._trial_costs(source, costs, config, rule, seed, 0, trials)[0],
+            per_trial,
+        )
 
 
 def test_chernoff_values_and_validation():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +86,38 @@ def test_threshold_depends_only_on_d():
     for c in (1e-2, 1e-4, 1e-6):
         costs = GameCosts(c, 0.01)
         assert solve_saddle(STD, costs).threshold == solve_l_phi(STD, costs)
+
+
+def _l_phi_reference(var: float, d: float):
+    """The indifference root at 50 digits: bisection in l of
+    2 E[Z^2 1(|Z| > sqrt(l))] - d = 2 var (t pdf(t) + Q(t)) - d, t^2 = l / var,
+    on the exact binary values of var and d."""
+    with mp.workdps(50):
+        v, d = mp.mpf(var), mp.mpf(d)
+
+        def residual(l):
+            t = mp.sqrt(l / v)
+            return 2 * v * (t * mp.npdf(t) + mp.ncdf(-t)) - d
+
+        lo, hi = mp.mpf(0), 50 * v
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if residual(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_l_phi_keeps_its_digits_at_every_scale():
+    # the bisection's stopping width and residual check are relative to the
+    # source scale, so small variances lose no digits
+    for var in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4):
+        for ratio in (1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.9):
+            d = ratio * var
+            got = solve_l_phi(ScalarGaussian(0.0, var), GameCosts(1.0, d))
+            want = _l_phi_reference(var, d)
+            assert abs(mp.mpf(got) / want - 1) <= 1e-14, (var, ratio)
 
 
 def test_solve_saddle_cases():
