@@ -52,13 +52,13 @@ from .proactive import (
     solve_saddle_vector,
 )
 from .reactive import (
+    ExactScalarModel,
     FneReport,
     ReactivePolicy,
     SolverConfig,
     solve_gda,
     solve_pga_ccp,
 )
-from .reactive import objective as reactive_objective
 
 _SOLVERS = {"pga_ccp": solve_pga_ccp, "gda": solve_gda}
 
@@ -549,9 +549,8 @@ def _run_simulate(config: ExperimentConfig):
             policies.symbols, policies.jammer.alpha,
         )
     else:
-        analytic = reactive_objective(
-            config.source, config.costs, policies.symbols, policies.jammer
-        )
+        model = ExactScalarModel(config.source, config.costs)
+        analytic, _ = model.objective(policies.symbols, policies.jammer)
     estimate = estimate_cost(
         config.source, config.costs, config.network, policies,
         trials=config.trials, seed=config.seed,
@@ -781,10 +780,6 @@ def _apply_cli(raw: dict, args: argparse.Namespace, requested_mode: str) -> None
         _set_path(raw, key, value)
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.epsilon is not None:
-        _set_path(raw, "solver.epsilon", args.epsilon)
-    if args.trials is not None:
-        _set_path(raw, "simulate.trials", args.trials)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -792,12 +787,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
         "--out", default=".", help="output directory (default: current)"
-    )
-    parser.add_argument(
-        "--epsilon", type=float, help="override solver.epsilon"
-    )
-    parser.add_argument(
-        "--trials", type=int, help="override simulate.trials"
     )
     parser.add_argument(
         "--set",

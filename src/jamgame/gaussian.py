@@ -6,7 +6,6 @@ of Gaussian integrals:
 * upper-tail probability        int_t^inf f(x) dx
 * upper-tail second moment      int_t^inf x^2 f(x) dx
 * interval moments              E[X^k 1(a < X < b)]  for k = 0, 1, 2
-* clipped square loss           E[min((1 - phi)(X - xhat)^2, c)]
 * norm-square tail moment       E[||X||^2 1(||X||^2 > r)]
 
 Scalar forms are erfc-based and exact.  The norm-square tail moment is the
@@ -25,10 +24,6 @@ from scipy import special, stats
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Jam probabilities are clamped here before forming the threshold c/(1 - phi),
-# so the threshold stays finite while the clamp error is O(1e-9).
-PHI_CEIL = 1.0 - 1e-9
 
 
 def _std_tail(z: float) -> float:
@@ -221,37 +216,6 @@ def _piece_moments(left, right, m, s, mv) -> tuple[float, float, float]:
         p = 1.0 - ta - tb
     p = max(p, 0.0)
     return p, m * p + s * (qa - qb), mv * p + s * (ea - eb)
-
-
-def clipped_sq_loss(
-    source: ScalarGaussian, x_hat0: float, c: float, phi: float
-) -> float:
-    """E[min((1 - phi)(X - x_hat0)^2, c)] in closed form.
-
-    This is the coordinator's stage cost against a proactive jammer after the
-    best transmission rule is substituted: pay the squared deviation scaled by
-    the channel survival probability when it is small, or the communication
-    price `c` when deviating is worse.
-
-    phi = 1 zeroes the quadratic branch, so the value is 0 and no threshold
-    is formed.  Below 1, phi is clamped to PHI_CEIL before the threshold is
-    formed, which perturbs the result by at most O(1e-9) for phi within 1e-9
-    of 1.
-    """
-    x_hat0 = float(np.squeeze(x_hat0))
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    if phi == 1.0:
-        return 0.0
-    phi_eff = min(phi, PHI_CEIL)
-    if not phi_eff < 1.0:
-        raise ValueError(f"phi {phi} leaves no clipping threshold")
-    half_width = math.sqrt(c / (1.0 - phi_eff))
-    p_in, m1, m2 = interval_moments(source, x_hat0 - half_width, x_hat0 + half_width)
-    inside = m2 - 2.0 * x_hat0 * m1 + x_hat0 * x_hat0 * p_in
-    return (1.0 - phi_eff) * inside + c * (1.0 - p_in)
 
 
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -127,6 +127,8 @@ def classify_and_solve(
 
     estimator = ReprSymbols(source.mean, source.mean)
     interval = None
+    # every jam level is 1 - c / max(c, l_phi), as in `solve_saddle`: l_phi
+    # is 0 when d >= var, and a gate tie can still bring such a source here
     if not gate_cap and not gate_jam:
         case, threshold, phi_star, lam_star = "C1", c, 0.0, 0.0
     elif gate_cap and not gate_jam:
@@ -134,20 +136,20 @@ def classify_and_solve(
         case, phi_star, lam_star = "C2", 0.0, max(0.0, threshold - c)
     elif gate_jam and not gate_cap:
         threshold = solve_l_phi(source, costs)
-        case, phi_star, lam_star = "C3", max(0.0, 1.0 - c / threshold), 0.0
+        case, phi_star, lam_star = "C3", 1.0 - c / max(c, threshold), 0.0
     else:
         l_lam = solve_l_lambda(source, kb)
         l_phi = solve_l_phi(source, costs)
         if abs(l_lam - l_phi) <= 1e-8 * max(1.0, l_lam):
             case, threshold = "C4a", l_lam
             phi_star, lam_star = 0.0, max(0.0, threshold - c)
-            interval = (0.0, max(0.0, 1.0 - c / l_phi))
+            interval = (0.0, 1.0 - c / max(c, l_phi))
         elif l_lam > l_phi:
             case, threshold = "C4b", l_lam
             phi_star, lam_star = 0.0, max(0.0, threshold - c)
         else:
             case, threshold = "C4c", l_phi
-            phi_star, lam_star = max(0.0, 1.0 - c / threshold), 0.0
+            phi_star, lam_star = 1.0 - c / max(c, threshold), 0.0
 
     transmit_prob = 2.0 * tail_prob(centered, math.sqrt(threshold))
     value = lagrangian_value(source, costs, kb, phi_star, lam_star)

@@ -8,9 +8,12 @@ falls strictly in r toward -d.  If G(c) < 0 jamming never pays and r = c;
 otherwise the equilibrium trigger is the root of G, where the jammer is
 indifferent over all phi, and phi_star = 1 - c / r.  Exact saddles find that
 root with one bisection in r; on a Monte Carlo sample G is a step function
-whose root is an order statistic of the sampled norms.  The scalar root
-l_phi and the cost of a threshold rule are shared with the many-sensor game
-(`largescale`, `network`).
+whose root is an order statistic of the sampled norms.  The reduced scalar
+objective (`objective_tilde`) is the cost of the threshold rule at the best
+trigger c / (1 - phi), with no clamp on phi: below 1 that trigger is finite,
+and phi = 1 is the infinite trigger.  The scalar root l_phi and the cost of a
+threshold rule are shared with the many-sensor game (`largescale`,
+`network`).
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ import numpy as np
 from scipy import stats
 
 from .gaussian import (
-    PHI_CEIL,
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
-    clipped_sq_loss,
     interval_moments,
     mean_std_err,
     norm_sq_tail_moment,
@@ -45,10 +46,6 @@ MC_SAMPLES = 400_000
 # Largest residual of the indifference condition accepted at an exact root,
 # relative to the source's variance (or trace).
 _RESIDUAL_TOL = 1e-10
-
-
-class NoInteriorRoot(ValueError):
-    """The jammer's marginal value is negative already at phi = 0."""
 
 
 class ConvergenceError(RuntimeError):
@@ -132,12 +129,11 @@ def _indifference_residual(centered: ScalarGaussian, d: float, l: float) -> floa
 
 def jammer_marginal(source: ScalarGaussian, costs: GameCosts, phi: float) -> float:
     """G(c / (1 - phi)), the jammer's marginal value of raising phi at the
-    best response."""
+    best response.  The trigger is formed as is: finite for every phi < 1."""
     if not 0.0 <= phi < 1.0:
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
-    phi_eff = min(phi, PHI_CEIL)
     return _indifference_residual(
-        source.centered(), costs.d, costs.c / (1.0 - phi_eff)
+        source.centered(), costs.d, costs.c / (1.0 - phi)
     )
 
 
@@ -192,35 +188,19 @@ def _threshold_root(residual, scale: float) -> float:
     return root
 
 
-def solve_phi_tilde(source: ScalarGaussian, costs: GameCosts) -> float:
-    """Unique root in phi of `jammer_marginal` on [0, 1); raises
-    NoInteriorRoot when it is negative at phi = 0.
-
-    The root puts the trigger c / (1 - phi) at l_phi: phi = 1 - c / l_phi.
-    """
-    g0 = jammer_marginal(source, costs, 0.0)
-    if g0 < 0.0:
-        raise NoInteriorRoot(
-            f"G(0) = {g0:.6g} < 0: jamming never pays at these costs"
-        )
-    if g0 == 0.0:
-        return 0.0
-    return max(0.0, 1.0 - costs.c / solve_l_phi(source, costs))
-
-
 def objective_tilde(
     source: ScalarGaussian, costs: GameCosts, symbols: ReprSymbols, phi: float
 ) -> float:
     """Game value with the transmission rule already optimized for (symbols, phi).
 
-    E[min((1 - phi)(X - x_hat0)^2, c)] + phi (E[(X - x_hat1)^2] - d).
+    E[min((1 - phi)(X - x_hat0)^2, c)] + phi (E[(X - x_hat1)^2] - d): the
+    threshold rule's cost at the best trigger c / (1 - phi), infinite at
+    phi = 1, where the coordinator never transmits.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    x0, x1 = symbols.scalars()
-    clipped = clipped_sq_loss(source, x0, costs.c, phi)
-    mse1 = source.var + (source.mean - x1) ** 2
-    return clipped + phi * (mse1 - costs.d)
+    threshold = math.inf if phi == 1.0 else costs.c / (1.0 - phi)
+    return objective_with_threshold(source, costs, symbols, threshold, phi)
 
 
 def objective_with_threshold(

@@ -139,16 +139,13 @@ def transmit_region(
     return TransmitRegion(segments[0 if first else 1::2])
 
 
-def _box_gap(grad, point) -> float:
+def box_lp_gap(grad, point) -> float:
+    """max over p in [0,1]^len of <grad, p - point>, solved per component;
+    `grad` and `point` are equal-length sequences of numbers."""
     gap = 0.0
     for g, p in zip(grad, point):
         gap += max(g * (0.0 - p), g * (1.0 - p))
     return gap
-
-
-def box_lp_gap(grad: np.ndarray, point: np.ndarray) -> float:
-    """max over p in [0,1]^len of <grad, p - point>, solved per component."""
-    return _box_gap(np.asarray(grad, float).tolist(), np.asarray(point, float).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +176,7 @@ def _certificate(gx: np.ndarray, gp, policy: ReactivePolicy) -> float:
     `gp` a pair of floats.  The norm sums the squares exactly rounded, not
     through BLAS, whose fused or reordered products change its last bit."""
     norm = math.sqrt(math.fsum([g * g for g in gx.tolist()]))
-    return max(norm, _box_gap(gp, (policy.alpha, policy.beta)))
+    return max(norm, box_lp_gap(gp, (policy.alpha, policy.beta)))
 
 
 def _quad(coeffs, moments) -> float:
@@ -242,9 +239,20 @@ class ExactScalarModel:
     `Evaluation`.  `ccp_g`, the only quantity the convex-concave step
     reads, is computed on its own from the pieces' probabilities and first
     moments.
+
+    The first-order Nash index (`fne_index`) is first-order only, and a zero
+    index does not make a point an equilibrium.  For N(0, 2), c = 1, d = 1.5
+    the point alpha = 0, beta = 1, x_hat0 = x_hat1 = 0 has index exactly 0:
+    the sensor always transmits, so the silent symbol gets no gradient.  Yet
+    moving x_hat0 to any v > 0 lowers J, because silence then wins for
+    X > (v^2 + 0.5) / (2v).
     """
 
     def __init__(self, source: ScalarGaussian, costs: GameCosts):
+        if not isinstance(source, ScalarGaussian):
+            raise TypeError(
+                "closed-form ops take scalar sources; build McVectorModel for vectors"
+            )
         self.source = source
         self.costs = costs
         self.mean = np.array([source.mean])
@@ -428,48 +436,6 @@ def _apply_ccp_inverse(g: np.ndarray, policy: ReactivePolicy, mean: np.ndarray):
     return ReprSymbols(x0, x1)
 
 
-# -- module-level exact ops (scalar sources) ---------------------------------
-
-def _exact(source, costs) -> ExactScalarModel:
-    if not isinstance(source, ScalarGaussian):
-        raise TypeError(
-            "closed-form ops take scalar sources; build McVectorModel for vectors"
-        )
-    return ExactScalarModel(source, costs)
-
-
-def objective(source, costs, symbols, policy) -> float:
-    """Exact game value for a scalar source."""
-    return _exact(source, costs).objective(symbols, policy)[0]
-
-
-def grad_xhat(source, costs, symbols, policy) -> np.ndarray:
-    """Exact subgradient in the symbol pair (length 2)."""
-    return _exact(source, costs).grad_xhat(symbols, policy)[0]
-
-
-def grad_phi(source, costs, symbols, policy) -> np.ndarray:
-    """Exact subgradient in (alpha, beta)."""
-    return _exact(source, costs).grad_phi(symbols, policy)[0]
-
-
-def ccp_update(source, costs, symbols, policy) -> ReprSymbols:
-    """One convex-concave-procedure step on the symbols at a fixed policy."""
-    return _exact(source, costs).ccp_update(symbols, policy)
-
-
-def fne_index(source, costs, symbols, policy) -> float:
-    """First-order Nash certificate at a point (0 at an exact equilibrium).
-
-    The certificate is first-order only, and a zero index does not make a
-    point an equilibrium.  For N(0, 2), c = 1, d = 1.5 the point alpha = 0,
-    beta = 1, x_hat0 = x_hat1 = 0 has index exactly 0: the sensor always
-    transmits, so the silent symbol gets no gradient.  Yet moving x_hat0 to
-    any v > 0 lowers J, because silence then wins for X > (v^2 + 0.5) / (2v).
-    """
-    return _exact(source, costs).fne_index(symbols, policy)[0]
-
-
 # -- solvers -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -602,9 +568,9 @@ def solve_pga_ccp(source, costs, config: SolverConfig | None = None, init=None) 
 
     Convergence certifies a first-order Nash point, not a saddle point: the
     coordinator's side is nonconvex and a global best response may do better
-    (see `fne_index`).  With c = 1, d = 1.5 and the default start, the point
-    reached for N(0, 2) is a saddle point, but for N(0, 3), N(0, 4) and
-    N(0, 5) the coordinator lowers J from 1.905 / 2.850 / 3.811 to
+    (see `ExactScalarModel`).  With c = 1, d = 1.5 and the default start, the
+    point reached for N(0, 2) is a saddle point, but for N(0, 3), N(0, 4)
+    and N(0, 5) the coordinator lowers J from 1.905 / 2.850 / 3.811 to
     1.878 / 2.808 / 3.764 by never transmitting.
     """
     config = config or SolverConfig()

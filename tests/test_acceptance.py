@@ -41,17 +41,15 @@ from jamgame.proactive import (
     solve_saddle,
 )
 from jamgame.reactive import (
+    ExactScalarModel,
     McVectorModel,
     ReactivePolicy,
     SolverConfig,
-    grad_phi,
-    grad_xhat,
     random_init,
     solve_gda,
     solve_pga_ccp,
     transmit_region,
 )
-from jamgame.reactive import objective as reactive_objective
 
 STD = ScalarGaussian(0.0, 1.0)
 MASTER_SEED = 2026
@@ -202,7 +200,9 @@ def test_criterion_4_reactive_fne_structure():
             # pair does better against (alpha, beta).  The first-order index
             # cannot show that; at variances 3-5 the coordinator would rather
             # never transmit (see solve_pga_ccp), so only variance 2 is checked.
-            value = reactive_objective(source, costs_d15, rep.symbols, rep.policy)
+            value, _ = ExactScalarModel(source, costs_d15).objective(
+                rep.symbols, rep.policy
+            )
             best = _coordinator_best_response(var, 1.0, 1.5, alpha, beta)
             assert abs(best - value) <= 1e-6, (value, best)
             face = max(
@@ -327,28 +327,25 @@ def test_criterion_6_gradient_correctness():
     for _ in range(100):
         source, costs, symbols, policy = _smooth_instance(rng)
         x0, x1 = symbols.scalars()
-        gx = grad_xhat(source, costs, symbols, policy)
+        model = ExactScalarModel(source, costs)
+        gx, _ = model.grad_xhat(symbols, policy)
         for j in range(2):
             def at(eps, j=j):
                 pt = [x0, x1]
                 pt[j] += eps
-                return reactive_objective(
-                    source, costs, ReprSymbols(pt[0], pt[1]), policy
-                )
+                return model.objective(ReprSymbols(pt[0], pt[1]), policy)[0]
 
             fd = (at(h) - at(-h)) / (2.0 * h)
             err = abs(fd - gx[j]) / max(1.0, abs(gx[j]))
             worst = max(worst, err)
             assert err <= 1e-6
-        gp = grad_phi(source, costs, symbols, policy)
+        gp, _ = model.grad_phi(symbols, policy)
         base = policy.as_array()
         for i in range(2):
             def at_phi(eps, i=i):
                 p = base.copy()
                 p[i] += eps
-                return reactive_objective(
-                    source, costs, symbols, ReactivePolicy(*p)
-                )
+                return model.objective(symbols, ReactivePolicy(*p))[0]
 
             fd = (at_phi(h) - at_phi(-h)) / (2.0 * h)
             err = abs(fd - gp[i]) / max(1.0, abs(gp[i]))
@@ -428,7 +425,8 @@ def test_criterion_7_simulator_analytic_agreement():
             source, costs, NetworkConfig(1, 1), policies,
             trials=trials, seed=MASTER_SEED + 100 + i,
         )
-        z = (est.mean - reactive_objective(source, costs, symbols, policy)) / est.std_err
+        exact, _ = ExactScalarModel(source, costs).objective(symbols, policy)
+        z = (est.mean - exact) / est.std_err
         worst = max(worst, abs(z))
         assert abs(z) <= 3.0
 
@@ -502,7 +500,9 @@ def test_criterion_9_reactive_reduces_to_proactive():
             source.mean + rng.uniform(-1.5, 1.5) * sd,
         )
         phi = rng.uniform(0.0, 0.95)
-        r = reactive_objective(source, costs, symbols, ReactivePolicy(phi, phi))
+        r, _ = ExactScalarModel(source, costs).objective(
+            symbols, ReactivePolicy(phi, phi)
+        )
         t = objective_tilde(source, costs, symbols, phi)
         err = abs(r - t) / max(1.0, abs(t))
         worst = max(worst, err)

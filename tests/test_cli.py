@@ -69,6 +69,26 @@ def test_solve_large_scale_paper_instance(tmp_path):
     assert record["provenance"]["version"]
 
 
+def test_solve_large_scale_degenerate_jam_root(tmp_path):
+    # d >= var puts the indifference root at 0, and the gate tolerance still
+    # picks a case that reads it: jamming never pays
+    for kappa_bar, case in ((0.99999999, "C4a"), (1.0 - 1e-12, "C3")):
+        config = _write_config(tmp_path, "ls.json", {
+            "source": {"mean": 0.0, "variance": 1.0},
+            "costs": {"c": 1e-18, "d": 1.0},
+            "kappa_bar": kappa_bar,
+        })
+        out = tmp_path / case
+        with pytest.warns(RuntimeWarning, match="degenerates"):
+            code = run(["solve", "large-scale", "--config", config, "--out", str(out)])
+        assert code == 0
+        outputs = json.loads((out / "result.json").read_text())["outputs"]
+        assert outputs["case"] == case
+        assert outputs["phi_star"] == 0.0
+        if case == "C4a":
+            assert outputs["phi_star_interval"] == [0.0, 0.0]
+
+
 def test_solve_proactive_huge_d_never_jams(tmp_path):
     config = _write_config(tmp_path, "p.json", {
         "source": {"mean": 0.0, "variance": 1.0},
@@ -106,7 +126,7 @@ def test_nonconvergence_exit_code_still_writes_record(tmp_path):
     out = tmp_path / "out"
     code = run([
         "solve", "reactive", "--config", config, "--out", str(out),
-        "--epsilon", "1e-12", "--set", "solver.max_iters=4",
+        "--set", "solver.epsilon=1e-12", "--set", "solver.max_iters=4",
     ])
     assert code == 3
     record = json.loads((out / "result.json").read_text())
@@ -320,7 +340,7 @@ def test_validation_sweep_grids():
         parse_config(raw)
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     good = _write_config(tmp_path, "g.json", _base_reactive())
     assert run(["solve", "reactive", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -331,6 +351,11 @@ def test_cli_error_paths(tmp_path):
     assert run(["solve", "reactive", "--config", good, "--set", "oops"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
+    # only the seed has a flag of its own; other fields go through --set
+    capsys.readouterr()
+    for flag in ("--epsilon", "--trials"):
+        assert run(["solve", "reactive", "--config", good, flag, "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_override_precedence(tmp_path):
@@ -631,6 +656,9 @@ _BAD_INPUTS = [
     ("proactive", "solver.mc_samples", 1, "solver", "mc_samples"),
     ("proactive", "solver.mc_samples", 2**64, "solver", "mc_samples"),
     ("proactive", "solver.algorithm", "newton", "solver", "algorithm"),
+    # modes that never read the solver still range-check its fields
+    ("large_scale", "solver.max_iters", 0, "solver", "max_iters"),
+    ("blind", "solver.max_iters", 0, "solver", "max_iters"),
     ("blind", "simulate.trials", _DELETE, "simulate", "trials"),
     ("blind", "simulate.trials", 1, "simulate", "trials"),
     ("blind", "simulate.trials", True, "simulate", "trials"),

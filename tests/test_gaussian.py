@@ -14,7 +14,6 @@ from jamgame.gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
-    clipped_sq_loss,
     interval_moments,
     norm_sq_tail_moment,
     philox_rng,
@@ -23,7 +22,7 @@ from jamgame.gaussian import (
     tail_second_moment,
     whiten,
 )
-from jamgame.proactive import _SortedNorms
+from jamgame.proactive import GameCosts, ReprSymbols, _SortedNorms, objective_tilde
 
 mp.mp.dps = 25
 
@@ -133,17 +132,28 @@ def test_closed_forms_return_python_floats():
     assert type(tail_second_moment(g.centered(), 0.8)) is float
 
 
+def clipped_sq_loss(source, x0, c, phi):
+    """E[min((1 - phi)(X - x0)^2, c)] as the package computes it: the
+    reduced objective with d = var and x_hat1 = mean, which zeroes the jam
+    term phi (E[(X - x_hat1)^2] - d) bit for bit."""
+    costs = GameCosts(c, source.var)
+    return objective_tilde(source, costs, ReprSymbols(x0, source.mean), phi)
+
+
 def test_clipped_sq_loss_frozen_values():
     assert clipped_sq_loss(ScalarGaussian(0.0, 1.0), 0.0, 1.0, 0.0) == pytest.approx(E_MIN_X2_1, rel=1e-13)
     assert clipped_sq_loss(ScalarGaussian(0.3, 1.5), -0.2, 0.8, 0.3) == pytest.approx(CLIPPED_SHIFTED, rel=1e-13)
 
 
 def test_clipped_sq_loss_against_oracle_grid():
-    for var, x0, c, phi in [
-        (1.0, 0.0, 1.0, 0.5),
-        (2.0, 0.7, 0.3, 0.9),
-        (0.5, -1.2, 2.0, 0.0),
-        (1.7, 0.1, 0.9, 0.999),
+    for var, x0, c, phi, rel, abs_tol in [
+        (1.0, 0.0, 1.0, 0.5, 1e-10, 1e-12),
+        (2.0, 0.7, 0.3, 0.9, 1e-10, 1e-12),
+        (0.5, -1.2, 2.0, 0.0, 1e-10, 1e-12),
+        (1.7, 0.1, 0.9, 0.999, 1e-10, 1e-12),
+        # within 1e-9 of 1, where a clamp on phi would be 10x and 2x off
+        (1.0, 0.0, 1.0, 1.0 - 1e-10, 1e-12, 0.0),
+        (1.0, 0.0, 1.0, 1.0 - 5e-10, 1e-12, 0.0),
     ]:
         got = clipped_sq_loss(ScalarGaussian(0.0, var), x0, c, phi)
         hw = math.sqrt(c / (1 - phi))
@@ -151,16 +161,17 @@ def test_clipped_sq_loss_against_oracle_grid():
             lambda x: min((1 - phi) * (x - x0) ** 2, c),
             0.0, var, -math.inf, math.inf, breaks=(x0 - hw, x0 + hw),
         )
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert got == pytest.approx(want, rel=rel, abs=abs_tol)
 
 
 def test_clipped_sq_loss_degenerate_phi():
     g = ScalarGaussian(0.0, 1.0)
     assert clipped_sq_loss(g, 0.0, 1.0, 1.0) == 0.0
-    # clamp keeps the threshold finite just below 1
+    # just below 1 the trigger c / (1 - phi) is large but finite, and the
+    # loss is about (1 - phi) var
     val = clipped_sq_loss(g, 0.0, 1.0, 1.0 - 1e-15)
     assert math.isfinite(val)
-    assert val == pytest.approx(0.0, abs=1e-8)
+    assert val == pytest.approx(1.0 - (1.0 - 1e-15), rel=1e-9)
     with pytest.raises(ValueError):
         clipped_sq_loss(g, 0.0, -1.0, 0.5)
     with pytest.raises(ValueError):

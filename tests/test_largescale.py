@@ -185,6 +185,20 @@ def test_case4a_interval_and_flatness():
         assert value == pytest.approx(saddle.value, abs=1e-8)
 
 
+def test_degenerate_jam_root_never_jams():
+    # d >= var: solve_l_phi returns 0, yet the 1e-10 gate tolerance at a tiny
+    # c still opens the jam gate, and kappa_bar picks C4a or C3
+    costs = GameCosts(1e-18, 1.0)
+    for kappa_bar, case in ((0.99999999, "C4a"), (1.0 - 1e-12, "C3")):
+        with pytest.warns(RuntimeWarning, match="degenerates"):
+            saddle = classify_and_solve(STD, costs, kappa_bar)
+        assert saddle.case_id == case
+        assert saddle.phi_star == 0.0
+        if case == "C4a":
+            assert saddle.phi_star_interval == (0.0, 0.0)
+        assert math.isfinite(saddle.value)
+
+
 def test_saddle_value_frozen():
     saddle = classify_and_solve(STD, GameCosts(1.0, 0.25), 0.25)
     assert saddle.value == pytest.approx(VALUE_D025_K025, rel=1e-12)

@@ -31,8 +31,7 @@ from jamgame.proactive import (
     objective_with_threshold,
     solve_saddle,
 )
-from jamgame.reactive import ReactivePolicy
-from jamgame.reactive import objective as reactive_objective
+from jamgame.reactive import ExactScalarModel, ReactivePolicy
 
 STD = ScalarGaussian(0.0, 1.0)
 
@@ -299,7 +298,7 @@ def test_reactive_jammer_matches_exact_objective():
     symbols = ReprSymbols(0.5, -0.5)
     policy = ReactivePolicy(0.1, 0.45)
     policies = RoundPolicies(symbols, policy)
-    exact = reactive_objective(STD, costs, symbols, policy)
+    exact, _ = ExactScalarModel(STD, costs).objective(symbols, policy)
     est = estimate_cost(STD, costs, config, policies, trials=200_000, seed=9)
     assert abs(est.mean - exact) <= 3.0 * est.std_err
 

@@ -19,14 +19,12 @@ from jamgame.proactive import (
     NO_JAM,
     ConvergenceError,
     GameCosts,
-    NoInteriorRoot,
     ProactiveSaddle,
     ReprSymbols,
     jammer_marginal,
     objective_tilde,
     objective_with_threshold,
     solve_l_phi,
-    solve_phi_tilde,
     solve_saddle,
     solve_saddle_vector,
     _SortedNorms,
@@ -59,25 +57,33 @@ def test_jammer_marginal_root_and_monotonicity():
 
 
 def test_phi_tilde_frozen_roots():
-    phi = solve_phi_tilde(STD, GameCosts(1.0, 0.5))
+    # phi_tilde, the root in phi of the jammer's marginal value, is the
+    # saddle's jam level
+    saddle = solve_saddle(STD, GameCosts(1.0, 0.5))
+    phi = saddle.phi_star
+    assert saddle.case == INTERIOR_JAM
     assert phi == pytest.approx(PHI_TILDE_D_05, abs=1e-9)
     assert 1.0 / (1.0 - phi) == pytest.approx(THRESH_D_05, rel=1e-8)
     assert abs(jammer_marginal(STD, GameCosts(1.0, 0.5), phi)) <= 1e-10
-    phi = solve_phi_tilde(STD, GameCosts(1.0, 0.25))
+    phi = solve_saddle(STD, GameCosts(1.0, 0.25)).phi_star
     assert phi == pytest.approx(PHI_TILDE_D_025, abs=1e-9)
     assert 1.0 / (1.0 - phi) == pytest.approx(THRESH_D_025, rel=1e-8)
 
 
 def test_phi_tilde_no_root():
-    with pytest.raises(NoInteriorRoot):
-        solve_phi_tilde(STD, GameCosts(1.0, 2.0))
+    # the marginal value is negative already at phi = 0: no interior root
+    costs = GameCosts(1.0, 2.0)
+    assert jammer_marginal(STD, costs, 0.0) < 0.0
+    saddle = solve_saddle(STD, costs)
+    assert saddle.case == NO_JAM
+    assert saddle.phi_star == 0.0
 
 
 def test_threshold_depends_only_on_d():
     # c/(1 - phi_tilde) is invariant in c at fixed d
     thresholds = []
     for c in (0.5, 1.0, 2.0):
-        phi = solve_phi_tilde(STD, GameCosts(c, 0.5))
+        phi = solve_saddle(STD, GameCosts(c, 0.5)).phi_star
         thresholds.append(c / (1.0 - phi))
     assert thresholds[0] == pytest.approx(thresholds[1], rel=1e-8)
     assert thresholds[1] == pytest.approx(thresholds[2], rel=1e-8)

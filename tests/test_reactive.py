@@ -8,12 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import reactive
-from jamgame.gaussian import (
-    DiagonalGaussian,
-    ScalarGaussian,
-    clipped_sq_loss,
-    interval_moments,
-)
+from jamgame.gaussian import DiagonalGaussian, ScalarGaussian, interval_moments
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
     ExactScalarModel,
@@ -21,12 +16,7 @@ from jamgame.reactive import (
     ReactivePolicy,
     SolverConfig,
     box_lp_gap,
-    ccp_update,
     default_init,
-    fne_index,
-    grad_phi,
-    grad_xhat,
-    objective,
     project_box,
     solve_gda,
     solve_pga_ccp,
@@ -142,7 +132,8 @@ def test_region_rejects_vector_symbols():
 
 
 def test_objective_frozen_value():
-    value = objective(STD, UNIT_COSTS, ReprSymbols(0.2, -0.1), ReactivePolicy(0.3, 0.1))
+    model = ExactScalarModel(STD, UNIT_COSTS)
+    value, _ = model.objective(ReprSymbols(0.2, -0.1), ReactivePolicy(0.3, 0.1))
     assert value == pytest.approx(OBJECTIVE_FROZEN, rel=1e-13)
 
 
@@ -151,11 +142,12 @@ def test_objective_matches_clipped_loss_at_zero_policy():
     for _ in range(25):
         source = ScalarGaussian(rng.uniform(-1, 1), rng.uniform(0.3, 3.0))
         costs = GameCosts(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
-        x0 = rng.uniform(-2.0, 2.0)
-        value = objective(
-            source, costs, ReprSymbols(x0, rng.uniform(-2, 2)), ReactivePolicy(0.0, 0.0)
-        )
-        expected = clipped_sq_loss(source, np.array([x0]), costs.c, 0.0)
+        symbols = ReprSymbols(rng.uniform(-2.0, 2.0), rng.uniform(-2, 2))
+        model = ExactScalarModel(source, costs)
+        value, _ = model.objective(symbols, ReactivePolicy(0.0, 0.0))
+        # at phi = 0 the reduced objective is the clipped loss
+        # E[min((X - x_hat0)^2, c)]
+        expected = objective_tilde(source, costs, symbols, 0.0)
         assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -166,7 +158,9 @@ def test_reduction_to_proactive_identity():
         source = ScalarGaussian(rng.uniform(-1, 1), rng.uniform(0.3, 3.0))
         costs = GameCosts(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
         symbols = ReprSymbols(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = objective(source, costs, symbols, ReactivePolicy(phi, phi))
+        lhs, _ = ExactScalarModel(source, costs).objective(
+            symbols, ReactivePolicy(phi, phi)
+        )
         rhs = objective_tilde(source, costs, symbols, phi)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -176,13 +170,14 @@ def test_grad_xhat_matches_fd():
     h = 1e-5
     for _ in range(40):
         source, costs, symbols, policy = _smooth_config(rng)
-        grad = grad_xhat(source, costs, symbols, policy)
+        model = ExactScalarModel(source, costs)
+        grad, _ = model.grad_xhat(symbols, policy)
         x0, x1 = symbols.scalars()
         for j, g in enumerate(grad):
             def at(eps):
                 pt = [x0, x1]
                 pt[j] += eps
-                return objective(source, costs, ReprSymbols(pt[0], pt[1]), policy)
+                return model.objective(ReprSymbols(pt[0], pt[1]), policy)[0]
 
             fd = (at(h) - at(-h)) / (2.0 * h)
             assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
@@ -193,13 +188,14 @@ def test_grad_phi_matches_fd():
     h = 1e-5
     for _ in range(40):
         source, costs, symbols, policy = _smooth_config(rng)
-        grad = grad_phi(source, costs, symbols, policy)
+        model = ExactScalarModel(source, costs)
+        grad, _ = model.grad_phi(symbols, policy)
         base = policy.as_array()
         for i, g in enumerate(grad):
             def at(eps):
                 p = base.copy()
                 p[i] += eps
-                return objective(source, costs, symbols, ReactivePolicy(*p))
+                return model.objective(symbols, ReactivePolicy(*p))[0]
 
             fd = (at(h) - at(-h)) / (2.0 * h)
             assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
@@ -239,24 +235,24 @@ def test_ccp_update_solves_block_system():
         )
     # singular blocks park the symbol at the mean
     src = ScalarGaussian(0.4, 1.0)
-    big_c = GameCosts(1e8, 1.0)
-    new = ccp_update(src, big_c, ReprSymbols(3.0, -2.0), ReactivePolicy(0.0, 0.0))
+    model = ExactScalarModel(src, GameCosts(1e8, 1.0))
+    new = model.ccp_update(ReprSymbols(3.0, -2.0), ReactivePolicy(0.0, 0.0))
     assert new.scalars() == (pytest.approx(0.4), pytest.approx(0.4))
-    new = ccp_update(src, UNIT_COSTS, ReprSymbols(3.0, -2.0), ReactivePolicy(1.0, 0.3))
+    model = ExactScalarModel(src, UNIT_COSTS)
+    new = model.ccp_update(ReprSymbols(3.0, -2.0), ReactivePolicy(1.0, 0.3))
     assert new.scalars()[0] == pytest.approx(0.4)
 
 
 def test_ccp_descent_along_trace():
     config = SolverConfig(epsilon=1e-5, max_iters=400)
     report = solve_pga_ccp(STD, UNIT_COSTS, config)
+    model = ExactScalarModel(STD, UNIT_COSTS)
     symbols, _ = default_init(STD)
     prev = symbols
     for row in report.trace:
         policy = ReactivePolicy(row.alpha, row.beta)
-        before = objective(STD, UNIT_COSTS, prev, policy)
-        after = objective(
-            STD, UNIT_COSTS, ReprSymbols(row.x_hat0, row.x_hat1), policy
-        )
+        before, _ = model.objective(prev, policy)
+        after, _ = model.objective(ReprSymbols(row.x_hat0, row.x_hat1), policy)
         assert after <= before + 1e-10
         prev = ReprSymbols(row.x_hat0, row.x_hat1)
 
@@ -265,7 +261,9 @@ def test_fixed_point_at_convergence():
     config = SolverConfig(epsilon=1e-7, max_iters=20_000)
     report = solve_pga_ccp(STD, UNIT_COSTS, config)
     assert report.converged
-    updated = ccp_update(STD, UNIT_COSTS, report.symbols, report.policy)
+    updated = ExactScalarModel(STD, UNIT_COSTS).ccp_update(
+        report.symbols, report.policy
+    )
     gap = np.concatenate(
         [
             updated.x_hat0 - report.symbols.x_hat0,
@@ -283,8 +281,8 @@ def test_index_vanishes_at_embedded_saddle():
     saddle = solve_saddle(STD, costs)
     assert saddle.case == "no_jam"
     phi = saddle.phi_star
-    idx = fne_index(
-        STD, costs, ReprSymbols(0.0, 0.0), ReactivePolicy(phi, phi)
+    idx, _ = ExactScalarModel(STD, costs).fne_index(
+        ReprSymbols(0.0, 0.0), ReactivePolicy(phi, phi)
     )
     assert idx <= 1e-8
 
@@ -321,7 +319,9 @@ def test_pga_ccp_scalar_equilibrium():
     # the report repeats the trace tail, and recomputing the certificate at
     # the reported point reproduces it
     assert report.fne_index == report.trace[-1].fne_index
-    recomputed = fne_index(STD, UNIT_COSTS, report.symbols, report.policy)
+    recomputed, _ = ExactScalarModel(STD, UNIT_COSTS).fne_index(
+        report.symbols, report.policy
+    )
     assert abs(recomputed - report.fne_index) <= 1e-12
     assert report.iterations_to(0.05) <= report.iterations
 
@@ -409,14 +409,14 @@ def test_mc_objective_matches_exact_within_3_se():
     policy = ReactivePolicy(0.35, 0.2)
     model = McVectorModel(src, UNIT_COSTS, samples=200_000, seed=19)
     est, se = model.objective(symbols, policy)
-    truth = objective(exact_src, UNIT_COSTS, symbols, policy)
+    truth, _ = ExactScalarModel(exact_src, UNIT_COSTS).objective(symbols, policy)
     assert abs(est - truth) <= 3.0 * se
 
 
 def test_scalar_ops_reject_vector_sources():
     src = DiagonalGaussian(np.zeros(2), np.ones(2))
-    with pytest.raises(TypeError):
-        objective(src, UNIT_COSTS, ReprSymbols(np.zeros(2), np.zeros(2)), ReactivePolicy(0.1, 0.1))
+    with pytest.raises(TypeError, match="scalar"):
+        ExactScalarModel(src, UNIT_COSTS)
     with pytest.raises(TypeError):
         McVectorModel(STD, UNIT_COSTS)
 
