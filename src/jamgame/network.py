@@ -16,7 +16,10 @@ Reproducibility: draw (trial, stream) is addressed as position `trial` of a
 counter-based substream (one per sensor, one for the jammer), with exactly
 one uniform consumed per position and normals obtained by inversion.  Costs
 are therefore bit-identical however trials are chunked or distributed, and a
-single round can be replayed in isolation.
+single round can be replayed in isolation.  The same addressing lets a chunk
+of trials stream one sensor at a time: each sensor's draws are made, masked
+and added into per-trial sums before the next sensor's, so a chunk's memory
+is a few arrays of chunk length whatever n is.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from scipy import special, stats
 
 from .gaussian import ScalarGaussian, interval_moments, philox_rng
 from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
-from .reactive import ReactivePolicy, transmit_region
+from .reactive import ReactivePolicy, TransmitRegion, transmit_region
 
 _MIN_UNIFORM = 2.0**-54
 _CHUNK = 100_000
@@ -158,7 +161,40 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     if block:
         gen.bit_generator.advance(block)
     u = gen.random(lead + count)[lead:]
-    return np.maximum(u, _MIN_UNIFORM)
+    return np.maximum(u, _MIN_UNIFORM, out=u)
+
+
+def _best_response(
+    policies: RoundPolicies, costs: GameCosts
+) -> TransmitRegion | None:
+    """The coordinator's transmit region when the policies carry no
+    threshold, else None."""
+    if policies.threshold is None:
+        return transmit_region(policies.symbols, policies.jammer, costs)
+    return None
+
+
+def _sensor_draws(
+    source: ScalarGaussian,
+    policies: RoundPolicies,
+    region: TransmitRegion | None,
+    seed: int,
+    sensor: int,
+    start: int,
+    count: int,
+):
+    """Sensor `sensor`'s observations for trials [start, start + count), their
+    squared deviations from x_hat0, and whether each is transmitted: by the
+    threshold on that deviation or, with no threshold, by `region`."""
+    u = _uniforms(seed, sensor, start, count)
+    x = special.ndtri(u, out=u)
+    x *= source.std
+    x += source.mean
+    sq0 = x - policies.symbols.scalars()[0]
+    sq0 *= sq0
+    if region is None:
+        return x, sq0, sq0 > policies.threshold
+    return x, sq0, region.contains(x)
 
 
 def _trial_costs(
@@ -170,39 +206,43 @@ def _trial_costs(
     start: int,
     count: int,
 ):
-    """Per-trial costs and channel state for trials [start, start + count)."""
+    """Per-trial costs and channel state for trials [start, start + count).
+
+    Sensors stream one at a time into arrays of chunk length: the transmit
+    count, the silent error against x_hat0 (zero for a transmitting sensor)
+    and the total error against x_hat1, which every sensor pays on a
+    collision.  Memory is a few arrays of `count` elements whatever n is.
+    Returns (cost, p_count, jam, intrinsic).
+    """
     n = config.n
     jammer = policies.jammer
     if jammer.alpha != jammer.beta and n != 1:
         raise ValueError(
             "a channel-sensing jammer (alpha != beta) is only supported for n = 1"
         )
-    x0, x1 = policies.symbols.scalars()
-    if policies.threshold is None:
-        region = transmit_region(policies.symbols, jammer, costs)
-    x = np.empty((count, n))
-    transmit = np.empty((count, n), dtype=bool)
+    x1 = policies.symbols.scalars()[1]
+    region = _best_response(policies, costs)
+    p_count = np.zeros(count, dtype=np.int64)
+    silent = np.zeros(count)
+    total = np.zeros(count)
     for s in range(n):
-        u = _uniforms(seed, s, start, count)
-        xs = x[:, s] = source.mean + source.std * special.ndtri(u)
-        if policies.threshold is None:
-            transmit[:, s] = region.contains(xs)
-        else:
-            dev = xs - x0
-            transmit[:, s] = dev * dev > policies.threshold
-    p_count = transmit.sum(axis=1)
+        x, sq0, transmit = _sensor_draws(
+            source, policies, region, seed, s, start, count
+        )
+        p_count += transmit
+        # multiplying by the silent mask adds +0.0 for a transmitting sensor
+        sq0 *= np.logical_not(transmit, out=transmit)
+        silent += sq0
+        x -= x1
+        x *= x
+        total += x
     # an occupied channel is jammed with probability beta, an idle one alpha
     w = _uniforms(seed, n, start, count)
     jam = w < np.where(p_count > 0, jammer.beta, jammer.alpha)
     intrinsic = p_count > config.capacity
-    collision = intrinsic | jam
-    sq0 = (x - x0) ** 2
-    sq1 = (x - x1) ** 2
-    err = np.where(
-        collision[:, None], sq1, np.where(transmit, 0.0, sq0)
-    )
-    cost = (err.sum(axis=1) + costs.c * p_count) / n - costs.d * jam
-    return cost, x, transmit, p_count, jam, intrinsic
+    err = np.where(intrinsic | jam, total, silent)
+    cost = (err + costs.c * p_count) / n - costs.d * jam
+    return cost, p_count, jam, intrinsic
 
 
 def simulate_round(
@@ -213,8 +253,12 @@ def simulate_round(
     seed: int,
     trial: int = 0,
 ) -> tuple[float, ChannelOutcome]:
-    """Replay a single round of the addressed trial stream."""
-    cost, x, transmit, p_count, jam, intrinsic = _trial_costs(
+    """Replay a single round of the addressed trial stream.
+
+    The cost and channel state come from the batch kernel with one trial; a
+    delivered round re-draws its sensors one at a time to list the packets.
+    """
+    cost, p_count, jam, intrinsic = _trial_costs(
         source, costs, config, policies, seed, trial, 1
     )
     p = int(p_count[0])
@@ -224,11 +268,17 @@ def simulate_round(
     elif p == 0:
         outcome = ChannelOutcome("idle", (), False, False)
     else:
-        packets = tuple(
-            (s, float(x[0, s])) for s in range(config.n) if transmit[0, s]
-        )
-        outcome = ChannelOutcome("delivered", packets, False, False)
-    if len(outcome.delivered) > config.capacity or (
+        region = _best_response(policies, costs)
+        packets = []
+        for s in range(config.n):
+            x, _, transmit = _sensor_draws(
+                source, policies, region, seed, s, trial, 1
+            )
+            if transmit[0]:
+                packets.append((s, float(x[0])))
+        outcome = ChannelOutcome("delivered", tuple(packets), False, False)
+    listed = p if outcome.kind == "delivered" else 0
+    if len(outcome.delivered) != listed or (
         (outcome.kind == "collision") != (p > config.capacity or jammed)
     ):
         raise RuntimeError(f"inconsistent channel outcome {outcome} for p = {p}")

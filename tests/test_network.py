@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from jamgame.proactive import (
     objective_with_threshold,
     solve_saddle,
 )
-from jamgame.reactive import ExactScalarModel, ReactivePolicy
+from jamgame.reactive import ExactScalarModel, ReactivePolicy, transmit_region
 
 STD = ScalarGaussian(0.0, 1.0)
 
@@ -321,10 +322,11 @@ def test_reactive_collapses_to_blind_jammer():
 
 @st.composite
 def _simulator_cases(draw):
-    """(source, costs, config, policies, trials, chunk, seed): n in 1-6, the
+    """(source, costs, config, policies, trials, chunk, seed): n in 1-24, so
+    past the row length where a (trials, n) sum would change order, the
     threshold rule or the best response, a blind jammer (alpha == beta) at
     any n or a channel-sensing one at n = 1."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 24))
     config = NetworkConfig(n, draw(st.integers(1, max(1, n - 1))))
     source = ScalarGaussian(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.3, 3.0)))
     costs = GameCosts(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0)))
@@ -346,7 +348,9 @@ def _simulator_cases(draw):
 ))
 def test_simulator_contracts(case):
     source, costs, config, policies, trials, chunk, seed = case
-    per_trial = network._trial_costs(source, costs, config, policies, seed, 0, trials)[0]
+    per_trial, p_count, *_ = network._trial_costs(
+        source, costs, config, policies, seed, 0, trials
+    )
     whole = estimate_cost(source, costs, config, policies, trials, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_CHUNK", chunk)
@@ -354,10 +358,32 @@ def test_simulator_contracts(case):
     # the same bits for every chunk size, and the mean is that of the trials
     assert (chunked.mean, chunked.std_err) == (whole.mean, whole.std_err)
     assert whole.mean == float(per_trial.mean())
-    for k in sorted({0, trials - 1, seed % trials}):
-        replayed, _ = simulate_round(source, costs, config, policies, seed, trial=k)
-        assert replayed == per_trial[k]
     jammer = policies.jammer
+    x0 = policies.symbols.scalars()[0]
+    region = transmit_region(policies.symbols, jammer, costs)
+    for k in sorted({0, trials - 1, seed % trials}):
+        replayed, outcome = simulate_round(
+            source, costs, config, policies, seed, trial=k
+        )
+        assert replayed == per_trial[k]
+        if outcome.kind != "delivered":
+            assert outcome.delivered == ()
+            continue
+        # exactly the transmitting sensors, each with its own addressed draw
+        draws = [
+            source.mean
+            + source.std * special.ndtri(network._uniforms(seed, s, k, 1)[0])
+            for s in range(config.n)
+        ]
+        sent = [
+            (s, x) for s, x in enumerate(draws)
+            if (
+                region.contains(x) if policies.threshold is None
+                else (x - x0) ** 2 > policies.threshold
+            )
+        ]
+        assert outcome.delivered == tuple(sent)
+        assert len(sent) == p_count[k]
     if policies.threshold is None and jammer.alpha == jammer.beta < 1.0:
         # against a blind jammer the best response is the threshold
         # c / (1 - phi) on the squared deviation from x_hat0
@@ -368,6 +394,25 @@ def test_simulator_contracts(case):
             network._trial_costs(source, costs, config, rule, seed, 0, trials)[0],
             per_trial,
         )
+
+
+@pytest.mark.parametrize("threshold", [0.9, None])
+def test_estimate_memory_does_not_grow_with_n(threshold):
+    # sensors stream one at a time, so a chunk holds a few arrays of chunk
+    # length: at n = 40 a (trials, n) matrix alone would be 40 of them
+    trials = 50_000
+    policies = RoundPolicies(
+        ReprSymbols(0.1, -0.2), ReactivePolicy(0.3, 0.3), threshold
+    )
+    tracemalloc.start()
+    try:
+        estimate_cost(
+            STD, GameCosts(1.0, 1.0), NetworkConfig(40, 12), policies, trials, seed=1
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * trials
 
 
 def test_chernoff_values_and_validation():
