@@ -40,10 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gaussian import DiagonalGaussian, ScalarGaussian, tail_prob
+from .gaussian import DiagonalGaussian, ScalarGaussian
 from .largescale import CapacityFraction, classify_and_solve
 from .network import NetworkConfig, RoundPolicies, estimate_cost, jn_analytic
-from .proactive import MC_SAMPLES as PROACTIVE_MC_SAMPLES
 from .proactive import (
     ConvergenceError,
     GameCosts,
@@ -434,9 +433,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     costs_echo = _read("costs", top["costs"])
     costs = _build(GameCosts, "costs", **costs_echo)
     solver_echo = _read("solver", top["solver"])
-    if mode == "proactive" and "mc_samples" not in top["solver"]:
-        # the vector saddle has its own default sample count
-        solver_echo["mc_samples"] = PROACTIVE_MC_SAMPLES
     knobs = dict(solver_echo)
     algorithm = knobs.pop("algorithm")
     if algorithm not in _SOLVERS:
@@ -455,8 +451,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     # older records replay
     if mode == "reactive":
         normalized["solver"] = solver_echo
-    elif mode == "proactive":
-        normalized["solver"] = {"mc_samples": solver_echo["mc_samples"]}
     parsed = {}
     if mode in ("large_scale", "simulate") and source_echo["dimension"] != 1:
         raise ConfigError(f"source.dimension: {mode} mode is scalar")
@@ -479,17 +473,8 @@ def _symbol_output(values: np.ndarray):
 def _run_proactive(config: ExperimentConfig):
     if isinstance(config.source, ScalarGaussian):
         saddle = solve_saddle(config.source, config.costs)
-        transmit_prob = 2.0 * tail_prob(
-            config.source.centered(), math.sqrt(saddle.threshold)
-        )
     else:
-        saddle = solve_saddle_vector(
-            config.source,
-            config.costs,
-            samples=config.solver.mc_samples,
-            seed=config.seed,
-        )
-        transmit_prob = None
+        saddle = solve_saddle_vector(config.source, config.costs)
     outputs = {
         "case": saddle.case,
         "threshold": float(saddle.threshold),
@@ -497,10 +482,10 @@ def _run_proactive(config: ExperimentConfig):
         "x_hat0": _symbol_output(saddle.estimator.x_hat0),
         "x_hat1": _symbol_output(saddle.estimator.x_hat1),
         "value": float(saddle.value),
-        "value_std_err": float(saddle.value_std_err),
+        # every proactive saddle is exact; the key stays for older readers
+        "value_std_err": 0.0,
+        "transmit_prob": float(saddle.transmit_prob),
     }
-    if transmit_prob is not None:
-        outputs["transmit_prob"] = float(transmit_prob)
     return outputs, None
 
 

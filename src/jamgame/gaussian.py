@@ -6,10 +6,11 @@ of Gaussian integrals:
 * upper-tail probability        int_t^inf f(x) dx
 * upper-tail second moment      int_t^inf x^2 f(x) dx
 * interval moments              E[X^k 1(a < X < b)]  for k = 0, 1, 2
-* norm-square tail moment       E[||X||^2 1(||X||^2 > r)]
+* norm-square tail integrals     E[S^p 1(S > r)], S = ||X||^2, p = 0, 1
 
-Scalar forms are erfc-based and exact.  The norm-square tail moment is the
-exact chi-square identity, for isotropic vector models.
+Scalar forms are erfc-based and exact.  The norm-square tail integrals are
+exact for any spectrum: Ruben's chi-square mixture, and Imhof's inversion
+integral where that series grows too long.
 Sampling uses counter-based Philox streams keyed by integer ids, so consumers
 can split reproducible substreams without coordination.
 """
@@ -20,10 +21,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import integrate, special
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Largest residual of the indifference condition accepted at an exact root,
+# and largest error of an Imhof tail integral, relative to the variance (or
+# trace).
+_RESIDUAL_TOL = 1e-10
+
+# Most terms the Ruben series of `norm_sq_tail` may take: the measured
+# crossover, near lambda_max / lambda_min = 3e3, past which Imhof's integral
+# is the faster exact form.
+_MAX_TERMS = 100_000
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative routine failed to meet its accuracy contract."""
 
 
 def _std_tail(z: float) -> float:
@@ -89,12 +104,6 @@ class DiagonalGaussian:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    @property
-    def is_isotropic(self) -> bool:
-        # Exact equality on purpose: the chi-square closed form is selected
-        # only when the model is isotropic by construction, never by rounding.
-        return bool(np.all(self.variances == self.variances[0]))
 
     def centered(self) -> "DiagonalGaussian":
         return DiagonalGaussian(np.zeros(self.dim), self.variances)
@@ -264,17 +273,111 @@ def mean_std_err(total, total_sq, n: int):
 
 
 def norm_sq_tail_moment(source: DiagonalGaussian, r: float) -> float:
-    """E[||X||^2 1(||X||^2 > r)] for a zero-mean isotropic diagonal source.
-
-    Exact through the chi-square identity E[S 1(S > q)] = m P(chi2_{m+2} > q)
-    for S ~ chi2_m.  Anisotropic sources have no such closed form; the vector
-    saddle estimates their tail moment by Monte Carlo.
-    """
-    if np.any(source.mean != 0.0):
-        raise ValueError("norm_sq_tail_moment requires a zero-mean source")
-    if not source.is_isotropic:
-        raise ValueError("norm_sq_tail_moment requires an isotropic source")
+    """E[||X||^2 1(||X||^2 > r)] for a zero-mean diagonal source, exact for
+    any spectrum (`norm_sq_tail`)."""
     if r < 0.0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    v = float(source.variances[0])
-    return v * source.dim * float(stats.chi2.sf(r / v, source.dim + 2))
+    return norm_sq_tail(source)(r, 1)
+
+
+def norm_sq_tail(source: DiagonalGaussian):
+    """tail(r, p) = E[S^p 1(S > r)], p = 0 or 1, for S = ||X||^2 of a
+    zero-mean diagonal source, built once per spectrum lambda.
+
+    With beta = min lambda and a_i = 1 - beta / lambda_i, Ruben's series
+    (Ann. Math. Statist. 1962) makes S / beta a chi2_{m+2k} with probability
+    c_k, the coefficients of F(z) = prod_i (beta / lambda_i)^(1/2)
+    (1 - a_i z)^(-1/2), so E[S^p 1(S > r)] = sum_k c_k (beta (m + 2k))^p
+    Q(m + 2k + 2p, r / beta), Q the chi-square upper tail.  An isotropic
+    source has the one term c_0 = 1.  A spectrum whose series needs more than
+    `_MAX_TERMS` terms (about 36 lambda_max / lambda_min) takes Imhof's
+    inversion integral instead.
+    """
+    if np.any(source.mean != 0.0):
+        raise ValueError("norm_sq_tail requires a zero-mean source")
+    lam = source.variances
+    terms = _ruben_terms(lam)
+    return _imhof_tail(lam) if terms > _MAX_TERMS else _ruben_tail(lam, terms)
+
+
+def _ruben_terms(lam: np.ndarray) -> int:
+    """Last index K of the series whose dropped terms of E[S] stay below
+    1e-13 trace, by the Chernoff bound sum_{k>K} c_k (m + 2k) <= H(z) z^-(K+1),
+    H = F (m + z sum_i a_i / (1 - a_i z)), at the best z in (1, 1 / max a)."""
+    beta = lam.min()
+    a = 1.0 - beta / lam
+    if a.max() == 0.0:
+        return 0
+    z = 1.0 + np.linspace(0.01, 0.99, 99) * (1.0 / a.max() - 1.0)
+    za = np.outer(z, a)
+    log_h = 0.5 * np.log(beta / lam).sum() - 0.5 * np.log1p(-za).sum(axis=1)
+    log_h += np.log(lam.size + (za / (1.0 - za)).sum(axis=1))
+    log_tol = math.log(1e-13 * lam.sum() / beta)
+    return max(0, math.ceil(np.min((log_h - log_tol) / np.log(z))) - 1)
+
+
+def _ruben_tail(lam: np.ndarray, terms: int):
+    """Ruben's series to `terms`: c_k from one FFT of F on the N-th roots of
+    unity, N a power of two above 2 `terms`, one eigenvalue at a time."""
+    beta = lam.min()
+    n = 1 << (2 * terms).bit_length()
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    log_f = np.zeros(n, dtype=complex)
+    for a in 1.0 - beta / lam:
+        log_f -= np.log1p(-a * w)
+    f = np.exp(0.5 * (log_f + np.log(beta / lam).sum()))
+    c = np.fft.fft(f).real[: terms + 1] / n
+    dof = lam.size + 2.0 * np.arange(terms + 1)
+    weights = (c, c * (beta * dof))
+    return lambda r, p: float(weights[p] @ special.chdtrc(dof + 2 * p, r / beta))
+
+
+def _imhof_tail(lam: np.ndarray):
+    """Imhof's inversion (Biometrika 1961), at unit trace: x^p P(dx) has the
+    transform psi(t) = phi(t) s(t)^p, phi(t) = prod_i (1 - 2i lambda_i t)^(-1/2),
+    s(t) = sum_i lambda_i / (1 - 2i lambda_i t), and E[S^p 1(S > r)] =
+    1/2 + (1/pi) int_0^inf Im(e^(-itr) psi(t)) / t dt.  The 1/t pole of Re psi
+    is taken out as e^(-t) / t, whose sine transform is arctan(r)."""
+    trace = lam.sum()
+    lam = lam / trace
+    # Im psi(t) / t at t = 0: E[S^(p+1)]
+    slope = (1.0, 1.0 + 2.0 * (lam @ lam))
+
+    def tail(r: float, p: int) -> float:
+        def psi(t: float) -> complex:
+            z = 1.0 - 2j * t * lam
+            phi = np.exp(-0.5 * np.log(z).sum())
+            return phi * (lam / z).sum() if p else phi
+
+        x = r / trace
+        if x == 0.0:
+            return trace**p
+        # past the first cycle and where every factor of psi is a power law
+        end = max(2.0 * math.pi / x, 100.0 / lam.min())
+        cos_part = _fourier(lambda t: psi(t).imag / t if t else slope[p], x, "cos", end)
+        sin_part = _fourier(
+            lambda t: (psi(t).real - math.exp(-t)) / t if t else 1.0, x, "sin", end
+        )
+        return trace**p * (0.5 + (cos_part - sin_part - math.atan(x)) / math.pi)
+
+    return tail
+
+
+def _fourier(f, x: float, weight: str, end: float) -> float:
+    """int_0^inf f(t) w(x t) dt, w = cos or sin: QUADPACK's oscillatory
+    routine on [0, 1], [1, 4], ... below `end`, its Fourier routine past it.
+    That one extrapolates over cycles pi / x long, so `end` lies past the
+    first cycle and past the last change of shape of f's envelope.  An error
+    estimate above pi/2 `_RESIDUAL_TOL` raises ConvergenceError."""
+    edges = [0.0, *4.0 ** np.arange(math.ceil(math.log(end, 4.0))), math.inf]
+    pieces = [
+        integrate.quad(f, lo, hi, weight=weight, wvar=x, epsabs=1e-13,
+                       epsrel=1e-13, full_output=1)[:2]
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    value, err = np.sum(pieces, axis=0)
+    bound = 0.5 * math.pi * _RESIDUAL_TOL
+    if not err <= bound:
+        raise ConvergenceError(f"Imhof {weight} integral error estimate {err:.3e} "
+                               f"exceeds {bound:.3e} at r / trace = {x:.6g}")
+    return float(value)

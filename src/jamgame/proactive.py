@@ -6,9 +6,10 @@ source mean exceeds r = c / (1 - phi), and both representation symbols sit at
 the mean.  The jammer's marginal value of jamming, G(r) = E[S 1(S > r)] - d,
 falls strictly in r toward -d.  If G(c) < 0 jamming never pays and r = c;
 otherwise the equilibrium trigger is the root of G, where the jammer is
-indifferent over all phi, and phi_star = 1 - c / r.  Exact saddles find that
-root with one bisection in r; on a Monte Carlo sample G is a step function
-whose root is an order statistic of the sampled norms.  The reduced scalar
+indifferent over all phi, and phi_star = 1 - c / r.  Every saddle, scalar or
+vector, is exact and finds that root with one bisection in r; a vector
+source's G is the exact tail integral of its covariance spectrum
+(`gaussian.norm_sq_tail`), isotropic or not.  The reduced scalar
 objective (`objective_tilde`) is the cost of the threshold rule at the best
 trigger c / (1 - phi), with no clamp on phi: below 1 that trigger is finite,
 and phi = 1 is the infinite trigger.  The scalar root l_phi and the cost of a
@@ -23,33 +24,21 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .gaussian import (
+    _RESIDUAL_TOL,
+    ConvergenceError,
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
     interval_moments,
-    mean_std_err,
-    norm_sq_tail_moment,
-    sample,
+    norm_sq_tail,
+    tail_prob,
     tail_second_moment,
-    whiten,
 )
 
 NO_JAM = "no_jam"
 INTERIOR_JAM = "interior_jam"
-
-# Default Monte Carlo sample count of the vector saddle.
-MC_SAMPLES = 400_000
-
-# Largest residual of the indifference condition accepted at an exact root,
-# relative to the source's variance (or trace).
-_RESIDUAL_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine failed to meet its accuracy contract."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +97,8 @@ class ProactiveSaddle:
     ||x - x_hat0||^2 > threshold.  It is c when jamming does not pay, and
     otherwise the root r of the indifference condition itself, with
     phi_star = 1 - c / r; c / (1 - phi_star) would lose its digits as c / r
-    shrinks.  Standard errors are zero on exact solve paths and populated by
-    the Monte Carlo vector path.
+    shrinks.  `transmit_prob` is the probability of that event.  Every field
+    is exact.
     """
 
     case: str
@@ -117,8 +106,7 @@ class ProactiveSaddle:
     threshold: float
     estimator: ReprSymbols
     value: float
-    value_std_err: float = 0.0
-    condition_std_err: float = 0.0
+    transmit_prob: float
 
 
 def _indifference_residual(centered: ScalarGaussian, d: float, l: float) -> float:
@@ -283,121 +271,44 @@ def solve_saddle(source: ScalarGaussian, costs: GameCosts) -> ProactiveSaddle:
     phi_star = 1.0 - costs.c / threshold
     estimator = ReprSymbols(source.mean, source.mean)
     value = objective_tilde(source, costs, estimator, phi_star)
-    return ProactiveSaddle(case, phi_star, threshold, estimator, value)
+    transmit_prob = 2.0 * tail_prob(source.centered(), math.sqrt(threshold))
+    return ProactiveSaddle(
+        case, phi_star, threshold, estimator, value, transmit_prob
+    )
 
 
-class _SortedNorms:
-    """Squared norms of a fixed sample, sorted once, with suffix sums of the
-    norms and of their squares, so every threshold query is a binary search.
-    """
-
-    def __init__(self, sq: np.ndarray):
-        self.sq = np.sort(sq)
-        self.n = n = sq.size
-        # tail[i] = sum of sq[i:] (and of its squares), with tail[n] = 0;
-        # the sums accumulate into reversed views, with no temporaries
-        self.tail1, self.tail2 = np.zeros(n + 1), np.zeros(n + 1)
-        np.cumsum(self.sq[::-1], out=self.tail1[n - 1::-1])
-        np.cumsum(np.square(self.sq)[::-1], out=self.tail2[n - 1::-1])
-
-    def above(self, r: float) -> tuple[int, float, float]:
-        """(index of the first norm > r, sum and sum of squares of those)."""
-        i = int(np.searchsorted(self.sq, r, side="right"))
-        return i, float(self.tail1[i]), float(self.tail2[i])
-
-    def condition(self, r: float, d: float) -> tuple[float, float]:
-        """E[S 1(S > r)] - d and its standard error."""
-        _, s1, s2 = self.above(r)
-        mean, se = mean_std_err(s1, s2, self.n)
-        return mean - d, float(se)
-
-    def root(self, d: float) -> float:
-        """Smallest sampled norm r with condition(r, d) <= 0: the order
-        statistic sq[j - 1] for the first j with sum(sq[j:]) / n <= d."""
-        j = int(np.searchsorted(-(self.tail1 / self.n), -d))
-        return float(self.sq[max(j - 1, 0)])
-
-    def clipped(self, r: float, scale: float, c: float) -> tuple[float, float]:
-        """E[c 1(S > r) + scale S 1(S <= r)] and its standard error."""
-        i, s1, s2 = self.above(r)
-        over = self.n - i
-        total = c * over + scale * (self.tail1[0] - s1)
-        total_sq = c * c * over + scale * scale * (self.tail2[0] - s2)
-        mean, se = mean_std_err(total, total_sq, self.n)
-        return float(mean), float(se)
-
-
-def solve_saddle_vector(
-    source,
-    costs: GameCosts,
-    samples: int = MC_SAMPLES,
-    seed: int = 0,
-    method: str = "auto",
-) -> ProactiveSaddle:
+def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
     """Vector saddle point; transmit iff ||x - mean||^2 > threshold.
 
     The rotation to independent coordinates never changes the deviation norm,
-    so a correlated model is first whitened and the equilibrium trigger r
+    so only the covariance spectrum matters, and the equilibrium trigger r
     solves
 
         E[||X - mean||^2 1(||X - mean||^2 > r)] = d
 
-    in eigencoordinates, with phi_star = 1 - c / r; when the left side falls
-    short of d already at r = c, jamming never pays and r = c.  Isotropic
-    models are solved exactly (chi-square) by the scalar saddle's root loop.
-    Otherwise the left side is estimated on a fixed common-random-number
-    sample, where it is a step function of r, and the root is the smallest
-    sampled norm at which the condition holds.  The MC root is accepted only
-    when some sample lies above it and |condition| <= 3 standard errors.
+    with phi_star = 1 - c / r; when the left side falls short of d already at
+    r = c, jamming never pays and r = c.  The left side is the exact tail
+    integral of the spectrum (`norm_sq_tail`) and r is the root of the scalar
+    saddle's loop, for every diagonal and general source.
     """
     if isinstance(source, GeneralGaussian):
-        diag, _ = whiten(source)
-        mean = source.mean
+        spectrum = source.eigenvalues
     elif isinstance(source, DiagonalGaussian):
-        diag, mean = source, source.mean
+        spectrum = source.variances
     else:
         raise TypeError("solve_saddle_vector expects a vector source")
-    if method not in ("auto", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    diag0 = diag.centered()
+    tail = norm_sq_tail(DiagonalGaussian(np.zeros(source.dim), spectrum))
     c, d = costs.c, costs.d
-    trace = float(diag0.variances.sum())
-    r, value_se, cond_se = c, 0.0, 0.0
-    if diag0.is_isotropic and method == "auto":
-        g0 = norm_sq_tail_moment(diag0, c) - d
-        if g0 > 0.0:
-            r = max(
-                c, _threshold_root(lambda x: norm_sq_tail_moment(diag0, x) - d, trace)
-            )
-        # E[min(c/r ||X||^2, c)] through the chi-square identity
-        p_over = float(stats.chi2.sf(r / float(diag0.variances[0]), diag0.dim))
-        clipped = c / r * (trace - norm_sq_tail_moment(diag0, r)) + c * p_over
-    else:
-        draws = sample(diag0, seed, samples)
-        sq = np.einsum("ij,ij->i", draws, draws)
-        del draws  # only the norms are needed from here on
-        norms = _SortedNorms(sq)
-        g0, _ = norms.condition(c, d)
-        if g0 > 0.0:
-            # the condition is positive at c, so the root is a norm above c
-            r = norms.root(d)
-            resid, cond_se = norms.condition(r, d)
-            if norms.above(r)[0] == norms.n:
-                raise ConvergenceError(
-                    f"no sample of the {norms.n} exceeds the threshold {r:.6g} "
-                    f"at phi_star = {1.0 - c / r:.6g}: the root lies beyond the "
-                    "sampled norms; increase samples"
-                )
-            if abs(resid) > 3.0 * cond_se:
-                raise ConvergenceError(
-                    f"MC equilibrium residual {resid:.3e} exceeds "
-                    f"3 x {cond_se:.3e}; increase samples"
-                )
-        clipped, value_se = norms.clipped(r, c / r, c)
+    trace = float(spectrum.sum())
+    g0 = tail(c, 1) - d
+    r = c
+    if g0 > 0.0:
+        r = max(c, _threshold_root(lambda x: tail(x, 1) - d, trace))
+    transmit_prob = tail(r, 0)
+    # E[min(c/r ||X - mean||^2, c)]
+    clipped = c / r * (trace - tail(r, 1)) + c * transmit_prob
     case = NO_JAM if g0 < 0.0 else INTERIOR_JAM
     phi_star = 1.0 - c / r
     value = clipped + phi_star * (trace - d)
-    estimator = ReprSymbols(mean, mean)
-    return ProactiveSaddle(
-        case, phi_star, r, estimator, value, value_se, cond_se
-    )
+    estimator = ReprSymbols(source.mean, source.mean)
+    return ProactiveSaddle(case, phi_star, r, estimator, value, transmit_prob)

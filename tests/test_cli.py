@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jamgame import cli
 from jamgame.cli import (
     _FIELDS,
     _REQUIRED,
@@ -20,7 +21,7 @@ from jamgame.cli import (
     parse_config,
     run,
 )
-from jamgame.proactive import MC_SAMPLES as PROACTIVE_MC_SAMPLES
+from jamgame.proactive import ConvergenceError
 
 
 def _write_config(tmp_path, name, payload):
@@ -410,28 +411,45 @@ def _vector_proactive(**extra):
     return raw
 
 
-def test_solver_failure_exits_3_with_record(tmp_path, capsys):
-    # 50 samples cannot reach the root of d = 0.05: the saddle bisection
-    # raises ConvergenceError, which must not escape as a traceback
-    config = _write_config(tmp_path, "p.json", _vector_proactive(
-        solver={"mc_samples": 50}))
+# a failed accuracy check of the vector saddle, as its tail integral reports it
+_FAILURE = ("Imhof sin integral error estimate 1.674e-09 exceeds 1.571e-10 "
+            "at r / trace = 10.4")
+
+
+def _fail_at_d(monkeypatch, d):
+    """Make the CLI's vector saddle raise ConvergenceError when costs.d == d."""
+    solve = cli.solve_saddle_vector
+
+    def failing(source, costs):
+        if costs.d == d:
+            raise ConvergenceError(_FAILURE)
+        return solve(source, costs)
+
+    monkeypatch.setattr(cli, "solve_saddle_vector", failing)
+
+
+def test_solver_failure_exits_3_with_record(tmp_path, capsys, monkeypatch):
+    # a ConvergenceError from the saddle solve must not escape as a traceback
+    _fail_at_d(monkeypatch, 0.05)
+    config = _write_config(tmp_path, "p.json", _vector_proactive())
     out = tmp_path / "out"
     code = run(["solve", "proactive", "--config", config, "--out", str(out),
                 "--seed", "1"])
     assert code == 3
     record = json.loads((out / "result.json").read_text())
     assert record["outputs"]["converged"] is False
-    assert record["outputs"]["error"].startswith("ConvergenceError: no sample of the 50")
-    assert record["config"]["solver"]["mc_samples"] == 50
-    assert "no sample of the 50" in capsys.readouterr().err
+    assert record["outputs"]["error"] == f"ConvergenceError: {_FAILURE}"
+    assert record["config"]["costs"]["d"] == 0.05
+    assert _FAILURE in capsys.readouterr().err
 
 
-def test_sweep_point_failure_becomes_its_record(tmp_path, capsys):
-    # the 50-sample reproducer above as one point of a vector sweep: that
-    # point records the error, the other point still runs
-    raw = _vector_proactive(mode="sweep", solver={"mc_samples": 50}, sweep={
+def test_sweep_point_failure_becomes_its_record(tmp_path, capsys, monkeypatch):
+    # the failure above as one point of a vector sweep: that point records
+    # the error, the other point still runs
+    _fail_at_d(monkeypatch, 0.05)
+    raw = _vector_proactive(mode="sweep", sweep={
         "mode": "proactive", "workers": 2,
-        "axes": [{"parameter": "solver.mc_samples", "grid": [50, 20000]}],
+        "axes": [{"parameter": "costs.d", "grid": [0.05, 0.5]}],
     })
     config = _write_config(tmp_path, "s.json", raw)
     out = tmp_path / "out"
@@ -441,32 +459,33 @@ def test_sweep_point_failure_becomes_its_record(tmp_path, capsys):
     assert record["outputs"] == {"points": 2, "non_converged": 1}
     failed, solved = (r["outputs"] for r in record["records"])
     assert failed["converged"] is False
-    assert failed["error"].startswith("ConvergenceError: no sample of the 50")
+    assert failed["error"] == f"ConvergenceError: {_FAILURE}"
     assert solved["case"] == "interior_jam" and solved["value"] > 0.0
     rows = list(csv.reader((out / "table.csv").open()))
-    assert [row[0] for row in rows] == ["solver.mc_samples", "50", "20000"]
+    assert [row[0] for row in rows] == ["costs.d", "0.05", "0.5"]
     header = rows[0]
     assert rows[1][header.index("converged")] == "false"
     assert rows[1][header.index("phi_star")] == ""
     assert rows[2][header.index("phi_star")] != ""
-    assert "no sample of the 50" in capsys.readouterr().err
+    assert _FAILURE in capsys.readouterr().err
 
 
 def test_solver_defaults_per_mode():
     proactive = parse_config(
         _vector_proactive(mode="proactive", costs={"c": 1.0, "d": 1.0}))
-    assert proactive.solver.mc_samples == 400_000
-    assert proactive.normalized["solver"]["mc_samples"] == 400_000
+    # the exact vector saddle reads no solver field
+    assert "solver" not in proactive.normalized
     reactive = parse_config(_base_reactive(mode="reactive"))
     assert reactive.solver.mc_samples == 10_000
     assert reactive.normalized["solver"]["mc_samples"] == 10_000
-    # the echo of the default replays the same run bit for bit
+    # the echo replays the same run bit for bit
     first = execute(proactive)
     echo = json.loads(json.dumps(first.record.to_json()))["config"]
-    assert echo["solver"]["mc_samples"] == 400_000
+    assert "solver" not in echo
     second = execute(parse_config(echo))
     assert first.record.outputs == second.record.outputs
-    assert first.record.outputs["value_std_err"] > 0.0
+    assert first.record.outputs["value_std_err"] == 0.0
+    assert 0.0 < first.record.outputs["transmit_prob"] < 1.0
 
 
 def test_source_dimension_from_list_lengths():
@@ -706,7 +725,7 @@ _EVERY_SOLVER_KEY = {
 
 
 @pytest.mark.parametrize("base, echoed", [
-    ("proactive", ["mc_samples"]),
+    ("proactive", None),
     ("reactive", list(_EVERY_SOLVER_KEY)),
     ("large_scale", None),
     ("blind", None),
@@ -759,7 +778,7 @@ def _spelled(value) -> str:
 def test_readme_schema_states_every_key_and_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     schema = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
-    defaults = {PROACTIVE_MC_SAMPLES}
+    defaults = set()
     for section, rows in _FIELDS.items():
         for key, (_, default) in rows.items():
             assert f"`{key}`" in schema or f"`{section}.{key}`" in schema, key
@@ -767,5 +786,5 @@ def test_readme_schema_states_every_key_and_default():
                 defaults.add(default)
     for default in defaults:
         assert _spelled(default) in schema, default
-    for spelled in ("1e-5", "5000", "0.1", "0.01", "10000", "400000", "4"):
+    for spelled in ("1e-5", "5000", "0.1", "0.01", "10000", "4"):
         assert spelled in {_spelled(d) for d in defaults}

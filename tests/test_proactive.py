@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from jamgame.gaussian import (
+    _MAX_TERMS,
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
+    _imhof_tail,
+    _ruben_tail,
+    _ruben_terms,
+    norm_sq_tail,
     norm_sq_tail_moment,
+    sample,
 )
 from jamgame.proactive import (
     INTERIOR_JAM,
@@ -21,13 +28,13 @@ from jamgame.proactive import (
     GameCosts,
     ProactiveSaddle,
     ReprSymbols,
+    _threshold_root,
     jammer_marginal,
     objective_tilde,
     objective_with_threshold,
     solve_l_phi,
     solve_saddle,
     solve_saddle_vector,
-    _SortedNorms,
 )
 
 STD = ScalarGaussian(0.0, 1.0)
@@ -274,9 +281,9 @@ def test_vector_isotropic_matches_scalar():
     vec = solve_saddle_vector(DiagonalGaussian(np.zeros(1), np.ones(1)), costs)
     assert vec.case == INTERIOR_JAM
     assert vec.phi_star == pytest.approx(PHI_TILDE_D_05, abs=1e-8)
-    assert vec.value_std_err == 0.0
     scal = solve_saddle(STD, costs)
     assert vec.value == pytest.approx(scal.value, rel=1e-9)
+    assert vec.transmit_prob == pytest.approx(scal.transmit_prob, rel=1e-12)
 
 
 def test_vector_isotropic_m5_and_no_jam():
@@ -326,68 +333,103 @@ def test_vector_isotropic_root_solves_the_condition(instance):
         assert sad.threshold == pytest.approx(scalar, rel=1e-12, abs=0.0)
 
 
-def test_vector_mc_agrees_with_exact_on_isotropic():
-    costs = GameCosts(1.0, 1.0)
-    iso = DiagonalGaussian(np.zeros(5), np.full(5, 0.4))
-    exact = solve_saddle_vector(iso, costs)
-    mc = solve_saddle_vector(iso, costs, samples=300_000, seed=4, method="mc")
-    assert mc.condition_std_err > 0.0
-    assert abs(mc.phi_star - exact.phi_star) < 0.02
-    assert abs(mc.value - exact.value) < 4.0 * max(mc.value_std_err, 1e-3)
+# thresholds of the chi-square path that isotropic sources took before the
+# tail integral covered every spectrum, frozen: (m, var, c, d) -> threshold
+ISOTROPIC_THRESHOLDS = {
+    (5, 0.4, 1.0, 1.0): 2.538324478208607,
+    (7, 3.2541768737133654, 0.1744254987750131, 1.6028246347057813): 51.5365582762946,
+    (2, 1.0, 0.5, 0.25): 7.214047072940363,
+    (64, 0.01, 0.002, 1e-4): 1.15580454720146,
+}
+
+
+def test_vector_isotropic_thresholds_match_the_chi_square_path():
+    for (m, var, c, d), threshold in ISOTROPIC_THRESHOLDS.items():
+        iso = DiagonalGaussian(np.zeros(m), np.full(m, var))
+        sad = solve_saddle_vector(iso, GameCosts(c, d))
+        assert sad.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
 
 
 def test_vector_mc_determinism_and_whitening():
     costs = GameCosts(1.0, 2.0)
     aniso = DiagonalGaussian(np.zeros(2), np.array([1.0, 3.0]))
-    a = solve_saddle_vector(aniso, costs, samples=200_000, seed=8)
-    b = solve_saddle_vector(aniso, costs, samples=200_000, seed=8)
+    a = solve_saddle_vector(aniso, costs)
+    b = solve_saddle_vector(aniso, costs)
     assert a.phi_star == b.phi_star and a.value == b.value
     corr = GeneralGaussian(
         np.array([1.0, -1.0]), np.array([[2.0, 1.0], [1.0, 2.0]])
     )
-    c = solve_saddle_vector(corr, costs, samples=200_000, seed=8)
-    # same eigenvalues {1, 3}: same equilibrium up to MC error
-    assert abs(c.phi_star - a.phi_star) < 0.03
+    c = solve_saddle_vector(corr, costs)
+    # same eigenvalues {1, 3}: the same equilibrium
+    for field in ("threshold", "phi_star", "value", "transmit_prob"):
+        assert getattr(c, field) == pytest.approx(getattr(a, field), rel=1e-12)
     assert np.allclose(c.estimator.x_hat0, corr.mean)
     assert np.allclose(c.estimator.x_hat1, corr.mean)
     assert c.threshold == pytest.approx(costs.c / (1.0 - c.phi_star), rel=1e-12)
 
 
-def test_sorted_norms_match_direct_estimators():
-    rng = np.random.default_rng(61)
-    sq = rng.chisquare(3, size=20_000) * rng.uniform(0.5, 2.0)
-    norms = _SortedNorms(sq)
-    d, c = 0.7, 1.3
-    thresholds = list(rng.uniform(0.0, sq.max(), 25))
-    thresholds += [0.0, float(np.sort(sq)[-2]), float(sq.max()), sq.max() + 1.0]
-    n = sq.size
-    for r in thresholds:
-        vals = np.where(sq > r, sq, 0.0)
-        resid, se = norms.condition(r, d)
-        assert resid == pytest.approx(vals.mean() - d, rel=1e-12, abs=1e-15)
-        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-15)
-        scale = rng.uniform(0.1, 1.0)
-        vals = np.where(sq > r, c, scale * sq)
-        value, value_se = norms.clipped(r, scale, c)
-        assert value == pytest.approx(vals.mean(), rel=1e-12)
-        assert value_se == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
-    # above the largest norm nothing is left: the condition is exactly -d
-    assert norms.above(sq.max())[0] == n
-    assert norms.condition(sq.max() + 1.0, d) == (-d, 0.0)
-    # the root is the smallest sampled norm at which the condition holds: in
-    # the bulk, on the plateau where only the largest norm satisfies it, and
-    # at the smallest norm when d is above the mean norm
-    ordered = np.sort(sq)
-    for d in (0.7, 2.0, 0.5 * ordered[-1] / n, 2.0 * sq.mean()):
-        first = next(s for s in ordered if norms.condition(s, d)[0] <= 0.0)
-        assert norms.root(d) == first
-    assert norms.root(0.5 * ordered[-1] / n) == ordered[-1]
-    assert norms.root(2.0 * sq.mean()) == ordered[0]
+def _spectrum(rng, m, log_kappa):
+    """m eigenvalues log-uniform between 1 and 10^log_kappa, both ends taken,
+    at a random scale."""
+    lam = 10.0 ** rng.uniform(0.0, log_kappa, m)
+    lam[:2] = 1.0, 10.0 ** log_kappa
+    return lam * 10.0 ** rng.uniform(-2.0, 2.0)
 
 
-def test_vector_mc_plateau_names_the_sample_size():
-    # d so small that the root is the largest of the 50 sampled norms, the
-    # plateau where no sample lies above the threshold
-    aniso = DiagonalGaussian(np.zeros(3), np.array([1.0, 2.0, 0.5]))
-    with pytest.raises(ConvergenceError, match="no sample of the 50 exceeds"):
-        solve_saddle_vector(aniso, GameCosts(1.0, 0.05), samples=50, seed=1)
+def _mc_tail(source, r, seed):
+    """Monte Carlo oracle: ((E[S 1(S > r)], SE), (P(S > r), SE)) for
+    S = ||X - mean||^2, from 1e6 draws of `source` in five chunks."""
+    draws, chunk = 1_000_000, 200_000
+    total = total_sq = hits = 0.0
+    for i in range(draws // chunk):
+        x = sample(source, seed + i, chunk) - source.mean
+        sq = np.einsum("ij,ij->i", x, x)
+        over = np.where(sq > r, sq, 0.0)
+        total, total_sq = total + over.sum(), total_sq + over @ over
+        hits += np.count_nonzero(sq > r)
+    mean, p = total / draws, hits / draws
+    return (
+        (mean, math.sqrt((total_sq / draws - mean * mean) / draws)),
+        (p, math.sqrt(p * (1.0 - p) / draws)),
+    )
+
+
+@pytest.mark.parametrize("general, log_kappa", [
+    (False, (0.0, 2.0)), (True, (2.0, 3.0)), (False, (6.0, 8.0)), (True, (4.0, 6.0)),
+])
+def test_vector_saddle_matches_monte_carlo_on_random_spectra(general, log_kappa):
+    # seeded random spectra with lambda_max / lambda_min in [1, 1e8], on the
+    # series side of the term budget and on Imhof's
+    rng = np.random.default_rng([17, general, *map(int, log_kappa)])
+    m = int(rng.integers(2, 7))
+    lam = _spectrum(rng, m, rng.uniform(*log_kappa))
+    assert (_ruben_terms(lam) > _MAX_TERMS) == (log_kappa[0] >= 4.0)
+    mean = rng.uniform(-1.0, 1.0, m)
+    if general:
+        rotation = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        cov = rotation @ np.diag(lam) @ rotation.T
+        source = GeneralGaussian(mean, 0.5 * (cov + cov.T))
+    else:
+        source = DiagonalGaussian(mean, lam)
+    trace = lam.sum()
+    costs = GameCosts(0.05 * trace, 0.3 * trace)
+    sad = solve_saddle_vector(source, costs)
+    assert sad.case == INTERIOR_JAM
+    (moment, moment_se), (p, p_se) = _mc_tail(source, sad.threshold, seed=23)
+    assert abs(moment - costs.d) <= 5.0 * moment_se
+    assert abs(p - sad.transmit_prob) <= 5.0 * p_se
+
+
+def test_series_and_imhof_agree():
+    lam = np.array([0.02, 0.3, 1.0, 2.5])
+    trace, d = lam.sum(), 0.2
+    series, imhof = _ruben_tail(lam, _ruben_terms(lam)), _imhof_tail(lam)
+    for r in (1e-9, 0.01, 1.0, 3.0, 10.0, 40.0):
+        for p in (0, 1):
+            assert abs(series(r, p) - imhof(r, p)) <= 1e-10 * trace**p
+    roots = [_threshold_root(lambda x: tail(x, 1) - d, trace) for tail in (series, imhof)]
+    assert roots[0] == pytest.approx(roots[1], rel=1e-9)
+    # the isotropic series is the single chi-square term
+    iso = norm_sq_tail(DiagonalGaussian(np.zeros(3), np.full(3, 2.0)))
+    assert iso(5.0, 0) == stats.chi2.sf(2.5, 3)
+    assert iso(5.0, 1) == 2.0 * 3 * stats.chi2.sf(2.5, 5)
