@@ -328,10 +328,19 @@ class McVectorModel:
     (seed, samples) and the convex-concave descent argument applies to the
     sampled objective exactly.
 
-    The per-sample squared distances to the symbols are kept for the last
-    symbol pair, so a policy step at fixed symbols skips the (N, m) pass.
-    Symbol gradients come from masked sums of the centred draws and their
-    squares, one (2, N) @ (N, 2m) product per evaluation.
+    The draws are kept centred and transposed: one (2m, N) array holds
+    y = x - mean in its first m rows and y^2 in the m rows below, beside
+    ||y||^2 per sample.  Each pass over the sample set is one product:
+
+    - the squared distances ||x - x_hat_k||^2 = ||y||^2 - 2 <y, delta_k>
+      + ||delta_k||^2, delta_k = x_hat_k - mean, take one (2, m) @ (m, N)
+      product and are kept for the last symbol pair, so a policy step at
+      fixed symbols skips it;
+    - the symbol gradients come from the sums of y and of y^2 over the
+      transmit and the silent samples, `masks @ Y.T` and `masks @ Y2.T`.
+
+    `ccp_g` builds only the transmit mask and the y sums, the product
+    `evaluate` makes, so it is bit for bit `evaluate(...).ccp_g`.
     """
 
     def __init__(self, source, costs: GameCosts, samples: int = 10_000, seed: int = 0):
@@ -341,58 +350,79 @@ class McVectorModel:
             raise ValueError("samples must be at least 2")
         self.costs = costs
         self.mean = np.asarray(source.mean, dtype=float)
-        self.draws = sample(source, seed, samples)
         self.n = samples
-        centred = self.draws - self.mean
-        self._powers = np.hstack([centred, centred * centred])
+        centred = sample(source, seed, samples)
+        centred -= self.mean
+        m = self.mean.size
+        powers = np.empty((2 * m, samples))
+        self._y, self._y2 = powers[:m], powers[m:]
+        self._y[...] = centred.T
+        np.multiply(self._y, self._y, out=self._y2)
+        self._norm_sq = self._y2.sum(axis=0)
         self._key = self._sq = None
 
     def _sq_dists(self, symbols):
-        """Squared distances of the draws to both symbols, kept per symbol pair."""
+        """Squared distances of the draws to both symbols, a (2, N) array
+        kept per symbol pair."""
         key = np.concatenate([symbols.x_hat0, symbols.x_hat1])
         if not np.array_equal(key, self._key):
             self._key = key
-            self._sq = tuple(
-                np.einsum("ij,ij->i", dev, dev)
-                for dev in (self.draws - symbols.x_hat0, self.draws - symbols.x_hat1)
-            )
+            delta = key.reshape(2, -1) - self.mean
+            sq = delta @ self._y
+            sq *= -2.0
+            sq += self._norm_sq
+            sq += np.einsum("ij,ij->i", delta, delta)[:, None]
+            self._sq = sq
         return self._sq
 
-    def evaluate(self, symbols, policy) -> Evaluation:
+    def _branches(self, symbols, policy):
+        """Per sample: the squared distances, the transmit and the silent
+        branch's cost, and whether the sensor transmits."""
         a, b = policy.alpha, policy.beta
         c, d = self.costs.c, self.costs.d
         sq0, sq1 = self._sq_dists(symbols)
         f_t = b * sq1 + c - d * b
         f_nt = a * sq1 + (1.0 - a) * sq0 - d * a
-        transmit = f_nt - f_t > 0.0
-        silent = ~transmit
-        per = np.stack([
-            np.where(transmit, f_t, f_nt),
-            np.where(transmit, f_nt, f_t),
-            (sq1 - sq0 - d) * silent,
-            (sq1 - d) * transmit,
-        ])
+        return sq0, sq1, f_t, f_nt, f_nt > f_t
+
+    def _y_sums(self, transmit, symbols):
+        """The 0/1 masks (rows: transmit, silent), their counts, the masked
+        sums of y, and from those the sums of (x - x_hat) per symbol block
+        and row."""
+        masks = np.empty((2, self.n))
+        masks[0] = transmit
+        np.subtract(1.0, masks[0], out=masks[1])
+        s1 = masks @ self._y.T
+        n_t = np.count_nonzero(transmit)
+        counts = np.array([[n_t], [self.n - n_t]], dtype=float)
+        delta = (np.stack([symbols.x_hat0, symbols.x_hat1]) - self.mean)[:, None]
+        return masks, s1, counts, delta, s1 - counts * delta
+
+    def evaluate(self, symbols, policy) -> Evaluation:
+        a, b = policy.alpha, policy.beta
+        d = self.costs.d
+        sq0, sq1, f_t, f_nt, transmit = self._branches(symbols, policy)
+        masks, s1, counts, delta, dev = self._y_sums(transmit, symbols)
+        # per-sample rows: objective, concave part, grad_phi
+        per = np.empty((4, self.n))
+        np.minimum(f_t, f_nt, out=per[0])
+        np.maximum(f_t, f_nt, out=per[1])
+        np.subtract(sq1, sq0, out=per[2])
+        per[2] -= d
+        per[2] *= masks[1]
+        np.subtract(sq1, d, out=per[3])
+        per[3] *= masks[0]
         mean, se = mean_std_err(
             per.sum(axis=1), np.einsum("ij,ij->i", per, per), self.n
         )
-        # masked sums of y = x - mean and of y^2; rows: transmit, silent
-        sums = np.stack([transmit, silent]).astype(float) @ self._powers
-        n_t = np.count_nonzero(transmit)
-        counts = np.array([[n_t], [self.n - n_t]], dtype=float)
-        s1, s2 = np.split(sums, 2, axis=1)
-        # per symbol block and row: sums of (x - x_hat) and (x - x_hat)^2
-        delta = (np.stack([symbols.x_hat0, symbols.x_hat1]) - self.mean)[:, None]
-        dev = s1 - counts * delta
+        s2 = masks @ self._y2.T
         dev_sq = s2 - 2.0 * delta * s1 + counts * delta * delta
-        # per-sample gradient blocks are w (x - x_hat) with a weight per row;
-        # indices: gradient (grad_xhat, ccp_g), symbol block, row
-        w = np.array([
-            [[0.0, -2.0 * (1.0 - a)], [-2.0 * b, -2.0 * a]],
-            [[-2.0 * (1.0 - a), 0.0], [-2.0 * a, -2.0 * b]],
-        ])
+        w = _ccp_weights(a, b)
+        w_sq = tuple(v * v for v in w)
+        # grad_xhat is ccp_g with the transmit and silent rows swapped
         g_mean, g_se = mean_std_err(
-            np.einsum("gbr,brm->gbm", w, dev).reshape(2, -1),
-            np.einsum("gbr,brm->gbm", w * w, dev_sq).reshape(2, -1),
+            np.stack([_block_sums(w, dev[:, ::-1]), _block_sums(w, dev)]),
+            np.stack([_block_sums(w_sq, dev_sq[:, ::-1]), _block_sums(w_sq, dev_sq)]),
             self.n,
         )
         # conservative: the index is a max of two statistics whose spreads are
@@ -405,7 +435,11 @@ class McVectorModel:
         )
 
     def ccp_g(self, symbols, policy) -> np.ndarray:
-        return self.evaluate(symbols, policy).ccp_g
+        """`evaluate(symbols, policy).ccp_g` from the transmit mask and the
+        y sums alone."""
+        transmit = self._branches(symbols, policy)[-1]
+        dev = self._y_sums(transmit, symbols)[-1]
+        return _block_sums(_ccp_weights(policy.alpha, policy.beta), dev) / self.n
 
     objective = _view("objective")
     dc_concave_part = _view("concave")
@@ -413,6 +447,21 @@ class McVectorModel:
     grad_phi = _view("grad_phi")
     ccp_update = _ccp_update
     fne_index = _view("fne_index")
+
+
+def _ccp_weights(a, b):
+    """The per-sample ccp_g is w (x - x_hat) with w = -2 (1 - alpha) on the
+    transmit samples of block 0, and -2 alpha (transmit) or -2 beta
+    (silent) on block 1."""
+    return -2.0 * (1.0 - a), -2.0 * a, -2.0 * b
+
+
+def _block_sums(w, dev):
+    """Sums over the samples of the per-sample ccp_g, with weights `w` and
+    per block and row (transmit, silent) sums `dev` of (x - x_hat); with
+    squared weights and sums of (x - x_hat)^2, the sums of its squares."""
+    w0, wa, wb = w
+    return np.concatenate([w0 * dev[0, 0], wa * dev[1, 0] + wb * dev[1, 1]])
 
 
 def _apply_ccp_inverse(g: np.ndarray, policy: ReactivePolicy, mean: np.ndarray):

@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import reactive
-from jamgame.gaussian import DiagonalGaussian, ScalarGaussian, interval_moments
+from jamgame.gaussian import (
+    DiagonalGaussian,
+    GeneralGaussian,
+    ScalarGaussian,
+    interval_moments,
+    sample,
+)
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
     ExactScalarModel,
@@ -374,6 +380,42 @@ def test_vector_mc_determinism():
     assert other.fne_index != rep_a.fne_index
 
 
+# Seeded vector PGA-CCP solves: (source, costs, config) and the iteration
+# count, converged flag and final objective they reach.  Monte Carlo
+# kernels that sum the same draws in another order move the objective by
+# rounding only, never the trajectory.
+_PINNED_SOLVES = {
+    "diagonal-3": (
+        DiagonalGaussian(np.array([0.5, -0.25, 0.0]), np.array([0.5, 1.5, 3.0])),
+        GameCosts(1.0, 0.75), SolverConfig(epsilon=0.05, mc_samples=20_000, seed=7),
+        5, True, 4.517600299469167,
+    ),
+    "general-3": (
+        GeneralGaussian(
+            np.array([0.1, 0.0, -0.2]),
+            np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]]),
+        ),
+        GameCosts(0.8, 1.2), SolverConfig(epsilon=0.05, mc_samples=15_000, seed=11),
+        8, True, 2.6390464791152177,
+    ),
+    "diagonal-6": (
+        DiagonalGaussian(np.zeros(6), np.linspace(0.5, 5.0, 6)),
+        GameCosts(1.5, 0.6),
+        SolverConfig(epsilon=0.02, mc_samples=30_000, seed=3, max_iters=60),
+        14, True, 16.038118241011983,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SOLVES))
+def test_vector_pga_ccp_trajectories_pinned(name):
+    source, costs, config, iterations, converged, value = _PINNED_SOLVES[name]
+    report = solve_pga_ccp(source, costs, config)
+    assert report.iterations == iterations
+    assert report.converged is converged
+    assert report.trace[-1].objective == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
 def test_vector_mc_gradients_coupled_fd():
     src = DiagonalGaussian(np.zeros(3), np.array([1.0, 2.0, 0.5]))
     model = McVectorModel(src, UNIT_COSTS, samples=20_000, seed=11)
@@ -421,12 +463,14 @@ def test_scalar_ops_reject_vector_sources():
         McVectorModel(STD, UNIT_COSTS)
 
 
-def _per_sample_reference(model, symbols, policy):
-    """Every MC statistic from stacked per-sample arrays, mean / std(ddof=1)."""
+def _per_sample_reference(source, costs, seed, n, symbols, policy):
+    """Every MC statistic from stacked per-sample arrays, mean / std(ddof=1),
+    over the draws `McVectorModel(source, costs, n, seed)` is built on."""
     a, b = policy.alpha, policy.beta
-    c, d = model.costs.c, model.costs.d
-    dev0 = model.draws - symbols.x_hat0
-    dev1 = model.draws - symbols.x_hat1
+    c, d = costs.c, costs.d
+    draws = sample(source, seed, n)
+    dev0 = draws - symbols.x_hat0
+    dev1 = draws - symbols.x_hat1
     sq0 = np.sum(dev0 * dev0, axis=1)
     sq1 = np.sum(dev1 * dev1, axis=1)
     f_t = b * sq1 + c - d * b
@@ -446,7 +490,6 @@ def _per_sample_reference(model, symbols, policy):
             -2.0 * b * dev1 * sil - 2.0 * a * dev1 * tx,
         ]),
     }
-    n = model.n
     return {
         k: (v.mean(axis=0), v.std(axis=0, ddof=1) / math.sqrt(n))
         for k, v in per.items()
@@ -467,7 +510,7 @@ def test_mc_evaluate_matches_per_sample_reference():
     cases += [(edge, ReactivePolicy(0.0, 0.0)), (edge, ReactivePolicy(1.0, 1.0))]
     for symbols, policy in cases:
         ev = model.evaluate(symbols, policy)
-        ref = _per_sample_reference(model, symbols, policy)
+        ref = _per_sample_reference(src, costs, 9, 5_000, symbols, policy)
         for name, (mean, se) in ref.items():
             np.testing.assert_allclose(getattr(ev, name), mean, rtol=1e-12, atol=0)
             np.testing.assert_allclose(getattr(ev, name + "_se"), se, rtol=1e-9, atol=0)
@@ -607,6 +650,62 @@ def test_exact_evaluate_matches_per_piece_reference(mean, var, c, d, x0, x1, alp
     assert _bits(model.ccp_g(symbols, policy)) == _bits(ev.ccp_g)
 
 
+@st.composite
+def _mc_cases(draw):
+    """A diagonal or general-covariance source (m 1-12, variances or
+    eigenvalues 0.1-10, means in [-10, 10]), symbols within 3 sd of the
+    mean, a policy, costs, and a sample set (N 100-5000, seed)."""
+    m = draw(st.integers(1, 12))
+    vectors = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=m, max_size=m)
+    mean = np.array(draw(vectors(-10.0, 10.0)))
+    variances = np.array(draw(vectors(0.1, 10.0)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rotation, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        source = GeneralGaussian(mean, (rotation * variances) @ rotation.T)
+        sd = np.sqrt(np.diag(source.covariance))
+    else:
+        source = DiagonalGaussian(mean, variances)
+        sd = np.sqrt(variances)
+    symbols = ReprSymbols(
+        mean + sd * np.array(draw(vectors(-3.0, 3.0))),
+        mean + sd * np.array(draw(vectors(-3.0, 3.0))),
+    )
+    # no subnormal jam probability: its gradients sit below the resolution
+    # of a relative bar
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False))
+    policy = ReactivePolicy(draw(prob), draw(prob))
+    costs = GameCosts(draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0)))
+    # at beta = 1 with equal symbols and c = d (1 - alpha) the two branch
+    # costs are equal on every sample, so rounding alone picks who transmits
+    assume(not (
+        policy.beta > 1.0 - 1e-6
+        and np.allclose(symbols.x_hat0, symbols.x_hat1, rtol=1e-6, atol=0.0)
+        and math.isclose(costs.c, costs.d * (1.0 - policy.alpha), rel_tol=1e-6)
+    ))
+    n, seed = draw(st.integers(100, 5_000)), draw(st.integers(0, 2**32 - 1))
+    return source, costs, seed, n, symbols, policy
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_mc_cases())
+def test_mc_evaluate_matches_per_sample_reference_property(case):
+    source, costs, seed, n, symbols, policy = case
+    model = McVectorModel(source, costs, n, seed)
+    ev = model.evaluate(symbols, policy)
+    for name, (mean, se) in _per_sample_reference(*case).items():
+        # rounding scales with the per-sample terms' spread, sqrt(n) se, so a
+        # component near zero is held to that scale and not to its own size
+        err = np.abs(getattr(ev, name) - mean)
+        assert np.all(err <= 1e-12 * (np.abs(mean) + math.sqrt(n) * se)), name
+        # an SE comes from sum x^2 - n mean^2, whose rounding scales with the
+        # second moment: where the spread is far below the mean (beta = 0 and
+        # the symbols at the mean) its digits go, on the parent's kernel too
+        got = getattr(ev, name + "_se")
+        assert np.all(np.abs(got**2 - se**2) <= 1e-9 * (se**2 + mean**2 / n)), name
+    assert _bits(model.ccp_g(symbols, policy)) == _bits(ev.ccp_g)
+
+
 def _counting(base):
     class Counting(base):
         calls = 0
@@ -634,13 +733,9 @@ def test_solvers_evaluate_once_per_point(monkeypatch, vector):
     else:
         src, config = STD, SolverConfig(epsilon=1e-5, max_iters=400)
     report = solve_pga_ccp(src, UNIT_COSTS, config)
+    # the CCP step computes ccp_g alone
     assert counting.ccp_g_calls == report.iterations
-    if vector:
-        # the Monte Carlo ccp_g is a view of a full evaluation
-        assert 0 < counting.calls <= 2 * report.iterations + 1
-    else:
-        # the exact CCP step computes ccp_g alone
-        assert 0 < counting.calls <= report.iterations + 1
+    assert 0 < counting.calls <= report.iterations + 1
     counting.calls = 0
     report = solve_gda(src, UNIT_COSTS, config)
     assert 0 < counting.calls <= report.iterations + 1
