@@ -6,7 +6,7 @@ of Gaussian integrals:
 * upper-tail probability        int_t^inf f(x) dx
 * upper-tail second moment      int_t^inf x^2 f(x) dx
 * interval moments              E[X^k 1(a < X < b)]  for k = 0, 1, 2
-* norm-square tail integrals     E[S^p 1(S > r)], S = ||X||^2, p = 0, 1
+* norm-square tail integrals     E[S^p 1(S > r)], S = ||X - mean||^2, p = 0, 1
 
 Scalar forms are erfc-based and exact.  The norm-square tail integrals are
 exact for any spectrum: Ruben's chi-square mixture, and Imhof's inversion
@@ -272,18 +272,14 @@ def mean_std_err(total, total_sq, n: int):
     return mean, np.sqrt(var / n)
 
 
-def norm_sq_tail_moment(source: DiagonalGaussian, r: float) -> float:
-    """E[||X||^2 1(||X||^2 > r)] for a zero-mean diagonal source, exact for
-    any spectrum (`norm_sq_tail`)."""
-    if r < 0.0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    return norm_sq_tail(source)(r, 1)
+def norm_sq_tail(source):
+    """tail(r, p) = E[S^p 1(S > r)], p = 0 or 1, for the squared deviation
+    S = ||X - mean||^2 of any source, built once per source.  It is the one
+    law of S the proactive game reads, so a source's mean never enters.
 
-
-def norm_sq_tail(source: DiagonalGaussian):
-    """tail(r, p) = E[S^p 1(S > r)], p = 0 or 1, for S = ||X||^2 of a
-    zero-mean diagonal source, built once per spectrum lambda.
-
+    A scalar tail is 2 Q(sqrt r) and 2 E[Z^2 1(Z > sqrt r)] for the centred
+    deviation Z.  A vector tail depends only on the spectrum lambda, the
+    variances of a diagonal source and the eigenvalues of a general one.
     With beta = min lambda and a_i = 1 - beta / lambda_i, Ruben's series
     (Ann. Math. Statist. 1962) makes S / beta a chi2_{m+2k} with probability
     c_k, the coefficients of F(z) = prod_i (beta / lambda_i)^(1/2)
@@ -293,11 +289,25 @@ def norm_sq_tail(source: DiagonalGaussian):
     `_MAX_TERMS` terms (about 36 lambda_max / lambda_min) takes Imhof's
     inversion integral instead.
     """
-    if np.any(source.mean != 0.0):
-        raise ValueError("norm_sq_tail requires a zero-mean source")
-    lam = source.variances
+    if isinstance(source, ScalarGaussian):
+        centered = source.centered()
+        moment = (tail_prob, tail_second_moment)
+        return lambda r, p: 2.0 * moment[p](centered, math.sqrt(r))
+    lam = _spectrum(source)
     terms = _ruben_terms(lam)
     return _imhof_tail(lam) if terms > _MAX_TERMS else _ruben_tail(lam, terms)
+
+
+def _spectrum(source) -> np.ndarray:
+    """Variances of the independent coordinates of a source: its variance,
+    its variances or its covariance eigenvalues."""
+    if isinstance(source, ScalarGaussian):
+        return np.array([source.var])
+    if isinstance(source, DiagonalGaussian):
+        return source.variances
+    if isinstance(source, GeneralGaussian):
+        return source.eigenvalues
+    raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
 def _ruben_terms(lam: np.ndarray) -> int:

@@ -21,12 +21,11 @@ Lagrangian is constant along the curve (c + lam)/(1 - phi) = l.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from scipy import special
 
-from .gaussian import ScalarGaussian, tail_prob, tail_second_moment
+from .gaussian import ScalarGaussian, norm_sq_tail
 from .proactive import (
     GameCosts,
     ReprSymbols,
@@ -36,8 +35,9 @@ from .proactive import (
     solve_l_phi,
 )
 
-# ties on the case gates resolve toward the ">=" branch
-_GATE_TOL = 1e-10
+# ties on the case gates resolve toward the ">=" branch; the gates compare
+# two-sided tails, so this is twice the one-sided 1e-10
+_GATE_TOL = 2e-10
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,18 @@ def classify_and_solve(
 ) -> LargeScaleSaddle:
     """Resolve the six-case equilibrium from the two gates at threshold c.
 
-    Gate A: transmit probability at trigger c exceeds capacity
-    (tail_prob(sqrt(c)) >= kappa_bar/2).  Gate B: jamming pays at trigger c
-    (tail_second_moment(sqrt(c)) >= d/2).  Neither: C1 (trigger c).  A only:
+    With tail the law of Z^2 (`norm_sq_tail`), gate A: transmit probability
+    at trigger c exceeds capacity (tail(c, 0) >= kappa_bar).  Gate B: jamming
+    pays at trigger c (tail(c, 1) >= d).  Neither: C1 (trigger c).  A only:
     C2 (capacity binds at l_lambda).  B only: C3 (jammer indifferent at
     l_phi).  Both: compare the two triggers - the larger constraint wins
     (C4b/C4c), and an exact tie C4a makes every phi in [0, 1 - c/l] optimal.
     """
     kb = _kappa(kappa_bar)
-    centered = source.centered()
+    tail = norm_sq_tail(source)
     c, d = costs.c, costs.d
-    sqrt_c = math.sqrt(c)
-    gate_cap = tail_prob(centered, sqrt_c) >= 0.5 * kb - _GATE_TOL
-    gate_jam = tail_second_moment(centered, sqrt_c) >= 0.5 * d - _GATE_TOL
+    gate_cap = tail(c, 0) >= kb - _GATE_TOL
+    gate_jam = tail(c, 1) >= d - _GATE_TOL
 
     estimator = ReprSymbols(source.mean, source.mean)
     interval = None
@@ -151,7 +150,7 @@ def classify_and_solve(
             case, threshold = "C4c", l_phi
             phi_star, lam_star = 1.0 - c / max(c, threshold), 0.0
 
-    transmit_prob = 2.0 * tail_prob(centered, math.sqrt(threshold))
+    transmit_prob = tail(threshold, 0)
     value = lagrangian_value(source, costs, kb, phi_star, lam_star)
     return LargeScaleSaddle(
         case_id=case,

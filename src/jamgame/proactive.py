@@ -6,10 +6,10 @@ source mean exceeds r = c / (1 - phi), and both representation symbols sit at
 the mean.  The jammer's marginal value of jamming, G(r) = E[S 1(S > r)] - d,
 falls strictly in r toward -d.  If G(c) < 0 jamming never pays and r = c;
 otherwise the equilibrium trigger is the root of G, where the jammer is
-indifferent over all phi, and phi_star = 1 - c / r.  Every saddle, scalar or
-vector, is exact and finds that root with one bisection in r; a vector
-source's G is the exact tail integral of its covariance spectrum
-(`gaussian.norm_sq_tail`), isotropic or not.  The reduced scalar
+indifferent over all phi, and phi_star = 1 - c / r.  The game reads the
+source only through the law of S, so every saddle, scalar or vector, has one
+body on one tail integral (`gaussian.norm_sq_tail`), exact at any source
+mean, and finds that root with one bracketing root in r.  The reduced scalar
 objective (`objective_tilde`) is the cost of the threshold rule at the best
 trigger c / (1 - phi), with no clamp on phi: below 1 that trigger is finite,
 and phi = 1 is the infinite trigger.  The scalar root l_phi and the cost of a
@@ -24,17 +24,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .gaussian import (
     _RESIDUAL_TOL,
     ConvergenceError,
-    DiagonalGaussian,
-    GeneralGaussian,
     ScalarGaussian,
+    _spectrum,
     interval_moments,
     norm_sq_tail,
-    tail_prob,
-    tail_second_moment,
 )
 
 NO_JAM = "no_jam"
@@ -109,20 +107,12 @@ class ProactiveSaddle:
     transmit_prob: float
 
 
-def _indifference_residual(centered: ScalarGaussian, d: float, l: float) -> float:
-    """2 E[Z^2 1(Z > sqrt(l))] - d for the centered deviation Z: the jammer's
-    marginal value of jamming when the coordinator transmits iff Z^2 > l."""
-    return 2.0 * tail_second_moment(centered, math.sqrt(l)) - d
-
-
 def jammer_marginal(source: ScalarGaussian, costs: GameCosts, phi: float) -> float:
     """G(c / (1 - phi)), the jammer's marginal value of raising phi at the
     best response.  The trigger is formed as is: finite for every phi < 1."""
     if not 0.0 <= phi < 1.0:
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
-    return _indifference_residual(
-        source.centered(), costs.d, costs.c / (1.0 - phi)
-    )
+    return norm_sq_tail(source)(costs.c / (1.0 - phi), 1) - costs.d
 
 
 def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
@@ -132,7 +122,6 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
     moment cannot reach d/2 at any positive trigger; the boundary solution
     l = 0 is returned with a warning.
     """
-    centered = source.centered()
     d = costs.d
     if d >= source.var:
         warnings.warn(
@@ -142,31 +131,28 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
             stacklevel=2,
         )
         return 0.0
-    return _threshold_root(
-        lambda l: _indifference_residual(centered, d, l), source.var
-    )
+    tail = norm_sq_tail(source)
+    return _threshold_root(lambda l: tail(l, 1) - d, source.var)
 
 
 def _threshold_root(residual, scale: float) -> float:
     """Root in r of a residual falling from positive to negative, for a source
     of variance (or trace) `scale`: bracketed from [1e-12, 50 scale], then
-    bisected to a width of 1e-15 r; |residual| <= 1e-10 scale there is
-    checked.  Both tolerances are relative, so the root keeps its digits at
-    any source scale."""
+    found by Brent's method (Brent 1973) to a width of 4 eps r;
+    |residual| <= 1e-10 scale there is checked.  Both tolerances are
+    relative, so the root keeps its digits at any source scale."""
     lo, hi = 1e-12, 50.0 * scale
     while residual(hi) > 0.0:
         hi *= 4.0
     while residual(lo) < 0.0:
         lo *= 0.25
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    root = 0.5 * (lo + hi)
+    # rtol is the tightest Brent's method accepts, and xtol 0 is refused
+    root, info = optimize.brentq(
+        residual, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+        full_output=True, disp=False,
+    )
+    if not info.converged:
+        raise ConvergenceError(f"indifference root: {info.flag}")
     resid = residual(root)
     bound = _RESIDUAL_TOL * scale
     if not abs(resid) <= bound:
@@ -218,15 +204,17 @@ def _window(
     """Terms of the rule that transmits iff (x - x_hat0)^2 > threshold:
     (p, err0_silent, err1_silent, err1_total), the transmit probability,
     E[(X - x_hat0)^2 1(silent)], E[(X - x_hat1)^2 1(silent)] and
-    E[(X - x_hat1)^2]."""
+    E[(X - x_hat1)^2].  The moments are of the centred source, so they keep
+    their digits at any source mean."""
     x0, x1 = symbols.scalars()
+    x0, x1 = x0 - source.mean, x1 - source.mean
     w = math.sqrt(threshold)
-    p_in, m1, m2 = interval_moments(source, x0 - w, x0 + w)
+    p_in, m1, m2 = interval_moments(source.centered(), x0 - w, x0 + w)
     return (
         1.0 - p_in,
         m2 - 2.0 * x0 * m1 + x0 * x0 * p_in,
         m2 - 2.0 * x1 * m1 + x1 * x1 * p_in,
-        source.var + (source.mean - x1) ** 2,
+        source.var + x1**2,
     )
 
 
@@ -256,59 +244,43 @@ def _threshold_cost(
 
 
 def solve_saddle(source: ScalarGaussian, costs: GameCosts) -> ProactiveSaddle:
-    """Scalar saddle point: symbols at the mean, jam level from the root of G.
-
-    G(0) = 0 counts as the interior case with phi_star = 0; the two labels
-    coincide in value there and differ only in how the tie is reported.
-    """
-    g0 = jammer_marginal(source, costs, 0.0)
-    threshold = costs.c
-    if g0 > 0.0:
-        # the root l_phi itself: c / (1 - phi_star) would lose its digits
-        # as c / l_phi shrinks
-        threshold = max(costs.c, solve_l_phi(source, costs))
-    case = NO_JAM if g0 < 0.0 else INTERIOR_JAM
-    phi_star = 1.0 - costs.c / threshold
-    estimator = ReprSymbols(source.mean, source.mean)
-    value = objective_tilde(source, costs, estimator, phi_star)
-    transmit_prob = 2.0 * tail_prob(source.centered(), math.sqrt(threshold))
-    return ProactiveSaddle(
-        case, phi_star, threshold, estimator, value, transmit_prob
-    )
+    """Scalar saddle point: symbols at the mean, jam level from the root of G
+    (`_saddle`)."""
+    return _saddle(source, costs)
 
 
 def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
     """Vector saddle point; transmit iff ||x - mean||^2 > threshold.
 
     The rotation to independent coordinates never changes the deviation norm,
-    so only the covariance spectrum matters, and the equilibrium trigger r
-    solves
-
-        E[||X - mean||^2 1(||X - mean||^2 > r)] = d
-
-    with phi_star = 1 - c / r; when the left side falls short of d already at
-    r = c, jamming never pays and r = c.  The left side is the exact tail
-    integral of the spectrum (`norm_sq_tail`) and r is the root of the scalar
-    saddle's loop, for every diagonal and general source.
+    so only the covariance spectrum matters (`_saddle`), for every diagonal
+    and general source.
     """
-    if isinstance(source, GeneralGaussian):
-        spectrum = source.eigenvalues
-    elif isinstance(source, DiagonalGaussian):
-        spectrum = source.variances
-    else:
-        raise TypeError("solve_saddle_vector expects a vector source")
-    tail = norm_sq_tail(DiagonalGaussian(np.zeros(source.dim), spectrum))
+    return _saddle(source, costs)
+
+
+def _saddle(source, costs: GameCosts) -> ProactiveSaddle:
+    """Saddle point of any source from the tail of S = ||X - mean||^2.
+
+    The equilibrium trigger r solves E[S 1(S > r)] = d, with
+    phi_star = 1 - c / r; when the left side falls short of d already at
+    r = c, jamming never pays and r = c.  G(c) = 0 counts as the interior
+    case with phi_star = 0; the two labels coincide in value there and
+    differ only in how the tie is reported.  The value is
+    E[min(c / r S, c)] + phi_star (E[S] - d), from the same tail.
+    """
+    tail = norm_sq_tail(source)
+    trace = float(_spectrum(source).sum())
     c, d = costs.c, costs.d
-    trace = float(spectrum.sum())
     g0 = tail(c, 1) - d
     r = c
     if g0 > 0.0:
+        # the root itself: c / (1 - phi_star) would lose its digits as c / r
+        # shrinks
         r = max(c, _threshold_root(lambda x: tail(x, 1) - d, trace))
     transmit_prob = tail(r, 0)
-    # E[min(c/r ||X - mean||^2, c)]
-    clipped = c / r * (trace - tail(r, 1)) + c * transmit_prob
     case = NO_JAM if g0 < 0.0 else INTERIOR_JAM
     phi_star = 1.0 - c / r
-    value = clipped + phi_star * (trace - d)
+    value = c / r * (trace - tail(r, 1)) + c * transmit_prob + phi_star * (trace - d)
     estimator = ReprSymbols(source.mean, source.mean)
     return ProactiveSaddle(case, phi_star, r, estimator, value, transmit_prob)

@@ -16,7 +16,6 @@ from jamgame.gaussian import (
     ScalarGaussian,
     interval_moments,
     norm_sq_tail,
-    norm_sq_tail_moment,
     philox_rng,
     sample,
     tail_prob,
@@ -244,10 +243,10 @@ def test_whiten_rejects_rank_deficient_covariance():
 
 def test_norm_sq_tail_moment_exact_and_mc():
     iso = DiagonalGaussian(np.zeros(3), np.ones(3))
-    est = norm_sq_tail_moment(iso, 3.0)
+    est = norm_sq_tail(iso)(3.0, 1)
     assert est == pytest.approx(CHI2_M3_R3, rel=1e-12)
     # r = 0 recovers the full second moment, trace of the covariance
-    assert norm_sq_tail_moment(iso, 0.0) == pytest.approx(3.0, rel=1e-12)
+    assert norm_sq_tail(iso)(0.0, 1) == pytest.approx(3.0, rel=1e-12)
     # a direct Monte Carlo estimate agrees within 3 standard errors
     draws = sample(iso, 5, 200_000)
     sq = np.einsum("ij,ij->i", draws, draws)
@@ -277,12 +276,17 @@ def test_norm_sq_tail_moment_anisotropic_vs_oracle():
         )
 
     want = float(cross(1, 2) + cross(2, 1))
-    assert norm_sq_tail_moment(g, 2.0) == pytest.approx(want, rel=1e-12)
+    assert norm_sq_tail(g)(2.0, 1) == pytest.approx(want, rel=1e-12)
     # P(S > 2) the same way, conditioning on X2
     want_p = float(mp.quad(
         lambda y: oracle_pdf(y, 0, mp.sqrt(2)) * chi2_tail(1, over(y, 1)),
         [-mp.inf, -mp.sqrt(r), 0, mp.sqrt(r), mp.inf],
     ))
     assert norm_sq_tail(g)(2.0, 0) == pytest.approx(want_p, rel=1e-12)
-    with pytest.raises(ValueError):
-        norm_sq_tail_moment(DiagonalGaussian(np.ones(2), np.ones(2)), 1.0)
+    # the tail is of the deviation from the mean: a shifted source, diagonal
+    # or scalar, has its centred source's tail
+    shifted = DiagonalGaussian(np.array([3.0, -1e6]), g.variances)
+    scalar = ScalarGaussian(1e6, 2.0)
+    for p in (0, 1):
+        assert norm_sq_tail(shifted)(2.0, p) == norm_sq_tail(g)(2.0, p)
+        assert norm_sq_tail(scalar)(2.0, p) == norm_sq_tail(scalar.centered())(2.0, p)

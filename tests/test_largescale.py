@@ -324,3 +324,4 @@ def test_c3_matches_the_point_to_point_saddle(mean, var, c, d_frac):
     p2p = solve_saddle(source, costs)
     assert p2p.threshold == pytest.approx(large.threshold, rel=1e-13)
     assert abs(p2p.phi_star - large.phi_star) <= 1e-13
+    assert p2p.value == pytest.approx(large.value, rel=1e-12)

@@ -18,7 +18,6 @@ from jamgame.gaussian import (
     _ruben_tail,
     _ruben_terms,
     norm_sq_tail,
-    norm_sq_tail_moment,
     sample,
 )
 from jamgame.proactive import (
@@ -155,13 +154,43 @@ def test_solve_saddle_cases():
     assert sad.phi_star <= 1e-9
 
 
-def test_solve_saddle_shift_invariance():
-    shifted = ScalarGaussian(2.0, 1.0)
-    a = solve_saddle(STD, GameCosts(1.0, 0.5))
-    b = solve_saddle(shifted, GameCosts(1.0, 0.5))
-    assert b.estimator.scalars() == (2.0, 2.0)
-    assert b.phi_star == pytest.approx(a.phi_star, abs=1e-12)
-    assert b.value == pytest.approx(a.value, rel=1e-12)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    log_ratio=st.floats(-3.0, 6.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    var=st.floats(0.25, 4.0),
+    c=st.floats(0.1, 4.0),
+    d=st.floats(0.05, 4.0),
+    s0=st.floats(-3.0, 3.0),
+    s1=st.floats(-3.0, 3.0),
+    tau=st.floats(0.0, 10.0),
+    phi=st.floats(0.0, 1.0),
+)
+@example(log_ratio=math.log10(2.0), sign=1.0, var=1.0, c=1.0, d=0.5, s0=0.3,
+         s1=-0.2, tau=1.5, phi=0.2)
+@example(log_ratio=6.0, sign=1.0, var=1.0, c=1.0, d=0.5, s0=0.3, s1=-0.2,
+         tau=1.5, phi=0.2)
+def test_solve_saddle_shift_invariance(log_ratio, sign, var, c, d, s0, s1, tau, phi):
+    # the game reads the source only through its deviation from the mean:
+    # shifting the source, and the symbols with it, moves no number, up to
+    # |mean| / sigma = 1e6
+    mean = sign * 10.0**log_ratio * math.sqrt(var)
+    shifted, centred = ScalarGaussian(mean, var), ScalarGaussian(0.0, var)
+    costs = GameCosts(c, d)
+    a, b = solve_saddle(centred, costs), solve_saddle(shifted, costs)
+    assert b.estimator.scalars() == (mean, mean)
+    assert b.case == a.case
+    for name in ("threshold", "phi_star", "transmit_prob", "value"):
+        assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-12)
+    # symbols shifted with the source; x - mean is exact for the float x
+    x0, x1 = mean + s0 * math.sqrt(var), mean + s1 * math.sqrt(var)
+    moved = objective_with_threshold(
+        shifted, costs, ReprSymbols(x0, x1), tau * var, phi
+    )
+    still = objective_with_threshold(
+        centred, costs, ReprSymbols(x0 - mean, x1 - mean), tau * var, phi
+    )
+    assert moved == pytest.approx(still, rel=1e-12)
 
 
 def test_objective_forms_agree_at_optimal_threshold():
@@ -292,7 +321,7 @@ def test_vector_isotropic_m5_and_no_jam():
     assert sad.case == INTERIOR_JAM
     assert 0.0 < sad.phi_star < 1.0
     # condition residual is tiny on the exact path
-    resid = norm_sq_tail_moment(iso, sad.threshold) - 1.0
+    resid = norm_sq_tail(iso)(sad.threshold, 1) - 1.0
     assert abs(resid) <= 1e-9
 
     no_jam = solve_saddle_vector(
@@ -325,7 +354,7 @@ def test_vector_isotropic_root_solves_the_condition(instance):
     sad = solve_saddle_vector(iso, costs)
     assert sad.phi_star == 1.0 - c / sad.threshold
     if sad.case == INTERIOR_JAM:
-        assert abs(norm_sq_tail_moment(iso, sad.threshold) - d) <= 1e-10
+        assert abs(norm_sq_tail(iso)(sad.threshold, 1) - d) <= 1e-10
     else:
         assert sad.threshold == c
     if m == 1:
