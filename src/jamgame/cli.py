@@ -59,7 +59,7 @@ from .reactive import (
     solve_pga_ccp,
 )
 
-_SOLVERS = {"pga_ccp": solve_pga_ccp, "gda": solve_gda}
+_ALGORITHMS = ("pga_ccp", "gda")
 
 # fixed table column order; a table only shows the columns its records fill
 _TABLE_COLUMNS = (
@@ -435,9 +435,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     solver_echo = _read("solver", top["solver"])
     knobs = dict(solver_echo)
     algorithm = knobs.pop("algorithm")
-    if algorithm not in _SOLVERS:
+    if algorithm not in _ALGORITHMS:
         raise ConfigError(
-            f"solver.algorithm: must be one of {list(_SOLVERS)}, "
+            f"solver.algorithm: must be one of {list(_ALGORITHMS)}, "
             f"got {algorithm!r}"
         )
     solver = _build(SolverConfig, "solver", **knobs, seed=seed)
@@ -490,7 +490,9 @@ def _run_proactive(config: ExperimentConfig):
 
 
 def _run_reactive(config: ExperimentConfig):
-    solve = _SOLVERS[config.algorithm]
+    # looked up by module name when the run starts, so a wrapper bound to
+    # that name sees the solve
+    solve = solve_pga_ccp if config.algorithm == "pga_ccp" else solve_gda
     report = solve(config.source, config.costs, config.solver)
     last = report.trace[-1]
     outputs = {

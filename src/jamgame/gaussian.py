@@ -191,29 +191,34 @@ def interval_moments(
     """(E[1(lo<X<hi)], E[X 1(lo<X<hi)], E[X^2 1(lo<X<hi)]) in closed form.
 
     Endpoints may be -inf / +inf.  Both tails are computed via erfc so the
-    result stays relatively accurate far from the mean.
+    result stays relatively accurate far from the mean.  This is the only
+    form with moments about the origin, shifted from those of the deviation
+    X - mean (`_piece_moments`); the game code integrates the deviation,
+    which keeps its digits at any mean.
     """
     if not (lo < hi):
         return 0.0, 0.0, 0.0
     m, s = source.mean, source.std
-    return _piece_moments(
-        _endpoint(lo, m, s), _endpoint(hi, m, s), m, s, m * m + source.var
+    p, e1, e2 = _piece_moments(
+        _endpoint((lo - m) / s), _endpoint((hi - m) / s), s, source.var
     )
+    m1 = m * p + e1
+    return p, m1, m * (m1 + e1) + e2
 
 
-def _endpoint(x: float, m: float, s: float) -> tuple[float, float, float, float]:
-    """(z, P(Z > |z|), q(z), (x + m) q(z)) of an interval endpoint x, with
-    z = (x - m) / s and q the standard normal density."""
-    z = (x - m) / s
+def _endpoint(z: float) -> tuple[float, float, float, float]:
+    """(z, P(Z > |z|), q(z), z q(z)) of a standardised interval endpoint z,
+    with q the standard normal density."""
     q = _std_pdf(z)
     # q = 0 at infinite endpoints, where the product is 0
-    return z, _std_tail(abs(z)), q, (x + m) * q if q != 0.0 else 0.0
+    return z, _std_tail(abs(z)), q, z * q if q != 0.0 else 0.0
 
 
-def _piece_moments(left, right, m, s, mv) -> tuple[float, float, float]:
-    """`interval_moments` of a nonempty interval from its `_endpoint`s, the
-    mean m, the standard deviation s and mv = m^2 + var.  Intervals that
-    share an endpoint can share its tail and density."""
+def _piece_moments(left, right, s, var) -> tuple[float, float, float]:
+    """(P, E[Y 1], E[Y^2 1]) of the deviation Y = X - mean over a nonempty
+    interval, from its `_endpoint`s, the standard deviation s and the
+    variance var.  Intervals that share an endpoint can share its tail and
+    density."""
     za, ta, qa, ea = left
     zb, tb, qb, eb = right
     # P(lo < X < hi) from the two small tails, each P(Z > |z|)
@@ -224,7 +229,7 @@ def _piece_moments(left, right, m, s, mv) -> tuple[float, float, float]:
     else:
         p = 1.0 - ta - tb
     p = max(p, 0.0)
-    return p, m * p + s * (qa - qb), mv * p + s * (ea - eb)
+    return p, s * (qa - qb), var * (p + ea - eb)
 
 
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:

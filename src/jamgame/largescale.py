@@ -113,21 +113,22 @@ def classify_and_solve(
 
     With tail the law of Z^2 (`norm_sq_tail`), gate A: transmit probability
     at trigger c exceeds capacity (tail(c, 0) >= kappa_bar).  Gate B: jamming
-    pays at trigger c (tail(c, 1) >= d).  Neither: C1 (trigger c).  A only:
-    C2 (capacity binds at l_lambda).  B only: C3 (jammer indifferent at
-    l_phi).  Both: compare the two triggers - the larger constraint wins
+    pays at trigger c (d < var and tail(c, 1) >= d).  Neither: C1 (trigger
+    c).  A only: C2 (capacity binds at l_lambda).  B only: C3 (jammer
+    indifferent at l_phi).  Both: compare the two triggers - the larger constraint wins
     (C4b/C4c), and an exact tie C4a makes every phi in [0, 1 - c/l] optimal.
     """
     kb = _kappa(kappa_bar)
     tail = norm_sq_tail(source)
     c, d = costs.c, costs.d
     gate_cap = tail(c, 0) >= kb - _GATE_TOL
-    gate_jam = tail(c, 1) >= d - _GATE_TOL
+    # tail(c, 1) < var for every c > 0, so jamming never pays at d >= var
+    gate_jam = d < source.var and tail(c, 1) >= d - _GATE_TOL
 
     estimator = ReprSymbols(source.mean, source.mean)
     interval = None
-    # every jam level is 1 - c / max(c, l_phi), as in `solve_saddle`: l_phi
-    # is 0 when d >= var, and a gate tie can still bring such a source here
+    # every jam level is 1 - c / max(c, l_phi), as in `solve_saddle`: a
+    # gate tie can put l_phi just below c
     if not gate_cap and not gate_jam:
         case, threshold, phi_star, lam_star = "C1", c, 0.0, 0.0
     elif gate_cap and not gate_jam:

@@ -5,7 +5,10 @@ transmission rule, and resolves the channel: up to `capacity` simultaneous
 packets are delivered; more transmissions (intrinsic) or a jam (extrinsic)
 produce the collision symbol, after which every estimator falls back to the
 collision symbol x_hat1.  Silent sensors on a clean channel are estimated by
-x_hat0, delivered ones incur zero error.
+x_hat0, delivered ones incur zero error.  The simulator reads the source
+only through the deviation X - mean: it draws deviations and solves the
+transmit rule on the symbols' deviations, so its costs keep their digits at
+any mean; only `simulate_round`'s packet list adds the mean back.
 
 The exact finite-n cost of a threshold policy needs only the transmit
 probability p and two binomial CDFs of the other n-1 sensors' transmission
@@ -164,37 +167,41 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
-def _best_response(
-    policies: RoundPolicies, costs: GameCosts
-) -> TransmitRegion | None:
-    """The coordinator's transmit region when the policies carry no
-    threshold, else None."""
+def _deviation_rule(
+    source: ScalarGaussian, policies: RoundPolicies, costs: GameCosts
+) -> tuple[float, float, TransmitRegion | None]:
+    """The symbols' deviations y0, y1 from the mean, and the coordinator's
+    transmit region on the deviation when the policies carry no threshold,
+    else None."""
+    y0, y1 = (x - source.mean for x in policies.symbols.scalars())
+    region = None
     if policies.threshold is None:
-        return transmit_region(policies.symbols, policies.jammer, costs)
-    return None
+        region = transmit_region(ReprSymbols(y0, y1), policies.jammer, costs)
+    return y0, y1, region
 
 
 def _sensor_draws(
     source: ScalarGaussian,
     policies: RoundPolicies,
+    y0: float,
     region: TransmitRegion | None,
     seed: int,
     sensor: int,
     start: int,
     count: int,
 ):
-    """Sensor `sensor`'s observations for trials [start, start + count), their
-    squared deviations from x_hat0, and whether each is transmitted: by the
-    threshold on that deviation or, with no threshold, by `region`."""
+    """Sensor `sensor`'s deviations X - mean for trials [start, start +
+    count), their squared distances to y0 = x_hat0 - mean, and whether each
+    is transmitted: by the threshold on that distance or, with no threshold,
+    by `region`."""
     u = _uniforms(seed, sensor, start, count)
-    x = special.ndtri(u, out=u)
-    x *= source.std
-    x += source.mean
-    sq0 = x - policies.symbols.scalars()[0]
+    y = special.ndtri(u, out=u)
+    y *= source.std
+    sq0 = y - y0
     sq0 *= sq0
     if region is None:
-        return x, sq0, sq0 > policies.threshold
-    return x, sq0, region.contains(x)
+        return y, sq0, sq0 > policies.threshold
+    return y, sq0, region.contains(y)
 
 
 def _trial_costs(
@@ -220,22 +227,21 @@ def _trial_costs(
         raise ValueError(
             "a channel-sensing jammer (alpha != beta) is only supported for n = 1"
         )
-    x1 = policies.symbols.scalars()[1]
-    region = _best_response(policies, costs)
+    y0, y1, region = _deviation_rule(source, policies, costs)
     p_count = np.zeros(count, dtype=np.int64)
     silent = np.zeros(count)
     total = np.zeros(count)
     for s in range(n):
-        x, sq0, transmit = _sensor_draws(
-            source, policies, region, seed, s, start, count
+        y, sq0, transmit = _sensor_draws(
+            source, policies, y0, region, seed, s, start, count
         )
         p_count += transmit
         # multiplying by the silent mask adds +0.0 for a transmitting sensor
         sq0 *= np.logical_not(transmit, out=transmit)
         silent += sq0
-        x -= x1
-        x *= x
-        total += x
+        y -= y1
+        y *= y
+        total += y
     # an occupied channel is jammed with probability beta, an idle one alpha
     w = _uniforms(seed, n, start, count)
     jam = w < np.where(p_count > 0, jammer.beta, jammer.alpha)
@@ -268,14 +274,14 @@ def simulate_round(
     elif p == 0:
         outcome = ChannelOutcome("idle", (), False, False)
     else:
-        region = _best_response(policies, costs)
+        y0, _, region = _deviation_rule(source, policies, costs)
         packets = []
         for s in range(config.n):
-            x, _, transmit = _sensor_draws(
-                source, policies, region, seed, s, trial, 1
+            y, _, transmit = _sensor_draws(
+                source, policies, y0, region, seed, s, trial, 1
             )
             if transmit[0]:
-                packets.append((s, float(x[0])))
+                packets.append((s, source.mean + float(y[0])))
         outcome = ChannelOutcome("delivered", tuple(packets), False, False)
     listed = p if outcome.kind == "delivered" else 0
     if len(outcome.delivered) != listed or (

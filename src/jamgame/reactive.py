@@ -43,9 +43,8 @@ from .gaussian import (
 )
 from .proactive import GameCosts, ReprSymbols
 
-# the `_endpoint`s of -inf and +inf, the same for every source
-_LEFT_END = _endpoint(-math.inf, 0.0, 1.0)
-_RIGHT_END = _endpoint(math.inf, 0.0, 1.0)
+# the `_endpoint`s of -inf and +inf
+_LEFT_END, _RIGHT_END = _endpoint(-math.inf), _endpoint(math.inf)
 
 
 @dataclass(frozen=True)
@@ -179,32 +178,29 @@ def _certificate(gx: np.ndarray, gp, policy: ReactivePolicy) -> float:
     return max(norm, box_lp_gap(gp, (policy.alpha, policy.beta)))
 
 
-def _quad(coeffs, moments) -> float:
-    """E[(a2 X^2 + a1 X + a0) 1(X in pieces)] from the pieces' (p, m1, m2)."""
+def _quad(coeffs, row) -> float:
+    """E[(a2 Y^2 + a1 Y + a0) 1(Y in region)] from the region's (P, M1, M2)."""
     a2, a1, a0 = coeffs
-    total = 0.0
-    for p, m1, m2 in moments:
-        total += a2 * m2 + a1 * m1 + a0 * p
-    return total
+    p, m1, m2 = row
+    return a2 * m2 + a1 * m1 + a0 * p
 
 
-def _mass(moments) -> tuple[float, float]:
-    """P(X in pieces) and E[X 1(X in pieces)]: `_quad` with coefficients
-    (0, 0, 1) and (0, 1, 0), whose zero terms only ever add a signed zero."""
-    p_sum = m1_sum = 0.0
-    for p, m1, _ in moments:
-        p_sum += p
-        m1_sum += m1
-    return p_sum, m1_sum
+def _row(pieces) -> tuple[float, float, float]:
+    """The (P, M1, M2) of a union of pieces, summed along the line."""
+    p = m1 = m2 = 0.0
+    for dp, dm1, dm2 in pieces:
+        p, m1, m2 = p + dp, m1 + dm1, m2 + dm2
+    return p, m1, m2
 
 
-def _scalar_ccp_g(a, b, x0, x1, p_t, m1_t, p_n, m1_n) -> np.ndarray:
-    """The concave part's symbol gradient from the transmit (`_t`) and the
-    silent (`_n`) probability and first moment: each block is gated on the
-    region where its quadratic is the larger branch."""
+def _scalar_ccp_g(a, b, y0, y1, t, n) -> np.ndarray:
+    """The concave part's symbol gradient from the transmit (`t`) and the
+    silent (`n`) row: each block is gated on the region where its quadratic
+    is the larger branch."""
+    (p_t, m1_t, _), (p_n, m1_n, _) = t, n
     return np.array([
-        -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
-        -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
+        -2.0 * (1.0 - a) * (m1_t - y0 * p_t),
+        -2.0 * b * (m1_n - y1 * p_n) - 2.0 * a * (m1_t - y1 * p_t),
     ])
 
 
@@ -226,19 +222,18 @@ def _ccp_update(self, symbols, policy) -> ReprSymbols:
 class ExactScalarModel:
     """Closed-form objective, gradients and convex-concave pieces for scalars.
 
-    All expectations are truncated Gaussian moments over the transmit region
-    and its complement, so every quantity is deterministic with zero standard
-    error (returned for interface parity with the Monte Carlo model).
-
-    The work is plain float arithmetic.  The region's sign changes are
-    solved once; each one's tail probability and density are computed once
-    for the two pieces it bounds, and each piece's (p, m1, m2) comes from
-    the helper `interval_moments` runs on, so every value is bit for bit
-    the one built from `interval_moments` over the region's intervals and
-    over their complement.  Numpy arrays appear only in the returned
-    `Evaluation`.  `ccp_g`, the only quantity the convex-concave step
-    reads, is computed on its own from the pieces' probabilities and first
-    moments.
+    The model reads the source only through the deviation Y = X - mean: it
+    subtracts the mean from the symbols once, solves the transmit region in
+    that frame, and sums the `_piece_moments` of the transmit pieces and of
+    the silent pieces into one (P, M1, M2) row each, E[Y^k 1(Y in region)]
+    for k = 0, 1, 2.  Every quadratic is read from those two rows, the
+    closed-form twin of `McVectorModel`'s masked sums, so the results keep
+    their digits at any mean; for symbols whose deviations are exact in
+    floating point they equal the centred source's bit for bit.  Each sign
+    change's tail and density are computed once for the two pieces it
+    bounds.  The work is plain float arithmetic; numpy arrays appear only in
+    the returned `Evaluation`, with zero standard errors (interface parity
+    with the Monte Carlo model).
 
     The first-order Nash index (`fne_index`) is first-order only, and a zero
     index does not make a point an equilibrium.  For N(0, 2), c = 1, d = 1.5
@@ -256,61 +251,49 @@ class ExactScalarModel:
         self.source = source
         self.costs = costs
         self.mean = np.array([source.mean])
-        # the per-piece constants of `interval_moments`
         self._std = source.std
-        self._mv = source.mean * source.mean + source.var
 
-    def _pieces(self, a, b, x0, x1):
-        """(p, m1, m2) of the transmit pieces and of the silent pieces, each
-        in order along the line."""
-        edges, first = _region_edges(a, b, x0, x1, self.costs.c, self.costs.d)
-        m, s, mv = self.source.mean, self._std, self._mv
-        pieces = []
-        lo, left = -math.inf, _LEFT_END
-        for hi in (*edges, math.inf):
-            right = _endpoint(hi, m, s) if hi < math.inf else _RIGHT_END
-            # interval_moments(self.source, lo, hi), sharing the endpoint lo
-            pieces.append(
-                _piece_moments(left, right, m, s, mv) if lo < hi else (0.0, 0.0, 0.0)
-            )
-            lo, left = hi, right
-        if first:
-            return pieces[0::2], pieces[1::2]
-        return pieces[1::2], pieces[0::2]
+    def _rows(self, a, b, symbols):
+        """The symbols' deviations y0, y1 and the (P, M1, M2) rows of the
+        transmit and the silent region, each summed along the line."""
+        mean, s, var = self.source.mean, self._std, self.source.var
+        x0, x1 = symbols.scalars()
+        y0, y1 = x0 - mean, x1 - mean
+        edges, first = _region_edges(a, b, y0, y1, self.costs.c, self.costs.d)
+        ends = [_LEFT_END, *[_endpoint(e / s) for e in edges], _RIGHT_END]
+        pieces = [_piece_moments(lo, hi, s, var) for lo, hi in zip(ends, ends[1:])]
+        start = 0 if first else 1
+        return y0, y1, _row(pieces[start::2]), _row(pieces[1 - start::2])
 
     def evaluate(self, symbols, policy) -> Evaluation:
         a, b = policy.alpha, policy.beta
-        x0, x1 = symbols.scalars()
         c, d = self.costs.c, self.costs.d
-        t, n = self._pieces(a, b, x0, x1)
-        f_t = (b, -2.0 * b * x1, b * x1 * x1 + c - d * b)
+        y0, y1, t, n = self._rows(a, b, symbols)
+        f_t = (b, -2.0 * b * y1, b * y1 * y1 + c - d * b)
         f_nt = (
             1.0,
-            -2.0 * (a * x1 + (1.0 - a) * x0),
-            a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a,
+            -2.0 * (a * y1 + (1.0 - a) * y0),
+            a * y1 * y1 + (1.0 - a) * y0 * y0 - d * a,
         )
-        mass_t, mass_n = _mass(t), _mass(n)
-        # the symbol gradient is the concave part's with the masses swapped
-        grad_xhat = _scalar_ccp_g(a, b, x0, x1, *mass_n, *mass_t)
+        # the symbol gradient is the concave part's with the rows swapped
+        grad_xhat = _scalar_ccp_g(a, b, y0, y1, n, t)
         grad_phi = (
-            _quad((0.0, 2.0 * (x0 - x1), x1 * x1 - x0 * x0 - d), n),
-            _quad((1.0, -2.0 * x1, x1 * x1 - d), t),
+            _quad((0.0, 2.0 * (y0 - y1), y1 * y1 - y0 * y0 - d), n),
+            _quad((1.0, -2.0 * y1, y1 * y1 - d), t),
         )
         zero = np.zeros(2)
         return Evaluation(
             _quad(f_t, t) + _quad(f_nt, n), 0.0,
             _quad(f_t, n) + _quad(f_nt, t), 0.0,
             grad_xhat, zero, np.array(grad_phi), zero,
-            _scalar_ccp_g(a, b, x0, x1, *mass_t, *mass_n), zero,
+            _scalar_ccp_g(a, b, y0, y1, t, n), zero,
             _certificate(grad_xhat, grad_phi, policy), 0.0,
         )
 
     def ccp_g(self, symbols, policy) -> np.ndarray:
         """`evaluate(symbols, policy).ccp_g` without the other quantities."""
         a, b = policy.alpha, policy.beta
-        x0, x1 = symbols.scalars()
-        t, n = self._pieces(a, b, x0, x1)
-        return _scalar_ccp_g(a, b, x0, x1, *_mass(t), *_mass(n))
+        return _scalar_ccp_g(a, b, *self._rows(a, b, symbols))
 
     objective = _view("objective")
     dc_concave_part = _view("concave")

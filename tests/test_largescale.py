@@ -186,16 +186,21 @@ def test_case4a_interval_and_flatness():
 
 
 def test_degenerate_jam_root_never_jams():
-    # d >= var: solve_l_phi returns 0, yet the 1e-10 gate tolerance at a tiny
-    # c still opens the jam gate, and kappa_bar picks C4a or C3
-    costs = GameCosts(1e-18, 1.0)
-    for kappa_bar, case in ((0.99999999, "C4a"), (1.0 - 1e-12, "C3")):
-        with pytest.warns(RuntimeWarning, match="degenerates"):
-            saddle = classify_and_solve(STD, costs, kappa_bar)
+    # d >= var: jamming never pays, since E[Z^2 1(Z^2 > c)] < var for every
+    # c > 0, so the jam gate stays shut however tiny c is and the capacity
+    # alone picks the case
+    for c, kappa_bar, case in ((1e-18, 1.0 - 1e-12, "C1"),
+                               (1e-18, 0.99999999, "C2"), (1e-8, 0.5, "C2")):
+        saddle = classify_and_solve(STD, GameCosts(c, 1.0), kappa_bar)
         assert saddle.case_id == case
         assert saddle.phi_star == 0.0
-        if case == "C4a":
-            assert saddle.phi_star_interval == (0.0, 0.0)
+        if case == "C1":
+            assert saddle.threshold == c
+            assert saddle.transmit_prob <= kappa_bar
+        else:
+            # the capacity binds, so the probability is kappa_bar to rounding
+            assert saddle.threshold == solve_l_lambda(STD, kappa_bar)
+            assert saddle.transmit_prob == pytest.approx(kappa_bar, rel=1e-15)
         assert math.isfinite(saddle.value)
 
 

@@ -286,6 +286,32 @@ def test_delivered_round_carries_packets():
     assert {"idle", "delivered", "collision"} <= kinds
 
 
+@pytest.mark.parametrize("jammer, threshold, n, capacity", [
+    ((0.1, 0.45), None, 1, 1),  # a channel-sensing jammer, best response
+    ((0.2, 0.2), 1.0, 4, 2),  # a blind jammer, threshold rule
+])
+def test_simulator_reads_only_the_deviation(jammer, threshold, n, capacity):
+    # symbols 1e8 +- 0.5 are exact in floating point; the simulator draws
+    # deviations and solves the rule on the symbols' deviations, so a far
+    # mean moves no cost, and only the listed packets carry the mean
+    mean = 1e8
+    costs, config = GameCosts(1.0, 1.0), NetworkConfig(n, capacity)
+    far = RoundPolicies(ReprSymbols(mean + 0.5, mean - 0.5), ReactivePolicy(*jammer), threshold)
+    near = RoundPolicies(ReprSymbols(0.5, -0.5), ReactivePolicy(*jammer), threshold)
+    shifted = ScalarGaussian(mean, 1.0)
+    assert estimate_cost(shifted, costs, config, far, trials=20_000, seed=5) == (
+        estimate_cost(STD, costs, config, near, trials=20_000, seed=5))
+    delivered = 0
+    for trial in range(40):
+        cost, outcome = simulate_round(shifted, costs, config, far, seed=5, trial=trial)
+        twin_cost, twin = simulate_round(STD, costs, config, near, seed=5, trial=trial)
+        assert cost == twin_cost
+        assert outcome == dataclasses.replace(
+            twin, delivered=tuple((s, mean + y) for s, y in twin.delivered))
+        delivered += bool(outcome.delivered)
+    assert delivered
+
+
 def test_reactive_jammer_single_sensor_only():
     policies = RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.2, 0.5), 1.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the channel-sensing jammer game: regions, gradients, solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from jamgame.gaussian import (
 )
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
+    Evaluation,
     ExactScalarModel,
     McVectorModel,
     ReactivePolicy,
@@ -541,27 +543,33 @@ def test_exact_evaluate_bundles_the_model_methods():
 
 
 def _per_piece_reference(source, costs, symbols, policy):
-    """Every exact statistic from one `interval_moments` call per interval
-    of the transmit region and of its complement, each quadratic summed
-    piece by piece as a2 m2 + a1 m1 + a0 p."""
+    """Every exact statistic in the deviation frame Y = X - mean: one
+    `interval_moments` call on the centred source per interval of the
+    transmit region of the symbols' deviations and of its complement, each
+    row's pieces summed before its quadratic a2 M2 + a1 M1 + a0 P."""
     a, b = policy.alpha, policy.beta
-    x0, x1 = symbols.scalars()
+    x0, x1 = (x - source.mean for x in symbols.scalars())
     c, d = costs.c, costs.d
-    region = transmit_region(symbols, policy, costs)
-    t = [interval_moments(source, lo, hi) for lo, hi in region.intervals]
-    n = [interval_moments(source, lo, hi) for lo, hi in region.complement_intervals()]
+    centred = source.centered()
+    region = transmit_region(ReprSymbols(x0, x1), policy, costs)
 
-    def quad(a2, a1, a0, pieces):
-        total = 0.0
-        for p, m1, m2 in pieces:
-            total += a2 * m2 + a1 * m1 + a0 * p
+    def row(intervals):
+        total = [0.0, 0.0, 0.0]
+        for lo, hi in intervals:
+            for k, v in enumerate(interval_moments(centred, lo, hi)):
+                total[k] += v
         return total
+
+    t, n = row(region.intervals), row(region.complement_intervals())
+
+    def quad(a2, a1, a0, moments):
+        p, m1, m2 = moments
+        return a2 * m2 + a1 * m1 + a0 * p
 
     f_t = (b, -2.0 * b * x1, b * x1 * x1 + c - d * b)
     f_nt = (1.0, -2.0 * (a * x1 + (1.0 - a) * x0),
             a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a)
-    p_t, m1_t = quad(0.0, 0.0, 1.0, t), quad(0.0, 1.0, 0.0, t)
-    p_n, m1_n = quad(0.0, 0.0, 1.0, n), quad(0.0, 1.0, 0.0, n)
+    (p_t, m1_t, _), (p_n, m1_n, _) = t, n
     grad_xhat = np.array([
         -2.0 * (1.0 - a) * (m1_n - x0 * p_n),
         -2.0 * b * (m1_t - x1 * p_t) - 2.0 * a * (m1_n - x1 * p_n),
@@ -648,6 +656,27 @@ def test_exact_evaluate_matches_per_piece_reference(mean, var, c, d, x0, x1, alp
         assert not np.any(getattr(ev, name + "_se"))
     assert type(ev.objective) is float and type(ev.fne_index) is float
     assert _bits(model.ccp_g(symbols, policy)) == _bits(ev.ccp_g)
+
+
+@pytest.mark.parametrize("mean", [1.0, 1e2, 1e4, 1e6])
+def test_exact_model_reads_only_the_deviation(mean):
+    # deviations 0.25 and -0.125 are exact in floating point at each mean,
+    # so the shifted model sees the centred one's deviations and every
+    # statistic is its twin's bit for bit
+    costs = GameCosts(1.0, 0.5)
+    shifted = ExactScalarModel(ScalarGaussian(mean, 1.0), costs)
+    centred = ExactScalarModel(STD, costs)
+    far = ReprSymbols(mean + 0.25, mean - 0.125)
+    near = ReprSymbols(0.25, -0.125)
+    assert tuple(x - mean for x in far.scalars()) == near.scalars()
+    # two finite edges, one edge (beta = 1), the full line and the empty one
+    for alpha, beta in ((0.3, 0.6), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)):
+        policy = ReactivePolicy(alpha, beta)
+        ev, twin = shifted.evaluate(far, policy), centred.evaluate(near, policy)
+        for field in dataclasses.fields(Evaluation):
+            got, want = getattr(ev, field.name), getattr(twin, field.name)
+            assert _bits(got) == _bits(want), (field.name, policy, got, want)
+        assert _bits(shifted.ccp_g(far, policy)) == _bits(twin.ccp_g)
 
 
 @st.composite
