@@ -7,16 +7,14 @@ Dualizing that constraint with a multiplier lam gives the Lagrangian
 
     L(phi, lam) = phi (var - d) + E[min{(1 - phi) Z^2, c + lam}] - lam kappa_bar
 
-over the centered deviation Z = X - mean, whose saddle reduces to two scalar
-thresholds:
-
-    l_lambda: 2 P(Z > sqrt(l)) = kappa_bar   (capacity binds exactly)
-    l_phi:    2 E[Z^2 1(Z > sqrt(l))] = d    (jammer indifferent)
-
-The equilibrium falls into six cases depending on whether the unconstrained
-threshold c violates the capacity gate, the jamming gate, or both; in the
-doubly-tied case the optimal jam probability is a whole interval and the
-Lagrangian is constant along the curve (c + lam)/(1 - phi) = l.
+over the centered deviation Z = X - mean: the point-to-point game with
+transmission priced at c + lam.  So one trigger, max(c, l_phi, l_lambda),
+decides the equilibrium: the point-to-point trigger max(c, l_phi)
+(`proactive._saddle`), or the capacity trigger 2 P(Z > sqrt(l_lambda)) =
+kappa_bar with lam = l_lambda - c where that one transmits above capacity.
+The six case ids name the two gates at c, capacity and jamming; in the
+doubly-tied case C4a the optimal jam probability is a whole interval and
+the Lagrangian is constant along the curve (c + lam)/(1 - phi) = l.
 """
 
 from __future__ import annotations
@@ -27,17 +25,16 @@ from scipy import special
 
 from .gaussian import ScalarGaussian, norm_sq_tail
 from .proactive import (
+    INTERIOR_JAM,
     GameCosts,
     ReprSymbols,
+    _saddle,
     _threshold_cost,
+    _trigger_value,
     _window,
     objective_tilde,
-    solve_l_phi,
+    solve_l_phi,  # noqa: F401 - part of this module's API
 )
-
-# ties on the case gates resolve toward the ">=" branch; the gates compare
-# two-sided tails, so this is twice the one-sided 1e-10
-_GATE_TOL = 2e-10
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,11 @@ def solve_l_lambda(source: ScalarGaussian, kappa_bar) -> float:
     """Squared trigger at which the transmit probability equals kappa_bar.
 
     2 P(Z > sqrt(l)) = kappa_bar for the centered deviation Z, so
-    l = (sigma Q^{-1}(kappa_bar / 2))^2 with Q the standard normal tail.
+    l = (sigma Phi^{-1}(kappa_bar / 2))^2 with Phi the standard normal law,
+    which keeps its digits where 1 - kappa_bar / 2 would round.
     """
     kb = _kappa(kappa_bar)
-    z = special.ndtri(1.0 - 0.5 * kb)
+    z = special.ndtri(0.5 * kb)
     return source.var * z * z
 
 
@@ -109,50 +107,37 @@ def lagrangian_value(
 def classify_and_solve(
     source: ScalarGaussian, costs: GameCosts, kappa_bar
 ) -> LargeScaleSaddle:
-    """Resolve the six-case equilibrium from the two gates at threshold c.
+    """The point-to-point saddle with the capacity priced in.
 
-    With tail the law of Z^2 (`norm_sq_tail`), gate A: transmit probability
-    at trigger c exceeds capacity (tail(c, 0) >= kappa_bar).  Gate B: jamming
-    pays at trigger c (d < var and tail(c, 1) >= d).  Neither: C1 (trigger
-    c).  A only: C2 (capacity binds at l_lambda).  B only: C3 (jammer
-    indifferent at l_phi).  Both: compare the two triggers - the larger constraint wins
-    (C4b/C4c), and an exact tie C4a makes every phi in [0, 1 - c/l] optimal.
+    If l_lambda <= the point-to-point trigger max(c, l_phi), that saddle is
+    the answer, with lam = 0 (C1, C3, C4c); otherwise the capacity binds at
+    trigger l_lambda, phi = 0, lam = l_lambda - c (C2, C4b).  The case id
+    names the gates at c, capacity (l_lambda >= c) and jamming (that saddle
+    jams): neither C1, capacity C2, jamming C3, both C4b or C4c by the larger
+    trigger, and C4a when the two agree to 1e-8 relative, where every phi in
+    [0, 1 - c / l] is optimal and its capacity-binding end phi = 0 is
+    reported.
     """
     kb = _kappa(kappa_bar)
-    tail = norm_sq_tail(source)
-    c, d = costs.c, costs.d
-    gate_cap = tail(c, 0) >= kb - _GATE_TOL
-    # tail(c, 1) < var for every c > 0, so jamming never pays at d >= var
-    gate_jam = d < source.var and tail(c, 1) >= d - _GATE_TOL
-
-    estimator = ReprSymbols(source.mean, source.mean)
-    interval = None
-    # every jam level is 1 - c / max(c, l_phi), as in `solve_saddle`: a
-    # gate tie can put l_phi just below c
-    if not gate_cap and not gate_jam:
-        case, threshold, phi_star, lam_star = "C1", c, 0.0, 0.0
-    elif gate_cap and not gate_jam:
-        threshold = solve_l_lambda(source, kb)
-        case, phi_star, lam_star = "C2", 0.0, max(0.0, threshold - c)
-    elif gate_jam and not gate_cap:
-        threshold = solve_l_phi(source, costs)
-        case, phi_star, lam_star = "C3", 1.0 - c / max(c, threshold), 0.0
+    free = _saddle(source, costs)
+    l_lam = solve_l_lambda(source, kb)
+    gate_cap, gate_jam = l_lam >= costs.c, free.case == INTERIOR_JAM
+    both = gate_cap and gate_jam
+    tie = both and abs(l_lam - free.threshold) <= 1e-8 * l_lam
+    if both:
+        case = "C4a" if tie else "C4b" if l_lam > free.threshold else "C4c"
     else:
-        l_lam = solve_l_lambda(source, kb)
-        l_phi = solve_l_phi(source, costs)
-        if abs(l_lam - l_phi) <= 1e-8 * max(1.0, l_lam):
-            case, threshold = "C4a", l_lam
-            phi_star, lam_star = 0.0, max(0.0, threshold - c)
-            interval = (0.0, 1.0 - c / max(c, l_phi))
-        elif l_lam > l_phi:
-            case, threshold = "C4b", l_lam
-            phi_star, lam_star = 0.0, max(0.0, threshold - c)
-        else:
-            case, threshold = "C4c", l_phi
-            phi_star, lam_star = 1.0 - c / max(c, threshold), 0.0
+        case = "C2" if gate_cap else "C3" if gate_jam else "C1"
 
-    transmit_prob = tail(threshold, 0)
-    value = lagrangian_value(source, costs, kb, phi_star, lam_star)
+    if l_lam <= free.threshold and not tie:
+        threshold, phi_star, lam_star = free.threshold, free.phi_star, 0.0
+        transmit_prob, value = free.transmit_prob, free.value
+    else:
+        threshold, lam_star = l_lam, l_lam - costs.c
+        phi_star, transmit_prob, value = _trigger_value(
+            norm_sq_tail(source), source.var, costs.d, l_lam, l_lam
+        )
+        value -= lam_star * kb
     return LargeScaleSaddle(
         case_id=case,
         threshold=threshold,
@@ -160,8 +145,8 @@ def classify_and_solve(
         lambda_star=lam_star,
         transmit_prob=transmit_prob,
         value=value,
-        estimator=estimator,
-        phi_star_interval=interval,
+        estimator=free.estimator,
+        phi_star_interval=(0.0, free.phi_star) if tie else None,
     )
 
 
@@ -189,7 +174,7 @@ def asymptotic_objective(
     if transmit_threshold < 0.0:
         raise ValueError("transmit_threshold must be nonnegative")
     window = _window(source, symbols, transmit_threshold)
-    # the exactly-binding boundary is collision-free; the tolerance absorbs
-    # round-trip error when the threshold was solved from kappa_bar itself
-    free = 1.0 if window[0] <= kb + 1e-9 else 0.0
+    # the exactly-binding boundary is collision-free; the relative tolerance
+    # absorbs round-trip error when the threshold was solved from kappa_bar
+    free = 1.0 if window[0] <= kb * (1.0 + 1e-9) else 0.0
     return _threshold_cost(costs, phi, window, free, free)

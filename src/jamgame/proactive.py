@@ -4,17 +4,17 @@ The jammer commits to a jam probability phi before seeing the channel.  For a
 fixed phi the coordinator transmits iff the squared deviation S from the
 source mean exceeds r = c / (1 - phi), and both representation symbols sit at
 the mean.  The jammer's marginal value of jamming, G(r) = E[S 1(S > r)] - d,
-falls strictly in r toward -d.  If G(c) < 0 jamming never pays and r = c;
-otherwise the equilibrium trigger is the root of G, where the jammer is
-indifferent over all phi, and phi_star = 1 - c / r.  The game reads the
-source only through the law of S, so every saddle, scalar or vector, has one
-body on one tail integral (`gaussian.norm_sq_tail`), exact at any source
-mean, and finds that root with one bracketing root in r.  The reduced scalar
-objective (`objective_tilde`) is the cost of the threshold rule at the best
-trigger c / (1 - phi), with no clamp on phi: below 1 that trigger is finite,
-and phi = 1 is the infinite trigger.  The scalar root l_phi and the cost of a
-threshold rule are shared with the many-sensor game (`largescale`,
-`network`).
+falls strictly in r toward -d.  If G(c) < 0 or d >= E[S], jamming never
+pays and r = c; otherwise the equilibrium trigger is the root of G, where
+the jammer is indifferent over all phi, and phi_star = 1 - c / r.  The game
+reads the source only through the law of S, so every saddle, scalar or
+vector, has one body on one tail integral (`gaussian.norm_sq_tail`), exact
+at any source mean, and finds that root with one bracketing root in r.  The
+reduced scalar objective (`objective_tilde`) is the cost of the threshold
+rule at the best trigger c / (1 - phi), with no clamp on phi: below 1 that
+trigger is finite, and phi = 1 is the infinite trigger.  The saddle itself,
+the scalar root l_phi and the cost of a threshold rule are shared with the
+many-sensor game (`largescale`, `network`).
 """
 
 from __future__ import annotations
@@ -262,25 +262,32 @@ def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
 def _saddle(source, costs: GameCosts) -> ProactiveSaddle:
     """Saddle point of any source from the tail of S = ||X - mean||^2.
 
-    The equilibrium trigger r solves E[S 1(S > r)] = d, with
-    phi_star = 1 - c / r; when the left side falls short of d already at
-    r = c, jamming never pays and r = c.  G(c) = 0 counts as the interior
-    case with phi_star = 0; the two labels coincide in value there and
-    differ only in how the tie is reported.  The value is
-    E[min(c / r S, c)] + phi_star (E[S] - d), from the same tail.
+    This is the one jam gate: jamming pays iff d < E[S] and
+    G(c) = E[S 1(S > c)] - d >= 0.  E[S 1(S > c)] < E[S] at every c > 0, so
+    d >= E[S] shuts the gate even where G(c) rounds to 0.  Shut, r = c;
+    open, the trigger r solves G(r) = 0, with phi_star = 1 - c / r (0, to
+    rounding, at the tie G(c) = 0).
     """
     tail = norm_sq_tail(source)
     trace = float(_spectrum(source).sum())
     c, d = costs.c, costs.d
-    g0 = tail(c, 1) - d
+    jam = d < trace and tail(c, 1) >= d
     r = c
-    if g0 > 0.0:
+    if jam:
         # the root itself: c / (1 - phi_star) would lose its digits as c / r
         # shrinks
         r = max(c, _threshold_root(lambda x: tail(x, 1) - d, trace))
-    transmit_prob = tail(r, 0)
-    case = NO_JAM if g0 < 0.0 else INTERIOR_JAM
-    phi_star = 1.0 - c / r
-    value = c / r * (trace - tail(r, 1)) + c * transmit_prob + phi_star * (trace - d)
+    phi_star, transmit_prob, value = _trigger_value(tail, trace, d, c, r)
     estimator = ReprSymbols(source.mean, source.mean)
+    case = INTERIOR_JAM if jam else NO_JAM
     return ProactiveSaddle(case, phi_star, r, estimator, value, transmit_prob)
+
+
+def _trigger_value(tail, trace: float, d: float, price: float, r: float):
+    """(phi, transmit_prob, value) at trigger r >= price, a transmission
+    costing `price` (c, or c + lambda in `largescale`) and the jam level
+    phi = 1 - price / r that makes r the best response; the value is
+    E[min(price / r S, price)] + phi (E[S] - d)."""
+    transmit_prob, phi = tail(r, 0), 1.0 - price / r
+    value = price / r * (trace - tail(r, 1)) + price * transmit_prob
+    return phi, transmit_prob, value + phi * (trace - d)

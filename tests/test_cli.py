@@ -93,6 +93,20 @@ def test_solve_large_scale_degenerate_jam_root(tmp_path):
             assert outputs["transmit_prob"] <= kappa_bar
         assert math.isfinite(outputs["value"])
 
+    # a capacity so small that 1 - kappa_bar / 2 rounds to 1 still has a
+    # finite capacity trigger, and the record is written
+    config = _write_config(tmp_path, "ls.json", {
+        "source": {"mean": 0.0, "variance": 1.0},
+        "costs": {"c": 1.0, "d": 1.0},
+        "kappa_bar": 1e-17,
+    })
+    out = tmp_path / "tiny-capacity"
+    assert run(["solve", "large-scale", "--config", config, "--out", str(out)]) == 0
+    outputs = json.loads((out / "result.json").read_text())["outputs"]
+    assert outputs["case"] == "C2"
+    assert math.isfinite(outputs["threshold"])
+    assert outputs["transmit_prob"] == pytest.approx(1e-17, rel=1e-14)
+
 
 def test_solve_proactive_huge_d_never_jams(tmp_path):
     config = _write_config(tmp_path, "p.json", {

@@ -2,13 +2,20 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from jamgame.gaussian import ScalarGaussian, interval_moments, tail_prob, tail_second_moment
+from jamgame.gaussian import (
+    ScalarGaussian,
+    interval_moments,
+    norm_sq_tail,
+    tail_prob,
+    tail_second_moment,
+)
 from jamgame.largescale import (
     CapacityFraction,
     asymptotic_objective,
@@ -59,6 +66,18 @@ def test_l_lambda_frozen_and_residual():
     assert solve_l_lambda(STD, 0.999999) < 1e-10
     scaled = solve_l_lambda(ScalarGaussian(0.0, 4.0), 0.25)
     assert scaled == pytest.approx(4.0 * L_LAMBDA_KBAR_025, rel=1e-12)
+    # the trigger keeps its digits at a tiny capacity and near 1, where
+    # 1 - kappa_bar / 2 rounds.  The tail's relative condition number in l
+    # is about l / 2, so the round trip holds to 1e-14 or to two roundings
+    # of l carried through it, whichever is larger (1373 at 1e-300)
+    for kb in (1e-10, 1e-14, 1e-17, 1e-300, 0.99999999):
+        l = solve_l_lambda(STD, kb)
+        with mp.workdps(50):
+            # 2 Q(sqrt l) = erfc(sqrt(l / 2)) = kappa_bar
+            x = mp.findroot(lambda x: mp.erfc(x) - kb, math.sqrt(l / 2.0))
+            assert abs(mp.mpf(l) / (2 * x * x) - 1) <= 1e-14, kb
+        round_trip = norm_sq_tail(STD)(l, 0) / kb - 1.0
+        assert abs(round_trip) <= max(1e-14, l * np.finfo(float).eps), kb
 
 
 def test_l_phi_frozen_and_residual():
@@ -204,6 +223,51 @@ def test_degenerate_jam_root_never_jams():
         assert math.isfinite(saddle.value)
 
 
+# one unit-variance instance per case: (c, d, kappa_bar) -> case id.  The
+# first is the small-variance C3 reproducer of an absolute jam-gate
+# tolerance, N(0, 1e-12), c = 1e-9, d = 5e-13, kappa_bar = 0.5, at unit scale
+SCALE_TWINS = [
+    pytest.param((1e3, 0.5, 0.5), "C1", id="C1-gate-tolerance"),
+    pytest.param((1.0, 2.0, 0.5), "C1", id="C1"),
+    pytest.param((0.2, 2.0, 0.5), "C2", id="C2"),
+    pytest.param((1.0, 0.5, 0.9), "C3", id="C3"),
+    pytest.param((1.0, D_C4A, 0.25), "C4a", id="C4a"),
+    pytest.param((1.0, 0.5, 0.1), "C4b", id="C4b"),
+    pytest.param((0.1, 0.2, 0.5), "C4c", id="C4c"),
+]
+
+
+@pytest.mark.parametrize("instance, case", SCALE_TWINS)
+def test_case_and_saddle_are_the_same_at_every_scale(instance, case):
+    # N(0, s) with costs c s and d s is N(0, 1) in units of s: the same case,
+    # phi_star, interval and value / s, with no tolerance that is absolute
+    c, d, kb = instance
+    unit = classify_and_solve(STD, GameCosts(c, d), kb)
+    assert unit.case_id == case
+    for s in (1e-12, 1e-6, 1e6):
+        source, costs = ScalarGaussian(0.0, s), GameCosts(c * s, d * s)
+        twin = classify_and_solve(source, costs, kb)
+        assert twin.case_id == case, s
+        for got, want in ((twin.threshold / s, unit.threshold),
+                          (twin.phi_star, unit.phi_star),
+                          (twin.lambda_star / s, unit.lambda_star),
+                          (twin.value / s, unit.value),
+                          (twin.transmit_prob, unit.transmit_prob)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
+        if case == "C4a":
+            assert twin.phi_star_interval == pytest.approx(
+                unit.phi_star_interval, rel=1e-12, abs=0.0
+            )
+        else:
+            assert twin.phi_star_interval is None
+        if case in ("C1", "C3", "C4c"):
+            # the capacity does not bind: the point-to-point saddle verbatim
+            p2p = solve_saddle(source, costs)
+            assert (twin.threshold, twin.phi_star, twin.transmit_prob, twin.value) \
+                == (p2p.threshold, p2p.phi_star, p2p.transmit_prob, p2p.value)
+            assert twin.lambda_star == 0.0
+
+
 def test_saddle_value_frozen():
     saddle = classify_and_solve(STD, GameCosts(1.0, 0.25), 0.25)
     assert saddle.value == pytest.approx(VALUE_D025_K025, rel=1e-12)
@@ -288,9 +352,11 @@ def test_asymptotic_objective_matches_p2p_within_capacity():
 
 def test_asymptotic_objective_saturated_branch():
     # above capacity every transmission collides; with phi=0 the value is
-    # bounded below by var + c * kappa_bar
-    kb = 0.2
-    for threshold in (0.0, 0.05, 0.2):
+    # bounded below by var + c * kappa_bar.  The capacity's tolerance is
+    # relative: five times a capacity of 1e-10 is saturated
+    cases = [(0.2, threshold) for threshold in (0.0, 0.05, 0.2)]
+    cases.append((1e-10, solve_l_lambda(STD, 5e-10)))
+    for kb, threshold in cases:
         p_tx = 2.0 * tail_prob(STD, math.sqrt(threshold))
         assert p_tx > kb
         value = asymptotic_objective(
@@ -316,17 +382,20 @@ def test_asymptotic_objective_at_saddle_matches_value():
     mean=st.floats(-2.0, 2.0),
     var=st.floats(0.25, 4.0),
     c=st.floats(0.1, 4.0),
-    d_frac=st.floats(0.05, 0.999),
+    d_frac=st.one_of(st.floats(0.05, 0.999), st.floats(1.001, 4.0)),
 )
 def test_c3_matches_the_point_to_point_saddle(mean, var, c, d_frac):
-    # below the jamming gate's d and far from capacity the network game is
-    # the point-to-point game: one indifference threshold l_phi serves both
+    # far from capacity the network game is the point-to-point game: below
+    # the jamming gate's d it is C3, above it C1, and either way the record
+    # is the point-to-point saddle bit for bit
     source = ScalarGaussian(mean, var)
     gate = 2.0 * tail_second_moment(source.centered(), math.sqrt(c))
     costs = GameCosts(c, d_frac * gate)
     large = classify_and_solve(source, costs, 0.999)
-    assert large.case_id == "C3"
+    assert large.case_id == ("C3" if d_frac < 1.0 else "C1")
     p2p = solve_saddle(source, costs)
-    assert p2p.threshold == pytest.approx(large.threshold, rel=1e-13)
-    assert abs(p2p.phi_star - large.phi_star) <= 1e-13
-    assert p2p.value == pytest.approx(large.value, rel=1e-12)
+    assert large.threshold == p2p.threshold
+    assert large.phi_star == p2p.phi_star
+    assert large.transmit_prob == p2p.transmit_prob
+    assert large.value == p2p.value
+    assert large.lambda_star == 0.0

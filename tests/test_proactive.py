@@ -154,6 +154,21 @@ def test_solve_saddle_cases():
     assert sad.phi_star <= 1e-9
 
 
+def test_jamming_never_pays_at_d_at_least_the_trace():
+    # E[S 1(S > c)] < E[S] at every c > 0, so d >= E[S] shuts the jam gate
+    # even at a c so small that G(c) rounds to 0
+    cases = [(solve_saddle, STD, 1.0)] + [
+        (solve_saddle_vector, DiagonalGaussian(np.zeros(2), v), 2.0)
+        for v in (np.ones(2), np.array([0.5, 1.5]))
+    ]
+    for solve, source, trace in cases:
+        for d in (trace, 1.5 * trace):
+            sad = solve(source, GameCosts(1e-18, d))
+            assert sad.case == NO_JAM
+            assert sad.phi_star == 0.0
+            assert sad.threshold == 1e-18
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     log_ratio=st.floats(-3.0, 6.0),
