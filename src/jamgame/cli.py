@@ -34,7 +34,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +240,6 @@ class ResultRecord:
     config: dict
     outputs: dict
     provenance: dict
-    trace_path: str | None = None
 
     def __post_init__(self):
         _check_finite(self.outputs, "outputs")
@@ -250,7 +249,7 @@ class ResultRecord:
             "config": self.config,
             "outputs": self.outputs,
             "provenance": self.provenance,
-            "trace": self.trace_path,
+            "trace": None,
         }
 
 
@@ -537,7 +536,7 @@ def _run_simulate(config: ExperimentConfig):
         )
     else:
         model = ExactScalarModel(config.source, config.costs)
-        analytic, _ = model.objective(policies.symbols, policies.jammer)
+        analytic = model.evaluate(policies.symbols, policies.jammer).objective
     estimate = estimate_cost(
         config.source, config.costs, config.network, policies,
         trials=config.trials, seed=config.seed,
@@ -706,15 +705,10 @@ def _write_trace(path: Path, report: FneReport) -> None:
 
 def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = result.record
-    payload = record.to_json()
+    payload = result.record.to_json()
     if result.report is not None:
-        trace_path = out_dir / "trace.csv"
-        _write_trace(trace_path, result.report)
-        if not trace_path.exists():
-            raise RuntimeError(f"trace file {trace_path} was not written")
-        record = replace(record, trace_path="trace.csv")
-        payload = record.to_json()
+        _write_trace(out_dir / "trace.csv", result.report)
+        payload["trace"] = "trace.csv"
     if result.point_records is not None:
         table = emit_table(result.point_records, result.parameters)
         (out_dir / "table.csv").write_text(table)

@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .gaussian import ScalarGaussian, interval_moments, philox_rng
 from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
@@ -113,12 +113,18 @@ class RoundPolicies:
 
 
 def binomial_cdf(n: int, kappa: int, p: float) -> float:
-    """P(Bin(n, p) <= kappa); stable for n up to 1e5."""
+    """P(Bin(n, p) <= kappa) = I_{1-p}(n - kappa, kappa + 1), the
+    regularized incomplete beta (Abramowitz & Stegun 26.5.24), and 1 at
+    kappa = n.  n and kappa must be integers (Python or numpy)."""
+    if not all(isinstance(k, (int, np.integer)) for k in (n, kappa)):
+        raise ValueError(f"n and kappa must be integers, got {n!r}, {kappa!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not 0 <= kappa <= n:
         raise ValueError(f"kappa must lie in [0, {n}], got {kappa}")
-    return float(stats.binom.cdf(kappa, n, p))
+    if kappa == n:
+        return 1.0
+    return float(special.betainc(n - kappa, kappa + 1, 1.0 - p))
 
 
 def jn_analytic(

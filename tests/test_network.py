@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 import jamgame.network as network
 from jamgame.gaussian import ScalarGaussian, interval_moments, philox_rng
@@ -100,6 +103,35 @@ def test_binomial_cdf_against_direct_sum():
         binomial_cdf(5, -1, 0.3)
     with pytest.raises(ValueError):
         binomial_cdf(5, 2, 1.3)
+    with pytest.raises(ValueError):
+        binomial_cdf(5.0, 2, 0.3)
+    with pytest.raises(ValueError):
+        binomial_cdf(5, 2.5, 0.3)
+
+
+def test_binomial_cdf_equals_scipy_stats():
+    # the library imports no scipy.stats; its binom.cdf is the reference.  p
+    # enters through 1 - p, and every p the library passes is 1 - q, whose
+    # complement is exact, as it is for the uniform doubles drawn here
+    rng = np.random.default_rng(16)
+    ns = [1, 2, 3, 10, 100_000] + [int(v) for v in rng.integers(2, 100_001, 40)]
+    p_grid = [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0] + list(rng.random(15))
+    for n in ns:
+        kappas = {0, n - 1, n} | {int(v) for v in rng.integers(0, n + 1, 5)}
+        for kappa in sorted(kappas):
+            for p in p_grid:
+                expected = float(stats.binom.cdf(kappa, n, p))
+                assert binomial_cdf(n, kappa, p) == expected, (n, kappa, p)
+    assert binomial_cdf(np.int64(50), np.int32(20), 0.25) == stats.binom.cdf(20, 50, 0.25)
+
+
+def test_import_leaves_out_scipy_stats():
+    # a fresh interpreter importing the jamgame these tests import
+    src = os.path.dirname(os.path.dirname(network.__file__))
+    code = "import sys, jamgame; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert run.returncode == 0
 
 
 def test_jn_frozen_value():
