@@ -14,9 +14,9 @@ full-precision `result.json` record; iterative solvers add a per-iteration
 rounded for reading (the record keeps full precision).  Non-convergence is
 reported through exit code 3 with the record still written, so sweeps can
 continue past hard instances and mark them.  A solver's failed accuracy
-check (`ConvergenceError`) also exits 3 with the record written and its
-message in the `error` output; inside a sweep it becomes that point's
-record and the sweep goes on.
+check (`ConvergenceError`) or a non-finite output also exits 3 with the
+record written and its message in the `error` output; inside a sweep it
+becomes that point's record and the sweep goes on.
 
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
@@ -584,12 +584,18 @@ def _provenance(seed: int) -> dict:
 
 
 def _run_point(config: ExperimentConfig):
-    """(outputs, report) of one non-sweep experiment."""
+    """(outputs, report) of one non-sweep experiment.  A failed accuracy
+    check or a non-finite output is no answer to report: the outputs say
+    why, and count as not converged."""
     try:
-        return _POINT_RUNNERS[config.mode](config)
+        outputs, report = _POINT_RUNNERS[config.mode](config)
     except ConvergenceError as exc:
-        # no answer to report: the record says why, and counts as not converged
         return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
+    try:
+        _check_finite(outputs, "outputs")
+    except ValueError as exc:
+        return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
+    return outputs, report
 
 
 def execute(config: ExperimentConfig) -> ExecutionResult:
@@ -812,8 +818,9 @@ def run(argv) -> int:
     """Parse arguments, run the experiment, write outputs, return exit code.
 
     0 on success, 2 on any validation problem, 3 when a solver failed to
-    converge or to meet its accuracy check (the record is still written;
-    on a failed check its `error` output holds the message).
+    converge or to meet its accuracy check, or gave a non-finite output (the
+    record is still written; on a failed check or a non-finite output its
+    `error` output holds the message).
     """
     parser = _build_parser()
     try:

@@ -72,9 +72,6 @@ class ScalarGaussian:
     def std(self) -> float:
         return math.sqrt(self.var)
 
-    def centered(self) -> "ScalarGaussian":
-        return ScalarGaussian(0.0, self.var)
-
 
 @dataclass(frozen=True, eq=False)
 class DiagonalGaussian:
@@ -104,9 +101,6 @@ class DiagonalGaussian:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def centered(self) -> "DiagonalGaussian":
-        return DiagonalGaussian(np.zeros(self.dim), self.variances)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +187,8 @@ def interval_moments(
     Endpoints may be -inf / +inf.  Both tails are computed via erfc so the
     result stays relatively accurate far from the mean.  This is the only
     form with moments about the origin, shifted from those of the deviation
-    X - mean (`_piece_moments`); the game code integrates the deviation,
-    which keeps its digits at any mean.
+    X - mean (`_piece_moments`).  The library never calls it: the game code
+    integrates the deviation itself, which keeps its digits at any mean.
     """
     if not (lo < hi):
         return 0.0, 0.0, 0.0
@@ -248,25 +242,21 @@ def philox_rng(seed: int, *stream: int) -> np.random.Generator:
 
 def sample(source, seed: int, count: int) -> np.ndarray:
     """Draw `count` samples; shape (count,) scalar, (count, dim) vector."""
+    return _deviations(source, seed, count) + source.mean
+
+
+def _deviations(source, seed: int, count: int) -> np.ndarray:
+    """`count` draws of the deviation X - mean: the draws of `sample` before
+    the mean is added."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = philox_rng(seed)
     if isinstance(source, ScalarGaussian):
-        return source.mean + source.std * rng.standard_normal(count)
-    # vector draws are scaled and shifted in place: one (count, dim) array
-    # at a time, the same values as mean + scale * z
-    if isinstance(source, DiagonalGaussian):
-        z = rng.standard_normal((count, source.dim))
-        z *= np.sqrt(source.variances)
-        z += source.mean
-        return z
-    if isinstance(source, GeneralGaussian):
-        z = rng.standard_normal((count, source.dim))
-        z *= np.sqrt(source.eigenvalues)
-        x = z @ source.eigenvectors.T
-        x += source.mean
-        return x
-    raise TypeError(f"unsupported source type {type(source).__name__}")
+        return source.std * rng.standard_normal(count)
+    lam = _spectrum(source)
+    z = rng.standard_normal((count, lam.size))
+    z *= np.sqrt(lam)
+    return z @ source.eigenvectors.T if isinstance(source, GeneralGaussian) else z
 
 
 def mean_std_err(total, total_sq, n: int):
@@ -282,9 +272,9 @@ def norm_sq_tail(source):
     S = ||X - mean||^2 of any source, built once per source.  It is the one
     law of S the proactive game reads, so a source's mean never enters.
 
-    A scalar tail is 2 Q(sqrt r) and 2 E[Z^2 1(Z > sqrt r)] for the centred
-    deviation Z.  A vector tail depends only on the spectrum lambda, the
-    variances of a diagonal source and the eigenvalues of a general one.
+    A scalar tail is 2 Q(z) or 2 var (Q(z) + z q(z)) at z = sqrt(r) / sigma.
+    A vector tail depends only on the spectrum lambda, the variances of a
+    diagonal source and the eigenvalues of a general one.
     With beta = min lambda and a_i = 1 - beta / lambda_i, Ruben's series
     (Ann. Math. Statist. 1962) makes S / beta a chi2_{m+2k} with probability
     c_k, the coefficients of F(z) = prod_i (beta / lambda_i)^(1/2)
@@ -295,9 +285,9 @@ def norm_sq_tail(source):
     inversion integral instead.
     """
     if isinstance(source, ScalarGaussian):
-        centered = source.centered()
-        moment = (tail_prob, tail_second_moment)
-        return lambda r, p: 2.0 * moment[p](centered, math.sqrt(r))
+        s, var = source.std, source.var
+        moment = (_std_tail, lambda z: var * (_std_tail(z) + z * _std_pdf(z)))
+        return lambda r, p: 2.0 * moment[p](math.sqrt(r) / s)
     lam = _spectrum(source)
     terms = _ruben_terms(lam)
     return _imhof_tail(lam) if terms > _MAX_TERMS else _ruben_tail(lam, terms)

@@ -99,9 +99,8 @@ def lagrangian_value(
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     shifted = GameCosts(costs.c + lam, costs.d)
-    return objective_tilde(
-        source.centered(), shifted, ReprSymbols(0.0, 0.0), phi
-    ) - lam * kb
+    at_mean = ReprSymbols(source.mean, source.mean)
+    return objective_tilde(source, shifted, at_mean, phi) - lam * kb
 
 
 def classify_and_solve(

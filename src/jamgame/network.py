@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gaussian import ScalarGaussian, interval_moments, philox_rng
+from .gaussian import ScalarGaussian, philox_rng
 from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
 from .reactive import ReactivePolicy, TransmitRegion, transmit_region
 
@@ -363,9 +363,7 @@ def convergence_probe(
     """
     if not (0.0 < kappa_bar < 1.0):
         raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
-    w = math.sqrt(threshold)
-    centered = source.centered()
-    p = 1.0 - interval_moments(centered, -w, w)[0]
+    p = _window(source, ReprSymbols(source.mean, source.mean), threshold)[0]
     if abs(p - kappa_bar) < 1e-6:
         warnings.warn(
             "transmit probability sits on the capacity boundary; the CDF "

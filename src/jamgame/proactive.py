@@ -9,12 +9,12 @@ pays and r = c; otherwise the equilibrium trigger is the root of G, where
 the jammer is indifferent over all phi, and phi_star = 1 - c / r.  The game
 reads the source only through the law of S, so every saddle, scalar or
 vector, has one body on one tail integral (`gaussian.norm_sq_tail`), exact
-at any source mean, and finds that root with one bracketing root in r.  The
-reduced scalar objective (`objective_tilde`) is the cost of the threshold
-rule at the best trigger c / (1 - phi), with no clamp on phi: below 1 that
-trigger is finite, and phi = 1 is the infinite trigger.  The saddle itself,
-the scalar root l_phi and the cost of a threshold rule are shared with the
-many-sensor game (`largescale`, `network`).
+at any source mean and scale, and finds that root with one bracketing root
+in r / E[S].  The reduced scalar objective (`objective_tilde`) is the cost
+of the threshold rule at the best trigger c / (1 - phi), with no clamp on
+phi: below 1 that trigger is finite, and phi = 1 is the infinite trigger.
+The saddle itself, the scalar root l_phi and the cost of a threshold rule
+are shared with the many-sensor game (`largescale`, `network`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from .gaussian import (
     _RESIDUAL_TOL,
     ConvergenceError,
     ScalarGaussian,
+    _endpoint,
+    _piece_moments,
     _spectrum,
-    interval_moments,
     norm_sq_tail,
 )
 
@@ -137,29 +138,35 @@ def solve_l_phi(source: ScalarGaussian, costs: GameCosts) -> float:
 
 def _threshold_root(residual, scale: float) -> float:
     """Root in r of a residual falling from positive to negative, for a source
-    of variance (or trace) `scale`: bracketed from [1e-12, 50 scale], then
-    found by Brent's method (Brent 1973) to a width of 4 eps r;
-    |residual| <= 1e-10 scale there is checked.  Both tolerances are
-    relative, so the root keeps its digits at any source scale."""
-    lo, hi = 1e-12, 50.0 * scale
-    while residual(hi) > 0.0:
-        hi *= 4.0
-    while residual(lo) < 0.0:
+    of variance (or trace) `scale`, solved in x = r / scale: bracketed from
+    [1e-12, 50] up to the largest x whose r is finite, then found by Brent's
+    method (Brent 1973) to a width of 4 eps x, where |residual| <= 1e-10
+    scale is checked.  So the root keeps its digits at any source scale."""
+    def reduced(x: float) -> float:
+        return residual(x * scale) / scale
+
+    # one step below the quotient, which may round up
+    top = math.nextafter(float(np.finfo(float).max) / max(scale, 1.0), 0.0)
+    lo, hi = 1e-12, min(50.0, top)
+    while reduced(hi) > 0.0:
+        if hi == top:
+            raise ConvergenceError(f"indifference root past r = {top * scale:.6g}")
+        hi = min(4.0 * hi, top)
+    while reduced(lo) < 0.0:
         lo *= 0.25
     # rtol is the tightest Brent's method accepts, and xtol 0 is refused
     root, info = optimize.brentq(
-        residual, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+        reduced, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
         full_output=True, disp=False,
     )
     if not info.converged:
         raise ConvergenceError(f"indifference root: {info.flag}")
-    resid = residual(root)
-    bound = _RESIDUAL_TOL * scale
+    resid, bound = residual(root * scale), _RESIDUAL_TOL * scale
     if not abs(resid) <= bound:
         raise ConvergenceError(
             f"indifference root residual {resid:.3e} exceeds {bound:.3e}"
         )
-    return root
+    return root * scale
 
 
 def objective_tilde(
@@ -204,12 +211,13 @@ def _window(
     """Terms of the rule that transmits iff (x - x_hat0)^2 > threshold:
     (p, err0_silent, err1_silent, err1_total), the transmit probability,
     E[(X - x_hat0)^2 1(silent)], E[(X - x_hat1)^2 1(silent)] and
-    E[(X - x_hat1)^2].  The moments are of the centred source, so they keep
+    E[(X - x_hat1)^2], integrated in the deviation X - mean, so they keep
     their digits at any source mean."""
-    x0, x1 = symbols.scalars()
-    x0, x1 = x0 - source.mean, x1 - source.mean
-    w = math.sqrt(threshold)
-    p_in, m1, m2 = interval_moments(source.centered(), x0 - w, x0 + w)
+    x0, x1 = (x - source.mean for x in symbols.scalars())
+    w, s = math.sqrt(threshold), source.std
+    p_in, m1, m2 = _piece_moments(
+        _endpoint((x0 - w) / s), _endpoint((x0 + w) / s), s, source.var
+    )
     return (
         1.0 - p_in,
         m2 - 2.0 * x0 * m1 + x0 * x0 * p_in,

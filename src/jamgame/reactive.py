@@ -35,11 +35,11 @@ from .gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
+    _deviations,
     _endpoint,
     _piece_moments,
     mean_std_err,
     philox_rng,
-    sample,
 )
 from .proactive import GameCosts, ReprSymbols
 
@@ -311,9 +311,9 @@ class McVectorModel:
     (seed, samples) and the convex-concave descent argument applies to the
     sampled objective exactly.
 
-    The draws are kept centred and transposed: one (2m, N) array holds
-    y = x - mean in its first m rows and y^2 in the m rows below, beside
-    ||y||^2 per sample.  Each pass over the sample set is one product:
+    The draws are deviations y = x - mean, never shifted by the mean, kept
+    transposed: one (2m, N) array holds y in its first m rows and y^2 in the
+    m rows below, beside ||y||^2 per sample.  Each pass is one product:
 
     - the squared distances ||x - x_hat_k||^2 = ||y||^2 - 2 <y, delta_k>
       + ||delta_k||^2, delta_k = x_hat_k - mean, take one (2, m) @ (m, N)
@@ -334,12 +334,10 @@ class McVectorModel:
         self.costs = costs
         self.mean = np.asarray(source.mean, dtype=float)
         self.n = samples
-        centred = sample(source, seed, samples)
-        centred -= self.mean
         m = self.mean.size
         powers = np.empty((2 * m, samples))
         self._y, self._y2 = powers[:m], powers[m:]
-        self._y[...] = centred.T
+        self._y[...] = _deviations(source, seed, samples).T
         np.multiply(self._y, self._y, out=self._y2)
         self._norm_sq = self._y2.sum(axis=0)
         self._key = self._sq = None

@@ -507,6 +507,31 @@ def test_sweep_point_failure_becomes_its_record(tmp_path, capsys, monkeypatch):
     assert _FAILURE in capsys.readouterr().err
 
 
+def test_sweep_non_finite_point_becomes_its_record(tmp_path, capsys):
+    # at variance 1.7e308 the reactive value overflows to NaN: that point
+    # records the failed finite check, and the point at variance 1 (which
+    # converges on its own) keeps its record and row
+    raw = _base_reactive(
+        costs={"c": 1e308, "d": 1e308}, solver={"max_iters": 30}, sweep={
+            "mode": "reactive",
+            "axes": [{"parameter": "source.variance", "grid": [1.0, 1.7e308]}],
+        },
+    )
+    config = _write_config(tmp_path, "nf.json", raw)
+    out = tmp_path / "out"
+    code = run(["sweep", "--config", config, "--out", str(out)])
+    assert code == 3
+    record = json.loads((out / "result.json").read_text())
+    assert record["outputs"] == {"points": 2, "non_converged": 1}
+    solved, failed = (r["outputs"] for r in record["records"])
+    assert solved["converged"] is True and math.isfinite(solved["value"])
+    assert failed == {"converged": False,
+                      "error": "ValueError: outputs.value is not finite: nan"}
+    rows = list(csv.reader((out / "table.csv").open()))
+    assert [row[0] for row in rows] == ["source.variance", "1", "1.7e+308"]
+    assert "outputs.value is not finite" in capsys.readouterr().err
+
+
 def test_solver_defaults_per_mode():
     proactive = parse_config(
         _vector_proactive(mode="proactive", costs={"c": 1.0, "d": 1.0}))

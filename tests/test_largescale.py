@@ -389,7 +389,7 @@ def test_c3_matches_the_point_to_point_saddle(mean, var, c, d_frac):
     # the jamming gate's d it is C3, above it C1, and either way the record
     # is the point-to-point saddle bit for bit
     source = ScalarGaussian(mean, var)
-    gate = 2.0 * tail_second_moment(source.centered(), math.sqrt(c))
+    gate = 2.0 * tail_second_moment(ScalarGaussian(0.0, var), math.sqrt(c))
     costs = GameCosts(c, d_frac * gate)
     large = classify_and_solve(source, costs, 0.999)
     assert large.case_id == ("C3" if d_frac < 1.0 else "C1")

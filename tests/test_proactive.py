@@ -132,6 +132,37 @@ def test_l_phi_keeps_its_digits_at_every_scale():
             assert abs(mp.mpf(got) / want - 1) <= 1e-14, (var, ratio)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e300])
+def test_saddle_scale_twins_match_the_unit_source(scale):
+    # the root is solved in units of the variance (or trace), so a source
+    # scaled by s, with its costs scaled alike, has the unit source's
+    # threshold and value in those units
+    sources = (
+        lambda s: ScalarGaussian(0.0, s),
+        lambda s: DiagonalGaussian(np.zeros(2), np.array([s, 2.0 * s])),
+    )
+    for build in sources:
+        unit, twin = (
+            solve_saddle_vector(build(s), GameCosts(0.1 * s, 0.2 * s))
+            for s in (1.0, scale)
+        )
+        assert twin.case == unit.case == INTERIOR_JAM
+        assert twin.threshold / scale == pytest.approx(unit.threshold, rel=1e-12)
+        assert twin.value / scale == pytest.approx(unit.value, rel=1e-12)
+
+
+def test_root_near_the_largest_float():
+    # with c = d = 1 the root of N(0, 1e305) is about 1.41e308, below the
+    # largest float, and that of N(0, 1e306) lies past it
+    source = ScalarGaussian(0.0, 1e305)
+    sad = solve_saddle(source, GameCosts(1.0, 1.0))
+    assert sad.case == INTERIOR_JAM
+    assert 1e308 < sad.threshold < math.inf
+    assert norm_sq_tail(source)(sad.threshold, 1) == pytest.approx(1.0, rel=1e-11)
+    with pytest.raises(ConvergenceError, match="indifference root past r"):
+        solve_saddle(ScalarGaussian(0.0, 1e306), GameCosts(1.0, 1.0))
+
+
 def test_solve_saddle_cases():
     sad = solve_saddle(STD, GameCosts(1.0, 0.5))
     assert sad.case == INTERIOR_JAM

@@ -550,7 +550,7 @@ def _per_piece_reference(source, costs, symbols, policy):
     a, b = policy.alpha, policy.beta
     x0, x1 = (x - source.mean for x in symbols.scalars())
     c, d = costs.c, costs.d
-    centred = source.centered()
+    centred = ScalarGaussian(0.0, source.var)
     region = transmit_region(ReprSymbols(x0, x1), policy, costs)
 
     def row(intervals):
@@ -670,6 +670,38 @@ def test_exact_model_reads_only_the_deviation(mean):
     near = ReprSymbols(0.25, -0.125)
     assert tuple(x - mean for x in far.scalars()) == near.scalars()
     # two finite edges, one edge (beta = 1), the full line and the empty one
+    for alpha, beta in ((0.3, 0.6), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)):
+        policy = ReactivePolicy(alpha, beta)
+        ev, twin = shifted.evaluate(far, policy), centred.evaluate(near, policy)
+        for field in dataclasses.fields(Evaluation):
+            got, want = getattr(ev, field.name), getattr(twin, field.name)
+            assert _bits(got) == _bits(want), (field.name, policy, got, want)
+        assert _bits(shifted.ccp_g(far, policy)) == _bits(twin.ccp_g)
+
+
+@pytest.mark.parametrize("mean", [2.0**40, 1e15])
+@pytest.mark.parametrize("general", [False, True])
+def test_mc_model_reads_only_the_deviation(mean, general):
+    # the draws are deviations, never shifted by the mean and back, and the
+    # symbol deviations (multiples of 1/8) are exact at each mean, so the
+    # shifted model's statistics are the centred one's bit for bit
+    variances = np.array([0.5, 1.5, 3.0])
+    rotation, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    centre = mean * np.array([1.0, -1.0, 1.0])
+
+    def model(mu):
+        if general:
+            source = GeneralGaussian(mu, (rotation * variances) @ rotation.T)
+        else:
+            source = DiagonalGaussian(mu, variances)
+        return McVectorModel(source, GameCosts(1.0, 0.75), samples=2_000, seed=5)
+
+    shifted, centred = model(centre), model(np.zeros(3))
+    y0, y1 = np.array([0.25, -0.125, 1.5]), np.array([-0.5, 0.75, 0.0])
+    far = ReprSymbols(centre + y0, centre + y1)
+    assert np.array_equal(far.x_hat0 - centre, y0)
+    assert np.array_equal(far.x_hat1 - centre, y1)
+    near = ReprSymbols(y0, y1)
     for alpha, beta in ((0.3, 0.6), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)):
         policy = ReactivePolicy(alpha, beta)
         ev, twin = shifted.evaluate(far, policy), centred.evaluate(near, policy)
