@@ -8,15 +8,17 @@ top-level keys each mode requires or forbids, and the library's own objects
 (`GameCosts`, `SolverConfig`, `NetworkConfig`, ...) check the ranges.
 Validation is strict: unknown keys, missing mode-required fields, malformed
 grids and a sweep axis that repeats another axis's parameter are errors that
-name the offending field and exit with code 2.  Each run writes a
+name the offending field or file, and they are the only ones that exit with
+code 2: a config that parses always writes its record.  Each run writes a
 full-precision `result.json` record; iterative solvers add a per-iteration
 `trace.csv` and sweeps add a `table.csv` with one row per grid point,
 rounded for reading (the record keeps full precision).  Non-convergence is
 reported through exit code 3 with the record still written, so sweeps can
-continue past hard instances and mark them.  A solver's failed accuracy
-check (`ConvergenceError`) or a non-finite output also exits 3 with the
-record written and its message in the `error` output; inside a sweep it
-becomes that point's record and the sweep goes on.
+continue past hard instances and mark them.  A point that raises while it
+runs (a failed accuracy check, an overflow, an allocation it cannot make,
+an iterate the library rejects) or gives a non-finite output also exits 3,
+with the record written and the exception under its `error` output; inside
+a sweep it becomes that point's record and the sweep goes on.
 
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
@@ -68,6 +70,7 @@ _TABLE_COLUMNS = (
     "value_std_err", "std_err", "analytic_value", "trials", "fne_index",
     "fne_std_err", "iterations", "converged",
 )
+_TABLE_DIGITS = 4  # significant digits of a table's numbers
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -208,7 +211,6 @@ def _vector(value, dimension: int, label: str) -> np.ndarray:
 class SweepPlan:
     """Grid axes over a base experiment, run point by point."""
 
-    mode: str
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     workers: int
     points: tuple["ExperimentConfig", ...]
@@ -281,8 +283,11 @@ def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
         # the first list value's length; `_vector` names a list of another
         lists = [v for v in (echo["mean"], echo["variance"]) if isinstance(v, list)]
         dimension = len(lists[0]) if lists else 1
-    mean = _vector(echo["mean"], dimension, "source.mean")
-    variance = _vector(echo["variance"], dimension, "source.variance")
+    try:
+        mean = _vector(echo["mean"], dimension, "source.mean")
+        variance = _vector(echo["variance"], dimension, "source.variance")
+    except MemoryError as exc:  # numpy refuses before it allocates
+        raise ConfigError(f"source.dimension: {dimension} is too large: {exc}") from exc
     echo["dimension"] = dimension
     if dimension == 1:
         source = _build(ScalarGaussian, "source", float(mean[0]), float(variance[0]))
@@ -398,7 +403,7 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
             at = ", ".join(f"{p}={v}" for p, v in zip(axes, combo))
             raise ConfigError(f"sweep point ({at}): {exc}") from exc
     section["axes"] = [{"parameter": p, "grid": list(g)} for p, g in axes.items()]
-    plan = SweepPlan(mode, tuple(axes.items()), section["workers"], tuple(points))
+    plan = SweepPlan(tuple(axes.items()), section["workers"], tuple(points))
     normalized = base | {"mode": "sweep", "sweep": section}
     return ExperimentConfig("sweep", seed, normalized, sweep_plan=plan)
 
@@ -570,10 +575,6 @@ class ExecutionResult:
     point_records: tuple[ResultRecord, ...] | None = None
     parameters: tuple[str, ...] = ()
 
-    @property
-    def non_converged(self) -> int:
-        return _non_converged(self.point_records or (self.record,))
-
 
 def _non_converged(records) -> int:
     return sum(1 for r in records if r.outputs.get("converged") is False)
@@ -585,15 +586,13 @@ def _provenance(seed: int) -> dict:
 
 def _run_point(config: ExperimentConfig):
     """(outputs, report) of one non-sweep experiment.  A failed accuracy
-    check or a non-finite output is no answer to report: the outputs say
+    check, an overflow, an allocation numpy refuses, an iterate the library
+    rejects or a non-finite output is no answer to report: the outputs say
     why, and count as not converged."""
     try:
         outputs, report = _POINT_RUNNERS[config.mode](config)
-    except ConvergenceError as exc:
-        return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
-    try:
         _check_finite(outputs, "outputs")
-    except ValueError as exc:
+    except (ConvergenceError, ArithmeticError, MemoryError, ValueError) as exc:
         return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
     return outputs, report
 
@@ -640,7 +639,7 @@ def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
     )
 
 
-def _format_cell(value, digits: int) -> str:
+def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -648,20 +647,18 @@ def _format_cell(value, digits: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:.{_TABLE_DIGITS}g}"
     if isinstance(value, (list, tuple)):
-        return ";".join(_format_cell(v, digits) for v in value)
+        return ";".join(_format_cell(v) for v in value)
     return str(value)
 
 
-def emit_table(
-    records, parameters: tuple[str, ...] = (), digits: int = 4
-) -> str:
+def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
     """Render records as a comma-separated table, one row per record.
 
     Parameter columns (dotted config paths) come first, then the output
     columns in a fixed order, restricted to the ones some record fills.
-    Numbers are rounded to `digits` significant digits; the JSON record
+    Numbers are rounded to `_TABLE_DIGITS` significant digits; the JSON record
     keeps full precision.  No records yields a header-only table.
     """
     records = list(records)
@@ -675,13 +672,8 @@ def emit_table(
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(parameters) + columns)
     for record in records:
-        row = [
-            _format_cell(_get_path(record.config, p), digits)
-            for p in parameters
-        ]
-        row += [
-            _format_cell(record.outputs.get(c), digits) for c in columns
-        ]
+        row = [_format_cell(_get_path(record.config, p)) for p in parameters]
+        row += [_format_cell(record.outputs.get(c)) for c in columns]
         writer.writerow(row)
     return buffer.getvalue()
 
@@ -728,7 +720,7 @@ def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -817,10 +809,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Parse arguments, run the experiment, write outputs, return exit code.
 
-    0 on success, 2 on any validation problem, 3 when a solver failed to
-    converge or to meet its accuracy check, or gave a non-finite output (the
-    record is still written; on a failed check or a non-finite output its
-    `error` output holds the message).
+    0 on success; 2 on an invalid config only (a `ConfigError`, whose message
+    names the field or the file), and then no record is written; 3 when a
+    point did not converge, raised while running (a failed accuracy check,
+    an overflow, an allocation it cannot make, an iterate the library
+    rejects) or gave a non-finite output.  A config that parses always has
+    its record written, with the exception under a failed point's `error`.
     """
     parser = _build_parser()
     try:
@@ -835,15 +829,16 @@ def run(argv) -> int:
         raw = _load_config(args.config)
         _apply_cli(raw, args, requested_mode)
         config = parse_config(raw)
-        result = execute(config)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    result = execute(config)
     _write_outputs(Path(args.out), result)
-    for record in result.point_records or (result.record,):
+    records = result.point_records or (result.record,)
+    for record in records:
         if "error" in record.outputs:
             print(f"error: {record.outputs['error']}", file=sys.stderr)
-    return 3 if result.non_converged else 0
+    return 3 if _non_converged(records) else 0
 
 
 def main() -> None:

@@ -50,8 +50,6 @@ def _std_tail(z: float) -> float:
 
 
 def _std_pdf(z: float) -> float:
-    if math.isinf(z):
-        return 0.0
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from scipy import special
 
 from .gaussian import ScalarGaussian, philox_rng
+from .largescale import _kappa
 from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
 from .reactive import ReactivePolicy, TransmitRegion, transmit_region
 
@@ -68,9 +69,7 @@ class NetworkConfig:
 def _capacity(n: int, kappa_bar: float) -> int:
     """Capacity ceil(kappa_bar * n), at least 1 and, for n > 1, at most
     n - 1: fixed rounding for reproducibility."""
-    if not (0.0 < kappa_bar < 1.0):
-        raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
-    kappa = max(1, math.ceil(kappa_bar * n))
+    kappa = max(1, math.ceil(_kappa(kappa_bar) * n))
     return min(kappa, n - 1) if n > 1 else kappa
 
 
@@ -361,8 +360,7 @@ def convergence_probe(
     n) capped at n - 1.  As n grows both approach the indicator of
     p <= kappa_bar; the boundary p = kappa_bar is excluded.
     """
-    if not (0.0 < kappa_bar < 1.0):
-        raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
+    kappa_bar = _kappa(kappa_bar)
     p = _window(source, ReprSymbols(source.mean, source.mean), threshold)[0]
     if abs(p - kappa_bar) < 1e-6:
         warnings.warn(

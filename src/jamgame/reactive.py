@@ -518,10 +518,10 @@ class FneReport:
     converged: bool
     trace: tuple[TraceRow, ...]
 
-    def iterations_to(self, threshold: float, slack_ses: float = 0.0) -> int | None:
-        """First iteration whose index is <= threshold (+ slack_ses * SE)."""
+    def iterations_to(self, threshold: float) -> int | None:
+        """First iteration whose index is <= threshold."""
         for row in self.trace:
-            if row.fne_index <= threshold + slack_ses * row.fne_std_err:
+            if row.fne_index <= threshold:
                 return row.iteration
         return None
 

@@ -66,8 +66,24 @@ def test_solve_large_scale_paper_instance(tmp_path):
     assert record["outputs"]["threshold"] == pytest.approx(4.11, abs=0.01)
     assert record["outputs"]["phi_star"] == pytest.approx(0.76, abs=0.01)
     assert record["outputs"]["lambda_star"] == 0.0
+    assert "phi_star_interval" not in record["outputs"]
     assert record["trace"] is None
     assert record["provenance"]["version"]
+
+    # at this d both gates tie (case C4a): every phi in [0, 1 - c / threshold]
+    # is optimal, and the outputs give that interval
+    config = _write_config(tmp_path, "c4a.json", {
+        "source": {"mean": 0.0, "variance": 1.0},
+        "costs": {"c": 1.0, "d": 0.723606961762328242},
+        "kappa_bar": 0.25,
+    })
+    out = tmp_path / "c4a"
+    assert run(["solve", "large-scale", "--config", config, "--out", str(out)]) == 0
+    outputs = json.loads((out / "result.json").read_text())["outputs"]
+    assert outputs["case"] == "C4a"
+    assert outputs["phi_star_interval"] == [
+        0.0, pytest.approx(1.0 - 1.0 / outputs["threshold"], rel=1e-12)
+    ]
 
 
 def test_solve_large_scale_degenerate_jam_root(tmp_path):
@@ -141,22 +157,35 @@ def test_solve_reactive_calls_the_module_level_solver(tmp_path, monkeypatch, alg
 
 
 def test_solve_reactive_writes_trace(tmp_path):
-    config = _write_config(tmp_path, "r.json", _base_reactive())
-    out = tmp_path / "out"
-    assert run(["solve", "reactive", "--config", config, "--out", str(out)]) == 0
-    record = json.loads((out / "result.json").read_text())
-    assert record["outputs"]["converged"] is True
-    assert record["outputs"]["fne_index"] <= 0.001
-    assert record["trace"] == "trace.csv"
-    rows = list(csv.reader((out / "trace.csv").open()))
-    assert rows[0] == [
-        "iteration", "fne_index", "objective", "alpha", "beta",
-        "x_hat0", "x_hat1",
-    ]
-    assert len(rows) - 1 == record["outputs"]["iterations"]
-    assert int(rows[-1][0]) == record["outputs"]["iterations"]
-    # the trace keeps full precision, so the last row ends at the reported FNE
-    assert float(rows[-1][1]) == record["outputs"]["fne_index"]
+    # a scalar source, and a 2-D one whose trace has a column per component
+    vector = _base_reactive(
+        source={"mean": [0.5, -0.25], "variance": [0.5, 1.5]}, seed=1,
+        solver={"epsilon": 0.1, "mc_samples": 2000, "max_iters": 300},
+    )
+    for raw, symbol_columns in (
+        (_base_reactive(), ["x_hat0", "x_hat1"]),
+        (vector, ["x_hat0_0", "x_hat0_1", "x_hat1_0", "x_hat1_1"]),
+    ):
+        config = _write_config(tmp_path, "r.json", raw)
+        out = tmp_path / f"out-{len(symbol_columns)}"
+        assert run(["solve", "reactive", "--config", config, "--out", str(out)]) == 0
+        record = json.loads((out / "result.json").read_text())
+        outputs = record["outputs"]
+        assert outputs["converged"] is True
+        # the Monte Carlo certificate allows three standard errors
+        assert outputs["fne_index"] <= (
+            raw["solver"]["epsilon"] + 3.0 * outputs["fne_std_err"])
+        assert record["trace"] == "trace.csv"
+        rows = list(csv.reader((out / "trace.csv").open()))
+        assert rows[0] == [
+            "iteration", "fne_index", "objective", "alpha", "beta",
+        ] + symbol_columns
+        assert {len(row) for row in rows} == {5 + len(symbol_columns)}
+        assert len(rows) - 1 == outputs["iterations"]
+        assert int(rows[-1][0]) == outputs["iterations"]
+        # the trace keeps full precision, so the last row ends at the
+        # reported FNE
+        assert float(rows[-1][1]) == outputs["fne_index"]
 
 
 def test_nonconvergence_exit_code_still_writes_record(tmp_path):
@@ -394,6 +423,21 @@ def test_cli_error_paths(tmp_path, capsys):
     for flag in ("--epsilon", "--trials"):
         assert run(["solve", "reactive", "--config", good, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+    # a file that is not UTF-8, and a dimension whose 7 PiB mean numpy
+    # refuses before it allocates: no record, and the message names the
+    # file or the field
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"costs": {"c": 1.0, "d": 1.0}, "note": "\xff"}')
+    huge = _write_config(tmp_path, "d.json", _base_reactive(
+        source={"mean": 0.0, "variance": 1.0, "dimension": 10**15}))
+    for config, message in (
+        (str(latin), f"error: config: cannot read {latin}: "),
+        (huge, "error: source.dimension: 1000000000000000 is too large: "),
+    ):
+        out = tmp_path / "out"
+        assert run(["solve", "proactive", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
 
 def test_override_precedence(tmp_path):
@@ -530,6 +574,61 @@ def test_sweep_non_finite_point_becomes_its_record(tmp_path, capsys):
     rows = list(csv.reader((out / "table.csv").open()))
     assert [row[0] for row in rows] == ["source.variance", "1", "1.7e+308"]
     assert "outputs.value is not finite" in capsys.readouterr().err
+
+
+# configs that parse but raise while they run: (command, config, exception)
+_SIMULATE_OVERFLOW = {
+    "source": {"mean": 0.0, "variance": 1.0}, "costs": {"c": 1.0, "d": 1.0},
+    "n": 3, "capacity": 1,
+    "simulate": {"trials": 1000, "threshold": 1.0, "phi": 0.2, "x_hat1": 1e200},
+}
+_RAISING_POINTS = {
+    # the ascent overflows to NaN, and the policy rejects the iterate
+    "gda-nan-iterate": (["solve", "reactive"], {
+        "source": {"mean": 0.0, "variance": 1e300}, "costs": {"c": 1.0, "d": 1.0},
+        "solver": {"algorithm": "gda", "gd_step": 1e10, "max_iters": 50},
+    }, "ValueError"),
+    # numpy refuses the 42 PiB sample set before it allocates
+    "mc-samples-too-many": (["solve", "reactive"], {
+        "source": {"mean": [0, 0, 0], "variance": [0.5, 1.5, 3.0]},
+        "costs": {"c": 1.0, "d": 1.0}, "solver": {"mc_samples": 10**15},
+    }, "MemoryError"),
+    # the squared symbol deviation overflows
+    "simulate-overflow": (["simulate"], _SIMULATE_OVERFLOW, "OverflowError"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, raw, exception", _RAISING_POINTS.values(), ids=_RAISING_POINTS
+)
+def test_point_that_raises_exits_3_with_its_record(
+    tmp_path, capsys, command, raw, exception
+):
+    config = _write_config(tmp_path, "p.json", raw)
+    out = tmp_path / "out"
+    assert run([*command, "--config", config, "--out", str(out)]) == 3
+    outputs = json.loads((out / "result.json").read_text())["outputs"]
+    assert outputs["converged"] is False
+    assert outputs["error"].startswith(f"{exception}: ")
+    assert f"error: {exception}: " in capsys.readouterr().err
+
+
+def test_sweep_point_that_raises_keeps_the_others(tmp_path):
+    raw = dict(_SIMULATE_OVERFLOW, sweep={
+        "mode": "simulate", "workers": 2,
+        "axes": [{"parameter": "simulate.x_hat1", "grid": [0.5, 1e200]}],
+    })
+    config = _write_config(tmp_path, "s.json", raw)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", config, "--out", str(out)]) == 3
+    record = json.loads((out / "result.json").read_text())
+    assert record["outputs"] == {"points": 2, "non_converged": 1}
+    solved, failed = (r["outputs"] for r in record["records"])
+    assert math.isfinite(solved["value"]) and solved["x_hat1"] == 0.5
+    assert failed["converged"] is False
+    assert failed["error"].startswith("OverflowError: ")
+    rows = list(csv.reader((out / "table.csv").open()))
+    assert [row[0] for row in rows] == ["simulate.x_hat1", "0.5", "1e+200"]
 
 
 def test_solver_defaults_per_mode():
@@ -722,6 +821,8 @@ _BAD_INPUTS = [
     ("proactive", "source.variance", [1.0, -1.0], "source", "variance"),
     ("proactive", "source.dimension", 0, "source", "dimension"),
     ("proactive", "source.dimension", 2.0, "source", "dimension"),
+    ("large_scale", "source.dimension", 2, "source", "dimension"),
+    ("blind", "source.dimension", 2, "source", "dimension"),
     ("proactive", "costs.c", _DELETE, "costs", "c"),
     ("proactive", "costs.c", -1.0, "costs", "c"),
     ("proactive", "costs.c", 10**400, "costs", "c"),

@@ -107,6 +107,18 @@ def test_lagrangian_validation():
         lagrangian_value(STD, GameCosts(1.0, 0.5), 0.25, 0.5, -0.1)
 
 
+def test_objectives_reject_out_of_range_inputs():
+    costs, symbols = GameCosts(1.0, 0.5), ReprSymbols(0.0, 0.0)
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        objective_with_threshold(STD, costs, symbols, -1.0, 0.5)
+    with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\]"):
+        objective_with_threshold(STD, costs, symbols, 1.0, 1.5)
+    with pytest.raises(ValueError, match="transmit_threshold must be nonnegative"):
+        asymptotic_objective(STD, costs, 0.25, -1.0, symbols, 0.5)
+    with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\)"):
+        asymptotic_objective(STD, costs, 0.25, 1.0, symbols, 1.0)
+
+
 def test_lagrangian_reduces_to_p2p_at_lambda_zero():
     from jamgame.proactive import objective_tilde
 

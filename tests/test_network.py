@@ -516,8 +516,9 @@ def test_convergence_probe_limits():
     assert rows_over[-1][2] <= 1e-3
     single = convergence_probe(STD, 1.8, 0.5, (1,))
     assert single == [(1, 1.0, 1.0)]
-    with pytest.raises(ValueError):
-        convergence_probe(STD, 1.8, 1.5, (10,))
+    for n_grid in ((10,), ()):
+        with pytest.raises(ValueError, match=r"kappa_bar must lie in \(0, 1\)"):
+            convergence_probe(STD, 1.8, 1.5, n_grid)
 
 
 def test_convergence_probe_uses_config_capacity():

@@ -499,7 +499,7 @@ def test_series_and_imhof_agree():
     lam = np.array([0.02, 0.3, 1.0, 2.5])
     trace, d = lam.sum(), 0.2
     series, imhof = _ruben_tail(lam, _ruben_terms(lam)), _imhof_tail(lam)
-    for r in (1e-9, 0.01, 1.0, 3.0, 10.0, 40.0):
+    for r in (0.0, 1e-9, 0.01, 1.0, 3.0, 10.0, 40.0):
         for p in (0, 1):
             assert abs(series(r, p) - imhof(r, p)) <= 1e-10 * trace**p
     roots = [_threshold_root(lambda x: tail(x, 1) - d, trace) for tail in (series, imhof)]
