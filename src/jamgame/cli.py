@@ -726,7 +726,9 @@ def _load_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer past Python's int-from-str digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's int-from-str digit limit, or nesting past
+        # the recursion limit
         raise ConfigError(f"config: cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
@@ -741,7 +743,7 @@ def _parse_override(item: str) -> tuple[str, object]:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    except ValueError as exc:  # an integer past Python's int-from-str digit limit
+    except (ValueError, RecursionError) as exc:  # as in `_load_config`
         raise ConfigError(f"--set {key}: {exc}") from exc
     return key, value
 

@@ -171,7 +171,7 @@ def tail_second_moment(source: ScalarGaussian, t: float) -> float:
     """
     if source.mean != 0.0:
         raise ValueError("tail_second_moment requires a centered source")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     z = t / source.std
     return source.var * (_std_tail(z) + z * _std_pdf(z))

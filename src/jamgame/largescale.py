@@ -96,7 +96,7 @@ def lagrangian_value(
     kb = _kappa(kappa_bar)
     if not (0.0 <= phi < 1.0):
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     shifted = GameCosts(costs.c + lam, costs.d)
     at_mean = ReprSymbols(source.mean, source.mean)
@@ -170,7 +170,7 @@ def asymptotic_objective(
     kb = _kappa(kappa_bar)
     if not (0.0 <= phi < 1.0):
         raise ValueError(f"phi must lie in [0, 1), got {phi}")
-    if transmit_threshold < 0.0:
+    if not transmit_threshold >= 0.0:
         raise ValueError("transmit_threshold must be nonnegative")
     window = _window(source, symbols, transmit_threshold)
     # the exactly-binding boundary is collision-free; the relative tolerance

@@ -107,7 +107,7 @@ class RoundPolicies:
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.threshold is not None and self.threshold < 0.0:
+        if self.threshold is not None and not self.threshold >= 0.0:
             raise ValueError("threshold must be nonnegative")
 
 
@@ -144,7 +144,7 @@ def jn_analytic(
     """
     if not (0.0 <= phi <= 1.0):
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError("threshold must be nonnegative")
     window = _window(source, symbols, threshold)
     if config.n > 1:
@@ -269,6 +269,8 @@ def simulate_round(
     The cost and channel state come from the batch kernel with one trial; a
     delivered round re-draws its sensors one at a time to list the packets.
     """
+    if trial < 0:
+        raise ValueError(f"trial must be nonnegative, got {trial}")
     cost, p_count, jam, intrinsic = _trial_costs(
         source, costs, config, policies, seed, trial, 1
     )
@@ -333,10 +335,10 @@ def chernoff_upper_bound(n: int, p: float, kind: str, delta: float) -> float:
     exp(-mu delta^2 / 2), delta in (0, 1).
     """
     mu = n * p
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError("n * p must be positive")
     if kind == "upper":
-        if delta <= 0.0:
+        if not delta > 0.0:
             raise ValueError("upper-tail delta must be positive")
         return math.exp(-mu * delta * delta / (2.0 + delta))
     if kind == "lower":
@@ -361,6 +363,8 @@ def convergence_probe(
     p <= kappa_bar; the boundary p = kappa_bar is excluded.
     """
     kappa_bar = _kappa(kappa_bar)
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     p = _window(source, ReprSymbols(source.mean, source.mean), threshold)[0]
     if abs(p - kappa_bar) < 1e-6:
         warnings.warn(

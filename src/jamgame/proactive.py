@@ -196,7 +196,7 @@ def objective_with_threshold(
     The sensor transmits iff (x - x_hat0)^2 > threshold; nothing here is
     optimized, which makes this the right probe for saddle inequalities.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")

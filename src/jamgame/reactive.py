@@ -481,12 +481,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         for name in ("pga_step", "gd_step"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.pga_step_rule not in ("constant", "inv_sqrt"):
             raise ValueError(f"unknown pga_step_rule {self.pga_step_rule!r}")

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -407,7 +408,7 @@ def test_validation_sweep_grids():
         parse_config(raw)
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     good = _write_config(tmp_path, "g.json", _base_reactive())
     assert run(["solve", "reactive", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -423,31 +424,59 @@ def test_cli_error_paths(tmp_path, capsys):
     for flag in ("--epsilon", "--trials"):
         assert run(["solve", "reactive", "--config", good, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-    # a file that is not UTF-8, and a dimension whose 7 PiB mean numpy
-    # refuses before it allocates: no record, and the message names the
-    # file or the field
+    # a file that is not UTF-8, a dimension whose 7 PiB mean numpy refuses
+    # before it allocates, JSON nested past the recursion limit in a file or
+    # a --set value, a top level that is no object, and --set paths that
+    # name no field: no record, and the message names the file, the field
+    # or the key
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"costs": {"c": 1.0, "d": 1.0}, "note": "\xff"}')
     huge = _write_config(tmp_path, "d.json", _base_reactive(
         source={"mean": 0.0, "variance": 1.0, "dimension": 10**15}))
-    for config, message in (
-        (str(latin), f"error: config: cannot read {latin}: "),
-        (huge, "error: source.dimension: 1000000000000000 is too large: "),
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"costs": {"c": 1.0, "d": 1.0}, "extra": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    listed = _write_config(tmp_path, "l.json", [1.0])
+    for extra, message in (
+        ([str(latin)], f"error: config: cannot read {latin}: "),
+        ([huge], "error: source.dimension: 1000000000000000 is too large: "),
+        ([str(deep)], f"error: config: cannot parse {deep}: maximum recursion"),
+        ([good, "--set", "extra=" + "[" * 100_000],
+         "error: --set extra: maximum recursion"),
+        ([listed], "error: config: top level must be an object"),
+        ([good, "--set", "costs..c=1"],
+         "error: 'costs..c': empty component in key path"),
+        ([good, "--set", "costs.c.x=1"],
+         "error: costs.c.x: 'c' is a value, cannot descend into it"),
     ):
         out = tmp_path / "out"
-        assert run(["solve", "proactive", "--config", config, "--out", str(out)]) == 2
+        assert run(["solve", "proactive", "--config", *extra, "--out", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+    # the console script's main exits with run's code
+    failing = _write_config(tmp_path, "f.json", _RAISING_POINTS["gda-nan-iterate"][1])
+    for argv, code in (
+        (["solve", "proactive", "--config", good], 0),
+        (["solve", "reactive", "--config", str(tmp_path / "nope.json")], 2),
+        (["solve", "reactive", "--config", failing], 3),
+    ):
+        monkeypatch.setattr(sys, "argv", ["jamgame", *argv, "--out", str(tmp_path / "m")])
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert stop.value.code == code
 
 
 def test_override_precedence(tmp_path):
     config = _write_config(tmp_path, "o.json", _base_reactive(seed=1))
     out1 = tmp_path / "o1"
+    # a --set value that is not JSON is taken as the bare string
     assert run([
         "solve", "reactive", "--config", config, "--out", str(out1),
-        "--set", "seed=2",
+        "--set", "seed=2", "--set", "solver.pga_step_rule=inv_sqrt",
     ]) == 0
-    assert json.loads((out1 / "result.json").read_text())["config"]["seed"] == 2
+    echo = json.loads((out1 / "result.json").read_text())["config"]
+    assert echo["seed"] == 2
+    assert echo["solver"]["pga_step_rule"] == "inv_sqrt"
     out2 = tmp_path / "o2"
     assert run([
         "solve", "reactive", "--config", config, "--out", str(out2),
@@ -647,6 +676,16 @@ def test_solver_defaults_per_mode():
     assert first.record.outputs == second.record.outputs
     assert first.record.outputs["value_std_err"] == 0.0
     assert 0.0 < first.record.outputs["transmit_prob"] < 1.0
+    # an anisotropic 5-D source: its exact saddle's threshold and transmit
+    # probability, frozen
+    aniso = execute(parse_config(_vector_proactive(
+        mode="proactive", costs={"c": 1.0, "d": 2.0},
+        source={"mean": [0, 0, 0, 0, 0], "variance": [0.3, 0.7, 1.0, 1.6, 2.5]},
+    ))).record.outputs
+    assert aniso["threshold"] == pytest.approx(10.784819723979874, rel=1e-12, abs=0.0)
+    assert aniso["transmit_prob"] == pytest.approx(
+        0.13242498430630145, rel=1e-12, abs=0.0)
+    assert aniso["value_std_err"] == 0.0
 
 
 def test_source_dimension_from_list_lengths():

@@ -72,8 +72,9 @@ def test_tail_second_moment_frozen_values():
 
 
 def test_tail_second_moment_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        tail_second_moment(ScalarGaussian(0.0, 1.0), -0.5)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            tail_second_moment(ScalarGaussian(0.0, 1.0), bad)
     with pytest.raises(ValueError):
         tail_second_moment(ScalarGaussian(1.0, 1.0), 0.5)
 

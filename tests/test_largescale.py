@@ -103,18 +103,21 @@ def test_lagrangian_frozen_value():
 def test_lagrangian_validation():
     with pytest.raises(ValueError):
         lagrangian_value(STD, GameCosts(1.0, 0.5), 0.25, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        lagrangian_value(STD, GameCosts(1.0, 0.5), 0.25, 0.5, -0.1)
+    for lam in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            lagrangian_value(STD, GameCosts(1.0, 0.5), 0.25, 0.5, lam)
 
 
 def test_objectives_reject_out_of_range_inputs():
     costs, symbols = GameCosts(1.0, 0.5), ReprSymbols(0.0, 0.0)
-    with pytest.raises(ValueError, match="threshold must be nonnegative"):
-        objective_with_threshold(STD, costs, symbols, -1.0, 0.5)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            objective_with_threshold(STD, costs, symbols, bad, 0.5)
     with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\]"):
         objective_with_threshold(STD, costs, symbols, 1.0, 1.5)
-    with pytest.raises(ValueError, match="transmit_threshold must be nonnegative"):
-        asymptotic_objective(STD, costs, 0.25, -1.0, symbols, 0.5)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="transmit_threshold must be nonnegative"):
+            asymptotic_objective(STD, costs, 0.25, bad, symbols, 0.5)
     with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\)"):
         asymptotic_objective(STD, costs, 0.25, 1.0, symbols, 1.0)
 
@@ -256,7 +259,7 @@ def test_case_and_saddle_are_the_same_at_every_scale(instance, case):
     c, d, kb = instance
     unit = classify_and_solve(STD, GameCosts(c, d), kb)
     assert unit.case_id == case
-    for s in (1e-12, 1e-6, 1e6):
+    for s in (1e-300, 1e-12, 1e-6, 1e6):
         source, costs = ScalarGaussian(0.0, s), GameCosts(c * s, d * s)
         twin = classify_and_solve(source, costs, kb)
         assert twin.case_id == case, s

@@ -76,8 +76,9 @@ def test_round_policies_validation():
     assert RoundPolicies(sym, ReactivePolicy(0.5, 0.5), 1.0).threshold == 1.0
     assert RoundPolicies(sym, ReactivePolicy(0.1, 0.2)).threshold is None
     RoundPolicies(sym, ReactivePolicy(0.5, 0.5), 0.0)
-    with pytest.raises(ValueError):
-        RoundPolicies(sym, ReactivePolicy(0.5, 0.5), -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            RoundPolicies(sym, ReactivePolicy(0.5, 0.5), bad)
     with pytest.raises(ValueError):
         RoundPolicies(sym, ReactivePolicy(1.5, 1.5), 1.0)
 
@@ -189,9 +190,10 @@ def test_jn_validation():
     with pytest.raises(ValueError):
         jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2), 1.0,
                     ReprSymbols(0.0, 0.0), 1.5)
-    with pytest.raises(ValueError):
-        jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2), -1.0,
-                    ReprSymbols(0.0, 0.0), 0.5)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2), bad,
+                        ReprSymbols(0.0, 0.0), 0.5)
 
 
 def test_uniform_addressing_is_chunk_invariant():
@@ -220,6 +222,9 @@ def test_simulate_round_matches_estimate():
     ])
     assert est.mean == float(replayed.mean())
     assert est.trials == 64
+    # no trial index addresses a negative position of the stream
+    with pytest.raises(ValueError, match="trial must be nonnegative, got -1"):
+        simulate_round(STD, costs, config, policies, seed=11, trial=-1)
 
 
 def test_estimate_chunking_invariant(monkeypatch):
@@ -481,10 +486,12 @@ def test_chernoff_values_and_validation():
     assert chernoff_upper_bound(100, 0.3, "lower", 0.5) == pytest.approx(
         math.exp(-30.0 * 0.125), rel=1e-15
     )
-    with pytest.raises(ValueError):
-        chernoff_upper_bound(100, 0.0, "upper", 0.5)
-    with pytest.raises(ValueError):
-        chernoff_upper_bound(100, 0.3, "upper", -0.1)
+    for p in (0.0, math.nan):
+        with pytest.raises(ValueError, match=r"n \* p must be positive"):
+            chernoff_upper_bound(100, p, "upper", 0.5)
+    for delta in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="upper-tail delta must be positive"):
+            chernoff_upper_bound(100, 0.3, "upper", delta)
     with pytest.raises(ValueError):
         chernoff_upper_bound(100, 0.3, "lower", 1.5)
     with pytest.raises(ValueError):
@@ -519,6 +526,9 @@ def test_convergence_probe_limits():
     for n_grid in ((10,), ()):
         with pytest.raises(ValueError, match=r"kappa_bar must lie in \(0, 1\)"):
             convergence_probe(STD, 1.8, 1.5, n_grid)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold must be nonnegative, got"):
+            convergence_probe(STD, bad, 0.5, (10,))
 
 
 def test_convergence_probe_uses_config_capacity():

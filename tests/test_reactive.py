@@ -352,8 +352,13 @@ def test_gda_baseline_report():
 
 
 def test_step_rule_and_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            SolverConfig(epsilon=bad)
+    for name in ("pga_step", "gd_step"):
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                SolverConfig(**{name: bad})
     with pytest.raises(ValueError):
         SolverConfig(pga_step_rule="linear")
     with pytest.raises(ValueError):
@@ -658,7 +663,7 @@ def test_exact_evaluate_matches_per_piece_reference(mean, var, c, d, x0, x1, alp
     assert _bits(model.ccp_g(symbols, policy)) == _bits(ev.ccp_g)
 
 
-@pytest.mark.parametrize("mean", [1.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("mean", [1.0, 1e2, 1e4, 1e6, 1e8])
 def test_exact_model_reads_only_the_deviation(mean):
     # deviations 0.25 and -0.125 are exact in floating point at each mean,
     # so the shifted model sees the centred one's deviations and every
@@ -677,6 +682,16 @@ def test_exact_model_reads_only_the_deviation(mean):
             got, want = getattr(ev, field.name), getattr(twin, field.name)
             assert _bits(got) == _bits(want), (field.name, policy, got, want)
         assert _bits(shifted.ccp_g(far, policy)) == _bits(twin.ccp_g)
+    # the whole PGA-CCP solve on N(mean, 2) and N(0, 2) with the default
+    # config: the iterates' deviations round, so the same iterations reach
+    # the same value to rounding
+    far_solve, near_solve = (
+        solve_pga_ccp(ScalarGaussian(mu, 2.0), UNIT_COSTS, SolverConfig())
+        for mu in (mean, 0.0)
+    )
+    assert far_solve.iterations == near_solve.iterations
+    assert far_solve.trace[-1].objective == pytest.approx(
+        near_solve.trace[-1].objective, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("mean", [2.0**40, 1e15])
