@@ -34,6 +34,7 @@ import io
 import itertools
 import json
 import math
+import reprlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -76,27 +77,41 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 3
+_SHOWN.maxstring = _SHOWN.maxother = 60
+_SHOWN_CHARS = 100
+
+
+def _shown(value) -> str:
+    """A config value as an error message echoes it: its repr with long
+    strings, long containers and deep nesting cut, at most _SHOWN_CHARS
+    characters, so a message stays one short line."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
+
+
 def _pass(value, label: str):
     return value
 
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label}: must be a number, got {value!r}")
+        raise ConfigError(f"{label}: must be a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{label}: must be finite, got {value!r}")
+        raise ConfigError(f"{label}: must be finite, got {_shown(value)}")
     return number
 
 
 def _integer(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label}: must be an integer, got {value!r}")
+        raise ConfigError(f"{label}: must be an integer, got {_shown(value)}")
     if not -(2**63) <= value < 2**63:  # numpy and scipy take 64-bit integers
-        raise ConfigError(f"{label}: must fit in 64 bits, got {value}")
+        raise ConfigError(f"{label}: must fit in 64 bits, got {_shown(value)}")
     return value
 
 
@@ -172,7 +187,7 @@ def _read(section: str, obj, label: str | None = None) -> dict:
     rows = _FIELDS[section]
     for key in obj:
         if key not in rows:
-            raise ConfigError(f"{label or 'config'}: unknown key {key!r}")
+            raise ConfigError(f"{label or 'config'}: unknown key {_shown(key)}")
     echo = {}
     for key, (check, default) in rows.items():
         where = f"{label}.{key}" if label else key
@@ -203,7 +218,7 @@ def _vector(value, dimension: int, label: str) -> np.ndarray:
             )
         return np.array([_number(v, label) for v in value])
     raise ConfigError(
-        f"{label}: must be a number or a list of numbers, got {value!r}"
+        f"{label}: must be a number or a list of numbers, got {_shown(value)}"
     )
 
 
@@ -338,13 +353,13 @@ def _parse_simulate(top: dict, source: ScalarGaussian):
 def _set_path(raw: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
     if any(not part for part in parts):
-        raise ConfigError(f"{dotted!r}: empty component in key path")
+        raise ConfigError(f"{_shown(dotted)}: empty component in key path")
     node = raw
     for part in parts[:-1]:
         child = node.setdefault(part, {})
         if not isinstance(child, dict):
             raise ConfigError(
-                f"{dotted}: {part!r} is a value, cannot descend into it"
+                f"{_shown(dotted)}: {_shown(part)} is a value, cannot descend into it"
             )
         node = child
     node[parts[-1]] = value
@@ -364,7 +379,7 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
     mode = section["mode"]
     if mode not in _POINT_RUNNERS:
         raise ConfigError(
-            f"sweep.mode: must be one of {list(_POINT_RUNNERS)}, got {mode!r}"
+            f"sweep.mode: must be one of {list(_POINT_RUNNERS)}, got {_shown(mode)}"
         )
     if not isinstance(section["axes"], list) or not section["axes"]:
         raise ConfigError("sweep.axes: must be a nonempty list")
@@ -377,7 +392,7 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
             raise ConfigError(f"{label}.parameter: must be a nonempty string")
         if parameter in axes:
             raise ConfigError(
-                f"{label}.parameter: {parameter!r} repeats an earlier axis"
+                f"{label}.parameter: {_shown(parameter)} repeats an earlier axis"
             )
         if not isinstance(grid, list) or not grid:
             raise ConfigError(f"{label}.grid: must be a nonempty list")
@@ -400,7 +415,7 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
         try:
             points.append(parse_config(point_raw))
         except ConfigError as exc:
-            at = ", ".join(f"{p}={v}" for p, v in zip(axes, combo))
+            at = ", ".join(f"{_shown(p)}={_shown(v)}" for p, v in zip(axes, combo))
             raise ConfigError(f"sweep point ({at}): {exc}") from exc
     section["axes"] = [{"parameter": p, "grid": list(g)} for p, g in axes.items()]
     plan = SweepPlan(tuple(axes.items()), section["workers"], tuple(points))
@@ -418,7 +433,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = _read("", raw)
     mode = top["mode"]
     if mode not in _MODE_KEYS:
-        raise ConfigError(f"mode: must be one of {list(_MODE_KEYS)}, got {mode!r}")
+        raise ConfigError(
+            f"mode: must be one of {list(_MODE_KEYS)}, got {_shown(mode)}"
+        )
     required, forbidden = _MODE_KEYS[mode]
     for key in forbidden:
         if key in raw:
@@ -429,7 +446,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seed = top["seed"]
     # no 64-bit limit: SeedSequence takes integers of any size
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+        raise ConfigError(f"seed: must be a nonnegative integer, got {_shown(seed)}")
     if mode == "sweep":
         return _parse_sweep(raw, top, seed)
 
@@ -442,7 +459,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if algorithm not in _ALGORITHMS:
         raise ConfigError(
             f"solver.algorithm: must be one of {list(_ALGORITHMS)}, "
-            f"got {algorithm!r}"
+            f"got {_shown(algorithm)}"
         )
     solver = _build(SolverConfig, "solver", **knobs, seed=seed)
     normalized = {
@@ -738,7 +755,7 @@ def _load_config(path: str) -> dict:
 def _parse_override(item: str) -> tuple[str, object]:
     key, sep, text = item.partition("=")
     if not sep or not key:
-        raise ConfigError(f"--set expects key=value, got {item!r}")
+        raise ConfigError(f"--set expects key=value, got {_shown(item)}")
     try:
         value = json.loads(text)
     except json.JSONDecodeError:
@@ -752,7 +769,7 @@ def _apply_cli(raw: dict, args: argparse.Namespace, requested_mode: str) -> None
     file_mode = raw.get("mode")
     if file_mode is not None and file_mode != requested_mode:
         raise ConfigError(
-            f"mode: config file says {file_mode!r} but the command line "
+            f"mode: config file says {_shown(file_mode)} but the command line "
             f"requests {requested_mode!r}"
         )
     raw["mode"] = requested_mode

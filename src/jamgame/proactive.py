@@ -54,6 +54,16 @@ class GameCosts:
             raise ValueError(f"d must be positive and finite, got {self.d}")
 
 
+def _check_finite(x_hat0, x_hat1) -> None:
+    """`ReprSymbols`' finiteness check, on two floats or two arrays."""
+    if type(x_hat0) is float:
+        finite = math.isfinite(x_hat0) and math.isfinite(x_hat1)
+    else:
+        finite = np.isfinite(x_hat0).all() and np.isfinite(x_hat1).all()
+    if not finite:
+        raise ValueError("symbols must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class ReprSymbols:
     """Representation pair: x_hat0 when silent, x_hat1 when the channel is lost."""
@@ -63,18 +73,14 @@ class ReprSymbols:
 
     def __post_init__(self):
         a, b = self.x_hat0, self.x_hat1
-        if type(a) is float and type(b) is float:
-            # scalar symbols, as the scalar solvers build them
-            finite = math.isfinite(a) and math.isfinite(b)
-            a, b = np.array(a, ndmin=1), np.array(b, ndmin=1)
-        else:
+        if not (type(a) is float and type(b) is float):
             a = np.atleast_1d(np.asarray(a, dtype=float))
             b = np.atleast_1d(np.asarray(b, dtype=float))
             if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
                 raise ValueError("x_hat0 and x_hat1 must be 1-D of equal length")
-            finite = np.isfinite(a).all() and np.isfinite(b).all()
-        if not finite:
-            raise ValueError("symbols must be finite")
+        _check_finite(a, b)
+        if type(a) is float:
+            a, b = np.array(a, ndmin=1), np.array(b, ndmin=1)
         object.__setattr__(self, "x_hat0", a)
         object.__setattr__(self, "x_hat1", b)
 

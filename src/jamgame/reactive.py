@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .gaussian import (
     mean_std_err,
     philox_rng,
 )
-from .proactive import GameCosts, ReprSymbols
+from .proactive import GameCosts, ReprSymbols, _check_finite
 
 # the `_endpoint`s of -inf and +inf
 _LEFT_END, _RIGHT_END = _endpoint(-math.inf), _endpoint(math.inf)
@@ -55,24 +56,24 @@ class ReactivePolicy:
     beta: float
 
     def __post_init__(self):
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        _check_policy(self.alpha, self.beta)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta])
+
+
+def _check_policy(alpha, beta) -> None:
+    """`ReactivePolicy`'s range check, on two floats; NaN fails it."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not (0.0 <= beta <= 1.0):
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
 def project_box(candidate) -> ReactivePolicy:
     """Clamp a real pair onto [0,1]^2, the jammer's feasible set."""
     a, b = float(candidate[0]), float(candidate[1])
     return ReactivePolicy(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
-
-
-def _ascend(policy: ReactivePolicy, step: float, grad_phi: np.ndarray) -> ReactivePolicy:
-    """Projected gradient ascent on the jam probabilities, in floats."""
-    ga, gb = grad_phi.tolist()
-    return project_box((policy.alpha + step * ga, policy.beta + step * gb))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +148,16 @@ def box_lp_gap(grad, point) -> float:
     return gap
 
 
-@dataclass(frozen=True, eq=False)
-class Evaluation:
+class Evaluation(NamedTuple):
     """Everything the solvers read at one (symbols, policy) point.
 
     `concave` is G = E[max{...}], the concave part of the convex-concave
     split, and `ccp_g` its gradient in the symbol pair.  Each `*_se` is the
     Monte Carlo standard error of its statistic (zero on exact paths).
+
+    The models' `evaluate` gives every vector field as one flat array.  The
+    solver loop reads their cores' form instead: `grad_xhat` and `ccp_g` as
+    a pair of blocks, one per symbol, and `grad_phi` as a pair of floats.
     """
 
     objective: float
@@ -170,12 +174,13 @@ class Evaluation:
     fne_index_se: float
 
 
-def _certificate(gx: np.ndarray, gp, policy: ReactivePolicy) -> float:
-    """The first-order Nash index max{||gx||_2, box_lp_gap(gp, policy)}, with
-    `gp` a pair of floats.  The norm sums the squares exactly rounded, not
-    through BLAS, whose fused or reordered products change its last bit."""
-    norm = math.sqrt(math.fsum([g * g for g in gx.tolist()]))
-    return max(norm, box_lp_gap(gp, (policy.alpha, policy.beta)))
+def _certificate(gx, gp, point) -> float:
+    """The first-order Nash index max{||gx||_2, box_lp_gap(gp, point)}, with
+    `gx` a sequence of floats and `gp` and `point` pairs of them.  The norm
+    sums the squares exactly rounded, not through BLAS, whose fused or
+    reordered products change its last bit."""
+    norm = math.sqrt(math.fsum([g * g for g in gx]))
+    return max(norm, box_lp_gap(gp, point))
 
 
 def _quad(coeffs, row) -> float:
@@ -185,23 +190,35 @@ def _quad(coeffs, row) -> float:
     return a2 * m2 + a1 * m1 + a0 * p
 
 
-def _row(pieces) -> tuple[float, float, float]:
-    """The (P, M1, M2) of a union of pieces, summed along the line."""
-    p = m1 = m2 = 0.0
-    for dp, dm1, dm2 in pieces:
-        p, m1, m2 = p + dp, m1 + dm1, m2 + dm2
-    return p, m1, m2
-
-
-def _scalar_ccp_g(a, b, y0, y1, t, n) -> np.ndarray:
+def _scalar_ccp_g(a, b, y0, y1, t, n) -> tuple[float, float]:
     """The concave part's symbol gradient from the transmit (`t`) and the
     silent (`n`) row: each block is gated on the region where its quadratic
     is the larger branch."""
     (p_t, m1_t, _), (p_n, m1_n, _) = t, n
-    return np.array([
+    return (
         -2.0 * (1.0 - a) * (m1_t - y0 * p_t),
         -2.0 * b * (m1_n - y1 * p_n) - 2.0 * a * (m1_t - y1 * p_t),
-    ])
+    )
+
+
+# The models' public methods: wrappers over each model's cores, `_evaluate`
+# and `_ccp_g`, which take the symbols (`_pair` of a ReprSymbols) and the
+# jam probabilities as (x0, x1, alpha, beta).
+
+_VECTOR_FIELDS = (
+    "grad_xhat", "grad_xhat_se", "grad_phi", "grad_phi_se", "ccp_g", "ccp_g_se",
+)
+
+
+def _public_evaluate(self, symbols, policy) -> Evaluation:
+    """The model's statistics at one point, each vector field a flat array."""
+    ev = self._evaluate(*self._pair(symbols), policy.alpha, policy.beta)
+    return ev._replace(**{name: np.ravel(getattr(ev, name)) for name in _VECTOR_FIELDS})
+
+
+def _public_ccp_g(self, symbols, policy) -> np.ndarray:
+    """`evaluate(symbols, policy).ccp_g` without the other quantities."""
+    return np.ravel(self._ccp_g(*self._pair(symbols), policy.alpha, policy.beta))
 
 
 def _view(name: str):
@@ -216,7 +233,10 @@ def _view(name: str):
 
 
 def _ccp_update(self, symbols, policy) -> ReprSymbols:
-    return _apply_ccp_inverse(self.ccp_g(symbols, policy), policy, self.mean)
+    a, b = policy.alpha, policy.beta
+    pair = _ccp_inverse(self._ccp_g(*self._pair(symbols), a, b), a, b, self.mean)
+    # copies: a parked symbol is the model's own mean
+    return ReprSymbols(*(np.array(x, dtype=float, ndmin=1) for x in pair))
 
 
 class ExactScalarModel:
@@ -231,9 +251,10 @@ class ExactScalarModel:
     their digits at any mean; for symbols whose deviations are exact in
     floating point they equal the centred source's bit for bit.  Each sign
     change's tail and density are computed once for the two pieces it
-    bounds.  The work is plain float arithmetic; numpy arrays appear only in
-    the returned `Evaluation`, with zero standard errors (interface parity
-    with the Monte Carlo model).
+    bounds.  The cores `_evaluate` and `_ccp_g` take the symbols and the
+    policy as four floats and work on floats end to end; numpy arrays appear
+    only in what `evaluate` and the other public methods return, with zero
+    standard errors (interface parity with the Monte Carlo model).
 
     The first-order Nash index (`fne_index`) is first-order only, and a zero
     index does not make a point an equilibrium.  For N(0, 2), c = 1, d = 1.5
@@ -250,25 +271,35 @@ class ExactScalarModel:
             )
         self.source = source
         self.costs = costs
-        self.mean = np.array([source.mean])
+        self.mean = float(source.mean)
         self._std = source.std
 
-    def _rows(self, a, b, symbols):
-        """The symbols' deviations y0, y1 and the (P, M1, M2) rows of the
-        transmit and the silent region, each summed along the line."""
-        mean, s, var = self.source.mean, self._std, self.source.var
-        x0, x1 = symbols.scalars()
-        y0, y1 = x0 - mean, x1 - mean
-        edges, first = _region_edges(a, b, y0, y1, self.costs.c, self.costs.d)
-        ends = [_LEFT_END, *[_endpoint(e / s) for e in edges], _RIGHT_END]
-        pieces = [_piece_moments(lo, hi, s, var) for lo, hi in zip(ends, ends[1:])]
-        start = 0 if first else 1
-        return y0, y1, _row(pieces[start::2]), _row(pieces[1 - start::2])
+    @staticmethod
+    def _pair(symbols):
+        return symbols.scalars()
 
-    def evaluate(self, symbols, policy) -> Evaluation:
-        a, b = policy.alpha, policy.beta
+    def _rows(self, x0, x1, a, b):
+        """The symbols' deviations y0, y1 and the (P, M1, M2) rows of the
+        transmit and the silent region.  The pieces between sign changes
+        take turns between the two regions, and each row sums its pieces
+        along the line."""
+        mean, s, var = self.mean, self._std, self.source.var
+        y0, y1 = x0 - mean, x1 - mean
+        edges, transmit = _region_edges(a, b, y0, y1, self.costs.c, self.costs.d)
+        left, t, n = _LEFT_END, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+        for edge in (*edges, None):
+            right = _RIGHT_END if edge is None else _endpoint(edge / s)
+            p, m1, m2 = _piece_moments(left, right, s, var)
+            if transmit:
+                t = (t[0] + p, t[1] + m1, t[2] + m2)
+            else:
+                n = (n[0] + p, n[1] + m1, n[2] + m2)
+            left, transmit = right, not transmit
+        return y0, y1, t, n
+
+    def _evaluate(self, x0, x1, a, b) -> Evaluation:
         c, d = self.costs.c, self.costs.d
-        y0, y1, t, n = self._rows(a, b, symbols)
+        y0, y1, t, n = self._rows(x0, x1, a, b)
         f_t = (b, -2.0 * b * y1, b * y1 * y1 + c - d * b)
         f_nt = (
             1.0,
@@ -281,20 +312,20 @@ class ExactScalarModel:
             _quad((0.0, 2.0 * (y0 - y1), y1 * y1 - y0 * y0 - d), n),
             _quad((1.0, -2.0 * y1, y1 * y1 - d), t),
         )
-        zero = np.zeros(2)
+        zero = (0.0, 0.0)
         return Evaluation(
             _quad(f_t, t) + _quad(f_nt, n), 0.0,
             _quad(f_t, n) + _quad(f_nt, t), 0.0,
-            grad_xhat, zero, np.array(grad_phi), zero,
+            grad_xhat, zero, grad_phi, zero,
             _scalar_ccp_g(a, b, y0, y1, t, n), zero,
-            _certificate(grad_xhat, grad_phi, policy), 0.0,
+            _certificate(grad_xhat, grad_phi, (a, b)), 0.0,
         )
 
-    def ccp_g(self, symbols, policy) -> np.ndarray:
-        """`evaluate(symbols, policy).ccp_g` without the other quantities."""
-        a, b = policy.alpha, policy.beta
-        return _scalar_ccp_g(a, b, *self._rows(a, b, symbols))
+    def _ccp_g(self, x0, x1, a, b) -> tuple[float, float]:
+        return _scalar_ccp_g(a, b, *self._rows(x0, x1, a, b))
 
+    evaluate = _public_evaluate
+    ccp_g = _public_ccp_g
     objective = _view("objective")
     dc_concave_part = _view("concave")
     grad_xhat = _view("grad_xhat")
@@ -323,7 +354,9 @@ class McVectorModel:
       transmit and the silent samples, `masks @ Y.T` and `masks @ Y2.T`.
 
     `ccp_g` builds only the transmit mask and the y sums, the product
-    `evaluate` makes, so it is bit for bit `evaluate(...).ccp_g`.
+    `evaluate` makes, so it is bit for bit `evaluate(...).ccp_g`.  The
+    cores `_evaluate` and `_ccp_g` take the symbols as two arrays and the
+    policy as two floats.
     """
 
     def __init__(self, source, costs: GameCosts, samples: int = 10_000, seed: int = 0):
@@ -342,10 +375,14 @@ class McVectorModel:
         self._norm_sq = self._y2.sum(axis=0)
         self._key = self._sq = None
 
-    def _sq_dists(self, symbols):
+    @staticmethod
+    def _pair(symbols):
+        return symbols.x_hat0, symbols.x_hat1
+
+    def _sq_dists(self, x0, x1):
         """Squared distances of the draws to both symbols, a (2, N) array
         kept per symbol pair."""
-        key = np.concatenate([symbols.x_hat0, symbols.x_hat1])
+        key = np.concatenate([x0, x1])
         if not np.array_equal(key, self._key):
             self._key = key
             delta = key.reshape(2, -1) - self.mean
@@ -356,17 +393,16 @@ class McVectorModel:
             self._sq = sq
         return self._sq
 
-    def _branches(self, symbols, policy):
+    def _branches(self, x0, x1, a, b):
         """Per sample: the squared distances, the transmit and the silent
         branch's cost, and whether the sensor transmits."""
-        a, b = policy.alpha, policy.beta
         c, d = self.costs.c, self.costs.d
-        sq0, sq1 = self._sq_dists(symbols)
+        sq0, sq1 = self._sq_dists(x0, x1)
         f_t = b * sq1 + c - d * b
         f_nt = a * sq1 + (1.0 - a) * sq0 - d * a
         return sq0, sq1, f_t, f_nt, f_nt > f_t
 
-    def _y_sums(self, transmit, symbols):
+    def _y_sums(self, transmit, x0, x1):
         """The 0/1 masks (rows: transmit, silent), their counts, the masked
         sums of y, and from those the sums of (x - x_hat) per symbol block
         and row."""
@@ -376,14 +412,13 @@ class McVectorModel:
         s1 = masks @ self._y.T
         n_t = np.count_nonzero(transmit)
         counts = np.array([[n_t], [self.n - n_t]], dtype=float)
-        delta = (np.stack([symbols.x_hat0, symbols.x_hat1]) - self.mean)[:, None]
+        delta = (np.stack([x0, x1]) - self.mean)[:, None]
         return masks, s1, counts, delta, s1 - counts * delta
 
-    def evaluate(self, symbols, policy) -> Evaluation:
-        a, b = policy.alpha, policy.beta
+    def _evaluate(self, x0, x1, a, b) -> Evaluation:
         d = self.costs.d
-        sq0, sq1, f_t, f_nt, transmit = self._branches(symbols, policy)
-        masks, s1, counts, delta, dev = self._y_sums(transmit, symbols)
+        sq0, sq1, f_t, f_nt, transmit = self._branches(x0, x1, a, b)
+        masks, s1, counts, delta, dev = self._y_sums(transmit, x0, x1)
         # per-sample rows: objective, concave part, grad_phi
         per = np.empty((4, self.n))
         np.minimum(f_t, f_nt, out=per[0])
@@ -409,19 +444,21 @@ class McVectorModel:
         # conservative: the index is a max of two statistics whose spreads are
         # bounded by the rms of their component standard errors
         idx_se = max(float(np.linalg.norm(g_se[0])), float(np.linalg.norm(se[2:])))
+        grad_phi = tuple(mean[2:].tolist())
         return Evaluation(
             float(mean[0]), float(se[0]), float(mean[1]), float(se[1]),
-            g_mean[0], g_se[0], mean[2:], se[2:], g_mean[1], g_se[1],
-            _certificate(g_mean[0], mean[2:].tolist(), policy), idx_se,
+            _halves(g_mean[0]), g_se[0], grad_phi, se[2:], _halves(g_mean[1]), g_se[1],
+            _certificate(g_mean[0].tolist(), grad_phi, (a, b)), idx_se,
         )
 
-    def ccp_g(self, symbols, policy) -> np.ndarray:
-        """`evaluate(symbols, policy).ccp_g` from the transmit mask and the
-        y sums alone."""
-        transmit = self._branches(symbols, policy)[-1]
-        dev = self._y_sums(transmit, symbols)[-1]
-        return _block_sums(_ccp_weights(policy.alpha, policy.beta), dev) / self.n
+    def _ccp_g(self, x0, x1, a, b):
+        """`_evaluate(...).ccp_g` from the transmit mask and the y sums alone."""
+        transmit = self._branches(x0, x1, a, b)[-1]
+        dev = self._y_sums(transmit, x0, x1)[-1]
+        return _halves(_block_sums(_ccp_weights(a, b), dev) / self.n)
 
+    evaluate = _public_evaluate
+    ccp_g = _public_ccp_g
     objective = _view("objective")
     dc_concave_part = _view("concave")
     grad_xhat = _view("grad_xhat")
@@ -445,25 +482,25 @@ def _block_sums(w, dev):
     return np.concatenate([w0 * dev[0, 0], wa * dev[1, 0] + wb * dev[1, 1]])
 
 
-def _apply_ccp_inverse(g: np.ndarray, policy: ReactivePolicy, mean: np.ndarray):
-    """x_new = pinv(diag(2(1-alpha) I, 2(alpha+beta) I)) g + (mean, mean).
+def _halves(g: np.ndarray):
+    """A vector's two symbol blocks, as views."""
+    m = g.size // 2
+    return g[:m], g[m:]
+
+
+def _ccp_inverse(g, a, b, mean):
+    """x_new = pinv(diag(2(1-alpha) I, 2(alpha+beta) I)) g + (mean, mean),
+    on a pair of blocks `g` (floats or arrays, as `mean`).
 
     A zero diagonal block has an all-zero pseudo-inverse block, which parks
     the corresponding symbol at the mean: the quadratic part of the convex
     component is flat there and the mean is its unconstrained minimizer.
+    The parked symbol is `mean` itself, not a copy.
     """
-    m = mean.size
-    a0 = 2.0 * (1.0 - policy.alpha)
-    a1 = 2.0 * (policy.alpha + policy.beta)
-    if m == 1:
-        # scalar symbols: the same arithmetic on floats
-        (g0, g1), mu = g.tolist(), mean.item()
-        return ReprSymbols(
-            mu + g0 / a0 if a0 != 0.0 else mu, mu + g1 / a1 if a1 != 0.0 else mu
-        )
-    x0 = mean + g[:m] / a0 if a0 != 0.0 else mean.copy()
-    x1 = mean + g[m:] / a1 if a1 != 0.0 else mean.copy()
-    return ReprSymbols(x0, x1)
+    g0, g1 = g
+    a0 = 2.0 * (1.0 - a)
+    a1 = 2.0 * (a + b)
+    return mean + g0 / a0 if a0 != 0.0 else mean, mean + g1 / a1 if a1 != 0.0 else mean
 
 
 # -- solvers -----------------------------------------------------------------
@@ -494,8 +531,9 @@ class SolverConfig:
             raise ValueError("mc_samples must be at least 2")
 
 
-@dataclass(frozen=True, eq=False)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One iterate of a solve: its certificate, objective, policy and symbols."""
+
     iteration: int
     fne_index: float
     fne_std_err: float
@@ -567,27 +605,44 @@ def _step(config: SolverConfig, k: int) -> float:
     return config.pga_step
 
 
-def _run(source, costs, config, init, update):
-    """Iterate `update` from the start point.  Each iterate's certificate
-    evaluation is handed to the next update, so no point is evaluated twice."""
+def _run(source, costs, config, init, symbol_step):
+    """Iterate from the start point: a projected ascent step on the jam
+    probabilities, then `symbol_step` on the symbols.
+
+    The loop carries plain values: the symbols as two floats (scalar source)
+    or two arrays, the policy as two floats.  Each iterate passes the checks
+    of `ReactivePolicy` and `ReprSymbols`, with their messages, and its
+    evaluation is handed to the next step, so no point is evaluated twice.
+    """
     model = _build_model(source, costs, config)
     symbols, policy = default_init(source) if init is None else init
-    ev = model.evaluate(symbols, policy)
-    trace = []
+    x0, x1 = model._pair(symbols)
+    a, b = float(policy.alpha), float(policy.beta)
+    ev = model._evaluate(x0, x1, a, b)
+    stats, x0s, x1s = [], [], []
     converged = False
     for k in range(1, config.max_iters + 1):
-        symbols, policy = update(model, symbols, policy, ev, _step(config, k))
-        ev = model.evaluate(symbols, policy)
-        trace.append(TraceRow(
-            k, ev.fne_index, ev.fne_index_se, ev.objective, policy.alpha,
-            policy.beta, symbols.x_hat0.copy(), symbols.x_hat1.copy(),
-        ))
+        step = _step(config, k)
+        ga, gb = ev.grad_phi
+        a, b = min(max(a + step * ga, 0.0), 1.0), min(max(b + step * gb, 0.0), 1.0)
+        _check_policy(a, b)
+        x0, x1 = symbol_step(model, x0, x1, a, b, ev)
+        _check_finite(x0, x1)
+        ev = model._evaluate(x0, x1, a, b)
+        stats.append((k, ev.fne_index, ev.fne_index_se, ev.objective, a, b))
+        x0s.append(x0)
+        x1s.append(x1)
         if ev.fne_index <= config.epsilon + 3.0 * ev.fne_index_se:
             converged = True
             break
+    # each symbol's iterates as one (n, m) array, a trace row holding views
+    n = len(stats)
+    x0s = np.array(x0s, dtype=float).reshape(n, -1)
+    x1s = np.array(x1s, dtype=float).reshape(n, -1)
+    trace = tuple(TraceRow(*row, r0, r1) for row, r0, r1 in zip(stats, x0s, x1s))
     return FneReport(
-        symbols, policy, ev.fne_index, ev.fne_index_se, len(trace), converged,
-        tuple(trace),
+        ReprSymbols(x0s[-1].copy(), x1s[-1].copy()), ReactivePolicy(a, b),
+        ev.fne_index, ev.fne_index_se, n, converged, trace,
     )
 
 
@@ -605,11 +660,10 @@ def solve_pga_ccp(source, costs, config: SolverConfig | None = None, init=None) 
     """
     config = config or SolverConfig()
 
-    def update(model, symbols, policy, ev, step):
-        policy = _ascend(policy, step, ev.grad_phi)
-        return _apply_ccp_inverse(model.ccp_g(symbols, policy), policy, model.mean), policy
+    def symbol_step(model, x0, x1, a, b, ev):
+        return _ccp_inverse(model._ccp_g(x0, x1, a, b), a, b, model.mean)
 
-    return _run(source, costs, config, init, update)
+    return _run(source, costs, config, init, symbol_step)
 
 
 def solve_gda(source, costs, config: SolverConfig | None = None, init=None) -> FneReport:
@@ -617,9 +671,8 @@ def solve_gda(source, costs, config: SolverConfig | None = None, init=None) -> F
     (pga_step) and plain descent on the symbols (gd_step)."""
     config = config or SolverConfig()
 
-    def update(model, symbols, policy, ev, step):
-        new_policy = _ascend(policy, step, ev.grad_phi)
-        dx, m = config.gd_step * ev.grad_xhat, symbols.dim
-        return ReprSymbols(symbols.x_hat0 - dx[:m], symbols.x_hat1 - dx[m:]), new_policy
+    def symbol_step(model, x0, x1, a, b, ev):
+        g0, g1 = ev.grad_xhat
+        return x0 - config.gd_step * g0, x1 - config.gd_step * g1
 
-    return _run(source, costs, config, init, update)
+    return _run(source, costs, config, init, symbol_step)

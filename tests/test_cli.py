@@ -447,12 +447,28 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         ([good, "--set", "costs..c=1"],
          "error: 'costs..c': empty component in key path"),
         ([good, "--set", "costs.c.x=1"],
-         "error: costs.c.x: 'c' is a value, cannot descend into it"),
+         "error: 'costs.c.x': 'c' is a value, cannot descend into it"),
     ):
         out = tmp_path / "out"
         assert run(["solve", "proactive", "--config", *extra, "--out", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+    # a rejected value is echoed cut short, so the error line stays short and
+    # still names the field: a 5 MB string, a list nested 400 deep (within
+    # the parser's recursion limit under pytest), a 5 MB key
+    long = "x" * 5_000_000
+    for text, field in (
+        ('{"mean": "' + long + '", "variance": 1.0}', "source.mean"),
+        ('{"mean": ' + "[" * 400 + "]" * 400 + ', "variance": 1.0}', "source.mean"),
+        ('{"mean": 0.0, "variance": 1.0, "' + long + '": 1}', "source"),
+    ):
+        path = tmp_path / "long.json"
+        path.write_text('{"costs": {"c": 1.0, "d": 1.0}, "source": ' + text + "}")
+        out = tmp_path / "out"
+        assert run(["solve", "reactive", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and len(err.encode()) < 300, err[:400]
     # the console script's main exits with run's code
     failing = _write_config(tmp_path, "f.json", _RAISING_POINTS["gda-nan-iterate"][1])
     for argv, code in (

@@ -1,6 +1,5 @@
 """Tests for the channel-sensing jammer game: regions, gradients, solvers."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -363,6 +362,15 @@ def test_step_rule_and_config_validation():
         SolverConfig(pga_step_rule="linear")
     with pytest.raises(ValueError):
         ReactivePolicy(1.2, 0.0)
+    # the solver loop checks every iterate as ReactivePolicy and ReprSymbols
+    # do: the ascent overflows to NaN, and the descent to infinite symbols
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got nan$"):
+        solve_gda(ScalarGaussian(0.0, 1e300), UNIT_COSTS,
+                  SolverConfig(gd_step=1e10, max_iters=50))
+    with pytest.raises(ValueError, match="^symbols must be finite$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        solve_gda(DiagonalGaussian(np.zeros(2), np.array([1e4, 2e4])), UNIT_COSTS,
+                  SolverConfig(gd_step=1e308, max_iters=50, mc_samples=1000))
     # the decayed rule trades speed for robustness: allow a looser target
     decayed = SolverConfig(epsilon=1e-3, pga_step_rule="inv_sqrt", max_iters=3000)
     report = solve_pga_ccp(STD, UNIT_COSTS, decayed)
@@ -387,40 +395,67 @@ def test_vector_mc_determinism():
     assert other.fne_index != rep_a.fne_index
 
 
-# Seeded vector PGA-CCP solves: (source, costs, config) and the iteration
-# count, converged flag and final objective they reach.  Monte Carlo
-# kernels that sum the same draws in another order move the objective by
-# rounding only, never the trajectory.
+# Solves pinned at their iteration count, converged flag and final
+# objective and index: (solver, source, costs, config, iterations,
+# converged, objective, fne_index), an index of None left unpinned.  The
+# vector solves are seeded; Monte Carlo kernels that sum the same draws in
+# another order move the objective by rounding only, never the trajectory.
+# The exact scalar solves pin each update rule and step rule over tens to
+# thousands of iterations, and a GDA run stopped by max_iters.
+_SCALAR = ScalarGaussian(0.3, 1.7), GameCosts(0.8, 1.2)
 _PINNED_SOLVES = {
+    "scalar-pga-ccp": (
+        solve_pga_ccp, *_SCALAR, SolverConfig(epsilon=1e-5),
+        57, True, 0.8827709459171886, 5.086123544484245e-06,
+    ),
+    "scalar-pga-ccp-inv-sqrt": (
+        solve_pga_ccp, *_SCALAR,
+        SolverConfig(epsilon=1e-4, pga_step_rule="inv_sqrt"),
+        391, True, 0.8827709413468671, 9.720936593448794e-05,
+    ),
+    "scalar-gda": (
+        solve_gda, *_SCALAR, SolverConfig(epsilon=1e-5),
+        3067, True, 0.8827709460677143, 9.992178463850951e-06,
+    ),
+    "scalar-gda-capped": (
+        solve_gda, *_SCALAR, SolverConfig(epsilon=1e-5, max_iters=3000),
+        3000, False, 0.8827709461499265, 1.2227635461243579e-05,
+    ),
     "diagonal-3": (
+        solve_pga_ccp,
         DiagonalGaussian(np.array([0.5, -0.25, 0.0]), np.array([0.5, 1.5, 3.0])),
         GameCosts(1.0, 0.75), SolverConfig(epsilon=0.05, mc_samples=20_000, seed=7),
-        5, True, 4.517600299469167,
+        5, True, 4.517600299469167, None,
     ),
     "general-3": (
+        solve_pga_ccp,
         GeneralGaussian(
             np.array([0.1, 0.0, -0.2]),
             np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]]),
         ),
         GameCosts(0.8, 1.2), SolverConfig(epsilon=0.05, mc_samples=15_000, seed=11),
-        8, True, 2.6390464791152177,
+        8, True, 2.6390464791152177, None,
     ),
     "diagonal-6": (
+        solve_pga_ccp,
         DiagonalGaussian(np.zeros(6), np.linspace(0.5, 5.0, 6)),
         GameCosts(1.5, 0.6),
         SolverConfig(epsilon=0.02, mc_samples=30_000, seed=3, max_iters=60),
-        14, True, 16.038118241011983,
+        14, True, 16.038118241011983, None,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SOLVES))
-def test_vector_pga_ccp_trajectories_pinned(name):
-    source, costs, config, iterations, converged, value = _PINNED_SOLVES[name]
-    report = solve_pga_ccp(source, costs, config)
+def test_solver_trajectories_pinned(name):
+    solve, source, costs, config, iterations, converged, value, index = (
+        _PINNED_SOLVES[name])
+    report = solve(source, costs, config)
     assert report.iterations == iterations
     assert report.converged is converged
     assert report.trace[-1].objective == pytest.approx(value, rel=1e-12, abs=0.0)
+    if index is not None:
+        assert report.fne_index == pytest.approx(index, rel=1e-12, abs=0.0)
 
 
 def test_vector_mc_gradients_coupled_fd():
@@ -678,9 +713,9 @@ def test_exact_model_reads_only_the_deviation(mean):
     for alpha, beta in ((0.3, 0.6), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)):
         policy = ReactivePolicy(alpha, beta)
         ev, twin = shifted.evaluate(far, policy), centred.evaluate(near, policy)
-        for field in dataclasses.fields(Evaluation):
-            got, want = getattr(ev, field.name), getattr(twin, field.name)
-            assert _bits(got) == _bits(want), (field.name, policy, got, want)
+        for name in Evaluation._fields:
+            got, want = getattr(ev, name), getattr(twin, name)
+            assert _bits(got) == _bits(want), (name, policy, got, want)
         assert _bits(shifted.ccp_g(far, policy)) == _bits(twin.ccp_g)
     # the whole PGA-CCP solve on N(mean, 2) and N(0, 2) with the default
     # config: the iterates' deviations round, so the same iterations reach
@@ -720,9 +755,9 @@ def test_mc_model_reads_only_the_deviation(mean, general):
     for alpha, beta in ((0.3, 0.6), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)):
         policy = ReactivePolicy(alpha, beta)
         ev, twin = shifted.evaluate(far, policy), centred.evaluate(near, policy)
-        for field in dataclasses.fields(Evaluation):
-            got, want = getattr(ev, field.name), getattr(twin, field.name)
-            assert _bits(got) == _bits(want), (field.name, policy, got, want)
+        for name in Evaluation._fields:
+            got, want = getattr(ev, name), getattr(twin, name)
+            assert _bits(got) == _bits(want), (name, policy, got, want)
         assert _bits(shifted.ccp_g(far, policy)) == _bits(twin.ccp_g)
 
 
@@ -783,17 +818,18 @@ def test_mc_evaluate_matches_per_sample_reference_property(case):
 
 
 def _counting(base):
+    # counts the model cores, which the solver loop calls
     class Counting(base):
         calls = 0
         ccp_g_calls = 0
 
-        def evaluate(self, symbols, policy):
+        def _evaluate(self, x0, x1, a, b):
             type(self).calls += 1
-            return super().evaluate(symbols, policy)
+            return super()._evaluate(x0, x1, a, b)
 
-        def ccp_g(self, symbols, policy):
+        def _ccp_g(self, x0, x1, a, b):
             type(self).ccp_g_calls += 1
-            return super().ccp_g(symbols, policy)
+            return super()._ccp_g(x0, x1, a, b)
 
     return Counting
 
@@ -834,7 +870,7 @@ def test_fne_index_norm_is_exactly_rounded():
     ):
         gx = np.array([float.fromhex(h) for h in pair])
         # zero policy gradient: the box gap is 0 and the norm is the index
-        index = reactive._certificate(gx, (0.0, 0.0), policy)
+        index = reactive._certificate(gx, (0.0, 0.0), (policy.alpha, policy.beta))
         assert index.hex() == _norm_reference(gx).hex()
     # the index of the exact scalar and the Monte Carlo model at random points
     rng = np.random.default_rng(71)
