@@ -22,7 +22,10 @@ a sweep it becomes that point's record and the sweep goes on.
 
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
-not depend on the worker count.
+not depend on the worker count.  Simulate points of one sweep share its
+seed, so points that differ only in n, capacity, jammer or costs share
+their sensor draws: each such group is one pool task that draws each
+sensor stream once.
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ import numpy as np
 from . import __version__
 from .gaussian import DiagonalGaussian, ScalarGaussian
 from .largescale import CapacityFraction, classify_and_solve
-from .network import NetworkConfig, RoundPolicies, estimate_cost, jn_analytic
+from .network import (
+    NetworkConfig,
+    RoundPolicies,
+    estimate_cost,
+    estimate_costs,
+    jn_analytic,
+)
 from .proactive import (
     ConvergenceError,
     GameCosts,
@@ -549,7 +558,9 @@ def _run_large_scale(config: ExperimentConfig):
     return outputs, None
 
 
-def _run_simulate(config: ExperimentConfig):
+def _run_simulate(config: ExperimentConfig, estimate=None):
+    """`estimate` is the point's share of its sweep group's run
+    (`_run_group`); without one the point draws its own."""
     policies = config.policies
     if policies.threshold is not None:
         analytic = jn_analytic(
@@ -559,10 +570,11 @@ def _run_simulate(config: ExperimentConfig):
     else:
         model = ExactScalarModel(config.source, config.costs)
         analytic = model.evaluate(policies.symbols, policies.jammer).objective
-    estimate = estimate_cost(
-        config.source, config.costs, config.network, policies,
-        trials=config.trials, seed=config.seed,
-    )
+    if estimate is None:
+        estimate = estimate_cost(
+            config.source, config.costs, config.network, policies,
+            trials=config.trials, seed=config.seed,
+        )
     x_hat0, x_hat1 = policies.symbols.scalars()
     outputs = {
         "value": float(estimate.mean),
@@ -601,17 +613,54 @@ def _provenance(seed: int) -> dict:
     return {"library": "jamgame", "version": __version__, "seed": seed}
 
 
-def _run_point(config: ExperimentConfig):
-    """(outputs, report) of one non-sweep experiment.  A failed accuracy
-    check, an overflow, an allocation numpy refuses, an iterate the library
-    rejects or a non-finite output is no answer to report: the outputs say
-    why, and count as not converged."""
+_FAILURES = (ConvergenceError, ArithmeticError, MemoryError, ValueError)
+
+
+def _run_point(config: ExperimentConfig, *shared):
+    """(outputs, report) of one non-sweep experiment, given what its group
+    computed for it (`_run_group`).  A failed accuracy check, an overflow,
+    an allocation numpy refuses, an iterate the library rejects or a
+    non-finite output is no answer to report: the outputs say why, and
+    count as not converged."""
     try:
-        outputs, report = _POINT_RUNNERS[config.mode](config)
+        outputs, report = _POINT_RUNNERS[config.mode](config, *shared)
         _check_finite(outputs, "outputs")
-    except (ConvergenceError, ArithmeticError, MemoryError, ValueError) as exc:
+    except _FAILURES as exc:
         return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
     return outputs, report
+
+
+def _group_key(config: ExperimentConfig):
+    """Simulate points with the same source, threshold rule (symbols and
+    threshold), trials and seed draw the same sensor streams and make the
+    same transmit decisions: they differ at most in n, capacity, jammer and
+    costs, and share one key.  Every other point has a key of its own."""
+    policies = config.policies
+    if config.mode != "simulate" or policies.threshold is None:
+        return id(config)
+    return (
+        config.source.mean, config.source.var, *policies.symbols.scalars(),
+        policies.threshold, config.trials, config.seed,
+    )
+
+
+def _run_group(group: list[ExperimentConfig]) -> list:
+    """(outputs, report) of each point of a group (`_group_key`).  A group
+    of simulate points draws each sensor stream once (`estimate_costs`) and
+    hands every point its estimate.  If that run raises, every point runs
+    alone, so a failing point gets the record its own run gives and the
+    others keep theirs."""
+    if len(group) == 1:
+        return [_run_point(group[0])]
+    first = group[0]
+    try:
+        estimates = estimate_costs(
+            first.source, [(p.costs, p.network, p.policies) for p in group],
+            trials=first.trials, seed=first.seed,
+        )
+    except _FAILURES:
+        return [_run_point(config) for config in group]
+    return [_run_point(p, estimate) for p, estimate in zip(group, estimates)]
 
 
 def execute(config: ExperimentConfig) -> ExecutionResult:
@@ -629,10 +678,18 @@ def execute(config: ExperimentConfig) -> ExecutionResult:
 
 def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
     plan = config.sweep_plan
-    workers = min(plan.workers, len(plan.points))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_point, point) for point in plan.points]
-        results = [future.result() for future in futures]
+    groups = {}
+    for i, point in enumerate(plan.points):
+        groups.setdefault(_group_key(point), []).append(i)
+    results = [None] * len(plan.points)
+    with ThreadPoolExecutor(max_workers=min(plan.workers, len(groups))) as pool:
+        futures = [
+            (group, pool.submit(_run_group, [plan.points[i] for i in group]))
+            for group in groups.values()
+        ]
+        for group, future in futures:
+            for i, result in zip(group, future.result()):
+                results[i] = result
     point_records = tuple(
         ResultRecord(
             config=point.normalized,
@@ -730,7 +787,8 @@ def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
         payload["table"] = "table.csv"
         payload["records"] = [r.to_json() for r in result.point_records]
     with (out_dir / "result.json").open("w") as handle:
-        json.dump(payload, handle, indent=2)
+        # the bytes json.dump writes, encoded in one piece
+        handle.write(json.dumps(payload, indent=2))
         handle.write("\n")
 
 

@@ -22,11 +22,15 @@ are therefore bit-identical however trials are chunked or distributed, and a
 single round can be replayed in isolation.  The same addressing lets a chunk
 of trials stream one sensor at a time: each sensor's draws are made, masked
 and added into per-trial sums before the next sensor's, so a chunk's memory
-is a few arrays of chunk length whatever n is.
+is a few arrays of chunk length whatever n is.  The sums over the first n
+sensors are the same for every point with the same seed and transmit rule,
+so one pass serves a group of points that differ only in n, capacity,
+jammer and costs (`estimate_costs`), each point bit for bit as on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -172,23 +176,38 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
-def _deviation_rule(
-    source: ScalarGaussian, policies: RoundPolicies, costs: GameCosts
-) -> tuple[float, float, TransmitRegion | None]:
-    """The symbols' deviations y0, y1 from the mean, and the coordinator's
-    transmit region on the deviation when the policies carry no threshold,
-    else None."""
-    y0, y1 = (x - source.mean for x in policies.symbols.scalars())
-    region = None
-    if policies.threshold is None:
-        region = transmit_region(ReprSymbols(y0, y1), policies.jammer, costs)
-    return y0, y1, region
+def _group_rule(
+    source: ScalarGaussian, points
+) -> tuple[float, float, float | None, TransmitRegion | None]:
+    """The transmit rule every point of a group shares: the symbols'
+    deviations y0, y1 from the mean, the threshold, and, with no threshold,
+    the coordinator's transmit region on the deviation.  A threshold rule
+    is shared by points with the same symbols and threshold; a best
+    response depends on each point's jammer and costs, so it is a group of
+    one.  A channel-sensing jammer needs n = 1."""
+    for _, config, policies in points:
+        jammer = policies.jammer
+        if jammer.alpha != jammer.beta and config.n != 1:
+            raise ValueError(
+                "a channel-sensing jammer (alpha != beta) is only supported for n = 1"
+            )
+    costs, _, first = points[0]
+    symbols = first.symbols.scalars()
+    if any(p.symbols.scalars() != symbols or p.threshold != first.threshold
+           for _, _, p in points[1:]):
+        raise ValueError("the points of a group must share the symbols and threshold")
+    y0, y1 = (x - source.mean for x in symbols)
+    if first.threshold is not None:
+        return y0, y1, first.threshold, None
+    if len(points) > 1:
+        raise ValueError("a best-response rule is simulated one point at a time")
+    return y0, y1, None, transmit_region(ReprSymbols(y0, y1), first.jammer, costs)
 
 
 def _sensor_draws(
     source: ScalarGaussian,
-    policies: RoundPolicies,
     y0: float,
+    threshold: float | None,
     region: TransmitRegion | None,
     seed: int,
     sensor: int,
@@ -205,55 +224,56 @@ def _sensor_draws(
     sq0 = y - y0
     sq0 *= sq0
     if region is None:
-        return y, sq0, sq0 > policies.threshold
+        return y, sq0, sq0 > threshold
     return y, sq0, region.contains(y)
 
 
-def _trial_costs(
-    source: ScalarGaussian,
-    costs: GameCosts,
-    config: NetworkConfig,
-    policies: RoundPolicies,
-    seed: int,
-    start: int,
-    count: int,
-):
-    """Per-trial costs and channel state for trials [start, start + count).
+def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: int):
+    """Per-trial costs and channel state of each point of a group, for
+    trials [start, start + count): yields (index, cost, p_count, jam,
+    intrinsic) per point, in ascending n.
 
-    Sensors stream one at a time into arrays of chunk length: the transmit
-    count, the silent error against x_hat0 (zero for a transmitting sensor)
-    and the total error against x_hat1, which every sensor pays on a
-    collision.  Memory is a few arrays of `count` elements whatever n is.
-    Returns (cost, p_count, jam, intrinsic).
+    `points` holds (costs, config, policies) triples that share the
+    transmit rule (`_group_rule`).  Sensors 0 ... max n - 1 stream once, one
+    at a time, into arrays of chunk length: the transmit count, the silent
+    error against x_hat0 (zero for a transmitting sensor) and the total
+    error against x_hat1, which every sensor pays on a collision.  A point
+    reads these running sums once its own n sensors are in, so its costs
+    are those of its own run bit for bit, and the jammer stream n is drawn
+    once for every point at n.  Memory is a few arrays of `count` elements
+    whatever n is.  `p_count` is the running count: it changes when the
+    generator resumes.
     """
-    n = config.n
-    jammer = policies.jammer
-    if jammer.alpha != jammer.beta and n != 1:
-        raise ValueError(
-            "a channel-sensing jammer (alpha != beta) is only supported for n = 1"
-        )
-    y0, y1, region = _deviation_rule(source, policies, costs)
+    y0, y1, threshold, region = _group_rule(source, points)
     p_count = np.zeros(count, dtype=np.int64)
     silent = np.zeros(count)
     total = np.zeros(count)
-    for s in range(n):
-        y, sq0, transmit = _sensor_draws(
-            source, policies, y0, region, seed, s, start, count
-        )
-        p_count += transmit
-        # multiplying by the silent mask adds +0.0 for a transmitting sensor
-        sq0 *= np.logical_not(transmit, out=transmit)
-        silent += sq0
-        y -= y1
-        y *= y
-        total += y
-    # an occupied channel is jammed with probability beta, an idle one alpha
-    w = _uniforms(seed, n, start, count)
-    jam = w < np.where(p_count > 0, jammer.beta, jammer.alpha)
-    intrinsic = p_count > config.capacity
-    err = np.where(intrinsic | jam, total, silent)
-    cost = (err + costs.c * p_count) / n - costs.d * jam
-    return cost, p_count, jam, intrinsic
+    drawn = 0
+    order = sorted(range(len(points)), key=lambda i: points[i][1].n)
+    for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n):
+        for s in range(drawn, n):
+            y, sq0, transmit = _sensor_draws(
+                source, y0, threshold, region, seed, s, start, count
+            )
+            p_count += transmit
+            # multiplying by the silent mask adds +0.0 for a transmitting sensor
+            sq0 *= np.logical_not(transmit, out=transmit)
+            silent += sq0
+            y -= y1
+            y *= y
+            total += y
+        drawn = n
+        w = _uniforms(seed, n, start, count)
+        occupied = p_count > 0
+        for i in at_n:
+            costs, config, policies = points[i]
+            # an occupied channel is jammed with probability beta, an idle one alpha
+            jammer = policies.jammer
+            jam = w < np.where(occupied, jammer.beta, jammer.alpha)
+            intrinsic = p_count > config.capacity
+            err = np.where(intrinsic | jam, total, silent)
+            cost = (err + costs.c * p_count) / n - costs.d * jam
+            yield i, cost, p_count, jam, intrinsic
 
 
 def simulate_round(
@@ -266,13 +286,15 @@ def simulate_round(
 ) -> tuple[float, ChannelOutcome]:
     """Replay a single round of the addressed trial stream.
 
-    The cost and channel state come from the batch kernel with one trial; a
-    delivered round re-draws its sensors one at a time to list the packets.
+    The cost and channel state come from the batch kernel with one point and
+    one trial; a delivered round re-draws its sensors one at a time to list
+    the packets.
     """
     if trial < 0:
         raise ValueError(f"trial must be nonnegative, got {trial}")
-    cost, p_count, jam, intrinsic = _trial_costs(
-        source, costs, config, policies, seed, trial, 1
+    point = [(costs, config, policies)]
+    ((_, cost, p_count, jam, intrinsic),) = _trial_costs(
+        source, point, seed, trial, 1
     )
     p = int(p_count[0])
     jammed = bool(jam[0])
@@ -281,11 +303,11 @@ def simulate_round(
     elif p == 0:
         outcome = ChannelOutcome("idle", (), False, False)
     else:
-        y0, _, region = _deviation_rule(source, policies, costs)
+        y0, _, threshold, region = _group_rule(source, point)
         packets = []
         for s in range(config.n):
             y, _, transmit = _sensor_draws(
-                source, policies, y0, region, seed, s, trial, 1
+                source, y0, threshold, region, seed, s, trial, 1
             )
             if transmit[0]:
                 packets.append((s, source.mean + float(y[0])))
@@ -298,6 +320,38 @@ def simulate_round(
     return float(cost[0]), outcome
 
 
+def estimate_costs(
+    source: ScalarGaussian, points, trials: int, seed: int
+) -> list[EmpiricalEstimate]:
+    """Average each point's per-round cost over `trials` addressed rounds.
+
+    `points` is a group of (costs, config, policies) triples that differ at
+    most in n, capacity, jammer and costs (`_group_rule`), so every sensor
+    stream is drawn once for the whole group.  Each point's per-trial costs
+    are written chunk by chunk into one array, reduced once its last chunk
+    is in and then dropped, so every estimate is bit-identical to
+    `estimate_cost` on that point alone, for any chunk size or worker split
+    of the same (seed, trials).
+    """
+    if trials < 2:
+        raise ValueError("at least 2 trials are required")
+    estimates = [None] * len(points)
+    kept = {}
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        for i, cost, *_ in _trial_costs(source, points, seed, start, count):
+            if count < trials:
+                if start == 0:
+                    kept[i] = np.empty(trials)
+                kept[i][start:start + count] = cost
+            if start + count == trials:
+                all_costs = kept.pop(i, cost)
+                mean = float(all_costs.mean())
+                std_err = float(all_costs.std(ddof=1) / math.sqrt(trials))
+                estimates[i] = EmpiricalEstimate(mean, std_err, trials)
+    return estimates
+
+
 def estimate_cost(
     source: ScalarGaussian,
     costs: GameCosts,
@@ -306,25 +360,9 @@ def estimate_cost(
     trials: int,
     seed: int,
 ) -> EmpiricalEstimate:
-    """Average the per-round cost over `trials` addressed rounds.
-
-    The per-trial cost array is assembled chunk by chunk and reduced once at
-    the end, so the estimate is bit-identical for any chunk size or worker
-    split of the same (seed, trials).
-    """
-    if trials < 2:
-        raise ValueError("at least 2 trials are required")
-    pieces = []
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        cost, *_ = _trial_costs(
-            source, costs, config, policies, seed, start, count
-        )
-        pieces.append(cost)
-    all_costs = np.concatenate(pieces)
-    mean = float(all_costs.mean())
-    std_err = float(all_costs.std(ddof=1) / math.sqrt(trials))
-    return EmpiricalEstimate(mean, std_err, trials)
+    """Average the per-round cost over `trials` addressed rounds: the
+    one-point group of `estimate_costs`."""
+    return estimate_costs(source, [(costs, config, policies)], trials, seed)[0]
 
 
 def chernoff_upper_bound(n: int, p: float, kind: str, delta: float) -> float:

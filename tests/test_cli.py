@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import math
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame import cli
+from jamgame import cli, network
 from jamgame.cli import (
     _FIELDS,
     _REQUIRED,
@@ -264,25 +265,55 @@ def test_sweep_reproduces_saddle_table(tmp_path):
     for key, values in expected.items():
         for got, want in zip(seen[key], values):
             assert got == pytest.approx(want, abs=0.01)
-    record = json.loads((out / "result.json").read_text())
+    text = (out / "result.json").read_text()
+    record = json.loads(text)
+    # the bytes json.dump streams, newline-terminated
+    streamed = io.StringIO()
+    json.dump(record, streamed, indent=2)
+    assert text == streamed.getvalue() + "\n"
     assert record["outputs"]["points"] == 12
     assert record["outputs"]["non_converged"] == 0
     assert len(record["records"]) == 12
     assert record["table"] == "table.csv"
 
 
-def test_sweep_worker_count_does_not_change_results(tmp_path):
-    serial = copy.deepcopy(TABLE_I_SWEEP)
-    serial["mode"] = "sweep"
-    serial["sweep"]["workers"] = 1
-    parallel = copy.deepcopy(TABLE_I_SWEEP)
-    parallel["mode"] = "sweep"
-    parallel["sweep"]["workers"] = 8
-    a = execute(parse_config(serial))
-    b = execute(parse_config(parallel))
-    assert [r.outputs for r in a.point_records] == [
-        r.outputs for r in b.point_records
-    ]
+# simulate points that differ only in n and phi share their sensor draws;
+# each variance is one such group
+SIMULATE_SWEEP = {
+    "source": {"mean": 0.2, "variance": 1.0},
+    "costs": {"c": 0.8, "d": 1.2},
+    "kappa_bar": 0.3,
+    "seed": 11,
+    "simulate": {"trials": 3000, "threshold": 1.2, "x_hat1": -0.4},
+    "sweep": {
+        "mode": "simulate",
+        "axes": [
+            {"parameter": "n", "grid": [1, 3, 8]},
+            {"parameter": "simulate.phi", "grid": [0.1, 0.5]},
+            {"parameter": "source.variance", "grid": [0.5, 2.0]},
+        ],
+    },
+}
+
+
+def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
+    monkeypatch.setattr(network, "_CHUNK", 700)  # several chunks a point
+    for sweep in (TABLE_I_SWEEP, SIMULATE_SWEEP):
+        serial = copy.deepcopy(sweep)
+        serial["mode"] = "sweep"
+        serial["sweep"]["workers"] = 1
+        parallel = copy.deepcopy(sweep)
+        parallel["mode"] = "sweep"
+        parallel["sweep"]["workers"] = 8
+        a = execute(parse_config(serial))
+        b = execute(parse_config(parallel))
+        assert [r.outputs for r in a.point_records] == [
+            r.outputs for r in b.point_records
+        ]
+        # and every point is its own run, bit for bit
+        for record in a.point_records:
+            alone = execute(parse_config(copy.deepcopy(record.config)))
+            assert alone.record.outputs == record.outputs
 
 
 def test_round_trip_reproduces_outputs():
@@ -640,6 +671,10 @@ _RAISING_POINTS = {
     }, "MemoryError"),
     # the squared symbol deviation overflows
     "simulate-overflow": (["simulate"], _SIMULATE_OVERFLOW, "OverflowError"),
+    # numpy refuses the 7 PiB of per-trial costs before it allocates
+    "simulate-trials-too-many": (["simulate"], dict(_SIMULATE_OVERFLOW, simulate={
+        "trials": 10**15, "threshold": 1.0, "phi": 0.2,
+    }), "MemoryError"),
 }
 
 
@@ -658,6 +693,11 @@ def test_point_that_raises_exits_3_with_its_record(
     assert f"error: {exception}: " in capsys.readouterr().err
 
 
+# the points at c = 1e308 below overflow on purpose
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
 def test_sweep_point_that_raises_keeps_the_others(tmp_path):
     raw = dict(_SIMULATE_OVERFLOW, sweep={
         "mode": "simulate", "workers": 2,
@@ -674,6 +714,32 @@ def test_sweep_point_that_raises_keeps_the_others(tmp_path):
     assert failed["error"].startswith("OverflowError: ")
     rows = list(csv.reader((out / "table.csv").open()))
     assert [row[0] for row in rows] == ["simulate.x_hat1", "0.5", "1e+200"]
+
+    # inside one group of shared sensor draws: the points at c = 1e308
+    # overflow to inf, and every point, failed or not, gets the record of
+    # its own run; at 10**15 trials the group's run raises, and so does
+    # each point's own
+    base = dict(_SIMULATE_OVERFLOW, seed=5, simulate={
+        "trials": 1000, "threshold": 1.0, "phi": 0.2,
+    })
+    too_many = copy.deepcopy(base)
+    too_many["simulate"]["trials"] = 10**15
+    inf = "ValueError: outputs.value is not finite: inf"
+    for raw, axes, errors in (
+        (base, [("costs.c", [1.0, 1e308]), ("n", [2, 3])], [None, None, inf, inf]),
+        (too_many, [("n", [2, 3])], ["MemoryError: "] * 2),
+    ):
+        raw = dict(raw, mode="sweep", sweep={"mode": "simulate", "axes": [
+            {"parameter": p, "grid": g} for p, g in axes
+        ]})
+        records = execute(parse_config(raw)).point_records
+        for record, error in zip(records, errors, strict=True):
+            alone = execute(parse_config(copy.deepcopy(record.config)))
+            assert alone.record.outputs == record.outputs
+            if error is None:
+                assert math.isfinite(record.outputs["value"])
+            else:
+                assert record.outputs["error"].startswith(error)
 
 
 def test_solver_defaults_per_mode():

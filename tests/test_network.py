@@ -25,6 +25,7 @@ from jamgame.network import (
     chernoff_upper_bound,
     convergence_probe,
     estimate_cost,
+    estimate_costs,
     jn_analytic,
     simulate_round,
 )
@@ -232,10 +233,38 @@ def test_estimate_chunking_invariant(monkeypatch):
     config = NetworkConfig(3, 1)
     policies = RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.2, 0.2), 0.8)
     whole = estimate_cost(STD, costs, config, policies, trials=500, seed=4)
+    # a group that shares the threshold rule, with n out of order and
+    # repeated, and mixed capacities, jammers and costs: each point is its
+    # own run bit for bit, and so is each replayed round
+    source, symbols = ScalarGaussian(0.4, 2.0), ReprSymbols(0.3, -0.5)
+    group = [
+        (GameCosts(c, d), NetworkConfig(n, cap),
+         RoundPolicies(symbols, ReactivePolicy(phi, phi), 1.1))
+        for n, cap, phi, c, d in (
+            (20, 6, 0.3, 0.7, 1.3), (1, 1, 0.9, 1.0, 0.2), (5, 2, 0.0, 2.0, 1.0),
+            (5, 4, 0.6, 0.1, 1.9), (2, 1, 1.0, 1.5, 0.5),
+        )
+    ]
+    alone = [estimate_cost(source, *point, trials=500, seed=4) for point in group]
+    assert estimate_costs(source, group, trials=500, seed=4) == alone
+    kernel = network._trial_costs(source, group, 4, 0, 500)
+    per_trial = {i: cost for i, cost, *_ in kernel}
+    for i, point in enumerate(group):
+        for k in (0, 123, 499):
+            replayed, _ = simulate_round(source, *point, seed=4, trial=k)
+            assert replayed == per_trial[i][k]
     monkeypatch.setattr(network, "_CHUNK", 7)
     chunked = estimate_cost(STD, costs, config, policies, trials=500, seed=4)
     assert whole.mean == chunked.mean
     assert whole.std_err == chunked.std_err
+    assert estimate_costs(source, group, trials=500, seed=4) == alone
+    # points that draw or decide differently are not one group
+    other = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2), 0.8))
+    with pytest.raises(ValueError, match="share the symbols and threshold"):
+        estimate_costs(source, group + [other], trials=500, seed=4)
+    best_response = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2)))
+    with pytest.raises(ValueError, match="one point at a time"):
+        estimate_costs(source, [best_response] * 2, trials=500, seed=4)
 
 
 def test_estimate_determinism_and_error_scaling():
@@ -383,6 +412,14 @@ def test_reactive_collapses_to_blind_jammer():
     assert a.std_err == b.std_err
 
 
+def _one_point(source, costs, config, policies, seed, trials):
+    """The kernel's per-trial costs and transmit counts for one point."""
+    ((_, cost, p_count, *_),) = network._trial_costs(
+        source, [(costs, config, policies)], seed, 0, trials
+    )
+    return cost, p_count
+
+
 @st.composite
 def _simulator_cases(draw):
     """(source, costs, config, policies, trials, chunk, seed): n in 1-24, so
@@ -411,9 +448,7 @@ def _simulator_cases(draw):
 ))
 def test_simulator_contracts(case):
     source, costs, config, policies, trials, chunk, seed = case
-    per_trial, p_count, *_ = network._trial_costs(
-        source, costs, config, policies, seed, 0, trials
-    )
+    per_trial, p_count = _one_point(source, costs, config, policies, seed, trials)
     whole = estimate_cost(source, costs, config, policies, trials, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_CHUNK", chunk)
@@ -454,8 +489,7 @@ def test_simulator_contracts(case):
             policies.symbols, jammer, costs.c / (1.0 - jammer.alpha)
         )
         assert np.array_equal(
-            network._trial_costs(source, costs, config, rule, seed, 0, trials)[0],
-            per_trial,
+            _one_point(source, costs, config, rule, seed, trials)[0], per_trial
         )
 
 
