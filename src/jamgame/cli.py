@@ -8,9 +8,10 @@ top-level keys each mode requires or forbids, and the library's own objects
 (`GameCosts`, `SolverConfig`, `NetworkConfig`, ...) check the ranges.
 Validation is strict: unknown keys, missing mode-required fields, malformed
 grids and a sweep axis that repeats another axis's parameter are errors that
-name the offending field or file, and they are the only ones that exit with
-code 2: a config that parses always writes its record.  Each run writes a
-full-precision `result.json` record; iterative solvers add a per-iteration
+name the offending field or file.  They and an `--out` directory that cannot
+be created are the only ones that exit with code 2, before anything runs: a
+run that starts always writes its record.  Each run writes a full-precision
+`result.json` record; iterative solvers add a per-iteration
 `trace.csv` and sweeps add a `table.csv` with one row per grid point,
 rounded for reading (the record keeps full precision).  Non-convergence is
 reported through exit code 3 with the record still written, so sweeps can
@@ -60,7 +61,6 @@ from .proactive import (
     GameCosts,
     ReprSymbols,
     solve_saddle,
-    solve_saddle_vector,
 )
 from .reactive import (
     ExactScalarModel,
@@ -501,10 +501,7 @@ def _symbol_output(values: np.ndarray):
 
 
 def _run_proactive(config: ExperimentConfig):
-    if isinstance(config.source, ScalarGaussian):
-        saddle = solve_saddle(config.source, config.costs)
-    else:
-        saddle = solve_saddle_vector(config.source, config.costs)
+    saddle = solve_saddle(config.source, config.costs)
     outputs = {
         "case": saddle.case,
         "threshold": float(saddle.threshold),
@@ -776,7 +773,6 @@ def _write_trace(path: Path, report: FneReport) -> None:
 
 
 def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = result.record.to_json()
     if result.report is not None:
         _write_trace(out_dir / "trace.csv", result.report)
@@ -886,12 +882,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Parse arguments, run the experiment, write outputs, return exit code.
 
-    0 on success; 2 on an invalid config only (a `ConfigError`, whose message
-    names the field or the file), and then no record is written; 3 when a
-    point did not converge, raised while running (a failed accuracy check,
-    an overflow, an allocation it cannot make, an iterate the library
-    rejects) or gave a non-finite output.  A config that parses always has
-    its record written, with the exception under a failed point's `error`.
+    0 on success; 2 on an invalid config (a `ConfigError`, whose message
+    names the field or the file) or an `--out` directory that cannot be
+    created, and then nothing runs and no record is written; 3 when a point
+    did not converge, raised while running (a failed accuracy check, an
+    overflow, an allocation it cannot make, an iterate the library rejects)
+    or gave a non-finite output.  A run that starts always has its record
+    written, with the exception under a failed point's `error`.
     """
     parser = _build_parser()
     try:
@@ -909,8 +906,14 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: cannot create {args.out}: {exc}", file=sys.stderr)
+        return 2
     result = execute(config)
-    _write_outputs(Path(args.out), result)
+    _write_outputs(out_dir, result)
     records = result.point_records or (result.record,)
     for record in records:
         if "error" in record.outputs:

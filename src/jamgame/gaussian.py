@@ -1,12 +1,10 @@
 """Gaussian source models and the closed-form integrals the game solvers build on.
 
-Every quantity computed by the solvers in this package reduces to a small set
+Every quantity computed by the solvers in this package reduces to two kinds
 of Gaussian integrals:
 
-* upper-tail probability        int_t^inf f(x) dx
-* upper-tail second moment      int_t^inf x^2 f(x) dx
-* interval moments              E[X^k 1(a < X < b)]  for k = 0, 1, 2
-* norm-square tail integrals     E[S^p 1(S > r)], S = ||X - mean||^2, p = 0, 1
+* interval moments              E[Y^k 1(a < X < b)], Y = X - mean, k = 0, 1, 2
+* norm-square tail integrals    E[S^p 1(S > r)], S = ||X - mean||^2, p = 0, 1
 
 Scalar forms are erfc-based and exact.  The norm-square tail integrals are
 exact for any spectrum: Ruben's chi-square mixture, and Imhof's inversion
@@ -143,38 +141,6 @@ class GeneralGaussian:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-def whiten(source: GeneralGaussian) -> tuple[DiagonalGaussian, np.ndarray]:
-    """Rotate a correlated source into independent coordinates.
-
-    Returns `(diag, W)` where `W` has orthonormal rows and rotating samples
-    of `source` by `W` yields samples of `diag`, whose variances are the
-    covariance eigenvalues.
-    """
-    rotation = source.eigenvectors.T
-    diag = DiagonalGaussian(rotation @ source.mean, source.eigenvalues.copy())
-    return diag, rotation
-
-
-def tail_prob(source: ScalarGaussian, t: float) -> float:
-    """int_t^inf f(x) dx, the probability that the source exceeds `t`."""
-    return _std_tail((t - source.mean) / source.std)
-
-
-def tail_second_moment(source: ScalarGaussian, t: float) -> float:
-    """int_t^inf x^2 f(x) dx for a centered scalar source and t >= 0.
-
-    Closed form sigma^2 [Q(z) + z q(z)] with z = t/sigma, Q the standard
-    normal tail and q its density.  Callers with noncentered sources shift
-    first; the x^2 weight is about the origin.
-    """
-    if source.mean != 0.0:
-        raise ValueError("tail_second_moment requires a centered source")
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    z = t / source.std
-    return source.var * (_std_tail(z) + z * _std_pdf(z))
 
 
 def interval_moments(

@@ -33,7 +33,6 @@ from .proactive import (
     _trigger_value,
     _window,
     objective_tilde,
-    solve_l_phi,  # noqa: F401 - part of this module's API
 )
 
 

@@ -29,6 +29,8 @@ from scipy import optimize
 from .gaussian import (
     _RESIDUAL_TOL,
     ConvergenceError,
+    DiagonalGaussian,
+    GeneralGaussian,
     ScalarGaussian,
     _endpoint,
     _piece_moments,
@@ -257,19 +259,18 @@ def _threshold_cost(
     )
 
 
-def solve_saddle(source: ScalarGaussian, costs: GameCosts) -> ProactiveSaddle:
-    """Scalar saddle point: symbols at the mean, jam level from the root of G
-    (`_saddle`)."""
+def solve_saddle(
+    source: ScalarGaussian | DiagonalGaussian | GeneralGaussian, costs: GameCosts
+) -> ProactiveSaddle:
+    """Saddle point of any source, scalar, diagonal or general: symbols at the
+    mean, transmit iff ||x - mean||^2 > threshold, jam level from the root of
+    G.  Only the covariance spectrum matters (`_saddle`)."""
     return _saddle(source, costs)
 
 
 def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
-    """Vector saddle point; transmit iff ||x - mean||^2 > threshold.
-
-    The rotation to independent coordinates never changes the deviation norm,
-    so only the covariance spectrum matters (`_saddle`), for every diagonal
-    and general source.
-    """
+    """The same call as `solve_saddle`, kept only while the benchmark's tracer
+    (`bench/tracing.py`) names it."""
     return _saddle(source, costs)
 
 

@@ -58,9 +58,6 @@ class ReactivePolicy:
     def __post_init__(self):
         _check_policy(self.alpha, self.beta)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta])
-
 
 def _check_policy(alpha, beta) -> None:
     """`ReactivePolicy`'s range check, on two floats; NaN fails it."""
@@ -68,12 +65,6 @@ def _check_policy(alpha, beta) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-
-
-def project_box(candidate) -> ReactivePolicy:
-    """Clamp a real pair onto [0,1]^2, the jammer's feasible set."""
-    a, b = float(candidate[0]), float(candidate[1])
-    return ReactivePolicy(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +88,6 @@ class TransmitRegion:
         for lo, hi in self.intervals:
             inside |= (lo < x) & (x < hi)
         return inside if inside.ndim else bool(inside)
-
-    def complement_intervals(self) -> tuple[tuple[float, float], ...]:
-        edges = [-math.inf, *(v for piece in self.intervals for v in piece), math.inf]
-        return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
 
 
 def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:
@@ -555,13 +542,6 @@ class FneReport:
     iterations: int
     converged: bool
     trace: tuple[TraceRow, ...]
-
-    def iterations_to(self, threshold: float) -> int | None:
-        """First iteration whose index is <= threshold."""
-        for row in self.trace:
-            if row.fne_index <= threshold:
-                return row.iteration
-        return None
 
 
 def _build_model(source, costs, config: SolverConfig):

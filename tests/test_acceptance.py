@@ -19,9 +19,8 @@ from jamgame.gaussian import (
     DiagonalGaussian,
     ScalarGaussian,
     interval_moments,
+    norm_sq_tail,
     philox_rng,
-    tail_prob,
-    tail_second_moment,
 )
 from jamgame.largescale import asymptotic_objective
 from jamgame.network import (
@@ -108,11 +107,13 @@ def test_criterion_1_saddle_table_sweep():
 
 
 def test_criterion_2_gate_integrals():
-    p = tail_prob(STD, 1.0)
-    m = tail_second_moment(STD, 1.0)
+    # the tail E[S^p 1(S > r)] of S = X^2 at r = 1 is twice the one-sided
+    # integral of X^(2p) over X > 1
+    tail = norm_sq_tail(STD)
+    p, m = 0.5 * tail(1.0, 0), 0.5 * tail(1.0, 1)
     assert p == pytest.approx(0.1587, abs=0.0005)
     assert m == pytest.approx(0.4007, abs=0.0005)
-    _report(2, f"tail_prob={p:.4f} (0.1587), tail_second_moment={m:.4f} (0.4007)")
+    _report(2, f"P(X > 1)={p:.4f} (0.1587), E[X^2 1(X > 1)]={m:.4f} (0.4007)")
 
 
 def test_criterion_3_proactive_saddle_inequalities():
@@ -187,7 +188,8 @@ def test_criterion_4_reactive_fne_structure():
             continue
         p_silent = m1_silent = 0.0
         region = transmit_region(rep.symbols, rep.policy, costs_d15)
-        for lo, hi in region.complement_intervals():
+        edges = (-math.inf, *(v for piece in region.intervals for v in piece), math.inf)
+        for lo, hi in zip(edges[::2], edges[1::2]):
             p, m1, _ = interval_moments(source, lo, hi)
             p_silent += p
             m1_silent += m1
@@ -340,7 +342,7 @@ def test_criterion_6_gradient_correctness():
             worst = max(worst, err)
             assert err <= 1e-6
         gp, _ = model.grad_phi(symbols, policy)
-        base = policy.as_array()
+        base = np.array([policy.alpha, policy.beta])
         for i in range(2):
             def at_phi(eps, i=i):
                 p = base.copy()
@@ -369,7 +371,7 @@ def test_criterion_6_gradient_correctness():
         fd = (at(h) - at(-h)) / (2.0 * h)
         assert abs(fd - gx[j]) <= 3.0 * gx_se[j] + 1e-9
     gp, gp_se = model.grad_phi(symbols, policy)
-    base = policy.as_array()
+    base = np.array([policy.alpha, policy.beta])
     for i in range(2):
         def at_phi(eps, i=i):
             p = base.copy()

@@ -484,6 +484,16 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         assert run(["solve", "proactive", "--config", *extra, "--out", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+    # an --out that cannot be created, an existing file or a path under one:
+    # exit 2 before the run, with no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "sub"):
+        assert run(["solve", "proactive", "--config", good, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: cannot create {out}: "), err
+        assert "Traceback" not in err
+    assert blocker.read_text() == "kept"
     # a rejected value is echoed cut short, so the error line stays short and
     # still names the field: a 5 MB string, a list nested 400 deep (within
     # the parser's recursion limit under pytest), a 5 MB key
@@ -574,15 +584,15 @@ _FAILURE = ("Imhof sin integral error estimate 1.674e-09 exceeds 1.571e-10 "
 
 
 def _fail_at_d(monkeypatch, d):
-    """Make the CLI's vector saddle raise ConvergenceError when costs.d == d."""
-    solve = cli.solve_saddle_vector
+    """Make the CLI's saddle raise ConvergenceError when costs.d == d."""
+    solve = cli.solve_saddle
 
     def failing(source, costs):
         if costs.d == d:
             raise ConvergenceError(_FAILURE)
         return solve(source, costs)
 
-    monkeypatch.setattr(cli, "solve_saddle_vector", failing)
+    monkeypatch.setattr(cli, "solve_saddle", failing)
 
 
 def test_solver_failure_exits_3_with_record(tmp_path, capsys, monkeypatch):

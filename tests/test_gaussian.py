@@ -18,9 +18,6 @@ from jamgame.gaussian import (
     norm_sq_tail,
     philox_rng,
     sample,
-    tail_prob,
-    tail_second_moment,
-    whiten,
 )
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde
 
@@ -56,27 +53,25 @@ CHI2_M3_R3 = 2.09995750763588253
 CLIPPED_SHIFTED = 0.478595226168709836
 
 
+def upper_tail(source, t, p):
+    """A scalar source's `norm_sq_tail` at r = (t - mean)^2: for t >= mean,
+    twice the one-sided tail int_t^inf (x - mean)^(2p) f(x) dx."""
+    return norm_sq_tail(source)((t - source.mean) ** 2, p)
+
+
 def test_tail_prob_frozen_values():
-    assert tail_prob(ScalarGaussian(0.0, 4.0), 2.0) == pytest.approx(TAIL_PROB_N04_AT_2, rel=1e-14)
-    assert tail_prob(ScalarGaussian(0.0, 1.0), 1.0) == pytest.approx(Q_AT_1, rel=1e-14)
-    assert tail_prob(ScalarGaussian(0.0, 2.7), 0.0) == pytest.approx(0.5, rel=1e-14)
+    assert upper_tail(ScalarGaussian(0.0, 4.0), 2.0, 0) == pytest.approx(2 * TAIL_PROB_N04_AT_2, rel=1e-14)
+    assert upper_tail(ScalarGaussian(0.0, 1.0), 1.0, 0) == pytest.approx(2 * Q_AT_1, rel=1e-14)
+    assert upper_tail(ScalarGaussian(0.0, 2.7), 0.0, 0) == pytest.approx(1.0, rel=1e-14)
     # noncentered: shift invariance
-    assert tail_prob(ScalarGaussian(1.5, 4.0), 3.5) == pytest.approx(TAIL_PROB_N04_AT_2, rel=1e-14)
+    assert upper_tail(ScalarGaussian(1.5, 4.0), 3.5, 0) == pytest.approx(2 * TAIL_PROB_N04_AT_2, rel=1e-14)
 
 
 def test_tail_second_moment_frozen_values():
-    assert tail_second_moment(ScalarGaussian(0.0, 2.0), 1.5) == pytest.approx(TSM_N02_AT_1_5, rel=1e-13)
-    assert tail_second_moment(ScalarGaussian(0.0, 1.0), 1.0) == pytest.approx(TSM_AT_1, rel=1e-13)
-    # t = 0 gives half the variance by symmetry
-    assert tail_second_moment(ScalarGaussian(0.0, 3.3), 0.0) == pytest.approx(1.65, rel=1e-13)
-
-
-def test_tail_second_moment_rejects_bad_inputs():
-    for bad in (-0.5, math.nan):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            tail_second_moment(ScalarGaussian(0.0, 1.0), bad)
-    with pytest.raises(ValueError):
-        tail_second_moment(ScalarGaussian(1.0, 1.0), 0.5)
+    assert upper_tail(ScalarGaussian(0.0, 2.0), 1.5, 1) == pytest.approx(2 * TSM_N02_AT_1_5, rel=1e-13)
+    assert upper_tail(ScalarGaussian(0.0, 1.0), 1.0, 1) == pytest.approx(2 * TSM_AT_1, rel=1e-13)
+    # t = 0 gives the whole variance: half of it on each side, by symmetry
+    assert upper_tail(ScalarGaussian(0.0, 3.3), 0.0, 1) == pytest.approx(2 * 1.65, rel=1e-13)
 
 
 def test_tails_match_quadrature_oracle_to_1e8():
@@ -85,11 +80,11 @@ def test_tails_match_quadrature_oracle_to_1e8():
         sigma = math.sqrt(var)
         for z in (0.0, 0.3, 1.0, 2.5, 5.0, 8.0):
             t = z * sigma
-            got_p = tail_prob(ScalarGaussian(0.0, var), t)
-            want_p = oracle_integral(lambda x: 1, 0.0, var, t, math.inf)
+            got_p = upper_tail(ScalarGaussian(0.0, var), t, 0)
+            want_p = 2 * oracle_integral(lambda x: 1, 0.0, var, t, math.inf)
             assert abs(got_p - want_p) <= 1e-8 * abs(want_p)
-            got_m = tail_second_moment(ScalarGaussian(0.0, var), t)
-            want_m = oracle_integral(lambda x: x * x, 0.0, var, t, math.inf)
+            got_m = upper_tail(ScalarGaussian(0.0, var), t, 1)
+            want_m = 2 * oracle_integral(lambda x: x * x, 0.0, var, t, math.inf)
             assert abs(got_m - want_m) <= 1e-8 * abs(want_m)
 
 
@@ -129,8 +124,8 @@ def test_closed_forms_return_python_floats():
     for lo, hi in ((-math.inf, -0.4), (-0.4, 1.1), (0.5, 2.0), (-2.0, -1.0),
                    (1.1, math.inf), (-math.inf, math.inf), (1.0, 1.0)):
         assert all(type(v) is float for v in interval_moments(g, lo, hi))
-    assert type(tail_prob(g, 0.8)) is float
-    assert type(tail_second_moment(ScalarGaussian(0.0, g.var), 0.8)) is float
+    assert type(upper_tail(g, 0.8, 0)) is float
+    assert type(upper_tail(g, 0.8, 1)) is float
 
 
 def clipped_sq_loss(source, x0, c, phi):
@@ -182,8 +177,8 @@ def test_clipped_sq_loss_degenerate_phi():
 def test_monotonicity_in_threshold_and_phi():
     g = ScalarGaussian(0.0, 1.0)
     ts = np.linspace(0.0, 4.0, 41)
-    probs = [tail_prob(g, t) for t in ts]
-    moms = [tail_second_moment(g, t) for t in ts]
+    probs = [upper_tail(g, t, 0) for t in ts]
+    moms = [upper_tail(g, t, 1) for t in ts]
     assert all(a > b for a, b in zip(probs, probs[1:]))
     assert all(a > b for a, b in zip(moms, moms[1:]))
     # clipped loss decreases as jamming rises (less weight on the quadratic)
@@ -217,22 +212,6 @@ def test_sample_moments_scalar_and_correlated():
     for i in range(3):
         assert abs(emp[i, i] - cov[i, i]) < 0.02 * cov[i, i]
     assert np.max(np.abs(emp - cov)) < 0.05
-
-
-def test_whiten_two_by_two_hand_case():
-    # [[2,1],[1,2]] has eigenvalues {1, 3} with eigenvectors at 45 degrees
-    g = GeneralGaussian(np.array([0.5, -0.5]), np.array([[2.0, 1.0], [1.0, 2.0]]))
-    diag, rot = whiten(g)
-    assert sorted(diag.variances) == pytest.approx([1.0, 3.0], abs=1e-12)
-    assert np.allclose(rot @ rot.T, np.eye(2), atol=1e-10)
-    assert np.allclose(rot.T @ rot, np.eye(2), atol=1e-10)
-    assert np.allclose(rot.T @ np.diag(diag.variances) @ rot, g.covariance, atol=1e-8)
-    assert np.allclose(diag.mean, rot @ g.mean)
-    # rotated samples follow the diagonal model
-    ys = sample(g, 21, 200_000) @ rot.T
-    emp = np.cov(ys.T)
-    assert np.allclose(np.diag(emp), diag.variances, rtol=0.02)
-    assert abs(emp[0, 1]) < 0.02
 
 
 def test_whiten_rejects_rank_deficient_covariance():

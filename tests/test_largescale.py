@@ -13,8 +13,6 @@ from jamgame.gaussian import (
     ScalarGaussian,
     interval_moments,
     norm_sq_tail,
-    tail_prob,
-    tail_second_moment,
 )
 from jamgame.largescale import (
     CapacityFraction,
@@ -22,12 +20,12 @@ from jamgame.largescale import (
     classify_and_solve,
     lagrangian_value,
     solve_l_lambda,
-    solve_l_phi,
 )
 from jamgame.proactive import (
     GameCosts,
     ReprSymbols,
     objective_with_threshold,
+    solve_l_phi,
     solve_saddle,
 )
 
@@ -62,7 +60,7 @@ def test_capacity_fraction_validation():
 def test_l_lambda_frozen_and_residual():
     l = solve_l_lambda(STD, 0.25)
     assert l == pytest.approx(L_LAMBDA_KBAR_025, rel=1e-12)
-    assert 2.0 * tail_prob(STD, math.sqrt(l)) == pytest.approx(0.25, abs=1e-10)
+    assert norm_sq_tail(STD)(l, 0) == pytest.approx(0.25, abs=1e-10)
     assert solve_l_lambda(STD, 0.999999) < 1e-10
     scaled = solve_l_lambda(ScalarGaussian(0.0, 4.0), 0.25)
     assert scaled == pytest.approx(4.0 * L_LAMBDA_KBAR_025, rel=1e-12)
@@ -84,7 +82,7 @@ def test_l_phi_frozen_and_residual():
     for d, expected in ((0.25, L_PHI_D_025), (0.5, L_PHI_D_050), (0.75, L_PHI_D_075)):
         l = solve_l_phi(STD, GameCosts(1.0, d))
         assert l == pytest.approx(expected, rel=1e-10)
-        assert 2.0 * tail_second_moment(STD, math.sqrt(l)) == pytest.approx(d, abs=1e-10)
+        assert norm_sq_tail(STD)(l, 1) == pytest.approx(d, abs=1e-10)
 
 
 def test_l_phi_degenerate_warns():
@@ -372,7 +370,7 @@ def test_asymptotic_objective_saturated_branch():
     cases = [(0.2, threshold) for threshold in (0.0, 0.05, 0.2)]
     cases.append((1e-10, solve_l_lambda(STD, 5e-10)))
     for kb, threshold in cases:
-        p_tx = 2.0 * tail_prob(STD, math.sqrt(threshold))
+        p_tx = norm_sq_tail(STD)(threshold, 0)
         assert p_tx > kb
         value = asymptotic_objective(
             STD, GameCosts(1.0, 0.5), kb, threshold, ReprSymbols(0.0, 0.0), 0.0
@@ -404,7 +402,7 @@ def test_c3_matches_the_point_to_point_saddle(mean, var, c, d_frac):
     # the jamming gate's d it is C3, above it C1, and either way the record
     # is the point-to-point saddle bit for bit
     source = ScalarGaussian(mean, var)
-    gate = 2.0 * tail_second_moment(ScalarGaussian(0.0, var), math.sqrt(c))
+    gate = norm_sq_tail(ScalarGaussian(0.0, var))(c, 1)
     costs = GameCosts(c, d_frac * gate)
     large = classify_and_solve(source, costs, 0.999)
     assert large.case_id == ("C3" if d_frac < 1.0 else "C1")

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import jamgame
 import jamgame.network as network
 from jamgame.gaussian import ScalarGaussian, interval_moments, philox_rng
 from jamgame.largescale import asymptotic_objective
@@ -134,6 +135,27 @@ def test_import_leaves_out_scipy_stats():
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert run.returncode == 0
+
+
+# names deleted from the package because nothing in it called them
+_DELETED = ("tail_prob", "tail_second_moment", "whiten", "project_box",
+            "as_array", "complement_intervals", "iterations_to")
+
+
+def test_public_surface_resolves_and_holds_no_deleted_name():
+    assert len(set(jamgame.__all__)) == len(jamgame.__all__)
+    for name in jamgame.__all__:
+        assert hasattr(jamgame, name), name
+    # no module of the package, nor any class it defines, binds a deleted
+    # name; `solve_l_phi` lives in `proactive` alone
+    modules = [m for key, m in sys.modules.items()
+               if key == "jamgame" or key.startswith("jamgame.")]
+    owners = modules + [v for m in modules for v in vars(m).values()
+                        if isinstance(v, type) and v.__module__.startswith("jamgame.")]
+    for owner in owners:
+        for name in _DELETED:
+            assert not hasattr(owner, name), (owner, name)
+    assert not hasattr(jamgame.largescale, "solve_l_phi")
 
 
 def test_jn_frozen_value():

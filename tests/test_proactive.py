@@ -143,7 +143,7 @@ def test_saddle_scale_twins_match_the_unit_source(scale):
     )
     for build in sources:
         unit, twin = (
-            solve_saddle_vector(build(s), GameCosts(0.1 * s, 0.2 * s))
+            solve_saddle(build(s), GameCosts(0.1 * s, 0.2 * s))
             for s in (1.0, scale)
         )
         assert twin.case == unit.case == INTERIOR_JAM
@@ -177,9 +177,7 @@ def test_solve_saddle_cases():
     assert sad.value == pytest.approx(E_MIN_X2_1, rel=1e-12)
 
     # boundary tie G(0) = 0 is reported as the interior case at phi = 0
-    import jamgame.gaussian as gc
-
-    d0 = 2.0 * gc.tail_second_moment(STD, 1.0)
+    d0 = norm_sq_tail(STD)(1.0, 1)
     sad = solve_saddle(STD, GameCosts(1.0, d0))
     assert sad.case == INTERIOR_JAM
     assert sad.phi_star <= 1e-9
@@ -188,13 +186,13 @@ def test_solve_saddle_cases():
 def test_jamming_never_pays_at_d_at_least_the_trace():
     # E[S 1(S > c)] < E[S] at every c > 0, so d >= E[S] shuts the jam gate
     # even at a c so small that G(c) rounds to 0
-    cases = [(solve_saddle, STD, 1.0)] + [
-        (solve_saddle_vector, DiagonalGaussian(np.zeros(2), v), 2.0)
+    cases = [(STD, 1.0)] + [
+        (DiagonalGaussian(np.zeros(2), v), 2.0)
         for v in (np.ones(2), np.array([0.5, 1.5]))
     ]
-    for solve, source, trace in cases:
+    for source, trace in cases:
         for d in (trace, 1.5 * trace):
-            sad = solve(source, GameCosts(1e-18, d))
+            sad = solve_saddle(source, GameCosts(1e-18, d))
             assert sad.case == NO_JAM
             assert sad.phi_star == 0.0
             assert sad.threshold == 1e-18
@@ -353,7 +351,10 @@ def test_saddle_inequalities_hold_to_rounding(mean, var, c, d_frac, phis, scales
 
 def test_vector_isotropic_matches_scalar():
     costs = GameCosts(1.0, 0.5)
-    vec = solve_saddle_vector(DiagonalGaussian(np.zeros(1), np.ones(1)), costs)
+    source = DiagonalGaussian(np.zeros(1), np.ones(1))
+    vec = solve_saddle(source, costs)
+    # the name the benchmark traces is the same call
+    assert solve_saddle_vector(source, costs).threshold == vec.threshold
     assert vec.case == INTERIOR_JAM
     assert vec.phi_star == pytest.approx(PHI_TILDE_D_05, abs=1e-8)
     scal = solve_saddle(STD, costs)
@@ -363,14 +364,14 @@ def test_vector_isotropic_matches_scalar():
 
 def test_vector_isotropic_m5_and_no_jam():
     iso = DiagonalGaussian(np.zeros(5), np.full(5, 0.4))
-    sad = solve_saddle_vector(iso, GameCosts(1.0, 1.0))
+    sad = solve_saddle(iso, GameCosts(1.0, 1.0))
     assert sad.case == INTERIOR_JAM
     assert 0.0 < sad.phi_star < 1.0
     # condition residual is tiny on the exact path
     resid = norm_sq_tail(iso)(sad.threshold, 1) - 1.0
     assert abs(resid) <= 1e-9
 
-    no_jam = solve_saddle_vector(
+    no_jam = solve_saddle(
         DiagonalGaussian(np.zeros(3), np.ones(3)), GameCosts(1.0, 4.0)
     )
     assert no_jam.case == NO_JAM
@@ -397,7 +398,7 @@ def test_vector_isotropic_root_solves_the_condition(instance):
     m, var, c, d = instance
     iso = DiagonalGaussian(np.zeros(m), np.full(m, var))
     costs = GameCosts(c, d)
-    sad = solve_saddle_vector(iso, costs)
+    sad = solve_saddle(iso, costs)
     assert sad.phi_star == 1.0 - c / sad.threshold
     if sad.case == INTERIOR_JAM:
         assert abs(norm_sq_tail(iso)(sad.threshold, 1) - d) <= 1e-10
@@ -421,20 +422,20 @@ ISOTROPIC_THRESHOLDS = {
 def test_vector_isotropic_thresholds_match_the_chi_square_path():
     for (m, var, c, d), threshold in ISOTROPIC_THRESHOLDS.items():
         iso = DiagonalGaussian(np.zeros(m), np.full(m, var))
-        sad = solve_saddle_vector(iso, GameCosts(c, d))
+        sad = solve_saddle(iso, GameCosts(c, d))
         assert sad.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
 
 
 def test_vector_mc_determinism_and_whitening():
     costs = GameCosts(1.0, 2.0)
     aniso = DiagonalGaussian(np.zeros(2), np.array([1.0, 3.0]))
-    a = solve_saddle_vector(aniso, costs)
-    b = solve_saddle_vector(aniso, costs)
+    a = solve_saddle(aniso, costs)
+    b = solve_saddle(aniso, costs)
     assert a.phi_star == b.phi_star and a.value == b.value
     corr = GeneralGaussian(
         np.array([1.0, -1.0]), np.array([[2.0, 1.0], [1.0, 2.0]])
     )
-    c = solve_saddle_vector(corr, costs)
+    c = solve_saddle(corr, costs)
     # same eigenvalues {1, 3}: the same equilibrium
     for field in ("threshold", "phi_star", "value", "transmit_prob"):
         assert getattr(c, field) == pytest.approx(getattr(a, field), rel=1e-12)
@@ -488,7 +489,7 @@ def test_vector_saddle_matches_monte_carlo_on_random_spectra(general, log_kappa)
         source = DiagonalGaussian(mean, lam)
     trace = lam.sum()
     costs = GameCosts(0.05 * trace, 0.3 * trace)
-    sad = solve_saddle_vector(source, costs)
+    sad = solve_saddle(source, costs)
     assert sad.case == INTERIOR_JAM
     (moment, moment_se), (p, p_se) = _mc_tail(source, sad.threshold, seed=23)
     assert abs(moment - costs.d) <= 5.0 * moment_se

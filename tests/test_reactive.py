@@ -24,7 +24,6 @@ from jamgame.reactive import (
     SolverConfig,
     box_lp_gap,
     default_init,
-    project_box,
     solve_gda,
     solve_pga_ccp,
     transmit_region,
@@ -49,6 +48,12 @@ def _interval_mask(intervals, xs):
     for lo, hi in intervals:
         mask |= (xs > lo) & (xs < hi)
     return mask
+
+
+def _complement(region):
+    """The intervals of the line outside a transmit region."""
+    edges = [-math.inf, *(v for piece in region.intervals for v in piece), math.inf]
+    return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
 
 
 def _smooth_config(rng):
@@ -83,7 +88,7 @@ def test_region_two_tail_threshold():
 def test_region_empty_when_always_jammed():
     region = transmit_region(ReprSymbols(0.3, 0.3), ReactivePolicy(1.0, 1.0), UNIT_COSTS)
     assert region.intervals == ()
-    assert region.complement_intervals() == ((-math.inf, math.inf),)
+    assert _complement(region) == ((-math.inf, math.inf),)
     assert not region.contains(0.3)
 
 
@@ -94,7 +99,7 @@ def test_region_full_line():
         ReprSymbols(0.0, 0.0), ReactivePolicy(0.0, 0.9), GameCosts(1.0, 2.0)
     )
     assert region.intervals == ((-math.inf, math.inf),)
-    assert region.complement_intervals() == ()
+    assert _complement(region) == ()
     assert region.contains(0.0)
 
 
@@ -197,7 +202,7 @@ def test_grad_phi_matches_fd():
         source, costs, symbols, policy = _smooth_config(rng)
         model = ExactScalarModel(source, costs)
         grad, _ = model.grad_phi(symbols, policy)
-        base = policy.as_array()
+        base = np.array([policy.alpha, policy.beta])
         for i, g in enumerate(grad):
             def at(eps):
                 p = base.copy()
@@ -309,13 +314,6 @@ def test_box_lp_gap_vertex_bruteforce():
         assert box_lp_gap(grad[perm], point[perm]) == pytest.approx(gap, abs=1e-15)
 
 
-def test_project_box_clamps():
-    policy = project_box(np.array([-0.2, 1.7]))
-    assert (policy.alpha, policy.beta) == (0.0, 1.0)
-    policy = project_box(np.array([0.3, 0.9]))
-    assert (policy.alpha, policy.beta) == (0.3, 0.9)
-
-
 def test_pga_ccp_scalar_equilibrium():
     report = solve_pga_ccp(STD, UNIT_COSTS)
     assert report.converged and report.iterations <= 5000
@@ -330,7 +328,7 @@ def test_pga_ccp_scalar_equilibrium():
         report.symbols, report.policy
     )
     assert abs(recomputed - report.fne_index) <= 1e-12
-    assert report.iterations_to(0.05) <= report.iterations
+    assert min(row.fne_index for row in report.trace) <= 0.05
 
 
 def test_alpha_clamps_when_jamming_expensive():
@@ -475,7 +473,7 @@ def test_vector_mc_gradients_coupled_fd():
         fd = (at(h) - at(-h)) / (2.0 * h)
         assert abs(fd - grad[j]) <= 1e-6 * max(1.0, abs(grad[j]))
     gphi, _ = model.grad_phi(symbols, policy)
-    base = policy.as_array()
+    base = np.array([policy.alpha, policy.beta])
     for i in range(2):
         def at_phi(eps):
             p = base.copy()
@@ -557,7 +555,8 @@ def test_mc_evaluate_matches_per_sample_reference():
             np.testing.assert_allclose(getattr(ev, name), mean, rtol=1e-12, atol=0)
             np.testing.assert_allclose(getattr(ev, name + "_se"), se, rtol=1e-9, atol=0)
         gx, gp = ref["grad_xhat"], ref["grad_phi"]
-        idx = max(np.linalg.norm(gx[0]), box_lp_gap(gp[0], policy.as_array()))
+        idx = max(np.linalg.norm(gx[0]),
+                  box_lp_gap(gp[0], np.array([policy.alpha, policy.beta])))
         assert ev.fne_index == pytest.approx(idx, rel=1e-12)
         assert ev.fne_index_se == pytest.approx(
             max(np.linalg.norm(gx[1]), np.linalg.norm(gp[1])), rel=1e-9
@@ -600,7 +599,7 @@ def _per_piece_reference(source, costs, symbols, policy):
                 total[k] += v
         return total
 
-    t, n = row(region.intervals), row(region.complement_intervals())
+    t, n = row(region.intervals), row(_complement(region))
 
     def quad(a2, a1, a0, moments):
         p, m1, m2 = moments
@@ -627,8 +626,10 @@ def _per_piece_reference(source, costs, symbols, policy):
             -2.0 * (1.0 - a) * (m1_t - x0 * p_t),
             -2.0 * b * (m1_n - x1 * p_n) - 2.0 * a * (m1_t - x1 * p_t),
         ]),
-        "fne_index": max(_norm_reference(grad_xhat),
-                         box_lp_gap(grad_phi, policy.as_array())),
+        "fne_index": max(
+            _norm_reference(grad_xhat),
+            box_lp_gap(grad_phi, np.array([policy.alpha, policy.beta])),
+        ),
     }
 
 
