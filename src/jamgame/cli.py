@@ -63,7 +63,6 @@ from .proactive import (
     solve_saddle,
 )
 from .reactive import (
-    ExactScalarModel,
     FneReport,
     ReactivePolicy,
     SolverConfig,
@@ -351,8 +350,6 @@ def _parse_simulate(top: dict, source: ScalarGaussian):
         jammer, threshold = ReactivePolicy(phi, phi), section["threshold"]
     else:
         jammer = _build(ReactivePolicy, "simulate", section["alpha"], section["beta"])
-        if n != 1:
-            raise ConfigError("simulate: the (alpha, beta) jammer requires n = 1")
         threshold = None
     policies = _build(RoundPolicies, "simulate", symbols, jammer, threshold)
     parsed = {"network": network, "trials": section["trials"], "policies": policies}
@@ -559,14 +556,7 @@ def _run_simulate(config: ExperimentConfig, estimate=None):
     """`estimate` is the point's share of its sweep group's run
     (`_run_group`); without one the point draws its own."""
     policies = config.policies
-    if policies.threshold is not None:
-        analytic = jn_analytic(
-            config.source, config.costs, config.network, policies.threshold,
-            policies.symbols, policies.jammer.alpha,
-        )
-    else:
-        model = ExactScalarModel(config.source, config.costs)
-        analytic = model.evaluate(policies.symbols, policies.jammer).objective
+    analytic = jn_analytic(config.source, config.costs, config.network, policies)
     if estimate is None:
         estimate = estimate_cost(
             config.source, config.costs, config.network, policies,

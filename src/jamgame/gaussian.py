@@ -190,6 +190,28 @@ def _piece_moments(left, right, s, var) -> tuple[float, float, float]:
     return p, s * (qa - qb), var * (p + ea - eb)
 
 
+# the `_endpoint`s of -inf and +inf
+_LEFT_END, _RIGHT_END = _endpoint(-math.inf), _endpoint(math.inf)
+
+
+def _region_rows(edges, transmit_first: bool, s, var):
+    """(P, E[Y 1], E[Y^2 1]) of the deviation Y over the transmit and the
+    silent set of a rule that cuts the line at `edges` (ascending, in Y) and
+    transmits on every other segment, the first iff `transmit_first`.  Each
+    edge's tail and density serve both pieces it bounds."""
+    left, transmit = _LEFT_END, transmit_first
+    t, n = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    for edge in (*edges, None):
+        right = _RIGHT_END if edge is None else _endpoint(edge / s)
+        p, m1, m2 = _piece_moments(left, right, s, var)
+        if transmit:
+            t = (t[0] + p, t[1] + m1, t[2] + m2)
+        else:
+            n = (n[0] + p, n[1] + m1, n[2] + m2)
+        left, transmit = right, not transmit
+    return t, n
+
+
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for substream `stream` of the root `seed`.
 

@@ -10,9 +10,9 @@ only through the deviation X - mean: it draws deviations and solves the
 transmit rule on the symbols' deviations, so its costs keep their digits at
 any mean; only `simulate_round`'s packet list adds the mean back.
 
-The exact finite-n cost of a threshold policy needs only the transmit
-probability p and two binomial CDFs of the other n-1 sensors' transmission
-count, giving a four-term expression validated here against the Monte Carlo
+The exact finite-n cost of any rule against any jammer needs only the
+rule's window terms and the law of the other n-1 sensors' transmission
+count (`jn_analytic`), validated here against the Monte Carlo
 estimate and, for growing n, against the infinite-population objective.
 
 Reproducibility: draw (trial, stream) is addressed as position `trial` of a
@@ -40,8 +40,8 @@ from scipy import special
 
 from .gaussian import ScalarGaussian, philox_rng
 from .largescale import _kappa
-from .proactive import GameCosts, ReprSymbols, _threshold_cost, _window
-from .reactive import ReactivePolicy, TransmitRegion, transmit_region
+from .proactive import GameCosts, ReprSymbols, _rule_window, _threshold_cost, _window
+from .reactive import ReactivePolicy, TransmitRegion, _region_edges, transmit_region
 
 _MIN_UNIFORM = 2.0**-54
 _CHUNK = 100_000
@@ -101,10 +101,10 @@ class EmpiricalEstimate:
 @dataclass(frozen=True, eq=False)
 class RoundPolicies:
     """Homogeneous per-round strategies: one jammer, channel-blind with
-    probability phi when alpha == beta == phi, and one transmission rule, a
-    threshold on the squared deviation from x_hat0 or, when `threshold` is
-    None, the coordinator's best response to the jammer (`transmit_region`).
-    A jammer with alpha != beta senses the channel and needs n = 1."""
+    probability phi when alpha == beta == phi and channel-sensing otherwise,
+    and one transmission rule, a threshold on the squared deviation from
+    x_hat0 or, when `threshold` is None, the coordinator's best response to
+    the jammer (`transmit_region`)."""
 
     symbols: ReprSymbols
     jammer: ReactivePolicy
@@ -134,30 +134,35 @@ def jn_analytic(
     source: ScalarGaussian,
     costs: GameCosts,
     config: NetworkConfig,
-    threshold: float,
-    symbols: ReprSymbols,
-    phi: float,
+    policies: RoundPolicies,
 ) -> float:
-    """Exact per-sensor cost of the homogeneous threshold policy.
+    """Exact per-sensor cost of any round policy (`RoundPolicies`) at any n.
 
-    Conditioning each sensor on its own decision and on how many of the
-    others transmit yields four terms: the silent-and-clean one weighted by
-    F = P(Bin(n-1, p) <= capacity), the silent-but-saturated and the
-    transmitting-but-saturated remainders, and the channel-blind jamming
-    term that ignores the collision state entirely.
+    A tagged sensor's draw is independent of the others' transmit count
+    K ~ Bin(n - 1, p).  A silent sensor's channel is free of intrinsic
+    collisions with F = P(K <= capacity), a transmitting one's packet fits
+    with F- = P(K <= capacity - 1), and the others are all silent with
+    e = (1 - p)^(n-1).  A jammer that jams an idle channel with alpha and an
+    occupied one with beta costs what a blind one at beta costs
+    (`_threshold_cost`) plus (beta - alpha) (e (err0_silent - err1_silent)
+    + d (1 - p)^n), a term that is zero at alpha == beta.
     """
-    if not (0.0 <= phi <= 1.0):
-        raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    if not threshold >= 0.0:
-        raise ValueError("threshold must be nonnegative")
-    window = _window(source, symbols, threshold)
-    if config.n > 1:
-        p = window[0]
-        f_cap = binomial_cdf(config.n - 1, config.capacity, p)
-        f_cap_minus = binomial_cdf(config.n - 1, config.capacity - 1, p)
+    alpha, beta = policies.jammer.alpha, policies.jammer.beta
+    if policies.threshold is None:
+        y0, y1 = (x - source.mean for x in policies.symbols.scalars())
+        edges, first = _region_edges(alpha, beta, y0, y1, costs.c, costs.d)
+        window = _rule_window(source, y0, y1, edges, first)
     else:
-        f_cap = f_cap_minus = 1.0
-    return _threshold_cost(costs, phi, window, f_cap, f_cap_minus)
+        window = _window(source, policies.symbols, policies.threshold)
+    p, err0_silent, err1_silent, _ = window
+    n = config.n
+    # at n = 1 no other sensor can fill the capacity: F = F- = 1
+    f_cap = binomial_cdf(n - 1, min(config.capacity, n - 1), p)
+    f_cap_minus = binomial_cdf(n - 1, config.capacity - 1, p)
+    e = (1.0 - p) ** (n - 1)
+    sensing = e * (err0_silent - err1_silent) + costs.d * e * (1.0 - p)
+    blind = _threshold_cost(costs, beta, window, f_cap, f_cap_minus)
+    return blind + (beta - alpha) * sensing
 
 
 def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -184,13 +189,7 @@ def _group_rule(
     the coordinator's transmit region on the deviation.  A threshold rule
     is shared by points with the same symbols and threshold; a best
     response depends on each point's jammer and costs, so it is a group of
-    one.  A channel-sensing jammer needs n = 1."""
-    for _, config, policies in points:
-        jammer = policies.jammer
-        if jammer.alpha != jammer.beta and config.n != 1:
-            raise ValueError(
-                "a channel-sensing jammer (alpha != beta) is only supported for n = 1"
-            )
+    one."""
     costs, _, first = points[0]
     symbols = first.symbols.scalars()
     if any(p.symbols.scalars() != symbols or p.threshold != first.threshold

@@ -32,8 +32,7 @@ from .gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
-    _endpoint,
-    _piece_moments,
+    _region_rows,
     _spectrum,
     norm_sq_tail,
 )
@@ -216,21 +215,24 @@ def objective_with_threshold(
 def _window(
     source: ScalarGaussian, symbols: ReprSymbols, threshold: float
 ) -> tuple[float, float, float, float]:
-    """Terms of the rule that transmits iff (x - x_hat0)^2 > threshold:
-    (p, err0_silent, err1_silent, err1_total), the transmit probability,
-    E[(X - x_hat0)^2 1(silent)], E[(X - x_hat1)^2 1(silent)] and
-    E[(X - x_hat1)^2], integrated in the deviation X - mean, so they keep
-    their digits at any source mean."""
+    """`_rule_window` of the rule that transmits iff (x - x_hat0)^2 > threshold."""
     x0, x1 = (x - source.mean for x in symbols.scalars())
-    w, s = math.sqrt(threshold), source.std
-    p_in, m1, m2 = _piece_moments(
-        _endpoint((x0 - w) / s), _endpoint((x0 + w) / s), s, source.var
-    )
+    w = math.sqrt(threshold)
+    return _rule_window(source, x0, x1, (x0 - w, x0 + w), True)
+
+
+def _rule_window(source: ScalarGaussian, y0, y1, edges, transmit_first: bool):
+    """Terms of a scalar rule, cut at `edges` (`gaussian._region_rows`), for
+    symbols at deviations y0, y1: (p, err0_silent, err1_silent, err1_total),
+    the transmit probability, E[(X - x_hat0)^2 1(silent)],
+    E[(X - x_hat1)^2 1(silent)] and E[(X - x_hat1)^2], integrated in the
+    deviation X - mean, so they keep their digits at any source mean."""
+    _, (q, m1, m2) = _region_rows(edges, transmit_first, source.std, source.var)
     return (
-        1.0 - p_in,
-        m2 - 2.0 * x0 * m1 + x0 * x0 * p_in,
-        m2 - 2.0 * x1 * m1 + x1 * x1 * p_in,
-        source.var + x1**2,
+        1.0 - q,
+        m2 - 2.0 * y0 * m1 + y0 * y0 * q,
+        m2 - 2.0 * y1 * m1 + y1 * y1 * q,
+        source.var + y1**2,
     )
 
 

@@ -37,15 +37,11 @@ from .gaussian import (
     GeneralGaussian,
     ScalarGaussian,
     _deviations,
-    _endpoint,
-    _piece_moments,
+    _region_rows,
     mean_std_err,
     philox_rng,
 )
 from .proactive import GameCosts, ReprSymbols, _check_finite
-
-# the `_endpoint`s of -inf and +inf
-_LEFT_END, _RIGHT_END = _endpoint(-math.inf), _endpoint(math.inf)
 
 
 @dataclass(frozen=True)
@@ -267,21 +263,10 @@ class ExactScalarModel:
 
     def _rows(self, x0, x1, a, b):
         """The symbols' deviations y0, y1 and the (P, M1, M2) rows of the
-        transmit and the silent region.  The pieces between sign changes
-        take turns between the two regions, and each row sums its pieces
-        along the line."""
-        mean, s, var = self.mean, self._std, self.source.var
-        y0, y1 = x0 - mean, x1 - mean
+        transmit and the silent region (`_region_rows`)."""
+        y0, y1 = x0 - self.mean, x1 - self.mean
         edges, transmit = _region_edges(a, b, y0, y1, self.costs.c, self.costs.d)
-        left, t, n = _LEFT_END, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
-        for edge in (*edges, None):
-            right = _RIGHT_END if edge is None else _endpoint(edge / s)
-            p, m1, m2 = _piece_moments(left, right, s, var)
-            if transmit:
-                t = (t[0] + p, t[1] + m1, t[2] + m2)
-            else:
-                n = (n[0] + p, n[1] + m1, n[2] + m2)
-            left, transmit = right, not transmit
+        t, n = _region_rows(edges, transmit, self._std, self.source.var)
         return y0, y1, t, n
 
     def _evaluate(self, x0, x1, a, b) -> Evaluation:

@@ -444,7 +444,7 @@ def test_criterion_7_simulator_analytic_agreement():
                 source, costs, config, policies,
                 trials=trials, seed=MASTER_SEED + 200 + 50 * j + i,
             )
-            exact = jn_analytic(source, costs, config, threshold, symbols, phi)
+            exact = jn_analytic(source, costs, config, policies)
             z = (est.mean - exact) / est.std_err
             worst = max(worst, abs(z))
             assert abs(z) <= 3.0
@@ -480,9 +480,8 @@ def test_criterion_8_limit_behavior():
     costs = GameCosts(1.0, 0.5)
     symbols = ReprSymbols(0.1, -0.3)
     limit = asymptotic_objective(STD, costs, 0.4, 1.6, symbols, 0.4)
-    finite = jn_analytic(
-        STD, costs, NetworkConfig.from_kappa(2000, 0.4), 1.6, symbols, 0.4
-    )
+    blind = RoundPolicies(symbols, ReactivePolicy(0.4, 0.4), 1.6)
+    finite = jn_analytic(STD, costs, NetworkConfig.from_kappa(2000, 0.4), blind)
     assert abs(finite - limit) < 0.01
     _report(8, (
         f"capacity CDF gaps {gaps[0.3]:.1e}/{gaps[0.7]:.1e} <= 1e-3 at n=5000; "

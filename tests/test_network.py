@@ -33,6 +33,8 @@ from jamgame.network import (
 from jamgame.proactive import (
     GameCosts,
     ReprSymbols,
+    _threshold_cost,
+    _window,
     objective_tilde,
     objective_with_threshold,
     solve_saddle,
@@ -163,9 +165,7 @@ def test_jn_frozen_value():
         ScalarGaussian(0.3, 1.44),
         GameCosts(0.8, 1.1),
         NetworkConfig(6, 2),
-        1.5,
-        ReprSymbols(0.2, -0.4),
-        0.35,
+        RoundPolicies(ReprSymbols(0.2, -0.4), ReactivePolicy(0.35, 0.35), 1.5),
     )
     assert v == pytest.approx(JN_FROZEN, rel=1e-13)
 
@@ -180,17 +180,23 @@ def test_jn_single_sensor_reduces_to_point_to_point():
         threshold = rng.uniform(0.1, 4.0)
         phi = rng.uniform(0.0, 0.9)
         expect = objective_with_threshold(source, costs, symbols, threshold, phi)
-        got = jn_analytic(source, costs, config, threshold, symbols, phi)
+        blind = RoundPolicies(symbols, ReactivePolicy(phi, phi), threshold)
+        got = jn_analytic(source, costs, config, blind)
+        assert got == pytest.approx(expect, rel=1e-13)
+        # the best response to a channel-sensing jammer: the exact model's
+        # objective, from the same rows
+        jammer = ReactivePolicy(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        expect = ExactScalarModel(source, costs).evaluate(symbols, jammer).objective
+        got = jn_analytic(source, costs, config, RoundPolicies(symbols, jammer))
         assert got == pytest.approx(expect, rel=1e-13)
 
 
 def test_jn_single_sensor_at_optimized_threshold():
     saddle = solve_saddle(STD, GameCosts(1.0, 1.0))
     config = NetworkConfig(1, 1)
-    got = jn_analytic(
-        STD, GameCosts(1.0, 1.0), config, saddle.threshold, saddle.estimator,
-        saddle.phi_star,
-    )
+    phi = saddle.phi_star
+    policies = RoundPolicies(saddle.estimator, ReactivePolicy(phi, phi), saddle.threshold)
+    got = jn_analytic(STD, GameCosts(1.0, 1.0), config, policies)
     tilde = objective_tilde(STD, GameCosts(1.0, 1.0), saddle.estimator, saddle.phi_star)
     assert got == pytest.approx(tilde, rel=1e-12)
 
@@ -201,22 +207,27 @@ def test_jn_nonincreasing_in_capacity():
     source = ScalarGaussian(0.4, 2.0)
     symbols = ReprSymbols(0.4, 0.4)
     costs = GameCosts(0.7, 0.9)
-    values = [
-        jn_analytic(source, costs, NetworkConfig(10, cap), 1.2, symbols, 0.25)
-        for cap in range(1, 10)
-    ]
+    policies = RoundPolicies(symbols, ReactivePolicy(0.25, 0.25), 1.2)
+    window = _window(source, symbols, 1.2)
+    values = []
+    for cap in range(1, 10):
+        values.append(jn_analytic(source, costs, NetworkConfig(10, cap), policies))
+        # a blind jammer's cost is the four-term threshold cost bit for bit
+        f_cap, f_cap_minus = (binomial_cdf(9, k, window[0]) for k in (cap, cap - 1))
+        assert values[-1] == _threshold_cost(costs, 0.25, window, f_cap, f_cap_minus)
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-15
 
 
 def test_jn_validation():
-    with pytest.raises(ValueError):
-        jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2), 1.0,
-                    ReprSymbols(0.0, 0.0), 1.5)
+    # the round policy carries the range checks
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2),
+                    RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(1.5, 1.5), 1.0))
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2), bad,
-                        ReprSymbols(0.0, 0.0), 0.5)
+            jn_analytic(STD, GameCosts(1.0, 1.0), NetworkConfig(5, 2),
+                        RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.5, 0.5), bad))
 
 
 def test_uniform_addressing_is_chunk_invariant():
@@ -314,7 +325,7 @@ def test_estimate_agrees_with_analytic():
         config = NetworkConfig(n, cap)
         symbols = ReprSymbols(0.1, -0.2)
         policies = RoundPolicies(symbols, ReactivePolicy(phi, phi), threshold)
-        exact = jn_analytic(STD, costs, config, threshold, symbols, phi)
+        exact = jn_analytic(STD, costs, config, policies)
         est = estimate_cost(STD, costs, config, policies, trials=200_000, seed=seed)
         assert abs(est.mean - exact) <= 3.0 * est.std_err
 
@@ -400,11 +411,20 @@ def test_simulator_reads_only_the_deviation(jammer, threshold, n, capacity):
     assert delivered
 
 
-def test_reactive_jammer_single_sensor_only():
-    policies = RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.2, 0.5), 1.0)
-    with pytest.raises(ValueError):
-        estimate_cost(STD, GameCosts(1.0, 1.0), NetworkConfig(2, 1), policies,
-                      trials=10, seed=0)
+def test_sensing_jammer_matches_jn_analytic():
+    # a channel-sensing jammer at n > 1, against a threshold rule and the best
+    # response: an idle channel is jammed with alpha, an occupied one with
+    # beta.  At these points the blind jammer at beta is 4 to 48 standard
+    # errors from the simulated threshold-rule costs.
+    source, costs = ScalarGaussian(0.2, 1.5), GameCosts(0.8, 1.1)
+    symbols, jammer = ReprSymbols(0.5, -0.3), ReactivePolicy(0.15, 0.6)
+    for n, capacity, seed in ((2, 1, 41), (5, 2, 42), (20, 6, 43)):
+        config = NetworkConfig(n, capacity)
+        for threshold in (3.0, None):
+            policies = RoundPolicies(symbols, jammer, threshold)
+            exact = jn_analytic(source, costs, config, policies)
+            est = estimate_cost(source, costs, config, policies, trials=100_000, seed=seed)
+            assert abs(est.mean - exact) <= 3.0 * est.std_err
 
 
 def test_reactive_jammer_matches_exact_objective():
@@ -446,15 +466,15 @@ def _one_point(source, costs, config, policies, seed, trials):
 def _simulator_cases(draw):
     """(source, costs, config, policies, trials, chunk, seed): n in 1-24, so
     past the row length where a (trials, n) sum would change order, the
-    threshold rule or the best response, a blind jammer (alpha == beta) at
-    any n or a channel-sensing one at n = 1."""
+    threshold rule or the best response, and a blind jammer (alpha == beta)
+    or a channel-sensing one, at any n."""
     n = draw(st.integers(1, 24))
     config = NetworkConfig(n, draw(st.integers(1, max(1, n - 1))))
     source = ScalarGaussian(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.3, 3.0)))
     costs = GameCosts(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0)))
     symbols = ReprSymbols(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
     alpha = draw(st.floats(0.0, 1.0))
-    beta = draw(st.floats(0.0, 1.0)) if n == 1 and draw(st.booleans()) else alpha
+    beta = draw(st.floats(0.0, 1.0)) if draw(st.booleans()) else alpha
     threshold = draw(st.one_of(st.none(), st.floats(0.0, 4.0)))
     policies = RoundPolicies(symbols, ReactivePolicy(alpha, beta), threshold)
     trials = draw(st.integers(2, 300))
@@ -614,15 +634,18 @@ def test_jn_approaches_asymptotic_objective():
     phi = 0.4
     kappa_bar = 0.4
     limit = asymptotic_objective(STD, costs, kappa_bar, threshold, symbols, phi)
-    n = 2000
-    finite = jn_analytic(
-        STD, costs, NetworkConfig.from_kappa(n, kappa_bar), threshold, symbols, phi
-    )
-    assert abs(finite - limit) < 0.01
+    blind = RoundPolicies(symbols, ReactivePolicy(phi, phi), threshold)
     gaps = []
     for n in (50, 200, 2000):
-        finite = jn_analytic(
-            STD, costs, NetworkConfig.from_kappa(n, kappa_bar), threshold, symbols, phi
-        )
+        finite = jn_analytic(STD, costs, NetworkConfig.from_kappa(n, kappa_bar), blind)
         gaps.append(abs(finite - limit))
+    assert gaps[-1] < 0.01
     assert gaps[-1] <= gaps[0]
+    # a channel-sensing jammer at beta = phi: the others are all silent with
+    # probability (1 - p)^(n-1) -> 0, so in the limit it is the blind jammer
+    sensing = RoundPolicies(symbols, ReactivePolicy(0.1, phi), threshold)
+    gaps = [
+        abs(jn_analytic(STD, costs, NetworkConfig.from_kappa(n, kappa_bar), sensing) - limit)
+        for n in (5, 10_000)
+    ]
+    assert gaps[0] > 1e-3 and gaps[1] <= 1e-6
