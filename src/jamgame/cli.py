@@ -357,17 +357,20 @@ def _parse_simulate(top: dict, source: ScalarGaussian):
 
 
 def _set_path(raw: dict, dotted: str, value) -> None:
+    """Set `raw`'s entry at a dotted key path to `value`, copying each dict
+    along the path (a missing one is a new dict), so the dicts `raw` shares
+    with other configs stay as they are."""
     parts = dotted.split(".")
     if any(not part for part in parts):
         raise ConfigError(f"{_shown(dotted)}: empty component in key path")
     node = raw
     for part in parts[:-1]:
-        child = node.setdefault(part, {})
+        child = node.get(part, {})
         if not isinstance(child, dict):
             raise ConfigError(
                 f"{_shown(dotted)}: {_shown(part)} is a value, cannot descend into it"
             )
-        node = child
+        node[part] = node = dict(child)
     node[parts[-1]] = value
 
 
@@ -414,8 +417,8 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
     base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
     points = []
     for combo in itertools.product(*axes.values()):
-        point_raw = copy.deepcopy(base)
-        point_raw["mode"] = mode
+        # the points share every dict that no axis path crosses
+        point_raw = base | {"mode": mode}
         for parameter, value in zip(axes, combo):
             _set_path(point_raw, parameter, value)
         try:
@@ -518,13 +521,12 @@ def _run_reactive(config: ExperimentConfig):
     # that name sees the solve
     solve = solve_pga_ccp if config.algorithm == "pga_ccp" else solve_gda
     report = solve(config.source, config.costs, config.solver)
-    last = report.trace[-1]
     outputs = {
         "alpha": float(report.policy.alpha),
         "beta": float(report.policy.beta),
         "x_hat0": _symbol_output(report.symbols.x_hat0),
         "x_hat1": _symbol_output(report.symbols.x_hat1),
-        "value": float(last.objective),
+        "value": float(report.objective),
         "fne_index": float(report.fne_index),
         "fne_std_err": float(report.fne_std_err),
         "iterations": report.iterations,
@@ -668,22 +670,26 @@ def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
     groups = {}
     for i, point in enumerate(plan.points):
         groups.setdefault(_group_key(point), []).append(i)
+    groups = list(groups.values())
+    workers = min(plan.workers, len(groups))
+
+    def run_slice(w: int) -> list:
+        # worker w runs groups w, w + workers, ... in order
+        return [_run_group([plan.points[i] for i in g]) for g in groups[w::workers]]
+
     results = [None] * len(plan.points)
-    with ThreadPoolExecutor(max_workers=min(plan.workers, len(groups))) as pool:
-        futures = [
-            (group, pool.submit(_run_group, [plan.points[i] for i in group]))
-            for group in groups.values()
-        ]
-        for group, future in futures:
-            for i, result in zip(group, future.result()):
-                results[i] = result
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for w, outcomes in enumerate(pool.map(run_slice, range(workers))):
+            for group, outcome in zip(groups[w::workers], outcomes):
+                for i, (outputs, _) in zip(group, outcome):
+                    results[i] = outputs
     point_records = tuple(
         ResultRecord(
             config=point.normalized,
             outputs=outputs,
             provenance=_provenance(point.seed),
         )
-        for point, (outputs, _) in zip(plan.points, results)
+        for point, outputs in zip(plan.points, results)
     )
     summary = ResultRecord(
         config=config.normalized,

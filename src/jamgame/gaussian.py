@@ -175,8 +175,7 @@ def _endpoint(z: float) -> tuple[float, float, float, float]:
 def _piece_moments(left, right, s, var) -> tuple[float, float, float]:
     """(P, E[Y 1], E[Y^2 1]) of the deviation Y = X - mean over a nonempty
     interval, from its `_endpoint`s, the standard deviation s and the
-    variance var.  Intervals that share an endpoint can share its tail and
-    density."""
+    variance var.  `_region_rows` makes the same operations inline."""
     za, ta, qa, ea = left
     zb, tb, qb, eb = right
     # P(lo < X < hi) from the two small tails, each P(Z > |z|)
@@ -190,26 +189,49 @@ def _piece_moments(left, right, s, var) -> tuple[float, float, float]:
     return p, s * (qa - qb), var * (p + ea - eb)
 
 
-# the `_endpoint`s of -inf and +inf
-_LEFT_END, _RIGHT_END = _endpoint(-math.inf), _endpoint(math.inf)
-
-
 def _region_rows(edges, transmit_first: bool, s, var):
-    """(P, E[Y 1], E[Y^2 1]) of the deviation Y over the transmit and the
-    silent set of a rule that cuts the line at `edges` (ascending, in Y) and
-    transmits on every other segment, the first iff `transmit_first`.  Each
-    edge's tail and density serve both pieces it bounds."""
-    left, transmit = _LEFT_END, transmit_first
-    t, n = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    """(P, E[Y 1], E[Y^2 1]) of the deviation Y over the transmit and then
+    the silent set, six floats, of a rule that cuts the line at `edges`
+    (ascending, in Y) and transmits on every other segment, the first iff
+    `transmit_first`.
+
+    One pass over the edges: each edge's z, tail, density and z density are
+    formed once for the two pieces it bounds, with the operations of
+    `_endpoint` and `_piece_moments` in their order, so each row is the sum
+    of those functions' pieces bit for bit."""
+    tp = t1 = t2 = np_ = n1 = n2 = 0.0
+    # the `_endpoint` of -inf: no tail, no density
+    za, ta, qa, ea = -math.inf, 0.0, 0.0, 0.0
+    transmit = transmit_first
     for edge in (*edges, None):
-        right = _RIGHT_END if edge is None else _endpoint(edge / s)
-        p, m1, m2 = _piece_moments(left, right, s, var)
-        if transmit:
-            t = (t[0] + p, t[1] + m1, t[2] + m2)
+        if edge is None:  # the `_endpoint` of +inf
+            zb, tb, qb, eb = math.inf, 0.0, 0.0, 0.0
         else:
-            n = (n[0] + p, n[1] + m1, n[2] + m2)
-        left, transmit = right, not transmit
-    return t, n
+            zb = edge / s
+            tb = 0.5 * float(special.erfc(abs(zb) / _SQRT2))
+            qb = _INV_SQRT_2PI * math.exp(-0.5 * zb * zb)
+            eb = zb * qb if qb != 0.0 else 0.0
+        if za >= 0.0:
+            p = ta - tb
+        elif zb <= 0.0:
+            p = tb - ta
+        else:
+            p = 1.0 - ta - tb
+        if p < 0.0:  # max(p, 0.0), which keeps a NaN
+            p = 0.0
+        m1 = s * (qa - qb)
+        m2 = var * (p + ea - eb)
+        if transmit:
+            tp += p
+            t1 += m1
+            t2 += m2
+        else:
+            np_ += p
+            n1 += m1
+            n2 += m2
+        za, ta, qa, ea = zb, tb, qb, eb
+        transmit = not transmit
+    return tp, t1, t2, np_, n1, n2
 
 
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -227,7 +227,7 @@ def _rule_window(source: ScalarGaussian, y0, y1, edges, transmit_first: bool):
     the transmit probability, E[(X - x_hat0)^2 1(silent)],
     E[(X - x_hat1)^2 1(silent)] and E[(X - x_hat1)^2], integrated in the
     deviation X - mean, so they keep their digits at any source mean."""
-    _, (q, m1, m2) = _region_rows(edges, transmit_first, source.std, source.var)
+    q, m1, m2 = _region_rows(edges, transmit_first, source.std, source.var)[3:]
     return (
         1.0 - q,
         m2 - 2.0 * y0 * m1 + y0 * y0 * q,

@@ -27,7 +27,8 @@ traces bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -139,8 +140,9 @@ class Evaluation(NamedTuple):
     Monte Carlo standard error of its statistic (zero on exact paths).
 
     The models' `evaluate` gives every vector field as one flat array.  The
-    solver loop reads their cores' form instead: `grad_xhat` and `ccp_g` as
-    a pair of blocks, one per symbol, and `grad_phi` as a pair of floats.
+    solver loop reads their cores' form instead: a plain tuple in this
+    field order, with `grad_xhat` and `ccp_g` as a pair of blocks, one per
+    symbol, and `grad_phi` as a pair of floats.
     """
 
     objective: float
@@ -166,37 +168,15 @@ def _certificate(gx, gp, point) -> float:
     return max(norm, box_lp_gap(gp, point))
 
 
-def _quad(coeffs, row) -> float:
-    """E[(a2 Y^2 + a1 Y + a0) 1(Y in region)] from the region's (P, M1, M2)."""
-    a2, a1, a0 = coeffs
-    p, m1, m2 = row
-    return a2 * m2 + a1 * m1 + a0 * p
-
-
-def _scalar_ccp_g(a, b, y0, y1, t, n) -> tuple[float, float]:
-    """The concave part's symbol gradient from the transmit (`t`) and the
-    silent (`n`) row: each block is gated on the region where its quadratic
-    is the larger branch."""
-    (p_t, m1_t, _), (p_n, m1_n, _) = t, n
-    return (
-        -2.0 * (1.0 - a) * (m1_t - y0 * p_t),
-        -2.0 * b * (m1_n - y1 * p_n) - 2.0 * a * (m1_t - y1 * p_t),
-    )
-
-
 # The models' public methods: wrappers over each model's cores, `_evaluate`
 # and `_ccp_g`, which take the symbols (`_pair` of a ReprSymbols) and the
 # jam probabilities as (x0, x1, alpha, beta).
 
-_VECTOR_FIELDS = (
-    "grad_xhat", "grad_xhat_se", "grad_phi", "grad_phi_se", "ccp_g", "ccp_g_se",
-)
-
-
 def _public_evaluate(self, symbols, policy) -> Evaluation:
-    """The model's statistics at one point, each vector field a flat array."""
+    """The model's statistics at one point, each vector field (`grad_xhat`
+    to `ccp_g_se`) a flat array."""
     ev = self._evaluate(*self._pair(symbols), policy.alpha, policy.beta)
-    return ev._replace(**{name: np.ravel(getattr(ev, name)) for name in _VECTOR_FIELDS})
+    return Evaluation(*ev[:4], *map(np.ravel, ev[4:10]), *ev[10:])
 
 
 def _public_ccp_g(self, symbols, policy) -> np.ndarray:
@@ -222,22 +202,25 @@ def _ccp_update(self, symbols, policy) -> ReprSymbols:
     return ReprSymbols(*(np.array(x, dtype=float, ndmin=1) for x in pair))
 
 
+# the exact model's standard errors of a pair
+_ZERO_PAIR = (0.0, 0.0)
+
+
 class ExactScalarModel:
     """Closed-form objective, gradients and convex-concave pieces for scalars.
 
     The model reads the source only through the deviation Y = X - mean: it
     subtracts the mean from the symbols once, solves the transmit region in
-    that frame, and sums the `_piece_moments` of the transmit pieces and of
-    the silent pieces into one (P, M1, M2) row each, E[Y^k 1(Y in region)]
-    for k = 0, 1, 2.  Every quadratic is read from those two rows, the
-    closed-form twin of `McVectorModel`'s masked sums, so the results keep
-    their digits at any mean; for symbols whose deviations are exact in
-    floating point they equal the centred source's bit for bit.  Each sign
-    change's tail and density are computed once for the two pieces it
-    bounds.  The cores `_evaluate` and `_ccp_g` take the symbols and the
-    policy as four floats and work on floats end to end; numpy arrays appear
-    only in what `evaluate` and the other public methods return, with zero
-    standard errors (interface parity with the Monte Carlo model).
+    that frame, and sums its transmit pieces and its silent pieces into one
+    (P, M1, M2) row each, E[Y^k 1(Y in region)] for k = 0, 1, 2
+    (`gaussian._region_rows`).  Every quadratic a2 M2 + a1 M1 + a0 P is read
+    from those two rows, the closed-form twin of `McVectorModel`'s masked
+    sums, so the results keep their digits at any mean; for symbols whose
+    deviations are exact in floating point they equal the centred source's
+    bit for bit.  The cores `_evaluate` and `_ccp_g` take the symbols and
+    the policy as four floats and work on floats end to end; numpy arrays
+    appear only in what `evaluate` and the other public methods return,
+    with zero standard errors (interface parity with the Monte Carlo model).
 
     The first-order Nash index (`fne_index`) is first-order only, and a zero
     index does not make a point an equilibrium.  For N(0, 2), c = 1, d = 1.5
@@ -255,46 +238,59 @@ class ExactScalarModel:
         self.source = source
         self.costs = costs
         self.mean = float(source.mean)
-        self._std = source.std
+        self._std, self._var = source.std, source.var
+        self._c, self._d = costs.c, costs.d
 
     @staticmethod
     def _pair(symbols):
         return symbols.scalars()
 
     def _rows(self, x0, x1, a, b):
-        """The symbols' deviations y0, y1 and the (P, M1, M2) rows of the
-        transmit and the silent region (`_region_rows`)."""
+        """The symbols' deviations y0, y1, then the (P, M1, M2) rows of the
+        transmit and the silent region (`_region_rows`): eight floats."""
         y0, y1 = x0 - self.mean, x1 - self.mean
-        edges, transmit = _region_edges(a, b, y0, y1, self.costs.c, self.costs.d)
-        t, n = _region_rows(edges, transmit, self._std, self.source.var)
-        return y0, y1, t, n
+        edges, transmit = _region_edges(a, b, y0, y1, self._c, self._d)
+        return (y0, y1, *_region_rows(edges, transmit, self._std, self._var))
 
-    def _evaluate(self, x0, x1, a, b) -> Evaluation:
-        c, d = self.costs.c, self.costs.d
-        y0, y1, t, n = self._rows(x0, x1, a, b)
-        f_t = (b, -2.0 * b * y1, b * y1 * y1 + c - d * b)
-        f_nt = (
-            1.0,
-            -2.0 * (a * y1 + (1.0 - a) * y0),
-            a * y1 * y1 + (1.0 - a) * y0 * y0 - d * a,
-        )
-        # the symbol gradient is the concave part's with the rows swapped
-        grad_xhat = _scalar_ccp_g(a, b, y0, y1, n, t)
-        grad_phi = (
-            _quad((0.0, 2.0 * (y0 - y1), y1 * y1 - y0 * y0 - d), n),
-            _quad((1.0, -2.0 * y1, y1 * y1 - d), t),
-        )
-        zero = (0.0, 0.0)
-        return Evaluation(
-            _quad(f_t, t) + _quad(f_nt, n), 0.0,
-            _quad(f_t, n) + _quad(f_nt, t), 0.0,
-            grad_xhat, zero, grad_phi, zero,
-            _scalar_ccp_g(a, b, y0, y1, t, n), zero,
-            _certificate(grad_xhat, grad_phi, (a, b)), 0.0,
+    def _evaluate(self, x0, x1, a, b) -> tuple:
+        c, d = self._c, self._d
+        y0, y1, p_t, m1_t, m2_t, p_n, m1_n, m2_n = self._rows(x0, x1, a, b)
+        # Every expectation E[(a2 Y^2 + a1 Y + a0) 1(region)] is
+        # a2 M2 + a1 M1 + a0 P in this order; a product by a2 = 1 is exact
+        # and dropped, one by a2 = 0 is kept (it can be -0 or NaN).  The
+        # branch costs: a2 = b, t1, t0 transmitting, and 1, n1, n0 silent.
+        t1, t0 = -2.0 * b * y1, b * y1 * y1 + c - d * b
+        n1 = -2.0 * (a * y1 + (1.0 - a) * y0)
+        n0 = a * y1 * y1 + (1.0 - a) * y0 * y0 - d * a
+        # `_ccp_g` of the rows, and the symbol gradient, which is the same
+        # with the rows swapped
+        w0, wb = -2.0 * (1.0 - a), -2.0 * b
+        d0_t, d1_t = m1_t - y0 * p_t, m1_t - y1 * p_t
+        d0_n, d1_n = m1_n - y0 * p_n, m1_n - y1 * p_n
+        g0, g1 = w0 * d0_n, wb * d1_t - 2.0 * a * d1_n
+        ga = 0.0 * m2_n + 2.0 * (y0 - y1) * m1_n + (y1 * y1 - y0 * y0 - d) * p_n
+        gb = m2_t + -2.0 * y1 * m1_t + (y1 * y1 - d) * p_t
+        # `_certificate`: the exactly rounded norm, and the box gap from 0.0
+        norm = math.sqrt(math.fsum((g0 * g0, g1 * g1)))
+        gap = 0.0 + max(ga * (0.0 - a), ga * (1.0 - a))
+        gap += max(gb * (0.0 - b), gb * (1.0 - b))
+        return (
+            (b * m2_t + t1 * m1_t + t0 * p_t) + (m2_n + n1 * m1_n + n0 * p_n), 0.0,
+            (b * m2_n + t1 * m1_n + t0 * p_n) + (m2_t + n1 * m1_t + n0 * p_t), 0.0,
+            (g0, g1), _ZERO_PAIR, (ga, gb), _ZERO_PAIR,
+            (w0 * d0_t, wb * d1_n - 2.0 * a * d1_t), _ZERO_PAIR,
+            max(norm, gap), 0.0,
         )
 
     def _ccp_g(self, x0, x1, a, b) -> tuple[float, float]:
-        return _scalar_ccp_g(a, b, *self._rows(x0, x1, a, b))
+        # from the P and M1 entries of the transmit (_t) and the silent (_n)
+        # row: each block is gated on the region where its quadratic is the
+        # larger branch
+        y0, y1, p_t, m1_t, _, p_n, m1_n, _ = self._rows(x0, x1, a, b)
+        return (
+            -2.0 * (1.0 - a) * (m1_t - y0 * p_t),
+            -2.0 * b * (m1_n - y1 * p_n) - 2.0 * a * (m1_t - y1 * p_t),
+        )
 
     evaluate = _public_evaluate
     ccp_g = _public_ccp_g
@@ -387,7 +383,7 @@ class McVectorModel:
         delta = (np.stack([x0, x1]) - self.mean)[:, None]
         return masks, s1, counts, delta, s1 - counts * delta
 
-    def _evaluate(self, x0, x1, a, b) -> Evaluation:
+    def _evaluate(self, x0, x1, a, b) -> tuple:
         d = self.costs.d
         sq0, sq1, f_t, f_nt, transmit = self._branches(x0, x1, a, b)
         masks, s1, counts, delta, dev = self._y_sums(transmit, x0, x1)
@@ -417,7 +413,7 @@ class McVectorModel:
         # bounded by the rms of their component standard errors
         idx_se = max(float(np.linalg.norm(g_se[0])), float(np.linalg.norm(se[2:])))
         grad_phi = tuple(mean[2:].tolist())
-        return Evaluation(
+        return (
             float(mean[0]), float(se[0]), float(mean[1]), float(se[1]),
             _halves(g_mean[0]), g_se[0], grad_phi, se[2:], _halves(g_mean[1]), g_se[1],
             _certificate(g_mean[0].tolist(), grad_phi, (a, b)), idx_se,
@@ -518,7 +514,12 @@ class TraceRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FneReport:
-    """Outcome of one solver run, with the full per-iteration trace."""
+    """Outcome of one solver run, with the full per-iteration trace.
+
+    The loop keeps each iteration's statistics and iterates as plain
+    values; the `TraceRow`s are built from them the first time `trace` is
+    read, so a run whose trace is never read builds none.
+    """
 
     symbols: ReprSymbols
     policy: ReactivePolicy
@@ -526,7 +527,26 @@ class FneReport:
     fne_std_err: float
     iterations: int
     converged: bool
-    trace: tuple[TraceRow, ...]
+    # per iteration: (k, fne_index, fne_std_err, objective, alpha, beta),
+    # and each symbol's iterate, a float or an array
+    _stats: list = field(repr=False)
+    _x0s: list = field(repr=False)
+    _x1s: list = field(repr=False)
+
+    @property
+    def objective(self) -> float:
+        """The last iterate's objective, `trace[-1].objective`."""
+        return self._stats[-1][3]
+
+    @cached_property
+    def trace(self) -> tuple[TraceRow, ...]:
+        # each symbol's iterates as one (n, m) array, a row holding views
+        n = len(self._stats)
+        x0s = np.array(self._x0s, dtype=float).reshape(n, -1)
+        x1s = np.array(self._x1s, dtype=float).reshape(n, -1)
+        return tuple(
+            TraceRow(*row, r0, r1) for row, r0, r1 in zip(self._stats, x0s, x1s)
+        )
 
 
 def _build_model(source, costs, config: SolverConfig):
@@ -564,50 +584,46 @@ def random_init(source, seed: int) -> tuple[ReprSymbols, ReactivePolicy]:
     return symbols, ReactivePolicy(float(a), float(b))
 
 
-def _step(config: SolverConfig, k: int) -> float:
-    if config.pga_step_rule == "inv_sqrt":
-        return config.pga_step / math.sqrt(k)
-    return config.pga_step
-
-
 def _run(source, costs, config, init, symbol_step):
     """Iterate from the start point: a projected ascent step on the jam
     probabilities, then `symbol_step` on the symbols.
 
     The loop carries plain values: the symbols as two floats (scalar source)
-    or two arrays, the policy as two floats.  Each iterate passes the checks
-    of `ReactivePolicy` and `ReprSymbols`, with their messages, and its
-    evaluation is handed to the next step, so no point is evaluated twice.
+    or two arrays, the policy as two floats, and of each core evaluation
+    (`Evaluation`'s fields, as a plain tuple) only what it reads.  Each
+    iterate passes the checks of `ReactivePolicy` and `ReprSymbols`, with
+    their messages, and its symbol gradient is handed to the next step, so
+    no point is evaluated twice.
     """
     model = _build_model(source, costs, config)
     symbols, policy = default_init(source) if init is None else init
     x0, x1 = model._pair(symbols)
     a, b = float(policy.alpha), float(policy.beta)
-    ev = model._evaluate(x0, x1, a, b)
+    evaluate, epsilon = model._evaluate, config.epsilon
+    _, _, _, _, gx, _, gp, *_ = evaluate(x0, x1, a, b)
+    step, inv_sqrt = config.pga_step, config.pga_step_rule == "inv_sqrt"
     stats, x0s, x1s = [], [], []
     converged = False
     for k in range(1, config.max_iters + 1):
-        step = _step(config, k)
-        ga, gb = ev.grad_phi
+        if inv_sqrt:
+            step = config.pga_step / math.sqrt(k)
+        ga, gb = gp
         a, b = min(max(a + step * ga, 0.0), 1.0), min(max(b + step * gb, 0.0), 1.0)
         _check_policy(a, b)
-        x0, x1 = symbol_step(model, x0, x1, a, b, ev)
+        x0, x1 = symbol_step(model, x0, x1, a, b, gx)
         _check_finite(x0, x1)
-        ev = model._evaluate(x0, x1, a, b)
-        stats.append((k, ev.fne_index, ev.fne_index_se, ev.objective, a, b))
+        objective, _, _, _, gx, _, gp, _, _, _, index, index_se = evaluate(x0, x1, a, b)
+        stats.append((k, index, index_se, objective, a, b))
         x0s.append(x0)
         x1s.append(x1)
-        if ev.fne_index <= config.epsilon + 3.0 * ev.fne_index_se:
+        if index <= epsilon + 3.0 * index_se:
             converged = True
             break
-    # each symbol's iterates as one (n, m) array, a trace row holding views
-    n = len(stats)
-    x0s = np.array(x0s, dtype=float).reshape(n, -1)
-    x1s = np.array(x1s, dtype=float).reshape(n, -1)
-    trace = tuple(TraceRow(*row, r0, r1) for row, r0, r1 in zip(stats, x0s, x1s))
+    # copies: a parked symbol is the model's own mean
+    x0, x1 = (np.array(x, dtype=float, ndmin=1) for x in (x0, x1))
     return FneReport(
-        ReprSymbols(x0s[-1].copy(), x1s[-1].copy()), ReactivePolicy(a, b),
-        ev.fne_index, ev.fne_index_se, n, converged, trace,
+        ReprSymbols(x0, x1), ReactivePolicy(a, b), index, index_se, len(stats),
+        converged, stats, x0s, x1s,
     )
 
 
@@ -625,7 +641,7 @@ def solve_pga_ccp(source, costs, config: SolverConfig | None = None, init=None) 
     """
     config = config or SolverConfig()
 
-    def symbol_step(model, x0, x1, a, b, ev):
+    def symbol_step(model, x0, x1, a, b, grad_xhat):
         return _ccp_inverse(model._ccp_g(x0, x1, a, b), a, b, model.mean)
 
     return _run(source, costs, config, init, symbol_step)
@@ -636,8 +652,8 @@ def solve_gda(source, costs, config: SolverConfig | None = None, init=None) -> F
     (pga_step) and plain descent on the symbols (gd_step)."""
     config = config or SolverConfig()
 
-    def symbol_step(model, x0, x1, a, b, ev):
-        g0, g1 = ev.grad_xhat
+    def symbol_step(model, x0, x1, a, b, grad_xhat):
+        g0, g1 = grad_xhat
         return x0 - config.gd_step * g0, x1 - config.gd_step * g1
 
     return _run(source, costs, config, init, symbol_step)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame import cli, network
+from jamgame import cli, network, reactive
 from jamgame.cli import (
     _FIELDS,
     _REQUIRED,
@@ -158,7 +158,7 @@ def test_solve_reactive_calls_the_module_level_solver(tmp_path, monkeypatch, alg
     assert len(calls) == 1
 
 
-def test_solve_reactive_writes_trace(tmp_path):
+def test_solve_reactive_writes_trace(tmp_path, monkeypatch):
     # a scalar source, and a 2-D one whose trace has a column per component
     vector = _base_reactive(
         source={"mean": [0.5, -0.25], "variance": [0.5, 1.5]}, seed=1,
@@ -188,6 +188,21 @@ def test_solve_reactive_writes_trace(tmp_path):
         # the trace keeps full precision, so the last row ends at the
         # reported FNE
         assert float(rows[-1][1]) == outputs["fne_index"]
+    # a sweep drops its points' reports, so it builds no trace row, and one
+    # of its points run alone still writes one row per iteration
+    built, trace_row = [], reactive.TraceRow
+    monkeypatch.setattr(
+        reactive, "TraceRow", lambda *row: built.append(row) or trace_row(*row))
+    config = _write_config(tmp_path, "s.json", dict(REACTIVE_SWEEP, mode="sweep"))
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", config, "--out", str(out)]) == 0
+    assert built == [] and not (out / "trace.csv").exists()
+    point = json.loads((out / "result.json").read_text())["records"][-1]
+    config = _write_config(tmp_path, "p.json", point["config"])
+    out = tmp_path / "point"
+    assert run(["solve", "reactive", "--config", config, "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "trace.csv").open()))
+    assert len(rows) - 1 == len(built) == point["outputs"]["iterations"]
 
 
 def test_nonconvergence_exit_code_still_writes_record(tmp_path):
@@ -298,22 +313,41 @@ SIMULATE_SWEEP = {
 }
 
 
+# scalar reactive points: one group each
+REACTIVE_SWEEP = {
+    "source": {"mean": 0.1, "variance": 1.0},
+    "costs": {"c": 1.0, "d": 1.0},
+    "solver": {"epsilon": 1e-3},
+    "seed": 5,
+    "sweep": {
+        "mode": "reactive",
+        "axes": [
+            {"parameter": "costs.d", "grid": [0.5, 1.5]},
+            {"parameter": "source.variance", "grid": [0.5, 2.0]},
+        ],
+    },
+}
+
+
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setattr(network, "_CHUNK", 700)  # several chunks a point
-    for sweep in (TABLE_I_SWEEP, SIMULATE_SWEEP):
-        serial = copy.deepcopy(sweep)
-        serial["mode"] = "sweep"
-        serial["sweep"]["workers"] = 1
-        parallel = copy.deepcopy(sweep)
-        parallel["mode"] = "sweep"
-        parallel["sweep"]["workers"] = 8
-        a = execute(parse_config(serial))
-        b = execute(parse_config(parallel))
-        assert [r.outputs for r in a.point_records] == [
-            r.outputs for r in b.point_records
-        ]
+    for sweep in (TABLE_I_SWEEP, SIMULATE_SWEEP, REACTIVE_SWEEP):
+        runs = []
+        # 3 and 8 workers take uneven slices of the groups
+        for workers in (1, 3, 8):
+            raw = copy.deepcopy(sweep)
+            raw["mode"] = "sweep"
+            raw["sweep"]["workers"] = workers
+            before = copy.deepcopy(raw)
+            config = parse_config(raw)
+            # parsing leaves the raw config as it was
+            assert raw == before
+            runs.append(execute(config).point_records)
+        a = runs[0]
+        for b in runs[1:]:
+            assert [r.outputs for r in a] == [r.outputs for r in b]
         # and every point is its own run, bit for bit
-        for record in a.point_records:
+        for record in a:
             alone = execute(parse_config(copy.deepcopy(record.config)))
             assert alone.record.outputs == record.outputs
 

@@ -818,6 +818,63 @@ def test_mc_evaluate_matches_per_sample_reference_property(case):
     assert _bits(model.ccp_g(symbols, policy)) == _bits(ev.ccp_g)
 
 
+def _reference_trace(solve, source, costs, config):
+    """`solve`'s trace rows, replayed on the public model methods
+    (`evaluate`, and `ccp_update` for PGA-CCP) and the projected policy
+    step, each row a tuple of `TraceRow`'s fields."""
+    model = ExactScalarModel(source, costs)
+    symbols, policy = default_init(source)
+    ev = model.evaluate(symbols, policy)
+    rows = []
+    for k in range(1, config.max_iters + 1):
+        step = config.pga_step
+        if config.pga_step_rule == "inv_sqrt":
+            step /= math.sqrt(k)
+        policy = ReactivePolicy(*(
+            min(max(p + step * g, 0.0), 1.0)
+            for p, g in zip((policy.alpha, policy.beta), ev.grad_phi.tolist())
+        ))
+        if solve is solve_pga_ccp:
+            symbols = model.ccp_update(symbols, policy)
+        else:
+            symbols = ReprSymbols(*(
+                x - config.gd_step * g
+                for x, g in zip(symbols.scalars(), ev.grad_xhat.tolist())
+            ))
+        ev = model.evaluate(symbols, policy)
+        rows.append((
+            k, ev.fne_index, ev.fne_index_se, ev.objective, policy.alpha,
+            policy.beta, symbols.x_hat0, symbols.x_hat1,
+        ))
+        if ev.fne_index <= config.epsilon + 3.0 * ev.fne_index_se:
+            break
+    return rows
+
+
+@pytest.mark.parametrize("solve, config", [
+    (solve_pga_ccp, SolverConfig(epsilon=1e-5)),
+    (solve_pga_ccp, SolverConfig(epsilon=1e-4, pga_step_rule="inv_sqrt")),
+    (solve_gda, SolverConfig(epsilon=1e-4, max_iters=800)),
+])
+def test_scalar_trace_replays_the_public_methods(solve, config):
+    # the solver loop reads its cores' plain tuples; every trace field is
+    # the public methods' bit for bit, on sources at several means and scales
+    for source, costs in (
+        _SCALAR, (STD, UNIT_COSTS), (ScalarGaussian(-40.0, 0.3), GameCosts(0.2, 0.4)),
+        (ScalarGaussian(2.5, 4.0), GameCosts(1.5, 2.0)),
+    ):
+        report = solve(source, costs, config)
+        want = _reference_trace(solve, source, costs, config)
+        assert len(report.trace) == len(want) == report.iterations
+        for row, ref in zip(report.trace, want):
+            assert type(row) is reactive.TraceRow
+            for field, got, value in zip(row._fields, row, ref):
+                assert _bits(got) == _bits(value), (field, got, value)
+        assert report.objective == report.trace[-1].objective
+        assert _bits(report.symbols.x_hat0) == _bits(report.trace[-1].x_hat0)
+        assert _bits(report.symbols.x_hat1) == _bits(report.trace[-1].x_hat1)
+
+
 def _counting(base):
     # counts the model cores, which the solver loop calls
     class Counting(base):
