@@ -24,9 +24,10 @@ a sweep it becomes that point's record and the sweep goes on.
 Sweep points run on a small thread pool; all files are written by the
 collector in grid order, and every draw is seeded per point, so results do
 not depend on the worker count.  Simulate points of one sweep share its
-seed, so points that differ only in n, capacity, jammer or costs share
-their sensor draws: each such group is one pool task that draws each
-sensor stream once.
+seed, so points with the same transmit rule share their sensor draws:
+threshold points that differ only in n, capacity, jammer or costs, and
+best-response points that differ only in n or capacity.  Each such group
+is one pool task that draws each sensor stream once.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .largescale import CapacityFraction, classify_and_solve
 from .network import (
     NetworkConfig,
     RoundPolicies,
+    _rule,
     estimate_cost,
     estimate_costs,
     jn_analytic,
@@ -620,16 +622,15 @@ def _run_point(config: ExperimentConfig, *shared):
 
 
 def _group_key(config: ExperimentConfig):
-    """Simulate points with the same source, threshold rule (symbols and
-    threshold), trials and seed draw the same sensor streams and make the
-    same transmit decisions: they differ at most in n, capacity, jammer and
-    costs, and share one key.  Every other point has a key of its own."""
-    policies = config.policies
-    if config.mode != "simulate" or policies.threshold is None:
+    """Simulate points with the same source, transmit rule, trials and seed
+    draw the same sensor streams and make the same transmit decisions, so
+    they share one key.  Every other point has a key of its own."""
+    if config.mode != "simulate":
         return id(config)
+    source = config.source
     return (
-        config.source.mean, config.source.var, *policies.symbols.scalars(),
-        policies.threshold, config.trials, config.seed,
+        source.mean, source.var, *_rule(source, config.costs, config.policies),
+        config.trials, config.seed,
     )
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -151,42 +151,16 @@ def interval_moments(
     Endpoints may be -inf / +inf.  Both tails are computed via erfc so the
     result stays relatively accurate far from the mean.  This is the only
     form with moments about the origin, shifted from those of the deviation
-    X - mean (`_piece_moments`).  The library never calls it: the game code
-    integrates the deviation itself, which keeps its digits at any mean.
+    X - mean over the one piece (lo, hi) (`_region_rows`).  The library
+    never calls it: the game code integrates the deviation itself, which
+    keeps its digits at any mean.
     """
     if not (lo < hi):
         return 0.0, 0.0, 0.0
-    m, s = source.mean, source.std
-    p, e1, e2 = _piece_moments(
-        _endpoint((lo - m) / s), _endpoint((hi - m) / s), s, source.var
-    )
+    m = source.mean
+    p, e1, e2 = _region_rows((lo - m, hi - m), False, source.std, source.var)[:3]
     m1 = m * p + e1
     return p, m1, m * (m1 + e1) + e2
-
-
-def _endpoint(z: float) -> tuple[float, float, float, float]:
-    """(z, P(Z > |z|), q(z), z q(z)) of a standardised interval endpoint z,
-    with q the standard normal density."""
-    q = _std_pdf(z)
-    # q = 0 at infinite endpoints, where the product is 0
-    return z, _std_tail(abs(z)), q, z * q if q != 0.0 else 0.0
-
-
-def _piece_moments(left, right, s, var) -> tuple[float, float, float]:
-    """(P, E[Y 1], E[Y^2 1]) of the deviation Y = X - mean over a nonempty
-    interval, from its `_endpoint`s, the standard deviation s and the
-    variance var.  `_region_rows` makes the same operations inline."""
-    za, ta, qa, ea = left
-    zb, tb, qb, eb = right
-    # P(lo < X < hi) from the two small tails, each P(Z > |z|)
-    if za >= 0.0:
-        p = ta - tb
-    elif zb <= 0.0:
-        p = tb - ta
-    else:
-        p = 1.0 - ta - tb
-    p = max(p, 0.0)
-    return p, s * (qa - qb), var * (p + ea - eb)
 
 
 def _region_rows(edges, transmit_first: bool, s, var):
@@ -195,21 +169,22 @@ def _region_rows(edges, transmit_first: bool, s, var):
     (ascending, in Y) and transmits on every other segment, the first iff
     `transmit_first`.
 
-    One pass over the edges: each edge's z, tail, density and z density are
-    formed once for the two pieces it bounds, with the operations of
-    `_endpoint` and `_piece_moments` in their order, so each row is the sum
-    of those functions' pieces bit for bit."""
+    One pass over the edges: each edge's standardised z, small tail
+    P(Z > |z|), density q(z) and z q(z) are formed once for the two pieces
+    it bounds.  A piece takes its probability from the two small tails, so
+    it stays relatively accurate far from the mean."""
     tp = t1 = t2 = np_ = n1 = n2 = 0.0
-    # the `_endpoint` of -inf: no tail, no density
+    # -inf: no tail, no density
     za, ta, qa, ea = -math.inf, 0.0, 0.0, 0.0
     transmit = transmit_first
     for edge in (*edges, None):
-        if edge is None:  # the `_endpoint` of +inf
+        if edge is None:  # +inf
             zb, tb, qb, eb = math.inf, 0.0, 0.0, 0.0
         else:
             zb = edge / s
             tb = 0.5 * float(special.erfc(abs(zb) / _SQRT2))
             qb = _INV_SQRT_2PI * math.exp(-0.5 * zb * zb)
+            # q = 0 at an infinite edge, where the product is 0
             eb = zb * qb if qb != 0.0 else 0.0
         if za >= 0.0:
             p = ta - tb
@@ -382,6 +357,9 @@ def _fourier(f, x: float, weight: str, end: float) -> float:
     That one extrapolates over cycles pi / x long, so `end` lies past the
     first cycle and past the last change of shape of f's envelope.  An error
     estimate above pi/2 `_RESIDUAL_TOL` raises ConvergenceError."""
+    # imported here, so that only a run that integrates pays for it
+    from scipy import integrate
+
     edges = [0.0, *4.0 ** np.arange(math.ceil(math.log(end, 4.0))), math.inf]
     pieces = [
         integrate.quad(f, lo, hi, weight=weight, wvar=x, epsabs=1e-13,

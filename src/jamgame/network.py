@@ -24,8 +24,12 @@ of trials stream one sensor at a time: each sensor's draws are made, masked
 and added into per-trial sums before the next sensor's, so a chunk's memory
 is a few arrays of chunk length whatever n is.  The sums over the first n
 sensors are the same for every point with the same seed and transmit rule,
-so one pass serves a group of points that differ only in n, capacity,
-jammer and costs (`estimate_costs`), each point bit for bit as on its own.
+so one pass serves a group of such points (`estimate_costs`), each bit for
+bit as on its own.  Every rule takes one form, the points where it switches
+between silence and transmission: threshold points share it whatever
+their jammer and costs, and best-response points share it when they
+differ in n or capacity, or in a jammer and costs that give the same
+switch points.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from scipy import special
 from .gaussian import ScalarGaussian, philox_rng
 from .largescale import _kappa
 from .proactive import GameCosts, ReprSymbols, _rule_window, _threshold_cost, _window
-from .reactive import ReactivePolicy, TransmitRegion, _region_edges, transmit_region
+from .reactive import ReactivePolicy, _region_edges
 
 _MIN_UNIFORM = 2.0**-54
 _CHUNK = 100_000
@@ -104,7 +108,8 @@ class RoundPolicies:
     probability phi when alpha == beta == phi and channel-sensing otherwise,
     and one transmission rule, a threshold on the squared deviation from
     x_hat0 or, when `threshold` is None, the coordinator's best response to
-    the jammer (`transmit_region`)."""
+    the jammer (`transmit_region`).  Either rule is used in one form, the
+    points where it switches between silence and transmission (`_rule`)."""
 
     symbols: ReprSymbols
     jammer: ReactivePolicy
@@ -148,12 +153,7 @@ def jn_analytic(
     + d (1 - p)^n), a term that is zero at alpha == beta.
     """
     alpha, beta = policies.jammer.alpha, policies.jammer.beta
-    if policies.threshold is None:
-        y0, y1 = (x - source.mean for x in policies.symbols.scalars())
-        edges, first = _region_edges(alpha, beta, y0, y1, costs.c, costs.d)
-        window = _rule_window(source, y0, y1, edges, first)
-    else:
-        window = _window(source, policies.symbols, policies.threshold)
+    window = _rule_window(source, *_rule(source, costs, policies))
     p, err0_silent, err1_silent, _ = window
     n = config.n
     # at n = 1 no other sensor can fill the capacity: F = F- = 1
@@ -163,6 +163,20 @@ def jn_analytic(
     sensing = e * (err0_silent - err1_silent) + costs.d * e * (1.0 - p)
     blind = _threshold_cost(costs, beta, window, f_cap, f_cap_minus)
     return blind + (beta - alpha) * sensing
+
+
+def _rule(source: ScalarGaussian, costs: GameCosts, policies: RoundPolicies):
+    """A point's transmit rule as (y0, y1, edges, first): the symbols'
+    deviations from the mean and, in the deviation, the points where the
+    rule switches, ascending, with whether it transmits left of the first
+    (`transmit_region`).  A threshold t is silent on (y0 - sqrt(t), y0 +
+    sqrt(t)) alone, the window `_window` integrates."""
+    y0, y1 = (x - source.mean for x in policies.symbols.scalars())
+    if policies.threshold is None:
+        alpha, beta = policies.jammer.alpha, policies.jammer.beta
+        return y0, y1, *_region_edges(alpha, beta, y0, y1, costs.c, costs.d)
+    w = math.sqrt(policies.threshold)
+    return y0, y1, (y0 - w, y0 + w), True
 
 
 def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -181,50 +195,39 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
-def _group_rule(
-    source: ScalarGaussian, points
-) -> tuple[float, float, float | None, TransmitRegion | None]:
-    """The transmit rule every point of a group shares: the symbols'
-    deviations y0, y1 from the mean, the threshold, and, with no threshold,
-    the coordinator's transmit region on the deviation.  A threshold rule
-    is shared by points with the same symbols and threshold; a best
-    response depends on each point's jammer and costs, so it is a group of
-    one."""
-    costs, _, first = points[0]
-    symbols = first.symbols.scalars()
-    if any(p.symbols.scalars() != symbols or p.threshold != first.threshold
-           for _, _, p in points[1:]):
-        raise ValueError("the points of a group must share the symbols and threshold")
-    y0, y1 = (x - source.mean for x in symbols)
-    if first.threshold is not None:
-        return y0, y1, first.threshold, None
-    if len(points) > 1:
-        raise ValueError("a best-response rule is simulated one point at a time")
-    return y0, y1, None, transmit_region(ReprSymbols(y0, y1), first.jammer, costs)
+def _group_rule(source: ScalarGaussian, points):
+    """The transmit rule (`_rule`) every point of a group shares."""
+    rules = [_rule(source, costs, policies) for costs, _, policies in points]
+    if any(rule != rules[0] for rule in rules[1:]):
+        raise ValueError("the points of a group must share the transmit rule")
+    return rules[0]
+
+
+def _transmits(y, edges, first: bool):
+    """Whether the rule cut at `edges` (at most two) transmits at each
+    deviation y: on every other open segment of the line, the first iff
+    `first`, so a draw on an edge stays silent."""
+    if not edges:
+        return np.full(y.shape, first)
+    if len(edges) == 1:
+        return y < edges[0] if first else y > edges[0]
+    lo, hi = edges
+    return (y < lo) | (y > hi) if first else (y > lo) & (y < hi)
 
 
 def _sensor_draws(
-    source: ScalarGaussian,
-    y0: float,
-    threshold: float | None,
-    region: TransmitRegion | None,
-    seed: int,
-    sensor: int,
-    start: int,
-    count: int,
+    source: ScalarGaussian, rule, seed: int, sensor: int, start: int, count: int
 ):
     """Sensor `sensor`'s deviations X - mean for trials [start, start +
     count), their squared distances to y0 = x_hat0 - mean, and whether each
-    is transmitted: by the threshold on that distance or, with no threshold,
-    by `region`."""
+    is transmitted by `rule` (`_rule`)."""
+    y0, _, edges, first = rule
     u = _uniforms(seed, sensor, start, count)
     y = special.ndtri(u, out=u)
     y *= source.std
     sq0 = y - y0
     sq0 *= sq0
-    if region is None:
-        return y, sq0, sq0 > threshold
-    return y, sq0, region.contains(y)
+    return y, sq0, _transmits(y, edges, first)
 
 
 def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: int):
@@ -243,7 +246,8 @@ def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: i
     whatever n is.  `p_count` is the running count: it changes when the
     generator resumes.
     """
-    y0, y1, threshold, region = _group_rule(source, points)
+    rule = _group_rule(source, points)
+    _, y1, _, _ = rule
     p_count = np.zeros(count, dtype=np.int64)
     silent = np.zeros(count)
     total = np.zeros(count)
@@ -251,9 +255,7 @@ def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: i
     order = sorted(range(len(points)), key=lambda i: points[i][1].n)
     for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n):
         for s in range(drawn, n):
-            y, sq0, transmit = _sensor_draws(
-                source, y0, threshold, region, seed, s, start, count
-            )
+            y, sq0, transmit = _sensor_draws(source, rule, seed, s, start, count)
             p_count += transmit
             # multiplying by the silent mask adds +0.0 for a transmitting sensor
             sq0 *= np.logical_not(transmit, out=transmit)
@@ -302,12 +304,10 @@ def simulate_round(
     elif p == 0:
         outcome = ChannelOutcome("idle", (), False, False)
     else:
-        y0, _, threshold, region = _group_rule(source, point)
+        rule = _group_rule(source, point)
         packets = []
         for s in range(config.n):
-            y, _, transmit = _sensor_draws(
-                source, y0, threshold, region, seed, s, trial, 1
-            )
+            y, _, transmit = _sensor_draws(source, rule, seed, s, trial, 1)
             if transmit[0]:
                 packets.append((s, source.mean + float(y[0])))
         outcome = ChannelOutcome("delivered", tuple(packets), False, False)
@@ -324,13 +324,13 @@ def estimate_costs(
 ) -> list[EmpiricalEstimate]:
     """Average each point's per-round cost over `trials` addressed rounds.
 
-    `points` is a group of (costs, config, policies) triples that differ at
-    most in n, capacity, jammer and costs (`_group_rule`), so every sensor
-    stream is drawn once for the whole group.  Each point's per-trial costs
-    are written chunk by chunk into one array, reduced once its last chunk
-    is in and then dropped, so every estimate is bit-identical to
-    `estimate_cost` on that point alone, for any chunk size or worker split
-    of the same (seed, trials).
+    `points` is a group of (costs, config, policies) triples that share the
+    transmit rule (`_group_rule`), so every sensor stream is drawn once for
+    the whole group.  Each point's per-trial costs are written chunk by
+    chunk into one array, reduced once its last chunk is in and then
+    dropped, so every estimate is bit-identical to `estimate_cost` on that
+    point alone, for any chunk size or worker split of the same (seed,
+    trials).
     """
     if trials < 2:
         raise ValueError("at least 2 trials are required")

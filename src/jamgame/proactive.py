@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .gaussian import (
     _RESIDUAL_TOL,
@@ -149,6 +148,9 @@ def _threshold_root(residual, scale: float) -> float:
     [1e-12, 50] up to the largest x whose r is finite, then found by Brent's
     method (Brent 1973) to a width of 4 eps x, where |residual| <= 1e-10
     scale is checked.  So the root keeps its digits at any source scale."""
+    # imported here, so that only a run that solves a root pays for it
+    from scipy import optimize
+
     def reduced(x: float) -> float:
         return residual(x * scale) / scale
 

@@ -64,29 +64,6 @@ def _check_policy(alpha, beta) -> None:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
-@dataclass(frozen=True, eq=False)
-class TransmitRegion:
-    """The scalar set {x : q(x) > 0} where the sensor prefers to transmit.
-
-    q(x) = (alpha - beta) (x - xhat1)^2 + (1 - alpha) (x - xhat0)^2
-           - c - d (alpha - beta).
-
-    The region is a union of at most two open intervals, stored sorted and
-    disjoint in `intervals`.  A quadratic tangent to zero from above is
-    reported as the full line; the single non-transmitting point has
-    measure zero.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def contains(self, x):
-        """Whether x lies in the region; elementwise for an array of points."""
-        inside = np.zeros(np.shape(x), dtype=bool)
-        for lo, hi in self.intervals:
-            inside |= (lo < x) & (x < hi)
-        return inside if inside.ndim else bool(inside)
-
-
 def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:
     """The scalar region {q > 0} as the points where q changes sign, and
     whether q > 0 left of the first.  The region is every other segment of
@@ -110,17 +87,20 @@ def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:
 
 def transmit_region(
     symbols: ReprSymbols, policy: ReactivePolicy, costs: GameCosts
-) -> TransmitRegion:
-    """Solve the transmit/stay-silent comparison into an explicit region;
-    scalar symbols only."""
+) -> tuple[tuple[float, ...], bool]:
+    """The scalar set {x : q(x) > 0} where the sensor prefers to transmit,
+
+    q(x) = (alpha - beta) (x - xhat1)^2 + (1 - alpha) (x - xhat0)^2
+           - c - d (alpha - beta),
+
+    as `_region_edges` gives it: the at most two points where q changes
+    sign, ascending, and whether the first segment of the line they cut
+    transmits.  The set is every other open segment from there.  A
+    quadratic tangent to zero from above is the full line; its one silent
+    point has measure zero.  Scalar symbols only."""
     if symbols.dim != 1:
         raise ValueError("the transmit region is only solved for scalar symbols")
-    edges, first = _region_edges(
-        policy.alpha, policy.beta, *symbols.scalars(), costs.c, costs.d
-    )
-    bounds = (-math.inf, *edges, math.inf)
-    segments = tuple(zip(bounds[:-1], bounds[1:]))
-    return TransmitRegion(segments[0 if first else 1::2])
+    return _region_edges(policy.alpha, policy.beta, *symbols.scalars(), costs.c, costs.d)
 
 
 def box_lp_gap(grad, point) -> float:

@@ -18,7 +18,6 @@ from jamgame.cli import execute, parse_config
 from jamgame.gaussian import (
     DiagonalGaussian,
     ScalarGaussian,
-    interval_moments,
     norm_sq_tail,
     philox_rng,
 )
@@ -187,12 +186,16 @@ def test_criterion_4_reactive_fne_structure():
             assert alpha <= 1e-8 and sep2 < costs_d15.d, (alpha, sep2)
             continue
         p_silent = m1_silent = 0.0
-        region = transmit_region(rep.symbols, rep.policy, costs_d15)
-        edges = (-math.inf, *(v for piece in region.intervals for v in piece), math.inf)
-        for lo, hi in zip(edges[::2], edges[1::2]):
-            p, m1, _ = interval_moments(source, lo, hi)
-            p_silent += p
-            m1_silent += m1
+        edges, first = transmit_region(rep.symbols, rep.policy, costs_d15)
+        bounds = (-math.inf, *edges, math.inf)
+        silent = tuple(zip(bounds[:-1], bounds[1:]))[1 if first else 0::2]
+        sd = math.sqrt(var)
+        for lo, hi in silent:
+            # P and E[X 1] of the piece from normal moments alone
+            a, b = lo / sd, hi / sd
+            pdf = np.exp(-0.5 * np.array([a, b]) ** 2) / math.sqrt(2.0 * math.pi)
+            p_silent += special.ndtr(b) - special.ndtr(a)
+            m1_silent += sd * (pdf[0] - pdf[1])
         assert alpha > 0.0 and beta == 1.0, (var, alpha, beta)
         assert abs(sep2 - costs_d15.d) <= 1e-4, (var, sep2)
         assert abs(s0 - m1_silent / p_silent) <= 1e-4, (var, s0, p_silent)

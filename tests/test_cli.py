@@ -313,6 +313,21 @@ SIMULATE_SWEEP = {
 }
 
 
+# best responses to one sensing jammer at one set of costs: the points,
+# which differ only in n and capacity, share their rule and are one group
+SENSING_SIMULATE_SWEEP = {
+    "source": {"mean": -0.1, "variance": 1.5},
+    "costs": {"c": 0.9, "d": 1.1},
+    "kappa_bar": 0.3,
+    "seed": 13,
+    "simulate": {"trials": 3000, "alpha": 0.2, "beta": 0.7, "x_hat1": 0.5},
+    "sweep": {
+        "mode": "simulate",
+        "axes": [{"parameter": "n", "grid": [1, 2, 5, 20]}],
+    },
+}
+
+
 # scalar reactive points: one group each
 REACTIVE_SWEEP = {
     "source": {"mean": 0.1, "variance": 1.0},
@@ -331,7 +346,7 @@ REACTIVE_SWEEP = {
 
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setattr(network, "_CHUNK", 700)  # several chunks a point
-    for sweep in (TABLE_I_SWEEP, SIMULATE_SWEEP, REACTIVE_SWEEP):
+    for sweep in (TABLE_I_SWEEP, SIMULATE_SWEEP, SENSING_SIMULATE_SWEEP, REACTIVE_SWEEP):
         runs = []
         # 3 and 8 workers take uneven slices of the groups
         for workers in (1, 3, 8):
@@ -350,6 +365,9 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
         for record in a:
             alone = execute(parse_config(copy.deepcopy(record.config)))
             assert alone.record.outputs == record.outputs
+    raw = dict(copy.deepcopy(SENSING_SIMULATE_SWEEP), mode="sweep")
+    points = parse_config(raw).sweep_plan.points
+    assert len({cli._group_key(point) for point in points}) == 1
 
 
 def test_round_trip_reproduces_outputs():

@@ -131,9 +131,11 @@ def test_binomial_cdf_equals_scipy_stats():
 
 
 def test_import_leaves_out_scipy_stats():
-    # a fresh interpreter importing the jamgame these tests import
+    # a fresh interpreter importing the jamgame these tests import; scipy's
+    # optimize and integrate load only at a run's first root or integral
     src = os.path.dirname(os.path.dirname(network.__file__))
-    code = "import sys, jamgame; sys.exit('scipy.stats' in sys.modules)"
+    code = ("import sys, jamgame; sys.exit(any(m in sys.modules for m in "
+            "('scipy.stats', 'scipy.optimize', 'scipy.integrate')))")
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert run.returncode == 0
@@ -141,7 +143,8 @@ def test_import_leaves_out_scipy_stats():
 
 # names deleted from the package because nothing in it called them
 _DELETED = ("tail_prob", "tail_second_moment", "whiten", "project_box",
-            "as_array", "complement_intervals", "iterations_to")
+            "as_array", "complement_intervals", "iterations_to",
+            "TransmitRegion", "_endpoint", "_piece_moments")
 
 
 def test_public_surface_resolves_and_holds_no_deleted_name():
@@ -291,13 +294,24 @@ def test_estimate_chunking_invariant(monkeypatch):
     assert whole.mean == chunked.mean
     assert whole.std_err == chunked.std_err
     assert estimate_costs(source, group, trials=500, seed=4) == alone
-    # points that draw or decide differently are not one group
-    other = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2), 0.8))
-    with pytest.raises(ValueError, match="share the symbols and threshold"):
-        estimate_costs(source, group + [other], trials=500, seed=4)
-    best_response = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2)))
-    with pytest.raises(ValueError, match="one point at a time"):
-        estimate_costs(source, [best_response] * 2, trials=500, seed=4)
+    # best responses to one jammer at one set of costs share their rule
+    # whatever n and capacity are, and are one group in the same way
+    sensing = RoundPolicies(symbols, ReactivePolicy(0.2, 0.7))
+    responses = [
+        (GameCosts(0.9, 1.1), NetworkConfig(n, cap), sensing)
+        for n, cap in ((20, 6), (1, 1), (5, 2), (2, 1))
+    ]
+    own_runs = [estimate_cost(source, *point, trials=500, seed=4) for point in responses]
+    assert estimate_costs(source, responses, trials=500, seed=4) == own_runs
+    # points whose rules differ are not one group: another threshold, the
+    # best response next to a threshold, or to another jammer
+    threshold = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2), 0.8))
+    other_jammer = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2)))
+    for mixed in (group + [threshold], group + [responses[0]],
+                  responses + [other_jammer]):
+        with pytest.raises(ValueError, match="^the points of a group must share "
+                                             "the transmit rule$"):
+            estimate_costs(source, mixed, trials=500, seed=4)
 
 
 def test_estimate_determinism_and_error_scaling():
@@ -500,7 +514,9 @@ def test_simulator_contracts(case):
     assert whole.mean == float(per_trial.mean())
     jammer = policies.jammer
     x0 = policies.symbols.scalars()[0]
-    region = transmit_region(policies.symbols, jammer, costs)
+    edges, first = transmit_region(policies.symbols, jammer, costs)
+    bounds = (-math.inf, *edges, math.inf)
+    segments = tuple(zip(bounds[:-1], bounds[1:]))[0 if first else 1::2]
     for k in sorted({0, trials - 1, seed % trials}):
         replayed, outcome = simulate_round(
             source, costs, config, policies, seed, trial=k
@@ -518,7 +534,7 @@ def test_simulator_contracts(case):
         sent = [
             (s, x) for s, x in enumerate(draws)
             if (
-                region.contains(x) if policies.threshold is None
+                any(lo < x < hi for lo, hi in segments) if policies.threshold is None
                 else (x - x0) ** 2 > policies.threshold
             )
         ]

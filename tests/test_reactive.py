@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from jamgame import reactive
-from jamgame.gaussian import (
-    DiagonalGaussian,
-    GeneralGaussian,
-    ScalarGaussian,
-    interval_moments,
-    sample,
-)
+from jamgame import network, reactive
+from jamgame.gaussian import DiagonalGaussian, GeneralGaussian, ScalarGaussian, sample
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
     Evaluation,
@@ -50,10 +45,36 @@ def _interval_mask(intervals, xs):
     return mask
 
 
-def _complement(region):
-    """The intervals of the line outside a transmit region."""
-    edges = [-math.inf, *(v for piece in region.intervals for v in piece), math.inf]
-    return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
+def _segments(edges, first, transmit=True):
+    """The open segments of the line cut at `edges` on which the rule
+    (edges, first) of `transmit_region` transmits, or with `transmit` false
+    stays silent: every other one, from the first or the second."""
+    bounds = (-math.inf, *edges, math.inf)
+    return tuple(zip(bounds[:-1], bounds[1:]))[0 if first == transmit else 1::2]
+
+
+def _piece(lo, hi, s, var):
+    """(P, E[Y 1], E[Y^2 1]) of Y ~ N(0, var), std s, over (lo, hi): each
+    end's z, small tail P(Z > |z|), density q and z q, then the probability
+    from the two small tails.  A copy of the library's piece, kept here so
+    that the oracle below shares no code with `_region_rows`."""
+    if not lo < hi:
+        return 0.0, 0.0, 0.0
+    ends = []
+    for z in (lo / s, hi / s):
+        q = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * z * z)
+        # q = 0 at an infinite end, where the product is 0
+        ends.append((z, 0.5 * float(special.erfc(abs(z) / math.sqrt(2.0))), q,
+                     z * q if q != 0.0 else 0.0))
+    (za, ta, qa, ea), (zb, tb, qb, eb) = ends
+    if za >= 0.0:
+        p = ta - tb
+    elif zb <= 0.0:
+        p = tb - ta
+    else:
+        p = 1.0 - ta - tb
+    p = max(p, 0.0)
+    return p, s * (qa - qb), var * (p + ea - eb)
 
 
 def _smooth_config(rng):
@@ -76,51 +97,64 @@ def _smooth_config(rng):
 
 
 def test_region_two_tail_threshold():
-    region = transmit_region(ReprSymbols(0.0, 0.7), ReactivePolicy(0.0, 0.0), UNIT_COSTS)
-    (lo_a, lo_b), (hi_a, hi_b) = region.intervals
-    assert lo_a == -math.inf and hi_b == math.inf
-    assert lo_b == pytest.approx(-1.0, abs=1e-12)
-    assert hi_a == pytest.approx(1.0, abs=1e-12)
-    assert region.contains(1.5) and region.contains(-1.5)
-    assert not region.contains(0.0) and not region.contains(0.99)
+    edges, first = transmit_region(
+        ReprSymbols(0.0, 0.7), ReactivePolicy(0.0, 0.0), UNIT_COSTS
+    )
+    lo, hi = edges
+    assert first
+    assert lo == pytest.approx(-1.0, abs=1e-12)
+    assert hi == pytest.approx(1.0, abs=1e-12)
+    assert _segments(edges, first) == ((-math.inf, lo), (hi, math.inf))
+    xs = np.array([1.5, -1.5, 0.0, 0.99])
+    assert network._transmits(xs, edges, first).tolist() == [True, True, False, False]
 
 
 def test_region_empty_when_always_jammed():
-    region = transmit_region(ReprSymbols(0.3, 0.3), ReactivePolicy(1.0, 1.0), UNIT_COSTS)
-    assert region.intervals == ()
-    assert _complement(region) == ((-math.inf, math.inf),)
-    assert not region.contains(0.3)
+    edges, first = transmit_region(
+        ReprSymbols(0.3, 0.3), ReactivePolicy(1.0, 1.0), UNIT_COSTS
+    )
+    assert (edges, first) == ((), False)
+    assert _segments(edges, first) == ()
+    assert _segments(edges, first, transmit=False) == ((-math.inf, math.inf),)
+    assert not network._transmits(np.array([0.3]), edges, first)[0]
 
 
 def test_region_full_line():
     # jamming only the occupied channel, at high jam cost: transmitting is
     # worth it everywhere because it provokes the expensive jam
-    region = transmit_region(
+    edges, first = transmit_region(
         ReprSymbols(0.0, 0.0), ReactivePolicy(0.0, 0.9), GameCosts(1.0, 2.0)
     )
-    assert region.intervals == ((-math.inf, math.inf),)
-    assert _complement(region) == ()
-    assert region.contains(0.0)
+    assert (edges, first) == ((), True)
+    assert _segments(edges, first) == ((-math.inf, math.inf),)
+    assert _segments(edges, first, transmit=False) == ()
+    assert network._transmits(np.array([0.0]), edges, first)[0]
 
 
 def test_region_linear_when_beta_one():
-    region = transmit_region(ReprSymbols(0.0, 1.0), ReactivePolicy(0.5, 1.0), UNIT_COSTS)
-    ((lo, hi),) = region.intervals
-    assert lo == pytest.approx(1.0, abs=1e-12) and hi == math.inf
-    region = transmit_region(ReprSymbols(0.0, -1.0), ReactivePolicy(0.5, 1.0), UNIT_COSTS)
-    ((lo, hi),) = region.intervals
-    assert lo == -math.inf and hi == pytest.approx(-1.0, abs=1e-12)
+    # one sign change: a half-line transmits, right of it or left of it
+    right = transmit_region(ReprSymbols(0.0, 1.0), ReactivePolicy(0.5, 1.0), UNIT_COSTS)
+    ((edge,), first) = right
+    assert edge == pytest.approx(1.0, abs=1e-12) and not first
+    assert _segments(*right) == ((edge, math.inf),)
+    left = transmit_region(ReprSymbols(0.0, -1.0), ReactivePolicy(0.5, 1.0), UNIT_COSTS)
+    ((edge,), first) = left
+    assert edge == pytest.approx(-1.0, abs=1e-12) and first
+    assert _segments(*left) == ((-math.inf, edge),)
+    xs = np.array([-2.0, -0.5, 0.5, 2.0])
+    assert network._transmits(xs, *right).tolist() == [False, False, False, True]
+    assert network._transmits(xs, *left).tolist() == [True, False, False, False]
     # both probabilities one: the comparison is constant and negative
     region = transmit_region(ReprSymbols(0.4, -0.2), ReactivePolicy(1.0, 1.0), UNIT_COSTS)
-    assert region.intervals == ()
+    assert region == ((), False)
 
 
 def test_region_sign_scan():
     symbols = ReprSymbols(0.2, -0.1)
     policy = ReactivePolicy(0.3, 0.1)
-    region = transmit_region(symbols, policy, UNIT_COSTS)
-    (neg_lo, r1), (r2, pos_hi) = region.intervals
-    assert neg_lo == -math.inf and pos_hi == math.inf
+    edges, first = transmit_region(symbols, policy, UNIT_COSTS)
+    r1, r2 = edges
+    assert first
     assert r1 == pytest.approx(REGION_LO, rel=1e-14)
     assert r2 == pytest.approx(REGION_HI, rel=1e-14)
 
@@ -131,10 +165,11 @@ def test_region_sign_scan():
     xs = np.linspace(-8.0, 8.0, 1_000_000)
     near_edge = (np.abs(xs - r1) < 1e-9) | (np.abs(xs - r2) < 1e-9)
     xs = xs[~near_edge]
-    assert np.array_equal(_interval_mask(region.intervals, xs), q(xs) > 0.0)
-    assert np.array_equal(region.contains(xs), q(xs) > 0.0)
-    for x in (-2.0, 0.0, 1.0, 2.0):
-        assert region.contains(x) is bool(q(x) > 0.0)
+    assert np.array_equal(_interval_mask(_segments(edges, first), xs), q(xs) > 0.0)
+    # the simulator's mask of the same rule
+    assert np.array_equal(network._transmits(xs, edges, first), q(xs) > 0.0)
+    # a draw on an edge stays silent, as on an open segment's end
+    assert not network._transmits(np.array(edges), edges, first).any()
 
 
 def test_region_rejects_vector_symbols():
@@ -583,23 +618,22 @@ def test_exact_evaluate_bundles_the_model_methods():
 
 def _per_piece_reference(source, costs, symbols, policy):
     """Every exact statistic in the deviation frame Y = X - mean: one
-    `interval_moments` call on the centred source per interval of the
-    transmit region of the symbols' deviations and of its complement, each
-    row's pieces summed before its quadratic a2 M2 + a1 M1 + a0 P."""
+    `_piece` per segment of the line on which the rule of the symbols'
+    deviations transmits and per segment on which it is silent, each row's
+    pieces summed before its quadratic a2 M2 + a1 M1 + a0 P."""
     a, b = policy.alpha, policy.beta
     x0, x1 = (x - source.mean for x in symbols.scalars())
     c, d = costs.c, costs.d
-    centred = ScalarGaussian(0.0, source.var)
-    region = transmit_region(ReprSymbols(x0, x1), policy, costs)
+    rule = transmit_region(ReprSymbols(x0, x1), policy, costs)
 
-    def row(intervals):
+    def row(segments):
         total = [0.0, 0.0, 0.0]
-        for lo, hi in intervals:
-            for k, v in enumerate(interval_moments(centred, lo, hi)):
+        for lo, hi in segments:
+            for k, v in enumerate(_piece(lo, hi, source.std, source.var)):
                 total[k] += v
         return total
 
-    t, n = row(region.intervals), row(_complement(region))
+    t, n = row(_segments(*rule)), row(_segments(*rule, transmit=False))
 
     def quad(a2, a1, a0, moments):
         p, m1, m2 = moments
@@ -668,9 +702,9 @@ def _instance(mean, var, c, d, x0, x1, alpha, beta):
 def test_region_shape_examples():
     for name, (kwargs, shape) in _SHAPES.items():
         _, costs, symbols, policy = _instance(**kwargs)
-        intervals = transmit_region(symbols, policy, costs).intervals
+        segments = _segments(*transmit_region(symbols, policy, costs))
         got = tuple(tuple(0 if math.isfinite(v) else int(math.copysign(1, v))
-                          for v in piece) for piece in intervals)
+                          for v in piece) for piece in segments)
         assert got == shape, name
 
 
