@@ -39,18 +39,6 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to meet its accuracy contract."""
 
 
-def _std_tail(z: float) -> float:
-    """P(Z > z) for standard normal Z, accurate into the far tail.
-
-    A Python float, so the closed forms built on it run on plain floats.
-    """
-    return 0.5 * float(special.erfc(z / _SQRT2))
-
-
-def _std_pdf(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
 @dataclass(frozen=True)
 class ScalarGaussian:
     """Scalar normal source with mean `mean` and variance `var` (> 0)."""
@@ -269,8 +257,16 @@ def norm_sq_tail(source):
     """
     if isinstance(source, ScalarGaussian):
         s, var = source.std, source.var
-        moment = (_std_tail, lambda z: var * (_std_tail(z) + z * _std_pdf(z)))
-        return lambda r, p: 2.0 * moment[p](math.sqrt(r) / s)
+
+        def tail(r: float, p: int) -> float:
+            # Q(z) and q(z) on plain floats, as `_region_rows` forms them
+            z = math.sqrt(r) / s
+            moment = 0.5 * float(special.erfc(z / _SQRT2))
+            if p:
+                moment = var * (moment + z * (_INV_SQRT_2PI * math.exp(-0.5 * z * z)))
+            return 2.0 * moment
+
+        return tail
     lam = _spectrum(source)
     terms = _ruben_terms(lam)
     return _imhof_tail(lam) if terms > _MAX_TERMS else _ruben_tail(lam, terms)

@@ -44,8 +44,15 @@ from scipy import special
 
 from .gaussian import ScalarGaussian, philox_rng
 from .largescale import _kappa
-from .proactive import GameCosts, ReprSymbols, _rule_window, _threshold_cost, _window
-from .reactive import ReactivePolicy, _region_edges
+from .proactive import (
+    GameCosts,
+    ReprSymbols,
+    _rule_window,
+    _threshold_cost,
+    _threshold_rule,
+    _window,
+)
+from .reactive import ReactivePolicy, _check_count, _region_edges
 
 _MIN_UNIFORM = 2.0**-54
 _CHUNK = 100_000
@@ -59,6 +66,8 @@ class NetworkConfig:
     capacity: int
 
     def __post_init__(self):
+        _check_count("n", self.n)
+        _check_count("capacity", self.capacity)
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not (0 < self.capacity <= self.n):
@@ -123,9 +132,9 @@ class RoundPolicies:
 def binomial_cdf(n: int, kappa: int, p: float) -> float:
     """P(Bin(n, p) <= kappa) = I_{1-p}(n - kappa, kappa + 1), the
     regularized incomplete beta (Abramowitz & Stegun 26.5.24), and 1 at
-    kappa = n.  n and kappa must be integers (Python or numpy)."""
-    if not all(isinstance(k, (int, np.integer)) for k in (n, kappa)):
-        raise ValueError(f"n and kappa must be integers, got {n!r}, {kappa!r}")
+    kappa = n.  n and kappa must be integers (Python or numpy, not bool)."""
+    _check_count("n", n)
+    _check_count("kappa", kappa)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not 0 <= kappa <= n:
@@ -155,28 +164,29 @@ def jn_analytic(
     alpha, beta = policies.jammer.alpha, policies.jammer.beta
     window = _rule_window(source, *_rule(source, costs, policies))
     p, err0_silent, err1_silent, _ = window
-    n = config.n
-    # at n = 1 no other sensor can fill the capacity: F = F- = 1
-    f_cap = binomial_cdf(n - 1, min(config.capacity, n - 1), p)
-    f_cap_minus = binomial_cdf(n - 1, config.capacity - 1, p)
-    e = (1.0 - p) ** (n - 1)
+    f_cap, f_cap_minus = _capacity_cdfs(config.n, config.capacity, p)
+    e = (1.0 - p) ** (config.n - 1)
     sensing = e * (err0_silent - err1_silent) + costs.d * e * (1.0 - p)
     blind = _threshold_cost(costs, beta, window, f_cap, f_cap_minus)
     return blind + (beta - alpha) * sensing
+
+
+def _capacity_cdfs(n: int, capacity: int, p: float) -> tuple[float, float]:
+    """`jn_analytic`'s (F, F-) for K ~ Bin(n - 1, p), both 1 at n = 1."""
+    f_cap = binomial_cdf(n - 1, min(capacity, n - 1), p)
+    return f_cap, binomial_cdf(n - 1, capacity - 1, p)
 
 
 def _rule(source: ScalarGaussian, costs: GameCosts, policies: RoundPolicies):
     """A point's transmit rule as (y0, y1, edges, first): the symbols'
     deviations from the mean and, in the deviation, the points where the
     rule switches, ascending, with whether it transmits left of the first
-    (`transmit_region`).  A threshold t is silent on (y0 - sqrt(t), y0 +
-    sqrt(t)) alone, the window `_window` integrates."""
+    (`transmit_region`, or `_threshold_rule` for a threshold)."""
+    if policies.threshold is not None:
+        return _threshold_rule(source, policies.symbols, policies.threshold)
     y0, y1 = (x - source.mean for x in policies.symbols.scalars())
-    if policies.threshold is None:
-        alpha, beta = policies.jammer.alpha, policies.jammer.beta
-        return y0, y1, *_region_edges(alpha, beta, y0, y1, costs.c, costs.d)
-    w = math.sqrt(policies.threshold)
-    return y0, y1, (y0 - w, y0 + w), True
+    alpha, beta = policies.jammer.alpha, policies.jammer.beta
+    return y0, y1, *_region_edges(alpha, beta, y0, y1, costs.c, costs.d)
 
 
 def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -197,6 +207,8 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 def _group_rule(source: ScalarGaussian, points):
     """The transmit rule (`_rule`) every point of a group shares."""
+    if not points:
+        raise ValueError("a group needs at least one point")
     rules = [_rule(source, costs, policies) for costs, _, policies in points]
     if any(rule != rules[0] for rule in rules[1:]):
         raise ValueError("the points of a group must share the transmit rule")
@@ -412,12 +424,8 @@ def convergence_probe(
         )
     rows = []
     for n in n_grid:
-        kappa = _capacity(n, kappa_bar)
-        rows.append(
-            (
-                int(n),
-                binomial_cdf(n - 1, kappa, p) if n > 1 else 1.0,
-                binomial_cdf(n - 1, kappa - 1, p) if n > 1 else 1.0,
-            )
-        )
+        _check_count("n", n)
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        rows.append((int(n), *_capacity_cdfs(n, _capacity(n, kappa_bar), p)))
     return rows

@@ -214,13 +214,17 @@ def objective_with_threshold(
     )
 
 
-def _window(
-    source: ScalarGaussian, symbols: ReprSymbols, threshold: float
-) -> tuple[float, float, float, float]:
+def _window(source: ScalarGaussian, symbols: ReprSymbols, threshold: float):
     """`_rule_window` of the rule that transmits iff (x - x_hat0)^2 > threshold."""
-    x0, x1 = (x - source.mean for x in symbols.scalars())
+    return _rule_window(source, *_threshold_rule(source, symbols, threshold))
+
+
+def _threshold_rule(source: ScalarGaussian, symbols: ReprSymbols, threshold: float):
+    """The rule that is silent on (x - x_hat0)^2 <= threshold alone, in the
+    deviation from the mean, as (y0, y1, edges, first) (`network._rule`)."""
+    y0, y1 = (x - source.mean for x in symbols.scalars())
     w = math.sqrt(threshold)
-    return _rule_window(source, x0, x1, (x0 - w, x0 + w), True)
+    return y0, y1, (y0 - w, y0 + w), True
 
 
 def _rule_window(source: ScalarGaussian, y0, y1, edges, transmit_first: bool):

@@ -64,6 +64,13 @@ def _check_policy(alpha, beta) -> None:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
+def _check_count(name: str, value) -> None:
+    """That a count is a Python or numpy integer and not a bool, checked
+    before its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:
     """The scalar region {q > 0} as the points where q changes sign, and
     whether q > 0 left of the first.  The region is every other segment of
@@ -97,9 +104,7 @@ def transmit_region(
     sign, ascending, and whether the first segment of the line they cut
     transmits.  The set is every other open segment from there.  A
     quadratic tangent to zero from above is the full line; its one silent
-    point has measure zero.  Scalar symbols only."""
-    if symbols.dim != 1:
-        raise ValueError("the transmit region is only solved for scalar symbols")
+    point has measure zero.  Scalar symbols only (`ReprSymbols.scalars`)."""
     return _region_edges(policy.alpha, policy.beta, *symbols.scalars(), costs.c, costs.d)
 
 
@@ -466,6 +471,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_count("max_iters", self.max_iters)
+        _check_count("mc_samples", self.mc_samples)
         if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
         if self.max_iters < 1:

@@ -14,6 +14,7 @@ from jamgame.gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
+    _deviations,
     interval_moments,
     norm_sq_tail,
     philox_rng,
@@ -198,6 +199,12 @@ def test_sample_reproducible_and_stream_split():
     r2 = philox_rng(11, 1).standard_normal(100)
     assert not np.array_equal(r1, r2)
     assert np.array_equal(r1, philox_rng(11, 0).standard_normal(100))
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        philox_rng(-1)
+    with pytest.raises(ValueError, match="^stream ids must be nonnegative$"):
+        philox_rng(11, 0, -2)
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        _deviations(g, 3, -1)
 
 
 def test_sample_moments_scalar_and_correlated():
@@ -219,6 +226,27 @@ def test_whiten_rejects_rank_deficient_covariance():
         GeneralGaussian(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         GeneralGaussian(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    # every source constructor checks shapes, length and finiteness
+    for mean, var in ((math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="^mean and var must be finite$"):
+            ScalarGaussian(mean, var)
+    for mean, variances, message in (
+        (np.zeros(2), np.ones(3), "mean and variances must be 1-D arrays of equal length"),
+        (np.zeros(0), np.ones(0), "dimension must be at least 1"),
+        (np.array([0.0, math.inf]), np.ones(2), "mean and variances must be finite"),
+        (np.zeros(2), np.array([1.0, math.nan]), "mean and variances must be finite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DiagonalGaussian(mean, variances)
+    for mean, cov, message in (
+        (np.zeros(2), np.ones((2, 3)), "covariance must be square with side len"),
+        (np.zeros(0), np.ones((0, 0)), "dimension must be at least 1"),
+        (np.zeros(2), np.array([[1.0, math.nan], [math.nan, 1.0]]),
+         "mean and covariance must be finite"),
+        (np.array([math.inf, 0.0]), np.eye(2), "mean and covariance must be finite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            GeneralGaussian(mean, cov)
 
 
 def test_norm_sq_tail_moment_exact_and_mc():

@@ -56,6 +56,11 @@ def test_config_validation():
     for n, cap in ((0, 1), (5, 0), (5, 6), (5, 5), (3, -1)):
         with pytest.raises(ValueError):
             NetworkConfig(n, cap)
+    # counts are Python or numpy integers, never a float or a bool
+    for n, cap, name in ((2.5, 1, "n"), (True, True, "n"), (5, 2.0, "capacity")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            NetworkConfig(n, cap)
+    NetworkConfig(np.int64(5), np.int32(2))
 
 
 def test_config_from_kappa():
@@ -112,6 +117,8 @@ def test_binomial_cdf_against_direct_sum():
         binomial_cdf(5.0, 2, 0.3)
     with pytest.raises(ValueError):
         binomial_cdf(5, 2.5, 0.3)
+    with pytest.raises(ValueError, match="^kappa must be an integer, got True$"):
+        binomial_cdf(5, True, 0.3)
 
 
 def test_binomial_cdf_equals_scipy_stats():
@@ -144,7 +151,8 @@ def test_import_leaves_out_scipy_stats():
 # names deleted from the package because nothing in it called them
 _DELETED = ("tail_prob", "tail_second_moment", "whiten", "project_box",
             "as_array", "complement_intervals", "iterations_to",
-            "TransmitRegion", "_endpoint", "_piece_moments")
+            "TransmitRegion", "_endpoint", "_piece_moments", "_std_tail",
+            "_std_pdf")
 
 
 def test_public_surface_resolves_and_holds_no_deleted_name():
@@ -312,6 +320,8 @@ def test_estimate_chunking_invariant(monkeypatch):
         with pytest.raises(ValueError, match="^the points of a group must share "
                                              "the transmit rule$"):
             estimate_costs(source, mixed, trials=500, seed=4)
+    with pytest.raises(ValueError, match="^a group needs at least one point$"):
+        estimate_costs(source, [], trials=500, seed=4)
 
 
 def test_estimate_determinism_and_error_scaling():
@@ -633,6 +643,12 @@ def test_convergence_probe_uses_config_capacity():
             capacity = NetworkConfig.from_kappa(n, kappa_bar).capacity
             assert f_cap == binomial_cdf(n - 1, capacity, p)
             assert f_cap_minus == binomial_cdf(n - 1, capacity - 1, p)
+    # a population is at least one sensor, checked as each n is read
+    for n_grid in ([0], [-3], iter([2, 0])):
+        with pytest.raises(ValueError, match="^n must be at least 1, got"):
+            convergence_probe(STD, w * w, 0.3, n_grid)
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.0$"):
+        convergence_probe(STD, w * w, 0.3, [2.0])
 
 
 def test_convergence_probe_boundary_warning():

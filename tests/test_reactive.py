@@ -176,6 +176,8 @@ def test_region_rejects_vector_symbols():
     symbols = ReprSymbols(np.array([0.2, -0.3]), np.array([-0.1, 0.4]))
     with pytest.raises(ValueError, match="scalar"):
         transmit_region(symbols, ReactivePolicy(0.3, 0.1), UNIT_COSTS)
+    with pytest.raises(ValueError, match="^x_hat0 and x_hat1 must be 1-D of equal length$"):
+        ReprSymbols(np.zeros(2), np.zeros(3))
 
 
 def test_objective_frozen_value():
@@ -393,6 +395,11 @@ def test_step_rule_and_config_validation():
                 SolverConfig(**{name: bad})
     with pytest.raises(ValueError):
         SolverConfig(pga_step_rule="linear")
+    # counts are Python or numpy integers, never a float or a bool
+    for name, bad in (("max_iters", 2.5), ("mc_samples", 100.5), ("max_iters", True)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            SolverConfig(**{name: bad})
+    assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
     with pytest.raises(ValueError):
         ReactivePolicy(1.2, 0.0)
     # the solver loop checks every iterate as ReactivePolicy and ReprSymbols
@@ -536,6 +543,8 @@ def test_scalar_ops_reject_vector_sources():
         ExactScalarModel(src, UNIT_COSTS)
     with pytest.raises(TypeError):
         McVectorModel(STD, UNIT_COSTS)
+    with pytest.raises(ValueError, match="^samples must be at least 2$"):
+        McVectorModel(src, UNIT_COSTS, samples=1)
 
 
 def _per_sample_reference(source, costs, seed, n, symbols, policy):
