@@ -27,7 +27,12 @@ not depend on the worker count.  Simulate points of one sweep share its
 seed, so points with the same transmit rule share their sensor draws:
 threshold points that differ only in n, capacity, jammer or costs, and
 best-response points that differ only in n or capacity.  Each such group
-is one pool task that draws each sensor stream once.
+is one pool task that draws each sensor stream once.  Proactive and
+large-scale points with the same source and d are one group too, which
+solves the jammer's indifference root once, and only if one of its points
+jams.  Every point's record is the one its own run writes.  A sweep parses
+each config section that no axis crosses once, and `result.json` is the
+text of `json.dumps(record, indent=2)`, written in one pass.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -48,8 +54,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gaussian import DiagonalGaussian, ScalarGaussian
-from .largescale import CapacityFraction, classify_and_solve
+from .gaussian import DiagonalGaussian, ScalarGaussian, _spectrum
+from .largescale import CapacityFraction, classify_and_solve, classify_and_solve_all
 from .network import (
     NetworkConfig,
     RoundPolicies,
@@ -63,6 +69,7 @@ from .proactive import (
     GameCosts,
     ReprSymbols,
     solve_saddle,
+    solve_saddles,
 )
 from .reactive import (
     FneReport,
@@ -321,6 +328,37 @@ def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
     return source, echo
 
 
+def _parse_costs(section) -> tuple[dict, GameCosts]:
+    echo = _read("costs", section)
+    return echo, _build(GameCosts, "costs", **echo)
+
+
+def _parse_solver(section, seed: int) -> tuple[dict, str, SolverConfig]:
+    """(echo, algorithm, SolverConfig) of the solver section, seeded `seed`."""
+    echo = _read("solver", section)
+    knobs = dict(echo)
+    algorithm = knobs.pop("algorithm")
+    if algorithm not in _ALGORITHMS:
+        raise ConfigError(
+            f"solver.algorithm: must be one of {list(_ALGORITHMS)}, "
+            f"got {_shown(algorithm)}"
+        )
+    return echo, algorithm, _build(SolverConfig, "solver", **knobs, seed=seed)
+
+
+def _parse_section(memo, name: str, parse, section, *args):
+    """`parse(section, *args)`.  `memo` (None outside a sweep) holds a cache
+    for each section that no sweep axis crosses, which is one object in
+    every point (`_parse_sweep`), so such a section is parsed once for each
+    `args`, and its points share what it gives."""
+    cache = None if memo is None else memo.get(name)
+    if cache is None:
+        return parse(section, *args)
+    if args not in cache:
+        cache[args] = parse(section, *args)
+    return cache[args]
+
+
 def _parse_simulate(top: dict, source: ScalarGaussian):
     """(ExperimentConfig fields, echo) of simulate mode's network and policy."""
     n = top["n"]
@@ -417,6 +455,9 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
         raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
 
     base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
+    # a section that no axis crosses is one object in every point
+    crossed = {parameter.split(".")[0] for parameter in axes}
+    memo = {name: {} for name in ("source", "costs", "solver") if name not in crossed}
     points = []
     for combo in itertools.product(*axes.values()):
         # the points share every dict that no axis path crosses
@@ -424,7 +465,7 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
         for parameter, value in zip(axes, combo):
             _set_path(point_raw, parameter, value)
         try:
-            points.append(parse_config(point_raw))
+            points.append(_parse_config(point_raw, memo))
         except ConfigError as exc:
             at = ", ".join(f"{_shown(p)}={_shown(v)}" for p, v in zip(axes, combo))
             raise ConfigError(f"sweep point ({at}): {exc}") from exc
@@ -441,6 +482,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     field.  The returned `normalized` echo holds every field the run reads,
     defaults filled in, so re-parsing it reproduces the run exactly.
     """
+    return _parse_config(raw, None)
+
+
+def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
+    """`parse_config`, sharing with the other points of its sweep what
+    `memo` holds (`_parse_section`)."""
     top = _read("", raw)
     mode = top["mode"]
     if mode not in _MODE_KEYS:
@@ -461,18 +508,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode == "sweep":
         return _parse_sweep(raw, top, seed)
 
-    source, source_echo = _parse_source(top["source"])
-    costs_echo = _read("costs", top["costs"])
-    costs = _build(GameCosts, "costs", **costs_echo)
-    solver_echo = _read("solver", top["solver"])
-    knobs = dict(solver_echo)
-    algorithm = knobs.pop("algorithm")
-    if algorithm not in _ALGORITHMS:
-        raise ConfigError(
-            f"solver.algorithm: must be one of {list(_ALGORITHMS)}, "
-            f"got {_shown(algorithm)}"
-        )
-    solver = _build(SolverConfig, "solver", **knobs, seed=seed)
+    source, source_echo = _parse_section(memo, "source", _parse_source, top["source"])
+    costs_echo, costs = _parse_section(memo, "costs", _parse_costs, top["costs"])
+    solver_echo, algorithm, solver = _parse_section(
+        memo, "solver", _parse_solver, top["solver"], seed
+    )
     normalized = {
         "mode": mode,
         "source": source_echo,
@@ -502,8 +542,11 @@ def _symbol_output(values: np.ndarray):
     return flat[0] if len(flat) == 1 else flat
 
 
-def _run_proactive(config: ExperimentConfig):
-    saddle = solve_saddle(config.source, config.costs)
+def _run_proactive(config: ExperimentConfig, saddle=None):
+    """`saddle` is the point's share of its sweep group's run (`_run_group`);
+    without one the point solves its own."""
+    if saddle is None:
+        saddle = solve_saddle(config.source, config.costs)
     outputs = {
         "case": saddle.case,
         "threshold": float(saddle.threshold),
@@ -537,8 +580,10 @@ def _run_reactive(config: ExperimentConfig):
     return outputs, report
 
 
-def _run_large_scale(config: ExperimentConfig):
-    saddle = classify_and_solve(config.source, config.costs, config.kappa_bar)
+def _run_large_scale(config: ExperimentConfig, saddle=None):
+    """As `_run_proactive`."""
+    if saddle is None:
+        saddle = classify_and_solve(config.source, config.costs, config.kappa_bar)
     outputs = {
         "case": saddle.case_id,
         "threshold": float(saddle.threshold),
@@ -624,33 +669,51 @@ def _run_point(config: ExperimentConfig, *shared):
 def _group_key(config: ExperimentConfig):
     """Simulate points with the same source, transmit rule, trials and seed
     draw the same sensor streams and make the same transmit decisions, so
-    they share one key.  Every other point has a key of its own."""
-    if config.mode != "simulate":
-        return id(config)
+    they share one key.  Proactive and large-scale points with the same
+    source and d share the root of the jammer's indifference condition, and
+    one key: the source's mean and spectrum as bytes, so -0.0 is not 0.0.
+    Every other point has a key of its own."""
     source = config.source
-    return (
-        source.mean, source.var, *_rule(source, config.costs, config.policies),
-        config.trials, config.seed,
-    )
+    if config.mode == "simulate":
+        return (
+            source.mean, source.var, *_rule(source, config.costs, config.policies),
+            config.trials, config.seed,
+        )
+    if config.mode in _GROUP_RUNS:
+        mean = np.asarray(source.mean, dtype=float).tobytes()
+        return mean, _spectrum(source).tobytes(), config.costs.d
+    return id(config)
+
+
+# mode -> the run of a group of its points (`_group_key`), one share a point
+_GROUP_RUNS = {
+    "simulate": lambda group: estimate_costs(
+        group[0].source, [(p.costs, p.network, p.policies) for p in group],
+        trials=group[0].trials, seed=group[0].seed,
+    ),
+    "proactive": lambda group: solve_saddles(
+        group[0].source, [p.costs for p in group]
+    ),
+    "large_scale": lambda group: classify_and_solve_all(
+        group[0].source, [(p.costs, p.kappa_bar) for p in group]
+    ),
+}
 
 
 def _run_group(group: list[ExperimentConfig]) -> list:
-    """(outputs, report) of each point of a group (`_group_key`).  A group
-    of simulate points draws each sensor stream once (`estimate_costs`) and
-    hands every point its estimate.  If that run raises, every point runs
-    alone, so a failing point gets the record its own run gives and the
-    others keep theirs."""
+    """(outputs, report) of each point of a group (`_group_key`).  The
+    group's run hands every point its share: a simulate group draws each
+    sensor stream once (`estimate_costs`), and a proactive or large-scale
+    group solves its one root once (`solve_saddles`).  If that run raises,
+    every point runs alone, so a failing point gets the record its own run
+    gives and the others keep theirs."""
     if len(group) == 1:
         return [_run_point(group[0])]
-    first = group[0]
     try:
-        estimates = estimate_costs(
-            first.source, [(p.costs, p.network, p.policies) for p in group],
-            trials=first.trials, seed=first.seed,
-        )
+        shares = _GROUP_RUNS[group[0].mode](group)
     except _FAILURES:
         return [_run_point(config) for config in group]
-    return [_run_point(p, estimate) for p, estimate in zip(group, estimates)]
+    return [_run_point(p, share) for p, share in zip(group, shares)]
 
 
 def execute(config: ExperimentConfig) -> ExecutionResult:
@@ -721,6 +784,24 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# a cell's text by the exact type of its value; `_format_cell` takes the rest
+_CELL_FORMATS = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: f"{{:.{_TABLE_DIGITS}g}}".format,
+    str: str,
+}
+
+
+def _column_cells(values: list) -> list[str]:
+    """A table column's cells: with one formatter for the column when its
+    values share a type of `_CELL_FORMATS`, else `_format_cell` each."""
+    kinds = set(map(type, values))
+    format_cell = _CELL_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(format_cell or _format_cell, values))
+
+
 def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
     """Render records as a comma-separated table, one row per record.
 
@@ -731,18 +812,19 @@ def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
     """
     records = list(records)
     if records:
-        columns = [
-            c for c in _TABLE_COLUMNS if any(c in r.outputs for r in records)
-        ]
+        filled = set().union(*(r.outputs for r in records))
+        columns = [c for c in _TABLE_COLUMNS if c in filled]
     else:
         columns = list(_TABLE_COLUMNS)
+    cells = [
+        _column_cells([_get_path(r.config, p) for r in records]) for p in parameters
+    ]
+    cells += [_column_cells([r.outputs.get(c) for r in records]) for c in columns]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(parameters) + columns)
-    for record in records:
-        row = [_format_cell(_get_path(record.config, p)) for p in parameters]
-        row += [_format_cell(record.outputs.get(c)) for c in columns]
-        writer.writerow(row)
+    # a record with no cell is an empty row
+    writer.writerows(zip(*cells) if cells else [()] * len(records))
     return buffer.getvalue()
 
 
@@ -769,6 +851,85 @@ def _write_trace(path: Path, report: FneReport) -> None:
             writer.writerow(cells)
 
 
+_JSON_STRING = json.encoder.encode_basestring_ascii
+_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOAT_WORDS.get(text, text)
+
+
+# a leaf's text by its exact type, as the standard library's encoder writes it
+_JSON_LEAVES = {
+    str: _JSON_STRING,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _put_json(value, put, newline: str) -> None:
+    """`put` the pieces of `value`'s text in `json.dumps(..., indent=2)`, its
+    own line starting at `newline` (a newline and its indent).  Keys must be
+    strings, as every key of a record is."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner, head = newline + "  ", "["
+        for item in value:
+            leaf = _JSON_LEAVES.get(type(item))
+            if leaf is None:
+                put(head + inner)
+                _put_json(item, put, inner)
+            else:
+                put(head + inner + leaf(item))
+            head = ","
+        put(newline + "]")
+        return
+    if isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner, head = newline + "  ", "{"
+        for key, item in value.items():
+            key = _JSON_STRING(key)
+            leaf = _JSON_LEAVES.get(type(item))
+            if leaf is None:
+                put(head + inner + key + ": ")
+                _put_json(item, put, inner)
+            else:
+                put(head + inner + key + ": " + leaf(item))
+            head = ","
+        put(newline + "}")
+        return
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        put(leaf(value))
+    # subclasses, checked in the standard library's order
+    elif isinstance(value, str):
+        put(_JSON_STRING(value))
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(_json_float(value))
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)` of an acyclic tree, in one pass: the
+    standard library writes an indented document through a generator per
+    container, in pure Python."""
+    pieces = []
+    _put_json(value, pieces.append, "\n")
+    return "".join(pieces)
+
+
 def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
     payload = result.record.to_json()
     if result.report is not None:
@@ -780,9 +941,8 @@ def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
         payload["table"] = "table.csv"
         payload["records"] = [r.to_json() for r in result.point_records]
     with (out_dir / "result.json").open("w") as handle:
-        # the bytes json.dump writes, encoded in one piece
-        handle.write(json.dumps(payload, indent=2))
-        handle.write("\n")
+        # the bytes of json.dumps(payload, indent=2) and a newline, in one write
+        handle.write(_json_text(payload) + "\n")
 
 
 def _load_config(path: str) -> dict:
@@ -847,7 +1007,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: `parse_args`
+    leaves it as it was, so every `run` reads its own arguments only."""
     parser = argparse.ArgumentParser(
         prog="jamgame",
         description=(

@@ -10,7 +10,7 @@ Dualizing that constraint with a multiplier lam gives the Lagrangian
 over the centered deviation Z = X - mean: the point-to-point game with
 transmission priced at c + lam.  So one trigger, max(c, l_phi, l_lambda),
 decides the equilibrium: the point-to-point trigger max(c, l_phi)
-(`proactive._saddle`), or the capacity trigger 2 P(Z > sqrt(l_lambda)) =
+(`proactive.solve_saddle`), or the capacity trigger 2 P(Z > sqrt(l_lambda)) =
 kappa_bar with lam = l_lambda - c where that one transmits above capacity.
 The six case ids name the two gates at c, capacity and jamming; in the
 doubly-tied case C4a the optimal jam probability is a whole interval and
@@ -28,11 +28,11 @@ from .proactive import (
     INTERIOR_JAM,
     GameCosts,
     ReprSymbols,
-    _saddle,
     _threshold_cost,
     _trigger_value,
     _window,
     objective_tilde,
+    solve_saddles,
 )
 
 
@@ -114,10 +114,28 @@ def classify_and_solve(
     jams): neither C1, capacity C2, jamming C3, both C4b or C4c by the larger
     trigger, and C4a when the two agree to 1e-8 relative, where every phi in
     [0, 1 - c / l] is optimal and its capacity-binding end phi = 0 is
-    reported.
+    reported.  The one-point group of `classify_and_solve_all`.
     """
-    kb = _kappa(kappa_bar)
-    free = _saddle(source, costs)
+    return classify_and_solve_all(source, [(costs, kappa_bar)])[0]
+
+
+def classify_and_solve_all(source: ScalarGaussian, points) -> list[LargeScaleSaddle]:
+    """`classify_and_solve` of one source at each (costs, kappa_bar) of
+    `points`: their point-to-point saddles are one group (`solve_saddles`),
+    so points with the same d solve the root of its indifference condition
+    once, and each saddle is its own `classify_and_solve`'s, bit for bit."""
+    points = [(costs, _kappa(kappa_bar)) for costs, kappa_bar in points]
+    free = solve_saddles(source, [costs for costs, _ in points])
+    tail = norm_sq_tail(source)
+    return [
+        _classify(source, tail, costs, kb, saddle)
+        for (costs, kb), saddle in zip(points, free)
+    ]
+
+
+def _classify(source, tail, costs: GameCosts, kb: float, free) -> LargeScaleSaddle:
+    """`classify_and_solve` from the point-to-point saddle `free` and the
+    source's `norm_sq_tail`."""
     l_lam = solve_l_lambda(source, kb)
     gate_cap, gate_jam = l_lam >= costs.c, free.case == INTERIOR_JAM
     both = gate_cap and gate_jam
@@ -133,7 +151,7 @@ def classify_and_solve(
     else:
         threshold, lam_star = l_lam, l_lam - costs.c
         phi_star, transmit_prob, value = _trigger_value(
-            norm_sq_tail(source), source.var, costs.d, l_lam, l_lam
+            tail, source.var, costs.d, l_lam, l_lam
         )
         value -= lam_star * kb
     return LargeScaleSaddle(

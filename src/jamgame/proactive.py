@@ -10,7 +10,8 @@ the jammer is indifferent over all phi, and phi_star = 1 - c / r.  The game
 reads the source only through the law of S, so every saddle, scalar or
 vector, has one body on one tail integral (`gaussian.norm_sq_tail`), exact
 at any source mean and scale, and finds that root with one bracketing root
-in r / E[S].  The reduced scalar objective (`objective_tilde`) is the cost
+in r / E[S]; saddles of one source that share d share it (`solve_saddles`).
+The reduced scalar objective (`objective_tilde`) is the cost
 of the threshold rule at the best trigger c / (1 - phi), with no clamp on
 phi: below 1 that trigger is finite, and phi = 1 is the infinite trigger.
 The saddle itself, the scalar root l_phi and the cost of a threshold rule
@@ -272,18 +273,33 @@ def solve_saddle(
 ) -> ProactiveSaddle:
     """Saddle point of any source, scalar, diagonal or general: symbols at the
     mean, transmit iff ||x - mean||^2 > threshold, jam level from the root of
-    G.  Only the covariance spectrum matters (`_saddle`)."""
-    return _saddle(source, costs)
+    G.  Only the covariance spectrum matters (`_saddle`).  The one-point
+    group of `solve_saddles`."""
+    return solve_saddles(source, [costs])[0]
 
 
 def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
     """The same call as `solve_saddle`, kept only while the benchmark's tracer
     (`bench/tracing.py`) names it."""
-    return _saddle(source, costs)
+    return solve_saddles(source, [costs])[0]
 
 
-def _saddle(source, costs: GameCosts) -> ProactiveSaddle:
-    """Saddle point of any source from the tail of S = ||X - mean||^2.
+def solve_saddles(source, costs) -> list[ProactiveSaddle]:
+    """The saddle point of one source at each `GameCosts` of `costs`.  The
+    root of G depends on the source and d alone, so points with the same d
+    share it: it is solved at the first of them that jams, and not at all if
+    none does.  Each saddle is its own `solve_saddle`'s, bit for bit."""
+    tail = norm_sq_tail(source)
+    trace = float(_spectrum(source).sum())
+    estimator = ReprSymbols(source.mean, source.mean)
+    roots = {}
+    return [_saddle(tail, trace, estimator, point, roots) for point in costs]
+
+
+def _saddle(tail, trace: float, estimator, costs: GameCosts, roots: dict):
+    """Saddle point at `costs` of a source whose S = ||X - mean||^2 has the
+    tail `tail` and the mean `trace`, with `roots` the roots of G solved so
+    far, by d.
 
     This is the one jam gate: jamming pays iff d < E[S] and
     G(c) = E[S 1(S > c)] - d >= 0.  E[S 1(S > c)] < E[S] at every c > 0, so
@@ -291,17 +307,16 @@ def _saddle(source, costs: GameCosts) -> ProactiveSaddle:
     open, the trigger r solves G(r) = 0, with phi_star = 1 - c / r (0, to
     rounding, at the tie G(c) = 0).
     """
-    tail = norm_sq_tail(source)
-    trace = float(_spectrum(source).sum())
     c, d = costs.c, costs.d
     jam = d < trace and tail(c, 1) >= d
     r = c
     if jam:
+        if d not in roots:
+            roots[d] = _threshold_root(lambda x: tail(x, 1) - d, trace)
         # the root itself: c / (1 - phi_star) would lose its digits as c / r
         # shrinks
-        r = max(c, _threshold_root(lambda x: tail(x, 1) - d, trace))
+        r = max(c, roots[d])
     phi_star, transmit_prob, value = _trigger_value(tail, trace, d, c, r)
-    estimator = ReprSymbols(source.mean, source.mean)
     case = INTERIOR_JAM if jam else NO_JAM
     return ProactiveSaddle(case, phi_star, r, estimator, value, transmit_prob)
 

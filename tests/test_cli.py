@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame import cli, network, reactive
+from jamgame import cli, network, proactive, reactive
 from jamgame.cli import (
     _FIELDS,
     _REQUIRED,
@@ -344,9 +345,76 @@ REACTIVE_SWEEP = {
 }
 
 
+# proactive points over c and d: the points with one d are one group, which
+# solves the root of the indifference condition once if one of them jams;
+# at c = 9 only d = 0.1 jams
+PROACTIVE_SWEEP = {
+    "source": {"mean": 0.3, "variance": 2.0},
+    "costs": {"c": 1.0, "d": 1.0},
+    "sweep": {
+        "mode": "proactive",
+        "axes": [
+            {"parameter": "costs.c", "grid": [0.2, 1.0, 4.0, 9.0]},
+            {"parameter": "costs.d", "grid": [0.1, 0.6, 1.5]},
+        ],
+    },
+}
+
+# the same on a diagonal source, whose tail is Ruben's series
+DIAGONAL_PROACTIVE_SWEEP = {
+    "source": {"mean": [0.0, -0.5], "variance": [1.0, 2.5]},
+    "costs": {"c": 1.0, "d": 1.0},
+    "sweep": {
+        "mode": "proactive",
+        "axes": [
+            {"parameter": "costs.d", "grid": [0.2, 1.0]},
+            {"parameter": "costs.c", "grid": [0.5, 3.0, 8.0]},
+        ],
+    },
+}
+
+# every point of one variance and d is one group, across c
+VARIANCE_SWEEP = {
+    "source": {"mean": -0.2, "variance": 1.0},
+    "costs": {"c": 1.0, "d": 0.3},
+    "sweep": {
+        "mode": "proactive",
+        "axes": [
+            {"parameter": "source.variance", "grid": [0.5, 2.0]},
+            {"parameter": "costs.c", "grid": [0.25, 0.5, 1.0]},
+        ],
+    },
+}
+
+_JAM_CASES = {"interior_jam", "C3", "C4a", "C4b", "C4c"}
+
+
+def _roots_needed(records) -> int:
+    """Distinct (source, d) among the points whose saddle jams."""
+    return len({
+        (json.dumps(r.config["source"]), r.config["costs"]["d"])
+        for r in records if r.outputs.get("case") in _JAM_CASES
+    })
+
+
+def _bits(records) -> list[str]:
+    return [json.dumps(r.outputs) for r in records]
+
+
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setattr(network, "_CHUNK", 700)  # several chunks a point
-    for sweep in (TABLE_I_SWEEP, SIMULATE_SWEEP, SENSING_SIMULATE_SWEEP, REACTIVE_SWEEP):
+    solve_root = proactive._threshold_root
+    roots = []
+
+    def counted(residual, scale):
+        roots.append(scale)
+        return solve_root(residual, scale)
+
+    monkeypatch.setattr(proactive, "_threshold_root", counted)
+    closed_forms = (TABLE_I_SWEEP, PROACTIVE_SWEEP, DIAGONAL_PROACTIVE_SWEEP,
+                    VARIANCE_SWEEP)
+    for sweep in (SIMULATE_SWEEP, SENSING_SIMULATE_SWEEP, REACTIVE_SWEEP,
+                  *closed_forms):
         runs = []
         # 3 and 8 workers take uneven slices of the groups
         for workers in (1, 3, 8):
@@ -357,17 +425,60 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
             config = parse_config(raw)
             # parsing leaves the raw config as it was
             assert raw == before
+            roots.clear()
             runs.append(execute(config).point_records)
+            if sweep in closed_forms:
+                # one root for each source and d that some point jams at
+                assert len(roots) == _roots_needed(runs[-1]) > 0
         a = runs[0]
         for b in runs[1:]:
             assert [r.outputs for r in a] == [r.outputs for r in b]
+            assert _bits(a) == _bits(b)
         # and every point is its own run, bit for bit
         for record in a:
             alone = execute(parse_config(copy.deepcopy(record.config)))
             assert alone.record.outputs == record.outputs
+            assert _bits([alone.record]) == _bits([record])
     raw = dict(copy.deepcopy(SENSING_SIMULATE_SWEEP), mode="sweep")
     points = parse_config(raw).sweep_plan.points
     assert len({cli._group_key(point) for point in points}) == 1
+    # proactive and large-scale points group by source and d
+    for sweep, groups in ((TABLE_I_SWEEP, 4), (PROACTIVE_SWEEP, 3),
+                          (DIAGONAL_PROACTIVE_SWEEP, 2), (VARIANCE_SWEEP, 2)):
+        points = parse_config(dict(copy.deepcopy(sweep), mode="sweep")).sweep_plan.points
+        assert len({cli._group_key(point) for point in points}) == groups
+        # a section that no axis crosses is parsed once, and its points
+        # share what it gives; a crossed one is parsed at every point
+        crossed = {a["parameter"].split(".")[0] for a in sweep["sweep"]["axes"]}
+        for name in ("source", "costs"):
+            shared = {id(getattr(point, name)) for point in points}
+            assert len(shared) == (len(points) if name in crossed else 1)
+
+    # the root at d = 0.6 fails: each point of that group that jams records
+    # the error of its own run, the one that does not jam records its
+    # saddle, and the other groups keep theirs
+    failure = "indifference root past r = 1.79769e+308"
+
+    def failing(residual, scale):
+        # the residual at 0 is E[S] - d, and E[S] is the scale
+        if math.isclose(scale - residual(0.0), 0.6):
+            raise ConvergenceError(failure)
+        return solve_root(residual, scale)
+
+    monkeypatch.setattr(proactive, "_threshold_root", failing)
+    raw = dict(copy.deepcopy(PROACTIVE_SWEEP), mode="sweep")
+    records = execute(parse_config(raw)).point_records
+    errors = [r for r in records if "error" in r.outputs]
+    at_d = [r for r in records if r.config["costs"]["d"] == 0.6]
+    assert errors == [r for r in at_d if "case" not in r.outputs]
+    assert len(errors) == 3 and len(at_d) == 4
+    for record in errors:
+        assert record.outputs == {
+            "converged": False, "error": f"ConvergenceError: {failure}"
+        }
+    for record in records:
+        alone = execute(parse_config(copy.deepcopy(record.config)))
+        assert _bits([alone.record]) == _bits([record])
 
 
 def test_round_trip_reproduces_outputs():
@@ -595,6 +706,24 @@ def test_override_precedence(tmp_path):
     assert record["provenance"]["seed"] == 5
 
 
+def test_runs_share_the_parser_but_no_override(tmp_path):
+    # the parser is built once per process; a run's --set and --seed do not
+    # reach the next run
+    assert cli._build_parser() is cli._build_parser()
+    config = _write_config(tmp_path, "p.json", {
+        "source": {"mean": 0.0, "variance": 1.0},
+        "costs": {"c": 1.0, "d": 0.5}, "seed": 4,
+    })
+    outs = [tmp_path / "set", tmp_path / "plain"]
+    assert run(["solve", "proactive", "--config", config, "--out", str(outs[0]),
+                "--set", "costs.c=0.25", "--seed", "9"]) == 0
+    assert run(["solve", "proactive", "--config", config, "--out", str(outs[1])]) == 0
+    echoes = [json.loads((out / "result.json").read_text())["config"] for out in outs]
+    assert [(e["costs"]["c"], e["seed"]) for e in echoes] == [(0.25, 9), (1.0, 4)]
+    args = cli._build_parser().parse_args(["sweep", "--config", config])
+    assert args.overrides == [] and args.seed is None
+
+
 def test_emit_table_formatting():
     record = ResultRecord(
         config={"costs": {"d": 0.25}},
@@ -609,6 +738,96 @@ def test_emit_table_formatting():
     empty = emit_table([])
     assert len(empty.strip().split("\n")) == 1
     assert empty.startswith("case,threshold")
+
+    # columns of one type and of mixed types, lists, absent cells, a mixed
+    # int and float grid and a cell csv must quote: cell by cell as
+    # `_format_cell` writes it
+    records = [
+        ResultRecord(config={"n": n, "x": x}, outputs=outputs, provenance={})
+        for n, x, outputs in (
+            (1, 0.5, {"case": "C4a", "threshold": 1.5, "phi_star_interval": [0.0, 0.25],
+                      "x_hat0": [0.1, -2.0], "converged": True, "trials": 10}),
+            (2, 1, {"case": "a,b", "threshold": 2.0, "x_hat0": 0.3}),
+            (3, 2.5, {"converged": False, "error": "ValueError: x"}),
+        )
+    ]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    columns = ["case", "threshold", "phi_star_interval", "x_hat0", "trials", "converged"]
+    writer.writerow(["n", "x", *columns])
+    for r in records:
+        writer.writerow([cli._format_cell(v) for v in
+                         (r.config["n"], r.config["x"], *map(r.outputs.get, columns))])
+    assert emit_table(records, ("n", "x")) == buffer.getvalue()
+    # no column at all: one empty row a record, as csv writes it
+    assert emit_table(records[2:3] * 2) == "converged\nfalse\nfalse\n"
+    bare = ResultRecord(config={}, outputs={"other": 1.0}, provenance={})
+    assert emit_table([bare, bare]) == "\n\n\n"
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2**63, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "\x00\t\n\x1f\x7f", "é ü 中 🎲", "\ud800"]),
+)
+
+
+@functools.cache
+def _real_payloads() -> list:
+    """`result.json` payloads of real runs: an error record, a C4a interval,
+    vector symbols, a sweep's records and a trace name."""
+    non_finite = _base_reactive(
+        mode="sweep", costs={"c": 1e308, "d": 1e308}, solver={"max_iters": 30},
+        sweep={"mode": "reactive", "axes": [
+            {"parameter": "source.variance", "grid": [1.0, 1.7e308]}]},
+    )
+    c4a = {"mode": "large_scale", "source": {"mean": 0.0, "variance": 1.0},
+           "costs": {"c": 1.0, "d": 0.723606961762328242}, "kappa_bar": 0.25}
+    payloads = []
+    for raw in (non_finite, c4a, _vector_proactive(mode="proactive"),
+                dict(TABLE_I_SWEEP, mode="sweep"), _base_reactive(mode="reactive")):
+        result = execute(parse_config(copy.deepcopy(raw)))
+        payload = result.record.to_json()
+        if result.report is not None:
+            payload["trace"] = "trace.csv"
+        if result.point_records is not None:
+            payload["records"] = [r.to_json() for r in result.point_records]
+        payloads.append(payload)
+    return payloads
+
+
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_LEAVES, st.deferred(lambda: st.sampled_from(_real_payloads()))),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.tuples(kids, kids),
+        st.dictionaries(st.text(), kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_result_json_emitter_is_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_result_json_emitter_on_real_records():
+    payloads = _real_payloads()
+    outputs = [p["outputs"] for p in payloads]
+    assert outputs[1]["phi_star_interval"][0] == 0.0
+    assert len(outputs[2]["x_hat0"]) == 3
+    assert payloads[3]["trace"] is None and payloads[4]["trace"] == "trace.csv"
+    assert payloads[0]["records"][1]["outputs"]["error"].startswith("ValueError: ")
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    # a record's keys are strings; any other key is refused, not written
+    with pytest.raises(TypeError):
+        cli._json_text({"outputs": {1: 2.0}})
 
 
 def test_result_record_rejects_non_finite():

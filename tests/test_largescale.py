@@ -18,6 +18,7 @@ from jamgame.largescale import (
     CapacityFraction,
     asymptotic_objective,
     classify_and_solve,
+    classify_and_solve_all,
     lagrangian_value,
     solve_l_lambda,
 )
@@ -155,6 +156,19 @@ def test_table_one_sweep():
         assert saddle.transmit_prob == pytest.approx(p, abs=0.01)
         assert saddle.phi_star == pytest.approx(phi, abs=0.01)
         assert saddle.lambda_star == pytest.approx(lam, abs=0.01)
+
+
+def test_group_is_each_points_saddle():
+    # points with one d share its root; every saddle is its own run's
+    points = [(GameCosts(c, d), kb) for d in (0.25, D_C4A, 0.75, 2.0)
+              for c in (0.5, 1.0, 3.0) for kb in (0.1, 0.25, 0.6)]
+    for source in (STD, ScalarGaussian(0.7, 2.5)):
+        group = classify_and_solve_all(source, points)
+        for saddle, point in zip(group, points, strict=True):
+            alone = classify_and_solve(source, *point)
+            assert repr(saddle) == repr(alone)
+    assert {s.case_id for s in classify_and_solve_all(STD, points)} == {
+        "C1", "C2", "C3", "C4a", "C4b", "C4c"}
 
 
 def test_case_ids_and_binding_constraints():

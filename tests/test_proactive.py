@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from jamgame import proactive
 from jamgame.gaussian import (
     _MAX_TERMS,
     DiagonalGaussian,
@@ -34,6 +35,7 @@ from jamgame.proactive import (
     solve_l_phi,
     solve_saddle,
     solve_saddle_vector,
+    solve_saddles,
 )
 
 STD = ScalarGaussian(0.0, 1.0)
@@ -119,6 +121,39 @@ def _l_phi_reference(var: float, d: float):
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+def _saddle_bits(saddle) -> tuple:
+    fields = (saddle.phi_star, saddle.threshold, saddle.value, saddle.transmit_prob)
+    symbols = (saddle.estimator.x_hat0, saddle.estimator.x_hat1)
+    return saddle.case, *map(float.hex, fields), *(s.tobytes() for s in symbols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([ScalarGaussian(-0.4, 1.7), DiagonalGaussian([0.0, 1.0], [0.5, 2.0])]),
+    st.lists(
+        st.tuples(st.floats(0.05, 6.0), st.sampled_from([0.05, 0.3, 1.0, 1.6, 3.0])),
+        min_size=1, max_size=8,
+    ),
+)
+def test_saddle_group_solves_each_root_once(source, points):
+    # a group's saddles are each point's own, bit for bit, and it solves
+    # the root once for each d that some point jams at
+    costs = [GameCosts(c, d) for c, d in points]
+    roots = []
+
+    def counted(residual, scale):
+        roots.append(scale)
+        return _threshold_root(residual, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proactive, "_threshold_root", counted)
+        group = solve_saddles(source, costs)
+    alone = [solve_saddle(source, point) for point in costs]
+    assert list(map(_saddle_bits, group)) == list(map(_saddle_bits, alone))
+    jams = {point.d for point, s in zip(costs, alone) if s.case == INTERIOR_JAM}
+    assert len(roots) == len(jams)
 
 
 def test_l_phi_keeps_its_digits_at_every_scale():
