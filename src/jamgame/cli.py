@@ -30,9 +30,12 @@ best-response points that differ only in n or capacity.  Each such group
 is one pool task that draws each sensor stream once.  Proactive and
 large-scale points with the same source and d are one group too, which
 solves the jammer's indifference root once, and only if one of its points
-jams.  Every point's record is the one its own run writes.  A sweep parses
-each config section that no axis crosses once, and `result.json` is the
-text of `json.dumps(record, indent=2)`, written in one pass.
+jams.  Every point's record is the one its own run writes and checks once.
+A sweep parses each section that no axis crosses once, and its top level
+once per value of the axes that set top-level keys; its records share those
+sections and one provenance dict a seed.  `result.json` is the text of
+`json.dumps(record, indent=2)`, written in one pass that formats each shared
+dict and each distinct float once, as `table.csv` does a column's floats.
 """
 
 from __future__ import annotations
@@ -248,10 +251,11 @@ class SweepPlan:
     points: tuple["ExperimentConfig", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ExperimentConfig:
     """Validated experiment, and its echo for exact re-execution; a sweep
-    holds only its plan, whose points hold their modes' objects."""
+    holds only its plan, whose points hold their modes' objects.  Read only,
+    but not frozen: a sweep builds one a point."""
 
     mode: str
     seed: int
@@ -288,21 +292,24 @@ class ResultRecord:
 
 
 def _check_finite(value, label: str) -> None:
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return
-    if isinstance(value, float):
+    """Raise ValueError at the first float in `value` that is not finite, or
+    the first value of a type that JSON does not hold, naming its path."""
+    if isinstance(value, dict):
+        items, path = value.items(), "{}.{}"
+    elif isinstance(value, (list, tuple)):
+        items, path = enumerate(value), "{}[{}]"
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"{label} is not finite: {value!r}")
         return
-    if isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{label}[{i}]")
+    elif value is None or isinstance(value, (str, int)):  # a bool is an int
         return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{label}.{key}")
-        return
-    raise ValueError(f"{label} has unsupported type {type(value).__name__}")
+    else:
+        raise ValueError(f"{label} has unsupported type {type(value).__name__}")
+    for key, item in items:
+        # a finite float needs no path
+        if type(item) is not float or not math.isfinite(item):
+            _check_finite(item, path.format(label, key))
 
 
 def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
@@ -350,7 +357,8 @@ def _parse_section(memo, name: str, parse, section, *args):
     """`parse(section, *args)`.  `memo` (None outside a sweep) holds a cache
     for each section that no sweep axis crosses, which is one object in
     every point (`_parse_sweep`), so such a section is parsed once for each
-    `args`, and its points share what it gives."""
+    `args`, and its points share what it gives.  The top level ("") is
+    shared by the points that agree on every top-level key an axis sets."""
     cache = None if memo is None else memo.get(name)
     if cache is None:
         return parse(section, *args)
@@ -359,8 +367,9 @@ def _parse_section(memo, name: str, parse, section, *args):
     return cache[args]
 
 
-def _parse_simulate(top: dict, source: ScalarGaussian):
-    """(ExperimentConfig fields, echo) of simulate mode's network and policy."""
+def _parse_simulate(top: dict, section, source: ScalarGaussian):
+    """(ExperimentConfig fields, echo) of simulate mode's network and policy,
+    `section` the simulate section."""
     n = top["n"]
     if ("capacity" in top) == ("kappa_bar" in top):
         raise ConfigError("capacity: give exactly one of capacity or kappa_bar")
@@ -368,7 +377,7 @@ def _parse_simulate(top: dict, source: ScalarGaussian):
         network = _build(NetworkConfig, "capacity", n, top["capacity"])
     else:
         network = _build(NetworkConfig.from_kappa, "capacity", n, top["kappa_bar"])
-    section = _read("simulate", top["simulate"])
+    section = _read("simulate", section)
     if section["trials"] < 2:
         raise ConfigError(f"simulate.trials: must be >= 2, got {section['trials']}")
     blind = "threshold" in section or "phi" in section
@@ -401,7 +410,7 @@ def _set_path(raw: dict, dotted: str, value) -> None:
     along the path (a missing one is a new dict), so the dicts `raw` shares
     with other configs stay as they are."""
     parts = dotted.split(".")
-    if any(not part for part in parts):
+    if "" in parts:
         raise ConfigError(f"{_shown(dotted)}: empty component in key path")
     node = raw
     for part in parts[:-1]:
@@ -457,13 +466,18 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
     base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
     # a section that no axis crosses is one object in every point
     crossed = {parameter.split(".")[0] for parameter in axes}
-    memo = {name: {} for name in ("source", "costs", "solver") if name not in crossed}
+    shared = {name: {} for name in ("source", "costs", "solver") if name not in crossed}
+    # the points' top levels differ only in the keys that axes set, and in
+    # the sections, which each point reads from its own config
+    tops = {}
     points = []
     for combo in itertools.product(*axes.values()):
         # the points share every dict that no axis path crosses
         point_raw = base | {"mode": mode}
         for parameter, value in zip(axes, combo):
             _set_path(point_raw, parameter, value)
+        at_top = tuple(v for p, v in zip(axes, combo) if "." not in p)
+        memo = shared | {"": tops.setdefault(at_top, {})}
         try:
             points.append(_parse_config(point_raw, memo))
         except ConfigError as exc:
@@ -485,9 +499,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return _parse_config(raw, None)
 
 
-def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
-    """`parse_config`, sharing with the other points of its sweep what
-    `memo` holds (`_parse_section`)."""
+def _parse_top(raw: dict) -> tuple[dict, str, int]:
+    """(echo, mode, seed) of a config's top level, its mode's required and
+    forbidden keys checked."""
     top = _read("", raw)
     mode = top["mode"]
     if mode not in _MODE_KEYS:
@@ -505,13 +519,21 @@ def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
     # no 64-bit limit: SeedSequence takes integers of any size
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {_shown(seed)}")
+    return top, mode, seed
+
+
+def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
+    """`parse_config`, sharing with the other points of its sweep what
+    `memo` holds (`_parse_section`)."""
+    top, mode, seed = _parse_section(memo, "", _parse_top, raw)
     if mode == "sweep":
         return _parse_sweep(raw, top, seed)
 
-    source, source_echo = _parse_section(memo, "source", _parse_source, top["source"])
-    costs_echo, costs = _parse_section(memo, "costs", _parse_costs, top["costs"])
+    # each section from `raw`: a shared top-level echo holds another point's
+    source, source_echo = _parse_section(memo, "source", _parse_source, raw["source"])
+    costs_echo, costs = _parse_section(memo, "costs", _parse_costs, raw["costs"])
     solver_echo, algorithm, solver = _parse_section(
-        memo, "solver", _parse_solver, top["solver"], seed
+        memo, "solver", _parse_solver, raw.get("solver", top["solver"]), seed
     )
     normalized = {
         "mode": mode,
@@ -530,7 +552,7 @@ def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
         parsed["kappa_bar"] = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
         normalized["kappa_bar"] = top["kappa_bar"]
     elif mode == "simulate":
-        parsed, echo = _parse_simulate(top, source)
+        parsed, echo = _parse_simulate(top, raw["simulate"], source)
         normalized |= echo
     return ExperimentConfig(
         mode, seed, normalized, source, costs, solver, algorithm, **parsed
@@ -538,7 +560,7 @@ def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
 
 
 def _symbol_output(values: np.ndarray):
-    flat = [float(v) for v in np.atleast_1d(values)]
+    flat = values.tolist()  # a `ReprSymbols` symbol is a 1-D float array
     return flat[0] if len(flat) == 1 else flat
 
 
@@ -652,27 +674,28 @@ def _provenance(seed: int) -> dict:
 _FAILURES = (ConvergenceError, ArithmeticError, MemoryError, ValueError)
 
 
-def _run_point(config: ExperimentConfig, *shared):
-    """(outputs, report) of one non-sweep experiment, given what its group
+def _run_point(config: ExperimentConfig, provenance: dict, *shared):
+    """(record, report) of one non-sweep experiment, given what its group
     computed for it (`_run_group`).  A failed accuracy check, an overflow,
     an allocation numpy refuses, an iterate the library rejects or a
-    non-finite output is no answer to report: the outputs say why, and
-    count as not converged."""
+    non-finite output (which the record's own check finds) is no answer to
+    report: the outputs say why, and count as not converged."""
     try:
         outputs, report = _POINT_RUNNERS[config.mode](config, *shared)
-        _check_finite(outputs, "outputs")
+        return ResultRecord(config.normalized, outputs, provenance), report
     except _FAILURES as exc:
-        return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}, None
-    return outputs, report
+        outputs = {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
+        return ResultRecord(config.normalized, outputs, provenance), None
 
 
-def _group_key(config: ExperimentConfig):
+def _group_key(config: ExperimentConfig, source_keys: dict | None = None):
     """Simulate points with the same source, transmit rule, trials and seed
     draw the same sensor streams and make the same transmit decisions, so
     they share one key.  Proactive and large-scale points with the same
     source and d share the root of the jammer's indifference condition, and
-    one key: the source's mean and spectrum as bytes, so -0.0 is not 0.0.
-    Every other point has a key of its own."""
+    one key: the source's mean and spectrum as bytes, so -0.0 is not 0.0,
+    found once for each source object that `source_keys` (a sweep's, by
+    id) holds.  Every other point has a key of its own."""
     source = config.source
     if config.mode == "simulate":
         return (
@@ -680,8 +703,11 @@ def _group_key(config: ExperimentConfig):
             config.trials, config.seed,
         )
     if config.mode in _GROUP_RUNS:
-        mean = np.asarray(source.mean, dtype=float).tobytes()
-        return mean, _spectrum(source).tobytes(), config.costs.d
+        keys = {} if source_keys is None else source_keys
+        if id(source) not in keys:
+            mean = np.asarray(source.mean, dtype=float).tobytes()
+            keys[id(source)] = mean, _spectrum(source).tobytes()
+        return *keys[id(source)], config.costs.d
     return id(config)
 
 
@@ -700,68 +726,63 @@ _GROUP_RUNS = {
 }
 
 
-def _run_group(group: list[ExperimentConfig]) -> list:
-    """(outputs, report) of each point of a group (`_group_key`).  The
-    group's run hands every point its share: a simulate group draws each
-    sensor stream once (`estimate_costs`), and a proactive or large-scale
-    group solves its one root once (`solve_saddles`).  If that run raises,
-    every point runs alone, so a failing point gets the record its own run
-    gives and the others keep theirs."""
+def _run_group(group: list[ExperimentConfig], provenance: dict) -> list:
+    """(record, report) of each point of a group (`_group_key`), with the
+    provenance dict of its seed from `provenance`.  The group's run hands
+    every point its share: a simulate group draws each sensor stream once
+    (`estimate_costs`), and a proactive or large-scale group solves its one
+    root once (`solve_saddles`).  If that run raises, every point runs
+    alone, so a failing point gets the record its own run gives and the
+    others keep theirs."""
     if len(group) == 1:
-        return [_run_point(group[0])]
+        return [_run_point(group[0], provenance[group[0].seed])]
     try:
         shares = _GROUP_RUNS[group[0].mode](group)
     except _FAILURES:
-        return [_run_point(config) for config in group]
-    return [_run_point(p, share) for p, share in zip(group, shares)]
+        return [_run_point(p, provenance[p.seed]) for p in group]
+    return [_run_point(p, provenance[p.seed], s) for p, s in zip(group, shares)]
 
 
 def execute(config: ExperimentConfig) -> ExecutionResult:
     """Run a validated experiment and return its record(s)."""
     if config.mode == "sweep":
         return _execute_sweep(config)
-    outputs, report = _run_point(config)
-    record = ResultRecord(
-        config=config.normalized,
-        outputs=outputs,
-        provenance=_provenance(config.seed),
-    )
+    record, report = _run_point(config, _provenance(config.seed))
     return ExecutionResult(record=record, report=report)
 
 
 def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
     plan = config.sweep_plan
-    groups = {}
+    # the records of one seed share its provenance dict
+    seeds = {config.seed, *(p.seed for p in plan.points)}
+    provenance = {seed: _provenance(seed) for seed in seeds}
+    groups, source_keys = {}, {}
     for i, point in enumerate(plan.points):
-        groups.setdefault(_group_key(point), []).append(i)
+        groups.setdefault(_group_key(point, source_keys), []).append(i)
     groups = list(groups.values())
     workers = min(plan.workers, len(groups))
 
     def run_slice(w: int) -> list:
         # worker w runs groups w, w + workers, ... in order
-        return [_run_group([plan.points[i] for i in g]) for g in groups[w::workers]]
+        return [
+            _run_group([plan.points[i] for i in g], provenance)
+            for g in groups[w::workers]
+        ]
 
-    results = [None] * len(plan.points)
+    point_records = [None] * len(plan.points)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for w, outcomes in enumerate(pool.map(run_slice, range(workers))):
             for group, outcome in zip(groups[w::workers], outcomes):
-                for i, (outputs, _) in zip(group, outcome):
-                    results[i] = outputs
-    point_records = tuple(
-        ResultRecord(
-            config=point.normalized,
-            outputs=outputs,
-            provenance=_provenance(point.seed),
-        )
-        for point, outputs in zip(plan.points, results)
-    )
+                for i, (record, _) in zip(group, outcome):
+                    point_records[i] = record
+    point_records = tuple(point_records)
     summary = ResultRecord(
         config=config.normalized,
         outputs={
             "points": len(point_records),
             "non_converged": _non_converged(point_records),
         },
-        provenance=_provenance(config.seed),
+        provenance=provenance[config.seed],
     )
     return ExecutionResult(
         record=summary,
@@ -784,6 +805,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+class _Texts(dict):
+    """Value -> its text by `format`, each distinct value formatted once.
+    Equal floats need not share a text: -0.0 and 0.0 compare equal, and NaN
+    equals nothing, so they are never stored and are formatted each time."""
+
+    def __init__(self, format):
+        self.format = format
+
+    def __missing__(self, value) -> str:
+        text = self.format(value)
+        if value and value == value:
+            self[value] = text
+        return text
+
+
 # a cell's text by the exact type of its value; `_format_cell` takes the rest
 _CELL_FORMATS = {
     type(None): lambda value: "",
@@ -796,10 +832,14 @@ _CELL_FORMATS = {
 
 def _column_cells(values: list) -> list[str]:
     """A table column's cells: with one formatter for the column when its
-    values share a type of `_CELL_FORMATS`, else `_format_cell` each."""
+    values share a type of `_CELL_FORMATS`, else `_format_cell` each.  A
+    float column formats each distinct value once."""
     kinds = set(map(type, values))
-    format_cell = _CELL_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(format_cell or _format_cell, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    format_cell = _CELL_FORMATS.get(kind, _format_cell)
+    if kind is float:
+        format_cell = _Texts(format_cell).__getitem__
+    return list(map(format_cell, values))
 
 
 def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
@@ -870,64 +910,61 @@ _JSON_LEAVES = {
 }
 
 
-def _put_json(value, put, newline: str) -> None:
-    """`put` the pieces of `value`'s text in `json.dumps(..., indent=2)`, its
-    own line starting at `newline` (a newline and its indent).  Keys must be
-    strings, as every key of a record is."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner, head = newline + "  ", "["
-        for item in value:
-            leaf = _JSON_LEAVES.get(type(item))
-            if leaf is None:
-                put(head + inner)
-                _put_json(item, put, inner)
-            else:
-                put(head + inner + leaf(item))
-            head = ","
-        put(newline + "]")
-        return
-    if isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner, head = newline + "  ", "{"
-        for key, item in value.items():
-            key = _JSON_STRING(key)
-            leaf = _JSON_LEAVES.get(type(item))
-            if leaf is None:
-                put(head + inner + key + ": ")
-                _put_json(item, put, inner)
-            else:
-                put(head + inner + key + ": " + leaf(item))
-            head = ","
-        put(newline + "}")
-        return
-    leaf = _JSON_LEAVES.get(type(value))
-    if leaf is not None:
-        put(leaf(value))
-    # subclasses, checked in the standard library's order
-    elif isinstance(value, str):
-        put(_JSON_STRING(value))
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, float):
-        put(_json_float(value))
-    else:
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)` of an acyclic tree whose keys are
+    strings, as every key of a record is, in one pass: the standard library
+    writes an indented document through a generator per container, in pure
+    Python.  Each distinct float's text is made once (`_Texts`), and so is
+    the text of each dict object that recurs at one indent, keyed on its
+    identity: the dicts a sweep's records share (uncrossed sections, the
+    provenance)."""
+    leaves = _JSON_LEAVES | {float: _Texts(_json_float).__getitem__}
+    # (id, the newline and indent it starts on) -> its text once it recurs:
+    # most dicts come once, and keeping every text would copy the document
+    dicts = {}
+    # newline and indent -> key -> its line up to the value
+    heads = _Texts(lambda inner: _Texts(lambda name: inner + _JSON_STRING(name) + ": "))
+
+    def text(value, newline: str) -> str:
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            key = id(value), newline
+            done = dicts.get(key)
+            if done is None:
+                inner, items = newline + "  ", []
+                head = heads[inner]
+                for name, item in value.items():
+                    leaf = leaves.get(type(item))
+                    item = text(item, inner) if leaf is None else leaf(item)
+                    items.append(head[name] + item)
+                done = "{" + ",".join(items) + newline + "}"
+                dicts[key] = done if key in dicts else None
+            return done
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner, items = newline + "  ", []
+            for item in value:
+                leaf = leaves.get(type(item))
+                item = text(item, inner) if leaf is None else leaf(item)
+                items.append(inner + item)
+            return "[" + ",".join(items) + newline + "]"
+        leaf = leaves.get(type(value))
+        if leaf is not None:
+            return leaf(value)
+        # subclasses, checked in the standard library's order
+        if isinstance(value, str):
+            return _JSON_STRING(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _json_float(value)
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable"
         )
 
-
-def _json_text(value) -> str:
-    """`json.dumps(value, indent=2)` of an acyclic tree, in one pass: the
-    standard library writes an indented document through a generator per
-    container, in pure Python."""
-    pieces = []
-    _put_json(value, pieces.append, "\n")
-    return "".join(pieces)
+    return text(value, "\n")
 
 
 def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
@@ -941,7 +978,9 @@ def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
         payload["table"] = "table.csv"
         payload["records"] = [r.to_json() for r in result.point_records]
     with (out_dir / "result.json").open("w") as handle:
-        # the bytes of json.dumps(payload, indent=2) and a newline, in one write
+        # the bytes of json.dumps(payload, indent=2) and a newline, in one
+        # write; the records share their uncrossed sections and provenance,
+        # and the text of each shared dict and distinct float is made once
         handle.write(_json_text(payload) + "\n")
 
 

@@ -740,25 +740,34 @@ def test_emit_table_formatting():
     assert empty.startswith("case,threshold")
 
     # columns of one type and of mixed types, lists, absent cells, a mixed
-    # int and float grid and a cell csv must quote: cell by cell as
-    # `_format_cell` writes it
+    # int and float grid, a cell csv must quote, and a float column that
+    # formats each distinct value once (y: -0.0 beside 0.0, repeated values,
+    # values equal to 4 digits): cell by cell as `_format_cell` writes it
     records = [
-        ResultRecord(config={"n": n, "x": x}, outputs=outputs, provenance={})
-        for n, x, outputs in (
-            (1, 0.5, {"case": "C4a", "threshold": 1.5, "phi_star_interval": [0.0, 0.25],
-                      "x_hat0": [0.1, -2.0], "converged": True, "trials": 10}),
-            (2, 1, {"case": "a,b", "threshold": 2.0, "x_hat0": 0.3}),
-            (3, 2.5, {"converged": False, "error": "ValueError: x"}),
+        ResultRecord(config={"n": n, "x": x, "y": y}, outputs=outputs, provenance={})
+        for n, x, y, outputs in (
+            (1, 0.5, -0.0, {"case": "C4a", "threshold": 1.5,
+                            "phi_star_interval": [0.0, 0.25],
+                            "x_hat0": [0.1, -2.0], "converged": True, "trials": 10}),
+            (2, 1, 0.0, {"case": "a,b", "threshold": 2.0, "x_hat0": 0.3}),
+            (3, 2.5, 1.234567, {"converged": False, "error": "ValueError: x"}),
+            (4, 0.5, 1.234567, {"threshold": -0.0}),
+            (5, 0.5, 1.234612, {"threshold": 0.0}),
+            (6, 0.5, -0.0, {"threshold": 1.5}),
         )
     ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     columns = ["case", "threshold", "phi_star_interval", "x_hat0", "trials", "converged"]
-    writer.writerow(["n", "x", *columns])
+    writer.writerow(["n", "x", "y", *columns])
     for r in records:
         writer.writerow([cli._format_cell(v) for v in
-                         (r.config["n"], r.config["x"], *map(r.outputs.get, columns))])
-    assert emit_table(records, ("n", "x")) == buffer.getvalue()
+                         (*r.config.values(), *map(r.outputs.get, columns))])
+    table = emit_table(records, ("n", "x", "y"))
+    assert table == buffer.getvalue()
+    assert [row[2] for row in csv.reader(io.StringIO(table))] == [
+        "y", "-0", "0", "1.235", "1.235", "1.235", "-0"
+    ]
     # no column at all: one empty row a record, as csv writes it
     assert emit_table(records[2:3] * 2) == "converged\nfalse\nfalse\n"
     bare = ResultRecord(config={}, outputs={"other": 1.0}, provenance={})
@@ -825,6 +834,22 @@ def test_result_json_emitter_on_real_records():
     assert payloads[0]["records"][1]["outputs"]["error"].startswith("ValueError: ")
     for payload in payloads:
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    # the writer formats each distinct float and each shared dict once a
+    # document; no memo may show: one dict at two depths, signed zeros, NaN,
+    # infinities and repeated floats, and a sweep whose records share their
+    # uncrossed source and their provenance
+    shared = {"x": 0.5, "zeros": [-0.0, 0.0]}
+    floats = [-0.0, 0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, -math.inf,
+              math.nan, 1.5, float("1.5"), 1.5, -1.5, 0.1 + 0.2, 0.30000000000000004]
+    sweep = payloads[3]
+    first, second = sweep["records"][:2]
+    assert first["config"]["source"] is second["config"]["source"]
+    assert first["provenance"] is second["provenance"] is sweep["provenance"]
+    for document in (
+        {"a": shared, "b": {"c": shared, "d": [shared, [shared, {}]]}, "e": shared},
+        floats, {"f": floats, "g": [floats, {"h": floats}], "i": -0.0}, sweep,
+    ):
+        assert cli._json_text(document) == json.dumps(document, indent=2)
     # a record's keys are strings; any other key is refused, not written
     with pytest.raises(TypeError):
         cli._json_text({"outputs": {1: 2.0}})
@@ -836,6 +861,36 @@ def test_result_record_rejects_non_finite():
             config={}, outputs={"value": math.inf},
             provenance={"seed": 0},
         )
+
+
+def test_sweep_pays_once_for_what_its_points_share(monkeypatch):
+    # each record is checked for finite outputs once, at its construction:
+    # one top-level walk a point record and one for the summary
+    walks = []
+    check = cli._check_finite
+
+    def counted(value, label):
+        walks.append(label)
+        return check(value, label)
+
+    monkeypatch.setattr(cli, "_check_finite", counted)
+    tops = []
+    parse_top = cli._parse_top
+    monkeypatch.setattr(cli, "_parse_top", lambda raw: tops.append(raw) or parse_top(raw))
+    result = execute(parse_config(dict(copy.deepcopy(PROACTIVE_SWEEP), mode="sweep")))
+    records = result.point_records
+    assert len(records) == 12
+    assert walks.count("outputs") == len(records) + 1
+    # the records share their seed's provenance and the uncrossed source
+    assert len({id(r.provenance) for r in (result.record, *records)}) == 1
+    assert len({id(r.config["source"]) for r in records}) == 1
+    # the top level is parsed for the sweep and once for its points, and
+    # once for each value of an axis that sets a top-level key
+    assert len(tops) == 2
+    tops.clear()
+    execute(parse_config(dict(copy.deepcopy(TABLE_I_SWEEP), mode="sweep")))
+    kappa = next(a for a in TABLE_I_SWEEP["sweep"]["axes"] if a["parameter"] == "kappa_bar")
+    assert len(tops) == 1 + len(kappa["grid"])
 
 
 def _vector_proactive(**extra):

@@ -1,11 +1,13 @@
 """Tests for the infinite-sensor saddle point and its Lagrangian machinery."""
 
 import math
+import sys
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
@@ -23,6 +25,8 @@ from jamgame.largescale import (
     solve_l_lambda,
 )
 from jamgame.proactive import (
+    INTERIOR_JAM,
+    NO_JAM,
     GameCosts,
     ReprSymbols,
     objective_with_threshold,
@@ -348,6 +352,68 @@ def test_kkt_multiplier_direction():
         assert fd <= 1e-6
         if saddle.lambda_star > 0.0:
             assert abs(fd) <= 1e-5
+
+
+# The envelope theorem for saddle problems (Milgrom & Segal, Econometrica
+# 2002): J is linear in the prices, so the saddle value's derivative in a
+# price is J's partial derivative at the saddle policy.  Central differences
+# at ENVELOPE_H agreed with the policy fields to 4.8 eps / h * max(1, |value|)
+# at worst (1.1e-9 at |value| <= 1, in kappa_bar at C2 and C4b; 2.8 units in
+# c and d) over three runs of 4000 unseeded draws of the strategy below and
+# 6000 uniform ones; the tolerance is ENVELOPE_UNITS of those units.
+ENVELOPE_H = 1e-6
+ENVELOPE_UNITS = 8
+
+
+def test_envelope_pins_the_value_derivatives_in_the_prices():
+    # dV/dc = transmit_prob and dV/dd = -phi_star for `solve_saddle`, and
+    # dV/dkappa_bar = -lambda_star for `classify_and_solve`; a draw whose
+    # +-h neighbours change case has a kink there and is skipped, and counted
+    h = ENVELOPE_H
+    checked, skipped = Counter(), Counter()
+
+    def pin(slope, up, down, value, case):
+        assert abs((up - down) / (2 * h) - slope) <= (
+            ENVELOPE_UNITS * sys.float_info.epsilon / h * max(1.0, abs(value))
+        ), case
+        checked[case] += 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        mean=st.floats(-1.0, 1.0), var=st.floats(0.3, 5.0), c=st.floats(0.1, 3.0),
+        d=st.floats(0.05, 3.0), kb=st.floats(0.02, 0.95),
+    )
+    # one draw a large-scale case on the standard source; C4a's tie of the
+    # two triggers is a kink in kappa_bar, so that pin is skipped
+    @example(mean=0.0, var=1.0, c=1.0, d=1.0, kb=0.5)  # C1
+    @example(mean=0.0, var=1.0, c=1.0, d=1.0, kb=0.25)  # C2
+    @example(mean=0.0, var=1.0, c=2.0, d=0.2, kb=0.5)  # C3
+    @example(mean=0.0, var=1.0, c=1.0, d=D_C4A, kb=0.25)  # C4a
+    @example(mean=0.0, var=1.0, c=1.0, d=0.5, kb=0.1)  # C4b
+    @example(mean=0.0, var=1.0, c=1.0, d=0.25, kb=0.25)  # C4c
+    def pins(mean, var, c, d, kb):
+        source = ScalarGaussian(mean, var)
+        saddle = solve_saddle(source, GameCosts(c, d))
+        for (dc, dd), slope in (((h, 0.0), saddle.transmit_prob),
+                                ((0.0, h), -saddle.phi_star)):
+            up = solve_saddle(source, GameCosts(c + dc, d + dd))
+            down = solve_saddle(source, GameCosts(c - dc, d - dd))
+            if up.case == down.case == saddle.case:
+                pin(slope, up.value, down.value, saddle.value, saddle.case)
+            else:
+                skipped[saddle.case] += 1
+        large = classify_and_solve(source, GameCosts(c, d), kb)
+        up, down = (classify_and_solve(source, GameCosts(c, d), kb + s) for s in (h, -h))
+        if up.case_id == down.case_id == large.case_id:
+            pin(-large.lambda_star, up.value, down.value, large.value, large.case_id)
+        else:
+            skipped[large.case_id] += 1
+
+    pins()
+    assert set(checked) == {NO_JAM, INTERIOR_JAM, "C1", "C2", "C3", "C4b", "C4c"}
+    assert skipped["C4a"] >= 1
+    # kinks are rare: a draw lands on one only at a case boundary
+    assert sum(skipped.values()) <= 0.02 * sum(checked.values()), skipped
 
 
 def test_monotonicity_in_costs_and_capacity():
