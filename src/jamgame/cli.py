@@ -3,9 +3,9 @@
 An experiment is described by one JSON object (schema in the README) and
 launched with `jamgame solve proactive|reactive|large-scale`, `jamgame
 simulate`, or `jamgame sweep`.  Every config key is one row of `_FIELDS`,
-which gives its section, its check and its default; `_MODE_KEYS` says which
-top-level keys each mode requires or forbids, and the library's own objects
-(`GameCosts`, `SolverConfig`, `NetworkConfig`, ...) check the ranges.
+which gives its section, its check and its default; every mode is one row of
+`_MODES` (its top-level keys, parse, point run and group run), and the
+library's own objects (`GameCosts`, `SolverConfig`, ...) check the ranges.
 Validation is strict: unknown keys, missing mode-required fields, malformed
 grids and a sweep axis that repeats another axis's parameter are errors that
 name the offending field or file.  They and an `--out` directory that cannot
@@ -21,13 +21,13 @@ an iterate the library rejects) or gives a non-finite output also exits 3,
 with the record written and the exception under its `error` output; inside
 a sweep it becomes that point's record and the sweep goes on.
 
-Sweep points run on a small thread pool; all files are written by the
-collector in grid order, and every draw is seeded per point, so results do
-not depend on the worker count.  Simulate points of one sweep share its
-seed, so points with the same transmit rule share their sensor draws:
-threshold points that differ only in n, capacity, jammer or costs, and
-best-response points that differ only in n or capacity.  Each such group
-is one pool task that draws each sensor stream once.  Proactive and
+A sweep runs its groups of points in grid order on the calling thread, and
+every draw is seeded per point; `sweep.workers` is accepted and echoed, so
+older configs still run, but nothing reads it.  Simulate points of one
+sweep share its seed, so points with the same transmit rule share their
+sensor draws: threshold points that differ only in n, capacity, jammer or
+costs, and best-response points that differ only in n or capacity.  Each
+such group is one run that draws each sensor stream once.  Proactive and
 large-scale points with the same source and d are one group too, which
 solves the jammer's indifference root once, and only if one of its points
 jams.  Every point's record is the one its own run writes and checks once.
@@ -50,9 +50,9 @@ import json
 import math
 import reprlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -184,14 +184,12 @@ _FIELDS = {
     "sweep.axes": {"parameter": (_pass, _REQUIRED), "grid": (_pass, _REQUIRED)},
 }
 
-# mode -> (top-level keys it requires, top-level keys it forbids)
-_MODE_KEYS = {
-    "proactive": ((), ("kappa_bar", "n", "capacity", "simulate", "sweep")),
-    "reactive": ((), ("kappa_bar", "n", "capacity", "simulate", "sweep")),
-    "large_scale": (("kappa_bar",), ("n", "capacity", "simulate", "sweep")),
-    "simulate": (("n", "simulate"), ("sweep",)),
-    "sweep": (("sweep",), ()),
-}
+
+def _one_of(value, choices, label: str) -> str:
+    # a string first, so an unhashable value is named like any other
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{label}: must be one of {[*choices]}, got {_shown(value)}")
+    return value
 
 
 def _read(section: str, obj, label: str | None = None) -> dict:
@@ -247,7 +245,7 @@ class SweepPlan:
     """Grid axes over a base experiment, run point by point."""
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
-    workers: int
+    workers: int  # accepted for older configs; a sweep runs on one thread
     points: tuple["ExperimentConfig", ...]
 
 
@@ -344,12 +342,7 @@ def _parse_solver(section, seed: int) -> tuple[dict, str, SolverConfig]:
     """(echo, algorithm, SolverConfig) of the solver section, seeded `seed`."""
     echo = _read("solver", section)
     knobs = dict(echo)
-    algorithm = knobs.pop("algorithm")
-    if algorithm not in _ALGORITHMS:
-        raise ConfigError(
-            f"solver.algorithm: must be one of {list(_ALGORITHMS)}, "
-            f"got {_shown(algorithm)}"
-        )
+    algorithm = _one_of(knobs.pop("algorithm"), _ALGORITHMS, "solver.algorithm")
     return echo, algorithm, _build(SolverConfig, "solver", **knobs, seed=seed)
 
 
@@ -367,9 +360,20 @@ def _parse_section(memo, name: str, parse, section, *args):
     return cache[args]
 
 
-def _parse_simulate(top: dict, section, source: ScalarGaussian):
-    """(ExperimentConfig fields, echo) of simulate mode's network and policy,
-    `section` the simulate section."""
+def _check_scalar(mode: str, source) -> None:
+    if not isinstance(source, ScalarGaussian):
+        raise ConfigError(f"source.dimension: {mode} mode is scalar")
+
+
+def _parse_large_scale(top: dict, raw: dict, source, solver_echo: dict):
+    _check_scalar("large_scale", source)
+    kappa_bar = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
+    return {"kappa_bar": kappa_bar}, {"kappa_bar": top["kappa_bar"]}
+
+
+def _parse_simulate(top: dict, raw: dict, source, solver_echo: dict):
+    """(ExperimentConfig fields, echo) of simulate mode's network and policy."""
+    _check_scalar("simulate", source)
     n = top["n"]
     if ("capacity" in top) == ("kappa_bar" in top):
         raise ConfigError("capacity: give exactly one of capacity or kappa_bar")
@@ -377,7 +381,7 @@ def _parse_simulate(top: dict, section, source: ScalarGaussian):
         network = _build(NetworkConfig, "capacity", n, top["capacity"])
     else:
         network = _build(NetworkConfig.from_kappa, "capacity", n, top["kappa_bar"])
-    section = _read("simulate", section)
+    section = _read("simulate", raw["simulate"])
     if section["trials"] < 2:
         raise ConfigError(f"simulate.trials: must be >= 2, got {section['trials']}")
     blind = "threshold" in section or "phi" in section
@@ -434,11 +438,7 @@ def _get_path(config: dict, dotted: str):
 
 def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
     section = _read("sweep", top["sweep"])
-    mode = section["mode"]
-    if mode not in _POINT_RUNNERS:
-        raise ConfigError(
-            f"sweep.mode: must be one of {list(_POINT_RUNNERS)}, got {_shown(mode)}"
-        )
+    mode = _one_of(section["mode"], _POINT_MODES, "sweep.mode")
     if not isinstance(section["axes"], list) or not section["axes"]:
         raise ConfigError("sweep.axes: must be a nonempty list")
     axes = {}
@@ -503,16 +503,11 @@ def _parse_top(raw: dict) -> tuple[dict, str, int]:
     """(echo, mode, seed) of a config's top level, its mode's required and
     forbidden keys checked."""
     top = _read("", raw)
-    mode = top["mode"]
-    if mode not in _MODE_KEYS:
-        raise ConfigError(
-            f"mode: must be one of {list(_MODE_KEYS)}, got {_shown(mode)}"
-        )
-    required, forbidden = _MODE_KEYS[mode]
-    for key in forbidden:
+    mode = _one_of(top["mode"], _MODES, "mode")
+    for key in _MODES[mode].forbidden:
         if key in raw:
             raise ConfigError(f"{key}: not valid in {mode!r} mode")
-    for key in required:
+    for key in _MODES[mode].required:
         if key not in raw:
             raise ConfigError(f"{key}: required in {mode} mode")
     seed = top["seed"]
@@ -535,25 +530,11 @@ def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
     solver_echo, algorithm, solver = _parse_section(
         memo, "solver", _parse_solver, raw.get("solver", top["solver"]), seed
     )
+    parsed, echo = _MODES[mode].parse(top, raw, source, solver_echo)
     normalized = {
-        "mode": mode,
-        "source": source_echo,
-        "costs": costs_echo,
-        "seed": seed,
+        "mode": mode, "source": source_echo, "costs": costs_echo, "seed": seed,
+        **echo,
     }
-    # only the solver fields the run reads; the others are accepted, so
-    # older records replay
-    if mode == "reactive":
-        normalized["solver"] = solver_echo
-    parsed = {}
-    if mode in ("large_scale", "simulate") and source_echo["dimension"] != 1:
-        raise ConfigError(f"source.dimension: {mode} mode is scalar")
-    if mode == "large_scale":
-        parsed["kappa_bar"] = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
-        normalized["kappa_bar"] = top["kappa_bar"]
-    elif mode == "simulate":
-        parsed, echo = _parse_simulate(top, raw["simulate"], source)
-        normalized |= echo
     return ExperimentConfig(
         mode, seed, normalized, source, costs, solver, algorithm, **parsed
     )
@@ -584,8 +565,6 @@ def _run_proactive(config: ExperimentConfig, saddle=None):
 
 
 def _run_reactive(config: ExperimentConfig):
-    # looked up by module name when the run starts, so a wrapper bound to
-    # that name sees the solve
     solve = solve_pga_ccp if config.algorithm == "pga_ccp" else solve_gda
     report = solve(config.source, config.costs, config.solver)
     outputs = {
@@ -645,12 +624,72 @@ def _run_simulate(config: ExperimentConfig, estimate=None):
     return outputs, None
 
 
-_POINT_RUNNERS = {
-    "proactive": _run_proactive,
-    "reactive": _run_reactive,
-    "large_scale": _run_large_scale,
-    "simulate": _run_simulate,
+def _source_key(config: ExperimentConfig, source_keys: dict):
+    """Proactive and large-scale points with the same source and d share the
+    jammer's indifference root: the source's mean and spectrum as bytes (so
+    -0.0 is not 0.0), made once a source object (`source_keys`, by id), and d."""
+    source = config.source
+    if id(source) not in source_keys:
+        mean = np.asarray(source.mean, dtype=float).tobytes()
+        source_keys[id(source)] = mean, _spectrum(source).tobytes()
+    return *source_keys[id(source)], config.costs.d
+
+
+def _simulate_key(config: ExperimentConfig, source_keys: dict):
+    """Simulate points with the same source, transmit rule, trials and seed
+    draw the same sensor streams and make the same transmit decisions."""
+    source = config.source
+    return (
+        source.mean, source.var, *_rule(source, config.costs, config.policies),
+        config.trials, config.seed,
+    )
+
+
+class _Mode(NamedTuple):
+    """One mode's rules.  Its runs are this module's functions, which look the
+    library up by module name when they start, so a wrapper bound to that
+    name sees the call."""
+
+    required: tuple[str, ...]  # top-level keys
+    forbidden: tuple[str, ...]
+    # (top echo, raw, source, solver echo) -> (config fields, echo after seed)
+    parse: Callable | None = None
+    run: Callable | None = None  # (config[, group share]) -> (outputs, report)
+    group_key: Callable | None = None  # (config, a sweep's source keys) -> key
+    group_run: Callable | None = None  # points of one key -> a share each
+
+
+_MODES = {
+    "proactive": _Mode(
+        (), ("kappa_bar", "n", "capacity", "simulate", "sweep"),
+        lambda *_: ({}, {}), _run_proactive, _source_key,
+        lambda group: solve_saddles(group[0].source, [p.costs for p in group]),
+    ),
+    "reactive": _Mode(
+        (), ("kappa_bar", "n", "capacity", "simulate", "sweep"),
+        # only reactive runs read the solver fields; the others accept them,
+        # so older records replay
+        lambda top, raw, source, solver: ({}, {"solver": solver}), _run_reactive,
+    ),
+    "large_scale": _Mode(
+        ("kappa_bar",), ("n", "capacity", "simulate", "sweep"),
+        _parse_large_scale, _run_large_scale, _source_key,
+        lambda group: classify_and_solve_all(
+            group[0].source, [(p.costs, p.kappa_bar) for p in group]
+        ),
+    ),
+    "simulate": _Mode(
+        ("n", "simulate"), ("sweep",), _parse_simulate, _run_simulate, _simulate_key,
+        lambda group: estimate_costs(
+            group[0].source, [(p.costs, p.network, p.policies) for p in group],
+            trials=group[0].trials, seed=group[0].seed,
+        ),
+    ),
+    # runs its points in their own modes (`_parse_sweep`, `_execute_sweep`)
+    "sweep": _Mode(("sweep",), ()),
 }
+# the modes a sweep's points take
+_POINT_MODES = tuple(mode for mode, row in _MODES.items() if row.run is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,7 +720,7 @@ def _run_point(config: ExperimentConfig, provenance: dict, *shared):
     non-finite output (which the record's own check finds) is no answer to
     report: the outputs say why, and count as not converged."""
     try:
-        outputs, report = _POINT_RUNNERS[config.mode](config, *shared)
+        outputs, report = _MODES[config.mode].run(config, *shared)
         return ResultRecord(config.normalized, outputs, provenance), report
     except _FAILURES as exc:
         outputs = {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -689,55 +728,24 @@ def _run_point(config: ExperimentConfig, provenance: dict, *shared):
 
 
 def _group_key(config: ExperimentConfig, source_keys: dict | None = None):
-    """Simulate points with the same source, transmit rule, trials and seed
-    draw the same sensor streams and make the same transmit decisions, so
-    they share one key.  Proactive and large-scale points with the same
-    source and d share the root of the jammer's indifference condition, and
-    one key: the source's mean and spectrum as bytes, so -0.0 is not 0.0,
-    found once for each source object that `source_keys` (a sweep's, by
-    id) holds.  Every other point has a key of its own."""
-    source = config.source
-    if config.mode == "simulate":
-        return (
-            source.mean, source.var, *_rule(source, config.costs, config.policies),
-            config.trials, config.seed,
-        )
-    if config.mode in _GROUP_RUNS:
-        keys = {} if source_keys is None else source_keys
-        if id(source) not in keys:
-            mean = np.asarray(source.mean, dtype=float).tobytes()
-            keys[id(source)] = mean, _spectrum(source).tobytes()
-        return *keys[id(source)], config.costs.d
-    return id(config)
-
-
-# mode -> the run of a group of its points (`_group_key`), one share a point
-_GROUP_RUNS = {
-    "simulate": lambda group: estimate_costs(
-        group[0].source, [(p.costs, p.network, p.policies) for p in group],
-        trials=group[0].trials, seed=group[0].seed,
-    ),
-    "proactive": lambda group: solve_saddles(
-        group[0].source, [p.costs for p in group]
-    ),
-    "large_scale": lambda group: classify_and_solve_all(
-        group[0].source, [(p.costs, p.kappa_bar) for p in group]
-    ),
-}
+    """The key of a point's group, whose points share one group run of their
+    mode (`_Mode`); a point of a mode with no group run is a group alone."""
+    group_key = _MODES[config.mode].group_key
+    if group_key is None:
+        return id(config)
+    return group_key(config, {} if source_keys is None else source_keys)
 
 
 def _run_group(group: list[ExperimentConfig], provenance: dict) -> list:
     """(record, report) of each point of a group (`_group_key`), with the
-    provenance dict of its seed from `provenance`.  The group's run hands
-    every point its share: a simulate group draws each sensor stream once
-    (`estimate_costs`), and a proactive or large-scale group solves its one
-    root once (`solve_saddles`).  If that run raises, every point runs
-    alone, so a failing point gets the record its own run gives and the
-    others keep theirs."""
+    provenance dict of its seed from `provenance`.  Its mode's group run
+    hands every point its share; if that run raises, every point runs alone,
+    so a failing point gets the record its own run gives and the others keep
+    theirs."""
     if len(group) == 1:
         return [_run_point(group[0], provenance[group[0].seed])]
     try:
-        shares = _GROUP_RUNS[group[0].mode](group)
+        shares = _MODES[group[0].mode].group_run(group)
     except _FAILURES:
         return [_run_point(p, provenance[p.seed]) for p in group]
     return [_run_point(p, provenance[p.seed], s) for p, s in zip(group, shares)]
@@ -752,30 +760,19 @@ def execute(config: ExperimentConfig) -> ExecutionResult:
 
 
 def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
+    """Run a sweep's groups (`_group_key`) in grid order, on this thread."""
     plan = config.sweep_plan
     # the records of one seed share its provenance dict
     seeds = {config.seed, *(p.seed for p in plan.points)}
     provenance = {seed: _provenance(seed) for seed in seeds}
     groups, source_keys = {}, {}
-    for i, point in enumerate(plan.points):
-        groups.setdefault(_group_key(point, source_keys), []).append(i)
-    groups = list(groups.values())
-    workers = min(plan.workers, len(groups))
-
-    def run_slice(w: int) -> list:
-        # worker w runs groups w, w + workers, ... in order
-        return [
-            _run_group([plan.points[i] for i in g], provenance)
-            for g in groups[w::workers]
-        ]
-
-    point_records = [None] * len(plan.points)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for w, outcomes in enumerate(pool.map(run_slice, range(workers))):
-            for group, outcome in zip(groups[w::workers], outcomes):
-                for i, (record, _) in zip(group, outcome):
-                    point_records[i] = record
-    point_records = tuple(point_records)
+    for point in plan.points:
+        groups.setdefault(_group_key(point, source_keys), []).append(point)
+    records = {
+        id(point): record for group in groups.values()
+        for point, (record, _) in zip(group, _run_group(group, provenance))
+    }
+    point_records = tuple(records[id(point)] for point in plan.points)
     summary = ResultRecord(
         config=config.normalized,
         outputs={

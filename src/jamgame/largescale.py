@@ -83,7 +83,7 @@ def solve_l_lambda(source: ScalarGaussian, kappa_bar) -> float:
     which keeps its digits where 1 - kappa_bar / 2 would round.
     """
     kb = _kappa(kappa_bar)
-    z = special.ndtri(0.5 * kb)
+    z = float(special.ndtri(0.5 * kb))
     return source.var * z * z
 
 

@@ -227,14 +227,11 @@ def _transmits(y, edges, first: bool):
     return (y < lo) | (y > hi) if first else (y > lo) & (y < hi)
 
 
-def _sensor_draws(
-    source: ScalarGaussian, rule, seed: int, sensor: int, start: int, count: int
-):
-    """Sensor `sensor`'s deviations X - mean for trials [start, start +
-    count), their squared distances to y0 = x_hat0 - mean, and whether each
-    is transmitted by `rule` (`_rule`)."""
+def _sensor_draws(source: ScalarGaussian, rule, u: np.ndarray):
+    """A sensor's deviations X - mean from the uniforms `u` of its stream
+    (`_uniforms`, overwritten), their squared distances to y0 = x_hat0 -
+    mean, and whether each is transmitted by `rule` (`_rule`)."""
     y0, _, edges, first = rule
-    u = _uniforms(seed, sensor, start, count)
     y = special.ndtri(u, out=u)
     y *= source.std
     sq0 = y - y0
@@ -253,21 +250,22 @@ def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: i
     error against x_hat0 (zero for a transmitting sensor) and the total
     error against x_hat1, which every sensor pays on a collision.  A point
     reads these running sums once its own n sensors are in, so its costs
-    are those of its own run bit for bit, and the jammer stream n is drawn
-    once for every point at n.  Memory is a few arrays of `count` elements
-    whatever n is.  `p_count` is the running count: it changes when the
-    generator resumes.
+    are those of its own run bit for bit.  The jammer stream n is drawn once
+    for every point at n, and is sensor n's stream too, so a larger n reuses
+    it.  Memory is a few arrays of `count` elements whatever n is.
+    `p_count` is the running count: it changes when the generator resumes.
     """
     rule = _group_rule(source, points)
     _, y1, _, _ = rule
     p_count = np.zeros(count, dtype=np.int64)
     silent = np.zeros(count)
     total = np.zeros(count)
-    drawn = 0
+    drawn, spare = 0, {}  # the jammer's uniforms at n, which sensor n reuses
     order = sorted(range(len(points)), key=lambda i: points[i][1].n)
     for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n):
         for s in range(drawn, n):
-            y, sq0, transmit = _sensor_draws(source, rule, seed, s, start, count)
+            u = spare.pop(s) if s in spare else _uniforms(seed, s, start, count)
+            y, sq0, transmit = _sensor_draws(source, rule, u)
             p_count += transmit
             # multiplying by the silent mask adds +0.0 for a transmitting sensor
             sq0 *= np.logical_not(transmit, out=transmit)
@@ -276,16 +274,22 @@ def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: i
             y *= y
             total += y
         drawn = n
-        w = _uniforms(seed, n, start, count)
+        w = spare[n] = _uniforms(seed, n, start, count)
         occupied = p_count > 0
+        # price c -> the cost of a collision and of a clean channel at n
+        costs_at_n = {}
         for i in at_n:
             costs, config, policies = points[i]
             # an occupied channel is jammed with probability beta, an idle one alpha
             jammer = policies.jammer
             jam = w < np.where(occupied, jammer.beta, jammer.alpha)
             intrinsic = p_count > config.capacity
-            err = np.where(intrinsic | jam, total, silent)
-            cost = (err + costs.c * p_count) / n - costs.d * jam
+            if costs.c not in costs_at_n:
+                paid = costs.c * p_count
+                costs_at_n[costs.c] = (total + paid) / n, (silent + paid) / n
+            lost, clean = costs_at_n[costs.c]
+            # (where(intrinsic | jam, total, silent) + c p_count) / n - d jam
+            cost = np.where(jam, lost - costs.d, np.where(intrinsic, lost, clean))
             yield i, cost, p_count, jam, intrinsic
 
 
@@ -319,7 +323,7 @@ def simulate_round(
         rule = _group_rule(source, point)
         packets = []
         for s in range(config.n):
-            y, _, transmit = _sensor_draws(source, rule, seed, s, trial, 1)
+            y, _, transmit = _sensor_draws(source, rule, _uniforms(seed, s, trial, 1))
             if transmit[0]:
                 packets.append((s, source.mean + float(y[0])))
         outcome = ChannelOutcome("delivered", tuple(packets), False, False)

@@ -309,13 +309,13 @@ def _saddle(tail, trace: float, estimator, costs: GameCosts, roots: dict):
     """
     c, d = costs.c, costs.d
     jam = d < trace and tail(c, 1) >= d
-    r = c
+    r = float(c)  # a Python float for an integer c too
     if jam:
         if d not in roots:
             roots[d] = _threshold_root(lambda x: tail(x, 1) - d, trace)
         # the root itself: c / (1 - phi_star) would lose its digits as c / r
         # shrinks
-        r = max(c, roots[d])
+        r = max(r, roots[d])
     phi_star, transmit_prob, value = _trigger_value(tail, trace, d, c, r)
     case = INTERIOR_JAM if jam else NO_JAM
     return ProactiveSaddle(case, phi_star, r, estimator, value, transmit_prob)

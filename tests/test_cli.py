@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -411,12 +412,20 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
         return solve_root(residual, scale)
 
     monkeypatch.setattr(proactive, "_threshold_root", counted)
+    run_group = cli._run_group
+    threads = []
+
+    def recorded(group, provenance):
+        threads.append(threading.get_ident())
+        return run_group(group, provenance)
+
+    monkeypatch.setattr(cli, "_run_group", recorded)
     closed_forms = (TABLE_I_SWEEP, PROACTIVE_SWEEP, DIAGONAL_PROACTIVE_SWEEP,
                     VARIANCE_SWEEP)
     for sweep in (SIMULATE_SWEEP, SENSING_SIMULATE_SWEEP, REACTIVE_SWEEP,
                   *closed_forms):
         runs = []
-        # 3 and 8 workers take uneven slices of the groups
+        # the worker count is accepted and echoed, and changes nothing
         for workers in (1, 3, 8):
             raw = copy.deepcopy(sweep)
             raw["mode"] = "sweep"
@@ -426,7 +435,10 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
             # parsing leaves the raw config as it was
             assert raw == before
             roots.clear()
+            threads.clear()
             runs.append(execute(config).point_records)
+            # every group runs on the thread that called execute
+            assert threads and set(threads) == {threading.get_ident()}
             if sweep in closed_forms:
                 # one root for each source and d that some point jams at
                 assert len(roots) == _roots_needed(runs[-1]) > 0
@@ -541,6 +553,9 @@ def test_validation_mode_requirements():
     }
     with pytest.raises(ConfigError, match="mode"):
         parse_config(dict(base))
+    # an unhashable mode is named as any other value is
+    with pytest.raises(ConfigError, match=r"^mode: must be one of \[.*\], got \[\]$"):
+        parse_config(dict(base, mode=[]))
     with pytest.raises(ConfigError, match="kappa_bar: required"):
         parse_config(dict(base, mode="large_scale"))
     with pytest.raises(ConfigError, match="kappa_bar: not valid"):
@@ -1309,6 +1324,8 @@ _BAD_INPUTS = [
     ("blind", "simulate.x_hat1", [0.0], "simulate", "x_hat1"),
     ("sweep", "sweep.mode", _DELETE, "sweep", "mode"),
     ("sweep", "sweep.mode", "sweep", "sweep", "mode"),
+    ("sweep", "sweep.mode", [], "sweep", "mode"),
+    ("sweep", "sweep.mode", {}, "sweep", "mode"),
     ("sweep", "sweep.axes", _DELETE, "sweep", "axes"),
     ("sweep", "sweep.axes", [], "sweep", "axes"),
     ("sweep", "sweep.workers", 0, "sweep", "workers"),

@@ -171,6 +171,11 @@ def test_group_is_each_points_saddle():
         for saddle, point in zip(group, points, strict=True):
             alone = classify_and_solve(source, *point)
             assert repr(saddle) == repr(alone)
+            # Python floats in every case, C2 and C4b's ndtri root included
+            assert {type(v) for v in (
+                saddle.threshold, saddle.phi_star, saddle.lambda_star,
+                saddle.transmit_prob, saddle.value,
+            )} == {float}
     assert {s.case_id for s in classify_and_solve_all(STD, points)} == {
         "C1", "C2", "C3", "C4a", "C4b", "C4c"}
 

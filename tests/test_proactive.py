@@ -217,6 +217,14 @@ def test_solve_saddle_cases():
     assert sad.case == INTERIOR_JAM
     assert sad.phi_star <= 1e-9
 
+    # Python floats in every case, from integer prices too
+    for costs in (GameCosts(1.0, 0.5), GameCosts(1.0, 2.0), GameCosts(1, 5),
+                  GameCosts(1, d0)):
+        sad = solve_saddle(STD, costs)
+        assert {type(v) for v in (
+            sad.threshold, sad.phi_star, sad.transmit_prob, sad.value
+        )} == {float}, costs
+
 
 def test_jamming_never_pays_at_d_at_least_the_trace():
     # E[S 1(S > c)] < E[S] at every c > 0, so d >= E[S] shuts the jam gate
