@@ -197,12 +197,22 @@ def _region_rows(edges, transmit_first: bool, s, var):
     return tp, t1, t2, np_, n1, n2
 
 
+def _check_count(name: str, value) -> None:
+    """That a count is a Python or numpy integer and not a bool, checked
+    before its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for substream `stream` of the root `seed`.
 
     Distinct stream id tuples give statistically independent streams; the
     same (seed, stream) pair always reproduces the same draws.
     """
+    _check_count("seed", seed)
+    for s in stream:
+        _check_count("stream id", s)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if any(s < 0 for s in stream):

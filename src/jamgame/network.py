@@ -18,18 +18,29 @@ estimate and, for growing n, against the infinite-population objective.
 Reproducibility: draw (trial, stream) is addressed as position `trial` of a
 counter-based substream (one per sensor, one for the jammer), with exactly
 one uniform consumed per position and normals obtained by inversion.  Costs
-are therefore bit-identical however trials are chunked or distributed, and a
-single round can be replayed in isolation.  The same addressing lets a chunk
-of trials stream one sensor at a time: each sensor's draws are made, masked
-and added into per-trial sums before the next sensor's, so a chunk's memory
-is a few arrays of chunk length whatever n is.  The sums over the first n
-sensors are the same for every point with the same seed and transmit rule,
-so one pass serves a group of such points (`estimate_costs`), each bit for
-bit as on its own.  Every rule takes one form, the points where it switches
-between silence and transmission: threshold points share it whatever
-their jammer and costs, and best-response points share it when they
-differ in n or capacity, or in a jammer and costs that give the same
-switch points.
+are therefore bit-identical however trials are chunked, and a single round
+can be replayed in isolation.  A run keeps one live generator per stream
+and streams its trials through it in chunks of `_CHUNK` trials, small
+enough that a chunk's arrays stay in cache: each sensor's draws are made,
+masked and added into per-trial sums before the next sensor's.  The sums
+over the first n sensors are the same for every point with the same seed
+and transmit rule, so one pass serves a group of such points
+(`estimate_costs`), each bit for bit as on its own.  Every rule takes one
+form, the points where it switches between silence and transmission:
+threshold points share it whatever their jammer and costs, and
+best-response points share it when they differ in n or capacity, or in a
+jammer and costs that give the same switch points.
+
+Each point reduces its costs in blocks of `_BLOCK` trials aligned at trial
+0: a pairwise sum and a two-pass sum of squared deviations a block, combined
+at the end by the update of Chan, Golub & LeVeque (1979).  Up to `_BLOCK`
+trials an estimate is numpy's `mean` and `std(ddof=1)` bit for bit; above,
+the mean and standard error differ from numpy's over all trials in their
+last bits only (at most 3.4e-16 relative over every simulate op of the
+benchmark's workloads at three seeds), and they are the same for every
+chunk size.  So memory is a few arrays of chunk length whatever the trial
+count and n are, plus a live generator (about 1 KB) per stream and 16
+bytes per block of each point.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gaussian import ScalarGaussian, philox_rng
+from .gaussian import ScalarGaussian, _check_count, philox_rng
 from .largescale import _kappa
 from .proactive import (
     GameCosts,
@@ -52,10 +63,14 @@ from .proactive import (
     _threshold_rule,
     _window,
 )
-from .reactive import ReactivePolicy, _check_count, _region_edges
+from .reactive import ReactivePolicy, _region_edges
 
-_MIN_UNIFORM = 2.0**-54
-_CHUNK = 100_000
+_MIN_UNIFORM = np.float64(2.0**-54)
+# Trials a chunk streams: its dozen or so arrays of chunk length fit in cache.
+_CHUNK = 16_384
+# Trials a block of the reduction sums; a divisor of _CHUNK, so chunks cut no
+# block.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -189,20 +204,33 @@ def _rule(source: ScalarGaussian, costs: GameCosts, policies: RoundPolicies):
     return y0, y1, *_region_edges(alpha, beta, y0, y1, costs.c, costs.d)
 
 
-def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """`count` uniforms at positions [start, start + count) of a substream.
+def _stream(seed: int, stream: int, start: int) -> np.random.Generator:
+    """A live generator of a substream, at position `start`.
 
     One double is consumed per position.  Philox advances in counter blocks
-    of four 64-bit words (four doubles), so positions are addressed by
-    skipping start // 4 blocks and discarding start % 4 leading draws; any
-    chunking then reproduces the same values bit for bit.
+    of four 64-bit words (four doubles), so position `start` is reached by
+    skipping start // 4 blocks and discarding start % 4 leading draws, and
+    each later draw continues from where the last one ended; any chunking
+    then reproduces the same values bit for bit.
     """
     gen = philox_rng(seed, stream)
-    block, lead = divmod(start, 4)
+    block, lead = divmod(int(start), 4)
     if block:
         gen.bit_generator.advance(block)
-    u = gen.random(lead + count)[lead:]
-    return np.maximum(u, _MIN_UNIFORM, out=u)
+    if lead:
+        gen.random(lead)
+    return gen
+
+
+def _draw(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """The next `out.size` uniforms of a live stream, written into `out`."""
+    gen.random(out=out)
+    return np.maximum(out, _MIN_UNIFORM, out=out)
+
+
+def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """`count` uniforms at positions [start, start + count) of a substream."""
+    return _draw(_stream(seed, stream, start), np.empty(count))
 
 
 def _group_rule(source: ScalarGaussian, points):
@@ -227,14 +255,14 @@ def _transmits(y, edges, first: bool):
     return (y < lo) | (y > hi) if first else (y > lo) & (y < hi)
 
 
-def _sensor_draws(source: ScalarGaussian, rule, u: np.ndarray):
+def _sensor_draws(source: ScalarGaussian, rule, u: np.ndarray, sq0=None):
     """A sensor's deviations X - mean from the uniforms `u` of its stream
-    (`_uniforms`, overwritten), their squared distances to y0 = x_hat0 -
-    mean, and whether each is transmitted by `rule` (`_rule`)."""
+    (overwritten), their squared distances to y0 = x_hat0 - mean (into
+    `sq0` if given), and whether each is transmitted by `rule` (`_rule`)."""
     y0, _, edges, first = rule
     y = special.ndtri(u, out=u)
     y *= source.std
-    sq0 = y - y0
+    sq0 = np.subtract(y, y0, out=sq0)
     sq0 *= sq0
     return y, sq0, _transmits(y, edges, first)
 
@@ -242,55 +270,92 @@ def _sensor_draws(source: ScalarGaussian, rule, u: np.ndarray):
 def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: int):
     """Per-trial costs and channel state of each point of a group, for
     trials [start, start + count): yields (index, cost, p_count, jam,
-    intrinsic) per point, in ascending n.
+    intrinsic) per point for each chunk of at most `_CHUNK` trials, the
+    chunks in order and a chunk's points in ascending n.
 
     `points` holds (costs, config, policies) triples that share the
-    transmit rule (`_group_rule`).  Sensors 0 ... max n - 1 stream once, one
-    at a time, into arrays of chunk length: the transmit count, the silent
-    error against x_hat0 (zero for a transmitting sensor) and the total
-    error against x_hat1, which every sensor pays on a collision.  A point
-    reads these running sums once its own n sensors are in, so its costs
-    are those of its own run bit for bit.  The jammer stream n is drawn once
-    for every point at n, and is sensor n's stream too, so a larger n reuses
-    it.  Memory is a few arrays of `count` elements whatever n is.
+    transmit rule (`_group_rule`).  Each stream is one live generator
+    (`_stream`) that every chunk continues.  Sensors 0 ... max n - 1 stream
+    once per chunk, one at a time, into arrays of chunk length: the transmit
+    count, the silent error against x_hat0 (zero for a transmitting sensor)
+    and the total error against x_hat1, which every sensor pays on a
+    collision; when the symbols' deviations are the same float the two
+    errors are the same squares.  A point reads these running sums once its
+    own n sensors are in, so its costs are those of its own run bit for bit.
+    The jammer stream n is drawn once for every point at n, and is sensor
+    n's stream too, so a larger n reuses it.  Nothing selects on the data: a
+    round is lost (cost `total`) or clean (cost `silent`) by a bit mask, and
+    a jam then subtracts d.  Memory is a few arrays of chunk length whatever
+    n and `count` are, and a live generator (about 1 KB) per stream.
     `p_count` is the running count: it changes when the generator resumes.
     """
     rule = _group_rule(source, points)
-    _, y1, _, _ = rule
-    p_count = np.zeros(count, dtype=np.int64)
-    silent = np.zeros(count)
-    total = np.zeros(count)
-    drawn, spare = 0, {}  # the jammer's uniforms at n, which sensor n reuses
+    y0, y1, _, _ = rule
+    same = y0 == y1
     order = sorted(range(len(points)), key=lambda i: points[i][1].n)
-    for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n):
-        for s in range(drawn, n):
-            u = spare.pop(s) if s in spare else _uniforms(seed, s, start, count)
-            y, sq0, transmit = _sensor_draws(source, rule, u)
-            p_count += transmit
-            # multiplying by the silent mask adds +0.0 for a transmitting sensor
-            sq0 *= np.logical_not(transmit, out=transmit)
-            silent += sq0
-            y -= y1
-            y *= y
-            total += y
-        drawn = n
-        w = spare[n] = _uniforms(seed, n, start, count)
-        occupied = p_count > 0
-        # price c -> the cost of a collision and of a clean channel at n
-        costs_at_n = {}
-        for i in at_n:
-            costs, config, policies = points[i]
-            # an occupied channel is jammed with probability beta, an idle one alpha
-            jammer = policies.jammer
-            jam = w < np.where(occupied, jammer.beta, jammer.alpha)
-            intrinsic = p_count > config.capacity
-            if costs.c not in costs_at_n:
-                paid = costs.c * p_count
-                costs_at_n[costs.c] = (total + paid) / n, (silent + paid) / n
-            lost, clean = costs_at_n[costs.c]
-            # (where(intrinsic | jam, total, silent) + c p_count) / n - d jam
-            cost = np.where(jam, lost - costs.d, np.where(intrinsic, lost, clean))
-            yield i, cost, p_count, jam, intrinsic
+    by_n = [(n, list(at_n))
+            for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n)]
+    streams = [_stream(seed, s, start) for s in range(by_n[-1][0] + 1)]
+    buffers = np.empty((3, min(_CHUNK, count)))
+    for at in range(start, start + count, _CHUNK):
+        size = min(_CHUNK, start + count - at)
+        u, w, sq = buffers[:, :size]
+        p_count = np.zeros(size, dtype=np.int64)
+        silent = np.zeros(size)
+        total = np.zeros(size)
+        drawn = 0
+        for n, at_n in by_n:
+            for s in range(drawn, n):
+                # sensor s = drawn > 0 reads the uniforms its stream drew
+                # as the last jammer
+                y = w if s == drawn > 0 else _draw(streams[s], u)
+                y, sq0, transmit = _sensor_draws(source, rule, y, sq)
+                p_count += transmit
+                if same:
+                    total += sq0
+                # multiplying by the silent mask adds +0.0 for a transmitting sensor
+                sq0 *= np.logical_not(transmit, out=transmit)
+                silent += sq0
+                if not same:
+                    y -= y1
+                    y *= y
+                    total += y
+            drawn = n
+            _draw(streams[n], w)
+            occupied = p_count > 0
+            intrinsic_at, costs_at_n = {}, {}
+            for i in at_n:
+                costs, config, policies = points[i]
+                # an occupied channel is jammed with probability beta, an idle one alpha
+                alpha, beta = policies.jammer.alpha, policies.jammer.beta
+                jam = w < beta
+                if alpha != beta:
+                    jam &= occupied
+                    jam |= (w < alpha) & ~occupied
+                if config.capacity not in intrinsic_at:
+                    intrinsic_at[config.capacity] = p_count > config.capacity
+                intrinsic = intrinsic_at[config.capacity]
+                if costs.c not in costs_at_n:
+                    # a lost round costs (total + c p_count) / n, a clean one
+                    # (silent + c p_count) / n; kept as clean's bits and the
+                    # bits that differ in lost's
+                    paid = costs.c * p_count
+                    lost = total + paid
+                    lost /= n
+                    paid += silent
+                    paid /= n
+                    clean, flips = paid.view(np.int64), lost.view(np.int64)
+                    flips ^= clean
+                    costs_at_n[costs.c] = clean, flips
+                clean, flips = costs_at_n[costs.c]
+                # (lost if intrinsic | jam else clean) - d jam: an all-ones
+                # mask where the round is lost picks lost's bits
+                cost = np.negative(jam | intrinsic, dtype=np.int64)
+                cost &= flips
+                cost ^= clean
+                cost = cost.view(np.float64)
+                cost -= costs.d * jam
+                yield i, cost, p_count, jam, intrinsic
 
 
 def simulate_round(
@@ -307,6 +372,7 @@ def simulate_round(
     one trial; a delivered round re-draws its sensors one at a time to list
     the packets.
     """
+    _check_count("trial", trial)
     if trial < 0:
         raise ValueError(f"trial must be nonnegative, got {trial}")
     point = [(costs, config, policies)]
@@ -335,6 +401,79 @@ def simulate_round(
     return float(cost[0]), outcome
 
 
+class _Moments:
+    """One point's mean and standard error over `trials` per-trial costs
+    that arrive chunk by chunk, reduced in `_BLOCK`-trial blocks aligned at
+    trial 0 whatever the chunking.
+
+    Each block keeps its pairwise sum (`np.add.reduce`) and its two-pass
+    M2, the sum of squared deviations from its own mean; a block that a
+    chunk edge cuts is staged until it is whole.  `estimate` combines the
+    blocks by the update of Chan, Golub & LeVeque (1979), M2 = sum M2_b +
+    sum len_b (mean_b - mean)^2, over all blocks at once.  So up to
+    `_BLOCK` trials, one block, the estimate is numpy's `mean` and
+    `std(ddof=1)` bit for bit, and at any trial count it is the same for
+    every chunk size.  The partials, 16 bytes a block, are allocated here,
+    before any draw, so a trial count they cannot hold fails up front.
+    """
+
+    def __init__(self, trials: int):
+        blocks = -(-trials // _BLOCK)
+        self.sums, self.m2s = np.empty(blocks), np.empty(blocks)
+        self.trials, self.reduced = trials, 0
+        self.stage, self.staged = None, 0
+
+    def add(self, x: np.ndarray) -> None:
+        """Reduce the next `x.size` costs, or stage them until their block
+        is whole."""
+        if self.staged:
+            take = min(_BLOCK - self.staged, x.size)
+            self.stage[self.staged:self.staged + take] = x[:take]
+            self.staged += take
+            x = x[take:]
+            if self.staged < _BLOCK and self.reduced + self.staged < self.trials:
+                return
+            self._reduce(self.stage[:self.staged])
+            self.staged = 0
+        whole = x.size
+        if self.reduced + whole < self.trials:
+            whole -= whole % _BLOCK
+        if whole:
+            self._reduce(x[:whole])
+        if whole < x.size:
+            if self.stage is None:
+                self.stage = np.empty(_BLOCK)
+            self.staged = x.size - whole
+            self.stage[:self.staged] = x[whole:]
+
+    def _reduce(self, x: np.ndarray) -> None:
+        """The partials of the blocks that start at trial `reduced`: whole
+        ones, then the last, shorter block if `x` ends the trials."""
+        b = self.reduced // _BLOCK
+        self.reduced += x.size
+        whole = x.size - x.size % _BLOCK
+        for rows in (x[:whole].reshape(-1, _BLOCK), x[whole:].reshape(1, -1)):
+            if rows.size:
+                end = b + rows.shape[0]
+                sums = np.add.reduce(rows, axis=1, out=self.sums[b:end])
+                dev = rows - (sums / rows.shape[1])[:, None]
+                dev *= dev
+                np.add.reduce(dev, axis=1, out=self.m2s[b:end])
+                b = end
+
+    def estimate(self) -> EmpiricalEstimate:
+        n = self.trials
+        mean = np.add.reduce(self.sums) / n
+        lengths = np.full(self.sums.size, float(_BLOCK))
+        lengths[-1] = n - _BLOCK * (self.sums.size - 1)
+        between = self.sums / lengths - mean
+        between *= between
+        m2 = np.add.reduce(self.m2s) + np.add.reduce(lengths * between)
+        return EmpiricalEstimate(
+            float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n), n
+        )
+
+
 def estimate_costs(
     source: ScalarGaussian, points, trials: int, seed: int
 ) -> list[EmpiricalEstimate]:
@@ -342,29 +481,18 @@ def estimate_costs(
 
     `points` is a group of (costs, config, policies) triples that share the
     transmit rule (`_group_rule`), so every sensor stream is drawn once for
-    the whole group.  Each point's per-trial costs are written chunk by
-    chunk into one array, reduced once its last chunk is in and then
-    dropped, so every estimate is bit-identical to `estimate_cost` on that
-    point alone, for any chunk size or worker split of the same (seed,
-    trials).
+    the whole group.  Each point reduces its costs chunk by chunk
+    (`_Moments`), so no array of trial length is held, and every estimate
+    is bit-identical to `estimate_cost` on that point alone, for any chunk
+    size of the same (seed, trials).
     """
+    _check_count("trials", trials)
     if trials < 2:
         raise ValueError("at least 2 trials are required")
-    estimates = [None] * len(points)
-    kept = {}
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        for i, cost, *_ in _trial_costs(source, points, seed, start, count):
-            if count < trials:
-                if start == 0:
-                    kept[i] = np.empty(trials)
-                kept[i][start:start + count] = cost
-            if start + count == trials:
-                all_costs = kept.pop(i, cost)
-                mean = float(all_costs.mean())
-                std_err = float(all_costs.std(ddof=1) / math.sqrt(trials))
-                estimates[i] = EmpiricalEstimate(mean, std_err, trials)
-    return estimates
+    moments = [_Moments(trials) for _ in points]
+    for i, cost, *_ in _trial_costs(source, points, seed, 0, trials):
+        moments[i].add(cost)
+    return [m.estimate() for m in moments]
 
 
 def estimate_cost(

@@ -37,6 +37,7 @@ from .gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
+    _check_count,
     _deviations,
     _region_rows,
     mean_std_err,
@@ -62,13 +63,6 @@ def _check_policy(alpha, beta) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-
-
-def _check_count(name: str, value) -> None:
-    """That a count is a Python or numpy integer and not a bool, checked
-    before its range."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _region_edges(a, b, x0, x1, c, d) -> tuple[tuple[float, ...], bool]:

@@ -1021,7 +1021,7 @@ _RAISING_POINTS = {
     }, "MemoryError"),
     # the squared symbol deviation overflows
     "simulate-overflow": (["simulate"], _SIMULATE_OVERFLOW, "OverflowError"),
-    # numpy refuses the 7 PiB of per-trial costs before it allocates
+    # numpy refuses the 1.78 TiB of block partials before the first draw
     "simulate-trials-too-many": (["simulate"], dict(_SIMULATE_OVERFLOW, simulate={
         "trials": 10**15, "threshold": 1.0, "phi": 0.2,
     }), "MemoryError"),
@@ -1067,8 +1067,8 @@ def test_sweep_point_that_raises_keeps_the_others(tmp_path):
 
     # inside one group of shared sensor draws: the points at c = 1e308
     # overflow to inf, and every point, failed or not, gets the record of
-    # its own run; at 10**15 trials the group's run raises, and so does
-    # each point's own
+    # its own run; at 10**15 trials the group's block partials cannot be
+    # allocated, so its run raises, and so does each point's own
     base = dict(_SIMULATE_OVERFLOW, seed=5, simulate={
         "trials": 1000, "threshold": 1.0, "phi": 0.2,
     })

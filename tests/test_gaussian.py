@@ -203,6 +203,13 @@ def test_sample_reproducible_and_stream_split():
         philox_rng(-1)
     with pytest.raises(ValueError, match="^stream ids must be nonnegative$"):
         philox_rng(11, 0, -2)
+    # seeds and stream ids are Python or numpy integers, never a float or a
+    # bool, which int() would quietly turn into another stream
+    for bad, name in (((1.5,), "seed"), ((True,), "seed"), ((11, 1.0), "stream id"),
+                      ((11, 0, False), "stream id")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            philox_rng(*bad)
+    assert np.array_equal(r1, philox_rng(np.int64(11), np.uint8(0)).standard_normal(100))
     with pytest.raises(ValueError, match="^count must be nonnegative$"):
         _deviations(g, 3, -1)
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from jamgame.gaussian import (
+    DiagonalGaussian,
+    GeneralGaussian,
     ScalarGaussian,
     interval_moments,
     norm_sq_tail,
@@ -365,7 +367,10 @@ def test_kkt_multiplier_direction():
 # at ENVELOPE_H agreed with the policy fields to 4.8 eps / h * max(1, |value|)
 # at worst (1.1e-9 at |value| <= 1, in kappa_bar at C2 and C4b; 2.8 units in
 # c and d) over three runs of 4000 unseeded draws of the strategy below and
-# 6000 uniform ones; the tolerance is ENVELOPE_UNITS of those units.
+# 6000 uniform ones.  On diagonal and general sources (dimension 2-5,
+# variances 0.3-3, Ruben's series) the c and d pins agreed to 5.2 units at
+# worst over 1200 seeded draws; at h = 1e-5 the d pin's truncation error
+# reached 1250 units.  The tolerance is ENVELOPE_UNITS of those units.
 ENVELOPE_H = 1e-6
 ENVELOPE_UNITS = 8
 
@@ -414,8 +419,40 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
         else:
             skipped[large.case_id] += 1
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        variances=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=5),
+        mean=st.floats(-1.0, 1.0), rotation=st.none() | st.integers(0, 2**32 - 1),
+        c=st.floats(0.1, 3.0), d_frac=st.floats(0.05, 1.2),
+    )
+    def vector_pins(variances, mean, rotation, c, d_frac):
+        # the same pins on vector sources: diagonal, or general with the
+        # spectrum turned by a random rotation
+        lam = np.array(variances)
+        centre = np.full(lam.size, mean)
+        if rotation is None:
+            source, kind = DiagonalGaussian(centre, lam), "diagonal"
+        else:
+            q = stats.special_ortho_group.rvs(lam.size, random_state=rotation)
+            source, kind = GeneralGaussian(centre, (q * lam) @ q.T), "general"
+        d = d_frac * float(lam.sum())
+        saddle = solve_saddle(source, GameCosts(c, d))
+        for (dc, dd), slope in (((h, 0.0), saddle.transmit_prob),
+                                ((0.0, h), -saddle.phi_star)):
+            up = solve_saddle(source, GameCosts(c + dc, d + dd))
+            down = solve_saddle(source, GameCosts(c - dc, d - dd))
+            if up.case == down.case == saddle.case:
+                pin(slope, up.value, down.value, saddle.value, (kind, saddle.case))
+            else:
+                skipped[kind, saddle.case] += 1
+
     pins()
-    assert set(checked) == {NO_JAM, INTERIOR_JAM, "C1", "C2", "C3", "C4b", "C4c"}
+    vector_pins()
+    assert set(checked) == {
+        NO_JAM, INTERIOR_JAM, "C1", "C2", "C3", "C4b", "C4c",
+        *((kind, case) for kind in ("diagonal", "general")
+          for case in (NO_JAM, INTERIOR_JAM)),
+    }
     assert skipped["C4a"] >= 1
     # kinks are rare: a draw lands on one only at a case boundary
     assert sum(skipped.values()) <= 0.02 * sum(checked.values()), skipped
