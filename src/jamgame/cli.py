@@ -23,17 +23,17 @@ a sweep it becomes that point's record and the sweep goes on.
 
 A sweep runs its groups of points in grid order on the calling thread, and
 every draw is seeded per point; `sweep.workers` is accepted and echoed, so
-older configs still run, but nothing reads it.  Simulate points of one
-sweep share its seed, so points with the same transmit rule share their
-sensor draws: threshold points that differ only in n, capacity, jammer or
-costs, and best-response points that differ only in n or capacity.  Each
-such group is one run that draws each sensor stream once.  Proactive and
-large-scale points with the same source and d are one group too, which
-solves the jammer's indifference root once, and only if one of its points
-jams.  Every point's record is the one its own run writes and checks once.
-A sweep parses each section that no axis crosses once, and its top level
-once per value of the axes that set top-level keys; its records share those
-sections and one provenance dict a seed.  `result.json` is the text of
+older configs still run, but nothing reads it.  The points of a proactive,
+large-scale or simulate sweep with the same source, trials and seed are one
+group, one call of the library's batch run for their mode, which decides
+what the points share: a simulate group draws each sensor stream once per
+distinct transmit rule (`estimate_costs`), and a proactive or large-scale
+group solves the jammer's indifference root once per distinct d, and only
+if one of its points at that d jams (`solve_saddles`).  Every point's
+record is the one its own run writes and checks once.  A sweep parses each
+section that no axis crosses once, and its top level once per value of the
+axes that set top-level keys; its records share those sections and one
+provenance dict a seed.  `result.json` is the text of
 `json.dumps(record, indent=2)`, written in one pass that formats each shared
 dict and each distinct float once, as `table.csv` does a column's floats.
 """
@@ -62,7 +62,6 @@ from .largescale import CapacityFraction, classify_and_solve, classify_and_solve
 from .network import (
     NetworkConfig,
     RoundPolicies,
-    _rule,
     estimate_cost,
     estimate_costs,
     jn_analytic,
@@ -624,27 +623,6 @@ def _run_simulate(config: ExperimentConfig, estimate=None):
     return outputs, None
 
 
-def _source_key(config: ExperimentConfig, source_keys: dict):
-    """Proactive and large-scale points with the same source and d share the
-    jammer's indifference root: the source's mean and spectrum as bytes (so
-    -0.0 is not 0.0), made once a source object (`source_keys`, by id), and d."""
-    source = config.source
-    if id(source) not in source_keys:
-        mean = np.asarray(source.mean, dtype=float).tobytes()
-        source_keys[id(source)] = mean, _spectrum(source).tobytes()
-    return *source_keys[id(source)], config.costs.d
-
-
-def _simulate_key(config: ExperimentConfig, source_keys: dict):
-    """Simulate points with the same source, transmit rule, trials and seed
-    draw the same sensor streams and make the same transmit decisions."""
-    source = config.source
-    return (
-        source.mean, source.var, *_rule(source, config.costs, config.policies),
-        config.trials, config.seed,
-    )
-
-
 class _Mode(NamedTuple):
     """One mode's rules.  Its runs are this module's functions, which look the
     library up by module name when they start, so a wrapper bound to that
@@ -655,14 +633,14 @@ class _Mode(NamedTuple):
     # (top echo, raw, source, solver echo) -> (config fields, echo after seed)
     parse: Callable | None = None
     run: Callable | None = None  # (config[, group share]) -> (outputs, report)
-    group_key: Callable | None = None  # (config, a sweep's source keys) -> key
-    group_run: Callable | None = None  # points of one key -> a share each
+    # points of one group (`_group_key`), in any mix -> a share each
+    group_run: Callable | None = None
 
 
 _MODES = {
     "proactive": _Mode(
         (), ("kappa_bar", "n", "capacity", "simulate", "sweep"),
-        lambda *_: ({}, {}), _run_proactive, _source_key,
+        lambda *_: ({}, {}), _run_proactive,
         lambda group: solve_saddles(group[0].source, [p.costs for p in group]),
     ),
     "reactive": _Mode(
@@ -673,13 +651,13 @@ _MODES = {
     ),
     "large_scale": _Mode(
         ("kappa_bar",), ("n", "capacity", "simulate", "sweep"),
-        _parse_large_scale, _run_large_scale, _source_key,
+        _parse_large_scale, _run_large_scale,
         lambda group: classify_and_solve_all(
             group[0].source, [(p.costs, p.kappa_bar) for p in group]
         ),
     ),
     "simulate": _Mode(
-        ("n", "simulate"), ("sweep",), _parse_simulate, _run_simulate, _simulate_key,
+        ("n", "simulate"), ("sweep",), _parse_simulate, _run_simulate,
         lambda group: estimate_costs(
             group[0].source, [(p.costs, p.network, p.policies) for p in group],
             trials=group[0].trials, seed=group[0].seed,
@@ -729,11 +707,19 @@ def _run_point(config: ExperimentConfig, provenance: dict, *shared):
 
 def _group_key(config: ExperimentConfig, source_keys: dict | None = None):
     """The key of a point's group, whose points share one group run of their
-    mode (`_Mode`); a point of a mode with no group run is a group alone."""
-    group_key = _MODES[config.mode].group_key
-    if group_key is None:
+    mode (`_Mode`): what that run takes as shared, the source's mean and
+    spectrum as bytes (so -0.0 is not 0.0), made once a source object
+    (`source_keys`, by id), the trials and the seed.  The run decides what
+    else its points share.  A point of a mode with no group run is a group
+    alone."""
+    if _MODES[config.mode].group_run is None:
         return id(config)
-    return group_key(config, {} if source_keys is None else source_keys)
+    source = config.source
+    source_keys = {} if source_keys is None else source_keys
+    if id(source) not in source_keys:
+        mean = np.asarray(source.mean, dtype=float).tobytes()
+        source_keys[id(source)] = mean, _spectrum(source).tobytes()
+    return *source_keys[id(source)], config.trials, config.seed
 
 
 def _run_group(group: list[ExperimentConfig], provenance: dict) -> list:

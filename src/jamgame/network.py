@@ -24,12 +24,12 @@ and streams its trials through it in chunks of `_CHUNK` trials, small
 enough that a chunk's arrays stay in cache: each sensor's draws are made,
 masked and added into per-trial sums before the next sensor's.  The sums
 over the first n sensors are the same for every point with the same seed
-and transmit rule, so one pass serves a group of such points
-(`estimate_costs`), each bit for bit as on its own.  Every rule takes one
-form, the points where it switches between silence and transmission:
-threshold points share it whatever their jammer and costs, and
-best-response points share it when they differ in n or capacity, or in a
-jammer and costs that give the same switch points.
+and transmit rule, so `estimate_costs` takes any points of one source,
+splits them by rule itself and makes one pass a rule, each point bit for
+bit as on its own.  Every rule takes one form, the points where it switches
+between silence and transmission: threshold points share it whatever their
+jammer and costs, and best-response points share it when they differ in n
+or capacity, or in a jammer and costs that give the same switch points.
 
 Each point reduces its costs in blocks of `_BLOCK` trials aligned at trial
 0: a pairwise sum and a two-pass sum of squared deviations a block, combined
@@ -233,16 +233,6 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return _draw(_stream(seed, stream, start), np.empty(count))
 
 
-def _group_rule(source: ScalarGaussian, points):
-    """The transmit rule (`_rule`) every point of a group shares."""
-    if not points:
-        raise ValueError("a group needs at least one point")
-    rules = [_rule(source, costs, policies) for costs, _, policies in points]
-    if any(rule != rules[0] for rule in rules[1:]):
-        raise ValueError("the points of a group must share the transmit rule")
-    return rules[0]
-
-
 def _transmits(y, edges, first: bool):
     """Whether the rule cut at `edges` (at most two) transmits at each
     deviation y: on every other open segment of the line, the first iff
@@ -267,14 +257,16 @@ def _sensor_draws(source: ScalarGaussian, rule, u: np.ndarray, sq0=None):
     return y, sq0, _transmits(y, edges, first)
 
 
-def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: int):
+def _trial_costs(
+    source: ScalarGaussian, rule, points, seed: int, start: int, count: int
+):
     """Per-trial costs and channel state of each point of a group, for
     trials [start, start + count): yields (index, cost, p_count, jam,
     intrinsic) per point for each chunk of at most `_CHUNK` trials, the
     chunks in order and a chunk's points in ascending n.
 
-    `points` holds (costs, config, policies) triples that share the
-    transmit rule (`_group_rule`).  Each stream is one live generator
+    `points` holds (costs, config, policies) triples whose transmit rule
+    (`_rule`) is `rule`, made by the caller.  Each stream is one live generator
     (`_stream`) that every chunk continues.  Sensors 0 ... max n - 1 stream
     once per chunk, one at a time, into arrays of chunk length: the transmit
     count, the silent error against x_hat0 (zero for a transmitting sensor)
@@ -289,7 +281,6 @@ def _trial_costs(source: ScalarGaussian, points, seed: int, start: int, count: i
     n and `count` are, and a live generator (about 1 KB) per stream.
     `p_count` is the running count: it changes when the generator resumes.
     """
-    rule = _group_rule(source, points)
     y0, y1, _, _ = rule
     same = y0 == y1
     order = sorted(range(len(points)), key=lambda i: points[i][1].n)
@@ -370,14 +361,14 @@ def simulate_round(
 
     The cost and channel state come from the batch kernel with one point and
     one trial; a delivered round re-draws its sensors one at a time to list
-    the packets.
+    the packets.  Both read the one transmit rule (`_rule`) made here.
     """
     _check_count("trial", trial)
     if trial < 0:
         raise ValueError(f"trial must be nonnegative, got {trial}")
-    point = [(costs, config, policies)]
+    rule = _rule(source, costs, policies)
     ((_, cost, p_count, jam, intrinsic),) = _trial_costs(
-        source, point, seed, trial, 1
+        source, rule, [(costs, config, policies)], seed, trial, 1
     )
     p = int(p_count[0])
     jammed = bool(jam[0])
@@ -386,7 +377,6 @@ def simulate_round(
     elif p == 0:
         outcome = ChannelOutcome("idle", (), False, False)
     else:
-        rule = _group_rule(source, point)
         packets = []
         for s in range(config.n):
             y, _, transmit = _sensor_draws(source, rule, _uniforms(seed, s, trial, 1))
@@ -479,19 +469,25 @@ def estimate_costs(
 ) -> list[EmpiricalEstimate]:
     """Average each point's per-round cost over `trials` addressed rounds.
 
-    `points` is a group of (costs, config, policies) triples that share the
-    transmit rule (`_group_rule`), so every sensor stream is drawn once for
-    the whole group.  Each point reduces its costs chunk by chunk
-    (`_Moments`), so no array of trial length is held, and every estimate
-    is bit-identical to `estimate_cost` on that point alone, for any chunk
-    size of the same (seed, trials).
+    `points` are any (costs, config, policies) triples of one source, in any
+    order, and the estimates come in their order.  Points with the same
+    transmit rule (`_rule`) are one pass of the kernel, so every sensor
+    stream is drawn once per distinct rule.  Each point reduces its costs
+    chunk by chunk (`_Moments`), so no array of trial length is held, and
+    every estimate is bit-identical to `estimate_cost` on that point alone,
+    for any chunk size of the same (seed, trials).
     """
     _check_count("trials", trials)
     if trials < 2:
         raise ValueError("at least 2 trials are required")
     moments = [_Moments(trials) for _ in points]
-    for i, cost, *_ in _trial_costs(source, points, seed, 0, trials):
-        moments[i].add(cost)
+    by_rule = {}
+    for i, (costs, _, policies) in enumerate(points):
+        by_rule.setdefault(_rule(source, costs, policies), []).append(i)
+    for rule, at in by_rule.items():
+        group = [points[i] for i in at]
+        for j, cost, *_ in _trial_costs(source, rule, group, seed, 0, trials):
+            moments[at[j]].add(cost)
     return [m.estimate() for m in moments]
 
 

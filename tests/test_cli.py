@@ -330,6 +330,47 @@ SENSING_SIMULATE_SWEEP = {
 }
 
 
+# best responses to jammers that differ in alpha: one group of points whose
+# rules differ, which draws each sensor stream once for each alpha, 3 * 7
+BEST_RESPONSE_SIMULATE_SWEEP = {
+    "source": {"mean": 0.3, "variance": 0.8},
+    "costs": {"c": 0.7, "d": 1.3},
+    "kappa_bar": 0.4,
+    "seed": 17,
+    "simulate": {"trials": 3000, "alpha": 0.1, "beta": 0.6, "x_hat0": 0.2},
+    "sweep": {
+        "mode": "simulate",
+        "axes": [
+            {"parameter": "simulate.alpha", "grid": [0.1, 0.4, 0.9]},
+            {"parameter": "n", "grid": [1, 3, 6]},
+        ],
+    },
+}
+
+# threshold rules across the threshold: one group, 2 * 6 stream draws
+THRESHOLD_SIMULATE_SWEEP = {
+    "source": {"mean": -0.2, "variance": 1.2},
+    "costs": {"c": 1.0, "d": 0.9},
+    "capacity": 1,
+    "seed": 19,
+    "simulate": {"trials": 3000, "threshold": 0.5, "phi": 0.3},
+    "sweep": {
+        "mode": "simulate",
+        "axes": [
+            {"parameter": "simulate.threshold", "grid": [0.5, 1.5]},
+            {"parameter": "n", "grid": [2, 5]},
+            {"parameter": "simulate.phi", "grid": [0.2, 0.6]},
+        ],
+    },
+}
+
+# sensor stream draws of each simulate sweep: max n + 1 for each distinct
+# transmit rule of each source
+_STREAM_DRAWS = ((SIMULATE_SWEEP, 2 * 9), (SENSING_SIMULATE_SWEEP, 21),
+                 (BEST_RESPONSE_SIMULATE_SWEEP, 3 * 7),
+                 (THRESHOLD_SIMULATE_SWEEP, 2 * 6))
+
+
 # scalar reactive points: one group each
 REACTIVE_SWEEP = {
     "source": {"mean": 0.1, "variance": 1.0},
@@ -346,9 +387,9 @@ REACTIVE_SWEEP = {
 }
 
 
-# proactive points over c and d: the points with one d are one group, which
-# solves the root of the indifference condition once if one of them jams;
-# at c = 9 only d = 0.1 jams
+# proactive points over c and d: one group, which solves the root of the
+# indifference condition once for each d at which one of them jams; at c = 9
+# only d = 0.1 jams
 PROACTIVE_SWEEP = {
     "source": {"mean": 0.3, "variance": 2.0},
     "costs": {"c": 1.0, "d": 1.0},
@@ -374,7 +415,7 @@ DIAGONAL_PROACTIVE_SWEEP = {
     },
 }
 
-# every point of one variance and d is one group, across c
+# every point of one variance is one group, across c
 VARIANCE_SWEEP = {
     "source": {"mean": -0.2, "variance": 1.0},
     "costs": {"c": 1.0, "d": 0.3},
@@ -420,9 +461,18 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
         return run_group(group, provenance)
 
     monkeypatch.setattr(cli, "_run_group", recorded)
+    open_stream = network._stream
+    streams = []
+
+    def drawn(seed, stream, start):
+        streams.append(stream)
+        return open_stream(seed, stream, start)
+
+    monkeypatch.setattr(network, "_stream", drawn)
     closed_forms = (TABLE_I_SWEEP, PROACTIVE_SWEEP, DIAGONAL_PROACTIVE_SWEEP,
                     VARIANCE_SWEEP)
-    for sweep in (SIMULATE_SWEEP, SENSING_SIMULATE_SWEEP, REACTIVE_SWEEP,
+    simulates = {id(sweep): draws for sweep, draws in _STREAM_DRAWS}
+    for sweep in (*(sweep for sweep, _ in _STREAM_DRAWS), REACTIVE_SWEEP,
                   *closed_forms):
         runs = []
         # the worker count is accepted and echoed, and changes nothing
@@ -436,12 +486,16 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
             assert raw == before
             roots.clear()
             threads.clear()
+            streams.clear()
             runs.append(execute(config).point_records)
             # every group runs on the thread that called execute
             assert threads and set(threads) == {threading.get_ident()}
             if sweep in closed_forms:
                 # one root for each source and d that some point jams at
                 assert len(roots) == _roots_needed(runs[-1]) > 0
+            if id(sweep) in simulates:
+                # each sensor stream once for each source and rule
+                assert len(streams) == simulates[id(sweep)]
         a = runs[0]
         for b in runs[1:]:
             assert [r.outputs for r in a] == [r.outputs for r in b]
@@ -451,12 +505,12 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
             alone = execute(parse_config(copy.deepcopy(record.config)))
             assert alone.record.outputs == record.outputs
             assert _bits([alone.record]) == _bits([record])
-    raw = dict(copy.deepcopy(SENSING_SIMULATE_SWEEP), mode="sweep")
-    points = parse_config(raw).sweep_plan.points
-    assert len({cli._group_key(point) for point in points}) == 1
-    # proactive and large-scale points group by source and d
-    for sweep, groups in ((TABLE_I_SWEEP, 4), (PROACTIVE_SWEEP, 3),
-                          (DIAGONAL_PROACTIVE_SWEEP, 2), (VARIANCE_SWEEP, 2)):
+    # points group by source, trials and seed, whatever their rules and d
+    for sweep, groups in ((SIMULATE_SWEEP, 2), (SENSING_SIMULATE_SWEEP, 1),
+                          (BEST_RESPONSE_SIMULATE_SWEEP, 1),
+                          (THRESHOLD_SIMULATE_SWEEP, 1), (TABLE_I_SWEEP, 1),
+                          (PROACTIVE_SWEEP, 1), (DIAGONAL_PROACTIVE_SWEEP, 1),
+                          (VARIANCE_SWEEP, 2)):
         points = parse_config(dict(copy.deepcopy(sweep), mode="sweep")).sweep_plan.points
         assert len({cli._group_key(point) for point in points}) == groups
         # a section that no axis crosses is parsed once, and its points
@@ -466,9 +520,9 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
             shared = {id(getattr(point, name)) for point in points}
             assert len(shared) == (len(points) if name in crossed else 1)
 
-    # the root at d = 0.6 fails: each point of that group that jams records
-    # the error of its own run, the one that does not jam records its
-    # saddle, and the other groups keep theirs
+    # the root at d = 0.6 fails, so the group's run fails and every point
+    # runs alone: each point at d = 0.6 that jams records the error of its
+    # own run, and every other point records its saddle
     failure = "indifference root past r = 1.79769e+308"
 
     def failing(residual, scale):
@@ -924,15 +978,22 @@ _FAILURE = ("Imhof sin integral error estimate 1.674e-09 exceeds 1.571e-10 "
 
 
 def _fail_at_d(monkeypatch, d):
-    """Make the CLI's saddle raise ConvergenceError when costs.d == d."""
-    solve = cli.solve_saddle
+    """Make the CLI's saddles raise ConvergenceError when costs.d == d: a
+    point's own run, and the group run of a sweep that holds such a point."""
+    solve, solve_all = cli.solve_saddle, cli.solve_saddles
 
     def failing(source, costs):
         if costs.d == d:
             raise ConvergenceError(_FAILURE)
         return solve(source, costs)
 
+    def failing_all(source, costs):
+        if any(point.d == d for point in costs):
+            raise ConvergenceError(_FAILURE)
+        return solve_all(source, costs)
+
     monkeypatch.setattr(cli, "solve_saddle", failing)
+    monkeypatch.setattr(cli, "solve_saddles", failing_all)
 
 
 def test_solver_failure_exits_3_with_record(tmp_path, capsys, monkeypatch):

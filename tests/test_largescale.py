@@ -1,5 +1,6 @@
 """Tests for the infinite-sensor saddle point and its Lagrangian machinery."""
 
+import itertools
 import math
 import sys
 from collections import Counter
@@ -165,12 +166,15 @@ def test_table_one_sweep():
 
 
 def test_group_is_each_points_saddle():
-    # points with one d share its root; every saddle is its own run's
+    # points with one d share its root; every saddle is its own run's, in
+    # the order of the points, whatever that order, and no points give none
     points = [(GameCosts(c, d), kb) for d in (0.25, D_C4A, 0.75, 2.0)
               for c in (0.5, 1.0, 3.0) for kb in (0.1, 0.25, 0.6)]
-    for source in (STD, ScalarGaussian(0.7, 2.5)):
-        group = classify_and_solve_all(source, points)
-        for saddle, point in zip(group, points, strict=True):
+    mixed = points[1::2] + points[-2::-2]
+    for source, order in itertools.product((STD, ScalarGaussian(0.7, 2.5)),
+                                           (points, mixed)):
+        group = classify_and_solve_all(source, order)
+        for saddle, point in zip(group, order, strict=True):
             alone = classify_and_solve(source, *point)
             assert repr(saddle) == repr(alone)
             # Python floats in every case, C2 and C4b's ndtri root included
@@ -180,6 +184,7 @@ def test_group_is_each_points_saddle():
             )} == {float}
     assert {s.case_id for s in classify_and_solve_all(STD, points)} == {
         "C1", "C2", "C3", "C4a", "C4b", "C4c"}
+    assert classify_and_solve_all(STD, []) == []
 
 
 def test_case_ids_and_binding_constraints():

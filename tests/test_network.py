@@ -153,7 +153,8 @@ def test_import_leaves_out_scipy_stats():
 _DELETED = ("tail_prob", "tail_second_moment", "whiten", "project_box",
             "as_array", "complement_intervals", "iterations_to",
             "TransmitRegion", "_endpoint", "_piece_moments", "_std_tail",
-            "_std_pdf")
+            "_std_pdf", "_group_rule", "_simulate_key", "_source_key",
+            "group_key")
 
 
 def test_public_surface_resolves_and_holds_no_deleted_name():
@@ -170,6 +171,9 @@ def test_public_surface_resolves_and_holds_no_deleted_name():
         for name in _DELETED:
             assert not hasattr(owner, name), (owner, name)
     assert not hasattr(jamgame.largescale, "solve_l_phi")
+    # the library decides which points share a transmit rule; the CLI
+    # groups by source, trials and seed alone
+    assert not hasattr(jamgame.cli, "_rule")
 
 
 def test_jn_frozen_value():
@@ -283,6 +287,14 @@ def test_simulate_round_matches_estimate():
         STD, costs, config, policies, seed=11, trial=5)
 
 
+def _shared_rule(source, points):
+    """The transmit rule (`network._rule`) that every point of a group
+    shares, as `_trial_costs` takes it."""
+    rules = {network._rule(source, costs, policies) for costs, _, policies in points}
+    assert len(rules) == 1
+    return rules.pop()
+
+
 def test_estimate_chunking_invariant(monkeypatch):
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(3, 1)
@@ -302,7 +314,8 @@ def test_estimate_chunking_invariant(monkeypatch):
     ]
     alone = [estimate_cost(source, *point, trials=500, seed=4) for point in group]
     assert estimate_costs(source, group, trials=500, seed=4) == alone
-    kernel = network._trial_costs(source, group, 4, 0, 500)
+    rule = _shared_rule(source, group)
+    kernel = network._trial_costs(source, rule, group, 4, 0, 500)
     per_trial = {i: cost for i, cost, *_ in kernel}
     for i, point in enumerate(group):
         for k in (0, 123, 499):
@@ -322,17 +335,17 @@ def test_estimate_chunking_invariant(monkeypatch):
     ]
     own_runs = [estimate_cost(source, *point, trials=500, seed=4) for point in responses]
     assert estimate_costs(source, responses, trials=500, seed=4) == own_runs
-    # points whose rules differ are not one group: another threshold, the
-    # best response next to a threshold, or to another jammer
+    # points whose rules differ, in any order, are one call too, which
+    # splits them by rule: another threshold, the best response next to a
+    # threshold, or to another jammer; each estimate is its own run's, in
+    # the order of the points, and no points give no estimates
     threshold = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2), 0.8))
     other_jammer = (costs, config, RoundPolicies(symbols, ReactivePolicy(0.2, 0.2)))
-    for mixed in (group + [threshold], group + [responses[0]],
-                  responses + [other_jammer]):
-        with pytest.raises(ValueError, match="^the points of a group must share "
-                                             "the transmit rule$"):
-            estimate_costs(source, mixed, trials=500, seed=4)
-    with pytest.raises(ValueError, match="^a group needs at least one point$"):
-        estimate_costs(source, [], trials=500, seed=4)
+    for mixed in ([group[3], threshold, *group[:3]], group + responses[::-1],
+                  [responses[1], other_jammer, *responses]):
+        alone = [estimate_cost(source, *point, trials=500, seed=4) for point in mixed]
+        assert estimate_costs(source, mixed, trials=500, seed=4) == alone
+    assert estimate_costs(source, [], trials=500, seed=4) == []
 
 
 # Past one block of the reduction the estimate is its blocks' combination:
@@ -355,7 +368,9 @@ def test_estimate_reduction_is_blocked(monkeypatch):
     ]
     for trials in (network._BLOCK, 2 * network._BLOCK + 123):
         monkeypatch.setattr(network, "_CHUNK", trials)
-        kernel = network._trial_costs(source, group, 4, 0, trials)
+        kernel = network._trial_costs(
+            source, _shared_rule(source, group), group, 4, 0, trials
+        )
         per_trial = {i: cost.copy() for i, cost, *_ in kernel}
         blocked = estimate_costs(source, group, trials=trials, seed=4)
         # blocks start at trial 0 whatever the chunk, so every chunking
@@ -542,8 +557,9 @@ def test_reactive_collapses_to_blind_jammer():
 
 def _one_point(source, costs, config, policies, seed, trials):
     """The kernel's per-trial costs and transmit counts for one point."""
+    point = [(costs, config, policies)]
     ((_, cost, p_count, *_),) = network._trial_costs(
-        source, [(costs, config, policies)], seed, 0, trials
+        source, _shared_rule(source, point), point, seed, 0, trials
     )
     return cost, p_count
 
@@ -636,12 +652,12 @@ def _reference_uniforms(seed, stream, start, count):
     return np.maximum(u, 2.0**-54, out=u)
 
 
-def _reference_trial_costs(source, points, seed, start, count):
+def _reference_trial_costs(source, rule, points, seed, start, count):
     """The per-trial kernel in its earlier form, as the oracle of the live
     one: one addressed draw a stream for all `count` trials, the channel
     read through `np.where`, and per-point arrays of its own; yields
     (index, cost, p_count, jam, intrinsic) per point in ascending n."""
-    y0, y1, edges, first = network._group_rule(source, points)
+    y0, y1, edges, first = rule
     p_count = np.zeros(count, dtype=np.int64)
     silent = np.zeros(count)
     total = np.zeros(count)
@@ -732,12 +748,13 @@ def test_kernel_matches_the_reference_bit_for_bit(case):
     # and selects with bit masks; each point's cost, count, jam and
     # intrinsic-collision arrays equal the earlier kernel's to the bit
     source, points, seed, start, count, chunk = case
+    rule = _shared_rule(source, points)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_CHUNK", chunk)
         parts = {i: [] for i in range(len(points))}
-        for i, *arrays in network._trial_costs(source, points, seed, start, count):
+        for i, *arrays in network._trial_costs(source, rule, points, seed, start, count):
             parts[i].append([a.copy() for a in arrays])
-    for i, *expected in _reference_trial_costs(source, points, seed, start, count):
+    for i, *expected in _reference_trial_costs(source, rule, points, seed, start, count):
         assert len(parts[i]) == -(-count // chunk)
         for got, want in zip(zip(*parts[i]), expected, strict=True):
             got = np.concatenate(got)

@@ -134,12 +134,13 @@ def _saddle_bits(saddle) -> tuple:
     st.sampled_from([ScalarGaussian(-0.4, 1.7), DiagonalGaussian([0.0, 1.0], [0.5, 2.0])]),
     st.lists(
         st.tuples(st.floats(0.05, 6.0), st.sampled_from([0.05, 0.3, 1.0, 1.6, 3.0])),
-        min_size=1, max_size=8,
+        max_size=8,
     ),
 )
 def test_saddle_group_solves_each_root_once(source, points):
-    # a group's saddles are each point's own, bit for bit, and it solves
-    # the root once for each d that some point jams at
+    # a group's saddles, of any points in any order, are each point's own in
+    # their order, bit for bit, none for no points, and it solves the root
+    # once for each d that some point jams at
     costs = [GameCosts(c, d) for c, d in points]
     roots = []
 
@@ -154,6 +155,7 @@ def test_saddle_group_solves_each_root_once(source, points):
     assert list(map(_saddle_bits, group)) == list(map(_saddle_bits, alone))
     jams = {point.d for point, s in zip(costs, alone) if s.case == INTERIOR_JAM}
     assert len(roots) == len(jams)
+    assert solve_saddles(source, []) == []
 
 
 def test_l_phi_keeps_its_digits_at_every_scale():
