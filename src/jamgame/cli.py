@@ -21,21 +21,23 @@ an iterate the library rejects) or gives a non-finite output also exits 3,
 with the record written and the exception under its `error` output; inside
 a sweep it becomes that point's record and the sweep goes on.
 
-A sweep runs its groups of points in grid order on the calling thread, and
-every draw is seeded per point; `sweep.workers` is accepted and echoed, so
-older configs still run, but nothing reads it.  The points of a proactive,
-large-scale or simulate sweep with the same source, trials and seed are one
-group, one call of the library's batch run for their mode, which decides
-what the points share: a simulate group draws each sensor stream once per
-distinct transmit rule (`estimate_costs`), and a proactive or large-scale
-group solves the jammer's indifference root once per distinct d, and only
-if one of its points at that d jams (`solve_saddles`).  Every point's
-record is the one its own run writes and checks once.  A sweep parses each
-section that no axis crosses once, and its top level once per value of the
-axes that set top-level keys; its records share those sections and one
-provenance dict a seed.  `result.json` is the text of
-`json.dumps(record, indent=2)`, written in one pass that formats each shared
-dict and each distinct float once, as `table.csv` does a column's floats.
+Every point, a non-sweep run's too, runs in a group, one call of its mode's
+batch run: the points of a sweep with the same source, trials and seed.
+The batch run decides what they share: a simulate group draws each sensor
+stream once per distinct transmit rule (`estimate_costs`), a proactive or
+large-scale group solves the jammer's indifference root once per distinct
+d at which a point jams (`solve_saddles`), and a reactive group solves each
+point alone.  It hands each point its result or the exception the point's
+own run raises, so a root that fails fails only the points that need it.
+Every point's record is the one its own run writes and checks once.  A
+sweep runs its groups in grid order on the calling thread, and every draw
+is seeded per point; `sweep.workers` is accepted and echoed, so older
+configs still run, but nothing reads it.  A sweep parses each section that
+no axis crosses once, and its top level once per value of the axes that set
+top-level keys; its records share those sections and one provenance dict a
+seed.  `result.json` is the text of `json.dumps(record, indent=2)`, written
+in one pass that formats each shared dict and each distinct float once, as
+`table.csv` does a column's floats.
 """
 
 from __future__ import annotations
@@ -58,19 +60,14 @@ import numpy as np
 
 from . import __version__
 from .gaussian import DiagonalGaussian, ScalarGaussian, _spectrum
-from .largescale import CapacityFraction, classify_and_solve, classify_and_solve_all
-from .network import (
-    NetworkConfig,
-    RoundPolicies,
-    estimate_cost,
-    estimate_costs,
-    jn_analytic,
-)
+from .largescale import CapacityFraction, classify_and_solve_all
+from .network import NetworkConfig, RoundPolicies, estimate_costs, jn_analytic
 from .proactive import (
-    ConvergenceError,
+    _FAILURES,
     GameCosts,
     ReprSymbols,
-    solve_saddle,
+    _entry,
+    _raised,
     solve_saddles,
 )
 from .reactive import (
@@ -544,12 +541,9 @@ def _symbol_output(values: np.ndarray):
     return flat[0] if len(flat) == 1 else flat
 
 
-def _run_proactive(config: ExperimentConfig, saddle=None):
-    """`saddle` is the point's share of its sweep group's run (`_run_group`);
-    without one the point solves its own."""
-    if saddle is None:
-        saddle = solve_saddle(config.source, config.costs)
-    outputs = {
+def _run_proactive(config: ExperimentConfig, saddle):
+    """(outputs, report) of a point from its share of its group's run."""
+    return {
         "case": saddle.case,
         "threshold": float(saddle.threshold),
         "phi_star": float(saddle.phi_star),
@@ -559,14 +553,11 @@ def _run_proactive(config: ExperimentConfig, saddle=None):
         # every proactive saddle is exact; the key stays for older readers
         "value_std_err": 0.0,
         "transmit_prob": float(saddle.transmit_prob),
-    }
-    return outputs, None
+    }, None
 
 
-def _run_reactive(config: ExperimentConfig):
-    solve = solve_pga_ccp if config.algorithm == "pga_ccp" else solve_gda
-    report = solve(config.source, config.costs, config.solver)
-    outputs = {
+def _run_reactive(config: ExperimentConfig, report: FneReport):
+    return {
         "alpha": float(report.policy.alpha),
         "beta": float(report.policy.beta),
         "x_hat0": _symbol_output(report.symbols.x_hat0),
@@ -576,14 +567,10 @@ def _run_reactive(config: ExperimentConfig):
         "fne_std_err": float(report.fne_std_err),
         "iterations": report.iterations,
         "converged": report.converged,
-    }
-    return outputs, report
+    }, report
 
 
-def _run_large_scale(config: ExperimentConfig, saddle=None):
-    """As `_run_proactive`."""
-    if saddle is None:
-        saddle = classify_and_solve(config.source, config.costs, config.kappa_bar)
+def _run_large_scale(config: ExperimentConfig, saddle):
     outputs = {
         "case": saddle.case_id,
         "threshold": float(saddle.threshold),
@@ -595,45 +582,34 @@ def _run_large_scale(config: ExperimentConfig, saddle=None):
         "value": float(saddle.value),
     }
     if saddle.phi_star_interval is not None:
-        outputs["phi_star_interval"] = [
-            float(v) for v in saddle.phi_star_interval
-        ]
+        outputs["phi_star_interval"] = list(map(float, saddle.phi_star_interval))
     return outputs, None
 
 
-def _run_simulate(config: ExperimentConfig, estimate=None):
-    """`estimate` is the point's share of its sweep group's run
-    (`_run_group`); without one the point draws its own."""
+def _run_simulate(config: ExperimentConfig, estimate):
     policies = config.policies
     analytic = jn_analytic(config.source, config.costs, config.network, policies)
-    if estimate is None:
-        estimate = estimate_cost(
-            config.source, config.costs, config.network, policies,
-            trials=config.trials, seed=config.seed,
-        )
     x_hat0, x_hat1 = policies.symbols.scalars()
-    outputs = {
+    return {
         "value": float(estimate.mean),
         "std_err": float(estimate.std_err),
         "trials": estimate.trials,
         "analytic_value": float(analytic),
         "x_hat0": x_hat0,
         "x_hat1": x_hat1,
-    }
-    return outputs, None
+    }, None
 
 
 class _Mode(NamedTuple):
-    """One mode's rules.  Its runs are this module's functions, which look the
-    library up by module name when they start, so a wrapper bound to that
-    name sees the call."""
+    """One mode's rules.  Its group run looks the library up by module name
+    when it starts, so a wrapper bound to that name sees the call."""
 
     required: tuple[str, ...]  # top-level keys
     forbidden: tuple[str, ...]
     # (top echo, raw, source, solver echo) -> (config fields, echo after seed)
     parse: Callable | None = None
-    run: Callable | None = None  # (config[, group share]) -> (outputs, report)
-    # points of one group (`_group_key`), in any mix -> a share each
+    run: Callable | None = None  # (config, its share) -> (outputs, report)
+    # a group's points (`_group_key`) -> a share each, result or exception
     group_run: Callable | None = None
 
 
@@ -648,6 +624,11 @@ _MODES = {
         # only reactive runs read the solver fields; the others accept them,
         # so older records replay
         lambda top, raw, source, solver: ({}, {"solver": solver}), _run_reactive,
+        lambda group: [
+            _entry(solve_pga_ccp if p.algorithm == "pga_ccp" else solve_gda,
+                   p.source, p.costs, p.solver)
+            for p in group
+        ],
     ),
     "large_scale": _Mode(
         ("kappa_bar",), ("n", "capacity", "simulate", "sweep"),
@@ -663,7 +644,7 @@ _MODES = {
             trials=group[0].trials, seed=group[0].seed,
         ),
     ),
-    # runs its points in their own modes (`_parse_sweep`, `_execute_sweep`)
+    # runs its points in their own modes (`_parse_sweep`, `execute`)
     "sweep": _Mode(("sweep",), ()),
 }
 # the modes a sweep's points take
@@ -688,34 +669,27 @@ def _provenance(seed: int) -> dict:
     return {"library": "jamgame", "version": __version__, "seed": seed}
 
 
-_FAILURES = (ConvergenceError, ArithmeticError, MemoryError, ValueError)
-
-
-def _run_point(config: ExperimentConfig, provenance: dict, *shared):
-    """(record, report) of one non-sweep experiment, given what its group
-    computed for it (`_run_group`).  A failed accuracy check, an overflow,
-    an allocation numpy refuses, an iterate the library rejects or a
-    non-finite output (which the record's own check finds) is no answer to
-    report: the outputs say why, and count as not converged."""
+def _run_point(config: ExperimentConfig, provenance: dict, share):
+    """(record, report) of one non-sweep experiment from its share of its
+    group's run (`_run_group`).  A failure (`proactive._FAILURES`), the
+    share's or the run's, or a non-finite output (which the record's own
+    check finds) is no answer to report: the outputs say why, and count as
+    not converged."""
     try:
-        outputs, report = _MODES[config.mode].run(config, *shared)
+        outputs, report = _MODES[config.mode].run(config, _raised(share))
         return ResultRecord(config.normalized, outputs, provenance), report
     except _FAILURES as exc:
         outputs = {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
         return ResultRecord(config.normalized, outputs, provenance), None
 
 
-def _group_key(config: ExperimentConfig, source_keys: dict | None = None):
+def _group_key(config: ExperimentConfig, source_keys: dict):
     """The key of a point's group, whose points share one group run of their
     mode (`_Mode`): what that run takes as shared, the source's mean and
     spectrum as bytes (so -0.0 is not 0.0), made once a source object
     (`source_keys`, by id), the trials and the seed.  The run decides what
-    else its points share.  A point of a mode with no group run is a group
-    alone."""
-    if _MODES[config.mode].group_run is None:
-        return id(config)
+    else its points share."""
     source = config.source
-    source_keys = {} if source_keys is None else source_keys
     if id(source) not in source_keys:
         mean = np.asarray(source.mean, dtype=float).tobytes()
         source_keys[id(source)] = mean, _spectrum(source).tobytes()
@@ -724,41 +698,34 @@ def _group_key(config: ExperimentConfig, source_keys: dict | None = None):
 
 def _run_group(group: list[ExperimentConfig], provenance: dict) -> list:
     """(record, report) of each point of a group (`_group_key`), with the
-    provenance dict of its seed from `provenance`.  Its mode's group run
-    hands every point its share; if that run raises, every point runs alone,
-    so a failing point gets the record its own run gives and the others keep
-    theirs."""
-    if len(group) == 1:
-        return [_run_point(group[0], provenance[group[0].seed])]
+    provenance dict of its seed from `provenance`, each from its share of
+    its mode's group run; a failure of the group run itself (block partials
+    of the trials that cannot be allocated) is every point's share."""
     try:
         shares = _MODES[group[0].mode].group_run(group)
-    except _FAILURES:
-        return [_run_point(p, provenance[p.seed]) for p in group]
+    except _FAILURES as exc:
+        shares = [exc] * len(group)
     return [_run_point(p, provenance[p.seed], s) for p, s in zip(group, shares)]
 
 
 def execute(config: ExperimentConfig) -> ExecutionResult:
-    """Run a validated experiment and return its record(s)."""
-    if config.mode == "sweep":
-        return _execute_sweep(config)
-    record, report = _run_point(config, _provenance(config.seed))
-    return ExecutionResult(record=record, report=report)
-
-
-def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
-    """Run a sweep's groups (`_group_key`) in grid order, on this thread."""
+    """Run a validated experiment and return its record(s): its one point,
+    or a sweep's groups (`_group_key`) in grid order, on this thread."""
     plan = config.sweep_plan
+    points = (config,) if plan is None else plan.points
     # the records of one seed share its provenance dict
-    seeds = {config.seed, *(p.seed for p in plan.points)}
+    seeds = {config.seed, *(p.seed for p in points)}
     provenance = {seed: _provenance(seed) for seed in seeds}
     groups, source_keys = {}, {}
-    for point in plan.points:
+    for point in points:
         groups.setdefault(_group_key(point, source_keys), []).append(point)
-    records = {
-        id(point): record for group in groups.values()
-        for point, (record, _) in zip(group, _run_group(group, provenance))
+    runs = {
+        id(point): run for group in groups.values()
+        for point, run in zip(group, _run_group(group, provenance))
     }
-    point_records = tuple(records[id(point)] for point in plan.points)
+    if plan is None:
+        return ExecutionResult(*runs[id(config)])
+    point_records = tuple(runs[id(point)][0] for point in points)
     summary = ResultRecord(
         config=config.normalized,
         outputs={

@@ -28,6 +28,8 @@ from .proactive import (
     INTERIOR_JAM,
     GameCosts,
     ReprSymbols,
+    _entry,
+    _raised,
     _threshold_cost,
     _trigger_value,
     _window,
@@ -116,19 +118,21 @@ def classify_and_solve(
     [0, 1 - c / l] is optimal and its capacity-binding end phi = 0 is
     reported.  The one-point group of `classify_and_solve_all`.
     """
-    return classify_and_solve_all(source, [(costs, kappa_bar)])[0]
+    return _raised(classify_and_solve_all(source, [(costs, kappa_bar)])[0])
 
 
-def classify_and_solve_all(source: ScalarGaussian, points) -> list[LargeScaleSaddle]:
-    """`classify_and_solve` of one source at each (costs, kappa_bar) of
-    `points`: their point-to-point saddles are one group (`solve_saddles`),
+def classify_and_solve_all(source: ScalarGaussian, points) -> list:
+    """`classify_and_solve`'s entry at each (costs, kappa_bar) of `points`,
+    in order: its saddle of one source, bit for bit, or the exception it
+    raises.  Their point-to-point saddles are one group (`solve_saddles`),
     so points with the same d solve the root of its indifference condition
-    once, and each saddle is its own `classify_and_solve`'s, bit for bit."""
+    once."""
     points = [(costs, _kappa(kappa_bar)) for costs, kappa_bar in points]
     free = solve_saddles(source, [costs for costs, _ in points])
     tail = norm_sq_tail(source)
     return [
-        _classify(source, tail, costs, kb, saddle)
+        saddle if isinstance(saddle, BaseException)
+        else _entry(_classify, source, tail, costs, kb, saddle)
         for (costs, kb), saddle in zip(points, free)
     ]
 

@@ -56,8 +56,10 @@ from scipy import special
 from .gaussian import ScalarGaussian, _check_count, philox_rng
 from .largescale import _kappa
 from .proactive import (
+    _FAILURES,
     GameCosts,
     ReprSymbols,
+    _raised,
     _rule_window,
     _threshold_cost,
     _threshold_rule,
@@ -287,13 +289,13 @@ def _trial_costs(
     by_n = [(n, list(at_n))
             for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n)]
     streams = [_stream(seed, s, start) for s in range(by_n[-1][0] + 1)]
-    buffers = np.empty((3, min(_CHUNK, count)))
+    # draws, jammer draws, squares, silent mask, three sums, int64 count
+    buffers = np.empty((8, min(_CHUNK, count)))
     for at in range(start, start + count, _CHUNK):
         size = min(_CHUNK, start + count - at)
-        u, w, sq = buffers[:, :size]
-        p_count = np.zeros(size, dtype=np.int64)
-        silent = np.zeros(size)
-        total = np.zeros(size)
+        u, w, sq, keep, quiet, silent, total, p_count = buffers[:, :size]
+        buffers[4:7, :size] = 0.0
+        p_count = p_count.view(np.int64)
         drawn = 0
         for n, at_n in by_n:
             for s in range(drawn, n):
@@ -301,17 +303,20 @@ def _trial_costs(
                 # as the last jammer
                 y = w if s == drawn > 0 else _draw(streams[s], u)
                 y, sq0, transmit = _sensor_draws(source, rule, y, sq)
-                p_count += transmit
                 if same:
                     total += sq0
-                # multiplying by the silent mask adds +0.0 for a transmitting sensor
-                sq0 *= np.logical_not(transmit, out=transmit)
+                # a float silent mask: float64 passes, and inf * 0.0 is NaN
+                np.logical_not(transmit, out=keep)
+                quiet += keep
+                sq0 *= keep
                 silent += sq0
                 if not same:
                     y -= y1
                     y *= y
                     total += y
             drawn = n
+            # a count of at most n, exact in float64
+            np.subtract(n, quiet, out=p_count, casting="unsafe")
             _draw(streams[n], w)
             occupied = p_count > 0
             intrinsic_at, costs_at_n = {}, {}
@@ -464,31 +469,34 @@ class _Moments:
         )
 
 
-def estimate_costs(
-    source: ScalarGaussian, points, trials: int, seed: int
-) -> list[EmpiricalEstimate]:
+def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> list:
     """Average each point's per-round cost over `trials` addressed rounds.
 
     `points` are any (costs, config, policies) triples of one source, in any
-    order, and the estimates come in their order.  Points with the same
-    transmit rule (`_rule`) are one pass of the kernel, so every sensor
-    stream is drawn once per distinct rule.  Each point reduces its costs
-    chunk by chunk (`_Moments`), so no array of trial length is held, and
-    every estimate is bit-identical to `estimate_cost` on that point alone,
-    for any chunk size of the same (seed, trials).
+    order, and the entries come in their order: each point's estimate, bit
+    for bit its own `estimate_cost`'s for any chunk size, or the exception
+    that call raises.  Points with the same transmit rule (`_rule`) are one
+    pass of the kernel, so every sensor stream is drawn once per distinct
+    rule, and a pass that raises fails its own points alone.  Each point
+    reduces its costs chunk by chunk (`_Moments`), so no array of trial
+    length is held.
     """
     _check_count("trials", trials)
     if trials < 2:
         raise ValueError("at least 2 trials are required")
-    moments = [_Moments(trials) for _ in points]
+    entries = [_Moments(trials) for _ in points]
     by_rule = {}
     for i, (costs, _, policies) in enumerate(points):
         by_rule.setdefault(_rule(source, costs, policies), []).append(i)
     for rule, at in by_rule.items():
         group = [points[i] for i in at]
-        for j, cost, *_ in _trial_costs(source, rule, group, seed, 0, trials):
-            moments[at[j]].add(cost)
-    return [m.estimate() for m in moments]
+        try:
+            for j, cost, *_ in _trial_costs(source, rule, group, seed, 0, trials):
+                entries[at[j]].add(cost)
+        except _FAILURES as exc:
+            for i in at:
+                entries[i] = exc
+    return [e if isinstance(e, BaseException) else e.estimate() for e in entries]
 
 
 def estimate_cost(
@@ -500,8 +508,8 @@ def estimate_cost(
     seed: int,
 ) -> EmpiricalEstimate:
     """Average the per-round cost over `trials` addressed rounds: the
-    one-point group of `estimate_costs`."""
-    return estimate_costs(source, [(costs, config, policies)], trials, seed)[0]
+    one-point group of `estimate_costs`, whose entry it returns or raises."""
+    return _raised(estimate_costs(source, [(costs, config, policies)], trials, seed)[0])
 
 
 def chernoff_upper_bound(n: int, p: float, kind: str, delta: float) -> float:

@@ -40,6 +40,24 @@ from .gaussian import (
 NO_JAM = "no_jam"
 INTERIOR_JAM = "interior_jam"
 
+# what a point may raise and a batch call return as its entry
+_FAILURES = (ConvergenceError, ArithmeticError, MemoryError, ValueError)
+
+
+def _entry(fn, *args):
+    """`fn(*args)`, or the `_FAILURES` exception it raises."""
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return exc
+
+
+def _raised(entry):
+    """An entry's result, or its exception raised."""
+    if isinstance(entry, BaseException):
+        raise entry
+    return entry
+
 
 @dataclass(frozen=True)
 class GameCosts:
@@ -274,32 +292,33 @@ def solve_saddle(
     """Saddle point of any source, scalar, diagonal or general: symbols at the
     mean, transmit iff ||x - mean||^2 > threshold, jam level from the root of
     G.  Only the covariance spectrum matters (`_saddle`).  The one-point
-    group of `solve_saddles`."""
-    return solve_saddles(source, [costs])[0]
+    group of `solve_saddles`, whose entry it returns or raises."""
+    return _raised(solve_saddles(source, [costs])[0])
 
 
 def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
     """The same call as `solve_saddle`, kept only while the benchmark's tracer
     (`bench/tracing.py`) names it."""
-    return solve_saddles(source, [costs])[0]
+    return _raised(solve_saddles(source, [costs])[0])
 
 
-def solve_saddles(source, costs) -> list[ProactiveSaddle]:
-    """The saddle point of one source at each `GameCosts` of `costs`.  The
-    root of G depends on the source and d alone, so points with the same d
-    share it: it is solved at the first of them that jams, and not at all if
-    none does.  Each saddle is its own `solve_saddle`'s, bit for bit."""
+def solve_saddles(source, costs) -> list:
+    """An entry for each `GameCosts` of `costs`, in order: the saddle point
+    of one source there, bit for bit its own `solve_saddle`'s, or the
+    exception that call raises.  The root of G depends on the source and d
+    alone, so points with the same d share it, or its failure: it is solved
+    at the first of them that jams, and not at all if none does."""
     tail = norm_sq_tail(source)
     trace = float(_spectrum(source).sum())
     estimator = ReprSymbols(source.mean, source.mean)
     roots = {}
-    return [_saddle(tail, trace, estimator, point, roots) for point in costs]
+    return [_entry(_saddle, tail, trace, estimator, point, roots) for point in costs]
 
 
 def _saddle(tail, trace: float, estimator, costs: GameCosts, roots: dict):
     """Saddle point at `costs` of a source whose S = ||X - mean||^2 has the
     tail `tail` and the mean `trace`, with `roots` the roots of G solved so
-    far, by d.
+    far, or their failures, by d.
 
     This is the one jam gate: jamming pays iff d < E[S] and
     G(c) = E[S 1(S > c)] - d >= 0.  E[S 1(S > c)] < E[S] at every c > 0, so
@@ -312,10 +331,10 @@ def _saddle(tail, trace: float, estimator, costs: GameCosts, roots: dict):
     r = float(c)  # a Python float for an integer c too
     if jam:
         if d not in roots:
-            roots[d] = _threshold_root(lambda x: tail(x, 1) - d, trace)
+            roots[d] = _entry(_threshold_root, lambda x: tail(x, 1) - d, trace)
         # the root itself: c / (1 - phi_star) would lose its digits as c / r
         # shrinks
-        r = max(r, roots[d])
+        r = max(r, _raised(roots[d]))
     phi_star, transmit_prob, value = _trigger_value(tail, trace, d, c, r)
     case = INTERIOR_JAM if jam else NO_JAM
     return ProactiveSaddle(case, phi_star, r, estimator, value, transmit_prob)

@@ -512,7 +512,7 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
                           (PROACTIVE_SWEEP, 1), (DIAGONAL_PROACTIVE_SWEEP, 1),
                           (VARIANCE_SWEEP, 2)):
         points = parse_config(dict(copy.deepcopy(sweep), mode="sweep")).sweep_plan.points
-        assert len({cli._group_key(point) for point in points}) == groups
+        assert len({cli._group_key(point, {}) for point in points}) == groups
         # a section that no axis crosses is parsed once, and its points
         # share what it gives; a crossed one is parsed at every point
         crossed = {a["parameter"].split(".")[0] for a in sweep["sweep"]["axes"]}
@@ -520,20 +520,24 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
             shared = {id(getattr(point, name)) for point in points}
             assert len(shared) == (len(points) if name in crossed else 1)
 
-    # the root at d = 0.6 fails, so the group's run fails and every point
-    # runs alone: each point at d = 0.6 that jams records the error of its
-    # own run, and every other point records its saddle
+    # the root at d = 0.6 fails: each point at d = 0.6 that jams records
+    # the error of its own run, and every other point records its saddle
     failure = "indifference root past r = 1.79769e+308"
+    failed = [0.6]
 
     def failing(residual, scale):
+        roots.append(scale)
         # the residual at 0 is E[S] - d, and E[S] is the scale
-        if math.isclose(scale - residual(0.0), 0.6):
+        if any(math.isclose(scale - residual(0.0), d) for d in failed):
             raise ConvergenceError(failure)
         return solve_root(residual, scale)
 
     monkeypatch.setattr(proactive, "_threshold_root", failing)
     raw = dict(copy.deepcopy(PROACTIVE_SWEEP), mode="sweep")
+    roots.clear()
     records = execute(parse_config(raw)).point_records
+    # one root for each d that some point jams at, the failing one too
+    assert len(roots) == 3
     errors = [r for r in records if "error" in r.outputs]
     at_d = [r for r in records if r.config["costs"]["d"] == 0.6]
     assert errors == [r for r in at_d if "case" not in r.outputs]
@@ -545,6 +549,34 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     for record in records:
         alone = execute(parse_config(copy.deepcopy(record.config)))
         assert _bits([alone.record]) == _bits([record])
+
+    # 400 points whose root fails at d = 0.5, and, with no injected failure,
+    # 9 points on N(0, 1e307) whose root at d = 1e-300 lies past the largest
+    # float: each root is solved once, and a failed one fails only the
+    # points at its d that jam, each with the record of its own run
+    grid = [k / 10 for k in range(1, 21)]
+    for source, axes, injected, d_failed, calls, failures in (
+        ({"mean": 0.3, "variance": 2.0}, [grid, grid], [0.5], 0.5, 19, 20),
+        ({"mean": 0.0, "variance": 1e307},
+         [[1e-3, 1.0, 1e300], [1e-300, 1e306, 5e306]], [], 1e-300, 3, 3),
+    ):
+        failed[:] = injected
+        raw = {"mode": "sweep", "source": source, "costs": {"c": 1.0, "d": 1.0},
+               "sweep": {"mode": "proactive", "axes": [
+                   {"parameter": p, "grid": g} for p, g in zip(("costs.c", "costs.d"), axes)
+               ]}}
+        roots.clear()
+        records = execute(parse_config(raw)).point_records
+        assert len(roots) == calls
+        errors = [r for r in records if "error" in r.outputs]
+        assert len(errors) == failures
+        assert {r.config["costs"]["d"] for r in errors} == {d_failed}
+        for record in errors:
+            assert record.outputs == {
+                "converged": False, "error": f"ConvergenceError: {failure}"
+            }
+            alone = execute(parse_config(copy.deepcopy(record.config)))
+            assert _bits([alone.record]) == _bits([record])
 
 
 def test_round_trip_reproduces_outputs():
@@ -978,22 +1010,17 @@ _FAILURE = ("Imhof sin integral error estimate 1.674e-09 exceeds 1.571e-10 "
 
 
 def _fail_at_d(monkeypatch, d):
-    """Make the CLI's saddles raise ConvergenceError when costs.d == d: a
-    point's own run, and the group run of a sweep that holds such a point."""
-    solve, solve_all = cli.solve_saddle, cli.solve_saddles
+    """Make the saddle of a point with costs.d == d raise ConvergenceError
+    inside its group's batch call, which hands the point that failure and
+    the group's other points their saddles."""
+    saddle = proactive._saddle
 
-    def failing(source, costs):
+    def failing(tail, trace, estimator, costs, roots):
         if costs.d == d:
             raise ConvergenceError(_FAILURE)
-        return solve(source, costs)
+        return saddle(tail, trace, estimator, costs, roots)
 
-    def failing_all(source, costs):
-        if any(point.d == d for point in costs):
-            raise ConvergenceError(_FAILURE)
-        return solve_all(source, costs)
-
-    monkeypatch.setattr(cli, "solve_saddle", failing)
-    monkeypatch.setattr(cli, "solve_saddles", failing_all)
+    monkeypatch.setattr(proactive, "_saddle", failing)
 
 
 def test_solver_failure_exits_3_with_record(tmp_path, capsys, monkeypatch):

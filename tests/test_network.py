@@ -346,6 +346,29 @@ def test_estimate_chunking_invariant(monkeypatch):
         alone = [estimate_cost(source, *point, trials=500, seed=4) for point in mixed]
         assert estimate_costs(source, mixed, trials=500, seed=4) == alone
     assert estimate_costs(source, [], trials=500, seed=4) == []
+    # a rule whose pass raises, here partway through it, is the entry of
+    # each of its points, the exception that point's own run raises; the
+    # other rule's points keep their own runs' estimates
+    mixed = group + responses[::-1]
+    failing_rule = _shared_rule(source, responses)
+    trial_costs = network._trial_costs
+
+    def failing(source, rule, points, *args):
+        for item in trial_costs(source, rule, points, *args):
+            if rule == failing_rule and item[0] == len(points) - 1:
+                raise FloatingPointError("overflow in the kernel")
+            yield item
+
+    monkeypatch.setattr(network, "_trial_costs", failing)
+    entries = estimate_costs(source, mixed, trials=500, seed=4)
+    for point, entry in zip(mixed, entries, strict=True):
+        if point[2] is sensing:
+            assert type(entry) is FloatingPointError
+            assert str(entry) == "overflow in the kernel"
+            with pytest.raises(FloatingPointError, match="^overflow in the kernel$"):
+                estimate_cost(source, *point, trials=500, seed=4)
+        else:
+            assert entry == estimate_cost(source, *point, trials=500, seed=4)
 
 
 # Past one block of the reduction the estimate is its blocks' combination:
