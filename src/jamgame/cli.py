@@ -23,12 +23,14 @@ a sweep it becomes that point's record and the sweep goes on.
 
 Every point, a non-sweep run's too, runs in a group, one call of its mode's
 batch run: the points of a sweep with the same source, trials and seed.
-The batch run decides what they share: a simulate group draws each sensor
-stream once per distinct transmit rule (`estimate_costs`), a proactive or
-large-scale group solves the jammer's indifference root once per distinct
-d at which a point jams (`solve_saddles`), and a reactive group solves each
-point alone.  It hands each point its result or the exception the point's
-own run raises, so a root that fails fails only the points that need it.
+The batch run does its points' library work and decides what they share: a
+simulate group prices each point (`jn_analytic`) before it draws, and draws
+each sensor stream once per distinct transmit rule of the points it priced
+(`estimate_costs`); a proactive or large-scale group solves the jammer's
+indifference root once per distinct d at which a point jams
+(`solve_saddles`); and a reactive group solves each point alone.  It hands
+each point its result or the exception the point's own run raises, so a
+root that fails fails only the points that need it.
 Every point's record is the one its own run writes and checks once.  A
 sweep runs its groups in grid order on the calling thread, and every draw
 is seeded per point; `sweep.workers` is accepted and echoed, so older
@@ -586,10 +588,11 @@ def _run_large_scale(config: ExperimentConfig, saddle):
     return outputs, None
 
 
-def _run_simulate(config: ExperimentConfig, estimate):
-    policies = config.policies
-    analytic = jn_analytic(config.source, config.costs, config.network, policies)
-    x_hat0, x_hat1 = policies.symbols.scalars()
+def _run_simulate(config: ExperimentConfig, share):
+    """Outputs of a point from its share of its group's run
+    (`_simulate_group`): its estimate and the analytic cost priced first."""
+    estimate, analytic = share
+    x_hat0, x_hat1 = config.policies.symbols.scalars()
     return {
         "value": float(estimate.mean),
         "std_err": float(estimate.std_err),
@@ -600,9 +603,29 @@ def _run_simulate(config: ExperimentConfig, estimate):
     }, None
 
 
+def _simulate_group(group: list[ExperimentConfig]) -> list:
+    """Each point's (estimate, analytic cost), or its own run's exception:
+    the points are priced (`jn_analytic`) before any draw, and only those
+    priced are drawn (`estimate_costs`) or fail with the draws."""
+    shares = [_entry(jn_analytic, p.source, p.costs, p.network, p.policies)
+              for p in group]
+    priced = [i for i, s in enumerate(shares) if not isinstance(s, BaseException)]
+    points = [(group[i].costs, group[i].network, group[i].policies) for i in priced]
+    first = group[0]
+    try:
+        estimates = estimate_costs(first.source, points, first.trials, first.seed)
+    except _FAILURES as exc:  # block partials that cannot be allocated
+        estimates = [exc] * len(priced)
+    for i, estimate in zip(priced, estimates):
+        shares[i] = (estimate if isinstance(estimate, BaseException)
+                     else (estimate, shares[i]))
+    return shares
+
+
 class _Mode(NamedTuple):
-    """One mode's rules.  Its group run looks the library up by module name
-    when it starts, so a wrapper bound to that name sees the call."""
+    """One mode's rules.  Its group run does its points' library work, and
+    looks the library up by module name when it starts, so a wrapper bound
+    to that name sees the call; its point run formats a point's share."""
 
     required: tuple[str, ...]  # top-level keys
     forbidden: tuple[str, ...]
@@ -639,10 +662,7 @@ _MODES = {
     ),
     "simulate": _Mode(
         ("n", "simulate"), ("sweep",), _parse_simulate, _run_simulate,
-        lambda group: estimate_costs(
-            group[0].source, [(p.costs, p.network, p.policies) for p in group],
-            trials=group[0].trials, seed=group[0].seed,
-        ),
+        _simulate_group,
     ),
     # runs its points in their own modes (`_parse_sweep`, `execute`)
     "sweep": _Mode(("sweep",), ()),
@@ -699,8 +719,7 @@ def _group_key(config: ExperimentConfig, source_keys: dict):
 def _run_group(group: list[ExperimentConfig], provenance: dict) -> list:
     """(record, report) of each point of a group (`_group_key`), with the
     provenance dict of its seed from `provenance`, each from its share of
-    its mode's group run; a failure of the group run itself (block partials
-    of the trials that cannot be allocated) is every point's share."""
+    its mode's group run, or from that run's own failure."""
     try:
         shares = _MODES[group[0].mode].group_run(group)
     except _FAILURES as exc:

@@ -398,63 +398,43 @@ def simulate_round(
 
 class _Moments:
     """One point's mean and standard error over `trials` per-trial costs
-    that arrive chunk by chunk, reduced in `_BLOCK`-trial blocks aligned at
-    trial 0 whatever the chunking.
+    that arrive chunk by chunk, the same for every chunk size.
 
-    Each block keeps its pairwise sum (`np.add.reduce`) and its two-pass
-    M2, the sum of squared deviations from its own mean; a block that a
-    chunk edge cuts is staged until it is whole.  `estimate` combines the
-    blocks by the update of Chan, Golub & LeVeque (1979), M2 = sum M2_b +
-    sum len_b (mean_b - mean)^2, over all blocks at once.  So up to
-    `_BLOCK` trials, one block, the estimate is numpy's `mean` and
-    `std(ddof=1)` bit for bit, and at any trial count it is the same for
-    every chunk size.  The partials, 16 bytes a block, are allocated here,
-    before any draw, so a trial count they cannot hold fails up front.
+    One loop gives each `_BLOCK`-trial block, aligned at trial 0, its
+    pairwise sum (`np.add.reduce`) and its two-pass M2, the sum of squared
+    deviations from its own mean: in place for a block inside the incoming
+    chunk, and from the stage for one that a chunk edge cuts.
+    `estimate` combines the blocks by the update of Chan, Golub & LeVeque
+    (1979), M2 = sum M2_b + sum len_b (mean_b - mean)^2, so one block is
+    numpy's `mean` and `std(ddof=1)` bit for bit.  The partials, 16 bytes a
+    block, are allocated here, before any draw, so a trial count they
+    cannot hold fails up front.
     """
 
     def __init__(self, trials: int):
         blocks = -(-trials // _BLOCK)
         self.sums, self.m2s = np.empty(blocks), np.empty(blocks)
-        self.trials, self.reduced = trials, 0
-        self.stage, self.staged = None, 0
+        self.trials, self.seen, self.stage = trials, 0, None
 
     def add(self, x: np.ndarray) -> None:
-        """Reduce the next `x.size` costs, or stage them until their block
-        is whole."""
-        if self.staged:
-            take = min(_BLOCK - self.staged, x.size)
-            self.stage[self.staged:self.staged + take] = x[:take]
-            self.staged += take
-            x = x[take:]
-            if self.staged < _BLOCK and self.reduced + self.staged < self.trials:
-                return
-            self._reduce(self.stage[:self.staged])
-            self.staged = 0
-        whole = x.size
-        if self.reduced + whole < self.trials:
-            whole -= whole % _BLOCK
-        if whole:
-            self._reduce(x[:whole])
-        if whole < x.size:
-            if self.stage is None:
-                self.stage = np.empty(_BLOCK)
-            self.staged = x.size - whole
-            self.stage[:self.staged] = x[whole:]
-
-    def _reduce(self, x: np.ndarray) -> None:
-        """The partials of the blocks that start at trial `reduced`: whole
-        ones, then the last, shorter block if `x` ends the trials."""
-        b = self.reduced // _BLOCK
-        self.reduced += x.size
-        whole = x.size - x.size % _BLOCK
-        for rows in (x[:whole].reshape(-1, _BLOCK), x[whole:].reshape(1, -1)):
-            if rows.size:
-                end = b + rows.shape[0]
-                sums = np.add.reduce(rows, axis=1, out=self.sums[b:end])
-                dev = rows - (sums / rows.shape[1])[:, None]
-                dev *= dev
-                np.add.reduce(dev, axis=1, out=self.m2s[b:end])
-                b = end
+        """Reduce the blocks that the next `x.size` costs make whole, and
+        stage the costs of a block that `x` ends inside."""
+        while x.size:
+            b, lead = divmod(self.seen, _BLOCK)
+            size = min(_BLOCK, self.trials - b * _BLOCK)
+            block, x = x[:size - lead], x[size - lead:]
+            self.seen += block.size
+            if block.size < size:
+                if self.stage is None:
+                    self.stage = np.empty(_BLOCK)
+                self.stage[lead:lead + block.size] = block
+                if lead + block.size < size:
+                    return
+                block = self.stage[:size]
+            self.sums[b] = total = np.add.reduce(block)
+            dev = block - total / size
+            dev *= dev
+            self.m2s[b] = np.add.reduce(dev)
 
     def estimate(self) -> EmpiricalEstimate:
         n = self.trials

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 import jamgame.network as network
@@ -72,6 +74,23 @@ SADDLE_TABLE = {
 
 def _report(n: int, detail: str) -> None:
     print(f"criterion {n} PASS: {detail}")
+
+
+def _check_proactive_floor(source, costs, report, epsilon: float) -> float:
+    """J_R - V_P + epsilon at a converged scalar reactive point, checked to
+    be at least -1e-12 max(1, |V_P|), the rounding allowed.
+
+    Every blind jam level phi is the reactive policy alpha = beta = phi
+    (criterion 9), and for fixed symbols J is concave in (alpha, beta).  A
+    converged point's box gap is at most epsilon, so its J is within epsilon
+    of the jammer's best response, which is at least the proactive value
+    V_P = `solve_saddle(...).value`, which the reactive solvers share no
+    code with.
+    """
+    value = solve_saddle(source, costs).value
+    slack = report.objective - value + epsilon
+    assert slack >= -1e-12 * max(1.0, abs(value)), (source, costs, report, value)
+    return slack
 
 
 def test_criterion_1_saddle_table_sweep():
@@ -155,13 +174,15 @@ def test_criterion_4_reactive_fne_structure():
     x0 = float(report.symbols.x_hat0[0])
     x1 = float(report.symbols.x_hat1[0])
     assert abs(x0) > 0.01 and abs(x1) > 0.01 and abs(x0 - x1) > 0.01
+    slacks = [_check_proactive_floor(STD, costs, report, 1e-5)]
 
-    alphas_d10 = [
-        solve_pga_ccp(
-            ScalarGaussian(0.0, var), costs, SolverConfig(epsilon=1e-5)
-        ).policy.alpha
-        for var in (1.0, 2.0, 3.0, 4.0, 5.0)
-    ]
+    alphas_d10 = []
+    for var in (1.0, 2.0, 3.0, 4.0, 5.0):
+        source = ScalarGaussian(0.0, var)
+        rep = solve_pga_ccp(source, costs, SolverConfig(epsilon=1e-5))
+        alphas_d10.append(rep.policy.alpha)
+        if rep.converged:
+            slacks.append(_check_proactive_floor(source, costs, rep, 1e-5))
     assert max(alphas_d10) > 0.0
 
     # Idle jamming at d = 1.5.  Expanding the squares, the idle-jam gradient is
@@ -177,6 +198,7 @@ def test_criterion_4_reactive_fne_structure():
         source = ScalarGaussian(0.0, var)
         rep = solve_pga_ccp(source, costs_d15, SolverConfig(epsilon=1e-5))
         assert rep.converged
+        slacks.append(_check_proactive_floor(source, costs_d15, rep, 1e-5))
         alpha, beta = rep.policy.alpha, rep.policy.beta
         alphas_d15.append(alpha)
         s0 = float(rep.symbols.x_hat0[0])
@@ -220,7 +242,8 @@ def test_criterion_4_reactive_fne_structure():
         f"max alpha*={max(alphas_d10):.3f} for d=1; d=1.5 idle jam off at "
         f"var 1, alpha* {min(alphas_d15[1:]):.3f}-{max(alphas_d15):.3f} with "
         f"(x0-x1)^2=d for var 2-5, var-2 saddle J={value:.6f} beats the "
-        f"alpha=0 face's {face:.4f}"
+        f"alpha=0 face's {face:.4f}; J_R - V_P + eps >= {min(slacks):.3f} at "
+        f"{len(slacks)} converged points"
     ))
 
 
@@ -276,7 +299,7 @@ def _coordinator_best_response(var, c, d, alpha, beta):
 def test_criterion_5_pga_ccp_versus_gda():
     costs = GameCosts(1.0, 1.0)
     start = time.perf_counter()
-    ratios = []
+    ratios, slacks = [], []
     for var in (1.0, 3.0, 5.0):
         source = ScalarGaussian(0.0, var)
         pga_iters, gda_iters = [], []
@@ -287,6 +310,8 @@ def test_criterion_5_pga_ccp_versus_gda():
             rg = solve_gda(source, costs, cfg, init)
             pga_iters.append(rp.iterations if rp.converged else cfg.max_iters)
             gda_iters.append(rg.iterations if rg.converged else cfg.max_iters)
+            slacks += [_check_proactive_floor(source, costs, r, cfg.epsilon)
+                       for r in (rp, rg) if r.converged]
         avg_pga = float(np.mean(pga_iters))
         avg_gda = float(np.mean(gda_iters))
         ratios.append(avg_pga / avg_gda)
@@ -301,9 +326,26 @@ def test_criterion_5_pga_ccp_versus_gda():
     assert elapsed < 300.0
     _report(5, (
         f"scalar iteration ratios {[f'{r:.3f}' for r in ratios]} all <= 0.5; "
+        f"J_R - V_P + eps >= {min(slacks):.3f} at {len(slacks)} converged points; "
         f"m=10 0.1-FNE in {rep.iterations} iters "
         f"(index {rep.fne_index:.3f} +- {rep.fne_std_err:.3f}); {elapsed:.1f}s"
     ))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-1.0, 1.0), st.floats(0.3, 5.0), st.floats(0.3, 2.0),
+    st.floats(0.2, 2.0), st.sampled_from([solve_pga_ccp, solve_gda]),
+)
+def test_reactive_value_is_at_least_the_proactive_value(mean, var, c, d, solve):
+    # criteria 4 and 5 check `_check_proactive_floor` at their converged
+    # points; a drawn instance that does not converge is counted, not checked
+    source, costs = ScalarGaussian(mean, var), GameCosts(c, d)
+    report = solve(source, costs, SolverConfig(epsilon=1e-4, max_iters=1000))
+    if report.converged:
+        _check_proactive_floor(source, costs, report, 1e-4)
+    else:
+        event("did not converge")
 
 
 def _smooth_instance(rng):

@@ -443,6 +443,20 @@ def _bits(records) -> list[str]:
     return [json.dumps(r.outputs) for r in records]
 
 
+def _count_streams(monkeypatch) -> list:
+    """The sensor and jammer streams (`network._stream`) opened from now on,
+    by number."""
+    open_stream = network._stream
+    streams = []
+
+    def drawn(seed, stream, start):
+        streams.append(stream)
+        return open_stream(seed, stream, start)
+
+    monkeypatch.setattr(network, "_stream", drawn)
+    return streams
+
+
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setattr(network, "_CHUNK", 700)  # several chunks a point
     solve_root = proactive._threshold_root
@@ -461,14 +475,7 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
         return run_group(group, provenance)
 
     monkeypatch.setattr(cli, "_run_group", recorded)
-    open_stream = network._stream
-    streams = []
-
-    def drawn(seed, stream, start):
-        streams.append(stream)
-        return open_stream(seed, stream, start)
-
-    monkeypatch.setattr(network, "_stream", drawn)
+    streams = _count_streams(monkeypatch)
     closed_forms = (TABLE_I_SWEEP, PROACTIVE_SWEEP, DIAGONAL_PROACTIVE_SWEEP,
                     VARIANCE_SWEEP)
     simulates = {id(sweep): draws for sweep, draws in _STREAM_DRAWS}
@@ -1120,11 +1127,16 @@ _RAISING_POINTS = {
     "command, raw, exception", _RAISING_POINTS.values(), ids=_RAISING_POINTS
 )
 def test_point_that_raises_exits_3_with_its_record(
-    tmp_path, capsys, command, raw, exception
+    tmp_path, capsys, monkeypatch, command, raw, exception
 ):
     config = _write_config(tmp_path, "p.json", raw)
     out = tmp_path / "out"
+    streams = _count_streams(monkeypatch)
     assert run([*command, "--config", config, "--out", str(out)]) == 3
+    # each raises before it draws: a simulate point whose analytic cost
+    # raises is never drawn, and one whose partials cannot be allocated
+    # fails before its first draw
+    assert streams == []
     outputs = json.loads((out / "result.json").read_text())["outputs"]
     assert outputs["converged"] is False
     assert outputs["error"].startswith(f"{exception}: ")
@@ -1136,14 +1148,18 @@ def test_point_that_raises_exits_3_with_its_record(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning",
 )
-def test_sweep_point_that_raises_keeps_the_others(tmp_path):
+def test_sweep_point_that_raises_keeps_the_others(tmp_path, monkeypatch):
     raw = dict(_SIMULATE_OVERFLOW, sweep={
         "mode": "simulate", "workers": 2,
         "axes": [{"parameter": "simulate.x_hat1", "grid": [0.5, 1e200]}],
     })
     config = _write_config(tmp_path, "s.json", raw)
     out = tmp_path / "out"
+    streams = _count_streams(monkeypatch)
     assert run(["sweep", "--config", config, "--out", str(out)]) == 3
+    # only the point at x_hat1 = 0.5 is priced, so only its n = 3 sensor
+    # streams and its jammer stream are drawn
+    assert len(streams) == 4
     record = json.loads((out / "result.json").read_text())
     assert record["outputs"] == {"points": 2, "non_converged": 1}
     solved, failed = (r["outputs"] for r in record["records"])
@@ -1156,7 +1172,8 @@ def test_sweep_point_that_raises_keeps_the_others(tmp_path):
     # inside one group of shared sensor draws: the points at c = 1e308
     # overflow to inf, and every point, failed or not, gets the record of
     # its own run; at 10**15 trials the group's block partials cannot be
-    # allocated, so its run raises, and so does each point's own
+    # allocated, so its draws raise, and so does each drawn point's own run,
+    # while a point whose analytic cost raises is never drawn
     base = dict(_SIMULATE_OVERFLOW, seed=5, simulate={
         "trials": 1000, "threshold": 1.0, "phi": 0.2,
     })
@@ -1166,6 +1183,8 @@ def test_sweep_point_that_raises_keeps_the_others(tmp_path):
     for raw, axes, errors in (
         (base, [("costs.c", [1.0, 1e308]), ("n", [2, 3])], [None, None, inf, inf]),
         (too_many, [("n", [2, 3])], ["MemoryError: "] * 2),
+        (too_many, [("simulate.x_hat1", [0.5, 1e200])],
+         ["MemoryError: ", "OverflowError: "]),
     ):
         raw = dict(raw, mode="sweep", sweep={"mode": "simulate", "axes": [
             {"parameter": p, "grid": g} for p, g in axes

@@ -299,7 +299,8 @@ def test_estimate_chunking_invariant(monkeypatch):
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(3, 1)
     policies = RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.2, 0.2), 0.8)
-    whole = estimate_cost(STD, costs, config, policies, trials=500, seed=4)
+    whole = {trials: estimate_cost(STD, costs, config, policies, trials, seed=4)
+             for trials in (500, 12_000)}
     # a group that shares the threshold rule, with n out of order and
     # repeated, and mixed capacities, jammers and costs: each point is its
     # own run bit for bit, and so is each replayed round
@@ -321,11 +322,15 @@ def test_estimate_chunking_invariant(monkeypatch):
         for k in (0, 123, 499):
             replayed, _ = simulate_round(source, *point, seed=4, trial=k)
             assert replayed == per_trial[i][k]
-    monkeypatch.setattr(network, "_CHUNK", 7)
-    chunked = estimate_cost(STD, costs, config, policies, trials=500, seed=4)
-    assert whole.mean == chunked.mean
-    assert whole.std_err == chunked.std_err
-    assert estimate_costs(source, group, trials=500, seed=4) == alone
+    # at 12 000 trials a chunk of 4097 or 6000 holds a block reduced in
+    # place and a block that its edge cuts
+    for chunk in (4097, 6000, 7):
+        monkeypatch.setattr(network, "_CHUNK", chunk)
+        for trials, estimate in whole.items():
+            chunked = estimate_cost(STD, costs, config, policies, trials, seed=4)
+            assert estimate.mean == chunked.mean
+            assert estimate.std_err == chunked.std_err
+        assert estimate_costs(source, group, trials=500, seed=4) == alone
     # best responses to one jammer at one set of costs share their rule
     # whatever n and capacity are, and are one group in the same way
     sensing = RoundPolicies(symbols, ReactivePolicy(0.2, 0.7))
