@@ -277,11 +277,12 @@ def _trial_costs(
     errors are the same squares.  A point reads these running sums once its
     own n sensors are in, so its costs are those of its own run bit for bit.
     The jammer stream n is drawn once for every point at n, and is sensor
-    n's stream too, so a larger n reuses it.  Nothing selects on the data: a
-    round is lost (cost `total`) or clean (cost `silent`) by a bit mask, and
-    a jam then subtracts d.  Memory is a few arrays of chunk length whatever
-    n and `count` are, and a live generator (about 1 KB) per stream.
-    `p_count` is the running count: it changes when the generator resumes.
+    n's stream too, so a larger n reuses it.  A round's cost is its lost
+    cost (total + c p_count) / n where it collides or is jammed, its clean
+    cost (silent + c p_count) / n otherwise, less d where it is jammed.
+    Memory is a few arrays of chunk length whatever n and `count` are, and a
+    live generator (about 1 KB) per stream.  `p_count` is the running count:
+    it changes when the generator resumes.
     """
     y0, y1, _, _ = rule
     same = y0 == y1
@@ -289,13 +290,14 @@ def _trial_costs(
     by_n = [(n, list(at_n))
             for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n)]
     streams = [_stream(seed, s, start) for s in range(by_n[-1][0] + 1)]
-    # draws, jammer draws, squares, silent mask, three sums, int64 count
-    buffers = np.empty((8, min(_CHUNK, count)))
+    # draws, jammer draws, squares, silent mask and three sums
+    buffers = np.empty((7, min(_CHUNK, count)))
+    counts = np.empty(min(_CHUNK, count), dtype=np.int64)
     for at in range(start, start + count, _CHUNK):
         size = min(_CHUNK, start + count - at)
-        u, w, sq, keep, quiet, silent, total, p_count = buffers[:, :size]
-        buffers[4:7, :size] = 0.0
-        p_count = p_count.view(np.int64)
+        u, w, sq, keep, quiet, silent, total = buffers[:, :size]
+        buffers[4:, :size] = 0.0
+        p_count = counts[:size]
         drawn = 0
         for n, at_n in by_n:
             for s in range(drawn, n):
@@ -332,24 +334,14 @@ def _trial_costs(
                     intrinsic_at[config.capacity] = p_count > config.capacity
                 intrinsic = intrinsic_at[config.capacity]
                 if costs.c not in costs_at_n:
-                    # a lost round costs (total + c p_count) / n, a clean one
-                    # (silent + c p_count) / n; kept as clean's bits and the
-                    # bits that differ in lost's
                     paid = costs.c * p_count
                     lost = total + paid
                     lost /= n
                     paid += silent
                     paid /= n
-                    clean, flips = paid.view(np.int64), lost.view(np.int64)
-                    flips ^= clean
-                    costs_at_n[costs.c] = clean, flips
-                clean, flips = costs_at_n[costs.c]
-                # (lost if intrinsic | jam else clean) - d jam: an all-ones
-                # mask where the round is lost picks lost's bits
-                cost = np.negative(jam | intrinsic, dtype=np.int64)
-                cost &= flips
-                cost ^= clean
-                cost = cost.view(np.float64)
+                    costs_at_n[costs.c] = lost, paid
+                lost, clean = costs_at_n[costs.c]
+                cost = np.where(jam | intrinsic, lost, clean)
                 cost -= costs.d * jam
                 yield i, cost, p_count, jam, intrinsic
 

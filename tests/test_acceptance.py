@@ -6,8 +6,10 @@ Each test prints a single `criterion N PASS` line with its measured numbers
 so every run is bit-reproducible.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 import jamgame.network as network
-from jamgame.cli import execute, parse_config
+from jamgame.cli import execute, parse_config, run
 from jamgame.gaussian import (
     DiagonalGaussian,
     ScalarGaussian,
@@ -245,6 +247,19 @@ def test_criterion_4_reactive_fne_structure():
         f"alpha=0 face's {face:.4f}; J_R - V_P + eps >= {min(slacks):.3f} at "
         f"{len(slacks)} converged points"
     ))
+
+
+def test_idle_jam_census_example(tmp_path):
+    # the README's census: the scalar game depends on (c, d) / var alone, so
+    # a 10 x 10 grid of c and d at unit variance covers every scalar
+    # instance on it; a converged point is first order only (fne_index)
+    census = Path(__file__).resolve().parents[1] / "examples" / "idle-jam-census.json"
+    assert run(["sweep", "--config", str(census), "--out", str(tmp_path)]) == 3
+    outputs = [r["outputs"] for r in json.loads((tmp_path / "result.json").read_text())["records"]]
+    converged = [o for o in outputs if o["converged"]]
+    idle_jams = sum(o["alpha"] > 1e-6 for o in converged)
+    assert (len(outputs), len(converged), idle_jams) == (100, 92, 55)
+    _report(4, f"census: alpha > 1e-6 at {idle_jams} of {len(converged)} converged points")
 
 
 def _game_value(var, c, d, alpha, beta, x0, x1):

@@ -378,6 +378,16 @@ def test_kkt_multiplier_direction():
 # reached 1250 units.  The tolerance is ENVELOPE_UNITS of those units.
 ENVELOPE_H = 1e-6
 ENVELOPE_UNITS = 8
+# C4a's left d difference lies within |phi*(d - h) - hi| of -hi, h |dphi*/dd|
+# to first order: 0.09 h to 2.4 h on the four C4a examples below
+C4A_BRACKET = 10
+
+
+def _c4a_kappa_bar(mean, var, c, d):
+    """The capacity whose trigger ties the point-to-point jam trigger of
+    N(mean, var) at (c, d): kappa_bar = 2 Q(sqrt(l_phi / var)), case C4a."""
+    l_phi = solve_saddle(ScalarGaussian(mean, var), GameCosts(c, d)).threshold
+    return float(2.0 * stats.norm.sf(math.sqrt(l_phi / var)))
 
 
 def test_envelope_pins_the_value_derivatives_in_the_prices():
@@ -387,23 +397,45 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
     h = ENVELOPE_H
     checked, skipped = Counter(), Counter()
 
+    def rounding(value):
+        return ENVELOPE_UNITS * sys.float_info.epsilon / h * max(1.0, abs(value))
+
     def pin(slope, up, down, value, case):
-        assert abs((up - down) / (2 * h) - slope) <= (
-            ENVELOPE_UNITS * sys.float_info.epsilon / h * max(1.0, abs(value))
-        ), case
+        assert abs((up - down) / (2 * h) - slope) <= rounding(value), case
         checked[case] += 1
+
+    def c4a_pins(source, c, d, kb, large):
+        # C4a is a kink in d with one-sided slopes -lo and -hi of
+        # phi_star_interval (lo, hi).  Right of it lies C4b, whose value
+        # prices no jam.  Left of it lies C4c, where dV/dd = -phi* and phi*
+        # falls with d, so V(d) - V(d - h), the integral of phi* over
+        # [d - h, d], puts the left difference between -phi*(d - h) and -hi:
+        # an O(h) bracket, h |dphi*/dd| wide
+        lo, hi = large.phi_star_interval
+        up, down = (classify_and_solve(source, GameCosts(c, d + s), kb) for s in (h, -h))
+        assert (up.case_id, down.case_id) == ("C4b", "C4c")
+        tol = 2.0 * rounding(large.value)
+        assert abs((up.value - large.value) / h + lo) <= tol
+        left = (large.value - down.value) / h
+        assert -down.phi_star - tol <= left <= -hi + tol
+        assert 0.0 <= down.phi_star - hi <= C4A_BRACKET * h
+        checked["C4a"] += 1
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         mean=st.floats(-1.0, 1.0), var=st.floats(0.3, 5.0), c=st.floats(0.1, 3.0),
         d=st.floats(0.05, 3.0), kb=st.floats(0.02, 0.95),
     )
-    # one draw a large-scale case on the standard source; C4a's tie of the
-    # two triggers is a kink in kappa_bar, so that pin is skipped
+    # one draw a large-scale case on the standard source, and C4a off the
+    # mean at three variances; C4a's tie of the two triggers is a kink in
+    # kappa_bar, so that pin is skipped, and a kink in d, pinned one-sided
     @example(mean=0.0, var=1.0, c=1.0, d=1.0, kb=0.5)  # C1
     @example(mean=0.0, var=1.0, c=1.0, d=1.0, kb=0.25)  # C2
     @example(mean=0.0, var=1.0, c=2.0, d=0.2, kb=0.5)  # C3
     @example(mean=0.0, var=1.0, c=1.0, d=D_C4A, kb=0.25)  # C4a
+    @example(mean=0.2, var=1.0, c=0.3, d=0.5, kb=_c4a_kappa_bar(0.2, 1.0, 0.3, 0.5))
+    @example(mean=0.2, var=3.0, c=1.0, d=1.5, kb=_c4a_kappa_bar(0.2, 3.0, 1.0, 1.5))
+    @example(mean=0.2, var=2.0, c=0.5, d=0.8, kb=_c4a_kappa_bar(0.2, 2.0, 0.5, 0.8))
     @example(mean=0.0, var=1.0, c=1.0, d=0.5, kb=0.1)  # C4b
     @example(mean=0.0, var=1.0, c=1.0, d=0.25, kb=0.25)  # C4c
     def pins(mean, var, c, d, kb):
@@ -418,6 +450,8 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
             else:
                 skipped[saddle.case] += 1
         large = classify_and_solve(source, GameCosts(c, d), kb)
+        if large.case_id == "C4a":
+            c4a_pins(source, c, d, kb, large)
         up, down = (classify_and_solve(source, GameCosts(c, d), kb + s) for s in (h, -h))
         if up.case_id == down.case_id == large.case_id:
             pin(-large.lambda_star, up.value, down.value, large.value, large.case_id)
@@ -454,11 +488,11 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
     pins()
     vector_pins()
     assert set(checked) == {
-        NO_JAM, INTERIOR_JAM, "C1", "C2", "C3", "C4b", "C4c",
+        NO_JAM, INTERIOR_JAM, "C1", "C2", "C3", "C4a", "C4b", "C4c",
         *((kind, case) for kind in ("diagonal", "general")
           for case in (NO_JAM, INTERIOR_JAM)),
     }
-    assert skipped["C4a"] >= 1
+    assert checked["C4a"] >= 4 and skipped["C4a"] >= 4
     # kinks are rare: a draw lands on one only at a case boundary
     assert sum(skipped.values()) <= 0.02 * sum(checked.values()), skipped
 

@@ -773,7 +773,7 @@ def _kernel_cases(draw):
 ))
 def test_kernel_matches_the_reference_bit_for_bit(case):
     # the live kernel streams its trials chunk by chunk on live generators
-    # and selects with bit masks; each point's cost, count, jam and
+    # and selects with one np.where; each point's cost, count, jam and
     # intrinsic-collision arrays equal the earlier kernel's to the bit
     source, points, seed, start, count, chunk = case
     rule = _shared_rule(source, points)
