@@ -1052,11 +1052,13 @@ def run(argv) -> int:
 
     0 on success; 2 on an invalid config (a `ConfigError`, whose message
     names the field or the file) or an `--out` directory that cannot be
-    created, and then nothing runs and no record is written; 3 when a point
+    created, and then nothing runs and no record is written, or on an output
+    file under `--out` that cannot be written after the run; 3 when a point
     did not converge, raised while running (a failed accuracy check, an
     overflow, an allocation it cannot make, an iterate the library rejects)
-    or gave a non-finite output.  A run that starts always has its record
-    written, with the exception under a failed point's `error`.
+    or gave a non-finite output.  A run whose outputs can be written always
+    has its record written, with the exception under a failed point's
+    `error`.
     """
     parser = _build_parser()
     try:
@@ -1081,7 +1083,12 @@ def run(argv) -> int:
         print(f"error: --out: cannot create {args.out}: {exc}", file=sys.stderr)
         return 2
     result = execute(config)
-    _write_outputs(out_dir, result)
+    try:
+        _write_outputs(out_dir, result)
+    except OSError as exc:
+        print(f"error: --out: cannot write {exc.filename or args.out}: {exc}",
+              file=sys.stderr)
+        return 2
     records = result.point_records or (result.record,)
     for record in records:
         if "error" in record.outputs:

@@ -19,17 +19,19 @@ Reproducibility: draw (trial, stream) is addressed as position `trial` of a
 counter-based substream (one per sensor, one for the jammer), with exactly
 one uniform consumed per position and normals obtained by inversion.  Costs
 are therefore bit-identical however trials are chunked, and a single round
-can be replayed in isolation.  A run keeps one live generator per stream
-and streams its trials through it in chunks of `_CHUNK` trials, small
-enough that a chunk's arrays stay in cache: each sensor's draws are made,
-masked and added into per-trial sums before the next sensor's.  The sums
-over the first n sensors are the same for every point with the same seed
-and transmit rule, so `estimate_costs` takes any points of one source,
-splits them by rule itself and makes one pass a rule, each point bit for
-bit as on its own.  Every rule takes one form, the points where it switches
-between silence and transmission: threshold points share it whatever their
-jammer and costs, and best-response points share it when they differ in n
-or capacity, or in a jammer and costs that give the same switch points.
+can be replayed in isolation.  A run opens one live generator per stream
+once, a replay at its trial, and streams its trials through them in chunks
+of `_CHUNK` trials, small enough that a chunk's arrays stay in cache: each
+sensor's draws are made, masked and added into the per-trial transmit count
+and errors before the next sensor's, and a replay lists a delivered round's
+packets by rewinding the same generators.  The sums over the first n sensors
+are the same for every point with the same seed and transmit rule, so
+`estimate_costs` takes any points of one source, splits them by rule itself
+and makes one pass a rule, each point bit for bit as on its own.  Every rule
+takes one form, the points where it switches between silence and
+transmission: threshold points share it whatever their jammer and costs, and
+best-response points share it when they differ in n or capacity, or in a
+jammer and costs that give the same switch points.
 
 Each point reduces its costs in blocks of `_BLOCK` trials aligned at trial
 0: a pairwise sum and a two-pass sum of squared deviations a block, combined
@@ -230,11 +232,6 @@ def _draw(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, _MIN_UNIFORM, out=out)
 
 
-def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """`count` uniforms at positions [start, start + count) of a substream."""
-    return _draw(_stream(seed, stream, start), np.empty(count))
-
-
 def _transmits(y, edges, first: bool):
     """Whether the rule cut at `edges` (at most two) transmits at each
     deviation y: on every other open segment of the line, the first iff
@@ -259,45 +256,41 @@ def _sensor_draws(source: ScalarGaussian, rule, u: np.ndarray, sq0=None):
     return y, sq0, _transmits(y, edges, first)
 
 
-def _trial_costs(
-    source: ScalarGaussian, rule, points, seed: int, start: int, count: int
-):
-    """Per-trial costs and channel state of each point of a group, for
-    trials [start, start + count): yields (index, cost, p_count, jam,
+def _trial_costs(source: ScalarGaussian, rule, points, streams, count: int):
+    """Per-trial costs and channel state of each point of a group, for the
+    next `count` trials of `streams`: yields (index, cost, p_count, jam,
     intrinsic) per point for each chunk of at most `_CHUNK` trials, the
     chunks in order and a chunk's points in ascending n.
 
     `points` holds (costs, config, policies) triples whose transmit rule
-    (`_rule`) is `rule`, made by the caller.  Each stream is one live generator
-    (`_stream`) that every chunk continues.  Sensors 0 ... max n - 1 stream
-    once per chunk, one at a time, into arrays of chunk length: the transmit
-    count, the silent error against x_hat0 (zero for a transmitting sensor)
-    and the total error against x_hat1, which every sensor pays on a
-    collision; when the symbols' deviations are the same float the two
-    errors are the same squares.  A point reads these running sums once its
-    own n sensors are in, so its costs are those of its own run bit for bit.
-    The jammer stream n is drawn once for every point at n, and is sensor
-    n's stream too, so a larger n reuses it.  A round's cost is its lost
-    cost (total + c p_count) / n where it collides or is jammed, its clean
-    cost (silent + c p_count) / n otherwise, less d where it is jammed.
-    Memory is a few arrays of chunk length whatever n and `count` are, and a
-    live generator (about 1 KB) per stream.  `p_count` is the running count:
-    it changes when the generator resumes.
+    (`_rule`) is `rule`, made by the caller, and `streams` the caller's live
+    generators (`_stream`) of streams 0 ... max n, all at the same position,
+    which every chunk continues.  Sensors 0 ... max n - 1 stream once per
+    chunk, one at a time, into arrays of chunk length: the transmit count,
+    the silent error against x_hat0 (zero for a transmitting sensor) and the
+    total error against x_hat1, which every sensor pays on a collision.  A
+    point reads these running sums once its own n sensors are in, so its
+    costs are those of its own run bit for bit.  The jammer stream n is
+    drawn once for every point at n, and is sensor n's stream too, so a
+    larger n reuses it.  A round's cost is its lost cost (total + c
+    p_count) / n where it collides or is jammed, its clean cost (silent + c
+    p_count) / n otherwise, less d where it is jammed.  Memory is a few
+    arrays of chunk length whatever n and `count` are.  `p_count` is the
+    running count: it changes when the generator resumes.
     """
-    y0, y1, _, _ = rule
-    same = y0 == y1
+    _, y1, _, _ = rule
     order = sorted(range(len(points)), key=lambda i: points[i][1].n)
     by_n = [(n, list(at_n))
             for n, at_n in itertools.groupby(order, key=lambda i: points[i][1].n)]
-    streams = [_stream(seed, s, start) for s in range(by_n[-1][0] + 1)]
-    # draws, jammer draws, squares, silent mask and three sums
-    buffers = np.empty((7, min(_CHUNK, count)))
+    # draws, jammer draws, squares and two sums
+    buffers = np.empty((5, min(_CHUNK, count)))
     counts = np.empty(min(_CHUNK, count), dtype=np.int64)
-    for at in range(start, start + count, _CHUNK):
-        size = min(_CHUNK, start + count - at)
-        u, w, sq, keep, quiet, silent, total = buffers[:, :size]
-        buffers[4:, :size] = 0.0
+    for at in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - at)
+        u, w, sq, silent, total = buffers[:, :size]
+        buffers[3:, :size] = 0.0
         p_count = counts[:size]
+        p_count[:] = 0
         drawn = 0
         for n, at_n in by_n:
             for s in range(drawn, n):
@@ -305,23 +298,16 @@ def _trial_costs(
                 # as the last jammer
                 y = w if s == drawn > 0 else _draw(streams[s], u)
                 y, sq0, transmit = _sensor_draws(source, rule, y, sq)
-                if same:
-                    total += sq0
-                # a float silent mask: float64 passes, and inf * 0.0 is NaN
-                np.logical_not(transmit, out=keep)
-                quiet += keep
-                sq0 *= keep
+                p_count += transmit
+                sq0 *= np.logical_not(transmit, out=transmit)
                 silent += sq0
-                if not same:
-                    y -= y1
-                    y *= y
-                    total += y
+                y -= y1
+                y *= y
+                total += y
             drawn = n
-            # a count of at most n, exact in float64
-            np.subtract(n, quiet, out=p_count, casting="unsafe")
             _draw(streams[n], w)
             occupied = p_count > 0
-            intrinsic_at, costs_at_n = {}, {}
+            costs_at_n = {}
             for i in at_n:
                 costs, config, policies = points[i]
                 # an occupied channel is jammed with probability beta, an idle one alpha
@@ -330,9 +316,7 @@ def _trial_costs(
                 if alpha != beta:
                     jam &= occupied
                     jam |= (w < alpha) & ~occupied
-                if config.capacity not in intrinsic_at:
-                    intrinsic_at[config.capacity] = p_count > config.capacity
-                intrinsic = intrinsic_at[config.capacity]
+                intrinsic = p_count > config.capacity
                 if costs.c not in costs_at_n:
                     paid = costs.c * p_count
                     lost = total + paid
@@ -357,15 +341,18 @@ def simulate_round(
     """Replay a single round of the addressed trial stream.
 
     The cost and channel state come from the batch kernel with one point and
-    one trial; a delivered round re-draws its sensors one at a time to list
-    the packets.  Both read the one transmit rule (`_rule`) made here.
+    one trial, on the n + 1 streams opened here at `trial`; a delivered
+    round rewinds the sensor streams to `trial` to list the packets.  Both
+    read the one transmit rule (`_rule`) made here.
     """
     _check_count("trial", trial)
     if trial < 0:
         raise ValueError(f"trial must be nonnegative, got {trial}")
     rule = _rule(source, costs, policies)
+    streams = [_stream(seed, s, trial) for s in range(config.n + 1)]
+    at_trial = [gen.bit_generator.state for gen in streams[:-1]]
     ((_, cost, p_count, jam, intrinsic),) = _trial_costs(
-        source, rule, [(costs, config, policies)], seed, trial, 1
+        source, rule, [(costs, config, policies)], streams, 1
     )
     p = int(p_count[0])
     jammed = bool(jam[0])
@@ -375,8 +362,9 @@ def simulate_round(
         outcome = ChannelOutcome("idle", (), False, False)
     else:
         packets = []
-        for s in range(config.n):
-            y, _, transmit = _sensor_draws(source, rule, _uniforms(seed, s, trial, 1))
+        for s, (gen, state) in enumerate(zip(streams, at_trial)):
+            gen.bit_generator.state = state
+            y, _, transmit = _sensor_draws(source, rule, _draw(gen, np.empty(1)))
             if transmit[0]:
                 packets.append((s, source.mean + float(y[0])))
         outcome = ChannelOutcome("delivered", tuple(packets), False, False)
@@ -463,7 +451,9 @@ def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> li
     for rule, at in by_rule.items():
         group = [points[i] for i in at]
         try:
-            for j, cost, *_ in _trial_costs(source, rule, group, seed, 0, trials):
+            last = max(config.n for _, config, _ in group)
+            streams = [_stream(seed, s, 0) for s in range(last + 1)]
+            for j, cost, *_ in _trial_costs(source, rule, group, streams, trials):
                 entries[at[j]].add(cost)
         except _FAILURES as exc:
             for i in at:

@@ -764,6 +764,21 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         assert err.startswith(f"error: --out: cannot create {out}: "), err
         assert "Traceback" not in err
     assert blocker.read_text() == "kept"
+    # an output that cannot be written, here a directory in its place:
+    # result.json, a sweep's table.csv and a reactive solve's trace.csv
+    # each exit 2 after the run, with no traceback
+    sweep = _write_config(tmp_path, "sw.json", PROACTIVE_SWEEP)
+    for name, argv in (
+        ("result.json", ["solve", "proactive", "--config", good]),
+        ("table.csv", ["sweep", "--config", sweep]),
+        ("trace.csv", ["solve", "reactive", "--config", good]),
+    ):
+        out = tmp_path / f"taken-{name}"
+        (out / name).mkdir(parents=True)
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: cannot write {out / name}: "), err
+        assert "Traceback" not in err
     # a rejected value is echoed cut short, so the error line stays short and
     # still names the field: a 5 MB string, a list nested 400 deep (within
     # the parser's recursion limit under pytest), a 5 MB key

@@ -246,31 +246,52 @@ def test_jn_validation():
                         RoundPolicies(ReprSymbols(0.0, 0.0), ReactivePolicy(0.5, 0.5), bad))
 
 
+def _live_uniforms(seed, stream, start, count):
+    """`count` uniforms of a substream from a live generator (`network._stream`)
+    opened at position `start`."""
+    return network._draw(network._stream(seed, stream, start), np.empty(count))
+
+
 def test_uniform_addressing_is_chunk_invariant():
-    one_shot = network._uniforms(7, 3, 0, 100)
+    one_shot = _live_uniforms(7, 3, 0, 100)
     for cuts in ((37,), (1, 3), (4, 8, 96), (25, 50, 75), (2, 3, 5, 7, 99)):
         edges = (0,) + cuts + (100,)
         parts = [
-            network._uniforms(7, 3, a, b - a) for a, b in zip(edges, edges[1:])
+            _live_uniforms(7, 3, a, b - a) for a, b in zip(edges, edges[1:])
         ]
         assert np.array_equal(one_shot, np.concatenate(parts))
     # positions are absolute: a later window is a slice of the full draw
-    assert np.array_equal(one_shot[13:42], network._uniforms(7, 3, 13, 29))
-    assert not np.array_equal(one_shot, network._uniforms(7, 4, 0, 100))
-    assert not np.array_equal(one_shot, network._uniforms(8, 3, 0, 100))
+    assert np.array_equal(one_shot[13:42], _live_uniforms(7, 3, 13, 29))
+    assert not np.array_equal(one_shot, _live_uniforms(7, 4, 0, 100))
+    assert not np.array_equal(one_shot, _live_uniforms(8, 3, 0, 100))
     assert one_shot.min() >= 2.0**-54
 
 
-def test_simulate_round_matches_estimate():
+def test_simulate_round_matches_estimate(monkeypatch):
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(5, 2)
     policies = RoundPolicies(ReprSymbols(0.1, -0.2), ReactivePolicy(0.4, 0.4), 1.3)
     est = estimate_cost(STD, costs, config, policies, trials=64, seed=11)
-    replayed = np.array([
-        simulate_round(STD, costs, config, policies, seed=11, trial=t)[0]
-        for t in range(64)
-    ])
-    assert est.mean == float(replayed.mean())
+    open_rng = network.philox_rng
+    opened = []
+
+    def counted(*args):
+        opened.append(args)
+        return open_rng(*args)
+
+    monkeypatch.setattr(network, "philox_rng", counted)
+    replayed, opened_by_kind = [], {}
+    for t in range(64):
+        opened.clear()
+        cost, outcome = simulate_round(STD, costs, config, policies, seed=11, trial=t)
+        replayed.append(cost)
+        opened_by_kind.setdefault(outcome.kind, set()).add(len(opened))
+    # a replay opens each of its n + 1 streams once, whatever the round: a
+    # delivered one lists its packets from the same sensor streams
+    assert opened_by_kind == {
+        kind: {config.n + 1} for kind in ("idle", "collision", "delivered")
+    }
+    assert est.mean == float(np.array(replayed).mean())
     assert est.trials == 64
     # no trial index addresses a negative position of the stream, and a
     # trial index or a seed is an integer: True is not trial 1, nor 1.5 seed 1
@@ -295,6 +316,13 @@ def _shared_rule(source, points):
     return rules.pop()
 
 
+def _streams(seed, start, points):
+    """A group's live streams 0 ... max n at position `start`, as
+    `_trial_costs` takes them."""
+    last = max(config.n for _, config, _ in points)
+    return [network._stream(seed, s, start) for s in range(last + 1)]
+
+
 def test_estimate_chunking_invariant(monkeypatch):
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(3, 1)
@@ -316,7 +344,7 @@ def test_estimate_chunking_invariant(monkeypatch):
     alone = [estimate_cost(source, *point, trials=500, seed=4) for point in group]
     assert estimate_costs(source, group, trials=500, seed=4) == alone
     rule = _shared_rule(source, group)
-    kernel = network._trial_costs(source, rule, group, 4, 0, 500)
+    kernel = network._trial_costs(source, rule, group, _streams(4, 0, group), 500)
     per_trial = {i: cost for i, cost, *_ in kernel}
     for i, point in enumerate(group):
         for k in (0, 123, 499):
@@ -397,7 +425,7 @@ def test_estimate_reduction_is_blocked(monkeypatch):
     for trials in (network._BLOCK, 2 * network._BLOCK + 123):
         monkeypatch.setattr(network, "_CHUNK", trials)
         kernel = network._trial_costs(
-            source, _shared_rule(source, group), group, 4, 0, trials
+            source, _shared_rule(source, group), group, _streams(4, 0, group), trials
         )
         per_trial = {i: cost.copy() for i, cost, *_ in kernel}
         blocked = estimate_costs(source, group, trials=trials, seed=4)
@@ -471,7 +499,7 @@ def test_silent_round_outcome_and_cost():
         assert outcome == ChannelOutcome("idle", (), False, False)
         x = np.array([
             STD.mean
-            + math.sqrt(STD.var) * special.ndtri(network._uniforms(3, s, trial, 1)[0])
+            + math.sqrt(STD.var) * special.ndtri(_reference_uniforms(3, s, trial, 1)[0])
             for s in range(config.n)
         ])
         assert cost == pytest.approx(float(((x - 0.3) ** 2).mean()), rel=1e-12)
@@ -486,7 +514,7 @@ def test_jammed_round_outcome():
     assert outcome == ChannelOutcome("collision", (), False, True)
     x = np.array([
         STD.mean
-        + math.sqrt(STD.var) * special.ndtri(network._uniforms(3, s, 0, 1)[0])
+        + math.sqrt(STD.var) * special.ndtri(_reference_uniforms(3, s, 0, 1)[0])
         for s in range(config.n)
     ])
     assert cost == pytest.approx(float(((x + 0.3) ** 2).mean()) - 2.0, rel=1e-12)
@@ -505,7 +533,7 @@ def test_delivered_round_carries_packets():
             assert 1 <= len(outcome.delivered) <= config.capacity
             for sensor, value in outcome.delivered:
                 drawn = STD.mean + math.sqrt(STD.var) * special.ndtri(
-                    network._uniforms(9, sensor, trial, 1)[0]
+                    _reference_uniforms(9, sensor, trial, 1)[0]
                 )
                 assert value == drawn
                 assert (drawn - 0.0) ** 2 > 1.0
@@ -587,7 +615,7 @@ def _one_point(source, costs, config, policies, seed, trials):
     """The kernel's per-trial costs and transmit counts for one point."""
     point = [(costs, config, policies)]
     ((_, cost, p_count, *_),) = network._trial_costs(
-        source, _shared_rule(source, point), point, seed, 0, trials
+        source, _shared_rule(source, point), point, _streams(seed, 0, point), trials
     )
     return cost, p_count
 
@@ -646,7 +674,7 @@ def test_simulator_contracts(case):
         # exactly the transmitting sensors, each with its own addressed draw
         draws = [
             source.mean
-            + source.std * special.ndtri(network._uniforms(seed, s, k, 1)[0])
+            + source.std * special.ndtri(_reference_uniforms(seed, s, k, 1)[0])
             for s in range(config.n)
         ]
         sent = [
@@ -771,16 +799,28 @@ def _kernel_cases(draw):
      for n, cap in ((5, 2), (1, 1), (5, 4))],
     4, 3, 40_000, network._CHUNK,
 ))
+# points at one n that share a capacity and c but not the jammer, and a
+# larger n at that capacity and c, with symbols whose deviations are the
+# same float, over five chunks
+@example((
+    ScalarGaussian(0.1, 1.3),
+    [(GameCosts(0.9, d), NetworkConfig(n, 2),
+      RoundPolicies(ReprSymbols(0.4, 0.4), ReactivePolicy(*jammer), 1.2))
+     for n, d, jammer in ((6, 1.4, (0.2, 0.2)), (6, 0.6, (0.7, 0.7)),
+                          (6, 1.4, (0.1, 0.5)), (9, 1.4, (0.2, 0.2)))],
+    17, 77, 5_000, 1024,
+))
 def test_kernel_matches_the_reference_bit_for_bit(case):
-    # the live kernel streams its trials chunk by chunk on live generators
-    # and selects with one np.where; each point's cost, count, jam and
+    # the live kernel streams its trials chunk by chunk on live generators;
+    # each point's cost, count, jam and
     # intrinsic-collision arrays equal the earlier kernel's to the bit
     source, points, seed, start, count, chunk = case
     rule = _shared_rule(source, points)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_CHUNK", chunk)
         parts = {i: [] for i in range(len(points))}
-        for i, *arrays in network._trial_costs(source, rule, points, seed, start, count):
+        streams = _streams(seed, start, points)
+        for i, *arrays in network._trial_costs(source, rule, points, streams, count):
             parts[i].append([a.copy() for a in arrays])
     for i, *expected in _reference_trial_costs(source, rule, points, seed, start, count):
         assert len(parts[i]) == -(-count // chunk)
