@@ -17,7 +17,8 @@ rounded for reading (the record keeps full precision).  Non-convergence is
 reported through exit code 3 with the record still written, so sweeps can
 continue past hard instances and mark them.  A point that raises while it
 runs (a failed accuracy check, an overflow, an allocation it cannot make,
-an iterate the library rejects) or gives a non-finite output also exits 3,
+an iterate the library rejects) or gives an output a record may not hold
+(a non-finite float, or a value not exactly of a JSON type) also exits 3,
 with the record written and the exception under its `error` output; inside
 a sweep it becomes that point's record and the sweep goes on.
 
@@ -39,7 +40,10 @@ no axis crosses once, and its top level once per value of the axes that set
 top-level keys; its records share those sections and one provenance dict a
 seed.  `result.json` is the text of `json.dumps(record, indent=2)`, written
 in one pass that formats each shared dict and each distinct float once, as
-`table.csv` does a column's floats.
+`table.csv` does a column's floats.  Both format a leaf by its exact type
+alone: a record's outputs are checked once (`_check_finite`) to hold only
+dict, list, tuple, str, int, bool, None and finite float, tested by exact
+type, and its config echo and provenance come from JSON and `_number`.
 """
 
 from __future__ import annotations
@@ -288,20 +292,21 @@ class ResultRecord:
 
 
 def _check_finite(value, label: str) -> None:
-    """Raise ValueError at the first float in `value` that is not finite, or
-    the first value of a type that JSON does not hold, naming its path."""
-    if isinstance(value, dict):
+    """Raise ValueError at the first value in `value` that a record may not
+    hold, naming its path: a record holds exactly dict, list, tuple, str,
+    int, bool, None and finite float, tested by exact type, so a subclass
+    (a numpy scalar, an IntEnum, a str subclass) is refused too."""
+    kind = type(value)
+    if kind is dict:
         items, path = value.items(), "{}.{}"
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         items, path = enumerate(value), "{}[{}]"
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{label} is not finite: {value!r}")
-        return
-    elif value is None or isinstance(value, (str, int)):  # a bool is an int
-        return
+    elif kind not in _JSON_LEAVES:
+        raise ValueError(f"{label} has unsupported type {kind.__name__}")
+    elif kind is float and not math.isfinite(value):
+        raise ValueError(f"{label} is not finite: {value!r}")
     else:
-        raise ValueError(f"{label} has unsupported type {type(value).__name__}")
+        return
     for key, item in items:
         # a finite float needs no path
         if type(item) is not float or not math.isfinite(item):
@@ -425,9 +430,9 @@ def _set_path(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _get_path(config: dict, dotted: str):
+def _get_path(config: dict, parts: list[str]):
     node = config
-    for part in dotted.split("."):
+    for part in parts:
         if not isinstance(node, dict) or part not in node:
             return None
         node = node[part]
@@ -692,9 +697,9 @@ def _provenance(seed: int) -> dict:
 def _run_point(config: ExperimentConfig, provenance: dict, share):
     """(record, report) of one non-sweep experiment from its share of its
     group's run (`_run_group`).  A failure (`proactive._FAILURES`), the
-    share's or the run's, or a non-finite output (which the record's own
-    check finds) is no answer to report: the outputs say why, and count as
-    not converged."""
+    share's or the run's, or an output the record may not hold (which its
+    own check finds) is no answer to report: the outputs say why, and count
+    as not converged."""
     try:
         outputs, report = _MODES[config.mode].run(config, _raised(share))
         return ResultRecord(config.normalized, outputs, provenance), report
@@ -760,20 +765,6 @@ def execute(config: ExperimentConfig) -> ExecutionResult:
     )
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.{_TABLE_DIGITS}g}"
-    if isinstance(value, (list, tuple)):
-        return ";".join(_format_cell(v) for v in value)
-    return str(value)
-
-
 class _Texts(dict):
     """Value -> its text by `format`, each distinct value formatted once.
     Equal floats need not share a text: -0.0 and 0.0 compare equal, and NaN
@@ -789,7 +780,8 @@ class _Texts(dict):
         return text
 
 
-# a cell's text by the exact type of its value; `_format_cell` takes the rest
+# a cell's text by the exact type of its value, a record's leaf types
+# (`_check_finite`); a list or tuple is its items' texts joined by ";"
 _CELL_FORMATS = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
@@ -797,6 +789,12 @@ _CELL_FORMATS = {
     float: f"{{:.{_TABLE_DIGITS}g}}".format,
     str: str,
 }
+
+
+def _format_cell(value) -> str:
+    if type(value) is list or type(value) is tuple:
+        return ";".join(map(_format_cell, value))
+    return _CELL_FORMATS[type(value)](value)
 
 
 def _column_cells(values: list) -> list[str]:
@@ -817,7 +815,9 @@ def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
     Parameter columns (dotted config paths) come first, then the output
     columns in a fixed order, restricted to the ones some record fills.
     Numbers are rounded to `_TABLE_DIGITS` significant digits; the JSON record
-    keeps full precision.  No records yields a header-only table.
+    keeps full precision.  A cell is formatted by its value's exact type
+    (`_CELL_FORMATS`, or a list or tuple of those).  No records yields a
+    header-only table.
     """
     records = list(records)
     if records:
@@ -825,9 +825,8 @@ def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
         columns = [c for c in _TABLE_COLUMNS if c in filled]
     else:
         columns = list(_TABLE_COLUMNS)
-    cells = [
-        _column_cells([_get_path(r.config, p) for r in records]) for p in parameters
-    ]
+    paths = [p.split(".") for p in parameters]
+    cells = [_column_cells([_get_path(r.config, p) for r in records]) for p in paths]
     cells += [_column_cells([r.outputs.get(c) for r in records]) for c in columns]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -886,7 +885,9 @@ def _json_text(value) -> str:
     Python.  Each distinct float's text is made once (`_Texts`), and so is
     the text of each dict object that recurs at one indent, keyed on its
     identity: the dicts a sweep's records share (uncrossed sections, the
-    provenance)."""
+    provenance).  A leaf is written by its exact type (`_JSON_LEAVES`),
+    one of the types a record may hold (`_check_finite`); any other type,
+    a subclass of one too, raises TypeError."""
     leaves = _JSON_LEAVES | {float: _Texts(_json_float).__getitem__}
     # (id, the newline and indent it starts on) -> its text once it recurs:
     # most dicts come once, and keeping every text would copy the document
@@ -920,18 +921,11 @@ def _json_text(value) -> str:
                 items.append(inner + item)
             return "[" + ",".join(items) + newline + "]"
         leaf = leaves.get(type(value))
-        if leaf is not None:
-            return leaf(value)
-        # subclasses, checked in the standard library's order
-        if isinstance(value, str):
-            return _JSON_STRING(value)
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _json_float(value)
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable"
-        )
+        if leaf is None:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+        return leaf(value)
 
     return text(value, "\n")
 
@@ -1056,9 +1050,9 @@ def run(argv) -> int:
     file under `--out` that cannot be written after the run; 3 when a point
     did not converge, raised while running (a failed accuracy check, an
     overflow, an allocation it cannot make, an iterate the library rejects)
-    or gave a non-finite output.  A run whose outputs can be written always
-    has its record written, with the exception under a failed point's
-    `error`.
+    or gave an output a record may not hold.  A run whose outputs can be
+    written always has its record written, with the exception under a
+    failed point's `error`.
     """
     parser = _build_parser()
     try:

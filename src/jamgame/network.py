@@ -150,8 +150,9 @@ class RoundPolicies:
 
 def binomial_cdf(n: int, kappa: int, p: float) -> float:
     """P(Bin(n, p) <= kappa) = I_{1-p}(n - kappa, kappa + 1), the
-    regularized incomplete beta (Abramowitz & Stegun 26.5.24), and 1 at
-    kappa = n.  n and kappa must be integers (Python or numpy, not bool)."""
+    regularized incomplete beta (Abramowitz & Stegun 26.5.24), read as
+    1 - I_p(kappa + 1, n - kappa) where 1 - p rounds, and 1 at kappa = n.
+    n and kappa must be integers (Python or numpy, not bool)."""
     _check_count("n", n)
     _check_count("kappa", kappa)
     if not 0.0 <= p <= 1.0:
@@ -160,6 +161,8 @@ def binomial_cdf(n: int, kappa: int, p: float) -> float:
         raise ValueError(f"kappa must lie in [0, {n}], got {kappa}")
     if kappa == n:
         return 1.0
+    if 1.0 - (1.0 - p) != p:
+        return float(special.betaincc(kappa + 1, n - kappa, p))
     return float(special.betainc(n - kappa, kappa + 1, 1.0 - p))
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import enum
 import functools
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -984,6 +986,18 @@ def test_result_record_rejects_non_finite():
             config={}, outputs={"value": math.inf},
             provenance={"seed": 0},
         )
+    # a record holds its leaf types exactly: a subclass of float, int or str
+    # is refused as well, so the writers never meet one
+
+    class Level(enum.IntEnum):
+        HIGH = 1
+
+    class Name(str):
+        pass
+
+    for value in (np.float64(1.0), Level.HIGH, Name("C1")):
+        with pytest.raises(ValueError, match=r"^outputs\.value has unsupported type"):
+            ResultRecord(config={}, outputs={"value": value}, provenance={})
 
 
 def test_sweep_pays_once_for_what_its_points_share(monkeypatch):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def test_binomial_cdf_against_direct_sum():
     assert binomial_cdf(2, 1, 0.5) == pytest.approx(0.75, abs=1e-14)
     assert binomial_cdf(7, 7, 0.42) == pytest.approx(1.0, abs=1e-14)
     assert binomial_cdf(7, 0, 0.42) == pytest.approx(0.58**7, rel=1e-12)
+    # a p whose complement 1 - p rounds (below 0.5, with bits below 2^-53)
+    # is read as itself: within 2e-16 of the exact rational sum, where
+    # reading it through 1 - p lost up to 5e-15
+    rng = np.random.default_rng(102)
+    checked = 0
+    while checked < 200:
+        p = float(10 ** rng.uniform(-8, math.log10(0.5)))
+        if 1.0 - (1.0 - p) == p:
+            continue
+        n = int(rng.integers(2, 60))
+        kappa = int(rng.integers(0, n))
+        q = Fraction(p)
+        exact = sum(math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(kappa + 1))
+        error = abs(Fraction(binomial_cdf(n, kappa, p)) - exact)
+        assert error <= Fraction(2e-16) * exact, (n, kappa, p)
+        checked += 1
     with pytest.raises(ValueError):
         binomial_cdf(5, 6, 0.3)
     with pytest.raises(ValueError):
