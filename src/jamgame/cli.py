@@ -457,12 +457,13 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
             )
         if not isinstance(grid, list) or not grid:
             raise ConfigError(f"{label}.grid: must be a nonempty list")
-        for j, value in enumerate(grid):
-            _number(value, f"{label}.grid[{j}]")
+        # an exact int stays one, so integer fields can be swept too; any
+        # other number becomes the float `_number` gives
+        numbers = [_number(value, f"{label}.grid[{j}]") for j, value in enumerate(grid)]
+        grid = tuple(v if type(v) is int else x for v, x in zip(grid, numbers))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{label}.grid: must be strictly increasing")
-        # keep the JSON types so integer fields can be swept too
-        axes[parameter] = tuple(grid)
+        axes[parameter] = grid
     if section["workers"] < 1:
         raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
 

@@ -300,10 +300,12 @@ class McVectorModel:
     - the symbol gradients come from the sums of y and of y^2 over the
       transmit and the silent samples, `masks @ Y.T` and `masks @ Y2.T`.
 
-    `ccp_g` builds only the transmit mask and the y sums, the product
-    `evaluate` makes, so it is bit for bit `evaluate(...).ccp_g`.  The
-    cores `_evaluate` and `_ccp_g` take the symbols as two arrays and the
-    policy as two floats.
+    Both cores split the draws once a call (`_split`) by the quadratic q
+    that `transmit_region` solves in closed form, read per draw, and take
+    the masks and the y sums from that one product.  `ccp_g` needs nothing
+    else, so it forms no branch cost and is bit for bit
+    `evaluate(...).ccp_g`.  The cores `_evaluate` and `_ccp_g` take the
+    symbols as two arrays and the policy as two floats.
     """
 
     def __init__(self, source, costs: GameCosts, samples: int = 10_000, seed: int = 0):
@@ -320,15 +322,21 @@ class McVectorModel:
         self._y[...] = _deviations(source, seed, samples).T
         np.multiply(self._y, self._y, out=self._y2)
         self._norm_sq = self._y2.sum(axis=0)
-        self._key = self._sq = None
+        self._key = self._sq = self._delta = None
 
     @staticmethod
     def _pair(symbols):
         return symbols.x_hat0, symbols.x_hat1
 
-    def _sq_dists(self, x0, x1):
-        """Squared distances of the draws to both symbols, a (2, N) array
-        kept per symbol pair."""
+    def _split(self, x0, x1, a, b):
+        """The draws split by the exact model's rule: a draw transmits where
+        q = (alpha - beta) ||x - x_hat1||^2 + (1 - alpha) ||x - x_hat0||^2
+        exceeds c + d (alpha - beta), the silent branch costing more.
+
+        Returns the squared distances (rows: x_hat0, x_hat1) and the
+        symbols' deviations delta_k, both kept per symbol pair, then the 0/1
+        masks (rows: transmit, silent), their counts and the masked sums
+        of y."""
         key = np.concatenate([x0, x1])
         if not np.array_equal(key, self._key):
             self._key = key
@@ -337,36 +345,25 @@ class McVectorModel:
             sq *= -2.0
             sq += self._norm_sq
             sq += np.einsum("ij,ij->i", delta, delta)[:, None]
-            self._sq = sq
-        return self._sq
-
-    def _branches(self, x0, x1, a, b):
-        """Per sample: the squared distances, the transmit and the silent
-        branch's cost, and whether the sensor transmits."""
+            self._sq, self._delta = sq, delta[:, None]
+        sq0, sq1 = self._sq
         c, d = self.costs.c, self.costs.d
-        sq0, sq1 = self._sq_dists(x0, x1)
-        f_t = b * sq1 + c - d * b
-        f_nt = a * sq1 + (1.0 - a) * sq0 - d * a
-        return sq0, sq1, f_t, f_nt, f_nt > f_t
-
-    def _y_sums(self, transmit, x0, x1):
-        """The 0/1 masks (rows: transmit, silent), their counts, the masked
-        sums of y, and from those the sums of (x - x_hat) per symbol block
-        and row."""
+        q = (a - b) * sq1
+        q += (1.0 - a) * sq0
         masks = np.empty((2, self.n))
-        masks[0] = transmit
+        np.greater(q, c + d * (a - b), out=masks[0])
         np.subtract(1.0, masks[0], out=masks[1])
-        s1 = masks @ self._y.T
-        n_t = np.count_nonzero(transmit)
+        n_t = np.count_nonzero(masks[0])
         counts = np.array([[n_t], [self.n - n_t]], dtype=float)
-        delta = (np.stack([x0, x1]) - self.mean)[:, None]
-        return masks, s1, counts, delta, s1 - counts * delta
+        return self._sq, self._delta, masks, counts, masks @ self._y.T
 
     def _evaluate(self, x0, x1, a, b) -> tuple:
-        d = self.costs.d
-        sq0, sq1, f_t, f_nt, transmit = self._branches(x0, x1, a, b)
-        masks, s1, counts, delta, dev = self._y_sums(transmit, x0, x1)
-        # per-sample rows: objective, concave part, grad_phi
+        c, d = self.costs.c, self.costs.d
+        (sq0, sq1), delta, masks, counts, s1 = self._split(x0, x1, a, b)
+        # per-sample rows: objective and concave part (the branch costs'
+        # min and max), grad_phi
+        f_t = b * sq1 + c - d * b
+        f_nt = a * sq1 + (1.0 - a) * sq0 - d * a
         per = np.empty((4, self.n))
         np.minimum(f_t, f_nt, out=per[0])
         np.maximum(f_t, f_nt, out=per[1])
@@ -378,6 +375,8 @@ class McVectorModel:
         mean, se = mean_std_err(
             per.sum(axis=1), np.einsum("ij,ij->i", per, per), self.n
         )
+        # the sums of (x - x_hat) and (x - x_hat)^2 per symbol block and row
+        dev = s1 - counts * delta
         s2 = masks @ self._y2.T
         dev_sq = s2 - 2.0 * delta * s1 + counts * delta * delta
         w = _ccp_weights(a, b)
@@ -399,10 +398,9 @@ class McVectorModel:
         )
 
     def _ccp_g(self, x0, x1, a, b):
-        """`_evaluate(...).ccp_g` from the transmit mask and the y sums alone."""
-        transmit = self._branches(x0, x1, a, b)[-1]
-        dev = self._y_sums(transmit, x0, x1)[-1]
-        return _halves(_block_sums(_ccp_weights(a, b), dev) / self.n)
+        """`_evaluate(...).ccp_g` from the split alone: no branch costs."""
+        _, delta, _, counts, s1 = self._split(x0, x1, a, b)
+        return _halves(_block_sums(_ccp_weights(a, b), s1 - counts * delta) / self.n)
 
     evaluate = _public_evaluate
     ccp_g = _public_ccp_g

@@ -604,6 +604,21 @@ def test_round_trip_sweep_point():
     point = sweep.point_records[5]
     again = execute(parse_config(copy.deepcopy(point.config)))
     assert again.record.outputs == point.outputs
+    # a Python caller's numpy grid values reach the echo as exact floats,
+    # so both writers take every record
+    raw = {"mode": "sweep", "source": {"mean": 0.0, "variance": 1.0},
+           "costs": {"c": 1.0, "d": 0.5},
+           "sweep": {"mode": "proactive", "axes": [
+               {"parameter": "source.mean", "grid": [np.float64(-0.5), np.float64(0.25)]},
+           ]}}
+    sweep = execute(parse_config(raw))
+    assert [type(r.config["source"]["mean"]) for r in sweep.point_records] == [float] * 2
+    assert [r.config["source"]["mean"] for r in sweep.point_records] == [-0.5, 0.25]
+    assert type(sweep.record.config["sweep"]["axes"][0]["grid"][0]) is float
+    table = emit_table(sweep.point_records, sweep.parameters)
+    assert table.splitlines()[1].startswith("-0.5,")
+    records = [r.to_json() for r in sweep.point_records]
+    assert cli._json_text(records) == json.dumps(records, indent=2)
 
 
 def test_vector_reactive_solve():

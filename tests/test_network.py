@@ -166,12 +166,13 @@ def test_import_leaves_out_scipy_stats():
     assert run.returncode == 0
 
 
-# names deleted from the package because nothing in it called them
+# names deleted from the package because nothing in it called them, or
+# because one other name does their work (`McVectorModel._split`)
 _DELETED = ("tail_prob", "tail_second_moment", "whiten", "project_box",
             "as_array", "complement_intervals", "iterations_to",
             "TransmitRegion", "_endpoint", "_piece_moments", "_std_tail",
             "_std_pdf", "_group_rule", "_simulate_key", "_source_key",
-            "group_key")
+            "group_key", "_sq_dists", "_branches", "_y_sums")
 
 
 def test_public_surface_resolves_and_holds_no_deleted_name():

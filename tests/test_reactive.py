@@ -592,6 +592,9 @@ def test_mc_evaluate_matches_per_sample_reference():
     ]
     edge = ReprSymbols(np.array([0.3, -0.2, 0.5]), np.array([-0.6, 0.1, 0.0]))
     cases += [(edge, ReactivePolicy(0.0, 0.0)), (edge, ReactivePolicy(1.0, 1.0))]
+    # the split's q loses its sq1 term at an interior alpha = beta, and its
+    # sq0 term at alpha = 1, beta = 0
+    cases += [(edge, ReactivePolicy(0.4, 0.4)), (edge, ReactivePolicy(1.0, 0.0))]
     for symbols, policy in cases:
         ev = model.evaluate(symbols, policy)
         ref = _per_sample_reference(src, costs, 9, 5_000, symbols, policy)
