@@ -27,23 +27,29 @@ batch run: the points of a sweep with the same source, trials and seed.
 The batch run does its points' library work and decides what they share: a
 simulate group prices each point (`jn_analytic`) before it draws, and draws
 each sensor stream once per distinct transmit rule of the points it priced
-(`estimate_costs`); a proactive or large-scale group solves the jammer's
-indifference root once per distinct d at which a point jams
-(`solve_saddles`); and a reactive group solves each point alone.  It hands
-each point its result or the exception the point's own run raises, so a
-root that fails fails only the points that need it.
+(`estimate_costs`); a proactive or large-scale group solves each distinct
+saddle once, the jammer's indifference root once per distinct d at which a
+point jams (`solve_saddles`) and each distinct kappa_bar's l_lambda once
+(`classify_and_solve_all`); and a reactive group solves each point alone.
+It hands each point its result or the exception the point's own run
+raises, so a root that fails fails only the points that need it.
 Every point's record is the one its own run writes and checks once.  A
 sweep runs its groups in grid order on the calling thread, and every draw
 is seeded per point; `sweep.workers` is accepted and echoed, so older
-configs still run, but nothing reads it.  A sweep parses each section that
-no axis crosses once, and its top level once per value of the axes that set
-top-level keys; its records share those sections and one provenance dict a
-seed.  `result.json` is the text of `json.dumps(record, indent=2)`, written
-in one pass that formats each shared dict and each distinct float once, as
-`table.csv` does a column's floats.  Both format a leaf by its exact type
-alone: a record's outputs are checked once (`_check_finite`) to hold only
-dict, list, tuple, str, int, bool, None and finite float, tested by exact
-type, and its config echo and provenance come from JSON and `_number`.
+configs still run, but nothing reads it.  A sweep parses its first point
+as a config and checks each axis and each grid value once; every other
+point is the first one's echoes with its values set, and builds only the
+sections an axis crosses, so each range check still runs per point.  Its
+records share the other sections and one provenance dict a seed.
+`result.json` is the text of `json.dumps(record, indent=2)`, written in
+one pass; a list of records is written from one template, filled column
+by column as `table.csv` is: an object every record shares is written
+once, each distinct float of a column is formatted once, and a path where
+the records' keys differ (an error record's outputs) is written record by
+record.  Both format a leaf by its exact type alone: a record's outputs
+are checked once (`_check_finite`) to hold only dict, list, tuple, str,
+int, bool, None and finite float, tested by exact type, and its config
+echo and provenance come from JSON and `_number`.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import reprlib
 import sys
 from dataclasses import dataclass, fields
@@ -228,15 +235,22 @@ def _build(cls, label: str, *args, **kwargs):
         raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _vector(value, dimension: int, label: str) -> np.ndarray:
+def _vector(value, dimension: int, label: str) -> tuple[np.ndarray, object]:
+    """(array, echo) of a number or a list of numbers; the echo holds each
+    one that is not exactly an int or a float as the float `_number` gives."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.full(dimension, _number(value, label))
+        number = _number(value, label)
+        exact = type(value) in (int, float)
+        return np.full(dimension, number), value if exact else number
     if isinstance(value, list):
         if len(value) != dimension:
             raise ConfigError(
                 f"{label}: expected {dimension} entries, got {len(value)}"
             )
-        return np.array([_number(v, label) for v in value])
+        numbers = [_number(v, label) for v in value]
+        return np.array(numbers), [
+            v if type(v) in (int, float) else x for v, x in zip(value, numbers)
+        ]
     raise ConfigError(
         f"{label}: must be a number or a list of numbers, got {_shown(value)}"
     )
@@ -308,13 +322,13 @@ def _check_finite(value, label: str) -> None:
     else:
         return
     for key, item in items:
-        # a finite float needs no path
-        if type(item) is not float or not math.isfinite(item):
+        kind = type(item)  # a leaf needs no path, a float only a finite one
+        if kind not in _JSON_LEAVES or kind is float and not math.isfinite(item):
             _check_finite(item, path.format(label, key))
 
 
-def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
-    echo = _read("source", section)
+def _parse_source(echo: dict) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
+    """(source, echo) from the source section's echo (`_read`)."""
     if "dimension" in echo:
         dimension = echo["dimension"]
         if dimension < 1:
@@ -324,11 +338,11 @@ def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
         lists = [v for v in (echo["mean"], echo["variance"]) if isinstance(v, list)]
         dimension = len(lists[0]) if lists else 1
     try:
-        mean = _vector(echo["mean"], dimension, "source.mean")
-        variance = _vector(echo["variance"], dimension, "source.variance")
+        mean, mean_echo = _vector(echo["mean"], dimension, "source.mean")
+        variance, var_echo = _vector(echo["variance"], dimension, "source.variance")
     except MemoryError as exc:  # numpy refuses before it allocates
         raise ConfigError(f"source.dimension: {dimension} is too large: {exc}") from exc
-    echo["dimension"] = dimension
+    echo = echo | {"mean": mean_echo, "variance": var_echo, "dimension": dimension}
     if dimension == 1:
         source = _build(ScalarGaussian, "source", float(mean[0]), float(variance[0]))
     else:
@@ -336,45 +350,18 @@ def _parse_source(section) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
     return source, echo
 
 
-def _parse_costs(section) -> tuple[dict, GameCosts]:
-    echo = _read("costs", section)
-    return echo, _build(GameCosts, "costs", **echo)
-
-
-def _parse_solver(section, seed: int) -> tuple[dict, str, SolverConfig]:
-    """(echo, algorithm, SolverConfig) of the solver section, seeded `seed`."""
-    echo = _read("solver", section)
-    knobs = dict(echo)
-    algorithm = _one_of(knobs.pop("algorithm"), _ALGORITHMS, "solver.algorithm")
-    return echo, algorithm, _build(SolverConfig, "solver", **knobs, seed=seed)
-
-
-def _parse_section(memo, name: str, parse, section, *args):
-    """`parse(section, *args)`.  `memo` (None outside a sweep) holds a cache
-    for each section that no sweep axis crosses, which is one object in
-    every point (`_parse_sweep`), so such a section is parsed once for each
-    `args`, and its points share what it gives.  The top level ("") is
-    shared by the points that agree on every top-level key an axis sets."""
-    cache = None if memo is None else memo.get(name)
-    if cache is None:
-        return parse(section, *args)
-    if args not in cache:
-        cache[args] = parse(section, *args)
-    return cache[args]
-
-
 def _check_scalar(mode: str, source) -> None:
     if not isinstance(source, ScalarGaussian):
         raise ConfigError(f"source.dimension: {mode} mode is scalar")
 
 
-def _parse_large_scale(top: dict, raw: dict, source, solver_echo: dict):
+def _parse_large_scale(top: dict, echo_of, source, solver_echo: dict):
     _check_scalar("large_scale", source)
     kappa_bar = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
     return {"kappa_bar": kappa_bar}, {"kappa_bar": top["kappa_bar"]}
 
 
-def _parse_simulate(top: dict, raw: dict, source, solver_echo: dict):
+def _parse_simulate(top: dict, echo_of, source, solver_echo: dict):
     """(ExperimentConfig fields, echo) of simulate mode's network and policy."""
     _check_scalar("simulate", source)
     n = top["n"]
@@ -384,7 +371,7 @@ def _parse_simulate(top: dict, raw: dict, source, solver_echo: dict):
         network = _build(NetworkConfig, "capacity", n, top["capacity"])
     else:
         network = _build(NetworkConfig.from_kappa, "capacity", n, top["kappa_bar"])
-    section = _read("simulate", raw["simulate"])
+    section = dict(echo_of("simulate"))
     if section["trials"] < 2:
         raise ConfigError(f"simulate.trials: must be >= 2, got {section['trials']}")
     blind = "threshold" in section or "phi" in section
@@ -430,16 +417,9 @@ def _set_path(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _get_path(config: dict, parts: list[str]):
-    node = config
-    for part in parts:
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
-def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
+def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
+    """A sweep: its first point parsed as a config is, each other one built
+    from the first one's echoes with its axes' checked values set."""
     section = _read("sweep", top["sweep"])
     mode = _one_of(section["mode"], _POINT_MODES, "sweep.mode")
     if not isinstance(section["axes"], list) or not section["axes"]:
@@ -468,29 +448,47 @@ def _parse_sweep(raw: dict, top: dict, seed: int) -> ExperimentConfig:
         raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
 
     base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
-    # a section that no axis crosses is one object in every point
-    crossed = {parameter.split(".")[0] for parameter in axes}
-    shared = {name: {} for name in ("source", "costs", "solver") if name not in crossed}
-    # the points' top levels differ only in the keys that axes set, and in
-    # the sections, which each point reads from its own config
-    tops = {}
-    points = []
-    for combo in itertools.product(*axes.values()):
-        # the points share every dict that no axis path crosses
-        point_raw = base | {"mode": mode}
-        for parameter, value in zip(axes, combo):
-            _set_path(point_raw, parameter, value)
-        at_top = tuple(v for p, v in zip(axes, combo) if "." not in p)
-        memo = shared | {"": tops.setdefault(at_top, {})}
-        try:
-            points.append(_parse_config(point_raw, memo))
-        except ConfigError as exc:
-            at = ", ".join(f"{_shown(p)}={_shown(v)}" for p, v in zip(axes, combo))
-            raise ConfigError(f"sweep point ({at}): {exc}") from exc
+    first_raw = base | {"mode": mode}
+    for parameter, grid in axes.items():
+        _set_path(first_raw, parameter, grid[0])
+    # each section's echo as `_read` gives it, the top level's as ""
+    reads, parts = {}, {}
+    combo = next(zip(*axes.values()))
+    try:
+        reads[""] = _parse_top(first_raw)[0]
+        points = [_point(mode, reads[""], lambda name: reads.setdefault(
+            name, _read(name, reads[""][name])), parts)]
+        # each axis sets one key of a section the first point read, each grid
+        # value checked once by its row; a crossed seed seeds the solver
+        crossed, checked = {"solver": []} if "seed" in axes else {}, []
+        for i, (parameter, grid) in enumerate(axes.items()):
+            name, _, key = parameter.rpartition(".")
+            crossed.setdefault(name, []).append((key, i))
+            checked.append([_entry(_FIELDS[name][key][0], v, parameter) for v in grid])
+        for name, keys in crossed.items():  # a point checks them in row order
+            keys.sort(key=lambda item: [*_FIELDS[name]].index(item[0]))
+        shared = {name: part for name, part in parts.items() if name not in crossed}
+        combos = zip(itertools.product(*axes.values()), itertools.product(*checked))
+        for combo, values in itertools.islice(combos, 1, None):
+
+            def echo_of(name: str) -> dict:
+                echo = reads[name]
+                if name in crossed:
+                    echo = dict(echo)
+                    for key, i in crossed[name]:
+                        if isinstance(value := values[i], BaseException):
+                            raise value
+                        echo[key] = value
+                return echo
+
+            points.append(_point(mode, echo_of(""), echo_of, dict(shared)))
+    except ConfigError as exc:
+        at = ", ".join(f"{_shown(p)}={_shown(v)}" for p, v in zip(axes, combo))
+        raise ConfigError(f"sweep point ({at}): {exc}") from exc
     section["axes"] = [{"parameter": p, "grid": list(g)} for p, g in axes.items()]
     plan = SweepPlan(tuple(axes.items()), section["workers"], tuple(points))
     normalized = base | {"mode": "sweep", "sweep": section}
-    return ExperimentConfig("sweep", seed, normalized, sweep_plan=plan)
+    return ExperimentConfig("sweep", top["seed"], normalized, sweep_plan=plan)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -500,12 +498,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     field.  The returned `normalized` echo holds every field the run reads,
     defaults filled in, so re-parsing it reproduces the run exactly.
     """
-    return _parse_config(raw, None)
+    top, mode = _parse_top(raw)
+    if mode != "sweep":
+        return _point(mode, top, lambda name: _read(name, top[name]), {})
+    _seed(top["seed"])
+    return _parse_sweep(raw, top)
 
 
-def _parse_top(raw: dict) -> tuple[dict, str, int]:
-    """(echo, mode, seed) of a config's top level, its mode's required and
-    forbidden keys checked."""
+def _parse_top(raw: dict) -> tuple[dict, str]:
+    """(echo, mode) of a config's top level, its mode's keys checked."""
     top = _read("", raw)
     mode = _one_of(top["mode"], _MODES, "mode")
     for key in _MODES[mode].forbidden:
@@ -514,31 +515,37 @@ def _parse_top(raw: dict) -> tuple[dict, str, int]:
     for key in _MODES[mode].required:
         if key not in raw:
             raise ConfigError(f"{key}: required in {mode} mode")
-    seed = top["seed"]
+    return top, mode
+
+
+def _seed(seed) -> int:
     # no 64-bit limit: SeedSequence takes integers of any size
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {_shown(seed)}")
-    return top, mode, seed
+    return seed
 
 
-def _parse_config(raw: dict, memo: dict | None) -> ExperimentConfig:
-    """`parse_config`, sharing with the other points of its sweep what
-    `memo` holds (`_parse_section`)."""
-    top, mode, seed = _parse_section(memo, "", _parse_top, raw)
-    if mode == "sweep":
-        return _parse_sweep(raw, top, seed)
-
-    # each section from `raw`: a shared top-level echo holds another point's
-    source, source_echo = _parse_section(memo, "source", _parse_source, raw["source"])
-    costs_echo, costs = _parse_section(memo, "costs", _parse_costs, raw["costs"])
-    solver_echo, algorithm, solver = _parse_section(
-        memo, "solver", _parse_solver, raw.get("solver", top["solver"]), seed
-    )
-    parsed, echo = _MODES[mode].parse(top, raw, source, solver_echo)
-    normalized = {
-        "mode": mode, "source": source_echo, "costs": costs_echo, "seed": seed,
-        **echo,
-    }
+def _point(mode: str, top: dict, echo_of, parts: dict) -> ExperimentConfig:
+    """A point of `mode` from its top-level echo and its sections, checked
+    in the order a config's are: a section that `parts` holds as (what it
+    builds, its echo) is another point's, shared, and each other one is
+    built from its echo `echo_of(name)` and added to `parts`."""
+    seed = _seed(top["seed"])
+    if "source" not in parts:
+        parts["source"] = _parse_source(echo_of("source"))
+    if "costs" not in parts:
+        echo = echo_of("costs")
+        parts["costs"] = _build(GameCosts, "costs", **echo), echo
+    if "solver" not in parts:
+        knobs = dict(echo := echo_of("solver"))
+        algorithm = _one_of(knobs.pop("algorithm"), _ALGORITHMS, "solver.algorithm")
+        solver = _build(SolverConfig, "solver", **knobs, seed=seed)
+        parts["solver"] = (algorithm, solver), echo
+    (source, source_echo), (costs, costs_echo) = parts["source"], parts["costs"]
+    (algorithm, solver), solver_echo = parts["solver"]
+    parsed, echo = _MODES[mode].parse(top, echo_of, source, solver_echo)
+    normalized = {"mode": mode, "source": source_echo, "costs": costs_echo,
+                  "seed": seed, **echo}
     return ExperimentConfig(
         mode, seed, normalized, source, costs, solver, algorithm, **parsed
     )
@@ -635,7 +642,8 @@ class _Mode(NamedTuple):
 
     required: tuple[str, ...]  # top-level keys
     forbidden: tuple[str, ...]
-    # (top echo, raw, source, solver echo) -> (config fields, echo after seed)
+    # (top echo, a section's echo by name, source, solver echo)
+    # -> (config fields, echo after seed)
     parse: Callable | None = None
     run: Callable | None = None  # (config, its share) -> (outputs, report)
     # a group's points (`_group_key`) -> a share each, result or exception
@@ -652,7 +660,7 @@ _MODES = {
         (), ("kappa_bar", "n", "capacity", "simulate", "sweep"),
         # only reactive runs read the solver fields; the others accept them,
         # so older records replay
-        lambda top, raw, source, solver: ({}, {"solver": solver}), _run_reactive,
+        lambda top, echo_of, source, solver: ({}, {"solver": solver}), _run_reactive,
         lambda group: [
             _entry(solve_pga_ccp if p.algorithm == "pga_ccp" else solve_gda,
                    p.source, p.costs, p.solver)
@@ -766,21 +774,6 @@ def execute(config: ExperimentConfig) -> ExecutionResult:
     )
 
 
-class _Texts(dict):
-    """Value -> its text by `format`, each distinct value formatted once.
-    Equal floats need not share a text: -0.0 and 0.0 compare equal, and NaN
-    equals nothing, so they are never stored and are formatted each time."""
-
-    def __init__(self, format):
-        self.format = format
-
-    def __missing__(self, value) -> str:
-        text = self.format(value)
-        if value and value == value:
-            self[value] = text
-        return text
-
-
 # a cell's text by the exact type of its value, a record's leaf types
 # (`_check_finite`); a list or tuple is its items' texts joined by ";"
 _CELL_FORMATS = {
@@ -798,16 +791,21 @@ def _format_cell(value) -> str:
     return _CELL_FORMATS[type(value)](value)
 
 
-def _column_cells(values: list) -> list[str]:
-    """A table column's cells: with one formatter for the column when its
-    values share a type of `_CELL_FORMATS`, else `_format_cell` each.  A
-    float column formats each distinct value once."""
+def _column_texts(values: list, formats: dict, other) -> list[str]:
+    """The texts of a column's values: with one format for the column when
+    its values share a type of `formats`, else `other` each.  A float column
+    formats each distinct value once."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
-    format_cell = _CELL_FORMATS.get(kind, _format_cell)
-    if kind is float:
-        format_cell = _Texts(format_cell).__getitem__
-    return list(map(format_cell, values))
+    format = formats.get(kind, other)
+    if kind is not float:
+        return list(map(format, values))
+    texts = dict.fromkeys(values)
+    texts = dict(zip(texts, map(format, texts)))
+    if 0.0 not in texts:
+        return list(map(texts.__getitem__, values))
+    # -0.0 equals 0.0, so they share a key but not a text
+    return [texts[v] if v else format(v) for v in values]
 
 
 def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
@@ -826,9 +824,14 @@ def emit_table(records, parameters: tuple[str, ...] = ()) -> str:
         columns = [c for c in _TABLE_COLUMNS if c in filled]
     else:
         columns = list(_TABLE_COLUMNS)
-    paths = [p.split(".") for p in parameters]
-    cells = [_column_cells([_get_path(r.config, p) for r in records]) for p in paths]
-    cells += [_column_cells([r.outputs.get(c) for r in records]) for c in columns]
+    cells = []
+    for parameter in parameters:  # a missing key or a value on the path: None
+        column = [r.config for r in records]
+        for part in parameter.split("."):
+            column = [v.get(part) if isinstance(v, dict) else None for v in column]
+        cells.append(column)
+    cells += [[r.outputs.get(c) for r in records] for c in columns]
+    cells = [_column_texts(column, _CELL_FORMATS, _format_cell) for column in cells]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(parameters) + columns)
@@ -883,50 +886,78 @@ def _json_text(value) -> str:
     """`json.dumps(value, indent=2)` of an acyclic tree whose keys are
     strings, as every key of a record is, in one pass: the standard library
     writes an indented document through a generator per container, in pure
-    Python.  Each distinct float's text is made once (`_Texts`), and so is
-    the text of each dict object that recurs at one indent, keyed on its
-    identity: the dicts a sweep's records share (uncrossed sections, the
-    provenance).  A leaf is written by its exact type (`_JSON_LEAVES`),
-    one of the types a record may hold (`_check_finite`); any other type,
-    a subclass of one too, raises TypeError."""
-    leaves = _JSON_LEAVES | {float: _Texts(_json_float).__getitem__}
-    # (id, the newline and indent it starts on) -> its text once it recurs:
-    # most dicts come once, and keeping every text would copy the document
-    dicts = {}
-    # newline and indent -> key -> its line up to the value
-    heads = _Texts(lambda inner: _Texts(lambda name: inner + _JSON_STRING(name) + ": "))
+    Python.  A list whose first item is a dict, a sweep's records, is
+    written from one template filled column by column (`column`), which
+    writes an object its items share once, such as the sections and the
+    provenance a sweep's records share.  A leaf is written by its exact
+    type (`_JSON_LEAVES`), one of the types a record may hold
+    (`_check_finite`); any other type, a subclass of one too, raises
+    TypeError."""
+
+    @functools.cache
+    def head(inner: str, name: str) -> str:
+        """A key's line at indent `inner` up to its value."""
+        return inner + _JSON_STRING(name) + ": "
 
     def text(value, newline: str) -> str:
         if isinstance(value, dict):
             if not value:
                 return "{}"
-            key = id(value), newline
-            done = dicts.get(key)
-            if done is None:
-                inner, items = newline + "  ", []
-                head = heads[inner]
-                for name, item in value.items():
-                    leaf = leaves.get(type(item))
-                    item = text(item, inner) if leaf is None else leaf(item)
-                    items.append(head[name] + item)
-                done = "{" + ",".join(items) + newline + "}"
-                dicts[key] = done if key in dicts else None
-            return done
+            inner, items = newline + "  ", []
+            for name, item in value.items():
+                leaf = _JSON_LEAVES.get(type(item))
+                item = text(item, inner) if leaf is None else leaf(item)
+                items.append(head(inner, name) + item)
+            return "{" + ",".join(items) + newline + "}"
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
-            inner, items = newline + "  ", []
-            for item in value:
-                leaf = leaves.get(type(item))
-                item = text(item, inner) if leaf is None else leaf(item)
-                items.append(inner + item)
-            return "[" + ",".join(items) + newline + "]"
-        leaf = leaves.get(type(value))
+            inner = newline + "  "
+            items = (column if type(value[0]) is dict else cells)(value, inner)
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        leaf = _JSON_LEAVES.get(type(value))
         if leaf is None:
             raise TypeError(
                 f"Object of type {type(value).__name__} is not JSON serializable"
             )
         return leaf(value)
+
+    def cells(values, newline: str) -> list[str]:
+        return _column_texts(values, _JSON_LEAVES, lambda item: text(item, newline))
+
+    def column(values, newline: str) -> list[str]:
+        """The texts of `values`, the items of one list, from one template:
+        its texts between the holes at each path whose values differ
+        (`layout`), each item's holes filled from the holes' columns."""
+        parts, holes = [""], []
+        layout(values, newline, parts, holes)
+        if not holes:
+            return parts * len(values)
+        columns = [itertools.repeat(parts[0])]
+        for hole, part in zip(holes, parts[1:]):
+            columns += hole, itertools.repeat(part)
+        return list(map("".join, zip(*columns)))
+
+    def layout(values, newline: str, parts: list, holes: list) -> None:
+        """Add to the template `parts` the text of a path whose values across
+        the items are `values`: one object that every item shares is its
+        text; dicts of one key layout are their keys' paths in turn; any
+        other path is a hole, whose column of texts `holes` gets."""
+        first = values[0]
+        if values[-1] is first and set(map(id, values)) == {id(first)}:
+            parts[-1] += text(first, newline)
+        elif (type(first) is dict and first and set(map(type, values)) == {dict}
+              and all(map(tuple(first).__eq__, map(tuple, values)))):
+            inner, separator = newline + "  ", "{"
+            for name in first:
+                parts[-1] += separator + head(inner, name)
+                items = list(map(operator.itemgetter(name), values))
+                layout(items, inner, parts, holes)
+                separator = ","
+            parts[-1] += newline + "}"
+        else:
+            holes.append(cells(values, newline))
+            parts.append("")
 
     return text(value, "\n")
 
@@ -944,7 +975,7 @@ def _write_outputs(out_dir: Path, result: ExecutionResult) -> None:
     with (out_dir / "result.json").open("w") as handle:
         # the bytes of json.dumps(payload, indent=2) and a newline, in one
         # write; the records share their uncrossed sections and provenance,
-        # and the text of each shared dict and distinct float is made once
+        # whose text is made once
         handle.write(_json_text(payload) + "\n")
 
 

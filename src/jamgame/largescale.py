@@ -124,23 +124,31 @@ def classify_and_solve(
 def classify_and_solve_all(source: ScalarGaussian, points) -> list:
     """`classify_and_solve`'s entry at each (costs, kappa_bar) of `points`,
     in order: its saddle of one source, bit for bit, or the exception it
-    raises.  Their point-to-point saddles are one group (`solve_saddles`),
-    so points with the same d solve the root of its indifference condition
-    once."""
+    raises.  Equal points share one entry, solved once.  Their point-to-point
+    saddles are one group (`solve_saddles`), so each distinct costs is solved
+    once and points with the same d solve the root of its indifference
+    condition once, and each distinct kappa_bar's l_lambda is solved once."""
     points = [(costs, _kappa(kappa_bar)) for costs, kappa_bar in points]
     free = solve_saddles(source, [costs for costs, _ in points])
     tail = norm_sq_tail(source)
-    return [
-        saddle if isinstance(saddle, BaseException)
-        else _entry(_classify, source, tail, costs, kb, saddle)
-        for (costs, kb), saddle in zip(points, free)
-    ]
+    l_lams, entries = {}, {}
+    for (costs, kb), saddle in zip(points, free):
+        if (costs.c, costs.d, kb) not in entries:
+            entries[costs.c, costs.d, kb] = saddle if isinstance(
+                saddle, BaseException
+            ) else _entry(_classify, source, tail, costs, kb, saddle, l_lams)
+    return [entries[costs.c, costs.d, kb] for costs, kb in points]
 
 
-def _classify(source, tail, costs: GameCosts, kb: float, free) -> LargeScaleSaddle:
-    """`classify_and_solve` from the point-to-point saddle `free` and the
-    source's `norm_sq_tail`."""
-    l_lam = solve_l_lambda(source, kb)
+def _classify(
+    source, tail, costs: GameCosts, kb: float, free, l_lams: dict
+) -> LargeScaleSaddle:
+    """`classify_and_solve` from the point-to-point saddle `free`, the
+    source's `norm_sq_tail` and `l_lams`, the l_lambda solved so far by
+    kappa_bar."""
+    if kb not in l_lams:
+        l_lams[kb] = solve_l_lambda(source, kb)
+    l_lam = l_lams[kb]
     gate_cap, gate_jam = l_lam >= costs.c, free.case == INTERIOR_JAM
     both = gate_cap and gate_jam
     tie = both and abs(l_lam - free.threshold) <= 1e-8 * l_lam

@@ -305,14 +305,20 @@ def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
 def solve_saddles(source, costs) -> list:
     """An entry for each `GameCosts` of `costs`, in order: the saddle point
     of one source there, bit for bit its own `solve_saddle`'s, or the
-    exception that call raises.  The root of G depends on the source and d
-    alone, so points with the same d share it, or its failure: it is solved
-    at the first of them that jams, and not at all if none does."""
+    exception that call raises.  Equal costs share one entry, solved once.
+    The root of G depends on the source and d alone, so points with the same
+    d share it, or its failure: it is solved at the first of them that jams,
+    and not at all if none does."""
     tail = norm_sq_tail(source)
     trace = float(_spectrum(source).sum())
     estimator = ReprSymbols(source.mean, source.mean)
-    roots = {}
-    return [_entry(_saddle, tail, trace, estimator, point, roots) for point in costs]
+    roots, entries = {}, {}
+    for point in costs:
+        if (point.c, point.d) not in entries:
+            entries[point.c, point.d] = _entry(
+                _saddle, tail, trace, estimator, point, roots
+            )
+    return [entries[point.c, point.d] for point in costs]
 
 
 def _saddle(tail, trace: float, estimator, costs: GameCosts, roots: dict):

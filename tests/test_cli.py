@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jamgame import cli, network, proactive, reactive
+from jamgame import cli, largescale, network, proactive, reactive
 from jamgame.cli import (
     _FIELDS,
     _REQUIRED,
@@ -27,7 +27,8 @@ from jamgame.cli import (
     parse_config,
     run,
 )
-from jamgame.proactive import ConvergenceError
+from jamgame.gaussian import ScalarGaussian
+from jamgame.proactive import ConvergenceError, GameCosts
 
 
 def _write_config(tmp_path, name, payload):
@@ -619,6 +620,30 @@ def test_round_trip_sweep_point():
     assert table.splitlines()[1].startswith("-0.5,")
     records = [r.to_json() for r in sweep.point_records]
     assert cli._json_text(records) == json.dumps(records, indent=2)
+    # so do numpy values in `source.mean` and `source.variance`, a scalar or
+    # a list entry, of one point or of a sweep; an exact int or float stays
+    # as given
+    one = {"mode": "proactive", "costs": {"c": 1.0, "d": 0.5},
+           "source": {"mean": np.float64(0.25), "variance": np.float64(2.0)}}
+    vector = {"mode": "sweep", "costs": {"c": 1.0, "d": 0.5},
+              "source": {"mean": [np.float64(-0.5), 1], "variance": [2.0, np.float64(0.5)]},
+              "sweep": {"mode": "proactive", "axes": [
+                  {"parameter": "costs.c", "grid": [0.5, 1.0]}]}}
+    echoes = {"proactive": ([0.25, 2.0], [float, float]),
+              "sweep": ([[-0.5, 1], [2.0, 0.5]], [[float, int], [float, float]])}
+    for raw in (one, vector):
+        result = execute(parse_config(raw))
+        records = result.point_records or (result.record,)
+        for record in records:
+            source = record.config["source"]
+            spelled = [source["mean"], source["variance"]]
+            assert spelled == echoes[raw["mode"]][0]
+            assert json.loads(json.dumps(spelled)) == spelled
+            assert [[*map(type, v)] if type(v) is list else type(v)
+                    for v in spelled] == echoes[raw["mode"]][1]
+        payload = [r.to_json() for r in records]
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+        assert len(emit_table(records, result.parameters).splitlines()) == len(records) + 1
 
 
 def test_vector_reactive_solve():
@@ -949,8 +974,47 @@ def _real_payloads() -> list:
     return payloads
 
 
+_MARKED = st.sampled_from(["%", "%s", "{}", "{0}", "%(x)s", "}{", "100%"])
+
+
+@st.composite
+def _same_layout_lists(draw):
+    """A list of dicts of one key layout, as a sweep's records are, whose
+    writer fills one template: at one path a leaf whose type varies across
+    the items (float, int, None, str, list), a dict every item shares and an
+    equal one that none shares, an empty dict, -0.0 and 0.0 at one path,
+    keys and strings with % { and }, and, drawn, an item with an extra key,
+    one with a missing key, one with a nested extra key and one with its
+    keys in another order, where the template writes that path item by
+    item."""
+    keys = draw(st.lists(st.text("ab%{}", max_size=3), max_size=3, unique=True))
+    shared = {"s%": draw(_JSON_LEAVES), "{t}": [0.5, draw(_MARKED)]}
+    mixed = st.one_of(st.floats(), st.integers(), st.none(), _MARKED,
+                      st.lists(_JSON_LEAVES, max_size=2))
+    items = [
+        {
+            **{key: draw(_JSON_LEAVES) for key in keys},
+            "mixed": draw(mixed), "shared": shared, "equal": dict(shared),
+            "empty": {}, "zero": draw(st.sampled_from([0.0, -0.0])),
+            "{%}": {"c": draw(st.floats()), "%d": draw(_MARKED)},
+        }
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    if draw(st.booleans()):
+        draw(st.sampled_from(items))["extra"] = draw(_MARKED)
+    if draw(st.booleans()):
+        del draw(st.sampled_from(items))["zero"]
+    if draw(st.booleans()):
+        draw(st.sampled_from(items))["{%}"]["%e"] = None
+    if draw(st.booleans()):  # the same keys in another order
+        i = draw(st.integers(0, len(items) - 1))
+        items[i] = dict(reversed(items[i].items()))
+    return items
+
+
 _JSON_TREES = st.recursive(
-    st.one_of(_JSON_LEAVES, st.deferred(lambda: st.sampled_from(_real_payloads()))),
+    st.one_of(_JSON_LEAVES, st.deferred(lambda: st.sampled_from(_real_payloads())),
+              _same_layout_lists()),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4), st.tuples(kids, kids),
         st.dictionaries(st.text(), kids, max_size=4),
@@ -958,9 +1022,28 @@ _JSON_TREES = st.recursive(
     max_leaves=20,
 )
 
+_SHARED = {"s%": "{0}", "{t}": [0.5, "%s"]}
+
 
 @settings(max_examples=300, deadline=None)
 @given(_JSON_TREES)
+@example([  # every form `_same_layout_lists` draws, in one template
+    {"mixed": 1.5, "shared": _SHARED, "equal": dict(_SHARED), "empty": {},
+     "zero": -0.0, "{%}": {"c": 0.1, "%d": "%(x)s"}},
+    {"mixed": 2, "shared": _SHARED, "equal": dict(_SHARED), "empty": {},
+     "zero": 0.0, "{%}": {"c": -0.0, "%d": "}{"}},
+    {"mixed": None, "shared": _SHARED, "equal": dict(_SHARED), "empty": {},
+     "zero": 0.0, "{%}": {"c": 0.1, "%d": "%"}},
+    {"mixed": "%s {}", "shared": _SHARED, "equal": dict(_SHARED), "empty": {},
+     "zero": -0.0, "{%}": {"c": math.nan, "%d": "{0}"}},
+    {"mixed": [0.5, "%"], "shared": _SHARED, "equal": dict(_SHARED), "empty": {},
+     "zero": 0.0, "{%}": {"c": math.inf, "%d": "100%"}},
+])
+@example([  # an extra key, a missing key and a nested extra key
+    {"a%": 1.0, "{b}": {"c": 1}}, {"a%": 1.0, "{b}": {"c": 1}, "extra": "%s"},
+    {"{b}": {"c": 2}}, {"a%": -0.0, "{b}": {"c": 3, "%e": None}},
+])
+@example([{"n": 1, "m": 0}, {"n": 1.0, "m": 0}, {"m": 0, "n": True}])  # equal, not one
 def test_result_json_emitter_is_json_dumps(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
 
@@ -974,10 +1057,10 @@ def test_result_json_emitter_on_real_records():
     assert payloads[0]["records"][1]["outputs"]["error"].startswith("ValueError: ")
     for payload in payloads:
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
-    # the writer formats each distinct float and each shared dict once a
-    # document; no memo may show: one dict at two depths, signed zeros, NaN,
-    # infinities and repeated floats, and a sweep whose records share their
-    # uncrossed source and their provenance
+    # the writer formats each distinct float of a column once and writes an
+    # object a list's items share once; neither may show: one dict at two
+    # depths, signed zeros, NaN, infinities and repeated floats, and a sweep
+    # whose records share their uncrossed source and their provenance
     shared = {"x": 0.5, "zeros": [-0.0, 0.0]}
     floats = [-0.0, 0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, -math.inf,
               math.nan, 1.5, float("1.5"), 1.5, -1.5, 0.1 + 0.2, 0.30000000000000004]
@@ -1036,13 +1119,55 @@ def test_sweep_pays_once_for_what_its_points_share(monkeypatch):
     # the records share their seed's provenance and the uncrossed source
     assert len({id(r.provenance) for r in (result.record, *records)}) == 1
     assert len({id(r.config["source"]) for r in records}) == 1
-    # the top level is parsed for the sweep and once for its points, and
-    # once for each value of an axis that sets a top-level key
+    # the top level is parsed for the sweep and once for its first point;
+    # the other points set their axes' values in its echo, an axis that sets
+    # a top-level key too
     assert len(tops) == 2
     tops.clear()
-    execute(parse_config(dict(copy.deepcopy(TABLE_I_SWEEP), mode="sweep")))
-    kappa = next(a for a in TABLE_I_SWEEP["sweep"]["axes"] if a["parameter"] == "kappa_bar")
-    assert len(tops) == 1 + len(kappa["grid"])
+    # a group solves each distinct (c, d) saddle once, and each distinct
+    # kappa_bar's l_lambda once
+    saddles, l_lambdas = [], []
+    saddle, solve_l_lambda = proactive._saddle, largescale.solve_l_lambda
+
+    def counted_saddle(tail, trace, estimator, costs, roots):
+        saddles.append(costs)
+        return saddle(tail, trace, estimator, costs, roots)
+
+    def counted_l_lambda(source, kappa_bar):
+        l_lambdas.append(kappa_bar)
+        return solve_l_lambda(source, kappa_bar)
+
+    monkeypatch.setattr(proactive, "_saddle", counted_saddle)
+    monkeypatch.setattr(largescale, "solve_l_lambda", counted_l_lambda)
+    result = execute(parse_config(dict(copy.deepcopy(TABLE_I_SWEEP), mode="sweep")))
+    assert len(tops) == 2
+    grids = {a["parameter"]: a["grid"] for a in TABLE_I_SWEEP["sweep"]["axes"]}
+    assert len(result.point_records) == len(grids["costs.d"]) * len(grids["kappa_bar"])
+    assert sorted(c.d for c in saddles) == grids["costs.d"]
+    assert sorted(l_lambdas) == grids["kappa_bar"]
+    # a proactive grid that repeats each costs pair (an axis the mode does
+    # not read) solves each distinct GameCosts once, and the points that
+    # repeat one share its saddle
+    saddles.clear()
+    repeated = copy.deepcopy(PROACTIVE_SWEEP)
+    repeated["sweep"]["axes"].append(
+        {"parameter": "solver.epsilon", "grid": [1e-4, 1e-3, 1e-2]}
+    )
+    result = execute(parse_config(dict(repeated, mode="sweep")))
+    records = result.point_records
+    assert len(records) == 36
+    assert sorted((c.c, c.d) for c in saddles) == sorted(
+        {(r.config["costs"]["c"], r.config["costs"]["d"]) for r in records}
+    )
+    assert len(saddles) == 12
+    assert [r.outputs for r in records[::3]] == [r.outputs for r in records[1::3]]
+    # points with equal inputs share one entry object
+    source = ScalarGaussian(0.3, 2.0)
+    first, again = proactive.solve_saddles(source, [GameCosts(1.0, 0.6), GameCosts(1.0, 0.6)])
+    assert first is again
+    points = [(GameCosts(1.0, 0.6), 0.25), (GameCosts(1.0, 0.6), 0.25)]
+    first, again = largescale.classify_and_solve_all(source, points)
+    assert first is again
 
 
 def _vector_proactive(**extra):
