@@ -62,7 +62,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import reprlib
 import sys
 from dataclasses import dataclass, fields
@@ -248,9 +247,8 @@ def _vector(value, dimension: int, label: str) -> tuple[np.ndarray, object]:
                 f"{label}: expected {dimension} entries, got {len(value)}"
             )
         numbers = [_number(v, label) for v in value]
-        return np.array(numbers), [
-            v if type(v) in (int, float) else x for v, x in zip(value, numbers)
-        ]
+        echo = [v if type(v) in (int, float) else x for v, x in zip(value, numbers)]
+        return np.array(numbers), echo
     raise ConfigError(
         f"{label}: must be a number or a list of numbers, got {_shown(value)}"
     )
@@ -328,7 +326,6 @@ def _check_finite(value, label: str) -> None:
 
 
 def _parse_source(echo: dict) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
-    """(source, echo) from the source section's echo (`_read`)."""
     if "dimension" in echo:
         dimension = echo["dimension"]
         if dimension < 1:
@@ -451,36 +448,36 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
     first_raw = base | {"mode": mode}
     for parameter, grid in axes.items():
         _set_path(first_raw, parameter, grid[0])
-    # each section's echo as `_read` gives it, the top level's as ""
-    reads, parts = {}, {}
+    # each section's echo as `_read` gives it for the first point, the top
+    # level's as ""; a later point's is that echo with its `values` set at
+    # the keys its axes cross (`crossed`: section -> key -> axis, in row
+    # order, so a point checks them as a config would)
+    reads, parts, crossed = {}, {}, {}
+
+    def echo_of(name: str) -> dict:
+        if name not in reads:
+            reads[name] = _read(name, reads[""][name])
+        echo = dict(reads[name])
+        for key, i in crossed.get(name, {}).items():
+            echo[key] = _raised(values[i])
+        return echo
+
     combo = next(zip(*axes.values()))
     try:
         reads[""] = _parse_top(first_raw)[0]
-        points = [_point(mode, reads[""], lambda name: reads.setdefault(
-            name, _read(name, reads[""][name])), parts)]
+        points = [_point(mode, reads[""], echo_of, parts)]
         # each axis sets one key of a section the first point read, each grid
         # value checked once by its row; a crossed seed seeds the solver
-        crossed, checked = {"solver": []} if "seed" in axes else {}, []
+        crossed, checked = {"solver": {}} if "seed" in axes else {}, []
         for i, (parameter, grid) in enumerate(axes.items()):
             name, _, key = parameter.rpartition(".")
-            crossed.setdefault(name, []).append((key, i))
+            crossed.setdefault(name, {})[key] = i
             checked.append([_entry(_FIELDS[name][key][0], v, parameter) for v in grid])
-        for name, keys in crossed.items():  # a point checks them in row order
-            keys.sort(key=lambda item: [*_FIELDS[name]].index(item[0]))
+        crossed = {name: {key: keys[key] for key in _FIELDS[name] if key in keys}
+                   for name, keys in crossed.items()}
         shared = {name: part for name, part in parts.items() if name not in crossed}
         combos = zip(itertools.product(*axes.values()), itertools.product(*checked))
         for combo, values in itertools.islice(combos, 1, None):
-
-            def echo_of(name: str) -> dict:
-                echo = reads[name]
-                if name in crossed:
-                    echo = dict(echo)
-                    for key, i in crossed[name]:
-                        if isinstance(value := values[i], BaseException):
-                            raise value
-                        echo[key] = value
-                return echo
-
             points.append(_point(mode, echo_of(""), echo_of, dict(shared)))
     except ConfigError as exc:
         at = ", ".join(f"{_shown(p)}={_shown(v)}" for p, v in zip(axes, combo))
@@ -800,11 +797,8 @@ def _column_texts(values: list, formats: dict, other) -> list[str]:
     format = formats.get(kind, other)
     if kind is not float:
         return list(map(format, values))
-    texts = dict.fromkeys(values)
-    texts = dict(zip(texts, map(format, texts)))
-    if 0.0 not in texts:
-        return list(map(texts.__getitem__, values))
-    # -0.0 equals 0.0, so they share a key but not a text
+    # a zero is formatted each time: -0.0 equals 0.0 but has its own text
+    texts = {v: format(v) for v in set(values) if v}
     return [texts[v] if v else format(v) for v in values]
 
 
@@ -886,18 +880,12 @@ def _json_text(value) -> str:
     """`json.dumps(value, indent=2)` of an acyclic tree whose keys are
     strings, as every key of a record is, in one pass: the standard library
     writes an indented document through a generator per container, in pure
-    Python.  A list whose first item is a dict, a sweep's records, is
-    written from one template filled column by column (`column`), which
-    writes an object its items share once, such as the sections and the
-    provenance a sweep's records share.  A leaf is written by its exact
-    type (`_JSON_LEAVES`), one of the types a record may hold
+    Python.  A list is written from one template filled column by column
+    (`column`), which writes an object its items share once, such as the
+    sections and the provenance a sweep's records share.  A leaf is written
+    by its exact type (`_JSON_LEAVES`), one of the types a record may hold
     (`_check_finite`); any other type, a subclass of one too, raises
     TypeError."""
-
-    @functools.cache
-    def head(inner: str, name: str) -> str:
-        """A key's line at indent `inner` up to its value."""
-        return inner + _JSON_STRING(name) + ": "
 
     def text(value, newline: str) -> str:
         if isinstance(value, dict):
@@ -907,13 +895,13 @@ def _json_text(value) -> str:
             for name, item in value.items():
                 leaf = _JSON_LEAVES.get(type(item))
                 item = text(item, inner) if leaf is None else leaf(item)
-                items.append(head(inner, name) + item)
+                items.append(inner + _JSON_STRING(name) + ": " + item)
             return "{" + ",".join(items) + newline + "}"
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
             inner = newline + "  "
-            items = (column if type(value[0]) is dict else cells)(value, inner)
+            items = column(value, inner)
             return "[" + inner + ("," + inner).join(items) + newline + "]"
         leaf = _JSON_LEAVES.get(type(value))
         if leaf is None:
@@ -922,20 +910,15 @@ def _json_text(value) -> str:
             )
         return leaf(value)
 
-    def cells(values, newline: str) -> list[str]:
-        return _column_texts(values, _JSON_LEAVES, lambda item: text(item, newline))
-
     def column(values, newline: str) -> list[str]:
         """The texts of `values`, the items of one list, from one template:
         its texts between the holes at each path whose values differ
         (`layout`), each item's holes filled from the holes' columns."""
         parts, holes = [""], []
         layout(values, newline, parts, holes)
-        if not holes:
-            return parts * len(values)
-        columns = [itertools.repeat(parts[0])]
+        columns = [[parts[0]] * len(values)]
         for hole, part in zip(holes, parts[1:]):
-            columns += hole, itertools.repeat(part)
+            columns += hole, [part] * len(values)
         return list(map("".join, zip(*columns)))
 
     def layout(values, newline: str, parts: list, holes: list) -> None:
@@ -950,13 +933,14 @@ def _json_text(value) -> str:
               and all(map(tuple(first).__eq__, map(tuple, values)))):
             inner, separator = newline + "  ", "{"
             for name in first:
-                parts[-1] += separator + head(inner, name)
-                items = list(map(operator.itemgetter(name), values))
-                layout(items, inner, parts, holes)
+                parts[-1] += separator + inner + _JSON_STRING(name) + ": "
+                layout([value[name] for value in values], inner, parts, holes)
                 separator = ","
             parts[-1] += newline + "}"
         else:
-            holes.append(cells(values, newline))
+            holes.append(_column_texts(
+                values, _JSON_LEAVES, lambda item: text(item, newline)
+            ))
             parts.append("")
 
     return text(value, "\n")

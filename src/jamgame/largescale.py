@@ -124,20 +124,19 @@ def classify_and_solve(
 def classify_and_solve_all(source: ScalarGaussian, points) -> list:
     """`classify_and_solve`'s entry at each (costs, kappa_bar) of `points`,
     in order: its saddle of one source, bit for bit, or the exception it
-    raises.  Equal points share one entry, solved once.  Their point-to-point
-    saddles are one group (`solve_saddles`), so each distinct costs is solved
-    once and points with the same d solve the root of its indifference
-    condition once, and each distinct kappa_bar's l_lambda is solved once."""
+    raises.  Their point-to-point saddles are one group (`solve_saddles`),
+    so each distinct costs is solved once and points with the same d solve
+    the root of its indifference condition once; each distinct kappa_bar's
+    l_lambda is solved once."""
     points = [(costs, _kappa(kappa_bar)) for costs, kappa_bar in points]
     free = solve_saddles(source, [costs for costs, _ in points])
     tail = norm_sq_tail(source)
-    l_lams, entries = {}, {}
-    for (costs, kb), saddle in zip(points, free):
-        if (costs.c, costs.d, kb) not in entries:
-            entries[costs.c, costs.d, kb] = saddle if isinstance(
-                saddle, BaseException
-            ) else _entry(_classify, source, tail, costs, kb, saddle, l_lams)
-    return [entries[costs.c, costs.d, kb] for costs, kb in points]
+    l_lams = {}
+    return [
+        saddle if isinstance(saddle, BaseException)
+        else _entry(_classify, source, tail, costs, kb, saddle, l_lams)
+        for (costs, kb), saddle in zip(points, free)
+    ]
 
 
 def _classify(

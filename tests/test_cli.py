@@ -1161,12 +1161,9 @@ def test_sweep_pays_once_for_what_its_points_share(monkeypatch):
     )
     assert len(saddles) == 12
     assert [r.outputs for r in records[::3]] == [r.outputs for r in records[1::3]]
-    # points with equal inputs share one entry object
+    # equal costs share one entry object
     source = ScalarGaussian(0.3, 2.0)
     first, again = proactive.solve_saddles(source, [GameCosts(1.0, 0.6), GameCosts(1.0, 0.6)])
-    assert first is again
-    points = [(GameCosts(1.0, 0.6), 0.25), (GameCosts(1.0, 0.6), 0.25)]
-    first, again = largescale.classify_and_solve_all(source, points)
     assert first is again
 
 
