@@ -40,7 +40,10 @@ configs still run, but nothing reads it.  A sweep parses its first point
 as a config and checks each axis and each grid value once; every other
 point is the first one's echoes with its values set, and builds only the
 sections an axis crosses, so each range check still runs per point.  Its
-records share the other sections and one provenance dict a seed.
+records share the other sections and one provenance dict a seed.  A
+point's record echoes its config with every default filled in; the
+sweep's own record echoes the config its first point parsed, as given
+with each crossed key at its first grid value, and that point's seed.
 `result.json` is the text of `json.dumps(record, indent=2)`, written in
 one pass; a list of records is written from one template, filled column
 by column as `table.csv` is: an object every record shares is written
@@ -72,13 +75,14 @@ import numpy as np
 
 from . import __version__
 from .gaussian import DiagonalGaussian, ScalarGaussian, _spectrum
-from .largescale import CapacityFraction, classify_and_solve_all
+from .largescale import classify_and_solve_all
 from .network import NetworkConfig, RoundPolicies, estimate_costs, jn_analytic
 from .proactive import (
     _FAILURES,
     GameCosts,
     ReprSymbols,
     _entry,
+    _kappa,
     _raised,
     solve_saddles,
 )
@@ -276,7 +280,7 @@ class ExperimentConfig:
     costs: GameCosts | None = None
     solver: SolverConfig | None = None
     algorithm: str | None = None
-    kappa_bar: CapacityFraction | None = None
+    kappa_bar: float | None = None
     network: NetworkConfig | None = None
     trials: int | None = None
     policies: RoundPolicies | None = None
@@ -354,7 +358,7 @@ def _check_scalar(mode: str, source) -> None:
 
 def _parse_large_scale(top: dict, echo_of, source, solver_echo: dict):
     _check_scalar("large_scale", source)
-    kappa_bar = _build(CapacityFraction, "kappa_bar", top["kappa_bar"])
+    kappa_bar = _build(_kappa, "kappa_bar", top["kappa_bar"])
     return {"kappa_bar": kappa_bar}, {"kappa_bar": top["kappa_bar"]}
 
 
@@ -444,8 +448,8 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
     if section["workers"] < 1:
         raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
 
-    base = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
-    first_raw = base | {"mode": mode}
+    first_raw = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
+    first_raw["mode"] = mode
     for parameter, grid in axes.items():
         _set_path(first_raw, parameter, grid[0])
     # each section's echo as `_read` gives it for the first point, the top
@@ -484,8 +488,8 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
         raise ConfigError(f"sweep point ({at}): {exc}") from exc
     section["axes"] = [{"parameter": p, "grid": list(g)} for p, g in axes.items()]
     plan = SweepPlan(tuple(axes.items()), section["workers"], tuple(points))
-    normalized = base | {"mode": "sweep", "sweep": section}
-    return ExperimentConfig("sweep", top["seed"], normalized, sweep_plan=plan)
+    normalized = first_raw | {"mode": "sweep", "sweep": section}
+    return ExperimentConfig("sweep", points[0].seed, normalized, sweep_plan=plan)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -493,7 +497,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     Unknown keys anywhere are errors; every message names the offending
     field.  The returned `normalized` echo holds every field the run reads,
-    defaults filled in, so re-parsing it reproduces the run exactly.
+    defaults filled in (a sweep's, its first point's config as given), so
+    re-parsing it reproduces the run exactly.
     """
     top, mode = _parse_top(raw)
     if mode != "sweep":

@@ -29,6 +29,7 @@ from .proactive import (
     GameCosts,
     ReprSymbols,
     _entry,
+    _kappa,
     _raised,
     _threshold_cost,
     _trigger_value,
@@ -36,25 +37,6 @@ from .proactive import (
     objective_tilde,
     solve_saddles,
 )
-
-
-@dataclass(frozen=True)
-class CapacityFraction:
-    """Fraction of simultaneous packets the channel carries, in (0, 1)."""
-
-    kappa_bar: float
-
-    def __post_init__(self):
-        if not (0.0 < self.kappa_bar < 1.0):
-            raise ValueError(
-                f"kappa_bar must lie in (0, 1), got {self.kappa_bar}"
-            )
-
-
-def _kappa(kappa_bar) -> float:
-    if isinstance(kappa_bar, CapacityFraction):
-        return kappa_bar.kappa_bar
-    return CapacityFraction(float(kappa_bar)).kappa_bar
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,11 +56,11 @@ import numpy as np
 from scipy import special
 
 from .gaussian import ScalarGaussian, _check_count, philox_rng
-from .largescale import _kappa
 from .proactive import (
     _FAILURES,
     GameCosts,
     ReprSymbols,
+    _kappa,
     _raised,
     _rule_window,
     _threshold_cost,

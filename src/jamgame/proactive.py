@@ -73,6 +73,15 @@ class GameCosts:
             raise ValueError(f"d must be positive and finite, got {self.d}")
 
 
+def _kappa(kappa_bar) -> float:
+    """The capacity fraction kappa_bar, the fraction of simultaneous packets
+    the channel carries, as a float in (0, 1)."""
+    kappa_bar = float(kappa_bar)
+    if not 0.0 < kappa_bar < 1.0:
+        raise ValueError(f"kappa_bar must lie in (0, 1), got {kappa_bar}")
+    return kappa_bar
+
+
 def _check_finite(x_hat0, x_hat1) -> None:
     """`ReprSymbols`' finiteness check, on two floats or two arrays."""
     if type(x_hat0) is float:
@@ -91,15 +100,12 @@ class ReprSymbols:
     x_hat1: np.ndarray
 
     def __post_init__(self):
-        a, b = self.x_hat0, self.x_hat1
-        if not (type(a) is float and type(b) is float):
-            a = np.atleast_1d(np.asarray(a, dtype=float))
-            b = np.atleast_1d(np.asarray(b, dtype=float))
-            if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-                raise ValueError("x_hat0 and x_hat1 must be 1-D of equal length")
+        # copies, so a symbol never aliases the array it was given
+        a = np.array(self.x_hat0, dtype=float, ndmin=1)
+        b = np.array(self.x_hat1, dtype=float, ndmin=1)
+        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+            raise ValueError("x_hat0 and x_hat1 must be 1-D of equal length")
         _check_finite(a, b)
-        if type(a) is float:
-            a, b = np.array(a, ndmin=1), np.array(b, ndmin=1)
         object.__setattr__(self, "x_hat0", a)
         object.__setattr__(self, "x_hat1", b)
 

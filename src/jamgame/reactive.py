@@ -177,8 +177,7 @@ def _view(name: str):
 def _ccp_update(self, symbols, policy) -> ReprSymbols:
     a, b = policy.alpha, policy.beta
     pair = _ccp_inverse(self._ccp_g(*self._pair(symbols), a, b), a, b, self.mean)
-    # copies: a parked symbol is the model's own mean
-    return ReprSymbols(*(np.array(x, dtype=float, ndmin=1) for x in pair))
+    return ReprSymbols(*pair)
 
 
 # the exact model's standard errors of a pair
@@ -598,8 +597,6 @@ def _run(source, costs, config, init, symbol_step):
         if index <= epsilon + 3.0 * index_se:
             converged = True
             break
-    # copies: a parked symbol is the model's own mean
-    x0, x1 = (np.array(x, dtype=float, ndmin=1) for x in (x0, x1))
     return FneReport(
         ReprSymbols(x0, x1), ReactivePolicy(a, b), index, index_se, len(stats),
         converged, stats, x0s, x1s,

@@ -598,7 +598,7 @@ def test_round_trip_reproduces_outputs():
     assert first.record.outputs == second.record.outputs
 
 
-def test_round_trip_sweep_point():
+def test_round_trip_sweep_point(tmp_path):
     raw = copy.deepcopy(TABLE_I_SWEEP)
     raw["mode"] = "sweep"
     sweep = execute(parse_config(raw))
@@ -644,6 +644,36 @@ def test_round_trip_sweep_point():
         payload = [r.to_json() for r in records]
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
         assert len(emit_table(records, result.parameters).splitlines()) == len(records) + 1
+    # a sweep's own record echoes the config its first point parsed: a key
+    # an axis crosses holds its first grid value, so a bad base value there
+    # is neither echoed nor written, and a crossed seed is the provenance's.
+    # Replaying that echo writes the same bytes
+    garbage = {"source": {"mean": 0.0, "variance": 1.0},
+               "costs": {"c": "garbage", "d": math.nan},
+               "sweep": {"mode": "proactive", "axes": [
+                   {"parameter": "costs.c", "grid": [0.5, 1.0]},
+                   {"parameter": "costs.d", "grid": [0.25, 2.0]}]}}
+    seeded = {"source": {"mean": 0.0, "variance": 1.0}, "costs": {"c": 1.0, "d": 0.5},
+              "n": 2, "capacity": 1,
+              "simulate": {"trials": 100, "threshold": 1.0, "phi": 0.5},
+              "sweep": {"mode": "simulate", "axes": [
+                  {"parameter": "seed", "grid": [3, 5]},
+                  {"parameter": "simulate.phi", "grid": [0.25, 0.75]}]}}
+    crossed = [({"c": 0.5, "d": 0.25}, 0), ({"c": 1.0, "d": 0.5}, 3)]
+    for name, base, (costs, seed) in zip("gs", (garbage, seeded), crossed):
+        texts = []
+        for i in range(2):
+            config = _write_config(tmp_path, f"{name}{i}.json", base)
+            out = tmp_path / f"{name}{i}"
+            assert run(["sweep", "--config", config, "--out", str(out)]) == 0
+            texts.append((out / "result.json").read_text())
+            record = json.loads(texts[-1], parse_constant=pytest.fail)
+            assert texts[-1] == json.dumps(record, indent=2) + "\n"
+            base = record["config"]
+        assert texts[0] == texts[1]
+        assert base["costs"] == costs and base.get("seed", 0) == seed
+        assert record["provenance"]["seed"] == seed
+    assert base["simulate"]["phi"] == 0.25
 
 
 def test_vector_reactive_solve():
@@ -1236,6 +1266,22 @@ def test_sweep_point_failure_becomes_its_record(tmp_path, capsys, monkeypatch):
     assert rows[1][header.index("phi_star")] == ""
     assert rows[2][header.index("phi_star")] != ""
     assert _FAILURE in capsys.readouterr().err
+    # a failure of the group's batch call itself is every point's record,
+    # and each record is still written
+    def failing(source, costs):
+        raise ConvergenceError(_FAILURE)
+
+    monkeypatch.setattr(cli, "solve_saddles", failing)
+    out = tmp_path / "shared"
+    code = run(["sweep", "--config", config, "--out", str(out), "--seed", "1"])
+    assert code == 3
+    record = json.loads((out / "result.json").read_text())
+    assert record["outputs"] == {"points": 2, "non_converged": 2}
+    assert [r["outputs"] for r in record["records"]] == [
+        {"converged": False, "error": f"ConvergenceError: {_FAILURE}"}] * 2
+    rows = list(csv.reader((out / "table.csv").open()))
+    assert [row[0] for row in rows] == ["costs.d", "0.05", "0.5"]
+    assert capsys.readouterr().err.count(_FAILURE) == 2
 
 
 def test_sweep_non_finite_point_becomes_its_record(tmp_path, capsys):

@@ -20,7 +20,6 @@ from jamgame.gaussian import (
     norm_sq_tail,
 )
 from jamgame.largescale import (
-    CapacityFraction,
     asymptotic_objective,
     classify_and_solve,
     classify_and_solve_all,
@@ -59,10 +58,11 @@ L_PHI_D_050 = 2.36597388437533827
 
 
 def test_capacity_fraction_validation():
-    CapacityFraction(0.5)
-    for bad in (0.0, 1.0, -0.1, 1.7):
-        with pytest.raises(ValueError):
-            CapacityFraction(bad)
+    # kappa_bar is a float, checked by every reader
+    assert solve_l_lambda(STD, 0.5) > 0.0
+    for bad in (0.0, 1.0, -0.1, 1.7, math.nan):
+        with pytest.raises(ValueError, match=r"kappa_bar must lie in \(0, 1\)"):
+            solve_l_lambda(STD, bad)
 
 
 def test_l_lambda_frozen_and_residual():

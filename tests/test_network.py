@@ -172,7 +172,8 @@ _DELETED = ("tail_prob", "tail_second_moment", "whiten", "project_box",
             "as_array", "complement_intervals", "iterations_to",
             "TransmitRegion", "_endpoint", "_piece_moments", "_std_tail",
             "_std_pdf", "_group_rule", "_simulate_key", "_source_key",
-            "group_key", "_sq_dists", "_branches", "_y_sums")
+            "group_key", "_sq_dists", "_branches", "_y_sums",
+            "CapacityFraction")
 
 
 def test_public_surface_resolves_and_holds_no_deleted_name():
@@ -189,6 +190,10 @@ def test_public_surface_resolves_and_holds_no_deleted_name():
         for name in _DELETED:
             assert not hasattr(owner, name), (owner, name)
     assert not hasattr(jamgame.largescale, "solve_l_phi")
+    # kappa_bar is checked in `proactive`: `network` binds nothing that
+    # `largescale` defines
+    assert not [name for name, value in vars(jamgame.network).items()
+                if getattr(value, "__module__", None) == "jamgame.largescale"]
     # the library decides which points share a transmit rule; the CLI
     # groups by source, trials and seed alone
     assert not hasattr(jamgame.cli, "_rule")

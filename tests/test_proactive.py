@@ -198,6 +198,14 @@ def test_root_near_the_largest_float():
     assert norm_sq_tail(source)(sad.threshold, 1) == pytest.approx(1.0, rel=1e-11)
     with pytest.raises(ConvergenceError, match="indifference root past r"):
         solve_saddle(ScalarGaussian(0.0, 1e306), GameCosts(1.0, 1.0))
+    # on synthetic residuals: the bracket widens past 50 scale, a residual
+    # positive everywhere has no root below the largest float, and one that
+    # jumps across zero by more than 1e-10 scale fails the residual bound
+    assert _threshold_root(lambda r: 1e3 - r, 2.0) == pytest.approx(1e3, rel=1e-15)
+    with pytest.raises(ConvergenceError, match="indifference root past r"):
+        _threshold_root(lambda r: 1.0, 2.0)
+    with pytest.raises(ConvergenceError, match="indifference root residual"):
+        _threshold_root(lambda r: 1e-9 if r < 7.0 else -1e-9, 2.0)
 
 
 def test_solve_saddle_cases():
