@@ -447,6 +447,8 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
         axes[parameter] = grid
     if section["workers"] < 1:
         raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
+    if "seed" not in axes:  # else the base seed is never read
+        _seed(top["seed"])
 
     first_raw = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
     first_raw["mode"] = mode
@@ -503,7 +505,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top, mode = _parse_top(raw)
     if mode != "sweep":
         return _point(mode, top, lambda name: _read(name, top[name]), {})
-    _seed(top["seed"])
     return _parse_sweep(raw, top)
 
 

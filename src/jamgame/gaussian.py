@@ -197,11 +197,15 @@ def _region_rows(edges, transmit_first: bool, s, var):
     return tp, t1, t2, np_, n1, n2
 
 
-def _check_count(name: str, value) -> None:
-    """That a count is a Python or numpy integer and not a bool, checked
-    before its range."""
+def _count(name: str, value, minimum: int = 0):
+    """A count, checked to be a Python or numpy integer and not a bool, then
+    to be at least `minimum`, and returned as given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        least = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {least}, got {value}")
+    return value
 
 
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -210,13 +214,9 @@ def philox_rng(seed: int, *stream: int) -> np.random.Generator:
     Distinct stream id tuples give statistically independent streams; the
     same (seed, stream) pair always reproduces the same draws.
     """
-    _check_count("seed", seed)
+    _count("seed", seed)
     for s in stream:
-        _check_count("stream id", s)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if any(s < 0 for s in stream):
-        raise ValueError("stream ids must be nonnegative")
+        _count("stream id", s)
     seq = np.random.SeedSequence(entropy=(int(seed),) + tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -229,8 +229,7 @@ def sample(source, seed: int, count: int) -> np.ndarray:
 def _deviations(source, seed: int, count: int) -> np.ndarray:
     """`count` draws of the deviation X - mean: the draws of `sample` before
     the mean is added."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _count("count", count)
     rng = philox_rng(seed)
     if isinstance(source, ScalarGaussian):
         return source.std * rng.standard_normal(count)

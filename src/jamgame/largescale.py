@@ -28,6 +28,7 @@ from .proactive import (
     INTERIOR_JAM,
     GameCosts,
     ReprSymbols,
+    _check_phi,
     _entry,
     _kappa,
     _raised,
@@ -77,8 +78,7 @@ def lagrangian_value(
     """phi (var - d) + E[min{(1 - phi) Z^2, c + lam}] - lam kappa_bar: the
     point-to-point reduced objective at price c + lam, less lam kappa_bar."""
     kb = _kappa(kappa_bar)
-    if not (0.0 <= phi < 1.0):
-        raise ValueError(f"phi must lie in [0, 1), got {phi}")
+    _check_phi(phi, closed=False)
     if not lam >= 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     shifted = GameCosts(costs.c + lam, costs.d)
@@ -178,8 +178,7 @@ def asymptotic_objective(
         E[(X - x_hat1)^2] + c P(transmit) - d phi.
     """
     kb = _kappa(kappa_bar)
-    if not (0.0 <= phi < 1.0):
-        raise ValueError(f"phi must lie in [0, 1), got {phi}")
+    _check_phi(phi, closed=False)
     if not transmit_threshold >= 0.0:
         raise ValueError("transmit_threshold must be nonnegative")
     window = _window(source, symbols, transmit_threshold)

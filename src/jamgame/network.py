@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gaussian import ScalarGaussian, _check_count, philox_rng
+from .gaussian import ScalarGaussian, _count, philox_rng
 from .proactive import (
     _FAILURES,
     GameCosts,
@@ -85,10 +85,8 @@ class NetworkConfig:
     capacity: int
 
     def __post_init__(self):
-        _check_count("n", self.n)
-        _check_count("capacity", self.capacity)
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        _count("n", self.n, 1)
+        _count("capacity", self.capacity)
         if not (0 < self.capacity <= self.n):
             raise ValueError(
                 f"capacity must lie in (0, {self.n}], got {self.capacity}"
@@ -98,15 +96,11 @@ class NetworkConfig:
 
     @classmethod
     def from_kappa(cls, n: int, kappa_bar: float) -> "NetworkConfig":
-        """Capacity ceil(kappa_bar * n), capped at n - 1 (see `_capacity`)."""
-        return cls(n, _capacity(n, kappa_bar))
-
-
-def _capacity(n: int, kappa_bar: float) -> int:
-    """Capacity ceil(kappa_bar * n), at least 1 and, for n > 1, at most
-    n - 1: fixed rounding for reproducibility."""
-    kappa = max(1, math.ceil(_kappa(kappa_bar) * n))
-    return min(kappa, n - 1) if n > 1 else kappa
+        """Capacity ceil(kappa_bar * n), n checked first, at least 1 and, for
+        n > 1, at most n - 1: fixed rounding for reproducibility."""
+        _count("n", n, 1)
+        kappa = max(1, math.ceil(_kappa(kappa_bar) * n))
+        return cls(n, min(kappa, n - 1) if n > 1 else kappa)
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ class EmpiricalEstimate:
     trials: int
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise ValueError("at least 2 trials are required")
+        _count("trials", self.trials, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +146,8 @@ def binomial_cdf(n: int, kappa: int, p: float) -> float:
     regularized incomplete beta (Abramowitz & Stegun 26.5.24), read as
     1 - I_p(kappa + 1, n - kappa) where 1 - p rounds, and 1 at kappa = n.
     n and kappa must be integers (Python or numpy, not bool)."""
-    _check_count("n", n)
-    _check_count("kappa", kappa)
+    _count("n", n)
+    _count("kappa", kappa)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not 0 <= kappa <= n:
@@ -348,9 +341,7 @@ def simulate_round(
     round rewinds the sensor streams to `trial` to list the packets.  Both
     read the one transmit rule (`_rule`) made here.
     """
-    _check_count("trial", trial)
-    if trial < 0:
-        raise ValueError(f"trial must be nonnegative, got {trial}")
+    _count("trial", trial)
     rule = _rule(source, costs, policies)
     streams = [_stream(seed, s, trial) for s in range(config.n + 1)]
     at_trial = [gen.bit_generator.state for gen in streams[:-1]]
@@ -444,9 +435,7 @@ def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> li
     reduces its costs chunk by chunk (`_Moments`), so no array of trial
     length is held.
     """
-    _check_count("trials", trials)
-    if trials < 2:
-        raise ValueError("at least 2 trials are required")
+    _count("trials", trials, 2)
     entries = [_Moments(trials) for _ in points]
     by_rule = {}
     for i, (costs, _, policies) in enumerate(points):
@@ -525,8 +514,6 @@ def convergence_probe(
         )
     rows = []
     for n in n_grid:
-        _check_count("n", n)
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
-        rows.append((int(n), *_capacity_cdfs(n, _capacity(n, kappa_bar), p)))
+        capacity = NetworkConfig.from_kappa(n, kappa_bar).capacity
+        rows.append((int(n), *_capacity_cdfs(n, capacity, p)))
     return rows

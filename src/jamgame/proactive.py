@@ -82,6 +82,12 @@ def _kappa(kappa_bar) -> float:
     return kappa_bar
 
 
+def _check_phi(phi, closed: bool) -> None:
+    """That the jam probability phi lies in [0, 1], or in [0, 1) if not `closed`."""
+    if not (0.0 <= phi <= 1.0 if closed else 0.0 <= phi < 1.0):
+        raise ValueError(f"phi must lie in [0, 1{']' if closed else ')'}, got {phi}")
+
+
 def _check_finite(x_hat0, x_hat1) -> None:
     """`ReprSymbols`' finiteness check, on two floats or two arrays."""
     if type(x_hat0) is float:
@@ -142,8 +148,7 @@ class ProactiveSaddle:
 def jammer_marginal(source: ScalarGaussian, costs: GameCosts, phi: float) -> float:
     """G(c / (1 - phi)), the jammer's marginal value of raising phi at the
     best response.  The trigger is formed as is: finite for every phi < 1."""
-    if not 0.0 <= phi < 1.0:
-        raise ValueError(f"phi must lie in [0, 1), got {phi}")
+    _check_phi(phi, closed=False)
     return norm_sq_tail(source)(costs.c / (1.0 - phi), 1) - costs.d
 
 
@@ -210,10 +215,9 @@ def objective_tilde(
 
     E[min((1 - phi)(X - x_hat0)^2, c)] + phi (E[(X - x_hat1)^2] - d): the
     threshold rule's cost at the best trigger c / (1 - phi), infinite at
-    phi = 1, where the coordinator never transmits.
+    phi = 1, where the coordinator never transmits.  phi is checked by
+    `objective_with_threshold`, before the trigger.
     """
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"phi must lie in [0, 1], got {phi}")
     threshold = math.inf if phi == 1.0 else costs.c / (1.0 - phi)
     return objective_with_threshold(source, costs, symbols, threshold, phi)
 
@@ -230,10 +234,9 @@ def objective_with_threshold(
     The sensor transmits iff (x - x_hat0)^2 > threshold; nothing here is
     optimized, which makes this the right probe for saddle inequalities.
     """
+    _check_phi(phi, closed=True)
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"phi must lie in [0, 1], got {phi}")
     return _threshold_cost(
         costs, phi, _window(source, symbols, threshold), 1.0, 1.0
     )
@@ -305,7 +308,7 @@ def solve_saddle(
 def solve_saddle_vector(source, costs: GameCosts) -> ProactiveSaddle:
     """The same call as `solve_saddle`, kept only while the benchmark's tracer
     (`bench/tracing.py`) names it."""
-    return _raised(solve_saddles(source, [costs])[0])
+    return solve_saddle(source, costs)
 
 
 def solve_saddles(source, costs) -> list:

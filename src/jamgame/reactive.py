@@ -37,7 +37,7 @@ from .gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
-    _check_count,
+    _count,
     _deviations,
     _region_rows,
     mean_std_err,
@@ -310,11 +310,9 @@ class McVectorModel:
     def __init__(self, source, costs: GameCosts, samples: int = 10_000, seed: int = 0):
         if isinstance(source, ScalarGaussian):
             raise TypeError("use ExactScalarModel for scalar sources")
-        if samples < 2:
-            raise ValueError("samples must be at least 2")
+        self.n = _count("samples", samples, 2)
         self.costs = costs
         self.mean = np.asarray(source.mean, dtype=float)
-        self.n = samples
         m = self.mean.size
         powers = np.empty((2 * m, samples))
         self._y, self._y2 = powers[:m], powers[m:]
@@ -462,19 +460,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("max_iters", self.max_iters)
-        _check_count("mc_samples", self.mc_samples)
+        _count("max_iters", self.max_iters, 1)
+        _count("mc_samples", self.mc_samples, 2)
         if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         for name in ("pga_step", "gd_step"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.pga_step_rule not in ("constant", "inv_sqrt"):
             raise ValueError(f"unknown pga_step_rule {self.pga_step_rule!r}")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be at least 2")
 
 
 class TraceRow(NamedTuple):

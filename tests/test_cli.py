@@ -297,6 +297,26 @@ def test_sweep_reproduces_saddle_table(tmp_path):
     assert record["outputs"]["non_converged"] == 0
     assert len(record["records"]) == 12
     assert record["table"] == "table.csv"
+    # a 3 x 3 proactive c x d sweep at source mean -0.0: its records share
+    # the source section and the provenance, and hold -0.0 and 0.0 side by
+    # side, which the writer formats once a document
+    signed = {"source": {"mean": -0.0, "variance": 1.0}, "costs": {"c": 1.0, "d": 1.0},
+              "sweep": {"mode": "proactive", "axes": [
+                  {"parameter": "costs.c", "grid": [0.5, 1.0, 2.0]},
+                  {"parameter": "costs.d", "grid": [0.25, 0.75, 1.5]}]}}
+    config = _write_config(tmp_path, "signed.json", signed)
+    out = tmp_path / "signed"
+    assert run(["sweep", "--config", config, "--out", str(out)]) == 0
+    assert len((out / "table.csv").read_text().splitlines()) == 10
+    text = (out / "result.json").read_text()
+    record = json.loads(text)
+    assert text == json.dumps(record, indent=2) + "\n"
+    assert len(record["records"]) == 9
+    signs = {(math.copysign(1, r["config"]["source"]["mean"]),
+              math.copysign(1, r["outputs"]["x_hat0"]),
+              math.copysign(1, r["outputs"]["value_std_err"]))
+             for r in record["records"]}
+    assert signs == {(-1.0, -1.0, 1.0)}
 
 
 # simulate points that differ only in n and phi share their sensor draws;
@@ -646,15 +666,16 @@ def test_round_trip_sweep_point(tmp_path):
         assert len(emit_table(records, result.parameters).splitlines()) == len(records) + 1
     # a sweep's own record echoes the config its first point parsed: a key
     # an axis crosses holds its first grid value, so a bad base value there
-    # is neither echoed nor written, and a crossed seed is the provenance's.
-    # Replaying that echo writes the same bytes
+    # is neither echoed nor written, and a crossed seed is the provenance's,
+    # so a bad base seed that a seed axis replaces is never read.  Replaying
+    # that echo writes the same bytes
     garbage = {"source": {"mean": 0.0, "variance": 1.0},
                "costs": {"c": "garbage", "d": math.nan},
                "sweep": {"mode": "proactive", "axes": [
                    {"parameter": "costs.c", "grid": [0.5, 1.0]},
                    {"parameter": "costs.d", "grid": [0.25, 2.0]}]}}
     seeded = {"source": {"mean": 0.0, "variance": 1.0}, "costs": {"c": 1.0, "d": 0.5},
-              "n": 2, "capacity": 1,
+              "seed": -1, "n": 2, "capacity": 1,
               "simulate": {"trials": 100, "threshold": 1.0, "phi": 0.5},
               "sweep": {"mode": "simulate", "axes": [
                   {"parameter": "seed", "grid": [3, 5]},
@@ -1103,9 +1124,12 @@ def test_result_json_emitter_on_real_records():
         floats, {"f": floats, "g": [floats, {"h": floats}], "i": -0.0}, sweep,
     ):
         assert cli._json_text(document) == json.dumps(document, indent=2)
-    # a record's keys are strings; any other key is refused, not written
+    # a record's keys are strings; any other key is refused, not written,
+    # and so is a leaf of any type a record may not hold, a numpy scalar too
     with pytest.raises(TypeError):
         cli._json_text({"outputs": {1: 2.0}})
+    with pytest.raises(TypeError, match="^Object of type float64 is not JSON serializable$"):
+        cli._json_text({"config": {"costs": {"c": np.float64(1.0)}}})
 
 
 def test_result_record_rejects_non_finite():

@@ -199,9 +199,9 @@ def test_sample_reproducible_and_stream_split():
     r2 = philox_rng(11, 1).standard_normal(100)
     assert not np.array_equal(r1, r2)
     assert np.array_equal(r1, philox_rng(11, 0).standard_normal(100))
-    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         philox_rng(-1)
-    with pytest.raises(ValueError, match="^stream ids must be nonnegative$"):
+    with pytest.raises(ValueError, match="^stream id must be nonnegative, got -2$"):
         philox_rng(11, 0, -2)
     # seeds and stream ids are Python or numpy integers, never a float or a
     # bool, which int() would quietly turn into another stream
@@ -210,8 +210,10 @@ def test_sample_reproducible_and_stream_split():
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
             philox_rng(*bad)
     assert np.array_equal(r1, philox_rng(np.int64(11), np.uint8(0)).standard_normal(100))
-    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+    with pytest.raises(ValueError, match="^count must be nonnegative, got -1$"):
         _deviations(g, 3, -1)
+    with pytest.raises(ValueError, match="^count must be an integer, got 2.5$"):
+        _deviations(g, 3, 2.5)
 
 
 def test_sample_moments_scalar_and_correlated():
@@ -267,6 +269,9 @@ def test_norm_sq_tail_moment_exact_and_mc():
     sq = np.einsum("ij,ij->i", draws, draws)
     vals = np.where(sq > 3.0, sq, 0.0)
     assert abs(vals.mean() - est) <= 3.0 * vals.std(ddof=1) / math.sqrt(vals.size)
+    # a source of no supported type is refused by name
+    with pytest.raises(TypeError, match="^unsupported source type str$"):
+        norm_sq_tail("N(0, 1)")
 
 
 def test_norm_sq_tail_moment_anisotropic_vs_oracle():

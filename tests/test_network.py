@@ -68,6 +68,9 @@ def test_config_validation():
 def test_config_from_kappa():
     assert NetworkConfig.from_kappa(10, 0.25) == NetworkConfig(10, 3)
     assert NetworkConfig.from_kappa(10, 0.3) == NetworkConfig(10, 3)
+    # n is checked before kappa_bar is multiplied by it
+    with pytest.raises(ValueError, match="^n must be an integer, got '3'$"):
+        NetworkConfig.from_kappa("3", 0.5)
     assert NetworkConfig.from_kappa(1, 0.5) == NetworkConfig(1, 1)
     assert NetworkConfig.from_kappa(20, 0.05) == NetworkConfig(20, 1)
     # ceil(4.5) = 5 = n leaves no contention; capacity stops at n - 1

@@ -15,6 +15,7 @@ from jamgame.gaussian import (
     DiagonalGaussian,
     GeneralGaussian,
     ScalarGaussian,
+    _fourier,
     _imhof_tail,
     _ruben_tail,
     _ruben_terms,
@@ -562,3 +563,7 @@ def test_series_and_imhof_agree():
     iso = norm_sq_tail(DiagonalGaussian(np.zeros(3), np.full(3, 2.0)))
     assert iso(5.0, 0) == stats.chi2.sf(2.5, 3)
     assert iso(5.0, 1) == 2.0 * 3 * stats.chi2.sf(2.5, 5)
+    # an integrand whose 1/t pole is left in has no finite integral, and its
+    # error estimate says so
+    with pytest.raises(ConvergenceError, match="^Imhof cos integral error estimate"):
+        _fourier(lambda t: 1.0 / t, 1.0, "cos", 4.0)

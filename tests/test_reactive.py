@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from scipy import special
 
 from jamgame import network, reactive
-from jamgame.gaussian import DiagonalGaussian, GeneralGaussian, ScalarGaussian, sample
+from jamgame.gaussian import (
+    DiagonalGaussian,
+    GeneralGaussian,
+    ScalarGaussian,
+    _region_rows,
+    sample,
+)
 from jamgame.proactive import GameCosts, ReprSymbols, objective_tilde, solve_saddle
 from jamgame.reactive import (
     Evaluation,
@@ -117,6 +123,9 @@ def test_region_empty_when_always_jammed():
     assert _segments(edges, first) == ()
     assert _segments(edges, first, transmit=False) == ((-math.inf, math.inf),)
     assert not network._transmits(np.array([0.3]), edges, first)[0]
+    # with no edge the one piece is the whole line, silent, and the transmit
+    # row is empty
+    assert _region_rows(edges, first, 2.0, 4.0) == (0.0, 0.0, 0.0, 1.0, 0.0, 4.0)
 
 
 def test_region_full_line():
@@ -543,8 +552,13 @@ def test_scalar_ops_reject_vector_sources():
         ExactScalarModel(src, UNIT_COSTS)
     with pytest.raises(TypeError):
         McVectorModel(STD, UNIT_COSTS)
-    with pytest.raises(ValueError, match="^samples must be at least 2$"):
+    with pytest.raises(ValueError, match="^samples must be at least 2, got 1$"):
         McVectorModel(src, UNIT_COSTS, samples=1)
+    with pytest.raises(ValueError, match="^samples must be an integer, got 2.5$"):
+        McVectorModel(src, UNIT_COSTS, samples=2.5)
+    # a source of no supported type is refused by name
+    with pytest.raises(TypeError, match="^unsupported source type str$"):
+        solve_pga_ccp("N(0, 1)", UNIT_COSTS)
 
 
 def _per_sample_reference(source, costs, seed, n, symbols, policy):
