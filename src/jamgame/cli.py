@@ -74,13 +74,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .gaussian import DiagonalGaussian, ScalarGaussian, _spectrum
+from .gaussian import DiagonalGaussian, ScalarGaussian, _count, _spectrum
 from .largescale import classify_and_solve_all
 from .network import NetworkConfig, RoundPolicies, estimate_costs, jn_analytic
 from .proactive import (
     _FAILURES,
     GameCosts,
     ReprSymbols,
+    _check_phi,
     _entry,
     _kappa,
     _raised,
@@ -244,7 +245,11 @@ def _vector(value, dimension: int, label: str) -> tuple[np.ndarray, object]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         number = _number(value, label)
         exact = type(value) in (int, float)
-        return np.full(dimension, number), value if exact else number
+        try:  # numpy refuses a size it cannot allocate before it allocates
+            array = np.full(dimension, number)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"source.dimension: {dimension} is too large: {exc}") from exc
+        return array, value if exact else number
     if isinstance(value, list):
         if len(value) != dimension:
             raise ConfigError(
@@ -331,18 +336,13 @@ def _check_finite(value, label: str) -> None:
 
 def _parse_source(echo: dict) -> tuple[ScalarGaussian | DiagonalGaussian, dict]:
     if "dimension" in echo:
-        dimension = echo["dimension"]
-        if dimension < 1:
-            raise ConfigError(f"source.dimension: must be >= 1, got {dimension}")
+        dimension = _build(_count, "source", "dimension", echo["dimension"], 1)
     else:
         # the first list value's length; `_vector` names a list of another
         lists = [v for v in (echo["mean"], echo["variance"]) if isinstance(v, list)]
         dimension = len(lists[0]) if lists else 1
-    try:
-        mean, mean_echo = _vector(echo["mean"], dimension, "source.mean")
-        variance, var_echo = _vector(echo["variance"], dimension, "source.variance")
-    except MemoryError as exc:  # numpy refuses before it allocates
-        raise ConfigError(f"source.dimension: {dimension} is too large: {exc}") from exc
+    mean, mean_echo = _vector(echo["mean"], dimension, "source.mean")
+    variance, var_echo = _vector(echo["variance"], dimension, "source.variance")
     echo = echo | {"mean": mean_echo, "variance": var_echo, "dimension": dimension}
     if dimension == 1:
         source = _build(ScalarGaussian, "source", float(mean[0]), float(variance[0]))
@@ -373,8 +373,7 @@ def _parse_simulate(top: dict, echo_of, source, solver_echo: dict):
     else:
         network = _build(NetworkConfig.from_kappa, "capacity", n, top["kappa_bar"])
     section = dict(echo_of("simulate"))
-    if section["trials"] < 2:
-        raise ConfigError(f"simulate.trials: must be >= 2, got {section['trials']}")
+    _build(_count, "simulate", "trials", section["trials"], 2)
     blind = "threshold" in section or "phi" in section
     if blind == ("alpha" in section or "beta" in section):
         raise ConfigError(
@@ -389,8 +388,7 @@ def _parse_simulate(top: dict, echo_of, source, solver_echo: dict):
     symbols = ReprSymbols(section["x_hat0"], section["x_hat1"])
     if blind:
         phi = section["phi"]
-        if not 0.0 <= phi <= 1.0:
-            raise ConfigError(f"simulate.phi: must lie in [0, 1], got {phi}")
+        _build(_check_phi, "simulate", phi, True)
         jammer, threshold = ReactivePolicy(phi, phi), section["threshold"]
     else:
         jammer = _build(ReactivePolicy, "simulate", section["alpha"], section["beta"])
@@ -445,8 +443,7 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{label}.grid: must be strictly increasing")
         axes[parameter] = grid
-    if section["workers"] < 1:
-        raise ConfigError(f"sweep.workers: must be >= 1, got {section['workers']}")
+    _build(_count, "sweep", "workers", section["workers"], 1)
     if "seed" not in axes:  # else the base seed is never read
         _seed(top["seed"])
 

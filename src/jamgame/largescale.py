@@ -28,6 +28,7 @@ from .proactive import (
     INTERIOR_JAM,
     GameCosts,
     ReprSymbols,
+    _check_nonnegative,
     _check_phi,
     _entry,
     _kappa,
@@ -79,8 +80,7 @@ def lagrangian_value(
     point-to-point reduced objective at price c + lam, less lam kappa_bar."""
     kb = _kappa(kappa_bar)
     _check_phi(phi, closed=False)
-    if not lam >= 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_nonnegative(lam, "lambda")
     shifted = GameCosts(costs.c + lam, costs.d)
     at_mean = ReprSymbols(source.mean, source.mean)
     return objective_tilde(source, shifted, at_mean, phi) - lam * kb
@@ -179,8 +179,7 @@ def asymptotic_objective(
     """
     kb = _kappa(kappa_bar)
     _check_phi(phi, closed=False)
-    if not transmit_threshold >= 0.0:
-        raise ValueError("transmit_threshold must be nonnegative")
+    _check_nonnegative(transmit_threshold, "transmit_threshold")
     window = _window(source, symbols, transmit_threshold)
     # the exactly-binding boundary is collision-free; the relative tolerance
     # absorbs round-trip error when the threshold was solved from kappa_bar

@@ -60,6 +60,7 @@ from .proactive import (
     _FAILURES,
     GameCosts,
     ReprSymbols,
+    _check_nonnegative,
     _kappa,
     _raised,
     _rule_window,
@@ -137,8 +138,8 @@ class RoundPolicies:
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.threshold is not None and not self.threshold >= 0.0:
-            raise ValueError("threshold must be nonnegative")
+        if self.threshold is not None:
+            _check_nonnegative(self.threshold, "threshold")
 
 
 def binomial_cdf(n: int, kappa: int, p: float) -> float:
@@ -502,8 +503,7 @@ def convergence_probe(
     p <= kappa_bar; the boundary p = kappa_bar is excluded.
     """
     kappa_bar = _kappa(kappa_bar)
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    _check_nonnegative(threshold, "threshold")
     p = _window(source, ReprSymbols(source.mean, source.mean), threshold)[0]
     if abs(p - kappa_bar) < 1e-6:
         warnings.warn(

@@ -88,6 +88,12 @@ def _check_phi(phi, closed: bool) -> None:
         raise ValueError(f"phi must lie in [0, 1{']' if closed else ')'}, got {phi}")
 
 
+def _check_nonnegative(value, name: str) -> None:
+    """That `value`, a trigger, a multiplier or a tolerance, is at least 0."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _check_finite(x_hat0, x_hat1) -> None:
     """`ReprSymbols`' finiteness check, on two floats or two arrays."""
     if type(x_hat0) is float:
@@ -235,8 +241,7 @@ def objective_with_threshold(
     optimized, which makes this the right probe for saddle inequalities.
     """
     _check_phi(phi, closed=True)
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    _check_nonnegative(threshold, "threshold")
     return _threshold_cost(
         costs, phi, _window(source, symbols, threshold), 1.0, 1.0
     )

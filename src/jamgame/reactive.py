@@ -35,15 +35,15 @@ import numpy as np
 
 from .gaussian import (
     DiagonalGaussian,
-    GeneralGaussian,
     ScalarGaussian,
     _count,
     _deviations,
     _region_rows,
+    _spectrum,
     mean_std_err,
     philox_rng,
 )
-from .proactive import GameCosts, ReprSymbols, _check_finite
+from .proactive import GameCosts, ReprSymbols, _check_finite, _check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,8 @@ class McVectorModel:
             raise TypeError("use ExactScalarModel for scalar sources")
         self.n = _count("samples", samples, 2)
         self.costs = costs
+        m = _spectrum(source).size  # a source of no supported type is refused
         self.mean = np.asarray(source.mean, dtype=float)
-        m = self.mean.size
         powers = np.empty((2 * m, samples))
         self._y, self._y2 = powers[:m], powers[m:]
         self._y[...] = _deviations(source, seed, samples).T
@@ -462,8 +462,7 @@ class SolverConfig:
     def __post_init__(self):
         _count("max_iters", self.max_iters, 1)
         _count("mc_samples", self.mc_samples, 2)
-        if not self.epsilon >= 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        _check_nonnegative(self.epsilon, "epsilon")
         for name in ("pga_step", "gd_step"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -524,9 +523,7 @@ class FneReport:
 def _build_model(source, costs, config: SolverConfig):
     if isinstance(source, ScalarGaussian):
         return ExactScalarModel(source, costs)
-    if isinstance(source, (DiagonalGaussian, GeneralGaussian)):
-        return McVectorModel(source, costs, config.mc_samples, config.seed)
-    raise TypeError(f"unsupported source type {type(source).__name__}")
+    return McVectorModel(source, costs, config.mc_samples, config.seed)
 
 
 def _source_moments(source):

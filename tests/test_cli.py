@@ -194,15 +194,22 @@ def test_solve_reactive_writes_trace(tmp_path, monkeypatch):
         # reported FNE
         assert float(rows[-1][1]) == outputs["fne_index"]
     # a sweep drops its points' reports, so it builds no trace row, and one
-    # of its points run alone still writes one row per iteration
+    # of its points run alone still writes one row per iteration; its table
+    # has a row a point, each record its iterations, and "workers": 2 is
+    # still accepted
     built, trace_row = [], reactive.TraceRow
     monkeypatch.setattr(
         reactive, "TraceRow", lambda *row: built.append(row) or trace_row(*row))
-    config = _write_config(tmp_path, "s.json", dict(REACTIVE_SWEEP, mode="sweep"))
+    sweep = dict(REACTIVE_SWEEP["sweep"], workers=2)
+    config = _write_config(
+        tmp_path, "s.json", dict(REACTIVE_SWEEP, mode="sweep", sweep=sweep))
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", config, "--out", str(out)]) == 0
     assert built == [] and not (out / "trace.csv").exists()
-    point = json.loads((out / "result.json").read_text())["records"][-1]
+    assert len((out / "table.csv").read_text().splitlines()) == 5
+    records = json.loads((out / "result.json").read_text())["records"]
+    assert len(records) == 4 and all("iterations" in r["outputs"] for r in records)
+    point = records[-1]
     config = _write_config(tmp_path, "p.json", point["config"])
     out = tmp_path / "point"
     assert run(["solve", "reactive", "--config", config, "--out", str(out)]) == 0
@@ -819,14 +826,15 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         assert run(["solve", "reactive", "--config", good, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     # a file that is not UTF-8, a dimension whose 7 PiB mean numpy refuses
-    # before it allocates, JSON nested past the recursion limit in a file or
-    # a --set value, a top level that is no object, and --set paths that
-    # name no field: no record, and the message names the file, the field
-    # or the key
+    # before it allocates and one whose byte count numpy cannot even hold,
+    # JSON nested past the recursion limit in a file or a --set value, a top
+    # level that is no object, and --set paths that name no field: no
+    # record, and the message names the file, the field or the key
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"costs": {"c": 1.0, "d": 1.0}, "note": "\xff"}')
-    huge = _write_config(tmp_path, "d.json", _base_reactive(
-        source={"mean": 0.0, "variance": 1.0, "dimension": 10**15}))
+    huge, too_big = (_write_config(tmp_path, f"d{i}.json", _base_reactive(
+        source={"mean": 0.0, "variance": 1.0, "dimension": dimension}))
+        for i, dimension in enumerate((10**15, 2**62)))
     deep = tmp_path / "deep.json"
     deep.write_text('{"costs": {"c": 1.0, "d": 1.0}, "extra": '
                     + "[" * 100_000 + "]" * 100_000 + "}")
@@ -834,6 +842,8 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     for extra, message in (
         ([str(latin)], f"error: config: cannot read {latin}: "),
         ([huge], "error: source.dimension: 1000000000000000 is too large: "),
+        ([too_big], "error: source.dimension: 4611686018427387904 is too large: "
+                    "array is too big"),
         ([str(deep)], f"error: config: cannot parse {deep}: maximum recursion"),
         ([good, "--set", "extra=" + "[" * 100_000],
          "error: --set extra: maximum recursion"),

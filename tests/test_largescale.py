@@ -381,6 +381,9 @@ ENVELOPE_UNITS = 8
 # C4a's left d difference lies within |phi*(d - h) - hi| of -hi, h |dphi*/dd|
 # to first order: 0.09 h to 2.4 h on the four C4a examples below
 C4A_BRACKET = 10
+# its left kappa_bar difference lies within |lambda*(kappa_bar - h) - lambda*|
+# of -lambda*, h |dlambda*/dkappa_bar| to first order: 5.6 h to 38 h there
+C4A_KAPPA_BRACKET = 100
 
 
 def _c4a_kappa_bar(mean, var, c, d):
@@ -393,7 +396,8 @@ def _c4a_kappa_bar(mean, var, c, d):
 def test_envelope_pins_the_value_derivatives_in_the_prices():
     # dV/dc = transmit_prob and dV/dd = -phi_star for `solve_saddle`, and
     # dV/dkappa_bar = -lambda_star for `classify_and_solve`; a draw whose
-    # +-h neighbours change case has a kink there and is skipped, and counted
+    # +-h neighbours change case has a kink there and is skipped, and
+    # counted, but for C4a's two kinks, which are pinned one-sided
     h = ENVELOPE_H
     checked, skipped = Counter(), Counter()
 
@@ -419,7 +423,17 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
         left = (large.value - down.value) / h
         assert -down.phi_star - tol <= left <= -hi + tol
         assert 0.0 <= down.phi_star - hi <= C4A_BRACKET * h
-        checked["C4a"] += 1
+        # C4a is a kink in kappa_bar too.  Right of it lies C4c, whose value
+        # does not read kappa_bar.  Left of it lies C4b, where dV/dkappa_bar
+        # = -lambda* and lambda* falls with kappa_bar, so the left difference
+        # lies between -lambda*(kappa_bar - h) and -lambda_star
+        up, down = (classify_and_solve(source, GameCosts(c, d), kb + s) for s in (h, -h))
+        assert (up.case_id, down.case_id) == ("C4c", "C4b")
+        assert abs(up.value - large.value) / h <= tol
+        left = (large.value - down.value) / h
+        assert -down.lambda_star - tol <= left <= -large.lambda_star + tol
+        assert 0.0 <= down.lambda_star - large.lambda_star <= C4A_KAPPA_BRACKET * h
+        checked["C4a"] += 2
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -427,8 +441,8 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
         d=st.floats(0.05, 3.0), kb=st.floats(0.02, 0.95),
     )
     # one draw a large-scale case on the standard source, and C4a off the
-    # mean at three variances; C4a's tie of the two triggers is a kink in
-    # kappa_bar, so that pin is skipped, and a kink in d, pinned one-sided
+    # mean at three variances; C4a's tie of the two triggers is a kink in d
+    # and in kappa_bar, each pinned one-sided
     @example(mean=0.0, var=1.0, c=1.0, d=1.0, kb=0.5)  # C1
     @example(mean=0.0, var=1.0, c=1.0, d=1.0, kb=0.25)  # C2
     @example(mean=0.0, var=1.0, c=2.0, d=0.2, kb=0.5)  # C3
@@ -452,6 +466,7 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
         large = classify_and_solve(source, GameCosts(c, d), kb)
         if large.case_id == "C4a":
             c4a_pins(source, c, d, kb, large)
+            return
         up, down = (classify_and_solve(source, GameCosts(c, d), kb + s) for s in (h, -h))
         if up.case_id == down.case_id == large.case_id:
             pin(-large.lambda_star, up.value, down.value, large.value, large.case_id)
@@ -492,7 +507,7 @@ def test_envelope_pins_the_value_derivatives_in_the_prices():
         *((kind, case) for kind in ("diagonal", "general")
           for case in (NO_JAM, INTERIOR_JAM)),
     }
-    assert checked["C4a"] >= 4 and skipped["C4a"] >= 4
+    assert checked["C4a"] >= 8 and "C4a" not in skipped
     # kinks are rare: a draw lands on one only at a case boundary
     assert sum(skipped.values()) <= 0.02 * sum(checked.values()), skipped
 

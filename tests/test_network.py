@@ -332,6 +332,12 @@ def test_simulate_round_matches_estimate(monkeypatch):
     assert simulate_round(STD, costs, config, policies, seed=np.int64(11),
                           trial=np.int32(5)) == simulate_round(
         STD, costs, config, policies, seed=11, trial=5)
+    # a batch kernel that reports an intrinsic collision for one packet at
+    # capacity 2 and no jam contradicts the channel rule: the replay refuses it
+    monkeypatch.setattr(network, "_trial_costs", lambda *args: [(
+        0, np.array([0.5]), np.array([1]), np.array([False]), np.array([True]))])
+    with pytest.raises(RuntimeError, match="^inconsistent channel outcome .* p = 1$"):
+        simulate_round(STD, costs, config, policies, seed=11, trial=0)
 
 
 def _shared_rule(source, points):
