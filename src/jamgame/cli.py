@@ -43,7 +43,8 @@ sections an axis crosses, so each range check still runs per point.  Its
 records share the other sections and one provenance dict a seed.  A
 point's record echoes its config with every default filled in; the
 sweep's own record echoes the config its first point parsed, as given
-with each crossed key at its first grid value, and that point's seed.
+(a float subclass as its float) with each crossed key at its first grid
+value, and that point's seed.
 `result.json` is the text of `json.dumps(record, indent=2)`, written in
 one pass; a list of records is written from one template, filled column
 by column as `table.csv` is: an object every record shares is written
@@ -58,7 +59,6 @@ echo and provenance come from JSON and `_number`.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import functools
 import io
@@ -416,6 +416,18 @@ def _set_path(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _given(value):
+    """A copy of a config value as given, for a sweep's own echo: each dict
+    and list copied, and each float that is not exactly one (a numpy float
+    of a Python caller) as the float `_number` gives, as a point's echo
+    holds it."""
+    if isinstance(value, dict):
+        return {key: _given(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_given(item) for item in value]
+    return float(value) if isinstance(value, float) else value
+
+
 def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
     """A sweep: its first point parsed as a config is, each other one built
     from the first one's echoes with its axes' checked values set."""
@@ -447,7 +459,7 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
     if "seed" not in axes:  # else the base seed is never read
         _seed(top["seed"])
 
-    first_raw = {k: copy.deepcopy(v) for k, v in raw.items() if k != "sweep"}
+    first_raw = {k: _given(v) for k, v in raw.items() if k != "sweep"}
     first_raw["mode"] = mode
     for parameter, grid in axes.items():
         _set_path(first_raw, parameter, grid[0])

@@ -40,16 +40,34 @@ trials an estimate is numpy's `mean` and `std(ddof=1)` bit for bit; above,
 the mean and standard error differ from numpy's over all trials in their
 last bits only (at most 3.4e-16 relative over every simulate op of the
 benchmark's workloads at three seeds), and they are the same for every
-chunk size.  So memory is a few arrays of chunk length whatever the trial
-count and n are, plus a live generator (about 1 KB) per stream and 16
-bytes per block of each point.
+chunk size.
+
+A rule's pass cuts its trials at block edges into at most `_SPANS` spans,
+each streamed in chunks of `_CHUNK` trials from its own start: two where
+the process may run on two CPUs or more, one otherwise, and never more
+than its whole blocks.  The first span runs on the calling thread with the
+opened generators, each other one on a pool thread, made on first use,
+with clones of them advanced to its first trial; Philox and the numpy
+ufuncs release the GIL, so the spans draw at the same time.  Each span adds
+its own blocks of each point's partials, and the blocks are combined in
+order, so every entry is the same for any span count.  The cap is
+measured: on a two-CPU host two spans took a sweep's simulate op from
+about 73 to 48-55 ms, and a third gained nothing.  So memory is a few
+arrays of chunk length per span whatever the trial count and n are, plus a
+live generator (about 1 KB) per stream and span and 16 bytes per block of
+each point.
 """
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import functools
 import itertools
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +94,10 @@ _CHUNK = 16_384
 # Trials a block of the reduction sums; a divisor of _CHUNK, so chunks cut no
 # block.
 _BLOCK = 4096
+# Spans a group's trials are cut into, one thread each: two where the process
+# may run on two CPUs or more, one where it may run on one.
+_SPANS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -315,16 +337,19 @@ def _trial_costs(source: ScalarGaussian, rule, points, streams, count: int):
                     jam |= (w < alpha) & ~occupied
                 intrinsic = p_count > config.capacity
                 if costs.c not in costs_at_n:
-                    paid = costs.c * p_count
-                    lost = total + paid
+                    # the first c at this n overwrites the spent draws and squares
+                    lost, paid = np.empty((2, size)) if costs_at_n else (u, sq)
+                    np.multiply(costs.c, p_count, out=paid)
+                    np.add(total, paid, out=lost)
                     lost /= n
                     paid += silent
                     paid /= n
                     costs_at_n[costs.c] = lost, paid
                 lost, clean = costs_at_n[costs.c]
-                cost = np.where(jam | intrinsic, lost, clean)
-                cost -= costs.d * jam
+                cost = np.where(intrinsic, lost, clean)
+                np.subtract(lost, costs.d, out=cost, where=jam)
                 yield i, cost, p_count, jam, intrinsic
+                del cost  # so the next point's is the chunk's only cost array
 
 
 def simulate_round(
@@ -391,6 +416,14 @@ class _Moments:
         self.sums, self.m2s = np.empty(blocks), np.empty(blocks)
         self.trials, self.seen, self.stage = trials, 0, None
 
+    def at(self, start: int) -> "_Moments":
+        """A view that shares these partials and takes costs from trial
+        `start`, a block edge, on: each span of trials adds through its own
+        view, and `estimate` combines every span's blocks in order."""
+        view = copy.copy(self)
+        view.seen, view.stage = start, None
+        return view
+
     def add(self, x: np.ndarray) -> None:
         """Reduce the blocks that the next `x.size` costs make whole, and
         stage the costs of a block that `x` ends inside."""
@@ -424,17 +457,81 @@ class _Moments:
         )
 
 
+def _spans(trials: int) -> list[int]:
+    """The first trials of the spans a group's trials run in: at most
+    `_SPANS`, cut at block edges, each with a whole block or more."""
+    blocks = trials // _BLOCK
+    spans = max(1, min(_SPANS, blocks))
+    return [_BLOCK * (blocks * k // spans) for k in range(spans)]
+
+
+def _clone(gen: np.random.Generator, start: int) -> np.random.Generator:
+    """A live generator of `gen`'s stream, from `gen` at position 0, at
+    position `start`, a multiple of 4: the same words as `_stream` there."""
+    bits = type(gen.bit_generator)()
+    bits.state = gen.bit_generator.state
+    bits.advance(start // 4)
+    return np.random.Generator(bits)
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The threads that run every span after a group's first, made on first
+    use, so a run that draws no second span starts none."""
+    return ThreadPoolExecutor(_SPANS - 1, thread_name_prefix="jamgame-span")
+
+
+def _run_spans(source: ScalarGaussian, rule, group, streams, moments, trials: int):
+    """Add every per-trial cost of `group` (`_trial_costs`) to its
+    `moments`, span by span (`_spans`): the first on this thread with
+    `streams`, each other one on `_pool` with clones of them, in a copy of
+    this thread's context, so numpy's error state holds there too.  A span
+    that raises stops the spans after it; once every span has stopped, the
+    first error in trial order is raised, the one a single pass raises."""
+    starts = _spans(trials)
+    ends = [*starts[1:], trials]
+    raised = [False] * len(starts)  # each written by its own span only
+
+    def run(k, streams, moments):
+        try:
+            kernel = _trial_costs(source, rule, group, streams, ends[k] - starts[k])
+            for j, cost, *_ in kernel:
+                if any(raised[:k]):
+                    return
+                moments[j].add(cost)
+                del cost  # so the next point's is the span's only cost array
+        except BaseException:
+            raised[k] = True
+            raise
+
+    spans = [(streams, moments)] + [
+        ([_clone(gen, start) for gen in streams], [m.at(start) for m in moments])
+        for start in starts[1:]
+    ]
+    tasks = []
+    try:
+        for k, span in enumerate(spans[1:], 1):
+            tasks.append(_pool().submit(contextvars.copy_context().run, run, k, *span))
+        run(0, *spans[0])
+    finally:
+        errors = [task.exception() for task in tasks]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> list:
     """Average each point's per-round cost over `trials` addressed rounds.
 
     `points` are any (costs, config, policies) triples of one source, in any
     order, and the entries come in their order: each point's estimate, bit
-    for bit its own `estimate_cost`'s for any chunk size, or the exception
-    that call raises.  Points with the same transmit rule (`_rule`) are one
-    pass of the kernel, so every sensor stream is drawn once per distinct
-    rule, and a pass that raises fails its own points alone.  Each point
-    reduces its costs chunk by chunk (`_Moments`), so no array of trial
-    length is held.
+    for bit its own `estimate_cost`'s for any chunk size and span count, or
+    the exception that call raises.  Points with the same transmit rule
+    (`_rule`) are one pass of the kernel, so every sensor stream is opened
+    once per distinct rule, and a pass that raises fails its own points
+    alone.  A pass runs its trials in up to `_SPANS` block-aligned spans on
+    as many threads (`_run_spans`).  Each point reduces its costs chunk by
+    chunk (`_Moments`), so no array of trial length is held.
     """
     _count("trials", trials, 2)
     entries = [_Moments(trials) for _ in points]
@@ -446,8 +543,7 @@ def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> li
         try:
             last = max(config.n for _, config, _ in group)
             streams = [_stream(seed, s, 0) for s in range(last + 1)]
-            for j, cost, *_ in _trial_costs(source, rule, group, streams, trials):
-                entries[at[j]].add(cost)
+            _run_spans(source, rule, group, streams, [entries[i] for i in at], trials)
         except _FAILURES as exc:
             for i in at:
                 entries[i] = exc

@@ -671,6 +671,23 @@ def test_round_trip_sweep_point(tmp_path):
         payload = [r.to_json() for r in records]
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
         assert len(emit_table(records, result.parameters).splitlines()) == len(records) + 1
+    # a numpy float in a key that no axis crosses reaches the sweep's own
+    # record as the float `_number` gives, as it reaches the points', so the
+    # sweep writes the bytes of its all-float twin
+    plain = {"mode": "sweep", "source": {"mean": 0.0, "variance": 2.0},
+             "costs": {"c": 1.0, "d": 0.5},
+             "sweep": {"mode": "proactive", "axes": [
+                 {"parameter": "source.mean", "grid": [-0.5, 0.25]}]}}
+    given = copy.deepcopy(plain)
+    given["costs"]["c"], given["source"]["variance"] = np.float64(1.0), np.float64(2.0)
+    texts = []
+    for name, raw in (("plain", plain), ("given", given)):
+        result = execute(parse_config(raw))
+        assert [type(v) for v in result.record.config["costs"].values()] == [float] * 2
+        (tmp_path / name).mkdir()
+        cli._write_outputs(tmp_path / name, result)
+        texts.append((tmp_path / name / "result.json").read_bytes())
+    assert texts[0] == texts[1]
     # a sweep's own record echoes the config its first point parsed: a key
     # an axis crosses holds its first grid value, so a bad base value there
     # is neither echoed nor written, and a crossed seed is the provenance's,

@@ -6,7 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -641,6 +644,138 @@ def test_reactive_collapses_to_blind_jammer():
     b = estimate_cost(STD, costs, config, blind, trials=50_000, seed=21)
     assert a.mean == b.mean
     assert a.std_err == b.std_err
+
+
+def _span_group():
+    """Two rules of one source: threshold points at n 1-20 with their own
+    jammers and costs, and best responses to one sensing jammer."""
+    source, symbols = ScalarGaussian(0.4, 2.0), ReprSymbols(0.3, -0.5)
+    thresholds = [
+        (GameCosts(c, d), NetworkConfig(n, cap),
+         RoundPolicies(symbols, ReactivePolicy(alpha, beta), 1.1))
+        for n, cap, alpha, beta, c, d in (
+            (20, 6, 0.3, 0.3, 0.7, 1.3), (1, 1, 0.9, 0.1, 1.0, 0.2),
+            (5, 2, 0.0, 0.0, 2.0, 1.0), (5, 4, 0.6, 0.6, 2.0, 1.9),
+        )
+    ]
+    sensing = RoundPolicies(symbols, ReactivePolicy(0.2, 0.7))
+    responses = [(GameCosts(0.9, 1.1), NetworkConfig(n, cap), sensing)
+                 for n, cap in ((8, 3), (2, 1))]
+    return source, thresholds + responses, sensing
+
+
+def test_estimate_is_the_same_for_any_span_count(monkeypatch):
+    # the trials of a rule's pass run in block-aligned spans, the first on
+    # the calling thread and each other one on a pool thread with clones of
+    # the streams; every entry is the one-span entry bit for bit, for any
+    # chunk, and each stream is still opened once per rule
+    source, group, _ = _span_group()
+    opened, threads = [], []
+    open_stream, trial_costs = network._stream, network._trial_costs
+
+    def counted(seed, stream, start):
+        opened.append(stream)
+        return open_stream(seed, stream, start)
+
+    def traced(*args):
+        threads.append(threading.get_ident())
+        yield from trial_costs(*args)
+
+    monkeypatch.setattr(network, "_stream", counted)
+    monkeypatch.setattr(network, "_trial_costs", traced)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # so the spans' threads interleave finely
+    try:
+        for trials, chunk, spans in itertools.product(
+            (network._BLOCK, 2 * network._BLOCK + 123, 100_000), (network._CHUNK, 3001),
+            (1, 2, 3),
+        ):
+            monkeypatch.setattr(network, "_CHUNK", chunk)
+            monkeypatch.setattr(network, "_SPANS", spans)
+            opened.clear()
+            threads.clear()
+            entries = estimate_costs(source, group, trials, seed=4)
+            runs.setdefault(trials, []).append([(e.mean, e.std_err) for e in entries])
+            assert sorted(opened) == sorted([*range(21), *range(9)])
+            # a span for each rule and each whole block, up to the cap, the
+            # first of each rule on this thread and the others not
+            cut = min(spans, trials // network._BLOCK)
+            assert len(threads) == 2 * cut
+            assert threads.count(threading.get_ident()) == 2
+            assert (len(set(threads)) > 1) == (cut > 1)
+    finally:
+        sys.setswitchinterval(interval)
+    for trials, entries in runs.items():
+        assert all(run == entries[0] for run in entries), trials
+
+
+def test_span_failure_fails_its_rule_after_every_span_stops(monkeypatch):
+    # a rule whose pass raises in one span fails its own points, as a
+    # one-span pass does, with the first error in trial order, and only
+    # once every span has stopped: a span after the failing one stops at
+    # its next cost, one before it runs to its end.  The other rule's
+    # points keep their estimates
+    source, group, sensing = _span_group()
+    monkeypatch.setattr(network, "_SPANS", 2)
+    expected = estimate_costs(source, group, 100_000, seed=4)
+    failing_rule = network._rule(source, *group[-1][::2])
+    trial_costs, main = network._trial_costs, threading.current_thread()
+    running, passed, finished = [], [], []
+
+    def failing(source, rule, *args):
+        span = "first" if threading.current_thread() is main else "second"
+        running.append(span)
+        try:
+            for item in trial_costs(source, rule, *args):
+                if rule == failing_rule:
+                    if span in raising:
+                        raised.set()
+                        raise FloatingPointError(f"overflow in the {span} span")
+                    if span not in passed:
+                        # the other span raises meanwhile, and its run sees it
+                        assert raised.wait(10)
+                        time.sleep(0.05)
+                    passed.append(span)
+                yield item
+            if rule == failing_rule:
+                finished.append(span)
+        finally:
+            running.remove(span)
+
+    monkeypatch.setattr(network, "_trial_costs", failing)
+    for raising, first, ran in ((("second",), "second", ["first"]), (("first",), "first", []),
+                                (("first", "second"), "first", [])):
+        passed.clear()
+        finished.clear()
+        raised = threading.Event()
+        entries = estimate_costs(source, group, 100_000, seed=4)
+        assert running == []
+        assert finished == ran
+        # the second span stops at the first cost it passes after the first raised
+        assert passed.count("second") == (raising == ("first",))
+        for point, entry, want in zip(group, entries, expected, strict=True):
+            if point[2] is sensing:
+                assert type(entry) is FloatingPointError
+                assert str(entry) == f"overflow in the {first} span"
+            else:
+                assert entry == want
+
+
+@pytest.mark.parametrize("spans", [1, 2])
+def test_span_threads_keep_the_callers_error_state(monkeypatch, spans):
+    # numpy keeps its error state per context: under over="raise" every
+    # span's overflow raises, so the group fails as one span does and no
+    # span only warns; x_hat1 = 1e200 overflows the error against x_hat1
+    monkeypatch.setattr(network, "_SPANS", spans)
+    group = [(GameCosts(1.0, 1.0), NetworkConfig(3, 1),
+              RoundPolicies(ReprSymbols(0.0, 1e200), ReactivePolicy(0.2, 0.2), 1.0))]
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise"):
+        warnings.simplefilter("always")
+        (entry,) = estimate_costs(STD, group, 2 * network._BLOCK + 123, seed=5)
+    assert caught == []
+    assert type(entry) is FloatingPointError
+    assert str(entry) == "overflow encountered in multiply"
 
 
 def _one_point(source, costs, config, policies, seed, trials):
