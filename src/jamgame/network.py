@@ -19,19 +19,20 @@ Reproducibility: draw (trial, stream) is addressed as position `trial` of a
 counter-based substream (one per sensor, one for the jammer), with exactly
 one uniform consumed per position and normals obtained by inversion.  Costs
 are therefore bit-identical however trials are chunked, and a single round
-can be replayed in isolation.  A run opens one live generator per stream
-once, a replay at its trial, and streams its trials through them in chunks
-of `_CHUNK` trials, small enough that a chunk's arrays stay in cache: each
-sensor's draws are made, masked and added into the per-trial transmit count
-and errors before the next sensor's, and a replay lists a delivered round's
-packets by rewinding the same generators.  The sums over the first n sensors
-are the same for every point with the same seed and transmit rule, so
-`estimate_costs` takes any points of one source, splits them by rule itself
-and makes one pass a rule, each point bit for bit as on its own.  Every rule
-takes one form, the points where it switches between silence and
-transmission: threshold points share it whatever their jammer and costs, and
-best-response points share it when they differ in n or capacity, or in a
-jammer and costs that give the same switch points.
+can be replayed in isolation.  Each span of a run (below) opens one live
+generator per stream at its first trial, a replay at its trial, and
+streams its trials through them in chunks of `_CHUNK` trials, small enough
+that a chunk's arrays stay in cache: each sensor's draws are made, masked
+and added into the per-trial transmit count and errors before the next
+sensor's, and a replay lists a delivered round's packets by rewinding the
+same generators.  The sums over the first n sensors are the same for every
+point with the same seed and transmit rule, so `estimate_costs` takes any
+points of one source, splits them by rule itself and makes one pass a rule,
+each point bit for bit as on its own.  Every rule takes one form, the
+points where it switches between silence and transmission: threshold
+points share it whatever their jammer and costs, and best-response points
+share it when they differ in n or capacity, or in a jammer and costs that
+give the same switch points.
 
 Each point reduces its costs in blocks of `_BLOCK` trials aligned at trial
 0: a pairwise sum and a two-pass sum of squared deviations a block, combined
@@ -45,17 +46,16 @@ chunk size.
 A rule's pass cuts its trials at block edges into at most `_SPANS` spans,
 each streamed in chunks of `_CHUNK` trials from its own start: two where
 the process may run on two CPUs or more, one otherwise, and never more
-than its whole blocks.  The first span runs on the calling thread with the
-opened generators, each other one on a pool thread, made on first use,
-with clones of them advanced to its first trial; Philox and the numpy
-ufuncs release the GIL, so the spans draw at the same time.  Each span adds
-its own blocks of each point's partials, and the blocks are combined in
-order, so every entry is the same for any span count.  The cap is
-measured: on a two-CPU host two spans took a sweep's simulate op from
-about 73 to 48-55 ms, and a third gained nothing.  So memory is a few
-arrays of chunk length per span whatever the trial count and n are, plus a
-live generator (about 1 KB) per stream and span and 16 bytes per block of
-each point.
+than its whole blocks.  Each span opens its own generators at its first
+trial; the first runs on the calling thread, each other one on a pool
+thread, made on first use.  Philox and the numpy ufuncs release the GIL,
+so the spans draw at the same time.  Each span adds its own blocks of each
+point's partials, and the blocks are combined in order, so every entry is
+the same for any span count.  The cap is measured: on a two-CPU host two
+spans took a sweep's simulate op from about 73 to 48-55 ms, and a third
+gained nothing.  So memory is a few arrays of chunk length per span
+whatever the trial count and n are, plus a live generator (about 1 KB) per
+stream and span and 16 bytes per block of each point.
 """
 
 from __future__ import annotations
@@ -465,15 +465,6 @@ def _spans(trials: int) -> list[int]:
     return [_BLOCK * (blocks * k // spans) for k in range(spans)]
 
 
-def _clone(gen: np.random.Generator, start: int) -> np.random.Generator:
-    """A live generator of `gen`'s stream, from `gen` at position 0, at
-    position `start`, a multiple of 4: the same words as `_stream` there."""
-    bits = type(gen.bit_generator)()
-    bits.state = gen.bit_generator.state
-    bits.advance(start // 4)
-    return np.random.Generator(bits)
-
-
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The threads that run every span after a group's first, made on first
@@ -481,38 +472,39 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(_SPANS - 1, thread_name_prefix="jamgame-span")
 
 
-def _run_spans(source: ScalarGaussian, rule, group, streams, moments, trials: int):
+def _run_spans(source: ScalarGaussian, rule, group, moments, trials: int, seed: int):
     """Add every per-trial cost of `group` (`_trial_costs`) to its
-    `moments`, span by span (`_spans`): the first on this thread with
-    `streams`, each other one on `_pool` with clones of them, in a copy of
-    this thread's context, so numpy's error state holds there too.  A span
-    that raises stops the spans after it; once every span has stopped, the
-    first error in trial order is raised, the one a single pass raises."""
+    `moments`, span by span (`_spans`): each span opens its own streams 0
+    ... max n at its first trial (`_stream`) and adds through its own views
+    of the partials (`_Moments.at`), the first on this thread and each other
+    one on `_pool` in a copy of this thread's context, so numpy's error
+    state holds there too.  A span that raises stops the spans after it;
+    once every span has stopped, the first error in trial order is raised,
+    the one a single pass raises."""
     starts = _spans(trials)
     ends = [*starts[1:], trials]
+    last = max(config.n for _, config, _ in group)
     raised = [False] * len(starts)  # each written by its own span only
 
-    def run(k, streams, moments):
+    def run(k):
         try:
+            streams = [_stream(seed, s, starts[k]) for s in range(last + 1)]
+            span = [m.at(starts[k]) for m in moments]
             kernel = _trial_costs(source, rule, group, streams, ends[k] - starts[k])
             for j, cost, *_ in kernel:
                 if any(raised[:k]):
                     return
-                moments[j].add(cost)
+                span[j].add(cost)
                 del cost  # so the next point's is the span's only cost array
         except BaseException:
             raised[k] = True
             raise
 
-    spans = [(streams, moments)] + [
-        ([_clone(gen, start) for gen in streams], [m.at(start) for m in moments])
-        for start in starts[1:]
-    ]
     tasks = []
     try:
-        for k, span in enumerate(spans[1:], 1):
-            tasks.append(_pool().submit(contextvars.copy_context().run, run, k, *span))
-        run(0, *spans[0])
+        for k in range(1, len(starts)):
+            tasks.append(_pool().submit(contextvars.copy_context().run, run, k))
+        run(0)
     finally:
         errors = [task.exception() for task in tasks]
     for error in errors:
@@ -527,11 +519,12 @@ def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> li
     order, and the entries come in their order: each point's estimate, bit
     for bit its own `estimate_cost`'s for any chunk size and span count, or
     the exception that call raises.  Points with the same transmit rule
-    (`_rule`) are one pass of the kernel, so every sensor stream is opened
-    once per distinct rule, and a pass that raises fails its own points
-    alone.  A pass runs its trials in up to `_SPANS` block-aligned spans on
-    as many threads (`_run_spans`).  Each point reduces its costs chunk by
-    chunk (`_Moments`), so no array of trial length is held.
+    (`_rule`) are one pass of the kernel, and a pass that raises fails its
+    own points alone.  A pass runs its trials in up to `_SPANS`
+    block-aligned spans on as many threads, each of which opens every
+    stream of the pass once, at its first trial (`_run_spans`).  Each point
+    reduces its costs chunk by chunk (`_Moments`), so no array of trial
+    length is held.
     """
     _count("trials", trials, 2)
     entries = [_Moments(trials) for _ in points]
@@ -539,11 +532,9 @@ def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> li
     for i, (costs, _, policies) in enumerate(points):
         by_rule.setdefault(_rule(source, costs, policies), []).append(i)
     for rule, at in by_rule.items():
-        group = [points[i] for i in at]
         try:
-            last = max(config.n for _, config, _ in group)
-            streams = [_stream(seed, s, 0) for s in range(last + 1)]
-            _run_spans(source, rule, group, streams, [entries[i] for i in at], trials)
+            _run_spans(source, rule, [points[i] for i in at],
+                       [entries[i] for i in at], trials, seed)
         except _FAILURES as exc:
             for i in at:
                 entries[i] = exc

@@ -483,7 +483,7 @@ def test_estimate_reduction_is_blocked(monkeypatch):
             assert estimate.std_err == pytest.approx(std_err, rel=eps, abs=0.0)
 
 
-def test_estimate_determinism_and_error_scaling():
+def test_estimate_determinism_and_error_scaling(monkeypatch):
     costs = GameCosts(1.0, 1.0)
     config = NetworkConfig(4, 2)
     policies = RoundPolicies(ReprSymbols(0.2, -0.1), ReactivePolicy(0.3, 0.3), 1.0)
@@ -499,9 +499,15 @@ def test_estimate_determinism_and_error_scaling():
     for bad in (True, 1000.0):
         with pytest.raises(ValueError, match="^trials must be an integer, got"):
             estimate_cost(STD, costs, config, policies, trials=bad, seed=2)
-    for bad in (True, 2.0, 1.5):
-        with pytest.raises(ValueError, match="^seed must be an integer, got"):
-            estimate_cost(STD, costs, config, policies, trials=100, seed=bad)
+    # the seed is checked inside the spans: one at 100 trials, two at two
+    # whole blocks and more
+    monkeypatch.setattr(network, "_SPANS", 2)
+    for trials in (100, 2 * network._BLOCK + 123):
+        for bad in (True, 2.0, 1.5):
+            with pytest.raises(ValueError, match="^seed must be an integer, got"):
+                estimate_cost(STD, costs, config, policies, trials=trials, seed=bad)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            estimate_cost(STD, costs, config, policies, trials=trials, seed=-1)
     assert estimate_cost(STD, costs, config, policies, trials=np.int64(100),
                          seed=np.uint32(2)) == estimate_cost(
         STD, costs, config, policies, trials=100, seed=2)
@@ -666,20 +672,21 @@ def _span_group():
 
 def test_estimate_is_the_same_for_any_span_count(monkeypatch):
     # the trials of a rule's pass run in block-aligned spans, the first on
-    # the calling thread and each other one on a pool thread with clones of
-    # the streams; every entry is the one-span entry bit for bit, for any
-    # chunk, and each stream is still opened once per rule
+    # the calling thread and each other one on a pool thread, each opening
+    # the rule's streams at its first trial on its own thread; every entry
+    # is the one-span entry bit for bit, for any chunk
     source, group, _ = _span_group()
-    opened, threads = [], []
+    opened, kernels = [], []
     open_stream, trial_costs = network._stream, network._trial_costs
 
     def counted(seed, stream, start):
-        opened.append(stream)
-        return open_stream(seed, stream, start)
+        gen = open_stream(seed, stream, start)
+        opened.append((stream, start, threading.get_ident(), gen))
+        return gen
 
-    def traced(*args):
-        threads.append(threading.get_ident())
-        yield from trial_costs(*args)
+    def traced(source, rule, group, streams, count):
+        kernels.append((threading.get_ident(), streams))
+        yield from trial_costs(source, rule, group, streams, count)
 
     monkeypatch.setattr(network, "_stream", counted)
     monkeypatch.setattr(network, "_trial_costs", traced)
@@ -694,13 +701,22 @@ def test_estimate_is_the_same_for_any_span_count(monkeypatch):
             monkeypatch.setattr(network, "_CHUNK", chunk)
             monkeypatch.setattr(network, "_SPANS", spans)
             opened.clear()
-            threads.clear()
+            kernels.clear()
             entries = estimate_costs(source, group, trials, seed=4)
             runs.setdefault(trials, []).append([(e.mean, e.std_err) for e in entries])
-            assert sorted(opened) == sorted([*range(21), *range(9)])
             # a span for each rule and each whole block, up to the cap, the
             # first of each rule on this thread and the others not
             cut = min(spans, trials // network._BLOCK)
+            threads = [thread for thread, _ in kernels]
+            # each span opens each stream of its rule once, at its first
+            # trial, on the thread that runs its kernel
+            assert sorted(s for s, *_ in opened) == sorted([*range(21), *range(9)] * cut)
+            assert {start for _, start, *_ in opened} <= set(network._spans(trials))
+            at = {id(gen): (start, thread) for _, start, thread, gen in opened}
+            assert sorted(at[id(streams[0])][0] for _, streams in kernels) == sorted(
+                network._spans(trials) * 2)
+            for thread, streams in kernels:
+                assert {at[id(gen)] for gen in streams} == {(at[id(streams[0])][0], thread)}
             assert len(threads) == 2 * cut
             assert threads.count(threading.get_ident()) == 2
             assert (len(set(threads)) > 1) == (cut > 1)
