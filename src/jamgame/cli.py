@@ -43,8 +43,8 @@ sections an axis crosses, so each range check still runs per point.  Its
 records share the other sections and one provenance dict a seed.  A
 point's record echoes its config with every default filled in; the
 sweep's own record echoes the config its first point parsed, as given
-(a float subclass as its float) with each crossed key at its first grid
-value, and that point's seed.
+(`_given`: a float or int subclass as its float or int) with each crossed
+key at its first grid value, and that point's seed.
 `result.json` is the text of `json.dumps(record, indent=2)`, written in
 one pass; a list of records is written from one template, filled column
 by column as `table.csv` is: an object every record shares is written
@@ -145,7 +145,7 @@ def _integer(value, label: str) -> int:
         raise ConfigError(f"{label}: must be an integer, got {_shown(value)}")
     if not -(2**63) <= value < 2**63:  # numpy and scipy take 64-bit integers
         raise ConfigError(f"{label}: must fit in 64 bits, got {_shown(value)}")
-    return value
+    return int(value)
 
 
 _REQUIRED = "required"
@@ -240,24 +240,21 @@ def _build(cls, label: str, *args, **kwargs):
 
 
 def _vector(value, dimension: int, label: str) -> tuple[np.ndarray, object]:
-    """(array, echo) of a number or a list of numbers; the echo holds each
-    one that is not exactly an int or a float as the float `_number` gives."""
+    """(array, echo) of a number or a list of numbers, each one checked by
+    `_number`; the echo is the checked value as given (`_given`)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         number = _number(value, label)
-        exact = type(value) in (int, float)
         try:  # numpy refuses a size it cannot allocate before it allocates
             array = np.full(dimension, number)
         except (MemoryError, ValueError) as exc:
             raise ConfigError(f"source.dimension: {dimension} is too large: {exc}") from exc
-        return array, value if exact else number
+        return array, _given(value)
     if isinstance(value, list):
         if len(value) != dimension:
             raise ConfigError(
                 f"{label}: expected {dimension} entries, got {len(value)}"
             )
-        numbers = [_number(v, label) for v in value]
-        echo = [v if type(v) in (int, float) else x for v, x in zip(value, numbers)]
-        return np.array(numbers), echo
+        return np.array([_number(v, label) for v in value]), _given(value)
     raise ConfigError(
         f"{label}: must be a number or a list of numbers, got {_shown(value)}"
     )
@@ -417,15 +414,18 @@ def _set_path(raw: dict, dotted: str, value) -> None:
 
 
 def _given(value):
-    """A copy of a config value as given, for a sweep's own echo: each dict
-    and list copied, and each float that is not exactly one (a numpy float
-    of a Python caller) as the float `_number` gives, as a point's echo
-    holds it."""
+    """A checked config value as it is echoed as given, the one rule for
+    `source.mean`, `source.variance`, sweep grids and a sweep's own record:
+    each dict and list copied, an exact int or float as given, and any
+    other float or int (not a bool) as its float or int, as the numpy
+    float or `IntEnum` of a Python caller, so the writers take it."""
     if isinstance(value, dict):
         return {key: _given(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_given(item) for item in value]
-    return float(value) if isinstance(value, float) else value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return float(value) if isinstance(value, float) else int(value)
 
 
 def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
@@ -448,10 +448,9 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
             )
         if not isinstance(grid, list) or not grid:
             raise ConfigError(f"{label}.grid: must be a nonempty list")
-        # an exact int stays one, so integer fields can be swept too; any
-        # other number becomes the float `_number` gives
-        numbers = [_number(value, f"{label}.grid[{j}]") for j, value in enumerate(grid)]
-        grid = tuple(v if type(v) is int else x for v, x in zip(grid, numbers))
+        for j, value in enumerate(grid):
+            _number(value, f"{label}.grid[{j}]")
+        grid = tuple(_given(grid))  # an int stays one: integer fields sweep too
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{label}.grid: must be strictly increasing")
         axes[parameter] = grid
@@ -459,8 +458,7 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
     if "seed" not in axes:  # else the base seed is never read
         _seed(top["seed"])
 
-    first_raw = {k: _given(v) for k, v in raw.items() if k != "sweep"}
-    first_raw["mode"] = mode
+    first_raw = {k: v for k, v in raw.items() if k != "sweep"} | {"mode": mode}
     for parameter, grid in axes.items():
         _set_path(first_raw, parameter, grid[0])
     # each section's echo as `_read` gives it for the first point, the top
@@ -499,7 +497,7 @@ def _parse_sweep(raw: dict, top: dict) -> ExperimentConfig:
         raise ConfigError(f"sweep point ({at}): {exc}") from exc
     section["axes"] = [{"parameter": p, "grid": list(g)} for p, g in axes.items()]
     plan = SweepPlan(tuple(axes.items()), section["workers"], tuple(points))
-    normalized = first_raw | {"mode": "sweep", "sweep": section}
+    normalized = _given(first_raw) | {"mode": "sweep", "sweep": section}
     return ExperimentConfig("sweep", points[0].seed, normalized, sweep_plan=plan)
 
 
@@ -534,7 +532,7 @@ def _seed(seed) -> int:
     # no 64-bit limit: SeedSequence takes integers of any size
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {_shown(seed)}")
-    return seed
+    return int(seed)
 
 
 def _point(mode: str, top: dict, echo_of, parts: dict) -> ExperimentConfig:

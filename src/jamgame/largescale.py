@@ -110,23 +110,23 @@ def classify_and_solve_all(source: ScalarGaussian, points) -> list:
     so each distinct costs is solved once and points with the same d solve
     the root of its indifference condition once; each distinct kappa_bar's
     l_lambda is solved once."""
-    points = [(costs, _kappa(kappa_bar)) for costs, kappa_bar in points]
     free = solve_saddles(source, [costs for costs, _ in points])
     tail = norm_sq_tail(source)
     l_lams = {}
     return [
         saddle if isinstance(saddle, BaseException)
-        else _entry(_classify, source, tail, costs, kb, saddle, l_lams)
-        for (costs, kb), saddle in zip(points, free)
+        else _entry(_classify, source, tail, costs, kappa_bar, saddle, l_lams)
+        for (costs, kappa_bar), saddle in zip(points, free)
     ]
 
 
 def _classify(
-    source, tail, costs: GameCosts, kb: float, free, l_lams: dict
+    source, tail, costs: GameCosts, kappa_bar, free, l_lams: dict
 ) -> LargeScaleSaddle:
     """`classify_and_solve` from the point-to-point saddle `free`, the
     source's `norm_sq_tail` and `l_lams`, the l_lambda solved so far by
     kappa_bar."""
+    kb = _kappa(kappa_bar)
     if kb not in l_lams:
         l_lams[kb] = solve_l_lambda(source, kb)
     l_lam = l_lams[kb]

@@ -79,6 +79,7 @@ from .proactive import (
     GameCosts,
     ReprSymbols,
     _check_nonnegative,
+    _entry,
     _kappa,
     _raised,
     _rule_window,
@@ -519,21 +520,22 @@ def estimate_costs(source: ScalarGaussian, points, trials: int, seed: int) -> li
     order, and the entries come in their order: each point's estimate, bit
     for bit its own `estimate_cost`'s for any chunk size and span count, or
     the exception that call raises.  Points with the same transmit rule
-    (`_rule`) are one pass of the kernel, and a pass that raises fails its
-    own points alone.  A pass runs its trials in up to `_SPANS`
-    block-aligned spans on as many threads, each of which opens every
-    stream of the pass once, at its first trial (`_run_spans`).  Each point
-    reduces its costs chunk by chunk (`_Moments`), so no array of trial
-    length is held.
+    (`_rule`) are one pass of the kernel, and a pass that raises, or a rule
+    that cannot be formed, fails its own points alone.  A pass runs its
+    trials in up to `_SPANS` block-aligned spans on as many threads, each
+    of which opens every stream of the pass once, at its first trial
+    (`_run_spans`).  Each point reduces its costs chunk by chunk
+    (`_Moments`), so no array of trial length is held.
     """
     _count("trials", trials, 2)
     entries = [_Moments(trials) for _ in points]
     by_rule = {}
     for i, (costs, _, policies) in enumerate(points):
-        by_rule.setdefault(_rule(source, costs, policies), []).append(i)
+        # a rule that cannot be formed is its exception, a group of its own
+        by_rule.setdefault(_entry(_rule, source, costs, policies), []).append(i)
     for rule, at in by_rule.items():
         try:
-            _run_spans(source, rule, [points[i] for i in at],
+            _run_spans(source, _raised(rule), [points[i] for i in at],
                        [entries[i] for i in at], trials, seed)
         except _FAILURES as exc:
             for i in at:

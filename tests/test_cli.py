@@ -671,6 +671,35 @@ def test_round_trip_sweep_point(tmp_path):
         payload = [r.to_json() for r in records]
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
         assert len(emit_table(records, result.parameters).splitlines()) == len(records) + 1
+    # an int subclass (an IntEnum) echoes as its int: a `source.mean` entry,
+    # and a simulate sweep's base n and seed, in the sweep's own record and
+    # in every point record, so the sweep writes the bytes of its all-int
+    # twin, `json.dumps(..., indent=2)` of exact ints
+
+    class Count(enum.IntEnum):
+        ONE = 1
+        TWO = 2
+        SEVEN = 7
+
+    listed = {"mode": "proactive", "costs": {"c": 1.0, "d": 0.5},
+              "source": {"mean": [Count.ONE, 0.5], "variance": 1.0}}
+    mean = execute(parse_config(listed)).record.config["source"]["mean"]
+    assert mean == [1, 0.5] and [type(v) for v in mean] == [int, float]
+    ints = {"mode": "sweep", "source": {"mean": 0.0, "variance": 1.0},
+            "costs": {"c": 1.0, "d": 0.5}, "seed": 7, "n": 2, "capacity": 1,
+            "simulate": {"trials": 100, "threshold": 1.0, "phi": 0.5},
+            "sweep": {"mode": "simulate", "axes": [
+                {"parameter": "simulate.phi", "grid": [0.25, 0.75]}]}}
+    texts = []
+    for name, raw in (("ints", ints), ("enums", ints | {"seed": Count.SEVEN, "n": Count.TWO})):
+        result = execute(parse_config(raw))
+        for record in (result.record, *result.point_records):
+            assert [type(record.config[key]) for key in ("n", "seed")] == [int, int]
+        (tmp_path / name).mkdir()
+        cli._write_outputs(tmp_path / name, result)
+        texts.append((tmp_path / name / "result.json").read_text())
+        assert texts[-1] == json.dumps(json.loads(texts[-1]), indent=2) + "\n"
+    assert texts[0] == texts[1]
     # a numpy float in a key that no axis crosses reaches the sweep's own
     # record as the float `_number` gives, as it reaches the points', so the
     # sweep writes the bytes of its all-float twin
@@ -915,6 +944,19 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and len(err.encode()) < 300, err[:400]
+    # a sweep checks a value before it echoes it, so a source.mean nested
+    # 800 deep exits 2 naming its point and field, with no traceback
+    path = tmp_path / "deep-sweep.json"
+    path.write_text('{"mode": "sweep", "costs": {"c": 1.0, "d": 1.0}, "source": '
+                    '{"mean": ' + "[" * 800 + "]" * 800 + ', "variance": 1.0}, '
+                    '"sweep": {"mode": "proactive", "axes": '
+                    '[{"parameter": "costs.c", "grid": [1.0, 2.0]}]}}')
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("error: sweep point ('costs.c'=1.0): source.mean: must be a "
+                   "number, got [[[[...]]]]\n"), err[:400]
     # the console script's main exits with run's code
     failing = _write_config(tmp_path, "f.json", _RAISING_POINTS["gda-nan-iterate"][1])
     for argv, code in (

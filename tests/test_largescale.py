@@ -185,6 +185,18 @@ def test_group_is_each_points_saddle():
     assert {s.case_id for s in classify_and_solve_all(STD, points)} == {
         "C1", "C2", "C3", "C4a", "C4b", "C4c"}
     assert classify_and_solve_all(STD, []) == []
+    # a kappa_bar out of range fails its own point alone: its entry is the
+    # ValueError its own run raises, and the points that share its costs
+    # keep their own runs' saddles
+    source, costs = ScalarGaussian(0.0, 2.0), GameCosts(1.0, 0.5)
+    bad = [(costs, 0.3), (costs, 1.5), (costs, 0.6)]
+    group = classify_and_solve_all(source, bad)
+    with pytest.raises(ValueError) as raised:
+        classify_and_solve(source, *bad[1])
+    assert type(group[1]) is ValueError
+    assert str(group[1]) == str(raised.value) == "kappa_bar must lie in (0, 1), got 1.5"
+    for i in (0, 2):
+        assert repr(group[i]) == repr(classify_and_solve(source, *bad[i]))
 
 
 def test_case_ids_and_binding_constraints():

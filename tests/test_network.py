@@ -413,6 +413,20 @@ def test_estimate_chunking_invariant(monkeypatch):
                   [responses[1], other_jammer, *responses]):
         alone = [estimate_cost(source, *point, trials=500, seed=4) for point in mixed]
         assert estimate_costs(source, mixed, trials=500, seed=4) == alone
+    # a point whose rule cannot be formed, here for vector symbols, is its
+    # own group: its entry is the exception its own run raises, and the
+    # other points keep their own runs' estimates
+    vector = (costs, config, RoundPolicies(
+        ReprSymbols(np.zeros(2), np.zeros(2)), ReactivePolicy(0.2, 0.7)))
+    mixed = [responses[1], vector, group[0], *responses[2:]]
+    entries = estimate_costs(source, mixed, trials=500, seed=4)
+    with pytest.raises(ValueError, match="^symbols are not scalar$"):
+        estimate_cost(source, *vector, trials=500, seed=4)
+    assert type(entries[1]) is ValueError
+    assert str(entries[1]) == "symbols are not scalar"
+    for i, point in enumerate(mixed):
+        if i != 1:
+            assert entries[i] == estimate_cost(source, *point, trials=500, seed=4)
     assert estimate_costs(source, [], trials=500, seed=4) == []
     # a rule whose pass raises, here partway through it, is the entry of
     # each of its points, the exception that point's own run raises; the
